@@ -48,8 +48,6 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .gates import (
-    DUAL_RAIL,
-    LogicalEncoding,
     Unitary,
     controlled_iswap_ideal,
     fredkin_classical,
@@ -66,7 +64,6 @@ from .physical import (
     DerivedCouplings,
     PhysicalParams,
     check_interference_condition,
-    check_resonance_condition,
     derive_couplings,
     effective_hamiltonian,
 )
@@ -85,13 +82,11 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DUAL_RAIL",
     "DecoherenceParams",
     "DerivedCouplings",
     "EulerAngles",
     "EvolutionResult",
     "FixedSetResult",
-    "LogicalEncoding",
     "NativeOp",
     "NativeProgram",
     "NodePairState",
@@ -103,7 +98,6 @@ __all__ = [
     "approximate_fixed_set",
     "blockade_error",
     "check_interference_condition",
-    "check_resonance_condition",
     "controlled_iswap_ideal",
     "decode",
     "derive_couplings",

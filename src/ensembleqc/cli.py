@@ -3,7 +3,10 @@
 Subcommands: ``truth-table``, ``blockade-sweep``, ``compile``, ``simulate``,
 ``fidelity``.  Global flags: ``--config <path.json>``, ``--json``,
 ``--seed <u64>``, ``--out <dir>``.  Exit codes: 0 all embedded verifications
-pass, 1 a verification failed, 2 usage or parse error.
+pass, 1 a verification failed, 2 usage or parse error.  :func:`main` is the
+one place that maps errors to exit codes: :class:`VerificationError` gives 1,
+and ``ValueError`` (which includes :class:`UsageError` and every parse error)
+or ``OSError`` gives 2, each with a single ``error: ...`` line on stderr.
 
 Every command is deterministic given the config and seed; reports embed a
 hash of the resolved configuration.  Numeric output uses 12 significant
@@ -18,7 +21,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +36,12 @@ EXIT_USAGE = 2
 _FMT = "{:.12g}"
 
 
-class ConfigError(ValueError):
-    pass
+class UsageError(ValueError):
+    """Config or command-line input that the command cannot use (exit 2)."""
+
+
+class VerificationError(Exception):
+    """An embedded verification failed before a report was produced (exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -46,21 +53,25 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
+        if not isinstance(raw, dict):
+            raise UsageError("sweep must be a JSON object")
         parameter = raw.get("parameter")
         if not isinstance(parameter, str) or not parameter:
-            raise ConfigError("sweep needs a 'parameter' name")
+            raise UsageError("sweep needs a 'parameter' name")
         if "values" in raw:
             values = tuple(float(v) for v in raw["values"])
             if not values:
-                raise ConfigError("sweep 'values' must be nonempty")
+                raise UsageError("sweep 'values' must be nonempty")
         else:
             try:
                 lo, hi, steps = float(raw["min"]), float(raw["max"]), int(raw["steps"])
             except KeyError as missing:
-                raise ConfigError(f"sweep is missing {missing}") from None
+                raise UsageError(f"sweep is missing {missing}") from None
             if steps < 1:
-                raise ConfigError("sweep steps must be >= 1")
+                raise UsageError("sweep steps must be >= 1")
             values = tuple(np.linspace(lo, hi, steps).tolist())
+        if not all(np.isfinite(values)):
+            raise UsageError("sweep values must be finite")
         return cls(parameter=parameter, values=values)
 
 
@@ -77,11 +88,7 @@ class ScenarioConfig:
         return {
             "scenario": self.scenario,
             "physical_params": json.loads(self.physical_params.to_json()),
-            "decoherence_params": {
-                "gamma_atomic": self.decoherence_params.gamma_atomic,
-                "gamma_cavity": self.decoherence_params.gamma_cavity,
-                "delta": self.decoherence_params.delta,
-            },
+            "decoherence_params": asdict(self.decoherence_params),
             "sweep": (
                 {"parameter": self.sweep.parameter, "values": list(self.sweep.values)}
                 if self.sweep
@@ -115,15 +122,24 @@ def default_config(seed: int = 0) -> ScenarioConfig:
 
 
 def load_config(path: str | None, seed_override: int | None, out_override: str | None) -> ScenarioConfig:
-    if path is None:
-        base = default_config()
-        raw: dict = {}
-    else:
+    raw: dict = {}
+    if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        base = default_config()
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise UsageError(f"config {path!r} must be a JSON object")
+    try:
+        return _overlay_config(raw, seed_override, out_override)
+    except KeyError as missing:  # a required key of a nested object
+        raise UsageError(f"config is missing {missing}") from None
+    except (TypeError, OverflowError) as exc:
+        raise UsageError(f"malformed config: {exc}") from None
+
+
+def _overlay_config(raw: dict, seed_override: int | None, out_override: str | None) -> ScenarioConfig:
+    base = default_config()
     params = base.physical_params
     if "physical_params" in raw:
         params = PhysicalParams.from_json(json.dumps(raw["physical_params"]))
@@ -139,12 +155,14 @@ def load_config(path: str | None, seed_override: int | None, out_override: str |
     if "sweep" in raw:
         sweep = SweepSpec.from_dict(raw["sweep"]) if raw["sweep"] is not None else None
     if sweep is not None and sweep.parameter not in _SWEEPABLE:
-        raise ConfigError(
+        raise UsageError(
             f"unknown sweep parameter {sweep.parameter!r}; expected one of "
             f"{sorted(_SWEEPABLE)}"
         )
     seed = seed_override if seed_override is not None else int(raw.get("seed", base.seed))
     out = out_override if out_override is not None else raw.get("output_dir", base.output_dir)
+    if out is not None and not isinstance(out, str):
+        raise UsageError("output_dir must be a string")
     return ScenarioConfig(
         scenario=str(raw.get("scenario", base.scenario)),
         physical_params=params,
@@ -193,6 +211,17 @@ def _out_dir(config: ScenarioConfig) -> Path | None:
     return path
 
 
+def _write_csv(config: ScenarioConfig, name: str, header: str, rows) -> str:
+    """CSV text of ``rows``, also written to ``name`` in the output directory."""
+    lines = [header] + [",".join(_FMT.format(v) for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    out = _out_dir(config)
+    if out is not None:
+        (out / name).write_text(text)
+        print(f"wrote {out / name}")
+    return text
+
+
 def cmd_truth_table(args, config: ScenarioConfig) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -202,12 +231,10 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     resonance = couplings.resonance_residual()
     deviation_from_tuning = dynamics.blockade_condition_deviation(couplings)
     if deviation_from_tuning > 1e-9 and not args.force:
-        print(
-            "error: blockade tuning |Omega_1^(pi)| = sqrt(3)|S| violated "
-            f"(relative deviation {deviation_from_tuning:.3e}); rerun with --force",
-            file=sys.stderr,
+        raise VerificationError(
+            "blockade tuning |Omega_1^(pi)| = sqrt(3)|S| violated "
+            f"(relative deviation {deviation_from_tuning:.3e}); rerun with --force"
         )
-        return EXIT_VERIFICATION_FAILED
     gate = dynamics.extract_controlled_iswap(couplings, enforce_condition=False)
     m = gate.matrix
 
@@ -271,15 +298,8 @@ def _blockade_row(base: PhysicalParams, ratio: float) -> tuple[float, float, flo
 
 def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     if config.sweep is None or config.sweep.parameter != "pi_to_s_ratio":
-        print(
-            "error: blockade-sweep needs a sweep over 'pi_to_s_ratio'",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError("blockade-sweep needs a sweep over 'pi_to_s_ratio'")
     ratios = config.sweep.values
-    if any(r < 0 for r in ratios):
-        print("error: blockade ratios must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     base = config.physical_params
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -288,14 +308,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
                 rows = list(pool.map(lambda r: _blockade_row(base, r), ratios))
         else:
             rows = [_blockade_row(base, r) for r in ratios]
-    lines = ["ratio,blockade_error,c2_at_swap_time"]
-    for ratio, err, c2 in rows:
-        lines.append(",".join(_FMT.format(v) for v in (ratio, err, c2)))
-    text = "\n".join(lines) + "\n"
-    out = _out_dir(config)
-    if out is not None:
-        (out / "blockade_sweep.csv").write_text(text)
-        print(f"wrote {out / 'blockade_sweep.csv'}")
+    text = _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", rows)
     if args.json:
         print(
             json.dumps(
@@ -313,98 +326,68 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
 
 
 def cmd_compile(args, config: ScenarioConfig) -> int:
-    try:
-        text = Path(args.circuit).read_text()
-    except OSError as exc:
-        print(f"error: cannot read circuit file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        circuit = compiler.parse_circuit(text)
-    except compiler.CircuitParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    circuit = compiler.parse_circuit(Path(args.circuit).read_text())
+    if not args.fixed_set:
+        program = compiler.lower_circuit(circuit)
+        error = _logical_equivalence_error(program, circuit)
+        passed = error < 1e-9
+        report = {
+            "command": "compile",
+            "config_hash": config.hash(),
+            "mode": "exact",
+            "op_count": len(program.ops),
+            "equivalence_error": error,
+            "pass": bool(passed),
+        }
+        lines = [
+            f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)",
+            program.disassemble().rstrip("\n"),
+            f"logical equivalence error: {error:.3e}",
+        ]
+    else:
+        names = [name for name, _ in circuit if name != "CNOT"]
+        details: list[dict] = []
 
-    if args.fixed_set:
-        return _compile_fixed_set(args, config, circuit)
-
-    program = compiler.lower_circuit(circuit)
-    error = _logical_equivalence_error(program, circuit)
-    passed = error < 1e-9
-    report = {
-        "command": "compile",
-        "config_hash": config.hash(),
-        "mode": "exact",
-        "op_count": len(program.ops),
-        "equivalence_error": error,
-        "pass": bool(passed),
-    }
-    lines = [
-        f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)",
-        program.disassemble().rstrip("\n"),
-        f"logical equivalence error: {error:.3e}",
-        f"{'PASS' if passed else 'FAIL'}",
-    ]
-    _emit(report, args.json, lines)
-    out = _out_dir(config)
-    if out is not None:
-        (out / "program.json").write_text(program.to_json())
-        (out / "program.txt").write_text(program.disassemble())
-        (out / "compile_report.json").write_text(json.dumps(report, indent=2))
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
-
-
-def _compile_fixed_set(args, config: ScenarioConfig, circuit) -> int:
-    ops: list[compiler.NativeOp] = []
-    phase = 1.0 + 0.0j
-    worst = 0.0
-    details = []
-    max_target = 0
-    for name, targets in circuit:
-        max_target = max(max_target, *targets)
-        if name == "CNOT":
-            ops.append(compiler.NativeOp(compiler.CISWAP_KIND, tuple(targets)))
-            continue
-        result = compiler.approximate_fixed_set(
-            gates.standard_gate(name), epsilon=args.epsilon, max_depth=args.max_depth
-        )
-        if not result.found:
-            print(
-                f"error: no fixed-set word within epsilon {args.epsilon:g} at "
-                f"max depth {args.max_depth} for gate {name}; best distance "
-                f"{result.distance:.3e}",
-                file=sys.stderr,
+        def lower_fixed(u, target: int) -> compiler.NativeProgram:
+            name = names[len(details)]
+            result = compiler.approximate_fixed_set(
+                u, epsilon=args.epsilon, max_depth=args.max_depth
             )
-            return EXIT_VERIFICATION_FAILED
-        ops.extend(
-            compiler.NativeOp(op.kind, (targets[0],), op.angles)
-            for op in result.program.ops
-        )
-        phase *= result.program.global_phase
-        worst = max(worst, result.distance)
-        details.append({"gate": name, "depth": result.depth, "distance": result.distance,
-                        "word": list(result.word)})
-    program = compiler.NativeProgram(
-        qubit_count=max_target + 1, ops=ops, global_phase=phase
-    )
-    program.validate()
-    passed = worst <= args.epsilon
-    report = {
-        "command": "compile",
-        "config_hash": config.hash(),
-        "mode": "fixed-set",
-        "epsilon": args.epsilon,
-        "max_depth": args.max_depth,
-        "op_count": len(program.ops),
-        "max_gate_distance": worst,
-        "gates": details,
-        "pass": bool(passed),
-    }
-    lines = [
-        f"compiled {len(details)} single-qubit gate(s) via the fixed set",
-        program.disassemble().rstrip("\n"),
-        f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})",
-        f"{'PASS' if passed else 'FAIL'}",
-    ]
+            if not result.found:
+                raise VerificationError(
+                    f"no fixed-set word within epsilon {args.epsilon:g} at "
+                    f"max depth {args.max_depth} for gate {name}; best distance "
+                    f"{result.distance:.3e}"
+                )
+            details.append({"gate": name, "depth": result.depth,
+                            "distance": result.distance, "word": list(result.word)})
+            return compiler.NativeProgram(
+                qubit_count=target + 1,
+                ops=[compiler.NativeOp(op.kind, (target,), op.angles)
+                     for op in result.program.ops],
+                global_phase=result.program.global_phase,
+            )
+
+        program = compiler.lower_circuit(circuit, lower_1q=lower_fixed)
+        worst = max((d["distance"] for d in details), default=0.0)
+        passed = worst <= args.epsilon
+        report = {
+            "command": "compile",
+            "config_hash": config.hash(),
+            "mode": "fixed-set",
+            "epsilon": args.epsilon,
+            "max_depth": args.max_depth,
+            "op_count": len(program.ops),
+            "max_gate_distance": worst,
+            "gates": details,
+            "pass": bool(passed),
+        }
+        lines = [
+            f"compiled {len(details)} single-qubit gate(s) via the fixed set",
+            program.disassemble().rstrip("\n"),
+            f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})",
+        ]
+    lines.append("PASS" if passed else "FAIL")
     _emit(report, args.json, lines)
     out = _out_dir(config)
     if out is not None:
@@ -455,44 +438,20 @@ def _logical_equivalence_error(program: compiler.NativeProgram, circuit) -> floa
 
 def cmd_simulate(args, config: ScenarioConfig) -> int:
     if (args.program is None) == (args.circuit is None):
-        print("error: pass exactly one of --program or --circuit", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("pass exactly one of --program or --circuit")
     if args.program is not None:
-        try:
-            program = compiler.NativeProgram.from_json(Path(args.program).read_text())
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"error: cannot load program: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        program = compiler.NativeProgram.from_json(Path(args.program).read_text())
     else:
-        try:
-            circuit = compiler.parse_circuit(Path(args.circuit).read_text())
-        except (OSError, compiler.CircuitParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        program = compiler.lower_circuit(circuit)
+        program = compiler.lower_circuit(compiler.parse_circuit(Path(args.circuit).read_text()))
     initial = args.initial if args.initial is not None else "0" * program.qubit_count
-    if len(initial) != program.qubit_count or any(b not in "01" for b in initial):
-        print(
-            f"error: initial bitstring must have {program.qubit_count} bits over 0/1",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    state = simulator.encode_basis(initial)
-    max_leak = simulator.leakage(state)
-    trace_lines = []
-    for i, op in enumerate(program.ops):
-        state = simulator.apply_op(state, op)
-        leak = simulator.leakage(state)
-        max_leak = max(max_leak, leak)
-        if args.trace:
-            trace_lines.append(f"op {i:3d} {op.format():<28} leakage {leak:.3e}")
-    state = simulator.PhysicalState(
-        amplitudes=state.amplitudes * program.global_phase,
-        qubit_count=state.qubit_count,
-    )
+    state, stats = simulator.run_program(program, initial)
+    max_leak = stats.max_leakage
     norm_defect = abs(state.norm() - 1.0)
     passed = max_leak < 1e-10 and norm_defect < 1e-10
+    trace_lines = [
+        f"op {i:3d} {op.format():<28} leakage {leak:.3e}"
+        for i, (op, leak) in enumerate(zip(program.ops, stats.op_leakages))
+    ] if args.trace else []
 
     out = _out_dir(config)
     state_ref = None
@@ -553,8 +512,7 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
         elif sweep.parameter == "time":
             t = v
         else:
-            print(f"error: fidelity cannot sweep {sweep.parameter!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"fidelity cannot sweep {sweep.parameter!r}")
         d = decoherence.DecoherenceParams(
             gamma_atomic=gamma_a, gamma_cavity=gamma_c, delta=deco.delta
         )
@@ -569,19 +527,13 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
             )
         )
 
-    lines = ["gamma_atomic,gamma_cavity,delta,t,fidelity,margin"]
-    for row in rows:
-        lines.append(",".join(_FMT.format(v) for v in row))
     frontier = [
         i
         for i in range(1, len(rows))
         if (rows[i - 1][5] >= 0.0) != (rows[i][5] >= 0.0)
     ]
-    text = "\n".join(lines) + "\n"
-    out = _out_dir(config)
-    if out is not None:
-        (out / "fidelity_sweep.csv").write_text(text)
-        print(f"wrote {out / 'fidelity_sweep.csv'}")
+    header = "gamma_atomic,gamma_cavity,delta,t,fidelity,margin"
+    text = _write_csv(config, "fidelity_sweep.csv", header, rows)
     if args.json:
         print(
             json.dumps(
@@ -645,14 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, args.seed, args.out)
-    except (ConfigError, ValueError) as exc:
+        return args.func(args, load_config(args.config, args.seed, args.out))
+    except (VerificationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args, config)
+        return EXIT_VERIFICATION_FAILED if isinstance(exc, VerificationError) else EXIT_USAGE
 
 
 def entry_point() -> None:  # pragma: no cover - console-script shim

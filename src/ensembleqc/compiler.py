@@ -4,9 +4,11 @@ Single-qubit gates go through an exact z-x-z Euler decomposition and come out
 as at most three native operations ``[PHASE(gamma), ISWAP(-beta),
 PHASE(alpha)]`` (the sign on ISWAP absorbs the fact that its code-space
 restriction is an x rotation by minus the angle).  The logical CNOT lowers to
-a single controlled-swap operation.  An alternative compilation path
-approximates arbitrary single-qubit gates with words over the fixed gates
-{ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)} found by breadth-first search.
+a single controlled-swap operation.  :func:`lower_circuit` is the one
+lowering loop; its ``lower_1q`` argument picks how single-qubit gates lower.
+The alternative, used by ``compile --fixed-set``, approximates each gate with
+a word over the fixed gates {ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)} found by
+breadth-first search (:func:`approximate_fixed_set`).
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase; the
@@ -109,19 +111,26 @@ class NativeProgram:
     @classmethod
     def from_json(cls, text: str) -> "NativeProgram":
         raw = json.loads(text)
-        phase = raw.get("global_phase", [1.0, 0.0])
-        program = cls(
-            qubit_count=int(raw["qubit_count"]),
-            ops=[
-                NativeOp(
-                    kind=str(o["kind"]),
-                    targets=tuple(int(t) for t in o["targets"]),
-                    angles=tuple(float(a) for a in o.get("angles", [])),
-                )
-                for o in raw["ops"]
-            ],
-            global_phase=complex(phase[0], phase[1]),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError("native program must be a JSON object")
+        try:
+            phase = raw.get("global_phase", [1.0, 0.0])
+            program = cls(
+                qubit_count=int(raw["qubit_count"]),
+                ops=[
+                    NativeOp(
+                        kind=str(o["kind"]),
+                        targets=tuple(int(t) for t in o["targets"]),
+                        angles=tuple(float(a) for a in o.get("angles", [])),
+                    )
+                    for o in raw["ops"]
+                ],
+                global_phase=complex(phase[0], phase[1]),
+            )
+        except KeyError as missing:
+            raise ValueError(f"native program is missing {missing}") from None
+        except (TypeError, IndexError, OverflowError) as exc:
+            raise ValueError(f"malformed native program: {exc}") from None
         program.validate()
         return program
 
@@ -223,14 +232,19 @@ def lower_single_qubit(
     )
 
 
-def lower_circuit(circuit, qubit_count: int | None = None) -> NativeProgram:
+def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
-    qubit indices.  Single-qubit gates lower through the Euler path; each
-    CNOT becomes one controlled-swap op.  Operation order preserves circuit
-    semantics (first listed gate acts first).
+    qubit indices.  Each single-qubit gate becomes
+    ``lower_1q(standard_gate(name), target=q)``, a program on pair ``q``
+    whose global phase is multiplied into the result; the default is the
+    exact Euler path :func:`lower_single_qubit`.  Each CNOT becomes one
+    controlled-swap op.  Operation order preserves circuit semantics (first
+    listed gate acts first).
     """
+    if lower_1q is None:  # resolved per call, so a rebound module name is seen
+        lower_1q = lower_single_qubit
     ops: list[NativeOp] = []
     phase = 1.0 + 0.0j
     max_target = -1
@@ -244,7 +258,7 @@ def lower_circuit(circuit, qubit_count: int | None = None) -> NativeProgram:
         elif name in SUPPORTED_GATES:
             if len(targets) != 1:
                 raise ValueError(f"{name} takes one target, got {targets!r}")
-            sub = lower_single_qubit(standard_gate(name), target=targets[0])
+            sub = lower_1q(standard_gate(name), target=targets[0])
             ops.extend(sub.ops)
             phase *= sub.global_phase
         else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Unitary
-from .physical import DerivedCouplings
+from .physical import DerivedCouplings, _check_sector
 
 FRAME_LAB = "lab"
 FRAME_ROTATING = "rotating"
@@ -117,12 +117,6 @@ class EvolutionResult:
     frame: str
     times: np.ndarray | None = None
     trajectory: np.ndarray | None = None
-
-
-def _check_sector(n: int) -> int:
-    if n not in (0, 1):
-        raise ValueError(f"photon sector must be 0 or 1, got {n!r}")
-    return n
 
 
 def _check_frame(frame: str) -> str:

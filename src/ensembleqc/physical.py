@@ -65,8 +65,9 @@ class PhysicalParams:
     def __post_init__(self) -> None:
         for name in ("n_atoms_1", "n_atoms_2"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            # The model's arithmetic is float64, which holds counts up to 2**53 exactly.
+            if not isinstance(value, (int, np.integer)) or not 1 <= value <= 2**53:
+                raise ValueError(f"{name} must be an integer in 1..2**53, got {value!r}")
         for f in fields(self):
             if f.name.startswith("n_atoms"):
                 continue
@@ -85,9 +86,6 @@ class PhysicalParams:
             "pi_2": abs(self.g_pi_2) / abs(self.delta_pi_2),
         }
 
-    def is_dispersive(self, threshold: float = 0.1) -> bool:
-        return all(r < threshold for r in self.dispersive_ratios().values())
-
     def to_json(self) -> str:
         """Flat JSON object keyed by the field names."""
         out = {}
@@ -102,15 +100,17 @@ class PhysicalParams:
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("physical parameters must be a JSON object")
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
                 raise ValueError(f"missing field {f.name!r}")
             value = raw[f.name]
-            if isinstance(value, list):
-                value = complex(value[0], value[1])
-            if f.name.startswith("n_atoms"):
-                value = int(value)
+            if isinstance(value, list) and len(value) == 2:
+                value = complex(*value)  # TypeError unless both are numbers
+            elif not isinstance(value, (int, float)):
+                raise ValueError(f"{f.name} must be a number or a [re, im] pair of numbers")
             kwargs[f.name] = value
         return cls(**kwargs)
 
@@ -122,6 +122,12 @@ def detunings_from_frequencies(
     with both nodes sharing the working frequency ``omega_0``."""
     ds = omega_0 - omega_sigma
     return ds, ds, omega_0 - omega_pi_1, omega_0 - omega_pi_2
+
+
+def _check_sector(n: int) -> int:
+    if n not in (0, 1):
+        raise ValueError(f"photon sector must be 0 or 1, got {n!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -146,15 +152,9 @@ class DerivedCouplings:
     omega_1: float
     omega_2: float
 
-    @staticmethod
-    def _check_sector(n: int) -> int:
-        if n not in (0, 1):
-            raise ValueError(f"photon sector must be 0 or 1, got {n!r}")
-        return n
-
     def varpi_1(self, n: int) -> float:
         """Frequency of the node-1-excited component in sector ``n``."""
-        n = self._check_sector(n)
+        n = _check_sector(n)
         return (
             (self.n_atoms_1 / 2 - 1) * (self.omega_1 + 2 * n * self.omega_1_pi)
             + (self.n_atoms_2 / 2) * self.omega_2
@@ -163,7 +163,7 @@ class DerivedCouplings:
 
     def varpi_2(self, n: int) -> float:
         """Frequency of the node-2-excited component in sector ``n``."""
-        n = self._check_sector(n)
+        n = _check_sector(n)
         return (
             (self.n_atoms_1 / 2) * (self.omega_1 + 2 * n * self.omega_1_pi)
             + (self.n_atoms_2 / 2 - 1) * self.omega_2
@@ -191,22 +191,15 @@ class DerivedCouplings:
         two sector frequencies: the collective terms in those are larger by a
         factor ~N and would cancel catastrophically in floating point.
         """
-        n = self._check_sector(n)
+        n = _check_sector(n)
         return (
             0.5 * (self.resonance_residual() + self.n_atoms_2 * self.omega_2_pi)
             - n * self.omega_1_pi
         )
 
-    def detuning_split(self, n: int) -> float:
-        """Photon-induced half-splitting ``n * Omega_1^(pi)`` of the
-        blockade bookkeeping (equals ``|varpi_split(n)|`` on resonance with
-        an uncoupled second microcavity)."""
-        n = self._check_sector(n)
-        return n * self.omega_1_pi
-
     def kappa(self, n: int) -> float:
         """Generalized swap rate ``sqrt(n^2 Omega_1^(pi)^2 + |S|^2)``."""
-        n = self._check_sector(n)
+        n = _check_sector(n)
         return float(np.hypot(n * self.omega_1_pi, abs(self.s_coupling)))
 
 
@@ -234,7 +227,7 @@ def derive_couplings(
         / 2.0
         * (1.0 / params.delta_sigma_1 + 1.0 / params.delta_sigma_2)
     )
-    s_coupling = np.sqrt(params.n_atoms_1 * params.n_atoms_2) * omega_cap_sigma
+    s_coupling = np.sqrt(float(params.n_atoms_1 * params.n_atoms_2)) * omega_cap_sigma
     return DerivedCouplings(
         omega_cap_sigma=complex(omega_cap_sigma),
         omega_1_sigma=abs(params.g_sigma_1) ** 2 / params.delta_sigma_1,
@@ -247,27 +240,6 @@ def derive_couplings(
         omega_1=float(params.omega_1),
         omega_2=float(params.omega_2),
     )
-
-
-def check_resonance_condition(
-    params: PhysicalParams, couplings: DerivedCouplings
-) -> float:
-    """Signed residual of the swap resonance condition, rad/s.
-
-    Zero means the two node-excited components are degenerate in the
-    photon-free sector so excitation transfer is complete.  The couplings
-    must have been derived from ``params``.
-    """
-    derived_check = (
-        couplings.n_atoms_1 == params.n_atoms_1
-        and couplings.n_atoms_2 == params.n_atoms_2
-        and couplings.omega_1 == params.omega_1
-        and couplings.omega_2 == params.omega_2
-        and couplings.omega_1_sigma == abs(params.g_sigma_1) ** 2 / params.delta_sigma_1
-    )
-    if not derived_check:
-        raise ValueError("couplings were not derived from these parameters")
-    return couplings.resonance_residual()
 
 
 def check_interference_condition(params: PhysicalParams) -> tuple[float, float]:

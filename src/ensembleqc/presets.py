@@ -15,12 +15,46 @@ defaults to 0.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .decoherence import DecoherenceParams
-from .physical import PhysicalParams
+from .physical import PhysicalParams, derive_couplings
 
 SQRT3 = float(np.sqrt(3.0))
+
+
+def _resonant_omega_2(omega_1, n1, n2, omega_1_sigma, omega_1_pi, omega_2_sigma) -> float:
+    """Second node frequency solving the swap resonance condition."""
+    return float(omega_1 + n1 * (omega_1_sigma + omega_1_pi) - n2 * omega_2_sigma)
+
+
+def _resonant_params(
+    n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_0, omega_1
+) -> PhysicalParams:
+    """Symmetric set with shared detuning ``delta``, interfering mode
+    detunings, an uncoupled second microcavity and the resonant second node
+    frequency; ``omega_1_pi`` is the intended node-1 microcavity shift."""
+    omega_sigma = g_sigma**2 / delta
+    return PhysicalParams(
+        n_atoms_1=n1,
+        n_atoms_2=n2,
+        g_sigma_1=float(g_sigma),
+        g_sigma_2=float(g_sigma),
+        g_pi_1=float(g_pi_1),
+        g_pi_2=0.0,
+        omega_0=omega_0,
+        omega_1=float(omega_1),
+        omega_2=_resonant_omega_2(omega_1, n1, n2, omega_sigma, omega_1_pi, omega_sigma),
+        omega_sigma=omega_0 - delta,
+        omega_pi_1=omega_0 + delta,
+        omega_pi_2=omega_0 + delta,
+        delta_sigma_1=float(delta),
+        delta_sigma_2=float(delta),
+        delta_pi_1=float(-delta),
+        delta_pi_2=float(-delta),
+    )
 
 
 def blockade_tuned_params(
@@ -43,33 +77,12 @@ def blockade_tuned_params(
         raise ValueError("s_coupling must be positive")
     n1 = int(n_atoms_1)
     n2 = int(n_atoms_2) if n_atoms_2 is not None else n1
-    root_n = np.sqrt(n1 * n2)
     delta = dispersive_margin * max(1.0, ratio) * s_coupling
-    g_sigma = np.sqrt(s_coupling * delta / root_n)
+    g_sigma = np.sqrt(s_coupling * delta / np.sqrt(n1 * n2))
     g_pi_1 = np.sqrt(ratio * s_coupling * delta)
-    omega_1_sigma = g_sigma**2 / delta
     omega_1_pi = -ratio * s_coupling  # negative detuning flips the sign
-    # Resonance: omega_2 = omega_1 + N1 (O1s + O1p) - N2 O2s.
-    omega_2 = omega_1 + n1 * (omega_1_sigma + omega_1_pi) - n2 * omega_1_sigma
     omega_0 = 1000.0 * s_coupling
-    return PhysicalParams(
-        n_atoms_1=n1,
-        n_atoms_2=n2,
-        g_sigma_1=float(g_sigma),
-        g_sigma_2=float(g_sigma),
-        g_pi_1=float(g_pi_1),
-        g_pi_2=0.0,
-        omega_0=omega_0,
-        omega_1=float(omega_1),
-        omega_2=float(omega_2),
-        omega_sigma=omega_0 - delta,
-        omega_pi_1=omega_0 + delta,
-        omega_pi_2=omega_0 + delta,
-        delta_sigma_1=float(delta),
-        delta_sigma_2=float(delta),
-        delta_pi_1=float(-delta),
-        delta_pi_2=float(-delta),
-    )
+    return _resonant_params(n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_0, omega_1)
 
 
 def perfect_blockade_params(**kwargs) -> PhysicalParams:
@@ -92,31 +105,9 @@ def reference_params() -> PhysicalParams:
     n = 10_000
     g_sigma = 1.0e6
     delta = 2.0e8 / np.pi
-    omega_sigma_rate = g_sigma**2 / delta  # per-pair exchange rate
-    s_coupling = n * omega_sigma_rate
+    s_coupling = n * (g_sigma**2 / delta)
     g_pi_1 = np.sqrt(SQRT3 * s_coupling * delta)
-    omega_1_pi = -SQRT3 * s_coupling
-    omega_1 = 0.0
-    omega_2 = omega_1 + n * (omega_sigma_rate + omega_1_pi) - n * omega_sigma_rate
-    omega_0 = 2.5e15
-    return PhysicalParams(
-        n_atoms_1=n,
-        n_atoms_2=n,
-        g_sigma_1=g_sigma,
-        g_sigma_2=g_sigma,
-        g_pi_1=float(g_pi_1),
-        g_pi_2=0.0,
-        omega_0=omega_0,
-        omega_1=omega_1,
-        omega_2=float(omega_2),
-        omega_sigma=omega_0 - delta,
-        omega_pi_1=omega_0 + delta,
-        omega_pi_2=omega_0 + delta,
-        delta_sigma_1=float(delta),
-        delta_sigma_2=float(delta),
-        delta_pi_1=float(-delta),
-        delta_pi_2=float(-delta),
-    )
+    return _resonant_params(n, n, g_sigma, g_pi_1, -SQRT3 * s_coupling, delta, 2.5e15, 0.0)
 
 
 def reference_decoherence() -> DecoherenceParams:
@@ -137,42 +128,18 @@ def rescale_pi_coupling(params: PhysicalParams, ratio: float) -> PhysicalParams:
     Rescales ``g_pi_1`` so ``|Omega_1^(pi)| / |S| = ratio`` and re-solves the
     second node frequency so the swap resonance keeps holding (the shift
     enters the resonance condition through the node-1 collective term).
+    The couplings come from :func:`derive_couplings`, which warns when
+    ``params`` leave the dispersive regime.
     """
     if ratio < 0.0:
         raise ValueError("ratio must be nonnegative")
-    omega_cap = (
-        params.g_sigma_1
-        * np.conj(params.g_sigma_2)
-        / 2.0
-        * (1.0 / params.delta_sigma_1 + 1.0 / params.delta_sigma_2)
-    )
-    s = abs(np.sqrt(params.n_atoms_1 * params.n_atoms_2) * omega_cap)
+    couplings = derive_couplings(params)
+    s = abs(couplings.s_coupling)
     if s == 0.0:
         raise ValueError("swap coupling S is zero; blockade ratio undefined")
     g_pi_1 = np.sqrt(ratio * s * abs(params.delta_pi_1))
-    omega_1_sigma = abs(params.g_sigma_1) ** 2 / params.delta_sigma_1
-    omega_2_sigma = abs(params.g_sigma_2) ** 2 / params.delta_sigma_2
-    omega_1_pi = g_pi_1**2 / params.delta_pi_1
-    omega_2 = (
-        params.omega_1
-        + params.n_atoms_1 * (omega_1_sigma + omega_1_pi)
-        - params.n_atoms_2 * omega_2_sigma
+    omega_2 = _resonant_omega_2(
+        params.omega_1, params.n_atoms_1, params.n_atoms_2,
+        couplings.omega_1_sigma, g_pi_1**2 / params.delta_pi_1, couplings.omega_2_sigma,
     )
-    return PhysicalParams(
-        n_atoms_1=params.n_atoms_1,
-        n_atoms_2=params.n_atoms_2,
-        g_sigma_1=params.g_sigma_1,
-        g_sigma_2=params.g_sigma_2,
-        g_pi_1=float(g_pi_1),
-        g_pi_2=params.g_pi_2,
-        omega_0=params.omega_0,
-        omega_1=params.omega_1,
-        omega_2=float(omega_2),
-        omega_sigma=params.omega_sigma,
-        omega_pi_1=params.omega_pi_1,
-        omega_pi_2=params.omega_pi_2,
-        delta_sigma_1=params.delta_sigma_1,
-        delta_sigma_2=params.delta_sigma_2,
-        delta_pi_1=params.delta_pi_1,
-        delta_pi_2=params.delta_pi_2,
-    )
+    return dataclasses.replace(params, g_pi_1=float(g_pi_1), omega_2=omega_2)

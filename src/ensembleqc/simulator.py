@@ -9,14 +9,17 @@ two bits are adjacent in the index, the register reshapes cleanly into one
 base-4 digit per pair; in digit terms ``|0_L>`` is digit 2 and ``|1_L>`` is
 digit 1, and digits 0/3 span the leakage space.
 
-The controlled-swap operation exchanges the target pair's two physical
-qubits conditioned on the *first physical qubit of the control pair*, which
-on code states means conditioning on the control being ``|1_L>``.  This is a
-register-level stand-in for the photon-mediated control and makes a single
-operation act as the exact logical CNOT.
+The controlled-swap operation applies :data:`ensembleqc.gates.CONTROLLED_SWAP`
+(also the matrix :func:`~ensembleqc.gates.verify_encoded_cnot` checks): it
+exchanges the target pair's two physical qubits conditioned on the *first
+physical qubit of the control pair*, which on code states means conditioning
+on the control being ``|1_L>``.  This is a register-level stand-in for the
+photon-mediated control and makes a single operation act as the exact
+logical CNOT.
 
-``run_program`` folds the program's tracked global phase into the returned
-state so logical-equivalence checks are exact scalar identities.
+``run_program`` is the one apply loop.  It records the leakage after every
+op and folds the program's tracked global phase into the returned state so
+logical-equivalence checks are exact scalar identities.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ NORM_ATOL = 1e-10
 # Base-4 digit values of the code words (digit = 2*b_second + b_first).
 _DIGIT_0L = 2
 _DIGIT_1L = 1
-
-_SWAP_2Q = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 
 class LeakedStateError(ValueError):
@@ -87,6 +86,7 @@ class RunStats:
     max_leakage: float
     op_count: int
     global_phase: complex
+    op_leakages: tuple[float, ...]  # leakage after each op, in order
 
 
 def encode_basis(bits: str) -> PhysicalState:
@@ -131,15 +131,6 @@ def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n_p
     return np.ascontiguousarray(psi).reshape(-1)
 
 
-def _ciswap_matrix() -> np.ndarray:
-    """Register semantics of the controlled swap: 8x8 on (control pair's
-    first qubit, target first, target second); swap when the control bit
-    is 1."""
-    m = np.eye(8, dtype=complex)
-    m[4:, 4:] = _SWAP_2Q
-    return m
-
-
 def apply_op(state: PhysicalState, op: NativeOp) -> PhysicalState:
     """Apply one native operation; returns a new state."""
     n_phys = state.physical_qubits
@@ -158,7 +149,7 @@ def apply_op(state: PhysicalState, op: NativeOp) -> PhysicalState:
         qubits = (2 * pair, 2 * pair + 1)
     elif op.kind == CISWAP_KIND:
         control, target = op.targets
-        u = _ciswap_matrix()
+        u = gates.CONTROLLED_SWAP
         qubits = (2 * control, 2 * target, 2 * target + 1)
     else:  # pragma: no cover - NativeOp validates kinds
         raise ValueError(f"unknown op kind {op.kind!r}")
@@ -256,9 +247,11 @@ def run_program(
         )
     state = encode_basis(initial)
     max_leak = leakage(state)
+    op_leakages = []
     for op in program.ops:
         state = apply_op(state, op)
-        max_leak = max(max_leak, leakage(state))
+        op_leakages.append(leakage(state))
+        max_leak = max(max_leak, op_leakages[-1])
     final = PhysicalState(
         amplitudes=state.amplitudes * program.global_phase,
         qubit_count=state.qubit_count,
@@ -267,6 +260,7 @@ def run_program(
         max_leakage=max_leak,
         op_count=len(program.ops),
         global_phase=complex(program.global_phase),
+        op_leakages=tuple(op_leakages),
     )
     return final, stats
 

@@ -157,6 +157,23 @@ class TestLowerCircuit:
         with pytest.raises(ValueError, match="distinct"):
             lower_circuit([("CNOT", (1, 1))])
 
+    def test_single_qubit_lowering_argument(self):
+        # Each single-qubit gate goes through lower_1q with its matrix and
+        # target; CNOTs and the phase bookkeeping stay in lower_circuit.
+        seen = []
+
+        def lower_1q(u, target):
+            seen.append((u.matrix.copy(), target))
+            op = NativeOp(PHASE_KIND, (target,), (0.5, 0.0))
+            return NativeProgram(qubit_count=target + 1, ops=[op], global_phase=1j)
+
+        program = lower_circuit([("H", (1,)), ("CNOT", (1, 0)), ("T", (0,))], lower_1q=lower_1q)
+        assert [t for _, t in seen] == [1, 0]
+        assert np.array_equal(seen[0][0], standard_gate("H").matrix)
+        assert [op.kind for op in program.ops] == [PHASE_KIND, CISWAP_KIND, PHASE_KIND]
+        assert program.global_phase == -1.0
+        assert program.qubit_count == 2
+
 
 class TestNativeProgram:
     def test_json_round_trip(self):
@@ -177,6 +194,18 @@ class TestNativeProgram:
         program = NativeProgram(qubit_count=1, ops=[NativeOp(CISWAP_KIND, (0, 1))])
         with pytest.raises(ValueError, match="outside"):
             program.validate()
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"ops": []}',
+        '{"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": [0], "angles": null}]}',
+        '{"qubit_count": 1, "ops": [["ISWAP"]]}',
+        '{"qubit_count": 1, "ops": [], "global_phase": [1.0]}',
+        '{"qubit_count": Infinity, "ops": []}',
+    ])
+    def test_from_json_rejects_malformed_program(self, text):
+        with pytest.raises(ValueError):
+            NativeProgram.from_json(text)
 
     def test_native_op_validation(self):
         with pytest.raises(ValueError, match="angle"):

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensembleqc.gates import (
+    CODE_INDICES,
+    CONTROLLED_SWAP,
+    LEAKAGE_INDICES,
     CodeSpaceLeakageError,
-    DUAL_RAIL,
     Unitary,
     controlled_iswap_ideal,
     fredkin_and,
@@ -91,8 +93,9 @@ class TestIswap:
         assert np.max(np.abs(m - expected)) < 1e-15
 
     def test_half_angle_superposition(self):
-        out = iswap(np.pi / 2).matrix @ DUAL_RAIL.zero
-        expected = (DUAL_RAIL.zero + 1j * DUAL_RAIL.one) / np.sqrt(2)
+        zero, one = np.eye(4, dtype=complex)[list(CODE_INDICES)]
+        out = iswap(np.pi / 2).matrix @ zero
+        expected = (zero + 1j * one) / np.sqrt(2)
         assert np.max(np.abs(out - expected)) < 1e-15
 
     @given(
@@ -194,6 +197,17 @@ class TestControlledIswapIdeal:
         v[5] = 1.0  # |1> x |01>
         assert np.max(np.abs(m @ v - v)) < 1e-15
 
+    def test_register_swap_has_no_phases(self):
+        # Index 4*c + 2*a + b -> 4*c + 2*b + a when c = 1, else unchanged;
+        # no -i entries, unlike the photon-controlled swap above.
+        expected = np.zeros((8, 8))
+        for i in range(8):
+            c, a, b = i >> 2, (i >> 1) & 1, i & 1
+            j = 4 * c + (2 * b + a if c else 2 * a + b)
+            expected[j, i] = 1.0
+        assert np.array_equal(CONTROLLED_SWAP, expected)
+        assert not CONTROLLED_SWAP.flags.writeable
+
     def test_matches_full_swap_with_opposite_sign(self):
         # Swap branch equals the conjugate of the standard full swap block.
         branch = controlled_iswap_ideal().matrix[:4, :4]
@@ -202,13 +216,20 @@ class TestControlledIswapIdeal:
 
 class TestEncoding:
     def test_code_words_orthonormal(self):
-        z, o = DUAL_RAIL.zero, DUAL_RAIL.one
+        # |0_L> = |01> and |1_L> = |10> in the pair basis |00>, |01>, |10>, |11>.
+        assert CODE_INDICES == (0b01, 0b10)
+        z, o = np.eye(4, dtype=complex)[list(CODE_INDICES)]
         assert abs(np.vdot(z, z) - 1.0) < 1e-15
         assert abs(np.vdot(o, o) - 1.0) < 1e-15
         assert abs(np.vdot(z, o)) < 1e-15
 
     def test_projectors_resolve_identity(self):
-        total = DUAL_RAIL.code_projector() + DUAL_RAIL.leakage_projector()
+        def projector(indices):
+            p = np.zeros((4, 4))
+            p[list(indices), list(indices)] = 1.0
+            return p
+
+        total = projector(CODE_INDICES) + projector(LEAKAGE_INDICES)
         assert np.array_equal(total, np.eye(4))
 
     def test_restrict_reports_leakage_coupling(self):

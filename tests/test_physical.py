@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from ensembleqc.physical import (
     DispersiveRegimeWarning,
     PhysicalParams,
     check_interference_condition,
-    check_resonance_condition,
     derive_couplings,
     detunings_from_frequencies,
     effective_hamiltonian,
@@ -58,6 +58,23 @@ class TestParamsValidation:
         params = make_params(g_sigma_1=1.0 + 0.25j)
         recovered = PhysicalParams.from_json(params.to_json())
         assert recovered == params
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_atoms_1", 2.7),  # rejected, not truncated to 2
+        ("n_atoms_2", 10**20),  # beyond what float64 holds exactly
+        ("g_sigma_1", "1"),
+        ("g_pi_1", [1.0]),
+        ("omega_1", None),
+    ])
+    def test_from_json_rejects_malformed_field(self, field, value):
+        raw = json.loads(make_params().to_json())
+        raw[field] = value
+        with pytest.raises(ValueError, match=field):
+            PhysicalParams.from_json(json.dumps(raw))
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="object"):
+            PhysicalParams.from_json("3")
 
     def test_detunings_from_frequencies(self):
         ds1, ds2, dp1, dp2 = detunings_from_frequencies(1000.0, 950.0, 1050.0, 1100.0)
@@ -143,7 +160,7 @@ class TestResonanceCondition:
         # off and equal sigma channels the condition holds identically.
         params = make_params(g_pi_1=0.0, omega_2=0.0)
         couplings = derive_couplings(params)
-        assert check_resonance_condition(params, couplings) == 0.0
+        assert couplings.resonance_residual() == 0.0
 
     def test_exact_cancellation(self):
         # Engineer omega_2 - omega_1 = 1 against N2 O2s - N1 O1 = -1.
@@ -155,20 +172,14 @@ class TestResonanceCondition:
         shifted = dataclasses.replace(params, omega_1=params.omega_1 + 1.0, omega_2=params.omega_2)
         couplings = derive_couplings(shifted)
         # omega_2 - omega_1 = 0, sigma terms cancel, residual 0 by symmetry
-        residual = check_resonance_condition(shifted, couplings)
+        residual = couplings.resonance_residual()
         assert residual == 0.0
 
     def test_violation_reports_signed_residual(self):
         params = presets.blockade_tuned_params(1.0)
         bumped = dataclasses.replace(params, omega_2=params.omega_2 + 3.5)
         couplings = derive_couplings(bumped)
-        assert abs(check_resonance_condition(bumped, couplings) - 3.5) < 1e-12
-
-    def test_mismatched_couplings_rejected(self):
-        params = make_params()
-        other = derive_couplings(make_params(omega_2=17.0))
-        with pytest.raises(ValueError, match="not derived"):
-            check_resonance_condition(params, other)
+        assert abs(couplings.resonance_residual() - 3.5) < 1e-12
 
     def test_presets_satisfy_condition(self):
         rng = np.random.default_rng(21)

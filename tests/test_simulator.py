@@ -220,6 +220,16 @@ class TestRunProgram:
         final, _ = run_program(program, "0")
         assert np.max(np.abs(decode(final) - np.array([0.0, 1.0]))) < 1e-9
 
+    def test_stats_record_leakage_after_each_op(self):
+        program = lower_circuit([("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))])
+        _, stats = run_program(program, "00")
+        assert len(stats.op_leakages) == len(program.ops)
+        state = encode_basis("00")
+        for op, recorded in zip(program.ops, stats.op_leakages):
+            state = apply_op(state, op)
+            assert recorded == leakage(state)
+        assert stats.max_leakage == max([leakage(encode_basis("00")), *stats.op_leakages])
+
     def test_stats_record_phase(self):
         program = lower_circuit([("T", (0,))])
         _, stats = run_program(program, "0")
