@@ -11,8 +11,8 @@ The package covers the chain from raw physical parameters to verified logic:
   dual-rail code space;
 * :mod:`ensembleqc.compiler` - Euler-exact and fixed-set lowering to the
   native operations;
-* :mod:`ensembleqc.simulator` - state-vector execution with leakage
-  accounting;
+* :mod:`ensembleqc.simulator` - state-vector execution in the 2^k logical
+  code space, with each op's leakage recorded;
 * :mod:`ensembleqc.decoherence` - closed-form fidelity and error budget;
 * :mod:`ensembleqc.presets` - parameter sets satisfying the operating
   conditions;
@@ -68,13 +68,11 @@ from .physical import (
     effective_hamiltonian,
 )
 from .simulator import (
-    PhysicalState,
+    LogicalState,
     RunStats,
     apply_op,
     decode,
     encode_basis,
-    encode_state,
-    leakage,
     measure_logical,
     run_program,
 )
@@ -87,11 +85,11 @@ __all__ = [
     "EulerAngles",
     "EvolutionResult",
     "FixedSetResult",
+    "LogicalState",
     "NativeOp",
     "NativeProgram",
     "NodePairState",
     "PhysicalParams",
-    "PhysicalState",
     "RunStats",
     "Unitary",
     "apply_op",
@@ -103,7 +101,6 @@ __all__ = [
     "derive_couplings",
     "effective_hamiltonian",
     "encode_basis",
-    "encode_state",
     "euler_decompose",
     "evolve_closed_form",
     "evolve_numerical",
@@ -114,7 +111,6 @@ __all__ = [
     "iswap",
     "iswap_fidelity",
     "iswap_schedule",
-    "leakage",
     "lower_circuit",
     "lower_single_qubit",
     "measure_logical",

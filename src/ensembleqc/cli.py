@@ -7,6 +7,8 @@ pass, 1 a verification failed, 2 usage or parse error.  :func:`main` is the
 one place that maps errors to exit codes: :class:`VerificationError` gives 1,
 and ``ValueError`` (which includes :class:`UsageError` and every parse error)
 or ``OSError`` gives 2, each with a single ``error: ...`` line on stderr.
+An input needing one array over ``MAX_ARRAY_BYTES``, or a sweep over
+``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.
 
 Every command is deterministic given the config and seed; reports embed a
 hash of the resolved configuration.  Numeric output uses 12 significant
@@ -34,6 +36,12 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
 _FMT = "{:.12g}"
+# Largest array a command may allocate, in bytes (16 per complex amplitude):
+# 2^k amplitudes to simulate k logical qubits, 4^k for the compile check's
+# unitaries and for a written state.json.
+MAX_ARRAY_BYTES = 2**28
+# Largest grid a sweep's "steps" may ask for.
+MAX_SWEEP_STEPS = 10**6
 
 
 class UsageError(ValueError):
@@ -67,8 +75,8 @@ class SweepSpec:
                 lo, hi, steps = float(raw["min"]), float(raw["max"]), int(raw["steps"])
             except KeyError as missing:
                 raise UsageError(f"sweep is missing {missing}") from None
-            if steps < 1:
-                raise UsageError("sweep steps must be >= 1")
+            if not 1 <= steps <= MAX_SWEEP_STEPS:
+                raise UsageError(f"sweep steps must be between 1 and {MAX_SWEEP_STEPS}, got {steps}")
             values = tuple(np.linspace(lo, hi, steps).tolist())
         if not all(np.isfinite(values)):
             raise UsageError("sweep values must be finite")
@@ -171,6 +179,15 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
         output_dir=out,
         seed=seed,
     )
+
+
+def _check_budget(qubit_count: int, base: int, purpose: str) -> None:
+    """Reject ``base ** qubit_count`` amplitudes over the budget before allocating."""
+    if 16 * base ** min(qubit_count, 64) > MAX_ARRAY_BYTES:  # k may be huge
+        raise UsageError(
+            f"{purpose} needs 16*{base}^{qubit_count} bytes for {qubit_count} logical "
+            f"qubits, over the {MAX_ARRAY_BYTES}-byte limit"
+        )
 
 
 def _entry_polar(z: complex) -> str:
@@ -329,7 +346,10 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
     circuit = compiler.parse_circuit(Path(args.circuit).read_text())
     if not args.fixed_set:
         program = compiler.lower_circuit(circuit)
-        error = _logical_equivalence_error(program, circuit)
+        k = program.qubit_count
+        _check_budget(k, 4, "the compile check")
+        deviation = simulator.program_matrix(program) - simulator.circuit_matrix(circuit, k)
+        error = float(np.max(np.abs(deviation)))
         passed = error < 1e-9
         report = {
             "command": "compile",
@@ -397,45 +417,6 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
-def _logical_circuit_matrix(circuit, qubit_count: int) -> np.ndarray:
-    """Direct logical-space evaluation of a standard circuit (little-endian)."""
-    dim = 2**qubit_count
-    m = np.eye(dim, dtype=complex)
-    for name, targets in circuit:
-        g = np.eye(dim, dtype=complex)
-        if name == "CNOT":
-            c, t = targets
-            g = np.zeros((dim, dim), dtype=complex)
-            for i in range(dim):
-                j = i ^ (1 << t) if (i >> c) & 1 else i
-                g[j, i] = 1.0
-        else:
-            u = gates.standard_gate(name).matrix
-            q = targets[0]
-            g = np.zeros((dim, dim), dtype=complex)
-            for i in range(dim):
-                b = (i >> q) & 1
-                for b_out in (0, 1):
-                    j = (i & ~(1 << q)) | (b_out << q)
-                    g[j, i] = u[b_out, b]
-        m = g @ m
-    return m
-
-
-def _logical_equivalence_error(program: compiler.NativeProgram, circuit) -> float:
-    """Max deviation between the simulated program and the direct logical
-    evaluation, over all logical basis inputs, tracked phase included."""
-    k = program.qubit_count
-    target = _logical_circuit_matrix(circuit, k)
-    worst = 0.0
-    for idx in range(2**k):
-        bits = "".join("1" if (idx >> j) & 1 else "0" for j in range(k))
-        final, _ = simulator.run_program(program, bits)
-        column = simulator.decode(final)
-        worst = max(worst, float(np.max(np.abs(column - target[:, idx]))))
-    return worst
-
-
 def cmd_simulate(args, config: ScenarioConfig) -> int:
     if (args.program is None) == (args.circuit is None):
         raise UsageError("pass exactly one of --program or --circuit")
@@ -443,6 +424,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
         program = compiler.NativeProgram.from_json(Path(args.program).read_text())
     else:
         program = compiler.lower_circuit(compiler.parse_circuit(Path(args.circuit).read_text()))
+    _check_budget(program.qubit_count, 2 if config.output_dir is None else 4, "simulate")
     initial = args.initial if args.initial is not None else "0" * program.qubit_count
     state, stats = simulator.run_program(program, initial)
     max_leak = stats.max_leakage

@@ -179,6 +179,15 @@ def standard_gate(name: str) -> Unitary:
         raise ValueError(f"unknown standard gate {name!r}") from None
 
 
+def code_space_coupling(u) -> float:
+    """Largest element of ``u`` coupling the code space to {|00>, |11>}; the
+    pair is the last two bits of the basis index, as in :data:`CONTROLLED_SWAP`."""
+    m = as_matrix(u)
+    index = np.arange(m.shape[0])
+    code = ((index ^ (index >> 1)) & 1).astype(bool)  # the pair's two bits differ
+    return float(np.max(np.abs(m[code != code[:, None]])))
+
+
 def restrict_to_logical(u, atol: float = 1e-12) -> Unitary:
     """Restrict a pair unitary to the {|0_L>, |1_L>} block.
 
@@ -188,14 +197,10 @@ def restrict_to_logical(u, atol: float = 1e-12) -> Unitary:
     m = as_matrix(u)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 pair unitary, got shape {m.shape}")
-    code, leak = CODE_INDICES, LEAKAGE_INDICES
-    off = max(
-        np.max(np.abs(m[np.ix_(leak, code)])),
-        np.max(np.abs(m[np.ix_(code, leak)])),
-    )
+    off = code_space_coupling(m)
     if off > atol:
         raise CodeSpaceLeakageError(off)
-    return Unitary(m[np.ix_(code, code)])
+    return Unitary(m[np.ix_(CODE_INDICES, CODE_INDICES)])
 
 
 def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -1,70 +1,41 @@
-"""State-vector execution of native programs over dual-rail encoded pairs.
+"""State-vector execution of native programs in the dual-rail code space.
 
-Register layout
----------------
-Physical qubit ``k`` is bit ``k`` of the amplitude index (little-endian).
-Logical qubit ``j`` lives on the physical pair ``(2j, 2j+1)`` with code words
-``|0_L> = |q_2j = 0, q_2j+1 = 1>`` and ``|1_L> = |10>``.  Because a pair's
-two bits are adjacent in the index, the register reshapes cleanly into one
-base-4 digit per pair; in digit terms ``|0_L>`` is digit 2 and ``|1_L>`` is
-digit 1, and digits 0/3 span the leakage space.
-
-The controlled-swap operation applies :data:`ensembleqc.gates.CONTROLLED_SWAP`
-(also the matrix :func:`~ensembleqc.gates.verify_encoded_cnot` checks): it
-exchanges the target pair's two physical qubits conditioned on the *first
-physical qubit of the control pair*, which on code states means conditioning
-on the control being ``|1_L>``.  This is a register-level stand-in for the
-photon-mediated control and makes a single operation act as the exact
-logical CNOT.
-
-``run_program`` is the one apply loop.  It records the leakage after every
-op and folds the program's tracked global phase into the returned state so
-logical-equivalence checks are exact scalar identities.
+Logical qubit ``j`` is bit ``j`` of the index of ``2^k`` amplitudes
+(little-endian).  Physically it lives on the pair ``(2j, 2j+1)`` with code
+words ``|0_L> = |q_2j = 0, q_2j+1 = 1>`` and ``|1_L> = |10>``.  Every native
+op maps code words to code words, so the simulator keeps only their
+amplitudes, and :func:`state_to_json` writes them back at their physical
+indices.  ISWAP and PHASE act through the code-space block of their pair
+matrix; CISWAP applies :data:`~ensembleqc.gates.CONTROLLED_SWAP`, which on
+code words is the logical CNOT (:func:`~ensembleqc.gates.verify_encoded_cnot`),
+a slice swap.  An op's leakage is the largest element of its physical matrix
+coupling the code space to ``|00>``, ``|11>``.  ``run_program`` is the one
+apply loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
-from .compiler import CISWAP_KIND, ISWAP_KIND, PHASE_KIND, NativeOp, NativeProgram
+from .compiler import CISWAP_KIND, ISWAP_KIND, NativeOp, NativeProgram
 
 NORM_ATOL = 1e-10
 
-# Base-4 digit values of the code words (digit = 2*b_second + b_first).
-_DIGIT_0L = 2
-_DIGIT_1L = 1
-
-
-class LeakedStateError(ValueError):
-    """Operation undefined: probability mass sits outside the code space."""
-
-    def __init__(self, leak: float, tolerance: float):
-        self.leakage = float(leak)
-        super().__init__(
-            f"leakage {self.leakage:.3e} exceeds tolerance {tolerance:.3e}; "
-            "the state left the code space"
-        )
-
 
 @dataclass(frozen=True)
-class PhysicalState:
-    """Register of ``qubit_count`` logical qubits (two physical each)."""
+class LogicalState:
+    """Register of ``k`` logical qubits: ``2^k`` amplitudes."""
 
     amplitudes: np.ndarray
-    qubit_count: int
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)  # private copy
-        if self.qubit_count < 1:
-            raise ValueError("qubit_count must be >= 1")
-        if amps.shape != (4**self.qubit_count,):
-            raise ValueError(
-                f"expected {4 ** self.qubit_count} amplitudes for "
-                f"{self.qubit_count} logical qubits, got shape {amps.shape}"
-            )
+        if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
+            raise ValueError(f"expected 2^k amplitudes with k >= 1, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm!r} deviates from 1")
@@ -72,8 +43,8 @@ class PhysicalState:
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def physical_qubits(self) -> int:
-        return 2 * self.qubit_count
+    def qubit_count(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -86,153 +57,79 @@ class RunStats:
     max_leakage: float
     op_count: int
     global_phase: complex
-    op_leakages: tuple[float, ...]  # leakage after each op, in order
+    op_leakages: tuple[float, ...]  # leakage of each op, in order
 
 
-def encode_basis(bits: str) -> PhysicalState:
-    """Product state encoding a logical bitstring, character j = qubit j."""
+def encode_basis(bits: str) -> LogicalState:
+    """Basis state of a logical bitstring, character j = qubit j."""
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"expected a nonempty string over 0/1, got {bits!r}")
-    index = 0
-    for j, b in enumerate(bits):
-        # logical 0 sets the pair's second qubit, logical 1 the first
-        bit_position = 2 * j if b == "1" else 2 * j + 1
-        index |= 1 << bit_position
-    amps = np.zeros(4 ** len(bits), dtype=complex)
-    amps[index] = 1.0
-    return PhysicalState(amplitudes=amps, qubit_count=len(bits))
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[sum(1 << j for j, b in enumerate(bits) if b == "1")] = 1.0
+    return LogicalState(amps)
 
 
-def encode_state(logical: np.ndarray) -> PhysicalState:
-    """Embed a normalized logical state vector (little-endian, dim 2^k)."""
-    logical = np.asarray(logical, dtype=complex)
-    k = int(np.log2(logical.size))
-    if logical.shape != (2**k,) or logical.size < 2:
-        raise ValueError(f"expected a 2^k vector, got shape {logical.shape}")
-    amps = np.zeros(4**k, dtype=complex)
-    for idx in np.nonzero(logical)[0]:
-        bits = "".join("1" if (idx >> j) & 1 else "0" for j in range(k))
-        amps += logical[idx] * encode_basis(bits).amplitudes
-    return PhysicalState(amplitudes=amps, qubit_count=k)
+def _one_qubit(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
+    """Apply the 2x2 matrix ``u`` to ``qubit``.  Axis 0 of ``amps`` is the
+    2^k index; a second axis, if any, holds columns."""
+    a = amps.reshape(amps.shape[0] >> (qubit + 1), 2, -1)
+    return np.einsum("ij,ajb->aib", u, a).reshape(amps.shape)
 
 
-def _apply_unitary(amps: np.ndarray, u: np.ndarray, qubits: tuple[int, ...], n_phys: int) -> np.ndarray:
-    """Apply a k-qubit unitary on the listed physical qubits.
-
-    The unitary's local basis index is ``sum_i b_{qubits[i]} 2^{k-1-i}``
-    (first listed qubit = most significant local bit).
-    """
-    k = len(qubits)
-    axes = [n_phys - 1 - q for q in qubits]
-    psi = amps.reshape([2] * n_phys)
-    u_t = u.reshape([2] * (2 * k))
-    psi = np.tensordot(u_t, psi, axes=(list(range(k, 2 * k)), axes))
-    psi = np.moveaxis(psi, list(range(k)), axes)
-    return np.ascontiguousarray(psi).reshape(-1)
+def _cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Swap the target's two slices where the control bit is 1; axes as in
+    :func:`_one_qubit`."""
+    index = np.arange(amps.shape[0])
+    return amps[index ^ (((index >> control) & 1) << target)]
 
 
-def apply_op(state: PhysicalState, op: NativeOp) -> PhysicalState:
+# One entry: run_program reads the leakage of the op apply_op just applied.
+@functools.lru_cache(maxsize=1)
+def _kernel(op: NativeOp):
+    """``(action, leakage)`` of one op, ``action`` taking amplitudes as in
+    :func:`_one_qubit`.  The one dispatch on op kind."""
+    if op.kind == CISWAP_KIND:
+        return (lambda amps: _cnot(amps, *op.targets)), gates.code_space_coupling(gates.CONTROLLED_SWAP)
+    pair = gates.iswap(*op.angles) if op.kind == ISWAP_KIND else gates.phase_gate(*op.angles)
+    block = gates.restrict_to_logical(pair).matrix
+    return (lambda amps: _one_qubit(amps, block, op.targets[0])), gates.code_space_coupling(pair)
+
+
+def apply_op(state: LogicalState, op: NativeOp) -> LogicalState:
     """Apply one native operation; returns a new state."""
-    n_phys = state.physical_qubits
     if any(t >= state.qubit_count for t in op.targets):
         raise ValueError(
             f"op {op.format()!r} touches a pair outside the register "
             f"({state.qubit_count} logical qubits)"
         )
-    if op.kind == ISWAP_KIND:
-        pair = op.targets[0]
-        u = gates.iswap(op.angles[0]).matrix
-        qubits = (2 * pair, 2 * pair + 1)
-    elif op.kind == PHASE_KIND:
-        pair = op.targets[0]
-        u = gates.phase_gate(op.angles[0], op.angles[1]).matrix
-        qubits = (2 * pair, 2 * pair + 1)
-    elif op.kind == CISWAP_KIND:
-        control, target = op.targets
-        u = gates.CONTROLLED_SWAP
-        qubits = (2 * control, 2 * target, 2 * target + 1)
-    else:  # pragma: no cover - NativeOp validates kinds
-        raise ValueError(f"unknown op kind {op.kind!r}")
-    amps = _apply_unitary(state.amplitudes, u, qubits, n_phys)
-    return PhysicalState(amplitudes=amps, qubit_count=state.qubit_count)
+    return LogicalState(_kernel(op)[0](state.amplitudes))
 
 
-def _pair_digits(state: PhysicalState) -> np.ndarray:
-    """View of the amplitudes with one base-4 axis per pair; axis i holds
-    pair ``qubit_count - 1 - i``."""
-    return state.amplitudes.reshape([4] * state.qubit_count)
-
-
-def leakage(state: PhysicalState) -> float:
-    """Probability mass outside the code space (any pair in |00> or |11>)."""
-    probs = np.abs(_pair_digits(state)) ** 2
-    code = probs
-    for _ in range(state.qubit_count):
-        code = code[(_DIGIT_1L, _DIGIT_0L), ...].sum(axis=0)
-    return max(float(1.0 - code), 0.0)
-
-
-def decode(state: PhysicalState, leakage_tol: float = 1e-9) -> np.ndarray:
-    """Logical state vector (little-endian, dim 2^k).
-
-    Requires the physical state to sit in the code space up to
-    ``leakage_tol``.
-    """
-    leak = leakage(state)
-    if leak > leakage_tol:
-        raise LeakedStateError(leak, leakage_tol)
-    digits = _pair_digits(state)
-    k = state.qubit_count
-    logical = np.empty(2**k, dtype=complex)
-    for idx in range(2**k):
-        # axis i of the digit array is pair k-1-i
-        selector = tuple(
-            _DIGIT_1L if (idx >> (k - 1 - i)) & 1 else _DIGIT_0L for i in range(k)
-        )
-        logical[idx] = digits[selector]
-    return logical
+def decode(state: LogicalState) -> np.ndarray:
+    """Logical state vector (little-endian, dim 2^k), a writable copy."""
+    return state.amplitudes.copy()
 
 
 def measure_logical(
-    state: PhysicalState,
-    qubit: int,
-    rng: int | np.random.Generator | None = None,
-    leakage_tol: float = 1e-9,
-) -> tuple[int, PhysicalState]:
-    """Sample the code-word populations of one pair and collapse.
+    state: LogicalState, qubit: int, rng: int | np.random.Generator | None = None
+) -> tuple[int, LogicalState]:
+    """Sample one logical qubit in the code basis and collapse.
 
     The generator (or seed) is injected, never ambient, so runs are
-    reproducible.  Measurement is undefined outside the code space: leakage
-    beyond ``leakage_tol`` raises :class:`LeakedStateError` rather than being
-    silently renormalized.
+    reproducible.
     """
     if not 0 <= qubit < state.qubit_count:
         raise ValueError(f"qubit {qubit} out of range")
-    leak = leakage(state)
-    if leak > leakage_tol:
-        raise LeakedStateError(leak, leakage_tol)
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    digits = _pair_digits(state)
-    axis = state.qubit_count - 1 - qubit
-    probs = np.abs(digits) ** 2
-    marginal = probs.sum(axis=tuple(i for i in range(state.qubit_count) if i != axis))
-    p0, p1 = float(marginal[_DIGIT_0L]), float(marginal[_DIGIT_1L])
+    halves = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    p0, p1 = (float(np.sum(np.abs(halves[:, b]) ** 2)) for b in (0, 1))
     outcome = 1 if generator.random() < p1 / (p0 + p1) else 0
-    keep_digit = _DIGIT_1L if outcome else _DIGIT_0L
-    collapsed = digits.copy()
-    selector = [slice(None)] * state.qubit_count
-    for d in range(4):
-        if d != keep_digit:
-            selector[axis] = d
-            collapsed[tuple(selector)] = 0.0
-    collapsed = collapsed.reshape(-1)
-    collapsed /= np.linalg.norm(collapsed)
-    return outcome, PhysicalState(amplitudes=collapsed, qubit_count=state.qubit_count)
+    collapsed = halves.copy()
+    collapsed[:, 1 - outcome] = 0.0
+    return outcome, LogicalState(collapsed.reshape(-1) / np.linalg.norm(collapsed))
 
 
-def run_program(
-    program: NativeProgram, initial: str
-) -> tuple[PhysicalState, RunStats]:
+def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, RunStats]:
     """Encode, apply the ops in order, and accumulate execution stats.
 
     The program's global phase is multiplied into the returned state (and
@@ -246,30 +143,49 @@ def run_program(
             f"{program.qubit_count}-qubit program"
         )
     state = encode_basis(initial)
-    max_leak = leakage(state)
     op_leakages = []
     for op in program.ops:
         state = apply_op(state, op)
-        op_leakages.append(leakage(state))
-        max_leak = max(max_leak, op_leakages[-1])
-    final = PhysicalState(
-        amplitudes=state.amplitudes * program.global_phase,
-        qubit_count=state.qubit_count,
-    )
+        op_leakages.append(_kernel(op)[1])
     stats = RunStats(
-        max_leakage=max_leak,
+        max_leakage=max(op_leakages, default=0.0),
         op_count=len(program.ops),
         global_phase=complex(program.global_phase),
         op_leakages=tuple(op_leakages),
     )
-    return final, stats
+    return LogicalState(state.amplitudes * program.global_phase), stats
 
 
-def state_to_json(state: PhysicalState) -> list:
-    """Amplitudes as a JSON array of [re, im] pairs."""
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+def program_matrix(program: NativeProgram) -> np.ndarray:
+    """The program's logical unitary, tracked global phase included: one run
+    over the 2^k identity columns."""
+    program.validate()
+    columns = np.eye(2**program.qubit_count, dtype=complex)
+    for op in program.ops:
+        columns = _kernel(op)[0](columns)
+    return program.global_phase * columns
 
 
-def state_from_json(data, qubit_count: int) -> PhysicalState:
-    amps = np.array([complex(re, im) for re, im in data])
-    return PhysicalState(amplitudes=amps, qubit_count=qubit_count)
+def circuit_matrix(circuit, qubit_count: int) -> np.ndarray:
+    """Logical unitary of a ``[(name, targets), ...]`` circuit of
+    :func:`~ensembleqc.gates.standard_gate` names, through the same kernels."""
+    if any(t >= qubit_count for _, targets in circuit for t in targets):
+        raise ValueError(f"circuit touches a qubit outside the {qubit_count}-qubit register")
+    columns = np.eye(2**qubit_count, dtype=complex)
+    for name, targets in circuit:
+        if name == "CNOT":
+            columns = _cnot(columns, *targets)
+        else:
+            columns = _one_qubit(columns, gates.standard_gate(name).matrix, targets[0])
+    return columns
+
+
+def state_to_json(state: LogicalState) -> list:
+    """The physical register's 4^k amplitudes as [re, im] pairs.  Physical
+    qubit ``m`` is bit ``m`` of the index; pair ``j`` sets bit ``2j+1`` for
+    logical 0 and bit ``2j`` for logical 1; all other entries are zero."""
+    logical = np.arange(2**state.qubit_count)
+    physical = sum((2 - ((logical >> j) & 1)) << (2 * j) for j in range(state.qubit_count))
+    amps = np.zeros(4**state.qubit_count, dtype=complex)
+    amps[physical] = state.amplitudes
+    return [[float(a.real), float(a.imag)] for a in amps]

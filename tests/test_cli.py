@@ -72,6 +72,16 @@ ERROR_CASES = {
         {"p.json": {"qubit_count": 1,
                     "ops": [{"kind": "ISWAP", "targets": [0], "angles": None}]}},
         ["simulate", "--program", "p.json"], 2),
+    "compile_register_over_budget": ({"c.txt": "H 20\n"}, ["compile", "c.txt"], 2),
+    "simulate_register_over_budget": ({"c.txt": "H 40\n"}, ["simulate", "--circuit", "c.txt"], 2),
+    "simulate_state_json_over_budget": (
+        {"c.txt": "H 14\n"}, ["--out", "out", "simulate", "--circuit", "c.txt"], 2),
+    "simulate_program_register_huge": (
+        {"p.json": {"qubit_count": 10**18, "ops": []}}, ["simulate", "--program", "p.json"], 2),
+    "sweep_steps_over_cap": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1,
+                              "steps": 10**15}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
     "fixed_set_word_not_found": (
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--max-depth", "1", "c.txt"], 1),
     "blockade_tuning_violated": (
@@ -120,7 +130,8 @@ _SWEEP = st.one_of(
         {"parameter": st.sampled_from(["pi_to_s_ratio", "gamma_atomic", "gamma_cavity", "time", "x"])},
         optional={
             "values": st.lists(st.floats(-2.0, 20.0) | _LEAF, max_size=4),
-            "min": _LEAF, "max": _LEAF, "steps": _LEAF,
+            "min": _LEAF, "max": _LEAF,
+            "steps": _LEAF | st.integers(min_value=cli.MAX_SWEEP_STEPS + 1),
         },
     ),
 )
@@ -143,8 +154,8 @@ _CONFIG = st.fixed_dictionaries(
     },
 ) | _JSON
 
-# Targets stay below 3 so a circuit never needs more than three logical
-# qubits; a larger register only costs time (4^k amplitudes).
+# Valid targets stay below 3 for run time; target 40 asks for a register
+# over the byte budget.
 _VALID_LINE = st.sampled_from(
     [f"{name} {q}" for name in "HSTX" for q in range(3)]
     + [f"CNOT {c} {t}" for c in range(3) for t in range(3) if c != t]
@@ -152,7 +163,7 @@ _VALID_LINE = st.sampled_from(
 _NOISY_LINE = st.builds(
     lambda name, targets, tail: " ".join([name, *targets]) + tail,
     st.sampled_from(["H", "S", "T", "X", "CNOT", "Y", "cnot", ""]),
-    st.lists(st.sampled_from(["0", "1", "2", "01", "-1", "a", "1.5"]), max_size=3),
+    st.lists(st.sampled_from(["0", "1", "2", "01", "40", "-1", "a", "1.5"]), max_size=3),
     st.sampled_from(["", " ", "\t", " # note", "#"]),
 )
 _LINE = st.one_of(_VALID_LINE, _VALID_LINE, _VALID_LINE, _NOISY_LINE)
@@ -197,7 +208,16 @@ def test_every_export_resolves():
     ("gates", "DUAL_RAIL"),
     ("simulator", "_ciswap_matrix"),
     ("simulator", "_SWAP_2Q"),
+    ("simulator", "PhysicalState"),
+    ("simulator", "encode_state"),
+    ("simulator", "leakage"),
+    ("simulator", "LeakedStateError"),
+    ("simulator", "_apply_unitary"),
+    ("simulator", "_pair_digits"),
+    ("simulator", "state_from_json"),
     ("cli", "_compile_fixed_set"),
+    ("cli", "_logical_circuit_matrix"),
+    ("cli", "_logical_equivalence_error"),
     ("physical", "check_resonance_condition"),
 ])
 def test_removed_names_are_gone(module, name):

@@ -8,7 +8,9 @@ the relative path ``out`` so the resolved configuration, and with it the
 
 Regenerate the files (only when an output change is intended) with::
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [case ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -92,9 +94,12 @@ def test_cli_output_matches_golden(case, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    for case, argv in CASES.items():
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s) {unknown}; expected some of {sorted(CASES)}")
+    for case in sys.argv[1:] or CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            outputs = run_case(argv, Path(tmp))
+            outputs = run_case(CASES[case], Path(tmp))
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         for name, text in outputs.items():
             path = GOLDEN / case / name

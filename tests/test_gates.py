@@ -9,6 +9,7 @@ from ensembleqc.gates import (
     LEAKAGE_INDICES,
     CodeSpaceLeakageError,
     Unitary,
+    code_space_coupling,
     controlled_iswap_ideal,
     fredkin_and,
     fredkin_classical,
@@ -242,6 +243,19 @@ class TestEncoding:
         with pytest.raises(CodeSpaceLeakageError) as err:
             restrict_to_logical(m)
         assert abs(err.value.max_element - 0.1) < 1e-12
+
+    def test_coupling_of_native_matrices_is_zero(self):
+        for u in (iswap(0.7), phase_gate(0.3, -1.2), CONTROLLED_SWAP):
+            assert code_space_coupling(u) == 0.0
+
+    def test_coupling_reads_the_pair_bits_of_larger_matrices(self):
+        # Control 1 mixes target |01> (index 5) with |00> (index 4).
+        m = np.eye(8, dtype=complex)
+        m[4, 4] = m[5, 5] = np.sqrt(1 - 0.2**2)
+        m[4, 5], m[5, 4] = -0.2, 0.2
+        assert abs(code_space_coupling(m) - 0.2) < 1e-15
+        # A swap of the control bit keeps the target pair in the code space.
+        assert code_space_coupling(np.eye(8)[[4, 5, 6, 7, 0, 1, 2, 3]]) == 0.0
 
     def test_restrict_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):

@@ -1,8 +1,12 @@
+import inspect
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensembleqc import gates
 from ensembleqc.compiler import (
     CISWAP_KIND,
     ISWAP_KIND,
@@ -12,20 +16,24 @@ from ensembleqc.compiler import (
     lower_circuit,
 )
 from ensembleqc.simulator import (
-    LeakedStateError,
-    PhysicalState,
+    LogicalState,
     apply_op,
+    circuit_matrix,
     decode,
     encode_basis,
-    encode_state,
-    leakage,
     measure_logical,
+    program_matrix,
     run_program,
-    state_from_json,
     state_to_json,
-    _apply_unitary,
 )
-from helpers import logical_circuit_matrix, random_state
+from helpers import (
+    apply_unitary,
+    code_indices,
+    logical_circuit_matrix,
+    physical_leakage,
+    random_state,
+    run_physical,
+)
 
 
 def random_native_program(rng: np.random.Generator, qubit_count: int, op_count: int) -> NativeProgram:
@@ -45,22 +53,33 @@ def random_native_program(rng: np.random.Generator, qubit_count: int, op_count: 
                     (float(rng.uniform(-np.pi, np.pi)), float(rng.uniform(-np.pi, np.pi))),
                 )
             )
-    return NativeProgram(qubit_count=qubit_count, ops=ops)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
+    return NativeProgram(qubit_count=qubit_count, ops=ops, global_phase=complex(phase))
+
+
+def random_circuit(rng: np.random.Generator, k: int, gate_count: int) -> list:
+    names = ["X", "H", "S", "T", "CNOT"]
+    circuit = []
+    for _ in range(gate_count):
+        name = names[rng.integers(len(names))]
+        if name == "CNOT" and k > 1:
+            c, t = rng.choice(k, size=2, replace=False)
+            circuit.append((name, (int(c), int(t))))
+        elif name != "CNOT":
+            circuit.append((name, (int(rng.integers(k)),)))
+    return circuit or [("H", (0,))]
 
 
 class TestEncoding:
     def test_single_zero(self):
-        state = encode_basis("0")
-        # |q0=0, q1=1> sits at little-endian index 2
-        expected = np.zeros(4)
-        expected[2] = 1.0
-        assert np.array_equal(state.amplitudes, expected)
+        assert np.array_equal(encode_basis("0").amplitudes, [1.0, 0.0])
 
     def test_two_qubit_product(self):
         state = encode_basis("10")
-        # pair0 |10> -> bit0 set; pair1 |01> -> bit3 set; index 1 + 8 = 9
-        assert state.amplitudes[9] == 1.0
+        # character j is qubit j, qubit j is bit j: "10" is index 1
+        assert state.amplitudes[1] == 1.0
         assert np.sum(np.abs(state.amplitudes)) == 1.0
+        assert state.qubit_count == 2
 
     def test_norm_is_one(self):
         for bits in ("0", "1", "01", "110"):
@@ -72,22 +91,26 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode_basis("02")
 
-    def test_encode_state_superposition(self):
+    def test_constructor_holds_superposition(self):
         logical = np.array([1.0, 1j]) / np.sqrt(2)
-        state = encode_state(logical)
-        assert abs(state.amplitudes[2] - 1 / np.sqrt(2)) < 1e-15
-        assert abs(state.amplitudes[1] - 1j / np.sqrt(2)) < 1e-15
+        state = LogicalState(logical)
+        assert state.qubit_count == 1
+        assert np.array_equal(state.amplitudes, logical)
+        assert not state.amplitudes.flags.writeable
+        logical[0] = 0.0  # the state keeps its own copy
+        assert state.amplitudes[0] != 0.0
 
     def test_decode_round_trip(self):
         rng = np.random.default_rng(31)
         for k in (1, 2, 3):
             logical = random_state(rng, 2**k)
-            assert np.max(np.abs(decode(encode_state(logical)) - logical)) < 1e-12
+            assert np.array_equal(decode(LogicalState(logical)), logical)
 
 
 class TestApplyUnitary:
     def test_matches_explicit_matrix_oracle(self):
-        # Oracle: build the embedded matrix entry by entry from index bits.
+        # The physical-register oracle against the embedded matrix built
+        # entry by entry from index bits.
         rng = np.random.default_rng(32)
         n = 4
         u4 = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
@@ -102,17 +125,16 @@ class TestApplyUnitary:
                     if rest_i == rest_j:
                         big[i, j] = u4[li, lj]
             vec = random_state(rng, 2**n)
-            got = _apply_unitary(vec, u4, qubits, n)
+            got = apply_unitary(vec, u4, qubits, n)
             assert np.max(np.abs(got - big @ vec)) < 1e-12
 
 
 class TestApplyOp:
     def test_full_swap_maps_zero_to_one_with_phase(self):
-        state = encode_basis("0")
-        out = apply_op(state, NativeOp(ISWAP_KIND, (0,), (np.pi,)))
-        # |0_L> -> i |1_L>: amplitude i at index 1
+        out = apply_op(encode_basis("0"), NativeOp(ISWAP_KIND, (0,), (np.pi,)))
+        # |0_L> -> i |1_L>
         assert abs(out.amplitudes[1] - 1j) < 1e-15
-        assert abs(out.amplitudes[2]) < 1e-15
+        assert abs(out.amplitudes[0]) < 1e-15
 
     def test_phase_gate_with_equal_angles_fixes_code_zero(self):
         state = encode_basis("0")
@@ -130,7 +152,7 @@ class TestApplyOp:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(33)
-        state = encode_state(random_state(rng, 4))
+        state = LogicalState(random_state(rng, 4))
         for op in (
             NativeOp(ISWAP_KIND, (1,), (0.3,)),
             NativeOp(PHASE_KIND, (0,), (0.1, -0.6)),
@@ -142,26 +164,70 @@ class TestApplyOp:
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError, match="outside"):
             apply_op(encode_basis("0"), NativeOp(ISWAP_KIND, (1,), (0.1,)))
+        with pytest.raises(ValueError, match="outside"):
+            apply_op(encode_basis("00"), NativeOp(CISWAP_KIND, (0, 2)))
+
+    def test_kernels_match_logical_oracle(self):
+        # Each op kind against the code-space block of its pair matrix, or the
+        # CNOT, embedded by index bits (helpers.logical_circuit_matrix).
+        rng = np.random.default_rng(39)
+        state = LogicalState(random_state(rng, 8))
+        for op, block in (
+            (NativeOp(ISWAP_KIND, (1,), (0.4,)), gates.rx(-0.4).matrix),
+            (NativeOp(PHASE_KIND, (2,), (0.9, 0.0)), gates.rz(0.9).matrix),
+            (NativeOp(PHASE_KIND, (0,), (0.9, 0.5)), np.exp(0.25j) * gates.rz(0.9).matrix),
+        ):
+            expected = logical_circuit_matrix([(block, op.targets)], 3) @ state.amplitudes
+            assert np.max(np.abs(apply_op(state, op).amplitudes - expected)) < 1e-12
+        cnot = logical_circuit_matrix([("CNOT", (2, 0))], 3) @ state.amplitudes
+        assert np.array_equal(apply_op(state, NativeOp(CISWAP_KIND, (2, 0))).amplitudes, cnot)
 
 
 class TestLeakage:
     def test_encoded_states_have_none(self):
+        # The written physical register holds the code words only.
         for bits in ("0", "11", "010"):
-            assert leakage(encode_basis(bits)) == 0.0
+            amps = np.array([complex(re, im) for re, im in state_to_json(encode_basis(bits))])
+            assert physical_leakage(amps, len(bits)) == 0.0
 
-    def test_fully_leaked_state(self):
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = 1.0  # |00>
-        assert leakage(PhysicalState(amplitudes=amps, qubit_count=1)) == 1.0
+    def test_every_op_kind_records_its_pair_coupling(self):
+        program = lower_circuit([("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))])
+        _, stats = run_program(program, "00")
+        assert len(stats.op_leakages) == len(program.ops)
+        for op, recorded in zip(program.ops, stats.op_leakages):
+            if op.kind == CISWAP_KIND:
+                matrix = gates.CONTROLLED_SWAP
+            elif op.kind == ISWAP_KIND:
+                matrix = gates.iswap(*op.angles)
+            else:
+                matrix = gates.phase_gate(*op.angles)
+            assert recorded == gates.code_space_coupling(matrix) == 0.0
 
     def test_random_programs_never_leak(self):
+        # The physical register, op by op: no probability leaves the code space.
         rng = np.random.default_rng(34)
         for _ in range(20):
             program = random_native_program(rng, 2, 12)
-            state = encode_basis("00")
-            for op in program.ops:
-                state = apply_op(state, op)
-                assert leakage(state) < 1e-10
+            for amps in run_physical(program, "00"):
+                assert physical_leakage(amps, 2) < 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_logical_run_is_code_space_restriction_of_physical_run(self, seed):
+        # The evidence that keeping 2^k amplitudes loses nothing: on random
+        # native programs the logical run equals the physical run restricted
+        # to the code words, tracked phase included, and the physical run
+        # never leaks.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        program = random_native_program(rng, k, int(rng.integers(1, 16)))
+        bits = "".join(rng.choice(["0", "1"], size=k))
+        history = run_physical(program, bits)
+        assert max(physical_leakage(amps, k) for amps in history) < 1e-12
+        final, stats = run_program(program, bits)
+        expected = history[-1][code_indices(k)] * program.global_phase
+        assert np.max(np.abs(final.amplitudes - expected)) < 1e-12
+        assert stats.max_leakage == 0.0
 
 
 class TestMeasurement:
@@ -171,7 +237,7 @@ class TestMeasurement:
         assert np.array_equal(collapsed.amplitudes, encode_basis("1").amplitudes)
 
     def test_superposition_statistics(self):
-        plus = encode_state(np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = LogicalState(np.array([1.0, 1.0]) / np.sqrt(2))
         rng = np.random.default_rng(35)
         n = 100_000
         ones = sum(measure_logical(plus, 0, rng=rng)[0] for _ in range(n))
@@ -180,23 +246,30 @@ class TestMeasurement:
 
     def test_collapse_renormalizes(self):
         rng = np.random.default_rng(36)
-        state = encode_state(random_state(rng, 4))
+        state = LogicalState(random_state(rng, 4))
         outcome, collapsed = measure_logical(state, 1, rng=1)
         assert abs(collapsed.norm() - 1.0) < 1e-12
         again, _ = measure_logical(collapsed, 1, rng=2)
         assert again == outcome
 
-    def test_leaked_state_rejected(self):
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = 1.0
-        with pytest.raises(LeakedStateError):
-            measure_logical(PhysicalState(amplitudes=amps, qubit_count=1), 0, rng=0)
+    def test_collapse_keeps_the_outcome_slice(self):
+        rng = np.random.default_rng(40)
+        state = LogicalState(random_state(rng, 8))
+        for qubit in range(3):
+            outcome, collapsed = measure_logical(state, qubit, rng=qubit)
+            mask = ((np.arange(8) >> qubit) & 1) == outcome
+            kept = np.where(mask, state.amplitudes, 0.0)
+            assert np.max(np.abs(collapsed.amplitudes - kept / np.linalg.norm(kept))) < 1e-15
 
     def test_deterministic_given_seed(self):
-        plus = encode_state(np.array([1.0, 1.0]) / np.sqrt(2))
+        plus = LogicalState(np.array([1.0, 1.0]) / np.sqrt(2))
         a = [measure_logical(plus, 0, rng=k)[0] for k in range(32)]
         b = [measure_logical(plus, 0, rng=k)[0] for k in range(32)]
         assert a == b
+
+    def test_no_leakage_tolerance_parameter(self):
+        for fn in (decode, measure_logical):
+            assert "leakage_tol" not in inspect.signature(fn).parameters
 
 
 class TestRunProgram:
@@ -213,7 +286,7 @@ class TestRunProgram:
         fidelity = abs(np.vdot(target, got)) ** 2
         assert fidelity > 1.0 - 1e-9
         assert np.max(np.abs(got - target)) < 1e-9  # tracked phase makes it exact
-        assert stats.max_leakage < 1e-10
+        assert stats.max_leakage == 0.0
 
     def test_x_gate_flips_encoded_zero(self):
         program = lower_circuit([("X", (0,))])
@@ -221,14 +294,12 @@ class TestRunProgram:
         assert np.max(np.abs(decode(final) - np.array([0.0, 1.0]))) < 1e-9
 
     def test_stats_record_leakage_after_each_op(self):
-        program = lower_circuit([("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))])
-        _, stats = run_program(program, "00")
-        assert len(stats.op_leakages) == len(program.ops)
-        state = encode_basis("00")
-        for op, recorded in zip(program.ops, stats.op_leakages):
-            state = apply_op(state, op)
-            assert recorded == leakage(state)
-        assert stats.max_leakage == max([leakage(encode_basis("00")), *stats.op_leakages])
+        rng = np.random.default_rng(41)
+        program = random_native_program(rng, 3, 20)
+        _, stats = run_program(program, "010")
+        assert stats.op_count == len(stats.op_leakages) == len(program.ops)
+        assert stats.op_leakages == (0.0,) * len(program.ops)
+        assert stats.max_leakage == 0.0
 
     def test_stats_record_phase(self):
         program = lower_circuit([("T", (0,))])
@@ -251,35 +322,60 @@ class TestRunProgram:
     def test_random_circuits_match_logical_oracle(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 4))
-        names = ["X", "H", "S", "T", "CNOT"]
-        circuit = []
-        for _ in range(int(rng.integers(1, 7))):
-            name = names[rng.integers(len(names))]
-            if name == "CNOT" and k > 1:
-                c, t = rng.choice(k, size=2, replace=False)
-                circuit.append((name, (int(c), int(t))))
-            elif name != "CNOT":
-                circuit.append((name, (int(rng.integers(k)),)))
-        if not circuit:
-            circuit = [("H", (0,))]
+        circuit = random_circuit(rng, k, int(rng.integers(1, 7)))
         program = lower_circuit(circuit, qubit_count=k)
         bits = "".join(rng.choice(["0", "1"]) for _ in range(k))
         final, stats = run_program(program, bits)
-        assert stats.max_leakage < 1e-10
+        assert stats.max_leakage == 0.0
         index = sum(1 << j for j, b in enumerate(bits) if b == "1")
         expected = logical_circuit_matrix(circuit, k)[:, index]
         assert np.max(np.abs(decode(final) - expected)) < 1e-9
 
 
-class TestStateSerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(38)
-        state = encode_state(random_state(rng, 4))
-        recovered = state_from_json(state_to_json(state), qubit_count=2)
-        assert np.max(np.abs(recovered.amplitudes - state.amplitudes)) == 0.0
+class TestMatrices:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_circuit_and_program_match_logical_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        circuit = random_circuit(rng, k, int(rng.integers(1, 12)))
+        oracle = logical_circuit_matrix(circuit, k)
+        assert np.max(np.abs(circuit_matrix(circuit, k) - oracle)) < 1e-12
+        program = lower_circuit(circuit, qubit_count=k)
+        assert np.max(np.abs(program_matrix(program) - oracle)) < 1e-9
 
-    def test_physical_state_validation(self):
+    def test_program_columns_are_runs_of_basis_inputs(self):
+        rng = np.random.default_rng(42)
+        program = random_native_program(rng, 3, 25)
+        matrix = program_matrix(program)
+        for idx in range(8):
+            bits = "".join("1" if (idx >> j) & 1 else "0" for j in range(3))
+            final, _ = run_program(program, bits)
+            assert np.max(np.abs(matrix[:, idx] - final.amplitudes)) < 1e-12
+
+    def test_matrices_validate_targets(self):
+        program = NativeProgram(qubit_count=2, ops=[NativeOp(CISWAP_KIND, (0, 2))])
+        with pytest.raises(ValueError):
+            program_matrix(program)
+        for circuit in ([("CNOT", (2, 0))], [("CNOT", (0, 2))], [("H", (2,))]):
+            with pytest.raises(ValueError, match="outside"):
+                circuit_matrix(circuit, 2)
+
+
+class TestStateSerialization:
+    def test_json_writes_physical_layout(self):
+        rng = np.random.default_rng(38)
+        for k in (1, 2, 3):
+            state = LogicalState(random_state(rng, 2**k))
+            written = json.loads(json.dumps(state_to_json(state)))
+            amps = np.array([complex(re, im) for re, im in written])
+            expected = np.zeros(4**k, dtype=complex)
+            expected[code_indices(k)] = state.amplitudes
+            assert np.array_equal(amps, expected)
+
+    def test_logical_state_validation(self):
         with pytest.raises(ValueError, match="norm"):
-            PhysicalState(amplitudes=np.ones(4, dtype=complex), qubit_count=1)
-        with pytest.raises(ValueError, match="amplitudes"):
-            PhysicalState(amplitudes=np.array([1.0, 0.0]), qubit_count=1)
+            LogicalState(np.ones(2, dtype=complex))
+        for bad in (np.array([1.0]), np.array([1.0, 0.0, 0.0]), np.eye(2)):
+            with pytest.raises(ValueError, match="amplitudes"):
+                LogicalState(bad)
