@@ -33,7 +33,6 @@ from .compiler import (
 from .decoherence import (
     DecoherenceParams,
     fault_tolerance_margin,
-    gate_time,
     iswap_fidelity,
 )
 from .dynamics import (
@@ -107,7 +106,6 @@ __all__ = [
     "extract_controlled_iswap",
     "fault_tolerance_margin",
     "fredkin_classical",
-    "gate_time",
     "iswap",
     "iswap_fidelity",
     "iswap_schedule",

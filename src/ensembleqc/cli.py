@@ -318,13 +318,21 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         raise UsageError("blockade-sweep needs a sweep over 'pi_to_s_ratio'")
     ratios = config.sweep.values
     base = config.physical_params
+    # At most one contiguous chunk of ratios per worker; --jobs below 2 runs serially.
+    size = -(-len(ratios) // max(args.jobs, 1))
+    chunks = [ratios[i:i + size] for i in range(0, len(ratios), size)]
+
+    def chunk_rows(chunk):
+        return [_blockade_row(base, r) for r in chunk]
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(lambda r: _blockade_row(base, r), ratios))
+        if len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+                parts = list(pool.map(chunk_rows, chunks))
         else:
-            rows = [_blockade_row(base, r) for r in ratios]
+            parts = [chunk_rows(chunk) for chunk in chunks]
+    rows = [row for part in parts for row in part]
     text = _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", rows)
     if args.json:
         print(
@@ -474,7 +482,7 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
         warnings.simplefilter("ignore")
         couplings = derive_couplings(config.physical_params)
     omega_sigma = abs(couplings.omega_cap_sigma)
-    t_gate = decoherence.gate_time(config.physical_params.n_atoms_1, omega_sigma)
+    t_gate = dynamics.iswap_schedule(couplings, np.pi / 2.0)
 
     sweep = config.sweep
     if sweep is None or sweep.parameter == "pi_to_s_ratio":

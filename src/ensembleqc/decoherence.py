@@ -1,6 +1,5 @@
 """Closed-form fidelity of the swap gate family under atomic phase
-relaxation and cavity losses, plus the fault-tolerance margin and gate-time
-estimates.
+relaxation and cavity losses, plus the fault-tolerance margin.
 
 No open-system simulation happens here: the module evaluates the analytic
 expressions only.  The detuning entering the fidelity is identified with the
@@ -73,16 +72,3 @@ def fault_tolerance_margin(d: DecoherenceParams, t: float) -> float:
         raise ValueError("gate time must be nonnegative")
     spent = 2.0 * d.gamma_atomic * t + np.pi * d.gamma_cavity / (2.0 * d.delta)
     return float(FAULT_TOLERANCE_BUDGET - spent)
-
-
-def gate_time(n_atoms: int, omega_sigma: float) -> float:
-    """Full swap duration ``t = pi / (2 N Omega_sigma)`` in seconds.
-
-    Homogeneous in its arguments: scaling N up is equivalent to scaling the
-    exchange rate up.
-    """
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    if not omega_sigma > 0.0:
-        raise ValueError("omega_sigma must be positive")
-    return float(np.pi / (2.0 * n_atoms * omega_sigma))

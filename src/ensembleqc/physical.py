@@ -17,6 +17,7 @@ reference, so zero or negative values are legitimate.
 
 from __future__ import annotations
 
+import cmath
 import json
 import warnings
 from dataclasses import dataclass, fields
@@ -29,7 +30,7 @@ class DispersiveRegimeWarning(UserWarning):
 
 
 def _is_finite_number(x) -> bool:
-    return bool(np.isfinite(complex(x).real) and np.isfinite(complex(x).imag))
+    return cmath.isfinite(complex(x))
 
 
 @dataclass(frozen=True)

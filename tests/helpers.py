@@ -4,7 +4,7 @@ Everything here is deliberately independent of the code paths it checks:
 random unitaries come from QR, logical circuits are evaluated by direct
 index manipulation, native programs also run on the 4^k-amplitude physical
 register, and two-level evolutions are cross-checked against
-eigendecompositions.
+eigendecompositions and a step-at-a-time integrator.
 """
 
 from __future__ import annotations
@@ -121,3 +121,38 @@ def propagator_eig_oracle(m: np.ndarray, t: float) -> np.ndarray:
     """exp(i m t) for Hermitian m via eigendecomposition (numpy oracle)."""
     vals, vecs = np.linalg.eigh(m)
     return (vecs * np.exp(1j * vals * t)) @ vecs.conj().T
+
+
+def rk4_reference(couplings, n: int, t: float, vec, step: float, samples: int = 0) -> np.ndarray:
+    """Fixed-step fourth-order integration of the rotating-frame sector
+    equations, one step matrix product at a time.
+
+    Each sample segment takes ``floor(length/step + 1e-12)`` whole steps and
+    one shorter tail step if the tail exceeds ``1e-15 max(|t_end|, 1)``.
+    Returns the states at ``t = 0`` and at each segment end.
+    """
+    d = couplings.varpi_split(n)
+    s = couplings.s_coupling
+    a = np.array([[d, -s], [-np.conj(s), -d]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+
+    def step_matrix(h: float) -> np.ndarray:
+        m = 1j * h * a
+        return eye + m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
+
+    full = step_matrix(step)
+    ends = np.linspace(0.0, t, samples + 1)[1:] if samples > 0 else [t]
+    current = np.array(vec, dtype=complex)
+    states = [current]
+    done = 0.0
+    for t_end in ends:
+        remaining = t_end - done
+        whole = int(np.floor(remaining / step + 1e-12))
+        for _ in range(whole):
+            current = full @ current
+        tail = remaining - whole * step
+        if tail > 1e-15 * max(abs(t_end), 1.0):
+            current = step_matrix(tail) @ current
+        done = t_end
+        states.append(current)
+    return np.array(states)

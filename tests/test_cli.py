@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ensembleqc
-from ensembleqc import cli, presets
+from ensembleqc import cli, dynamics, presets
+from ensembleqc.physical import PhysicalParams, derive_couplings
 
 REFERENCE = json.loads(presets.reference_params().to_json())
 
@@ -111,6 +112,53 @@ def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path):
     assert code == 0 and report["pass"] is True
     assert [g["gate"] for g in report["gates"]] == ["T", "H"]
     assert report["op_count"] == 1 + sum(g["depth"] for g in report["gates"])
+
+
+RATIOS = [0.0, 0.25, 1.0, presets.SQRT3, 2.5, 10.0, 100.0]
+
+
+def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.json", {"sweep": {"parameter": "pi_to_s_ratio", "values": RATIOS}})
+    pools = []
+
+    class CountingPool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            pools.append([max_workers, 0])
+
+        def submit(self, fn, /, *args, **kwargs):
+            pools[-1][1] += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+    outputs = {}
+    for jobs in (1, 2, 3, len(RATIOS) + 5, 0, -2):
+        code, stdout, _ = run_cli(["--config", "c.json", "--out", "out", "blockade-sweep",
+                                   "--jobs", str(jobs)])
+        assert code == 0
+        outputs[jobs] = (stdout, (tmp_path / "out" / "blockade_sweep.csv").read_text())
+    assert all(out == outputs[1] for out in outputs.values())
+    assert len(outputs[1][1].splitlines()) == 1 + len(RATIOS)
+    # One pool task per worker, each a contiguous chunk; --jobs below 2 runs serially.
+    assert pools == [[2, 2], [3, 3], [len(RATIOS), len(RATIOS)]]
+
+
+@pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
+def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
+    params = dict(REFERENCE, n_atoms_1=100, n_atoms_2=400)
+    path = write(tmp_path / "c.json", {"physical_params": params})
+    code, stdout, _ = run_cli(["--config", path, "--json", "fidelity"])
+    report = json.loads(stdout)
+    assert code == 0
+    couplings = derive_couplings(PhysicalParams.from_json(json.dumps(params)))
+    # pi/(2|S|) with |S| = sqrt(N1 N2)|Omega_sigma|, the time of the extracted gate ...
+    t_gate = dynamics.iswap_schedule(couplings, math.pi / 2)
+    assert report["gate_time"] == t_gate
+    assert math.isclose(t_gate, math.pi / (2 * 200 * report["omega_sigma"]), rel_tol=1e-12)
+    # ... not pi/(2 N1 |Omega_sigma|), twice as long here.
+    assert math.isclose(t_gate * 2, math.pi / (2 * 100 * report["omega_sigma"]), rel_tol=1e-12)
+    assert all(row[3] == t_gate for row in report["rows"])
 
 
 # --- fuzzing -----------------------------------------------------------------
@@ -219,6 +267,7 @@ def test_every_export_resolves():
     ("cli", "_logical_circuit_matrix"),
     ("cli", "_logical_equivalence_error"),
     ("physical", "check_resonance_condition"),
+    ("decoherence", "gate_time"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(getattr(ensembleqc, module), name)

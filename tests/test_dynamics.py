@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from ensembleqc import presets
 from ensembleqc.dynamics import (
+    DEFAULT_STEP_FACTOR,
+    FRAME_LAB,
     FRAME_ROTATING,
     BlockadeConditionError,
     NodePairState,
@@ -21,8 +23,8 @@ from ensembleqc.dynamics import (
     sector_propagator,
     trajectory_to_csv,
 )
-from ensembleqc.physical import derive_couplings, effective_hamiltonian
-from helpers import propagator_eig_oracle, random_resonant_params, random_state
+from ensembleqc.physical import DerivedCouplings, derive_couplings, effective_hamiltonian
+from helpers import propagator_eig_oracle, random_resonant_params, random_state, rk4_reference
 
 EXCITED = NodePairState.excited_node_one()
 
@@ -113,7 +115,70 @@ class TestClosedForm:
                 assert np.max(np.abs(got - expected)) < 1e-10
 
 
+class TestTimeArrays:
+    @pytest.mark.parametrize("frame", [FRAME_LAB, FRAME_ROTATING])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_propagator_stack_equals_scalar_calls(self, tuned, n, frame):
+        rng = np.random.default_rng(31)
+        times = rng.uniform(0.0, 20.0 / abs(tuned.s_coupling), (3, 5))
+        stacked = sector_propagator(tuned, n, times, frame)
+        scalar = np.stack([sector_propagator(tuned, n, float(x), frame) for x in times.ravel()])
+        assert stacked.shape == (3, 5, 2, 2)
+        assert np.array_equal(stacked.reshape(-1, 2, 2), scalar)
+
+    @pytest.mark.parametrize("frame", [FRAME_LAB, FRAME_ROTATING])
+    def test_propagator_stack_without_dynamics(self, frame):
+        # S = 0 and a zero split: the rate k vanishes, each propagator is the
+        # mean-frequency phase times the identity.
+        still = DerivedCouplings(
+            omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=0.0, omega_2_sigma=0.0,
+            omega_2_pi=0.0, s_coupling=0j, n_atoms_1=3, n_atoms_2=2, omega_1=1.5, omega_2=1.5,
+        )
+        assert still.varpi_split(0) == still.varpi_split(1) == 0.0
+        times = np.linspace(0.0, 4.0, 9)
+        for n in (0, 1):
+            stacked = sector_propagator(still, n, times, frame)
+            scalar = np.stack([sector_propagator(still, n, float(x), frame) for x in times])
+            assert np.array_equal(stacked, scalar)
+            phase = np.exp(1j * still.varpi_mean(n) * times) if frame == FRAME_LAB else 1.0
+            assert np.array_equal(stacked[:, 0, 0], np.broadcast_to(phase, times.shape))
+            assert np.all(stacked[:, 0, 1] == 0.0)
+
+    def test_closed_form_trajectory_equals_per_sample_products(self, tuned):
+        initial = NodePairState(*random_state(np.random.default_rng(37), 2))
+        t = 3.0 / abs(tuned.s_coupling)
+        for n in (0, 1):
+            for frame in (FRAME_LAB, FRAME_ROTATING):
+                result = evolve_closed_form(tuned, n, t, initial, samples=50, frame=frame)
+                expected = np.stack([
+                    sector_propagator(tuned, n, ti, frame) @ initial.as_vector() for ti in result.times
+                ])
+                assert np.array_equal(result.trajectory, expected)
+
+
 class TestNumerical:
+    @pytest.mark.parametrize("samples", [0, 1, 1000])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_matches_step_by_step_reference(self, tuned, n, samples):
+        s = abs(tuned.s_coupling)
+        step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
+        vec = random_state(np.random.default_rng(41), 2)
+        for t in (0.0, 0.5 * step, 10.0 * np.pi / s):
+            result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples,
+                                      frame=FRAME_ROTATING)
+            reference = rk4_reference(tuned, n, t, vec, step, samples)
+            assert abs(result.state.as_vector() - reference[-1]).max() < 1e-12
+            if samples:
+                assert result.trajectory.shape == reference.shape
+                assert np.max(np.abs(result.trajectory - reference)) < 1e-12
+            else:
+                assert result.trajectory is None
+
+    def test_rejects_non_finite_time(self, resonant):
+        for t in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                evolve_numerical(resonant, 0, t, EXCITED)
+
     def test_agrees_with_closed_form(self, tuned):
         rng = np.random.default_rng(23)
         s = abs(tuned.s_coupling)

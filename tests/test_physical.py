@@ -54,6 +54,15 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="finite"):
             make_params(omega_1=np.inf)
 
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(PhysicalParams) if not f.name.startswith("n_atoms")
+    ])
+    def test_non_finite_real_or_imaginary_part_rejected(self, field):
+        for bad in (np.nan, np.inf, -np.inf):
+            for value in (bad, complex(bad, 0.0), complex(1.0, bad), complex(bad, bad)):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    make_params(**{field: value})
+
     def test_json_round_trip(self):
         params = make_params(g_sigma_1=1.0 + 0.25j)
         recovered = PhysicalParams.from_json(params.to_json())
