@@ -228,15 +228,19 @@ def _out_dir(config: ScenarioConfig) -> Path | None:
     return path
 
 
-def _write_csv(config: ScenarioConfig, name: str, header: str, rows) -> str:
-    """CSV text of ``rows``, also written to ``name`` in the output directory."""
+def _write_csv(config: ScenarioConfig, name: str, header: str, rows, show: bool) -> None:
+    """Write the CSV text of ``rows`` to ``name`` in the output directory, if
+    any, then print it if ``show``; the text is built only when used."""
+    out = _out_dir(config)
+    if out is None and not show:
+        return
     lines = [header] + [",".join(_FMT.format(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    out = _out_dir(config)
     if out is not None:
         (out / name).write_text(text)
         print(f"wrote {out / name}")
-    return text
+    if show:
+        print(text, end="")
 
 
 def cmd_truth_table(args, config: ScenarioConfig) -> int:
@@ -333,7 +337,8 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         else:
             parts = [chunk_rows(chunk) for chunk in chunks]
     rows = [row for part in parts for row in part]
-    text = _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", rows)
+    _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", rows,
+               show=not args.json)
     if args.json:
         print(
             json.dumps(
@@ -345,8 +350,6 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
                 indent=2,
             )
         )
-    else:
-        print(text, end="")
     return EXIT_OK
 
 
@@ -523,7 +526,7 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
         if (rows[i - 1][5] >= 0.0) != (rows[i][5] >= 0.0)
     ]
     header = "gamma_atomic,gamma_cavity,delta,t,fidelity,margin"
-    text = _write_csv(config, "fidelity_sweep.csv", header, rows)
+    _write_csv(config, "fidelity_sweep.csv", header, rows, show=not args.json)
     if args.json:
         print(
             json.dumps(
@@ -539,7 +542,6 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
             )
         )
     else:
-        print(text, end="")
         print(f"# gate time {_FMT.format(t_gate)} s with exchange rate {_FMT.format(omega_sigma)} rad/s")
         for i in frontier:
             print(f"# error-budget frontier between rows {i - 1} and {i}")

@@ -7,8 +7,11 @@ restriction is an x rotation by minus the angle).  The logical CNOT lowers to
 a single controlled-swap operation.  :func:`lower_circuit` is the one
 lowering loop; its ``lower_1q`` argument picks how single-qubit gates lower.
 The alternative, used by ``compile --fixed-set``, approximates each gate with
-a word over the fixed gates {ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)} found by
-breadth-first search (:func:`approximate_fixed_set`).
+the shortest word over the fixed gates {ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)}
+(:func:`approximate_fixed_set`).  The breadth-first search tree over those
+words does not depend on the gate, so it is built once per depth limit as a
+cached table of products, and each search is one vectorized scan of the
+phase-invariant distance over the table.
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase; the
@@ -18,8 +21,8 @@ alone.
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +165,20 @@ class EulerAngles:
         )
 
 
+def _single_qubit_unitary(u) -> np.ndarray:
+    """``u`` as a 2x2 complex array; rejects other shapes, non-finite entries
+    and a unitarity defect ``max|u u+ - I|`` above 1e-10."""
+    m = as_matrix(u)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("input has a non-finite entry")
+    defect = np.max(np.abs(m @ m.conj().T - np.eye(2)))
+    if defect > 1e-10:
+        raise ValueError(f"input is not unitary: defect {defect:.3e}")
+    return m
+
+
 def euler_decompose(u) -> EulerAngles:
     """Factor a 2x2 unitary as e^{i delta} R_z(alpha) R_x(beta) R_z(gamma).
 
@@ -169,12 +186,7 @@ def euler_decompose(u) -> EulerAngles:
     via the determinant branch; diagonal inputs take the tie-break
     ``beta = gamma = 0`` so they reduce to a single z rotation.
     """
-    m = as_matrix(u)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m @ m.conj().T - np.eye(2)))
-    if defect > 1e-10:
-        raise ValueError(f"input is not unitary: defect {defect:.3e}")
+    m = _single_qubit_unitary(u)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     delta = 0.5 * np.angle(det)  # in (-pi/2, pi/2]
     v = np.exp(-1j * delta) * m  # special-unitary part
@@ -277,6 +289,9 @@ _FIXED_GENERATORS: tuple[tuple[str, NativeOp, np.ndarray], ...] = (
 )
 
 _DEDUP_DECIMALS = 6
+# Table rows per distance scan: bounds the scan's temporaries, and a hit in
+# one block skips the rest of the table.
+_SCAN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -291,15 +306,66 @@ class FixedSetResult:
     depth: int
 
 
-def _dedup_key(m: np.ndarray) -> bytes:
-    flat = m.ravel()
+def _dedup_keys(stack: np.ndarray) -> list[bytes]:
+    """Per matrix of ``stack``: its bytes with the global phase anchored on
+    the first entry within rounding of the top magnitude, on a
+    ``_DEDUP_DECIMALS`` grid."""
+    flat = stack.reshape(len(stack), -1)
     mags = np.abs(flat)
-    top = mags.max()
-    # First entry within rounding of the top magnitude anchors the phase.
-    anchor = flat[int(np.nonzero(mags >= top - 1e-9)[0][0])]
-    normalized = m * np.conj(anchor / abs(anchor))
+    first = np.argmax(mags >= mags.max(axis=1, keepdims=True) - 1e-9, axis=1)
+    anchor = flat[np.arange(len(flat)), first]
+    normalized = flat * np.conj(anchor / np.hypot(anchor.real, anchor.imag))[:, None]
     rounded = np.round(normalized, _DEDUP_DECIMALS) + 0.0  # clear -0.0
-    return rounded.tobytes()
+    return [row.tobytes() for row in rounded]
+
+
+@functools.lru_cache(maxsize=None)  # one entry per max_depth in 1..20
+def _fixed_set_table(max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every product the breadth-first search generates, in generation order.
+
+    Level by level, each kept word of the previous level is extended by each
+    generator (the new letter acts after the word so far).  Every child is a
+    row, duplicates included, since the search measures each child before it
+    deduplicates it; only children whose dedup key is new are extended.
+    Returns the read-only ``(rows, 2, 2)`` products and each row's parent
+    row (-1 for the empty word); see :func:`_table_word`.  The table does not
+    depend on the target.
+    """
+    generators = np.stack([gen for _, _, gen in _FIXED_GENERATORS])
+    frontier = np.eye(2, dtype=complex)[None]
+    frontier_rows = np.array([-1])
+    visited = set(_dedup_keys(frontier))
+    levels: list[np.ndarray] = []
+    parents: list[np.ndarray] = []
+    for depth in range(1, max_depth + 1):
+        children = np.matmul(generators, frontier[:, None]).reshape(-1, 2, 2)
+        level_start = sum(map(len, levels))
+        levels.append(children)
+        parents.append(np.repeat(frontier_rows, len(generators)))
+        if depth == max_depth:
+            break
+        keep = []
+        for row, key in enumerate(_dedup_keys(children)):
+            if key not in visited:
+                visited.add(key)
+                keep.append(row)
+        frontier = children[keep]
+        frontier_rows = level_start + np.array(keep, dtype=np.intp)
+    table, parent = np.concatenate(levels), np.concatenate(parents)
+    table.setflags(write=False)
+    parent.setflags(write=False)
+    return table, parent
+
+
+def _table_word(parent: np.ndarray, row: int) -> tuple[int, ...]:
+    """Letter indices of a table row's word.  Each level holds one child per
+    generator for every kept parent, in generator order, so row ``r`` ends in
+    letter ``r % 3``."""
+    word = []
+    while row >= 0:
+        word.append(row % len(_FIXED_GENERATORS))
+        row = int(parent[row])
+    return tuple(reversed(word))
 
 
 def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
@@ -307,28 +373,30 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
 
     Breadth-first search over products of the code-space actions
     {R_x(-pi/2), R_z(pi/2), R_z(pi/4)}, deduplicating visited unitaries up to
-    global phase on a 1e-6 grid.  A candidate within phase-invariant distance
-    ``epsilon`` is re-multiplied from scratch and re-measured before being
-    returned; ties at the minimal depth resolve to the lexicographically
-    first word in generator order.
+    global phase on a 1e-6 grid.  The search tree does not depend on the
+    target, so it is built once per ``max_depth`` (:func:`_fixed_set_table`,
+    cached) and each search is a vectorized scan of the phase-invariant
+    distance over it, in generation order and in blocks of ``_SCAN_ROWS``
+    rows.  The first product within ``epsilon`` wins, so ties at the minimal
+    depth resolve to the lexicographically first word in generator order;
+    its word is re-multiplied from scratch and re-measured before being
+    returned.  Without one, the result carries the smallest distance seen
+    and ``depth = max_depth``.  The target must be a finite 2x2 unitary
+    (defect at most 1e-10) and ``epsilon`` positive and finite.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not 0 < max_depth <= 20:
         raise ValueError("max_depth must be in 1..20")
-    target = as_matrix(u)
-    if target.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 target, got shape {target.shape}")
-
-    def distance(candidate: np.ndarray) -> float:
-        return _phase_align(target, candidate)[0]
+    target = _single_qubit_unitary(u)
 
     def finish(word: tuple[int, ...]) -> FixedSetResult:
         # Re-verify: rebuild the product from the word and measure again.
         product = np.eye(2, dtype=complex)
         for letter in word:
             product = _FIXED_GENERATORS[letter][2] @ product
-        dist, phi = _phase_align(target, product)
+        dists, phis = _phase_align(target, product[None])
+        dist, phi = float(dists[0]), float(phis[0])
         if dist > epsilon:
             raise AssertionError("search produced a word that fails re-verification")
         ops = [_FIXED_GENERATORS[letter][1] for letter in word]
@@ -340,27 +408,16 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
             found=True, program=program, word=names, distance=dist, depth=len(word)
         )
 
-    identity = np.eye(2, dtype=complex)
-    best_seen = distance(identity)
+    best_seen = float(_phase_align(target, np.eye(2, dtype=complex)[None])[0][0])
     if best_seen <= epsilon:
         return finish(())
-    visited = {_dedup_key(identity)}
-    queue: deque[tuple[np.ndarray, tuple[int, ...]]] = deque([(identity, ())])
-    while queue:
-        matrix, word = queue.popleft()
-        if len(word) == max_depth:
-            continue
-        for index, (_, _, gen) in enumerate(_FIXED_GENERATORS):
-            child = gen @ matrix  # the new letter acts after the word so far
-            child_word = word + (index,)
-            d = distance(child)
-            best_seen = min(best_seen, d)
-            if d <= epsilon:
-                return finish(child_word)
-            key = _dedup_key(child)
-            if key not in visited:
-                visited.add(key)
-                queue.append((child, child_word))
+    table, parent = _fixed_set_table(max_depth)
+    for start in range(0, len(table), _SCAN_ROWS):
+        distances = _phase_align(target, table[start:start + _SCAN_ROWS])[0]
+        hits = np.flatnonzero(distances <= epsilon)
+        if hits.size:
+            return finish(_table_word(parent, start + int(hits[0])))
+        best_seen = min(best_seen, float(distances.min()))
     return FixedSetResult(
         found=False, program=None, word=(), distance=best_seen, depth=max_depth
     )

@@ -203,48 +203,66 @@ def restrict_to_logical(u, atol: float = 1e-12) -> Unitary:
     return Unitary(m[np.ix_(CODE_INDICES, CODE_INDICES)])
 
 
-def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Minimize ``max|a - exp(i phi) b|`` over phi.
+def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ``max|a - exp(i phi) b[n]|`` over phi for each matrix of a stack.
 
-    Each squared entry difference is ``A_k - 2 Re(z_k e^{i phi})`` with
-    ``z_k = conj(a_k) b_k``; the max over entries attains its minimum either
-    at a single branch's minimum ``phi = -arg z_k`` or where two branches
-    cross.  All candidates are enumerated, so the result is exact up to
-    floating-point rounding.  Returns ``(distance, phi)``.
+    ``b`` has shape ``(n,) + a.shape``.  Each squared entry difference is
+    ``A_k - 2 Re(z_k e^{i phi})`` with ``z_k = conj(a_k) b_k``; the max over
+    entries attains its minimum either at a single branch's minimum
+    ``phi = -arg z_k`` or where two branches cross.  All candidates are
+    enumerated in fixed slots: phi = 0, each entry's branch minimum, then
+    each entry pair's two crossings.  A slot whose candidate does not exist
+    (``z_k = 0``, coincident branches, no crossing) scores +inf, so the
+    first minimal slot is the first minimal candidate.  The result is exact
+    up to floating-point rounding.  Returns ``(distance, phi)``, each of
+    shape ``(n,)``.
     """
-    af, bf = a.ravel(), b.ravel()
+    af = a.reshape(-1)
+    n, m = len(b), af.size
+    bf = b.reshape(n, m)
     z = np.conj(af) * bf
     amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
-    candidates = [0.0]
     nz = np.abs(z) > 0.0
-    candidates.extend((-np.angle(z[nz])).tolist())
-    idx = np.nonzero(nz)[0]
-    for ii in range(len(idx)):
-        for jj in range(ii + 1, len(idx)):
-            j, k = idx[ii], idx[jj]
-            w = z[j] - z[k]
-            mag = abs(w)
-            if mag < 1e-300:
-                continue
-            rhs = (amp2[j] - amp2[k]) / (2.0 * mag)
-            if abs(rhs) <= 1.0:
-                t = np.arccos(np.clip(rhs, -1.0, 1.0))
-                chi = np.angle(w)
-                candidates.extend([t - chi, -t - chi])
-    phis = np.asarray(candidates)
-    diffs = np.abs(af[None, :] - np.exp(1j * phis)[:, None] * bf[None, :]).max(axis=1)
-    best = int(np.argmin(diffs))
-    return float(diffs[best]), float(phis[best])
+    j, k = np.triu_indices(m, 1)
+    w = z[:, j] - z[:, k]
+    mag = np.hypot(w.real, w.imag)  # equals scalar abs(w); array np.abs can differ in the last bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = (amp2[:, j] - amp2[:, k]) / (2.0 * mag)
+    crossing = nz[:, j] & nz[:, k] & (mag >= 1e-300) & (np.abs(rhs) <= 1.0)
+    t = np.arccos(np.clip(np.where(crossing, rhs, 0.0), -1.0, 1.0))
+    chi = np.angle(w)
+    # Slots: phi = 0, then -arg z_e per entry e, then t - chi, -t - chi per pair.
+    phis = np.zeros((n, 1 + m + 2 * len(j)))
+    phis[:, 1:1 + m] = np.where(nz, -np.angle(z), 0.0)
+    phis[:, 1 + m::2] = t - chi
+    phis[:, 2 + m::2] = -t - chi
+    rotated = np.exp(1j * phis)
+    # Max over entries of |a_e - e^{i phi} b_e|, one (n, slots) array per entry.
+    term = np.empty_like(rotated)
+    entry_diff = np.empty(phis.shape)
+    diffs = np.zeros(phis.shape)
+    for entry in range(m):
+        np.multiply(rotated, bf[:, entry, None], out=term)
+        np.subtract(af[entry], term, out=term)
+        np.abs(term, out=entry_diff)
+        np.maximum(diffs, entry_diff, out=diffs)
+    diffs[:, 1:1 + m][~nz] = np.inf
+    diffs[:, 1 + m::2][~crossing] = np.inf
+    diffs[:, 2 + m::2][~crossing] = np.inf
+    best = np.argmin(diffs, axis=1)
+    rows = np.arange(n)
+    return diffs[rows, best], phis[rows, best]
 
 
 def phase_distance(a, b) -> float:
     """Global-phase-invariant distance ``min_phi max|a - exp(i phi) b|``."""
-    return _phase_align(as_matrix(a), as_matrix(b))[0]
+    return float(_phase_align(as_matrix(a), as_matrix(b)[None])[0][0])
 
 
 def phase_alignment(a, b) -> complex:
     """The unit scalar ``exp(i phi)`` minimizing ``max|a - exp(i phi) b|``."""
-    return complex(np.exp(1j * _phase_align(as_matrix(a), as_matrix(b))[1]))
+    phi = float(_phase_align(as_matrix(a), as_matrix(b)[None])[1][0])
+    return complex(np.exp(1j * phi))
 
 
 def matrix_to_json(u) -> list:

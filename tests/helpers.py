@@ -4,16 +4,26 @@ Everything here is deliberately independent of the code paths it checks:
 random unitaries come from QR, logical circuits are evaluated by direct
 index manipulation, native programs also run on the 4^k-amplitude physical
 register, and two-level evolutions are cross-checked against
-eigendecompositions and a step-at-a-time integrator.
+eigendecompositions and a step-at-a-time integrator, and the fixed-set
+search is checked against a node-at-a-time breadth-first search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from collections import deque
+
 from ensembleqc import presets
-from ensembleqc.compiler import CISWAP_KIND, ISWAP_KIND
-from ensembleqc.gates import CONTROLLED_SWAP, iswap, phase_gate, standard_gate
+from ensembleqc.compiler import (
+    _DEDUP_DECIMALS,
+    _FIXED_GENERATORS,
+    CISWAP_KIND,
+    ISWAP_KIND,
+    FixedSetResult,
+    NativeProgram,
+)
+from ensembleqc.gates import CONTROLLED_SWAP, as_matrix, iswap, phase_gate, standard_gate
 from ensembleqc.physical import PhysicalParams
 
 
@@ -156,3 +166,106 @@ def rk4_reference(couplings, n: int, t: float, vec, step: float, samples: int = 
         done = t_end
         states.append(current)
     return np.array(states)
+
+
+def phase_align_reference(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Minimize ``max|a - exp(i phi) b|`` over phi for one pair of matrices.
+
+    Candidates in order: phi = 0, each nonzero branch's minimum
+    ``-arg z_k``, then each pair's two crossings; the first minimal
+    candidate wins.  Returns ``(distance, phi)``.
+    """
+    af, bf = a.ravel(), b.ravel()
+    z = np.conj(af) * bf
+    amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
+    candidates = [0.0]
+    nz = np.abs(z) > 0.0
+    candidates.extend((-np.angle(z[nz])).tolist())
+    idx = np.nonzero(nz)[0]
+    for ii in range(len(idx)):
+        for jj in range(ii + 1, len(idx)):
+            j, k = idx[ii], idx[jj]
+            w = z[j] - z[k]
+            mag = abs(w)
+            if mag < 1e-300:
+                continue
+            rhs = (amp2[j] - amp2[k]) / (2.0 * mag)
+            if abs(rhs) <= 1.0:
+                t = np.arccos(np.clip(rhs, -1.0, 1.0))
+                chi = np.angle(w)
+                candidates.extend([t - chi, -t - chi])
+    phis = np.asarray(candidates)
+    diffs = np.abs(af[None, :] - np.exp(1j * phis)[:, None] * bf[None, :]).max(axis=1)
+    best = int(np.argmin(diffs))
+    return float(diffs[best]), float(phis[best])
+
+
+def dedup_key_reference(m: np.ndarray) -> bytes:
+    """Bytes of ``m`` with its phase anchored on the first entry of top
+    magnitude, rounded to the search's dedup grid."""
+    flat = m.ravel()
+    mags = np.abs(flat)
+    top = mags.max()
+    anchor = flat[int(np.nonzero(mags >= top - 1e-9)[0][0])]
+    normalized = m * np.conj(anchor / abs(anchor))
+    rounded = np.round(normalized, _DEDUP_DECIMALS) + 0.0  # clear -0.0
+    return rounded.tobytes()
+
+
+def fixed_set_reference(
+    u, epsilon: float, max_depth: int, generated: list | None = None
+) -> FixedSetResult:
+    """Breadth-first fixed-set search, one node and one child at a time.
+
+    Each child's distance is checked before it is deduplicated; the first
+    child within ``epsilon`` is re-multiplied from its word and re-measured.
+    ``generated``, if given, receives every ``(child, word)`` in the order
+    the search generates them, duplicates included.
+    """
+    target = as_matrix(u)
+
+    def distance(candidate: np.ndarray) -> float:
+        return phase_align_reference(target, candidate)[0]
+
+    def finish(word: tuple[int, ...]) -> FixedSetResult:
+        product = np.eye(2, dtype=complex)
+        for letter in word:
+            product = _FIXED_GENERATORS[letter][2] @ product
+        dist, phi = phase_align_reference(target, product)
+        if dist > epsilon:
+            raise AssertionError("search produced a word that fails re-verification")
+        ops = [_FIXED_GENERATORS[letter][1] for letter in word]
+        program = NativeProgram(
+            qubit_count=1, ops=ops, global_phase=complex(np.exp(1j * phi))
+        )
+        names = tuple(_FIXED_GENERATORS[letter][0] for letter in word)
+        return FixedSetResult(
+            found=True, program=program, word=names, distance=dist, depth=len(word)
+        )
+
+    identity = np.eye(2, dtype=complex)
+    best_seen = distance(identity)
+    if best_seen <= epsilon:
+        return finish(())
+    visited = {dedup_key_reference(identity)}
+    queue: deque[tuple[np.ndarray, tuple[int, ...]]] = deque([(identity, ())])
+    while queue:
+        matrix, word = queue.popleft()
+        if len(word) == max_depth:
+            continue
+        for index, (_, _, gen) in enumerate(_FIXED_GENERATORS):
+            child = gen @ matrix
+            child_word = word + (index,)
+            if generated is not None:
+                generated.append((child, child_word))
+            d = distance(child)
+            best_seen = min(best_seen, d)
+            if d <= epsilon:
+                return finish(child_word)
+            key = dedup_key_reference(child)
+            if key not in visited:
+                visited.add(key)
+                queue.append((child, child_word))
+    return FixedSetResult(
+        found=False, program=None, word=(), distance=best_seen, depth=max_depth
+    )

@@ -64,6 +64,10 @@ ERROR_CASES = {
         ["--config", "c.json", "blockade-sweep", "--jobs", "2"], 2),
     "fixed_set_epsilon_zero": (
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--epsilon", "0", "c.txt"], 2),
+    "fixed_set_epsilon_inf": (
+        {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--epsilon", "inf", "c.txt"], 2),
+    "fixed_set_epsilon_nan": (
+        {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--epsilon", "nan", "c.txt"], 2),
     "fixed_set_max_depth_50": (
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--max-depth", "50", "c.txt"], 2),
     "non_utf8_circuit_compile": ({"c.txt": b"\xffH 0\n"}, ["compile", "c.txt"], 2),
@@ -115,6 +119,23 @@ def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path):
 
 
 RATIOS = [0.0, 0.25, 1.0, presets.SQRT3, 2.5, 10.0, 100.0]
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("blockade-sweep", {"parameter": "pi_to_s_ratio", "values": RATIOS}),
+    ("fidelity", {"parameter": "gamma_atomic", "values": [0.0, 1e3, 1e5]}),
+])
+def test_sweep_csv_text_is_built_only_when_used(command, sweep, tmp_path, monkeypatch):
+    # Under --json without --out the CSV text would be thrown away, so its
+    # rows are never formatted.
+    class NoFormat:
+        def format(self, value):
+            raise AssertionError("CSV text built")
+
+    path = write(tmp_path / "c.json", {"sweep": sweep})
+    monkeypatch.setattr(cli, "_FMT", NoFormat())
+    code, stdout, _ = run_cli(["--config", path, "--json", command])
+    assert code == 0 and len(json.loads(stdout)["rows"]) == len(sweep["values"])
 
 
 def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
@@ -264,6 +285,7 @@ def test_every_export_resolves():
     ("simulator", "_pair_digits"),
     ("simulator", "state_from_json"),
     ("cli", "_compile_fixed_set"),
+    ("compiler", "_dedup_key"),
     ("cli", "_logical_circuit_matrix"),
     ("cli", "_logical_equivalence_error"),
     ("physical", "check_resonance_condition"),

@@ -4,23 +4,34 @@ import numpy as np
 import pytest
 
 from ensembleqc.compiler import (
+    _FIXED_GENERATORS,
     CISWAP_KIND,
     ISWAP_KIND,
     PHASE_KIND,
     CircuitParseError,
     EulerAngles,
+    FixedSetResult,
     NativeOp,
     NativeProgram,
+    _fixed_set_table,
+    _table_word,
     approximate_fixed_set,
     euler_decompose,
     lower_circuit,
     lower_single_qubit,
     parse_circuit,
 )
-from ensembleqc.gates import phase_distance, restrict_to_logical, rx, rz, standard_gate
+from ensembleqc.gates import (
+    _phase_align,
+    phase_distance,
+    restrict_to_logical,
+    rx,
+    rz,
+    standard_gate,
+)
 from ensembleqc.gates import iswap as iswap_gate
 from ensembleqc.gates import phase_gate
-from helpers import haar_unitary_2
+from helpers import fixed_set_reference, haar_unitary_2, phase_align_reference
 
 
 def program_logical_matrix(program: NativeProgram) -> np.ndarray:
@@ -75,6 +86,11 @@ class TestEulerDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             euler_decompose(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    def test_rejects_non_finite(self):
+        # A NaN entry makes the unitarity defect NaN, which no threshold rejects.
+        with pytest.raises(ValueError, match="non-finite"):
+            euler_decompose(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
     def test_reconstruction_invariant(self):
         angles = EulerAngles(delta=0.3, alpha=-1.0, beta=0.5, gamma=2.0)
@@ -266,6 +282,134 @@ class TestFixedSetSearch:
             approximate_fixed_set(np.eye(2), epsilon=0.0, max_depth=4)
         with pytest.raises(ValueError, match="max_depth"):
             approximate_fixed_set(np.eye(2), epsilon=1e-9, max_depth=40)
+
+    @pytest.mark.parametrize("epsilon", [np.inf, -np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            approximate_fixed_set(standard_gate("H"), epsilon=epsilon, max_depth=4)
+
+    @pytest.mark.parametrize("target, message", [
+        (np.full((2, 2), np.nan), "non-finite"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), "non-finite"),
+        (np.zeros((2, 2)), "not unitary"),
+        (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]), "not unitary"),
+        (np.eye(4), "2x2"),
+    ])
+    def test_bad_target_rejected(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            approximate_fixed_set(target, epsilon=0.1, max_depth=4)
+
+
+def assert_same_result(result: FixedSetResult, reference: FixedSetResult) -> None:
+    assert result.found == reference.found
+    assert result.word == reference.word
+    assert result.depth == reference.depth
+    assert result.distance == reference.distance  # bit for bit, not approximately
+    if reference.program is None:
+        assert result.program is None
+    else:
+        assert result.program.ops == reference.program.ops
+        assert result.program.global_phase == reference.program.global_phase
+
+
+@pytest.fixture(scope="module")
+def reference_children():
+    """Every (child, word) the node-at-a-time search generates to depth 12."""
+    generated = []
+    result = fixed_set_reference(
+        haar_unitary_2(np.random.default_rng(5)), 1e-13, 12, generated=generated
+    )
+    assert not result.found
+    return generated
+
+
+class TestFixedSetTable:
+    @pytest.mark.parametrize("depth", [1, 5, 8, 12])
+    def test_table_is_the_generated_children(self, depth, reference_children):
+        # The reference generates level by level, so depth d is a prefix.
+        expected = [(m, w) for m, w in reference_children if len(w) <= depth]
+        table, parent = _fixed_set_table(depth)
+        assert np.array_equal(table, np.array([m for m, _ in expected]))
+        assert [_table_word(parent, row) for row in range(len(table))] == [w for _, w in expected]
+
+    def test_table_sizes_and_sharing(self):
+        assert [len(_fixed_set_table(d)[0]) for d in (1, 8, 12)] == [3, 621, 2337]
+        assert _fixed_set_table(8) is _fixed_set_table(8)
+        table, parent = _fixed_set_table(8)
+        assert not table.flags.writeable and not parent.flags.writeable
+
+    def test_stacked_distance_equals_single_matrix_calls(self):
+        rng = np.random.default_rng(11)
+        table, _ = _fixed_set_table(12)
+        for index in range(40):
+            target = haar_unitary_2(rng)
+            distances, phis = _phase_align(target, table)
+            # Every row for the first target, a seeded sample for the rest
+            # (one call per row costs ~0.1 ms).
+            rows = range(len(table)) if index == 0 else rng.choice(len(table), 48, replace=False)
+            for row in rows:
+                d, phi = _phase_align(target, table[row][None])
+                assert np.array_equal(d, distances[row:row + 1])
+                assert np.array_equal(phi, phis[row:row + 1])
+
+    def test_stacked_distance_equals_reference(self):
+        rng = np.random.default_rng(12)
+        table, _ = _fixed_set_table(8)
+        for _ in range(2):
+            target = haar_unitary_2(rng)
+            distances, phis = _phase_align(target, table)
+            expected = np.array([phase_align_reference(target, m) for m in table])
+            assert np.array_equal(distances, expected[:, 0])
+            assert np.array_equal(phis, expected[:, 1])
+
+    def test_zero_entries_and_no_crossings(self):
+        # Diagonal and antidiagonal pairs leave branch and crossing slots empty.
+        pairs = [(np.eye(2), rz(0.7).matrix), (rx(np.pi).matrix, np.eye(2)),
+                 (standard_gate("X").matrix, rx(np.pi).matrix)]
+        for a, b in pairs:
+            a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+            d, phi = _phase_align(a, b[None])
+            assert (d[0], phi[0]) == phase_align_reference(a, b)
+
+
+class TestFixedSetMatchesReference:
+    @pytest.mark.parametrize("depth", [1, 5, 8, 12])
+    def test_haar_targets(self, depth):
+        rng = np.random.default_rng(100 + depth)
+        found = set()
+        for _ in range(2):
+            target = haar_unitary_2(rng)
+            for epsilon in (1e-9, 0.05, 0.1, 0.3):
+                result = approximate_fixed_set(target, epsilon, depth)
+                assert_same_result(result, fixed_set_reference(target, epsilon, depth))
+                found.add(result.found)
+        # No single letter is within 0.3 of a Haar target.
+        assert found == ({False} if depth == 1 else {True, False})
+
+    @pytest.mark.parametrize("name", ["I", "X", "H", "S", "T"])
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.2])
+    def test_identity_and_standard_gates(self, name, epsilon):
+        target = np.eye(2) if name == "I" else standard_gate(name)
+        for depth in (1, 8):
+            result = approximate_fixed_set(target, epsilon, depth)
+            assert_same_result(result, fixed_set_reference(target, epsilon, depth))
+
+    def test_epsilon_equal_to_a_row_distance(self):
+        # <= is inclusive: epsilon at exactly a row's distance finds that row,
+        # one ulp below it does not.
+        target = haar_unitary_2(np.random.default_rng(21))
+        table, parent = _fixed_set_table(5)
+        distances = _phase_align(target, table)[0]
+        row = int(np.argmin(distances))
+        epsilon = float(distances[row])
+        assert phase_distance(target, np.eye(2)) > epsilon
+        result = approximate_fixed_set(target, epsilon, 5)
+        assert result.found and result.distance == epsilon
+        assert result.word == tuple(_FIXED_GENERATORS[i][0] for i in _table_word(parent, row))
+        assert_same_result(result, fixed_set_reference(target, epsilon, 5))
+        below = float(np.nextafter(epsilon, 0.0))
+        assert_same_result(approximate_fixed_set(target, below, 5),
+                           fixed_set_reference(target, below, 5))
 
 
 class TestParseCircuit:
