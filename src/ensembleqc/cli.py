@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import warnings
@@ -212,9 +213,36 @@ def _latex_matrix(m: np.ndarray) -> str:
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
 
 
+# Stands in for the rows table while json lays out the rest of a report.
+_ROWS_SLOT = "\ufdd0rows\ufdd0"
+
+
+def _to_json(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte.
+
+    ``indent`` makes json use its pure-Python encoder, which is slow on a long
+    ``rows`` table.  So a ``rows`` table of nonempty lists of ints and floats
+    is laid out here by ``str.join`` over json's compact text of it, from the
+    C encoder (``NaN`` and ``Infinity`` included, as json writes them), and
+    json lays out only the rest of the report.
+    """
+    rows = report.get("rows")
+    if not (
+        type(rows) is list and rows and set(map(type, rows)) == {list} and all(rows)
+        and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
+    ):
+        return json.dumps(report, indent=2)
+    # No number's text holds "," or "]", so the separators are the layout's.
+    cells = json.dumps(rows, separators=(",", ":"))[2:-2]
+    cells = cells.replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
+    head, _, tail = json.dumps({**report, "rows": _ROWS_SLOT}, indent=2).partition(
+        json.dumps(_ROWS_SLOT))
+    return "".join((head, "[\n    [\n      ", cells, "\n    ]\n  ]", tail))
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(_to_json(report))
     else:
         for line in lines:
             print(line)
@@ -304,17 +332,8 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     _emit(report, args.json, lines)
     out = _out_dir(config)
     if out is not None:
-        (out / "truth_table.json").write_text(json.dumps(report, indent=2))
+        (out / "truth_table.json").write_text(_to_json(report))
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
-
-
-def _blockade_row(base: PhysicalParams, ratio: float) -> tuple[float, float, float]:
-    params = presets.rescale_pi_coupling(base, ratio)
-    couplings = derive_couplings(params)
-    err = dynamics.blockade_error(couplings)
-    t_swap = np.pi / (2.0 * abs(couplings.s_coupling))
-    c2 = abs(dynamics.sector_propagator(couplings, 1, t_swap)[1, 0])
-    return ratio, err, float(c2)
 
 
 def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
@@ -322,12 +341,19 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         raise UsageError("blockade-sweep needs a sweep over 'pi_to_s_ratio'")
     ratios = config.sweep.values
     base = config.physical_params
-    # At most one contiguous chunk of ratios per worker; --jobs below 2 runs serially.
+    # At most one contiguous chunk of ratios per worker, each one array call;
+    # --jobs below 2 runs serially.  Every row is computed on its own, so the
+    # output does not depend on the split.
     size = -(-len(ratios) // max(args.jobs, 1))
     chunks = [ratios[i:i + size] for i in range(0, len(ratios), size)]
 
-    def chunk_rows(chunk):
-        return [_blockade_row(base, r) for r in chunk]
+    def chunk_rows(chunk) -> np.ndarray:
+        couplings = presets.rescaled_couplings(base, chunk)
+        t_swap = np.pi / (2.0 * abs(couplings.s_coupling))
+        c2 = dynamics.sector_propagator(couplings, 1, t_swap)[:, 1, 0]
+        # |c2| as np.hypot, which equals the scalar abs (array np.abs does not).
+        return np.column_stack(
+            [chunk, dynamics.blockade_error(couplings), np.hypot(c2.real, c2.imag)])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -336,20 +362,11 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
                 parts = list(pool.map(chunk_rows, chunks))
         else:
             parts = [chunk_rows(chunk) for chunk in chunks]
-    rows = [row for part in parts for row in part]
+    rows = np.concatenate(parts).tolist()
     _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", rows,
                show=not args.json)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "blockade-sweep",
-                    "config_hash": config.hash(),
-                    "rows": [list(r) for r in rows],
-                },
-                indent=2,
-            )
-        )
+        print(_to_json({"command": "blockade-sweep", "config_hash": config.hash(), "rows": rows}))
     return EXIT_OK
 
 
@@ -376,6 +393,9 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
             f"logical equivalence error: {error:.3e}",
         ]
     else:
+        # Checked here too, so a circuit without a single-qubit gate, which
+        # never reaches the search, cannot pass with a bad option.
+        compiler._check_fixed_set_options(args.epsilon, args.max_depth)
         names = [name for name, _ in circuit if name != "CNOT"]
         details: list[dict] = []
 
@@ -424,7 +444,7 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
     if out is not None:
         (out / "program.json").write_text(program.to_json())
         (out / "program.txt").write_text(program.disassemble())
-        (out / "compile_report.json").write_text(json.dumps(report, indent=2))
+        (out / "compile_report.json").write_text(_to_json(report))
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -474,7 +494,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
         lines.append(f"state written to {state_ref}")
     _emit(report, args.json, lines)
     if out is not None:
-        (out / "run_report.json").write_text(json.dumps(report, indent=2))
+        (out / "run_report.json").write_text(_to_json(report))
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -495,50 +515,37 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
             values=tuple(np.linspace(0.0, 2.0 * boundary_gamma, 21).tolist()),
         )
 
-    rows = []
-    for v in sweep.values:
-        gamma_a, gamma_c, t = deco.gamma_atomic, deco.gamma_cavity, t_gate
-        if sweep.parameter == "gamma_atomic":
-            gamma_a = v
-        elif sweep.parameter == "gamma_cavity":
-            gamma_c = v
-        elif sweep.parameter == "time":
-            t = v
-        else:
-            raise UsageError(f"fidelity cannot sweep {sweep.parameter!r}")
-        d = decoherence.DecoherenceParams(
-            gamma_atomic=gamma_a, gamma_cavity=gamma_c, delta=deco.delta
-        )
-        rows.append(
-            (
-                gamma_a,
-                gamma_c,
-                deco.delta,
-                t,
-                decoherence.iswap_fidelity(d, t),
-                decoherence.fault_tolerance_margin(d, t),
-            )
-        )
-
-    frontier = [
-        i
-        for i in range(1, len(rows))
-        if (rows[i - 1][5] >= 0.0) != (rows[i][5] >= 0.0)
-    ]
+    gamma_a, gamma_c, t = deco.gamma_atomic, deco.gamma_cavity, t_gate
+    values = np.array(sweep.values)
+    if sweep.parameter == "gamma_atomic":
+        gamma_a = values
+    elif sweep.parameter == "gamma_cavity":
+        gamma_c = values
+    elif sweep.parameter == "time":
+        t = values
+    else:
+        raise UsageError(f"fidelity cannot sweep {sweep.parameter!r}")
+    # One parameter set for the whole sweep, checked once.
+    d = decoherence.DecoherenceParams(gamma_atomic=gamma_a, gamma_cavity=gamma_c, delta=deco.delta)
+    fidelity = decoherence.iswap_fidelity(d, t)
+    margin = decoherence.fault_tolerance_margin(d, t)
+    rows = np.column_stack(np.broadcast_arrays(
+        d.gamma_atomic, d.gamma_cavity, d.delta, t, fidelity, margin)).tolist()
+    holds = margin >= 0.0
+    frontier = (np.flatnonzero(holds[1:] != holds[:-1]) + 1).tolist()
     header = "gamma_atomic,gamma_cavity,delta,t,fidelity,margin"
     _write_csv(config, "fidelity_sweep.csv", header, rows, show=not args.json)
     if args.json:
         print(
-            json.dumps(
+            _to_json(
                 {
                     "command": "fidelity",
                     "config_hash": config.hash(),
                     "gate_time": t_gate,
                     "omega_sigma": omega_sigma,
-                    "rows": [list(r) for r in rows],
+                    "rows": rows,
                     "frontier_rows": frontier,
-                },
-                indent=2,
+                }
             )
         )
     else:
@@ -566,7 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_truth_table)
 
     p = sub.add_parser("blockade-sweep", help="blockade error vs pi-coupling ratio")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (deterministic output)")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker threads, one contiguous chunk of ratios each; rows are computed as "
+             "arrays and the output does not depend on --jobs",
+    )
     p.set_defaults(func=cmd_blockade_sweep)
 
     p = sub.add_parser("compile", help="lower a circuit file to native operations")

@@ -368,6 +368,15 @@ def _table_word(parent: np.ndarray, row: int) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
+def _check_fixed_set_options(epsilon: float, max_depth: int) -> None:
+    """Reject a fixed-set ``epsilon`` that is not positive and finite, or a
+    ``max_depth`` outside 1..20, with a ``ValueError``."""
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0 < max_depth <= 20:
+        raise ValueError("max_depth must be in 1..20")
+
+
 def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     """Shortest word over the fixed gates approximating a single-qubit gate.
 
@@ -384,10 +393,7 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     and ``depth = max_depth``.  The target must be a finite 2x2 unitary
     (defect at most 1e-10) and ``epsilon`` positive and finite.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not 0 < max_depth <= 20:
-        raise ValueError("max_depth must be in 1..20")
+    _check_fixed_set_options(epsilon, max_depth)
     target = _single_qubit_unitary(u)
 
     def finish(word: tuple[int, ...]) -> FixedSetResult:

@@ -23,52 +23,74 @@ class DecoherenceParams:
     gamma_atomic : atomic phase relaxation rate.
     gamma_cavity : cavity loss rate.
     delta        : detuning entering the loss exponent (> 0).
+
+    A field may hold a float array, one value per point of a sweep; each
+    check then holds for every value, and the functions below return arrays
+    of the broadcast shape of the fields and the gate time.
     """
 
-    gamma_atomic: float
-    gamma_cavity: float
-    delta: float
+    gamma_atomic: float | np.ndarray
+    gamma_cavity: float | np.ndarray
+    delta: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.gamma_atomic < 0.0 or self.gamma_cavity < 0.0:
+        if np.any(np.less(self.gamma_atomic, 0.0)) or np.any(np.less(self.gamma_cavity, 0.0)):
             raise ValueError("relaxation rates must be nonnegative")
-        if not self.delta > 0.0:
+        if not np.all(np.greater(self.delta, 0.0)):
             raise ValueError("delta must be positive")
         for name in ("gamma_atomic", "gamma_cavity", "delta"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
 
 
-def iswap_fidelity(d: DecoherenceParams, t: float) -> float:
+def _check_time(t) -> None:
+    if np.any(np.less(t, 0.0)):
+        raise ValueError("gate time must be nonnegative")
+
+
+def _spent(d: DecoherenceParams, t) -> tuple:
+    """The two parts of the spent error budget, ``2 Gamma t`` and
+    ``pi gamma / (2 Delta)``.  Overflow gives inf without a warning, as it
+    does in scalar float arithmetic."""
+    with np.errstate(over="ignore"):
+        return 2.0 * d.gamma_atomic * t, np.pi * d.gamma_cavity / (2.0 * d.delta)
+
+
+def iswap_fidelity(d: DecoherenceParams, t: float | np.ndarray) -> float | np.ndarray:
     """Swap-gate fidelity
     ``exp(-2 Gamma t - pi gamma / (2 Delta)) * cosh^2(pi gamma / (4 Delta))``.
 
     Parameters
     ----------
     d : DecoherenceParams
-        Relaxation constants.
-    t : float
+        Relaxation constants, scalars or arrays.
+    t : float or array
         Gate duration in seconds, >= 0.
 
     Returns
     -------
-    float
-        Fidelity in (0, 1]; exactly 1 with both rates zero.
+    float or array
+        Fidelity in (0, 1]; exactly 1 with both rates zero.  A float when
+        ``d`` and ``t`` are scalars, else an array of their broadcast shape,
+        each element equal bit for bit to the scalar call.
     """
-    if t < 0.0:
-        raise ValueError("gate time must be nonnegative")
-    exponent = -2.0 * d.gamma_atomic * t - np.pi * d.gamma_cavity / (2.0 * d.delta)
-    return float(np.exp(exponent) * np.cosh(np.pi * d.gamma_cavity / (4.0 * d.delta)) ** 2)
+    _check_time(t)
+    atomic, cavity = _spent(d, t)
+    with np.errstate(over="ignore"):
+        half_loss = np.pi * d.gamma_cavity / (4.0 * d.delta)
+    # float_power squares by libm pow, as the scalar ** does.
+    fidelity = np.exp(-atomic - cavity) * np.float_power(np.cosh(half_loss), 2.0)
+    return fidelity if np.ndim(fidelity) else float(fidelity)
 
 
-def fault_tolerance_margin(d: DecoherenceParams, t: float) -> float:
+def fault_tolerance_margin(d: DecoherenceParams, t: float | np.ndarray) -> float | np.ndarray:
     """Signed residual of the threshold
     ``2 Gamma t + pi gamma / (2 Delta) <= 1e-4``.
 
     Nonnegative means the criterion holds; the value is the remaining error
-    budget.
+    budget.  Shapes as for :func:`iswap_fidelity`.
     """
-    if t < 0.0:
-        raise ValueError("gate time must be nonnegative")
-    spent = 2.0 * d.gamma_atomic * t + np.pi * d.gamma_cavity / (2.0 * d.delta)
-    return float(FAULT_TOLERANCE_BUDGET - spent)
+    _check_time(t)
+    atomic, cavity = _spent(d, t)
+    margin = FAULT_TOLERANCE_BUDGET - (atomic + cavity)
+    return margin if np.ndim(margin) else float(margin)

@@ -144,33 +144,34 @@ def sector_propagator(
 ) -> np.ndarray:
     """Exact propagator exp(i M(n) t) of the sector dynamics.
 
-    ``t`` is a time or a numpy array of times; the result has shape
-    ``np.shape(t) + (2, 2)``, one 2x2 propagator per time, each equal bit for
-    bit to the call with that time alone.
+    ``t`` is a time or a numpy array of times, and ``couplings`` one coupling
+    set or a stack of them (see :class:`DerivedCouplings`).  The result has
+    shape ``np.broadcast_shapes(stack shape, np.shape(t)) + (2, 2)``, one 2x2
+    propagator per element, each equal bit for bit to the call with that time
+    and that coupling set alone.
     """
     n = _check_sector(n)
     frame = _check_frame(frame)
     d = couplings.varpi_split(n)
     s = couplings.s_coupling
-    k = float(np.hypot(d, abs(s)))
-    # Entries go on the leading axes and move to the trailing ones at the end,
-    # so each time takes the same scalar arithmetic, rounding included,
-    # whether it comes alone or in an array.
-    if k == 0.0:
-        core = np.multiply.outer(np.eye(2, dtype=complex), np.ones(np.shape(t)))
-    else:
-        cos_kt = np.cos(k * t)
-        sinc = np.sin(k * t) / k
-        core = np.array(
-            [
-                [cos_kt + 1j * d * sinc, -1j * s * sinc],
-                [-1j * np.conj(s) * sinc, cos_kt - 1j * d * sinc],
-            ],
-            dtype=complex,
-        )
+    k = np.hypot(d, abs(s))
+    # Each entry is computed over the whole stack and written to its slot, so
+    # each element takes the same scalar arithmetic, rounding included,
+    # whether it comes alone or in an array.  k vanishes only with d = S = 0,
+    # where the propagator is the identity and the sinc (0/0) is set to 0.
+    kt = k * t
+    cos_kt = np.cos(kt)
+    with np.errstate(invalid="ignore"):
+        sinc = np.where(k == 0.0, 0.0, np.sin(kt) / k)
+    u = np.empty(np.shape(cos_kt) + (2, 2), dtype=complex)
+    u[..., 0, 0] = cos_kt + 1j * d * sinc
+    u[..., 0, 1] = -1j * s * sinc
+    u[..., 1, 0] = -1j * np.conj(s) * sinc
+    u[..., 1, 1] = cos_kt - 1j * d * sinc
     if frame == FRAME_LAB:
-        core = np.exp(1j * couplings.varpi_mean(n) * t) * core
-    return np.ascontiguousarray(core.transpose(*range(2, core.ndim), 0, 1))
+        # The phase is the left factor, as in the scalar product phase * U.
+        np.multiply(np.exp(1j * couplings.varpi_mean(n) * t)[..., None, None], u, out=u)
+    return u
 
 
 def _resonance_gate(couplings: DerivedCouplings, resonance_tol: float) -> None:
@@ -305,17 +306,18 @@ def evolve_numerical(
     return EvolutionResult(state=state, sector=n, frame=frame, times=times, trajectory=trajectory)
 
 
-def blockade_error(couplings: DerivedCouplings) -> float:
+def blockade_error(couplings: DerivedCouplings) -> float | np.ndarray:
     """Peak one-photon transfer amplitude max_t |c2| = |S| / kappa(1).
 
     1 means unimpeded swapping; the sqrt(3) tuning gives 1/2 with an exact
     zero at the swap time; large |Omega_1^(pi)|/|S| suppresses transfer at
-    all times.
+    all times.  A stack of coupling sets gives an array of the stack's shape.
     """
+    s = abs(couplings.s_coupling)
     k1 = couplings.kappa(1)
-    if k1 == 0.0:
-        return 0.0
-    return abs(couplings.s_coupling) / k1
+    if s == 0.0:  # nothing transfers, and kappa(1) = |Omega_1^(pi)| may be 0
+        return np.zeros(np.shape(k1)) if np.ndim(k1) else 0.0
+    return s / k1
 
 
 def iswap_schedule(couplings: DerivedCouplings, theta: float) -> float:

@@ -140,6 +140,11 @@ class DerivedCouplings:
     collectively enhanced swap rate ``sqrt(N1 N2) * omega_cap_sigma``.  The
     sector frequencies (functions of the microcavity photon number
     ``n in {0, 1}``) are exposed as methods.
+
+    A stack of coupling sets holds float arrays of one shape in
+    ``omega_1_pi`` and ``omega_2`` (see :func:`presets.rescaled_couplings`);
+    every method then returns an array of that shape, each element equal bit
+    for bit to the method of that set alone.
     """
 
     omega_cap_sigma: complex
@@ -201,7 +206,19 @@ class DerivedCouplings:
     def kappa(self, n: int) -> float:
         """Generalized swap rate ``sqrt(n^2 Omega_1^(pi)^2 + |S|^2)``."""
         n = _check_sector(n)
-        return float(np.hypot(n * self.omega_1_pi, abs(self.s_coupling)))
+        k = np.hypot(n * self.omega_1_pi, abs(self.s_coupling))
+        return k if np.ndim(k) else float(k)
+
+
+def _intra_node_shift(g, delta):
+    """Intra-node shift ``|g|^2 / Delta`` of a coupling or an array of them.
+
+    The modulus is ``np.hypot`` of the parts, which equals Python's complex
+    ``abs`` (array ``np.abs`` does not), and the square is ``np.float_power``,
+    libm ``pow`` like the scalar ``**`` (array ``**`` multiplies instead), so
+    each element of an array result equals the scalar result bit for bit.
+    """
+    return np.float_power(np.hypot(np.real(g), np.imag(g)), 2.0) / delta
 
 
 def derive_couplings(
@@ -229,12 +246,17 @@ def derive_couplings(
         * (1.0 / params.delta_sigma_1 + 1.0 / params.delta_sigma_2)
     )
     s_coupling = np.sqrt(float(params.n_atoms_1 * params.n_atoms_2)) * omega_cap_sigma
+    with np.errstate(over="ignore"):  # an overflowing shift is inf, as in float arithmetic
+        omega_1_sigma = float(_intra_node_shift(params.g_sigma_1, params.delta_sigma_1))
+        omega_1_pi = float(_intra_node_shift(params.g_pi_1, params.delta_pi_1))
+        omega_2_sigma = float(_intra_node_shift(params.g_sigma_2, params.delta_sigma_2))
+        omega_2_pi = float(_intra_node_shift(params.g_pi_2, params.delta_pi_2))
     return DerivedCouplings(
         omega_cap_sigma=complex(omega_cap_sigma),
-        omega_1_sigma=abs(params.g_sigma_1) ** 2 / params.delta_sigma_1,
-        omega_1_pi=abs(params.g_pi_1) ** 2 / params.delta_pi_1,
-        omega_2_sigma=abs(params.g_sigma_2) ** 2 / params.delta_sigma_2,
-        omega_2_pi=abs(params.g_pi_2) ** 2 / params.delta_pi_2,
+        omega_1_sigma=omega_1_sigma,
+        omega_1_pi=omega_1_pi,
+        omega_2_sigma=omega_2_sigma,
+        omega_2_pi=omega_2_pi,
         s_coupling=complex(s_coupling),
         n_atoms_1=int(params.n_atoms_1),
         n_atoms_2=int(params.n_atoms_2),

@@ -20,14 +20,15 @@ import dataclasses
 import numpy as np
 
 from .decoherence import DecoherenceParams
-from .physical import PhysicalParams, derive_couplings
+from .physical import DerivedCouplings, PhysicalParams, _intra_node_shift, derive_couplings
 
 SQRT3 = float(np.sqrt(3.0))
 
 
-def _resonant_omega_2(omega_1, n1, n2, omega_1_sigma, omega_1_pi, omega_2_sigma) -> float:
-    """Second node frequency solving the swap resonance condition."""
-    return float(omega_1 + n1 * (omega_1_sigma + omega_1_pi) - n2 * omega_2_sigma)
+def _resonant_omega_2(omega_1, n1, n2, omega_1_sigma, omega_1_pi, omega_2_sigma):
+    """Second node frequency solving the swap resonance condition; an array
+    ``omega_1_pi`` gives an array."""
+    return omega_1 + n1 * (omega_1_sigma + omega_1_pi) - n2 * omega_2_sigma
 
 
 def _resonant_params(
@@ -46,7 +47,7 @@ def _resonant_params(
         g_pi_2=0.0,
         omega_0=omega_0,
         omega_1=float(omega_1),
-        omega_2=_resonant_omega_2(omega_1, n1, n2, omega_sigma, omega_1_pi, omega_sigma),
+        omega_2=float(_resonant_omega_2(omega_1, n1, n2, omega_sigma, omega_1_pi, omega_sigma)),
         omega_sigma=omega_0 - delta,
         omega_pi_1=omega_0 + delta,
         omega_pi_2=omega_0 + delta,
@@ -122,6 +123,44 @@ def reference_decoherence() -> DecoherenceParams:
     )
 
 
+# The checks one rescaled set goes through, in order: rescale_pi_coupling's own,
+# then those of the PhysicalParams it builds.
+_RESCALE_ERRORS = (
+    "ratio must be nonnegative",
+    "swap coupling S is zero; blockade ratio undefined",
+    "g_pi_1 must be finite",
+    "omega_2 must be finite",
+)
+
+
+def _rescaled(params: PhysicalParams, ratios):
+    """The couplings of ``params`` and, for each ratio, the rescaled
+    ``g_pi_1``, its shift ``Omega_1^(pi)`` and the resonant ``omega_2``
+    (float arrays of shape ``(len(ratios),)``).
+
+    The couplings of ``params`` are derived once.  A ratio that fails a check
+    raises that check's error; with several, the first such ratio does.
+    """
+    ratios = np.asarray(ratios, dtype=float)
+    couplings = derive_couplings(params)
+    s = abs(couplings.s_coupling)
+    # Overflow and invalid values are checked below, so the array arithmetic
+    # stays as silent as the scalar float arithmetic it replaces.
+    with np.errstate(all="ignore"):
+        g_pi_1 = np.sqrt(ratios * s * abs(params.delta_pi_1))
+        omega_1_pi = _intra_node_shift(g_pi_1, params.delta_pi_1)
+        omega_2 = _resonant_omega_2(
+            params.omega_1, params.n_atoms_1, params.n_atoms_2,
+            couplings.omega_1_sigma, omega_1_pi, couplings.omega_2_sigma,
+        )
+    failed = np.array(np.broadcast_arrays(
+        ratios < 0.0, s == 0.0, ~np.isfinite(g_pi_1), ~np.isfinite(omega_2)))
+    bad = failed.any(axis=0)
+    if bad.any():
+        raise ValueError(_RESCALE_ERRORS[int(failed[:, bad.argmax()].argmax())])
+    return couplings, g_pi_1, omega_1_pi, omega_2
+
+
 def rescale_pi_coupling(params: PhysicalParams, ratio: float) -> PhysicalParams:
     """Retarget the first microcavity coupling to a new blockade ratio.
 
@@ -129,17 +168,22 @@ def rescale_pi_coupling(params: PhysicalParams, ratio: float) -> PhysicalParams:
     second node frequency so the swap resonance keeps holding (the shift
     enters the resonance condition through the node-1 collective term).
     The couplings come from :func:`derive_couplings`, which warns when
-    ``params`` leave the dispersive regime.
+    ``params`` leave the dispersive regime.  This is :func:`rescaled_couplings`'
+    arithmetic with a stack of one ratio.
     """
-    if ratio < 0.0:
-        raise ValueError("ratio must be nonnegative")
-    couplings = derive_couplings(params)
-    s = abs(couplings.s_coupling)
-    if s == 0.0:
-        raise ValueError("swap coupling S is zero; blockade ratio undefined")
-    g_pi_1 = np.sqrt(ratio * s * abs(params.delta_pi_1))
-    omega_2 = _resonant_omega_2(
-        params.omega_1, params.n_atoms_1, params.n_atoms_2,
-        couplings.omega_1_sigma, g_pi_1**2 / params.delta_pi_1, couplings.omega_2_sigma,
-    )
-    return dataclasses.replace(params, g_pi_1=float(g_pi_1), omega_2=omega_2)
+    _, g_pi_1, _, omega_2 = _rescaled(params, [ratio])
+    return dataclasses.replace(params, g_pi_1=float(g_pi_1[0]), omega_2=float(omega_2[0]))
+
+
+def rescaled_couplings(params: PhysicalParams, ratios) -> DerivedCouplings:
+    """``derive_couplings(rescale_pi_coupling(params, r))`` for every ratio in
+    the 1-D sequence ``ratios`` at once.
+
+    Returns a stack of coupling sets: ``omega_1_pi`` and ``omega_2`` are float
+    arrays of shape ``(len(ratios),)``, each element equal bit for bit to the
+    scalar chain's; the other fields are those of ``params``, derived once.
+    Raises the error the scalar chain raises for the first ratio it rejects.
+    Only ``params`` itself goes through the dispersive-regime warning.
+    """
+    couplings, _, omega_1_pi, omega_2 = _rescaled(params, ratios)
+    return dataclasses.replace(couplings, omega_1_pi=omega_1_pi, omega_2=omega_2)

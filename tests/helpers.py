@@ -4,8 +4,9 @@ Everything here is deliberately independent of the code paths it checks:
 random unitaries come from QR, logical circuits are evaluated by direct
 index manipulation, native programs also run on the 4^k-amplitude physical
 register, and two-level evolutions are cross-checked against
-eigendecompositions and a step-at-a-time integrator, and the fixed-set
-search is checked against a node-at-a-time breadth-first search.
+eigendecompositions and a step-at-a-time integrator, the fixed-set
+search is checked against a node-at-a-time breadth-first search, and the
+sweep rows are checked against scalar arithmetic one row at a time.
 """
 
 from __future__ import annotations
@@ -269,3 +270,48 @@ def fixed_set_reference(
     return FixedSetResult(
         found=False, program=None, word=(), distance=best_seen, depth=max_depth
     )
+
+
+def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float, float, float]:
+    """One ``blockade-sweep`` row ``(ratio, |S|/kappa(1), |U_10|)`` by scalar
+    arithmetic alone, in the order the package evaluates it.
+
+    ``g_pi_1`` is rescaled to the ratio and ``omega_2`` re-solved for
+    resonance; ``U_10`` is the entry of the n=1 lab-frame propagator at the
+    swap time pi/(2|S|).  Python floats and complex numbers and numpy scalar
+    functions only, with the lab phase multiplied onto a 2x2 array as a
+    scalar, so every rounding is the one a lone scalar evaluation makes.
+    """
+    p = params
+    n1, n2 = p.n_atoms_1, p.n_atoms_2
+    cap = complex(p.g_sigma_1 * np.conj(p.g_sigma_2) / 2.0
+                  * (1.0 / p.delta_sigma_1 + 1.0 / p.delta_sigma_2))
+    s = complex(np.sqrt(float(n1 * n2)) * cap)
+    o1s = abs(p.g_sigma_1) ** 2 / p.delta_sigma_1
+    o2s = abs(p.g_sigma_2) ** 2 / p.delta_sigma_2
+    o2p = abs(p.g_pi_2) ** 2 / p.delta_pi_2
+    g_pi_1 = float(np.sqrt(ratio * abs(s) * abs(p.delta_pi_1)))
+    o1p = abs(g_pi_1) ** 2 / p.delta_pi_1
+    omega_1, omega_2 = float(p.omega_1), float(p.omega_1 + n1 * (o1s + o1p) - n2 * o2s)
+    k1 = float(np.hypot(o1p, abs(s)))
+    error = abs(s) / k1 if k1 != 0.0 else 0.0
+    residual = omega_2 - omega_1 + n2 * o2s - n1 * (o1s + o1p)
+    d = 0.5 * (residual + n2 * o2p) - o1p
+    varpi_1 = (n1 / 2 - 1) * (omega_1 + 2 * o1p) + (n2 / 2) * omega_2 - n1 * (o1s + o1p)
+    varpi_2 = (n1 / 2) * (omega_1 + 2 * o1p) + (n2 / 2 - 1) * omega_2 - n2 * (o2s + o2p)
+    t = np.pi / (2.0 * abs(s))
+    k = float(np.hypot(d, abs(s)))
+    cos_kt, sinc = np.cos(k * t), np.sin(k * t) / k
+    core = np.array([[cos_kt + 1j * d * sinc, -1j * s * sinc],
+                     [-1j * np.conj(s) * sinc, cos_kt - 1j * d * sinc]], dtype=complex)
+    u = np.exp(1j * (0.5 * (varpi_1 + varpi_2)) * t) * core
+    return float(ratio), error, float(abs(u[1, 0]))
+
+
+def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: float,
+                           t: float) -> tuple[float, float]:
+    """``(fidelity, margin)`` of one ``fidelity`` row by scalar arithmetic."""
+    spent = 2.0 * gamma_atomic * t + np.pi * gamma_cavity / (2.0 * delta)
+    exponent = -2.0 * gamma_atomic * t - np.pi * gamma_cavity / (2.0 * delta)
+    fidelity = float(np.exp(exponent) * np.cosh(np.pi * gamma_cavity / (4.0 * delta)) ** 2)
+    return fidelity, float(1e-4 - spent)

@@ -8,14 +8,17 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ensembleqc
-from ensembleqc import cli, dynamics, presets
+from ensembleqc import cli, decoherence, dynamics, presets
 from ensembleqc.physical import PhysicalParams, derive_couplings
+from helpers import blockade_row_reference, fidelity_row_reference
 
 REFERENCE = json.loads(presets.reference_params().to_json())
 
@@ -70,6 +73,16 @@ ERROR_CASES = {
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--epsilon", "nan", "c.txt"], 2),
     "fixed_set_max_depth_50": (
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--max-depth", "50", "c.txt"], 2),
+    # Without a single-qubit gate the search never runs; the options are checked anyway.
+    "fixed_set_cnot_only_epsilon_inf": (
+        {"c.txt": "CNOT 0 1\n"}, ["compile", "--fixed-set", "--epsilon", "inf", "c.txt"], 2),
+    "fixed_set_cnot_only_max_depth_99": (
+        {"c.txt": "CNOT 0 1\n"}, ["compile", "--fixed-set", "--max-depth", "99", "c.txt"], 2),
+    "fixed_set_cnot_only_max_depth_negative": (
+        {"c.txt": "CNOT 0 1\n"}, ["compile", "--fixed-set", "--max-depth", "-1", "c.txt"], 2),
+    "huge_sweep_ratio": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, 1e300]}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
     "non_utf8_circuit_compile": ({"c.txt": b"\xffH 0\n"}, ["compile", "c.txt"], 2),
     "non_utf8_circuit_simulate": ({"c.txt": b"\xffH 0\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "program_is_a_list": ({"p.json": [PROGRAM]}, ["simulate", "--program", "p.json"], 2),
@@ -165,6 +178,53 @@ def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
     assert pools == [[2, 2], [3, 3], [len(RATIOS), len(RATIOS)]]
 
 
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_blockade_rows_equal_scalar_reference(jobs, tmp_path):
+    rng = np.random.default_rng(67)
+    ratios = [0.0, presets.SQRT3, 1e6] + (rng.uniform(0.0, 10.0, 400)
+                                          * 10.0 ** rng.uniform(-5.0, 5.0, 400)).tolist()
+    params = presets.blockade_tuned_params(0.8, s_coupling=4.0e6, n_atoms_1=90, n_atoms_2=7)
+    path = write(tmp_path / "c.json", {"physical_params": json.loads(params.to_json()),
+                                       "sweep": {"parameter": "pi_to_s_ratio", "values": ratios}})
+    code, stdout, _ = run_cli(["--config", path, "--json", "blockade-sweep", "--jobs", jobs])
+    assert code == 0
+    assert json.loads(stdout)["rows"] == [list(blockade_row_reference(params, r)) for r in ratios]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_huge_ratio_names_the_coupling_and_stays_quiet(jobs, tmp_path):
+    # The array arithmetic overflows where the scalar float arithmetic did,
+    # without a numpy warning: stderr holds the error line only.
+    path = write(tmp_path / "c.json",
+                 {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, 2.0, 1e300, -1.0]}})
+    code, stdout, stderr = run_cli(["--config", path, "blockade-sweep", "--jobs", jobs])
+    assert (code, stdout, stderr) == (2, "", "error: g_pi_1 must be finite\n")
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("gamma_atomic", [0.0, 5e-324, 1.0, 1250.0, 3.5e7, 1e300]),
+    ("gamma_cavity", [0.0, 5e-324, 1.0, 1013.2, 2.0e6, 1e300]),
+    ("time", [0.0, 5e-324, 1e-9, 1e-8, 2.5e-6, 1e308]),
+])
+def test_fidelity_rows_equal_per_row_calls(parameter, values, tmp_path):
+    path = write(tmp_path / "c.json", {"sweep": {"parameter": parameter, "values": values}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # cosh overflows at 1e300
+        code, stdout, _ = run_cli(["--config", path, "--json", "fidelity"])
+        report = json.loads(stdout)
+        expected = []
+        for gamma_a, gamma_c, delta, t, _, _ in report["rows"]:
+            d = decoherence.DecoherenceParams(gamma_a, gamma_c, delta)
+            row = [gamma_a, gamma_c, delta, t,
+                   decoherence.iswap_fidelity(d, t), decoherence.fault_tolerance_margin(d, t)]
+            assert np.array_equal(row[4:], fidelity_row_reference(*row[:4]), equal_nan=True)
+            expected.append(row)
+    assert code == 0
+    column = {"gamma_atomic": 0, "gamma_cavity": 1, "time": 3}[parameter]
+    assert [row[column] for row in report["rows"]] == values
+    assert np.array_equal(report["rows"], expected, equal_nan=True)
+
+
 @pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
 def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
     params = dict(REFERENCE, n_atoms_1=100, n_atoms_2=400)
@@ -180,6 +240,49 @@ def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
     # ... not pi/(2 N1 |Omega_sigma|), twice as long here.
     assert math.isclose(t_gate * 2, math.pi / (2 * 100 * report["omega_sigma"]), rel_tol=1e-12)
     assert all(row[3] == t_gate for row in report["rows"])
+
+
+# --- report JSON ---------------------------------------------------------------
+
+_NUMBER = (
+    st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+)
+_ROWS = st.lists(st.lists(_NUMBER, max_size=4), max_size=4) | st.lists(
+    st.lists(_NUMBER, min_size=1, max_size=6), min_size=1, max_size=12)
+_REPORTS = st.builds(
+    lambda head, rows, tail: {**head, "rows": rows, **tail},
+    st.dictionaries(st.sampled_from(["command", "config_hash", "gate_time"]),
+                    st.text(max_size=5) | _NUMBER, max_size=3),
+    _ROWS | st.lists(st.lists(_NUMBER | st.booleans() | st.none(), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["frontier_rows", "nested", "pass"]),
+                    st.lists(st.integers(0, 9), max_size=3) | st.just({"rows": [[1.0]]})
+                    | st.booleans(), max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=_REPORTS)
+def test_report_json_equals_indented_dumps(report):
+    assert cli._to_json(report) == json.dumps(report, indent=2)
+
+
+def test_report_json_lays_out_a_numeric_table_itself(monkeypatch):
+    rows = [[1.0, -0.0, math.inf], [5e-324, math.nan, -math.inf], [7, 1e308, -2]]
+    report = {"command": "fidelity", "rows": rows, "frontier_rows": [1]}
+    expected = json.dumps(report, indent=2)
+    indented = []
+    real_dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        if "indent" in kwargs:
+            indented.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    assert cli._to_json(report) == expected
+    assert indented and all(obj.get("rows") is not rows for obj in indented)
 
 
 # --- fuzzing -----------------------------------------------------------------
@@ -285,6 +388,7 @@ def test_every_export_resolves():
     ("simulator", "_pair_digits"),
     ("simulator", "state_from_json"),
     ("cli", "_compile_fixed_set"),
+    ("cli", "_blockade_row"),
     ("compiler", "_dedup_key"),
     ("cli", "_logical_circuit_matrix"),
     ("cli", "_logical_equivalence_error"),

@@ -37,6 +37,7 @@ CASES = {
     "blockade_sweep_json": ["--json", "blockade-sweep", "--jobs", "2"],
     "fidelity": ["--out", "out", "fidelity"],
     "fidelity_json": ["--json", "fidelity"],
+    "fidelity_overflow_json": ["--json", "--config", "fidelity_overflow.json", "fidelity"],
     "compile": ["--out", "out", "compile", "circuit.txt"],
     "compile_json": ["--json", "compile", "circuit.txt"],
     "compile_fixed_set": ["--out", "out", "compile", "--fixed-set", "circuit.txt"],

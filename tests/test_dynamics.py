@@ -24,7 +24,13 @@ from ensembleqc.dynamics import (
     trajectory_to_csv,
 )
 from ensembleqc.physical import DerivedCouplings, derive_couplings, effective_hamiltonian
-from helpers import propagator_eig_oracle, random_resonant_params, random_state, rk4_reference
+from helpers import (
+    blockade_row_reference,
+    propagator_eig_oracle,
+    random_resonant_params,
+    random_state,
+    rk4_reference,
+)
 
 EXCITED = NodePairState.excited_node_one()
 
@@ -265,6 +271,113 @@ class TestBlockadeError:
         t_peak = np.pi / (2.0 * k1)
         result = evolve_numerical(tuned, 1, t_peak, EXCITED)
         assert abs(abs(result.state.c2) - blockade_error(tuned)) < 1e-9
+
+
+def _ratio_cases():
+    """(params, ratios): tuned and untuned sets, N1 != N2, complex couplings."""
+    reference = presets.reference_params()
+    ratios = [0.0, presets.SQRT3, 1e6, 1.0, 0.25, 17.5, 3e-9, 2.0 ** 0.5]
+    rng = np.random.default_rng(47)
+    ratios += (rng.uniform(0.0, 10.0, 40) * 10.0 ** rng.uniform(-6.0, 6.0, 40)).tolist()
+    untuned = dataclasses.replace(
+        reference, n_atoms_2=37, g_sigma_2=complex(reference.g_sigma_2, 3.0e5),
+        delta_pi_1=-0.7 * reference.delta_pi_1, omega_2=reference.omega_2 + 1.0e7, omega_1=12.5,
+    )
+    return [
+        (presets.perfect_blockade_params(n_atoms_1=3, n_atoms_2=7, omega_1=0.3), ratios),
+        (presets.blockade_tuned_params(0.4, s_coupling=2.5e8, n_atoms_1=10_000, n_atoms_2=9),
+         ratios),
+        (reference, ratios),
+        (untuned, ratios),
+        (random_resonant_params(rng), ratios),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
+class TestRatioStacks:
+    """The blockade-sweep quantities over an array of ratios equal the scalar
+    calls, and the scalar arithmetic of one row at a time, bit for bit."""
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_stack_equals_scalar_chain(self, case):
+        params, ratios = _ratio_cases()[case]
+        stack = presets.rescaled_couplings(params, ratios)
+        singles = [derive_couplings(presets.rescale_pi_coupling(params, r)) for r in ratios]
+        assert stack.omega_1_pi.shape == stack.omega_2.shape == (len(ratios),)
+        for field in dataclasses.fields(DerivedCouplings):
+            value = getattr(stack, field.name)
+            column = [getattr(c, field.name) for c in singles]
+            if field.name in ("omega_1_pi", "omega_2"):
+                assert np.array_equal(value, column), field.name
+            else:
+                assert all(v == value for v in column), field.name
+        t = np.pi / (2.0 * abs(stack.s_coupling))
+        assert np.array_equal(blockade_error(stack), [blockade_error(c) for c in singles])
+        assert np.array_equal(stack.kappa(1), [c.kappa(1) for c in singles])
+        for n in (0, 1):
+            for frame in (FRAME_LAB, FRAME_ROTATING):
+                stacked = sector_propagator(stack, n, t, frame)
+                assert stacked.shape == (len(ratios), 2, 2)
+                assert np.array_equal(
+                    stacked, [sector_propagator(c, n, t, frame) for c in singles])
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_rows_equal_scalar_reference(self, case):
+        if case < 5:
+            params, ratios = _ratio_cases()[case]
+        else:  # enough rows that a last-bit difference in any step would show
+            rng = np.random.default_rng(61)
+            params = presets.blockade_tuned_params(1.1, s_coupling=3e7, n_atoms_1=5, n_atoms_2=800)
+            ratios = (rng.uniform(0.0, 10.0, 3000) * 10.0 ** rng.uniform(-4.0, 4.0, 3000)).tolist()
+        stack = presets.rescaled_couplings(params, ratios)
+        c2 = sector_propagator(stack, 1, np.pi / (2.0 * abs(stack.s_coupling)))[:, 1, 0]
+        rows = np.column_stack([ratios, blockade_error(stack), np.hypot(c2.real, c2.imag)])
+        assert np.array_equal(rows, [blockade_row_reference(params, r) for r in ratios])
+
+    def test_stack_with_times(self, tuned):
+        # A stack of n coupling sets and m times broadcast like any numpy operands.
+        stack = presets.rescaled_couplings(presets.perfect_blockade_params(), [0.5, 1.0, 2.0])
+        times = np.linspace(0.0, 3.0, 4)[:, None]
+        got = sector_propagator(stack, 1, times)
+        assert got.shape == (4, 3, 2, 2)
+        for i, t in enumerate(times[:, 0]):
+            assert np.array_equal(got[i], sector_propagator(stack, 1, t))
+
+    def test_zero_swap_coupling_gives_zero_error(self):
+        still = DerivedCouplings(
+            omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=np.array([0.0, 2.0]),
+            omega_2_sigma=0.0, omega_2_pi=0.0, s_coupling=0j, n_atoms_1=3, n_atoms_2=2,
+            omega_1=1.5, omega_2=np.array([1.5, 1.5]),
+        )
+        assert np.array_equal(blockade_error(still), [0.0, 0.0])
+        assert blockade_error(dataclasses.replace(still, omega_1_pi=0.0, omega_2=1.5)) == 0.0
+
+    @pytest.mark.parametrize("ratios, message", [
+        ([1.0, -1.0], "ratio must be nonnegative"),
+        ([1e300], "g_pi_1 must be finite"),
+        ([1.0, 1e300, -1.0], "g_pi_1 must be finite"),
+        ([-1.0, 1e300], "ratio must be nonnegative"),
+    ])
+    def test_first_rejected_ratio_raises_its_error(self, ratios, message):
+        params = presets.reference_params()
+        with pytest.raises(ValueError, match=message):
+            presets.rescaled_couplings(params, ratios)
+        first_bad = next(r for r in ratios if r < 0.0 or r == 1e300)
+        with pytest.raises(ValueError, match=message):
+            presets.rescale_pi_coupling(params, first_bad)
+
+    def test_non_finite_resonant_frequency_rejected(self):
+        # The shift |g_pi_1|^2/Delta ~ 1.6e308 is finite; N1 times it is not.
+        params = dataclasses.replace(presets.reference_params(), g_pi_1=0.0, delta_pi_1=-1e-300)
+        with pytest.raises(ValueError, match="omega_2 must be finite"):
+            presets.rescaled_couplings(params, [1.0, 1e300])
+
+    def test_zero_swap_coupling_rejected(self):
+        params = dataclasses.replace(presets.reference_params(), g_sigma_1=0.0)
+        with pytest.raises(ValueError, match="swap coupling S is zero"):
+            presets.rescaled_couplings(params, [1.0, 2.0])
+        with pytest.raises(ValueError, match="ratio must be nonnegative"):
+            presets.rescale_pi_coupling(params, -1.0)
 
 
 class TestIswapSchedule:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ensembleqc import presets
 from ensembleqc.physical import (
     DispersiveRegimeWarning,
     PhysicalParams,
+    _intra_node_shift,
     check_interference_condition,
     derive_couplings,
     detunings_from_frequencies,
@@ -126,6 +128,33 @@ class TestDeriveCouplings:
         assert b.omega_2_sigma == 4.0 * a.omega_2_sigma
         assert b.omega_2_pi == 4.0 * a.omega_2_pi
         assert b.s_coupling == 4.0 * a.s_coupling
+
+    def test_shift_of_an_array_equals_scalar_arithmetic(self):
+        # Array ** 2 and np.abs of complex values round differently from the
+        # scalar ** and abs in some 0.1% and 40% of cases; the shift must not.
+        rng = np.random.default_rng(53)
+        g = rng.normal(size=20_000) * 10.0 ** rng.uniform(-8.0, 8.0, 20_000)
+        g = g + 1j * np.where(rng.random(20_000) < 0.5, 0.0, g * rng.normal(size=20_000))
+        delta = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-4.0, 9.0, 20_000)
+        expected = [abs(complex(gi)) ** 2 / di for gi, di in zip(g.tolist(), delta.tolist())]
+        assert np.array_equal(_intra_node_shift(g, delta), expected)
+        assert np.array_equal(_intra_node_shift(g.real, delta),
+                              [abs(gi) ** 2 / di for gi, di in zip(g.real.tolist(), delta.tolist())])
+
+    @pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
+    @pytest.mark.parametrize("field, value, shift", [
+        ("g_sigma_1", 1e200, "omega_1_sigma"),
+        ("g_pi_1", complex(1e200, 1.0), "omega_1_pi"),
+        ("delta_pi_2", 1e-320, "omega_2_pi"),
+    ])
+    def test_overflowing_shift_is_inf_without_a_warning(self, field, value, shift):
+        # |g|^2 or the division overflows; float arithmetic gives inf, and so
+        # does the shift, without a numpy warning.
+        params = make_params(**{field: value, "g_pi_2": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            couplings = derive_couplings(params)
+        assert abs(getattr(couplings, shift)) == np.inf
 
     def test_dispersive_violation_warns_not_raises(self):
         bad = make_params(g_pi_1=40.0)  # |g/Delta| = 0.8
