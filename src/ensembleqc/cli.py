@@ -398,12 +398,15 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         compiler._check_fixed_set_options(args.epsilon, args.max_depth)
         names = [name for name, _ in circuit if name != "CNOT"]
         details: list[dict] = []
+        searched: dict[str, compiler.FixedSetResult] = {}  # one search per gate name
 
         def lower_fixed(u, target: int) -> compiler.NativeProgram:
             name = names[len(details)]
-            result = compiler.approximate_fixed_set(
-                u, epsilon=args.epsilon, max_depth=args.max_depth
-            )
+            if name not in searched:
+                searched[name] = compiler.approximate_fixed_set(
+                    u, epsilon=args.epsilon, max_depth=args.max_depth
+                )
+            result = searched[name]
             if not result.found:
                 raise VerificationError(
                     f"no fixed-set word within epsilon {args.epsilon:g} at "

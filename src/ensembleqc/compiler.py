@@ -244,22 +244,30 @@ def lower_single_qubit(
     )
 
 
+@functools.lru_cache(maxsize=None)  # one entry per single-qubit name in SUPPORTED_GATES
+def _standard_lowering(name: str) -> tuple[tuple[NativeOp, ...], complex]:
+    """Ops on pair 0 and global phase of ``lower_single_qubit(standard_gate(name))``."""
+    program = lower_single_qubit(standard_gate(name))
+    return tuple(program.ops), program.global_phase
+
+
 def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
     qubit indices.  Each single-qubit gate becomes
     ``lower_1q(standard_gate(name), target=q)``, a program on pair ``q``
-    whose global phase is multiplied into the result; the default is the
-    exact Euler path :func:`lower_single_qubit`.  Each CNOT becomes one
-    controlled-swap op.  Operation order preserves circuit semantics (first
-    listed gate acts first).
+    whose global phase is multiplied into the result, called once per gate.
+    The default is the exact Euler path :func:`lower_single_qubit`, which
+    runs once per gate name (cached) and whose ops are moved to each target,
+    so every gate of a name lowers to the same ops and phase.  Each CNOT
+    becomes one controlled-swap op.  Operation order preserves circuit
+    semantics (first listed gate acts first).
     """
-    if lower_1q is None:  # resolved per call, so a rebound module name is seen
-        lower_1q = lower_single_qubit
     ops: list[NativeOp] = []
     phase = 1.0 + 0.0j
     max_target = -1
+    retargeted: dict[tuple[str, int], tuple[tuple[NativeOp, ...], complex]] = {}
     for name, targets in circuit:
         targets = tuple(int(t) for t in targets)
         max_target = max(max_target, *targets) if targets else max_target
@@ -270,9 +278,20 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
         elif name in SUPPORTED_GATES:
             if len(targets) != 1:
                 raise ValueError(f"{name} takes one target, got {targets!r}")
-            sub = lower_1q(standard_gate(name), target=targets[0])
-            ops.extend(sub.ops)
-            phase *= sub.global_phase
+            if lower_1q is not None:
+                sub = lower_1q(standard_gate(name), target=targets[0])
+                sub_ops, sub_phase = sub.ops, sub.global_phase
+            else:
+                key = (name, targets[0])
+                if key not in retargeted:
+                    pair_ops, pair_phase = _standard_lowering(name)
+                    retargeted[key] = (
+                        tuple(NativeOp(op.kind, targets, op.angles) for op in pair_ops),
+                        pair_phase,
+                    )
+                sub_ops, sub_phase = retargeted[key]
+            ops.extend(sub_ops)
+            phase *= sub_phase
         else:
             raise ValueError(f"unsupported gate {name!r}")
     count = qubit_count if qubit_count is not None else max_target + 1

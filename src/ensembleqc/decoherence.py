@@ -70,16 +70,29 @@ def iswap_fidelity(d: DecoherenceParams, t: float | np.ndarray) -> float | np.nd
     Returns
     -------
     float or array
-        Fidelity in (0, 1]; exactly 1 with both rates zero.  A float when
+        Fidelity in [0, 1]; exactly 1 with both rates zero.  A float when
         ``d`` and ``t`` are scalars, else an array of their broadcast shape,
         each element equal bit for bit to the scalar call.
+
+    Where the exponential falls below the smallest normal float or the
+    ``cosh^2`` overflows (``gamma`` above ~450 ``Delta``), the product would
+    lose its digits or give inf or NaN; there the value is the same
+    expression rewritten as ``exp(-2 Gamma t) ((1 + exp(-x)) / 2)^2`` with
+    ``x = pi gamma / (2 Delta)``, which tends to ``exp(-2 Gamma t) / 4``.
     """
     _check_time(t)
     atomic, cavity = _spent(d, t)
-    with np.errstate(over="ignore"):
+    # Both forms are evaluated everywhere; the product's overflow, and its
+    # 0 * inf where both ends fail, are the elements the rewrite replaces.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         half_loss = np.pi * d.gamma_cavity / (4.0 * d.delta)
-    # float_power squares by libm pow, as the scalar ** does.
-    fidelity = np.exp(-atomic - cavity) * np.float_power(np.cosh(half_loss), 2.0)
+        decay = np.exp(-atomic - cavity)
+        # float_power squares by libm pow, as the scalar ** does.
+        cosh_squared = np.float_power(np.cosh(half_loss), 2.0)
+        product = decay * cosh_squared
+        rewritten = np.exp(-atomic) * np.float_power((1.0 + np.exp(-cavity)) / 2.0, 2.0)
+    lost = (decay < np.finfo(float).tiny) | np.isinf(cosh_squared)
+    fidelity = np.where(lost, rewritten, product)
     return fidelity if np.ndim(fidelity) else float(fidelity)
 
 

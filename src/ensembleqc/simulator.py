@@ -11,11 +11,20 @@ code words is the logical CNOT (:func:`~ensembleqc.gates.verify_encoded_cnot`),
 a slice swap.  An op's leakage is the largest element of its physical matrix
 coupling the code space to ``|00>``, ``|11>``.  ``run_program`` is the one
 apply loop.
+
+A lowered program repeats a few distinct ops many times, so each op's
+code-space block and leakage are built once per distinct ``(kind, angles)``
+(:func:`_kernel`) and reused at every target.  States are validated at the
+boundaries: :class:`LogicalState` checks what a caller builds, while
+:func:`apply_op` wraps the kernel's fresh output without a copy or norm
+check, since a unitary kernel keeps a valid state valid.  ``run_program``
+ends with a validated state.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +92,30 @@ def _cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return amps[index ^ (((index >> control) & 1) << target)]
 
 
-# One entry: run_program reads the leakage of the op apply_op just applied.
-@functools.lru_cache(maxsize=1)
-def _kernel(op: NativeOp):
-    """``(action, leakage)`` of one op, ``action`` taking amplitudes as in
-    :func:`_one_qubit`.  The one dispatch on op kind."""
+# Bounded, since a program read from JSON may carry any number of angles.
+@functools.lru_cache(maxsize=1024)
+def _kernel(kind: str, angles: tuple[float, ...], zero_signs: tuple[float, ...]):
+    """``(block, leakage)`` of every op of one kind and angles, whatever its
+    targets: the 2x2 code-space block (None for CISWAP, a slice swap) and the
+    largest element of the physical matrix coupling the code space to the
+    leakage states.  ``zero_signs`` only splits the cache key, because
+    ``0.0 == -0.0`` while their matrices can differ in the sign of a zero."""
+    if kind == CISWAP_KIND:
+        return None, gates.code_space_coupling(gates.CONTROLLED_SWAP)
+    pair = gates.iswap(*angles) if kind == ISWAP_KIND else gates.phase_gate(*angles)
+    return gates.restrict_to_logical(pair).matrix, gates.code_space_coupling(pair)
+
+
+def _op_kernel(op: NativeOp):
+    return _kernel(op.kind, op.angles, tuple(math.copysign(1.0, a) for a in op.angles))
+
+
+def _act(amps: np.ndarray, op: NativeOp) -> np.ndarray:
+    """``op`` applied to amplitudes laid out as in :func:`_one_qubit`: the one
+    dispatch on op kind."""
     if op.kind == CISWAP_KIND:
-        return (lambda amps: _cnot(amps, *op.targets)), gates.code_space_coupling(gates.CONTROLLED_SWAP)
-    pair = gates.iswap(*op.angles) if op.kind == ISWAP_KIND else gates.phase_gate(*op.angles)
-    block = gates.restrict_to_logical(pair).matrix
-    return (lambda amps: _one_qubit(amps, block, op.targets[0])), gates.code_space_coupling(pair)
+        return _cnot(amps, *op.targets)
+    return _one_qubit(amps, _op_kernel(op)[0], op.targets[0])
 
 
 def apply_op(state: LogicalState, op: NativeOp) -> LogicalState:
@@ -102,7 +125,13 @@ def apply_op(state: LogicalState, op: NativeOp) -> LogicalState:
             f"op {op.format()!r} touches a pair outside the register "
             f"({state.qubit_count} logical qubits)"
         )
-    return LogicalState(_kernel(op)[0](state.amplitudes))
+    # The kernel's output is a fresh array, and a unitary keeps a valid state
+    # valid: it becomes the new state without LogicalState's copy and norm check.
+    amps = _act(state.amplitudes, op)
+    amps.setflags(write=False)
+    out = object.__new__(LogicalState)
+    object.__setattr__(out, "amplitudes", amps)
+    return out
 
 
 def decode(state: LogicalState) -> np.ndarray:
@@ -146,7 +175,7 @@ def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, Run
     op_leakages = []
     for op in program.ops:
         state = apply_op(state, op)
-        op_leakages.append(_kernel(op)[1])
+        op_leakages.append(_op_kernel(op)[1])
     stats = RunStats(
         max_leakage=max(op_leakages, default=0.0),
         op_count=len(program.ops),
@@ -162,21 +191,24 @@ def program_matrix(program: NativeProgram) -> np.ndarray:
     program.validate()
     columns = np.eye(2**program.qubit_count, dtype=complex)
     for op in program.ops:
-        columns = _kernel(op)[0](columns)
+        columns = _act(columns, op)
     return program.global_phase * columns
 
 
 def circuit_matrix(circuit, qubit_count: int) -> np.ndarray:
     """Logical unitary of a ``[(name, targets), ...]`` circuit of
-    :func:`~ensembleqc.gates.standard_gate` names, through the same kernels."""
+    :func:`~ensembleqc.gates.standard_gate` names, through the same kernels;
+    each name's matrix is read once."""
     if any(t >= qubit_count for _, targets in circuit for t in targets):
         raise ValueError(f"circuit touches a qubit outside the {qubit_count}-qubit register")
+    matrices = {name: gates.standard_gate(name).matrix
+                for name in {name for name, _ in circuit} - {"CNOT"}}
     columns = np.eye(2**qubit_count, dtype=complex)
     for name, targets in circuit:
         if name == "CNOT":
             columns = _cnot(columns, *targets)
         else:
-            columns = _one_qubit(columns, gates.standard_gate(name).matrix, targets[0])
+            columns = _one_qubit(columns, matrices[name], targets[0])
     return columns
 
 

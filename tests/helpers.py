@@ -3,10 +3,11 @@
 Everything here is deliberately independent of the code paths it checks:
 random unitaries come from QR, logical circuits are evaluated by direct
 index manipulation, native programs also run on the 4^k-amplitude physical
-register, and two-level evolutions are cross-checked against
-eigendecompositions and a step-at-a-time integrator, the fixed-set
-search is checked against a node-at-a-time breadth-first search, and the
-sweep rows are checked against scalar arithmetic one row at a time.
+register and op by op without the simulator's kernel cache, and two-level
+evolutions are cross-checked against eigendecompositions and a
+step-at-a-time integrator, the fixed-set search is checked against a
+node-at-a-time breadth-first search, and the sweep rows are checked
+against scalar arithmetic one row at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from ensembleqc.compiler import (
     FixedSetResult,
     NativeProgram,
 )
-from ensembleqc.gates import CONTROLLED_SWAP, as_matrix, iswap, phase_gate, standard_gate
+from ensembleqc.gates import (
+    CONTROLLED_SWAP,
+    as_matrix,
+    code_space_coupling,
+    iswap,
+    phase_gate,
+    restrict_to_logical,
+    standard_gate,
+)
 from ensembleqc.physical import PhysicalParams
 
 
@@ -121,6 +130,46 @@ def run_physical(program, bits: str) -> list[np.ndarray]:
         amps = apply_unitary(amps, u, qubits, 2 * k)
         history.append(amps)
     return history
+
+
+def _one_qubit_reference(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
+    # The simulator's contraction, so the two agree bit for bit.
+    a = amps.reshape(amps.shape[0] >> (qubit + 1), 2, -1)
+    return np.einsum("ij,ajb->aib", u, a).reshape(amps.shape)
+
+
+def _cnot_reference(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    index = np.arange(amps.shape[0])
+    return amps[index ^ (((index >> control) & 1) << target)]
+
+
+def run_ops_reference(program, amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """A native program on logical amplitudes (axis 0 the 2^k index, a second
+    axis of columns allowed), one op at a time: each op's pair matrix,
+    code-space block and leakage are built afresh, with no cache.  Returns
+    the amplitudes, global phase not applied, and each op's leakage."""
+    leakages = []
+    for op in program.ops:
+        if op.kind == CISWAP_KIND:
+            amps = _cnot_reference(amps, *op.targets)
+            leakages.append(code_space_coupling(CONTROLLED_SWAP))
+        else:
+            pair = iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
+            amps = _one_qubit_reference(amps, restrict_to_logical(pair).matrix, op.targets[0])
+            leakages.append(code_space_coupling(pair))
+    return amps, tuple(leakages)
+
+
+def circuit_columns_reference(circuit, qubit_count: int) -> np.ndarray:
+    """Logical unitary of a circuit of standard gate names, each gate's
+    matrix read afresh, with the simulator's contractions."""
+    columns = np.eye(2**qubit_count, dtype=complex)
+    for name, targets in circuit:
+        if name == "CNOT":
+            columns = _cnot_reference(columns, *targets)
+        else:
+            columns = _one_qubit_reference(columns, standard_gate(name).matrix, targets[0])
+    return columns
 
 
 def physical_leakage(amps: np.ndarray, qubit_count: int) -> float:
@@ -310,8 +359,19 @@ def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float,
 
 def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: float,
                            t: float) -> tuple[float, float]:
-    """``(fidelity, margin)`` of one ``fidelity`` row by scalar arithmetic."""
-    spent = 2.0 * gamma_atomic * t + np.pi * gamma_cavity / (2.0 * delta)
-    exponent = -2.0 * gamma_atomic * t - np.pi * gamma_cavity / (2.0 * delta)
-    fidelity = float(np.exp(exponent) * np.cosh(np.pi * gamma_cavity / (4.0 * delta)) ** 2)
-    return fidelity, float(1e-4 - spent)
+    """``(fidelity, margin)`` of one ``fidelity`` row by scalar arithmetic.
+
+    Where ``exp(-2 Gamma t - x)`` is below the smallest normal float or
+    ``cosh^2(x / 2)`` overflows, ``x = pi gamma / (2 Delta)``, the fidelity is
+    the identity ``exp(-2 Gamma t) ((1 + exp(-x)) / 2)^2``.
+    """
+    atomic = 2.0 * gamma_atomic * t
+    cavity = np.pi * gamma_cavity / (2.0 * delta)
+    decay = np.exp(-atomic - cavity)
+    with np.errstate(over="ignore"):
+        cosh_squared = np.cosh(np.pi * gamma_cavity / (4.0 * delta)) ** 2
+    if decay < np.finfo(float).tiny or np.isinf(cosh_squared):
+        fidelity = np.exp(-atomic) * ((1.0 + np.exp(-cavity)) / 2.0) ** 2
+    else:
+        fidelity = decay * cosh_squared
+    return float(fidelity), float(1e-4 - (atomic + cavity))

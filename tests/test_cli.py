@@ -8,7 +8,10 @@ import contextlib
 import io
 import json
 import math
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ensembleqc
-from ensembleqc import cli, decoherence, dynamics, presets
+from ensembleqc import cli, compiler, decoherence, dynamics, presets
 from ensembleqc.physical import PhysicalParams, derive_couplings
 from helpers import blockade_row_reference, fidelity_row_reference
 
@@ -120,15 +123,26 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
 
 
-def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path):
+def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
     # The fixed-set path lowers through lower_circuit: CNOTs stay single
-    # controlled swaps and every single-qubit gate reports its own word.
-    circuit = write(tmp_path / "c.txt", "T 1\nCNOT 1 0\nH 0\n")
+    # controlled swaps and every single-qubit gate reports its own word,
+    # while each gate name is searched once.
+    searched = []
+    search = compiler.approximate_fixed_set
+
+    def spy(u, **options):
+        searched.append(u)
+        return search(u, **options)
+
+    monkeypatch.setattr(compiler, "approximate_fixed_set", spy)
+    circuit = write(tmp_path / "c.txt", "T 1\nCNOT 1 0\nH 0\nT 0\nH 1\n")
     code, stdout, _ = run_cli(["--json", "compile", "--fixed-set", circuit])
     report = json.loads(stdout)
     assert code == 0 and report["pass"] is True
-    assert [g["gate"] for g in report["gates"]] == ["T", "H"]
+    assert [g["gate"] for g in report["gates"]] == ["T", "H", "T", "H"]
+    assert report["gates"][2:] == report["gates"][:2]
     assert report["op_count"] == 1 + sum(g["depth"] for g in report["gates"])
+    assert len(searched) == 2
 
 
 RATIOS = [0.0, 0.25, 1.0, presets.SQRT3, 2.5, 10.0, 100.0]
@@ -208,21 +222,39 @@ def test_huge_ratio_names_the_coupling_and_stays_quiet(jobs, tmp_path):
 ])
 def test_fidelity_rows_equal_per_row_calls(parameter, values, tmp_path):
     path = write(tmp_path / "c.json", {"sweep": {"parameter": parameter, "values": values}})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # cosh overflows at 1e300
-        code, stdout, _ = run_cli(["--config", path, "--json", "fidelity"])
-        report = json.loads(stdout)
-        expected = []
-        for gamma_a, gamma_c, delta, t, _, _ in report["rows"]:
-            d = decoherence.DecoherenceParams(gamma_a, gamma_c, delta)
-            row = [gamma_a, gamma_c, delta, t,
-                   decoherence.iswap_fidelity(d, t), decoherence.fault_tolerance_margin(d, t)]
-            assert np.array_equal(row[4:], fidelity_row_reference(*row[:4]), equal_nan=True)
-            expected.append(row)
+    code, stdout, _ = run_cli(["--config", path, "--json", "fidelity"])
+    report = json.loads(stdout)
+    expected = []
+    for gamma_a, gamma_c, delta, t, _, _ in report["rows"]:
+        d = decoherence.DecoherenceParams(gamma_a, gamma_c, delta)
+        row = [gamma_a, gamma_c, delta, t,
+               decoherence.iswap_fidelity(d, t), decoherence.fault_tolerance_margin(d, t)]
+        assert np.array_equal(row[4:], fidelity_row_reference(*row[:4]), equal_nan=True)
+        expected.append(row)
     assert code == 0
     column = {"gamma_atomic": 0, "gamma_cavity": 1, "time": 3}[parameter]
     assert [row[column] for row in report["rows"]] == values
     assert np.array_equal(report["rows"], expected, equal_nan=True)
+
+
+def test_heavy_cavity_loss_sweep_is_finite_and_quiet(tmp_path):
+    # cosh^2 overflowed past ~452 Delta (inf) and met an exponential that underflows
+    # to 0 past ~474 Delta (NaN); a fresh interpreter shows any numpy warning on stderr.
+    delta = presets.reference_decoherence().delta
+    values = (np.linspace(452.0, 480.0, 29) * delta).tolist() + np.geomspace(
+        481.0 * delta, 1e300, 30).tolist()
+    path = write(tmp_path / "c.json", {"sweep": {"parameter": "gamma_cavity", "values": values}})
+    src = str(Path(ensembleqc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ensembleqc", "--config", path, "--json", "fidelity"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    fidelity = np.array([row[4] for row in json.loads(proc.stdout)["rows"]])
+    assert np.all(np.isfinite(fidelity))
+    assert np.all((fidelity >= 0.0) & (fidelity <= 1.0))
+    assert np.all(np.diff(fidelity) <= 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")

@@ -173,6 +173,28 @@ class TestLowerCircuit:
         with pytest.raises(ValueError, match="distinct"):
             lower_circuit([("CNOT", (1, 1))])
 
+    def test_equals_per_gate_lowering(self):
+        # One cached lowering per gate name, moved to each target, gives the
+        # ops of lowering every gate on its own and the same phase, bit for bit.
+        rng = np.random.default_rng(45)
+        names = ["X", "H", "S", "T", "CNOT"]
+        for _ in range(20):
+            circuit = []
+            for name in (names[i] for i in rng.integers(len(names), size=40)):
+                targets = rng.choice(4, size=2 if name == "CNOT" else 1, replace=False)
+                circuit.append((name, tuple(int(t) for t in targets)))
+            ops, phase = [], 1.0 + 0.0j
+            for name, targets in circuit:
+                if name == "CNOT":
+                    ops.append(NativeOp(CISWAP_KIND, targets))
+                else:
+                    sub = lower_single_qubit(standard_gate(name), target=targets[0])
+                    ops.extend(sub.ops)
+                    phase *= sub.global_phase
+            program = lower_circuit(circuit, qubit_count=4)
+            assert program.ops == ops
+            assert np.array([program.global_phase]).tobytes() == np.array([phase]).tobytes()
+
     def test_single_qubit_lowering_argument(self):
         # Each single-qubit gate goes through lower_1q with its matrix and
         # target; CNOTs and the phase bookkeeping stay in lower_circuit.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,34 @@ def test_overflow_is_silent_and_signed():
         margin = fault_tolerance_margin(REF, np.array([1e-8, 1e308]))
         fidelity = iswap_fidelity(REF, np.array([1e-8, 1e308]))
     assert margin[1] == -np.inf and fidelity[1] == 0.0
+
+
+def test_heavy_cavity_loss_tends_to_a_quarter_of_the_atomic_decay():
+    # Past ~452 Delta cosh^2(x/2) overflows, and past ~474 Delta exp(-2 Gamma t - x)
+    # underflows to 0; the fidelity there is exp(-2 Gamma t) ((1 + e^-x) / 2)^2.
+    # From 440 Delta on, the switch between the two forms included, both agree to
+    # the product's rounding, which grows with x ~ 700.
+    gamma_c = np.concatenate([np.linspace(440.0, 480.0, 81) * REF.delta,
+                              np.geomspace(481.0 * REF.delta, 1e300, 200)])
+    d = DecoherenceParams(REF.gamma_atomic, gamma_c, REF.delta)
+    with np.errstate(all="raise"):
+        fidelity = iswap_fidelity(d, 1e-8)
+    assert np.all(np.isfinite(fidelity))
+    assert np.all((fidelity >= 0.0) & (fidelity <= 1.0))
+    assert np.all(np.diff(fidelity[gamma_c >= 452.0 * REF.delta]) <= 0.0)
+    decay = math.exp(-2.0 * REF.gamma_atomic * 1e-8)
+    x = np.pi * gamma_c / (2.0 * REF.delta)
+    assert np.allclose(fidelity, decay * ((1.0 + np.exp(-x)) / 2.0) ** 2, rtol=1e-12, atol=0.0)
+    assert fidelity[-1] == decay / 4.0
+    assert [iswap_fidelity(DecoherenceParams(REF.gamma_atomic, g, REF.delta), 1e-8)
+            for g in gamma_c.tolist()] == fidelity.tolist()
+
+
+@pytest.mark.parametrize("gamma_cavity", [0.0, 1.0, 60.0, 1e300])
+def test_large_atomic_decay_keeps_its_digits(gamma_cavity):
+    # 2 Gamma t = 700: exp(-700 - x) underflows for x = 30 pi while the fidelity,
+    # ~1e-305, is a normal float.
+    d = DecoherenceParams(gamma_atomic=350.0, gamma_cavity=gamma_cavity, delta=0.5)
+    x = math.pi * gamma_cavity
+    expected = math.exp(-700.0) * ((1.0 + math.exp(-x)) / 2.0) ** 2
+    assert math.isclose(iswap_fidelity(d, 1.0), expected, rel_tol=1e-12)

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleqc import gates
+from ensembleqc import gates, simulator
 from ensembleqc.compiler import (
     CISWAP_KIND,
     ISWAP_KIND,
@@ -28,10 +29,12 @@ from ensembleqc.simulator import (
 )
 from helpers import (
     apply_unitary,
+    circuit_columns_reference,
     code_indices,
     logical_circuit_matrix,
     physical_leakage,
     random_state,
+    run_ops_reference,
     run_physical,
 )
 
@@ -360,6 +363,95 @@ class TestMatrices:
         for circuit in ([("CNOT", (2, 0))], [("CNOT", (0, 2))], [("H", (2,))]):
             with pytest.raises(ValueError, match="outside"):
                 circuit_matrix(circuit, 2)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# A small pool, signed zeros included, so that ops repeat as in lowered programs.
+ANGLE_POOL = (0.0, -0.0, 0.3, -0.3, np.pi / 2, -np.pi, 1.25)
+
+
+def pooled_native_program(rng: np.random.Generator, qubit_count: int, op_count: int) -> NativeProgram:
+    kinds = [ISWAP_KIND, PHASE_KIND] + [CISWAP_KIND] * (qubit_count > 1)
+    ops = []
+    for _ in range(op_count):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == CISWAP_KIND:
+            targets = tuple(int(q) for q in rng.choice(qubit_count, size=2, replace=False))
+        else:
+            targets = (int(rng.integers(qubit_count)),)
+        n_angles = {ISWAP_KIND: 1, PHASE_KIND: 2, CISWAP_KIND: 0}[kind]
+        angles = tuple(ANGLE_POOL[i] for i in rng.integers(len(ANGLE_POOL), size=n_angles))
+        ops.append(NativeOp(kind, targets, angles))
+    phase = complex(np.exp(1j * rng.uniform(-np.pi, np.pi)))
+    return NativeProgram(qubit_count=qubit_count, ops=ops, global_phase=phase)
+
+
+class TestKernelCache:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_runs_equal_per_op_reference(self, seed):
+        # Kernels shared across targets and across runs change no bit of any
+        # result: states, matrices, tracked phase and per-op leakage.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        program = pooled_native_program(rng, k, int(rng.integers(0, 24)))
+        bits = "".join(rng.choice(["0", "1"], size=k))
+        final, stats = run_program(program, bits)
+        expected, leakages = run_ops_reference(program, encode_basis(bits).amplitudes)
+        # The phase goes on last, in each function's operand order: numpy's
+        # vectorized complex product can differ in the last bit when the
+        # operands swap (seen on AVX-512 hosts).
+        assert same_bits(final.amplitudes, expected * program.global_phase)
+        assert stats.op_leakages == leakages
+        assert stats.global_phase == program.global_phase
+        matrix, _ = run_ops_reference(program, np.eye(2**k, dtype=complex))
+        assert same_bits(program_matrix(program), program.global_phase * matrix)
+        circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
+        assert same_bits(circuit_matrix(circuit, k), circuit_columns_reference(circuit, k))
+
+    def test_signed_zero_angles_get_their_own_kernels(self):
+        simulator._kernel.cache_clear()
+        state = LogicalState(random_state(np.random.default_rng(44), 2))
+        ops = [NativeOp(PHASE_KIND, (0,), (0.7, 0.0)), NativeOp(PHASE_KIND, (0,), (0.7, -0.0)),
+               NativeOp(ISWAP_KIND, (0,), (0.0,)), NativeOp(ISWAP_KIND, (0,), (-0.0,))]
+        for op in ops:
+            expected, _ = run_ops_reference(NativeProgram(qubit_count=1, ops=[op]), state.amplitudes)
+            out = apply_op(state, op).amplitudes
+            assert same_bits(out, expected) and not out.flags.writeable
+        assert simulator._kernel.cache_info().currsize == len(ops)
+
+    def test_warm_kernels_build_no_unitary_and_check_no_state_per_op(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        program = lower_circuit(random_circuit(rng, 10, 100), qubit_count=10)
+        # program_matrix at k=10 costs ~15 ms per op, so it runs a prefix.
+        prefix = NativeProgram(qubit_count=10, ops=program.ops[:16])
+        calls = collections.Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(gates.Unitary, "__init__", spy("Unitary", gates.Unitary.__init__))
+        monkeypatch.setattr(LogicalState, "__post_init__",
+                            spy("LogicalState", LogicalState.__post_init__))
+        monkeypatch.setattr(gates, "iswap", spy("iswap", gates.iswap))
+        monkeypatch.setattr(gates, "phase_gate", spy("phase_gate", gates.phase_gate))
+        simulator._kernel.cache_clear()
+        run_program(program, "0" * 10)
+        program_matrix(prefix)
+        distinct = collections.Counter(kind for kind, _ in {(op.kind, op.angles) for op in program.ops})
+        assert calls["iswap"] == distinct[ISWAP_KIND] > 0
+        assert calls["phase_gate"] == distinct[PHASE_KIND] > 0
+        calls.clear()
+        run_program(program, "1" * 10)
+        program_matrix(prefix)
+        # States are validated at run_program's entry and exit only.
+        assert calls == {"LogicalState": 2}
 
 
 class TestStateSerialization:
