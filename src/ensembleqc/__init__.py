@@ -74,6 +74,7 @@ from .simulator import (
     encode_basis,
     measure_logical,
     run_program,
+    sample_logical,
 )
 
 __version__ = "0.1.0"
@@ -119,6 +120,7 @@ __all__ = [
     "run_program",
     "rx",
     "rz",
+    "sample_logical",
     "sector_propagator",
     "standard_gate",
     "trajectory_to_csv",

@@ -224,13 +224,20 @@ def _rk4_step_matrix(a: np.ndarray, h) -> np.ndarray:
 
     For a constant linear generator the four-stage scheme collapses exactly
     to the quartic Taylor polynomial sum_j (i h A)^j / j! of exp(i h A),
-    which is applied as a single matrix per step.  An array ``h`` gives a
-    stack of shape ``np.shape(h) + (2, 2)``.
+    which is applied as a single matrix per step.  An array ``h`` gives the
+    matrices entries first, shape ``(2, 2) + np.shape(h)``: entry ``[i, j]``
+    is one array over ``h``.
     """
-    z = 1j * np.asarray(h, dtype=float)[..., None, None]
+    z = 1j * np.asarray(h, dtype=float)
     a2 = a @ a
     a3 = a2 @ a
-    return np.eye(2) + z * (a + z * (a2 / 2.0 + z * (a3 / 6.0 + z * (a3 @ a) / 24.0)))
+    eye, a, a2, a3, a4 = (m.reshape((2, 2) + (1,) * z.ndim) for m in (np.eye(2), a, a2, a3, a3 @ a))
+    return eye + z * (a + z * (a2 / 2.0 + z * (a3 / 6.0 + z * a4 / 24.0)))
+
+
+def _entry_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for 2x2 matrices held entries first, shape ``(2, 2, ...)``."""
+    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
 
 
 def evolve_numerical(
@@ -247,15 +254,22 @@ def evolve_numerical(
     Works for arbitrary sector frequency offsets (no resonance requirement).
     Integration happens in the rotating frame where the generator norm is
     kappa; the exact mean-frequency phase is multiplied back for lab-frame
-    output.  The step must satisfy ``step * kappa < 0.1``; the default is
+    output.  The step must be finite, satisfy ``step * kappa < 0.1`` and
+    leave no segment more than 2**53 whole steps; the default is
     ``1/(256 kappa)``.
 
     Each sample segment takes ``m = floor(length/step + 1e-12)`` whole steps
     and then one shorter tail step, if the tail exceeds ``1e-15 max(|t_end|,
-    1)``.  The segment is applied as one matrix ``R(tail) @ F^m``, where ``F``
-    is the step matrix, ``F^m`` comes by repeated squaring once per distinct
-    ``m`` and the tail steps ``R`` are built together; the steps taken are the
-    same as stepping one at a time.
+    1)``.  The segment is the matrix ``R(tail) @ F^m``, where ``F`` is the
+    step matrix, ``F^m`` comes by repeated squaring once per distinct ``m``
+    and ``R`` is the identity where there is no tail.  The segments are held
+    entries first, as four arrays ``[i, j]`` over the samples.  Their running
+    products come from a doubling (Hillis-Steele) scan of log2(samples)
+    levels; each level is one whole-array product of every segment with the
+    one ``2^level`` before it, the later segment on the left.  The running
+    products are then applied to the initial state.  The steps taken are the
+    same as stepping one at a time; the rounding error grows with
+    log(samples) rather than with samples.
     """
     n = _check_sector(n)
     frame = _check_frame(frame)
@@ -269,8 +283,8 @@ def evolve_numerical(
     k_scale = max(couplings.kappa(n), k_eff)
     if step is None:
         step = DEFAULT_STEP_FACTOR / k_scale if k_scale > 0.0 else float(t) or 1.0
-    if step <= 0.0:
-        raise StepSizeError(f"step must be positive, got {step!r}")
+    if not 0.0 < step < np.inf:
+        raise StepSizeError(f"step must be finite and positive, got {step!r}")
     if k_scale > 0.0 and step * k_scale >= _STEP_LIMIT_FACTOR:
         raise StepSizeError(
             f"step {step:.6e} s too coarse for rate {k_scale:.6e} rad/s",
@@ -280,23 +294,33 @@ def evolve_numerical(
     times = _sample_times(t, samples)
     ends = times[1:] if times is not None else np.array([float(t)])
     lengths = np.diff(ends, prepend=0.0)
+    # Whole step counts stay exact integers in a double, so the floor and the
+    # conversion below are exact.
+    if lengths.max() > 2.0**53 * step:
+        raise StepSizeError(f"step {step:.6e} s needs more than 2**53 steps in a segment")
     whole = np.floor(lengths / step + 1e-12)
     tails = lengths - whole * step
     has_tail = tails > 1e-15 * np.maximum(np.abs(ends), 1.0)
     full = _rk4_step_matrix(a, step)
     counts, which = np.unique(whole.astype(int), return_inverse=True)
-    segments = np.stack([np.linalg.matrix_power(full, int(m)) for m in counts])[which]
-    segments[has_tail] = _rk4_step_matrix(a, tails[has_tail]) @ segments[has_tail]
+    powers = np.stack([np.linalg.matrix_power(full, int(m)) for m in counts], axis=-1)
+    powers = np.take(powers, which, axis=-1)
+    tail_steps = _rk4_step_matrix(a, np.where(has_tail, tails, 0.0))
+    segments = _entry_product(tail_steps, powers)
 
-    # The one loop left is over samples; plain complex arithmetic on 2x2
-    # matrices is faster there than a numpy call per segment.
-    c1, c2 = vec.tolist()
-    states = [(c1, c2)]
-    for (m11, m12), (m21, m22) in segments.tolist():
-        c1, c2 = m11 * c1 + m12 * c2, m21 * c1 + m22 * c2
-        states.append((c1, c2))
-    current = np.array(states[-1])
-    trajectory = np.array(states) if times is not None else None
+    # Doubling scan: after the level with shift d, segments[..., i] holds the
+    # product of segments i-2d+1..i (fewer at the start), later ones on the
+    # left.  Each level's products are a fresh array, written over the old
+    # entries only once all of them are read.
+    d = 1
+    while d < segments.shape[-1]:
+        segments[..., d:] = _entry_product(segments[..., d:], segments[..., :-d])
+        d *= 2
+    ends_states = segments[:, 0] * vec[0] + segments[:, 1] * vec[1]
+    current = ends_states[:, -1]
+    trajectory = None
+    if times is not None:
+        trajectory = np.concatenate([vec[None, :], ends_states.T])
 
     if frame == FRAME_LAB:
         if trajectory is not None:

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,29 @@ class TestNumerical:
             else:
                 assert result.trajectory is None
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 5, 8, 1023, 1024, 1025])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_scan_edges_match_step_by_step_reference(self, tuned, n, samples):
+        # Sample counts around the doubling scan's powers of two, both frames.
+        s = abs(tuned.s_coupling)
+        step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
+        vec = random_state(np.random.default_rng(43), 2)
+        t = 10.0 * np.pi / s
+        reference = rk4_reference(tuned, n, t, vec, step, samples)
+        lab_phase = np.exp(1j * tuned.varpi_mean(n) * np.linspace(0.0, t, samples + 1))[:, None]
+        for frame, expected in ((FRAME_ROTATING, reference), (FRAME_LAB, reference * lab_phase)):
+            result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples, frame=frame)
+            assert result.trajectory.shape == expected.shape
+            assert np.max(np.abs(result.trajectory - expected)) < 1e-12
+            assert abs(result.state.as_vector() - expected[-1]).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_long_horizon_keeps_the_norm(self, tuned, n):
+        t = 100.0 * np.pi / abs(tuned.s_coupling)
+        result = evolve_numerical(tuned, n, t, EXCITED, samples=2**14)
+        norms = np.linalg.norm(result.trajectory, axis=1)
+        assert np.max(np.abs(norms - 1.0)) < 1e-10
+
     def test_rejects_non_finite_time(self, resonant):
         for t in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -225,6 +249,18 @@ class TestNumerical:
             evolve_numerical(resonant, 0, 1.0, EXCITED, step=1.0)
         assert err.value.suggested_step is not None
         assert err.value.suggested_step * resonant.kappa(0) < 0.1
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [(np.nan, "finite and positive"), (np.inf, "finite and positive"), (1e-300, r"2\*\*53")],
+    )
+    def test_rejects_non_finite_or_tiny_step(self, resonant, step, message):
+        # Such steps are refused before any array work, so numpy warns of
+        # no invalid cast on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match=message):
+                evolve_numerical(resonant, 0, 1.0, EXCITED, step=step)
 
     def test_norm_conserved_along_trajectory(self, tuned):
         t = 10.0 / abs(tuned.s_coupling)

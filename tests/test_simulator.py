@@ -25,6 +25,7 @@ from ensembleqc.simulator import (
     measure_logical,
     program_matrix,
     run_program,
+    sample_logical,
     state_to_json,
 )
 from helpers import (
@@ -243,9 +244,17 @@ class TestMeasurement:
         plus = LogicalState(np.array([1.0, 1.0]) / np.sqrt(2))
         rng = np.random.default_rng(35)
         n = 100_000
-        ones = sum(measure_logical(plus, 0, rng=rng)[0] for _ in range(n))
+        ones = int(sample_logical(plus, 0, n, rng).sum())
         sigma = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 3 * sigma
+
+    def test_shots_equal_one_shot_measurements(self):
+        state = LogicalState(random_state(np.random.default_rng(38), 8))
+        for qubit in range(3):
+            rng = np.random.default_rng(39)
+            one_by_one = [measure_logical(state, qubit, rng)[0] for _ in range(64)]
+            shots = sample_logical(state, qubit, 64, rng=39)
+            assert shots.tolist() == one_by_one
 
     def test_collapse_renormalizes(self):
         rng = np.random.default_rng(36)
@@ -401,14 +410,14 @@ class TestKernelCache:
         bits = "".join(rng.choice(["0", "1"], size=k))
         final, stats = run_program(program, bits)
         expected, leakages = run_ops_reference(program, encode_basis(bits).amplitudes)
-        # The phase goes on last, in each function's operand order: numpy's
-        # vectorized complex product can differ in the last bit when the
-        # operands swap (seen on AVX-512 hosts).
+        # The phase goes on last, amplitudes times phase, in both functions:
+        # numpy's vectorized complex product can differ in the last bit when
+        # the operands swap (seen on AVX-512 hosts).
         assert same_bits(final.amplitudes, expected * program.global_phase)
         assert stats.op_leakages == leakages
         assert stats.global_phase == program.global_phase
         matrix, _ = run_ops_reference(program, np.eye(2**k, dtype=complex))
-        assert same_bits(program_matrix(program), program.global_phase * matrix)
+        assert same_bits(program_matrix(program), matrix * program.global_phase)
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
         assert same_bits(circuit_matrix(circuit, k), circuit_columns_reference(circuit, k))
 
