@@ -18,6 +18,7 @@ digits so verification tolerances stay visible in logs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -558,6 +559,9 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
+# Built once per process: each parse_args call fills a fresh namespace, so no
+# parsed state carries over from one main call to the next.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ensembleqc",

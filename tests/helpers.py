@@ -3,11 +3,12 @@
 Everything here is deliberately independent of the code paths it checks:
 random unitaries come from QR, logical circuits are evaluated by direct
 index manipulation, native programs also run on the 4^k-amplitude physical
-register and op by op without the simulator's kernel cache, and two-level
-evolutions are cross-checked against eigendecompositions and a
-step-at-a-time integrator, the fixed-set search is checked against a
-node-at-a-time breadth-first search, and the sweep rows are checked
-against scalar arithmetic one row at a time.
+register, op by op without the simulator's kernel cache, and through a
+separately written fused loop, two-level evolutions are cross-checked
+against eigendecompositions and a step-at-a-time integrator, the
+fixed-set search is checked against a node-at-a-time breadth-first
+search, and the sweep rows are checked against scalar arithmetic one row
+at a time.
 """
 
 from __future__ import annotations
@@ -170,6 +171,55 @@ def circuit_columns_reference(circuit, qubit_count: int) -> np.ndarray:
         else:
             columns = _one_qubit_reference(columns, standard_gate(name).matrix, targets[0])
     return columns
+
+
+def native_steps(program) -> list:
+    """A native program as ``(block, targets)`` steps, each block built
+    afresh from its pair matrix, None for a CISWAP."""
+    steps = []
+    for op in program.ops:
+        if op.kind == CISWAP_KIND:
+            steps.append((None, op.targets))
+        else:
+            pair = iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
+            steps.append((restrict_to_logical(pair).matrix, op.targets))
+    return steps
+
+
+def circuit_steps(circuit) -> list:
+    """A circuit of standard gate names as ``(matrix, targets)`` steps, each
+    matrix read afresh, None for a CNOT."""
+    return [(None if name == "CNOT" else standard_gate(name).matrix, targets)
+            for name, targets in circuit]
+
+
+def fused_reference(steps, amps: np.ndarray) -> np.ndarray:
+    """Steps applied with fused single-qubit runs, written apart from the
+    simulator's loop: each qubit collects its blocks in a list, and a list
+    becomes one product (the later block on the left, a lone block as it is)
+    and one contraction when it is flushed, before a CNOT on the qubit
+    (control, then target) and at the end (ascending qubit).  The CNOT is
+    the index permutation of :func:`_cnot_reference`."""
+    runs: dict[int, list[np.ndarray]] = {}
+
+    def flush(amps: np.ndarray, qubit: int) -> np.ndarray:
+        blocks = runs.pop(qubit, [])
+        if not blocks:
+            return amps
+        product = blocks[0]
+        for block in blocks[1:]:
+            product = block @ product
+        return _one_qubit_reference(amps, product, qubit)
+
+    for block, targets in steps:
+        if block is None:
+            control, target = targets
+            amps = _cnot_reference(flush(flush(amps, control), target), control, target)
+        else:
+            runs.setdefault(targets[0], []).append(block)
+    for qubit in sorted(runs):
+        amps = flush(amps, qubit)
+    return amps
 
 
 def physical_leakage(amps: np.ndarray, qubit_count: int) -> float:

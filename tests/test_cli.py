@@ -145,6 +145,65 @@ def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
     assert len(searched) == 2
 
 
+# --- success output ------------------------------------------------------------
+
+
+def random_circuit_text(rng: np.random.Generator, k: int, gate_count: int) -> str:
+    lines = []
+    for _ in range(gate_count):
+        name = ["X", "H", "S", "T", "CNOT"][rng.integers(5)]
+        if name == "CNOT":
+            control, target = rng.choice(k, size=2, replace=False)
+            lines.append(f"CNOT {control} {target}")
+        else:
+            lines.append(f"{name} {rng.integers(k)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [3, 6, 8])
+def test_simulate_and_compile_report_success(k, tmp_path):
+    text = random_circuit_text(np.random.default_rng(70 + k), k, 12 * k)
+    path = write(tmp_path / "c.txt", text)
+    op_count = len(compiler.lower_circuit(compiler.parse_circuit(text)).ops)
+    code, stdout, stderr = run_cli(["--json", "simulate", "--circuit", path])
+    report = json.loads(stdout)
+    assert (code, stderr, report["pass"]) == (0, "", True)
+    assert report["stats"]["op_count"] == op_count
+    assert report["stats"]["norm_defect"] < 1e-12
+    code, stdout, stderr = run_cli(["--json", "compile", path])
+    report = json.loads(stdout)
+    assert (code, stderr, report["pass"]) == (0, "", True)
+    assert report["op_count"] == op_count
+    assert report["equivalence_error"] < 1e-12
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, monkeypatch):
+    # One parser serves every main call in a process; each call parses into
+    # a fresh namespace, so flags and subcommands never carry over.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.txt", "H 0\nCNOT 0 1\n")
+    assert cli.build_parser() is cli.build_parser()
+    code, traced, _ = run_cli(["simulate", "--circuit", "c.txt", "--trace", "--initial", "10"])
+    assert code == 0 and traced.startswith("op   0 ")
+    code, plain, _ = run_cli(["simulate", "--circuit", "c.txt"])
+    assert code == 0 and "ran 4 op(s) on |00>" in plain
+    assert not any(line.startswith("op ") for line in plain.splitlines())
+    code, stdout, _ = run_cli(["--json", "--seed", "5", "--out", "out", "truth-table"])
+    assert code == 0 and json.loads(stdout)["seed"] == 5 and (tmp_path / "out").is_dir()
+    code, stdout, _ = run_cli(["--json", "truth-table"])
+    assert code == 0 and json.loads(stdout)["seed"] == 0
+    code, stdout, _ = run_cli(["compile", "c.txt"])
+    assert code == 0 and stdout.startswith("compiled 2 gate(s)")
+    code, stdout, _ = run_cli(["--json", "compile", "--fixed-set", "--max-depth", "6", "c.txt"])
+    assert code == 0 and json.loads(stdout)["max_depth"] == 6
+    code, stdout, _ = run_cli(["--json", "compile", "--fixed-set", "c.txt"])
+    assert code == 0 and json.loads(stdout)["max_depth"] == 8
+    code, _, stderr = run_cli(["simulate", "--circuit", "c.txt", "--initial", "1"])
+    assert code == 2 and stderr.startswith("error: ")
+    code, stdout, _ = run_cli(["simulate", "--circuit", "c.txt"])
+    assert stdout == plain
+
+
 RATIOS = [0.0, 0.25, 1.0, presets.SQRT3, 2.5, 10.0, 100.0]
 
 
@@ -419,6 +478,7 @@ def test_every_export_resolves():
     ("simulator", "_apply_unitary"),
     ("simulator", "_pair_digits"),
     ("simulator", "state_from_json"),
+    ("simulator", "_act"),
     ("cli", "_compile_fixed_set"),
     ("cli", "_blockade_row"),
     ("compiler", "_dedup_key"),

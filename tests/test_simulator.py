@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensembleqc import gates, simulator
@@ -31,8 +31,11 @@ from ensembleqc.simulator import (
 from helpers import (
     apply_unitary,
     circuit_columns_reference,
+    circuit_steps,
     code_indices,
+    fused_reference,
     logical_circuit_matrix,
+    native_steps,
     physical_leakage,
     random_state,
     run_ops_reference,
@@ -234,6 +237,59 @@ class TestLeakage:
         assert stats.max_leakage == 0.0
 
 
+# Program layouts for the fusion oracle test: ("run", qubit, n) is n >= 6
+# single-qubit ops on one qubit, ("cnot", qubit, shift) a CNOT from the qubit
+# to another; qubits are taken modulo k.
+FUSION_SEGMENTS = st.one_of(
+    st.tuples(st.just("run"), st.integers(0, 3), st.integers(6, 9)),
+    st.tuples(st.just("cnot"), st.integers(0, 3), st.integers(1, 3)),
+)
+
+
+def layout_program(rng: np.random.Generator, k: int, layout) -> NativeProgram:
+    ops = []
+    for kind, qubit, n in layout:
+        qubit %= k
+        if kind == "run":
+            for _ in range(n):
+                if rng.random() < 0.5:
+                    ops.append(NativeOp(ISWAP_KIND, (qubit,), (float(rng.uniform(-np.pi, np.pi)),)))
+                else:
+                    angles = tuple(float(a) for a in rng.uniform(-np.pi, np.pi, size=2))
+                    ops.append(NativeOp(PHASE_KIND, (qubit,), angles))
+        elif k > 1:
+            ops.append(NativeOp(CISWAP_KIND, (qubit, (qubit + 1 + n % (k - 1)) % k)))
+    phase = complex(np.exp(1j * rng.uniform(-np.pi, np.pi)))
+    return NativeProgram(qubit_count=k, ops=ops, global_phase=phase)
+
+
+class TestFusion:
+    @given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           layout=st.lists(FUSION_SEGMENTS, max_size=6))
+    @example(k=1, seed=0, layout=[])  # no ops
+    @example(k=2, seed=1, layout=[("run", 0, 6), ("cnot", 0, 1)])  # only the control pending
+    @example(k=3, seed=2, layout=[("run", 2, 7), ("cnot", 0, 1)])  # only the target pending
+    @example(k=3, seed=3, layout=[("run", 1, 6), ("cnot", 1, 1), ("run", 1, 8), ("run", 0, 6)])
+    @settings(max_examples=40, deadline=None)
+    def test_fused_runs_match_physical_register(self, k, seed, layout):
+        # Long single-qubit runs, CNOTs next to them and empty programs
+        # against the 4^k register, one physical matrix per op, at the
+        # tolerance of the random-program oracle test.
+        rng = np.random.default_rng(seed)
+        program = layout_program(rng, k, layout)
+        bits = "".join(rng.choice(["0", "1"], size=k))
+        history = run_physical(program, bits)
+        if history:
+            expected = history[-1][code_indices(k)]
+        else:
+            expected = encode_basis(bits).amplitudes
+        final, stats = run_program(program, bits)
+        assert np.max(np.abs(final.amplitudes - expected * program.global_phase)) < 1e-12
+        assert np.max(np.abs(program_matrix(program)[:, int(bits[::-1], 2)]
+                             - final.amplitudes)) < 1e-12
+        assert stats.op_leakages == (0.0,) * len(program.ops)
+
+
 class TestMeasurement:
     def test_definite_outcome(self):
         outcome, collapsed = measure_logical(encode_basis("1"), 0, rng=0)
@@ -402,24 +458,49 @@ class TestKernelCache:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_runs_equal_per_op_reference(self, seed):
-        # Kernels shared across targets and across runs change no bit of any
-        # result: states, matrices, tracked phase and per-op leakage.
+        # Fusing single-qubit runs moves results in their last bits only:
+        # states, matrices and circuit matrices stay within 1e-13 of an
+        # op-by-op run, and the tracked phase and per-op leakage are exact.
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 5))
         program = pooled_native_program(rng, k, int(rng.integers(0, 24)))
         bits = "".join(rng.choice(["0", "1"], size=k))
         final, stats = run_program(program, bits)
         expected, leakages = run_ops_reference(program, encode_basis(bits).amplitudes)
-        # The phase goes on last, amplitudes times phase, in both functions:
-        # numpy's vectorized complex product can differ in the last bit when
-        # the operands swap (seen on AVX-512 hosts).
-        assert same_bits(final.amplitudes, expected * program.global_phase)
+        assert np.max(np.abs(final.amplitudes - expected * program.global_phase)) <= 1e-13
         assert stats.op_leakages == leakages
         assert stats.global_phase == program.global_phase
         matrix, _ = run_ops_reference(program, np.eye(2**k, dtype=complex))
+        assert np.max(np.abs(program_matrix(program) - matrix * program.global_phase)) <= 1e-13
+        circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
+        assert np.max(np.abs(circuit_matrix(circuit, k) - circuit_columns_reference(circuit, k))) <= 1e-13
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_runs_equal_fused_reference(self, seed):
+        # The one apply loop, its cached kernels and its slice-swap CNOT
+        # change no bit against the separately written fused loop: states,
+        # matrices, circuit matrices, and apply_op as a run of one op.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        program = pooled_native_program(rng, k, int(rng.integers(0, 24)))
+        bits = "".join(rng.choice(["0", "1"], size=k))
+        final, _ = run_program(program, bits)
+        # The phase goes on last, amplitudes times phase, in both functions:
+        # numpy's vectorized complex product can differ in the last bit when
+        # the operands swap (seen on AVX-512 hosts).
+        expected = fused_reference(native_steps(program), encode_basis(bits).amplitudes)
+        assert same_bits(final.amplitudes, expected * program.global_phase)
+        matrix = fused_reference(native_steps(program), np.eye(2**k, dtype=complex))
         assert same_bits(program_matrix(program), matrix * program.global_phase)
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
-        assert same_bits(circuit_matrix(circuit, k), circuit_columns_reference(circuit, k))
+        assert same_bits(circuit_matrix(circuit, k),
+                         fused_reference(circuit_steps(circuit), np.eye(2**k, dtype=complex)))
+        state = LogicalState(random_state(rng, 2**k))
+        for op in program.ops:
+            one = NativeProgram(qubit_count=k, ops=[op])
+            assert same_bits(apply_op(state, op).amplitudes,
+                             fused_reference(native_steps(one), state.amplitudes))
 
     def test_signed_zero_angles_get_their_own_kernels(self):
         simulator._kernel.cache_clear()
