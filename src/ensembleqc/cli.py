@@ -11,8 +11,9 @@ An input needing one array over ``MAX_ARRAY_BYTES``, or a sweep over
 ``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.
 
 Every command is deterministic given the config and seed; reports embed a
-hash of the resolved configuration.  Numeric output uses 12 significant
-digits so verification tolerances stay visible in logs.
+hash of the resolved configuration.  Text and CSV output give numbers to 12
+significant digits, so verification tolerances stay visible in logs; a JSON
+report writes each float's shortest round-trip text, as ``json`` does.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
+import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +45,12 @@ _FMT = "{:.12g}"
 MAX_ARRAY_BYTES = 2**28
 # Largest grid a sweep's "steps" may ask for.
 MAX_SWEEP_STEPS = 10**6
+# json's text of a finite float; NaN and the infinities are in _NONFINITE.
+_float_text = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Stands in for a long list of numbers while json lays out the rest of a
+# document; the list's texts are spliced in where it lands.
+_LIST_SLOT = "\ufdd0list\ufdd0"
 
 
 class UsageError(ValueError):
@@ -61,6 +68,12 @@ class SweepSpec:
     parameter: str
     values: tuple[float, ...]
 
+    @functools.cached_property
+    def texts(self) -> list[str]:
+        """json's text of each value, made once for the config hash and the
+        report column that holds the values."""
+        return _json_texts(self.values)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
         if not isinstance(raw, dict):
@@ -69,18 +82,22 @@ class SweepSpec:
         if not isinstance(parameter, str) or not parameter:
             raise UsageError("sweep needs a 'parameter' name")
         if "values" in raw:
-            values = tuple(float(v) for v in raw["values"])
-            if not values:
-                raise UsageError("sweep 'values' must be nonempty")
+            values = raw["values"]
+            if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
+                raise UsageError("sweep 'values' must be a nonempty JSON array of numbers")
+            values = tuple(map(float, values))
         else:
             try:
-                lo, hi, steps = float(raw["min"]), float(raw["max"]), int(raw["steps"])
+                lo, hi, steps = raw["min"], raw["max"], raw["steps"]
             except KeyError as missing:
                 raise UsageError(f"sweep is missing {missing}") from None
+            lo, hi = _json_number(lo, "sweep 'min'"), _json_number(hi, "sweep 'max'")
+            if type(steps) is not int:
+                raise UsageError(f"sweep 'steps' must be a JSON integer, got {steps!r}")
             if not 1 <= steps <= MAX_SWEEP_STEPS:
                 raise UsageError(f"sweep steps must be between 1 and {MAX_SWEEP_STEPS}, got {steps}")
             values = tuple(np.linspace(lo, hi, steps).tolist())
-        if not all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise UsageError("sweep values must be finite")
         return cls(parameter=parameter, values=values)
 
@@ -109,7 +126,17 @@ class ScenarioConfig:
         }
 
     def hash(self) -> str:
-        canonical = json.dumps(self.as_dict(), sort_keys=True)
+        """The first 16 hex digits of the sha256 of
+        ``json.dumps(self.as_dict(), sort_keys=True)``."""
+        raw = self.as_dict()
+        if self.sweep is None:
+            canonical = json.dumps(raw, sort_keys=True)
+        else:
+            # "sweep" sorts last and "values" last in it, so the slot is the
+            # last match, whatever the strings before it hold.
+            raw["sweep"]["values"] = _LIST_SLOT
+            head, _, tail = json.dumps(raw, sort_keys=True).rpartition(json.dumps(_LIST_SLOT))
+            canonical = "".join((head, "[", ", ".join(self.sweep.texts), "]", tail))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -148,6 +175,13 @@ def load_config(path: str | None, seed_override: int | None, out_override: str |
         raise UsageError(f"malformed config: {exc}") from None
 
 
+def _json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (not a bool or a string)."""
+    if type(value) not in (int, float):
+        raise UsageError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _overlay_config(raw: dict, seed_override: int | None, out_override: str | None) -> ScenarioConfig:
     base = default_config()
     params = base.physical_params
@@ -157,9 +191,7 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
     if "decoherence_params" in raw:
         d = raw["decoherence_params"]
         deco = decoherence.DecoherenceParams(
-            gamma_atomic=float(d["gamma_atomic"]),
-            gamma_cavity=float(d["gamma_cavity"]),
-            delta=float(d["delta"]),
+            **{name: _json_number(d[name], name) for name in ("gamma_atomic", "gamma_cavity", "delta")}
         )
     sweep = base.sweep
     if "sweep" in raw:
@@ -169,12 +201,17 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
             f"unknown sweep parameter {sweep.parameter!r}; expected one of "
             f"{sorted(_SWEEPABLE)}"
         )
-    seed = seed_override if seed_override is not None else int(raw.get("seed", base.seed))
+    seed = seed_override if seed_override is not None else raw.get("seed", base.seed)
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise UsageError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     out = out_override if out_override is not None else raw.get("output_dir", base.output_dir)
     if out is not None and not isinstance(out, str):
         raise UsageError("output_dir must be a string")
+    scenario = raw.get("scenario", base.scenario)
+    if not isinstance(scenario, str):
+        raise UsageError("scenario must be a string")
     return ScenarioConfig(
-        scenario=str(raw.get("scenario", base.scenario)),
+        scenario=scenario,
         physical_params=params,
         decoherence_params=deco,
         sweep=sweep,
@@ -214,31 +251,41 @@ def _latex_matrix(m: np.ndarray) -> str:
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
 
 
-# Stands in for the rows table while json lays out the rest of a report.
-_ROWS_SLOT = "\ufdd0rows\ufdd0"
+def _json_texts(values) -> list[str]:
+    """json's text of each float in the sequence ``values``."""
+    texts = list(map(_float_text, values))
+    if not math.isfinite(sum(values)):  # a sum of finite values may overflow too
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
 
 
-def _to_json(report: dict) -> str:
-    """``json.dumps(report, indent=2)``, byte for byte.
+def _column_texts(column: np.ndarray, texts_of) -> list[str]:
+    """``texts_of`` a 1-d array's values as a list; a broadcast (stride-0)
+    column is formatted once and repeated."""
+    if column.strides == (0,):
+        return texts_of(column[:1].tolist()) * len(column)
+    return texts_of(column.tolist())
+
+
+def _to_json(report: dict, columns: list | None = None) -> str:
+    """``json.dumps(report, indent=2)``, where given ``columns`` stand for the
+    report's ``"rows"`` table: ``[list(row) for row in zip(*columns)]``.
 
     ``indent`` makes json use its pure-Python encoder, which is slow on a long
-    ``rows`` table.  So a ``rows`` table of nonempty lists of ints and floats
-    is laid out here by ``str.join`` over json's compact text of it, from the
-    C encoder (``NaN`` and ``Infinity`` included, as json writes them), and
-    json lays out only the rest of the report.
+    table, so json lays out only the rest of the report.  Each column is a
+    1-d float array or a list of json's texts of its floats; each float is
+    formatted once, the table is one join and the report one more, since
+    each ``+`` on the table's text would copy it again.
     """
-    rows = report.get("rows")
-    if not (
-        type(rows) is list and rows and set(map(type, rows)) == {list} and all(rows)
-        and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}
-    ):
+    if columns is None:
         return json.dumps(report, indent=2)
-    # No number's text holds "," or "]", so the separators are the layout's.
-    cells = json.dumps(rows, separators=(",", ":"))[2:-2]
-    cells = cells.replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
-    head, _, tail = json.dumps({**report, "rows": _ROWS_SLOT}, indent=2).partition(
-        json.dumps(_ROWS_SLOT))
-    return "".join((head, "[\n    [\n      ", cells, "\n    ]\n  ]", tail))
+    texts = [c if type(c) is list else _column_texts(c, _json_texts) for c in columns]
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*texts)))
+    head, _, tail = json.dumps({**report, "rows": _LIST_SLOT}, indent=2).partition(
+        json.dumps(_LIST_SLOT))
+    if not rows:
+        return head + "[]" + tail
+    return "".join((head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail))
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -257,14 +304,16 @@ def _out_dir(config: ScenarioConfig) -> Path | None:
     return path
 
 
-def _write_csv(config: ScenarioConfig, name: str, header: str, rows, show: bool) -> None:
-    """Write the CSV text of ``rows`` to ``name`` in the output directory, if
-    any, then print it if ``show``; the text is built only when used."""
+def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, show: bool) -> None:
+    """Write the CSV text of the table with the 1-d array ``columns`` to
+    ``name`` in the output directory, if any, then print it if ``show``; the
+    text is built only when used, one column at a time."""
     out = _out_dir(config)
     if out is None and not show:
         return
-    lines = [header] + [",".join(_FMT.format(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    fmt = _FMT.format
+    texts = [_column_texts(c, lambda values: list(map(fmt, values))) for c in columns]
+    text = "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
     if out is not None:
         (out / name).write_text(text)
         print(f"wrote {out / name}")
@@ -348,26 +397,27 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     size = -(-len(ratios) // max(args.jobs, 1))
     chunks = [ratios[i:i + size] for i in range(0, len(ratios), size)]
 
-    def chunk_rows(chunk) -> np.ndarray:
+    def chunk_columns(chunk) -> np.ndarray:
         couplings = presets.rescaled_couplings(base, chunk)
         t_swap = np.pi / (2.0 * abs(couplings.s_coupling))
         c2 = dynamics.sector_propagator(couplings, 1, t_swap)[:, 1, 0]
         # |c2| as np.hypot, which equals the scalar abs (array np.abs does not).
-        return np.column_stack(
-            [chunk, dynamics.blockade_error(couplings), np.hypot(c2.real, c2.imag)])
+        return np.stack([dynamics.blockade_error(couplings), np.hypot(c2.real, c2.imag)])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(pool.map(chunk_rows, chunks))
+                parts = list(pool.map(chunk_columns, chunks))
         else:
-            parts = [chunk_rows(chunk) for chunk in chunks]
-    rows = np.concatenate(parts).tolist()
-    _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", rows,
-               show=not args.json)
+            parts = [chunk_columns(chunk) for chunk in chunks]
+    error, c2 = np.concatenate(parts, axis=1)
+    _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time",
+               [np.array(ratios), error, c2], show=not args.json)
     if args.json:
-        print(_to_json({"command": "blockade-sweep", "config_hash": config.hash(), "rows": rows}))
+        report = {"command": "blockade-sweep", "config_hash": config.hash(),
+                  "rows": None}  # laid out from the columns
+        print(_to_json(report, [config.sweep.texts, error, c2]))
     return EXIT_OK
 
 
@@ -519,39 +569,33 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
             values=tuple(np.linspace(0.0, 2.0 * boundary_gamma, 21).tolist()),
         )
 
-    gamma_a, gamma_c, t = deco.gamma_atomic, deco.gamma_cavity, t_gate
-    values = np.array(sweep.values)
-    if sweep.parameter == "gamma_atomic":
-        gamma_a = values
-    elif sweep.parameter == "gamma_cavity":
-        gamma_c = values
-    elif sweep.parameter == "time":
-        t = values
-    else:
+    # Columns: gamma_atomic, gamma_cavity, delta, t, fidelity, margin.
+    swept = {"gamma_atomic": 0, "gamma_cavity": 1, "time": 3}.get(sweep.parameter)
+    if swept is None:
         raise UsageError(f"fidelity cannot sweep {sweep.parameter!r}")
+    inputs = [deco.gamma_atomic, deco.gamma_cavity, deco.delta, t_gate]
+    inputs[swept] = np.array(sweep.values)
+    gamma_a, gamma_c, delta, t = inputs
     # One parameter set for the whole sweep, checked once.
-    d = decoherence.DecoherenceParams(gamma_atomic=gamma_a, gamma_cavity=gamma_c, delta=deco.delta)
+    d = decoherence.DecoherenceParams(gamma_atomic=gamma_a, gamma_cavity=gamma_c, delta=delta)
     fidelity = decoherence.iswap_fidelity(d, t)
     margin = decoherence.fault_tolerance_margin(d, t)
-    rows = np.column_stack(np.broadcast_arrays(
-        d.gamma_atomic, d.gamma_cavity, d.delta, t, fidelity, margin)).tolist()
+    columns = list(np.broadcast_arrays(*inputs, fidelity, margin))
     holds = margin >= 0.0
     frontier = (np.flatnonzero(holds[1:] != holds[:-1]) + 1).tolist()
     header = "gamma_atomic,gamma_cavity,delta,t,fidelity,margin"
-    _write_csv(config, "fidelity_sweep.csv", header, rows, show=not args.json)
+    _write_csv(config, "fidelity_sweep.csv", header, columns, show=not args.json)
     if args.json:
-        print(
-            _to_json(
-                {
-                    "command": "fidelity",
-                    "config_hash": config.hash(),
-                    "gate_time": t_gate,
-                    "omega_sigma": omega_sigma,
-                    "rows": rows,
-                    "frontier_rows": frontier,
-                }
-            )
-        )
+        report = {
+            "command": "fidelity",
+            "config_hash": config.hash(),
+            "gate_time": t_gate,
+            "omega_sigma": omega_sigma,
+            "rows": None,  # laid out from the columns
+            "frontier_rows": frontier,
+        }
+        columns[swept] = sweep.texts
+        print(_to_json(report, columns))
     else:
         print(f"# gate time {_FMT.format(t_gate)} s with exchange rate {_FMT.format(omega_sigma)} rad/s")
         for i in frontier:

@@ -7,11 +7,14 @@ register, op by op without the simulator's kernel cache, and through a
 separately written fused loop, two-level evolutions are cross-checked
 against eigendecompositions and a step-at-a-time integrator, the
 fixed-set search is checked against a node-at-a-time breadth-first
-search, and the sweep rows are checked against scalar arithmetic one row
-at a time.
+search, the sweep rows are checked against scalar arithmetic one row
+at a time, and the config hash against json's own canonical text.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -425,3 +428,10 @@ def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: floa
     else:
         fidelity = decay * cosh_squared
     return float(fidelity), float(1e-4 - (atomic + cavity))
+
+
+def config_hash_reference(config) -> str:
+    """``config_hash`` of a resolved config: the first 16 hex digits of the
+    sha256 of ``json.dumps(config.as_dict(), sort_keys=True)``."""
+    canonical = json.dumps(config.as_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]

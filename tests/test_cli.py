@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,12 @@ from hypothesis import strategies as st
 import ensembleqc
 from ensembleqc import cli, compiler, decoherence, dynamics, presets
 from ensembleqc.physical import PhysicalParams, derive_couplings
-from helpers import blockade_row_reference, fidelity_row_reference
+from helpers import (
+    blockade_row_reference,
+    config_hash_reference,
+    fidelity_row_reference,
+    random_resonant_params,
+)
 
 REFERENCE = json.loads(presets.reference_params().to_json())
 
@@ -103,6 +109,60 @@ ERROR_CASES = {
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1,
                               "steps": 10**15}}},
         ["--config", "c.json", "blockade-sweep"], 2),
+    # Config values are JSON-typed: no string, bool or object stands in for a
+    # number, and no fraction for an integer.
+    "sweep_values_string": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": "123"}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_bools": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [True, False]}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_one_bool": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, True]}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_numeric_string": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, "2"]}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_object": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": {"1": 2, "3": 4}}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_empty": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": []}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_null": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": None}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_steps_fraction": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1, "steps": 2.9}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_steps_string": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1, "steps": "3"}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_steps_bool": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1, "steps": True}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_min_string": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic", "min": "0", "max": 1, "steps": 3}}},
+        ["--config", "c.json", "fidelity"], 2),
+    "sweep_max_bool": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic", "min": 0, "max": True, "steps": 3}}},
+        ["--config", "c.json", "fidelity"], 2),
+    "decoherence_numeric_string": (
+        {"c.json": {"decoherence_params": {"gamma_atomic": "1e3", "gamma_cavity": 0.0,
+                                           "delta": 1e9}}},
+        ["--config", "c.json", "fidelity"], 2),
+    "decoherence_bool": (
+        {"c.json": {"decoherence_params": {"gamma_atomic": 0.0, "gamma_cavity": 0.0,
+                                           "delta": True}}},
+        ["--config", "c.json", "fidelity"], 2),
+    "seed_fraction": ({"c.json": {"seed": 1.5}}, ["--config", "c.json", "truth-table"], 2),
+    "seed_negative": ({"c.json": {"seed": -3}}, ["--config", "c.json", "truth-table"], 2),
+    "seed_two_to_the_64": ({"c.json": {"seed": 2**64}}, ["--config", "c.json", "truth-table"], 2),
+    "seed_string": ({"c.json": {"seed": "7"}}, ["--config", "c.json", "truth-table"], 2),
+    "seed_bool": ({"c.json": {"seed": True}}, ["--config", "c.json", "truth-table"], 2),
+    "seed_option_negative": ({}, ["--seed", "-1", "truth-table"], 2),
+    "scenario_list": ({"c.json": {"scenario": [1, 2]}}, ["--config", "c.json", "truth-table"], 2),
+    "scenario_number": ({"c.json": {"scenario": 5}}, ["--config", "c.json", "truth-table"], 2),
     "fixed_set_word_not_found": (
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--max-depth", "1", "c.txt"], 1),
     "blockade_tuning_violated": (
@@ -251,6 +311,118 @@ def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
     assert pools == [[2, 2], [3, 3], [len(RATIOS), len(RATIOS)]]
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_are_accepted(seed, tmp_path):
+    path = write(tmp_path / "c.json", {"seed": seed})
+    code, stdout, _ = run_cli(["--config", path, "--json", "truth-table"])
+    assert code == 0 and json.loads(stdout)["seed"] == seed
+    code, stdout, _ = run_cli(["--seed", str(seed), "--json", "truth-table"])
+    assert code == 0 and json.loads(stdout)["seed"] == seed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_blockade_sweep_report_equals_reference(seed, tmp_path):
+    # The whole --json report, byte for byte, from the scalar row reference
+    # and json's own layout.
+    rng = np.random.default_rng(90 + seed)
+    params = random_resonant_params(rng, ratio_max=10.0)
+    ratios = [presets.SQRT3] + (rng.uniform(0.0, 10.0, 40) * 10.0 ** rng.uniform(-3.0, 3.0, 40)).tolist()
+    path = write(tmp_path / "c.json", {
+        "physical_params": json.loads(params.to_json()),
+        "sweep": {"parameter": "pi_to_s_ratio", "values": ratios},
+        "seed": int(rng.integers(2**63)),
+    })
+    code, stdout, stderr = run_cli(["--config", path, "--json", "blockade-sweep"])
+    report = {
+        "command": "blockade-sweep",
+        "config_hash": config_hash_reference(cli.load_config(path, None, None)),
+        "rows": [list(blockade_row_reference(params, r)) for r in ratios],
+    }
+    assert (code, stderr) == (0, "")
+    assert stdout == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("parameter", ["gamma_atomic", "gamma_cavity", "time"])
+@pytest.mark.parametrize("seed", range(2))
+def test_fidelity_report_equals_reference(parameter, seed, tmp_path):
+    rng = np.random.default_rng(95 + seed)
+    params = random_resonant_params(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        couplings = derive_couplings(params)
+    t_gate = dynamics.iswap_schedule(couplings, math.pi / 2)
+    delta = float(10 ** rng.uniform(7.0, 9.0))
+    # Where each term alone spends the 1e-4 error budget; the constant terms
+    # spend at most a tenth of it each.
+    edge = {0: 1e-4 / (2.0 * t_gate), 1: 1e-4 * 2.0 * delta / math.pi}
+    inputs = [edge[0] * 10 ** rng.uniform(-3.0, -1.0), edge[1] * 10 ** rng.uniform(-3.0, -1.0),
+              delta, t_gate]
+    edge[3] = 1e-4 / (2.0 * inputs[0])
+    column = {"gamma_atomic": 0, "gamma_cavity": 1, "time": 3}[parameter]
+    # Values on both sides of the edge, in random order, so the report has
+    # frontier rows.
+    values = (edge[column] * 10.0 ** rng.uniform(-1.0, 1.0, 30)).tolist()
+    path = write(tmp_path / "c.json", {
+        "physical_params": json.loads(params.to_json()),
+        "decoherence_params": dict(zip(["gamma_atomic", "gamma_cavity", "delta"], inputs)),
+        "sweep": {"parameter": parameter, "values": values},
+        "seed": int(rng.integers(2**63)),
+    })
+    code, stdout, stderr = run_cli(["--config", path, "--json", "fidelity"])
+    rows = []
+    for value in values:
+        row = list(inputs)
+        row[column] = value
+        rows.append(row + list(fidelity_row_reference(*row)))
+    holds = [row[5] >= 0.0 for row in rows]
+    report = {
+        "command": "fidelity",
+        "config_hash": config_hash_reference(cli.load_config(path, None, None)),
+        "gate_time": t_gate,
+        "omega_sigma": abs(couplings.omega_cap_sigma),
+        "rows": rows,
+        "frontier_rows": [i for i in range(1, len(rows)) if holds[i] != holds[i - 1]],
+    }
+    assert report["frontier_rows"]
+    assert (code, stderr) == (0, "")
+    assert stdout == json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command, parameter, extra", [
+    ("blockade-sweep", "pi_to_s_ratio", 0),
+    ("fidelity", "gamma_atomic", 3),
+    ("fidelity", "time", 3),
+])
+def test_sweep_formats_each_number_once(command, parameter, extra, tmp_path, monkeypatch):
+    # A sweep of n values has 3n distinct numbers to write (fidelity adds its
+    # three constant columns): the sweep values, shared by the config hash and
+    # the table, and two computed columns.  A repeat, or a number formatted
+    # around the counted formatters, changes the count.
+    n = 50
+    values = np.random.default_rng(4).uniform(0.0, 1e-6, n).tolist()
+    path = write(tmp_path / "c.json", {"sweep": {"parameter": parameter, "values": values}})
+    counts = {"json": 0, "csv": 0}
+
+    def float_text(value):
+        counts["json"] += 1
+        return float.__repr__(value)
+
+    class CountingFormat:
+        def format(self, value, fmt=cli._FMT.format):
+            counts["csv"] += 1
+            return fmt(value)
+
+    monkeypatch.setattr(cli, "_float_text", float_text)
+    code, stdout, _ = run_cli(["--config", path, "--json", command])
+    assert code == 0 and len(json.loads(stdout)["rows"]) == n
+    assert counts == {"json": 3 * n + extra, "csv": 0}
+    monkeypatch.setattr(cli, "_FMT", CountingFormat())
+    counts["json"] = 0
+    code, stdout, _ = run_cli(["--config", path, command])
+    # The text output's fidelity header formats the gate time and the rate too.
+    assert code == 0 and counts == {"json": 0, "csv": 3 * n + extra + (2 if extra else 0)}
+
+
 @pytest.mark.parametrize("jobs", ["1", "3"])
 def test_blockade_rows_equal_scalar_reference(jobs, tmp_path):
     rng = np.random.default_rng(67)
@@ -335,45 +507,80 @@ def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
 
 # --- report JSON ---------------------------------------------------------------
 
-_NUMBER = (
-    st.integers(-(10**20), 10**20)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
-)
-_ROWS = st.lists(st.lists(_NUMBER, max_size=4), max_size=4) | st.lists(
-    st.lists(_NUMBER, min_size=1, max_size=6), min_size=1, max_size=12)
-_REPORTS = st.builds(
-    lambda head, rows, tail: {**head, "rows": rows, **tail},
-    st.dictionaries(st.sampled_from(["command", "config_hash", "gate_time"]),
-                    st.text(max_size=5) | _NUMBER, max_size=3),
-    _ROWS | st.lists(st.lists(_NUMBER | st.booleans() | st.none(), max_size=3), max_size=3),
-    st.dictionaries(st.sampled_from(["frontier_rows", "nested", "pass"]),
-                    st.lists(st.integers(0, 9), max_size=3) | st.just({"rows": [[1.0]]})
-                    | st.booleans(), max_size=3),
-)
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+_HEAD = st.dictionaries(st.sampled_from(["command", "config_hash", "gate_time"]),
+                        st.text(max_size=5) | _FLOAT | st.integers(), max_size=3)
+_TAIL = st.dictionaries(st.sampled_from(["frontier_rows", "nested", "pass"]),
+                        st.lists(st.integers(0, 9), max_size=3) | st.just({"rows": [[1.0]]})
+                        | st.booleans(), max_size=3)
 
 
-@settings(max_examples=150, deadline=None)
-@given(report=_REPORTS)
-def test_report_json_equals_indented_dumps(report):
+@st.composite
+def _table(draw, rows: st.SearchStrategy, cols: st.SearchStrategy):
+    """A table's float columns, and the same columns in the forms the writer
+    takes: an array, a broadcast (stride-0) array, or a list of json texts."""
+    n = draw(rows)
+    values, columns = [], []
+    for _ in range(draw(cols)):
+        form = draw(st.sampled_from(["array", "broadcast", "texts"]))
+        if form == "broadcast":
+            value = draw(_FLOAT)
+            values.append([value] * n)
+            columns.append(np.broadcast_arrays(value, np.empty(n))[0])
+        else:
+            values.append(draw(st.lists(_FLOAT, min_size=n, max_size=n)))
+            columns.append(np.array(values[-1], dtype=float) if form == "array"
+                           else [json.dumps(v) for v in values[-1]])
+    return values, columns
+
+
+_SHAPES = {
+    "1x1": (st.just(1), st.just(1)),
+    "1xn": (st.just(1), st.integers(2, 6)),
+    "nx1": (st.integers(2, 12), st.just(1)),
+    "nxm": (st.integers(2, 12), st.integers(2, 6)),
+    "0xm": (st.just(0), st.integers(1, 3)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), head=_HEAD, tail=_TAIL)
+def test_table_json_equals_indented_dumps(shape, data, head, tail):
+    values, columns = data.draw(_table(*_SHAPES[shape]))
+    report = {**head, "rows": None, **tail}
+    expected = json.dumps({**report, "rows": [list(r) for r in zip(*values)]}, indent=2)
+    assert cli._to_json(report, columns) == expected
+
+
+def test_report_json_without_a_table_is_indented_dumps():
+    report = {"command": "simulate", "stats": {"max_leakage": 5e-324, "norm_defect": -0.0},
+              "rows": [[1.0, math.nan]], "pass": True}
     assert cli._to_json(report) == json.dumps(report, indent=2)
 
 
-def test_report_json_lays_out_a_numeric_table_itself(monkeypatch):
-    rows = [[1.0, -0.0, math.inf], [5e-324, math.nan, -math.inf], [7, 1e308, -2]]
-    report = {"command": "fidelity", "rows": rows, "frontier_rows": [1]}
-    expected = json.dumps(report, indent=2)
-    indented = []
-    real_dumps = json.dumps
+def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:
+    return cli.load_config(write(tmp_path / "c.json", raw), None, None)
 
-    def spy(obj, **kwargs):
-        if "indent" in kwargs:
-            indented.append(obj)
-        return real_dumps(obj, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", spy)
-    assert cli._to_json(report) == expected
-    assert indented and all(obj.get("rows") is not rows for obj in indented)
+@pytest.mark.parametrize("raw", [
+    {},
+    {"sweep": None, "seed": 3},
+    {"sweep": {"parameter": "pi_to_s_ratio", "values": [-0.0, 5e-324, 1e308, 2, 0.1]}},
+    {"sweep": {"parameter": "gamma_atomic", "min": -0.0, "max": 1e308, "steps": 9}},
+    {"sweep": {"parameter": "time", "min": 5e-324, "max": 1e-6, "steps": 1}},
+    # A string that holds the hash's stand-in for the values list.
+    {"scenario": cli._LIST_SLOT, "output_dir": cli._LIST_SLOT},
+], ids=["default", "no_sweep", "explicit", "grid", "one_step", "slot_strings"])
+def test_config_hash_equals_reference(raw, tmp_path):
+    config = _config(tmp_path, raw)
+    assert config.hash() == config_hash_reference(config)
+
+
+def test_sweep_texts_are_made_once(tmp_path):
+    config = _config(tmp_path, {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.5, -0.0]}})
+    assert config.sweep.texts is config.sweep.texts == ["1.5", "-0.0"]
 
 
 # --- fuzzing -----------------------------------------------------------------
