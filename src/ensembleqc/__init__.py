@@ -44,12 +44,9 @@ from .dynamics import (
     extract_controlled_iswap,
     iswap_schedule,
     sector_propagator,
-    trajectory_to_csv,
 )
 from .gates import (
     Unitary,
-    controlled_iswap_ideal,
-    fredkin_classical,
     iswap,
     phase_distance,
     phase_gate,
@@ -96,7 +93,6 @@ __all__ = [
     "approximate_fixed_set",
     "blockade_error",
     "check_interference_condition",
-    "controlled_iswap_ideal",
     "decode",
     "derive_couplings",
     "effective_hamiltonian",
@@ -106,7 +102,6 @@ __all__ = [
     "evolve_numerical",
     "extract_controlled_iswap",
     "fault_tolerance_margin",
-    "fredkin_classical",
     "iswap",
     "iswap_fidelity",
     "iswap_schedule",
@@ -123,6 +118,5 @@ __all__ = [
     "sample_logical",
     "sector_propagator",
     "standard_gate",
-    "trajectory_to_csv",
     "verify_encoded_cnot",
 ]

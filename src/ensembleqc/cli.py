@@ -8,7 +8,9 @@ one place that maps errors to exit codes: :class:`VerificationError` gives 1,
 and ``ValueError`` (which includes :class:`UsageError` and every parse error)
 or ``OSError`` gives 2, each with a single ``error: ...`` line on stderr.
 An input needing one array over ``MAX_ARRAY_BYTES``, or a sweep over
-``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.
+``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.  A reader
+that closes stdout early (``| head``) is not an error: output stops, no
+``error:`` line is printed, and the exit code is the command's own verdict.
 
 Every command is deterministic given the config and seed; reports embed a
 hash of the resolved configuration.  Text and CSV output give numbers to 12
@@ -23,6 +25,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -288,12 +291,21 @@ def _to_json(report: dict, columns: list | None = None) -> str:
     return "".join((head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail))
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Write ``text`` to stdout and flush it.  If the reader has closed the
+    pipe, stdout is pointed at the null device instead, so the command still
+    runs to its own verdict and neither a later write nor the interpreter's
+    final flush fails."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(_to_json(report))
-    else:
-        for line in lines:
-            print(line)
+    _print(_to_json(report) if as_json else "\n".join(lines))
 
 
 def _out_dir(config: ScenarioConfig) -> Path | None:
@@ -316,9 +328,9 @@ def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, sh
     text = "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
     if out is not None:
         (out / name).write_text(text)
-        print(f"wrote {out / name}")
+        _print(f"wrote {out / name}")
     if show:
-        print(text, end="")
+        _print(text, end="")
 
 
 def cmd_truth_table(args, config: ScenarioConfig) -> int:
@@ -417,7 +429,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     if args.json:
         report = {"command": "blockade-sweep", "config_hash": config.hash(),
                   "rows": None}  # laid out from the columns
-        print(_to_json(report, [config.sweep.texts, error, c2]))
+        _print(_to_json(report, [config.sweep.texts, error, c2]))
     return EXIT_OK
 
 
@@ -447,33 +459,24 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         # Checked here too, so a circuit without a single-qubit gate, which
         # never reaches the search, cannot pass with a bad option.
         compiler._check_fixed_set_options(args.epsilon, args.max_depth)
-        names = [name for name, _ in circuit if name != "CNOT"]
-        details: list[dict] = []
-        searched: dict[str, compiler.FixedSetResult] = {}  # one search per gate name
+        found: dict[str, dict] = {}  # each gate name's report entry
 
-        def lower_fixed(u, target: int) -> compiler.NativeProgram:
-            name = names[len(details)]
-            if name not in searched:
-                searched[name] = compiler.approximate_fixed_set(
-                    u, epsilon=args.epsilon, max_depth=args.max_depth
-                )
-            result = searched[name]
+        def lower_fixed(name: str) -> compiler.NativeProgram:
+            result = compiler.approximate_fixed_set(
+                gates.standard_gate(name), epsilon=args.epsilon, max_depth=args.max_depth
+            )
             if not result.found:
                 raise VerificationError(
                     f"no fixed-set word within epsilon {args.epsilon:g} at "
                     f"max depth {args.max_depth} for gate {name}; best distance "
                     f"{result.distance:.3e}"
                 )
-            details.append({"gate": name, "depth": result.depth,
-                            "distance": result.distance, "word": list(result.word)})
-            return compiler.NativeProgram(
-                qubit_count=target + 1,
-                ops=[compiler.NativeOp(op.kind, (target,), op.angles)
-                     for op in result.program.ops],
-                global_phase=result.program.global_phase,
-            )
+            found[name] = {"gate": name, "depth": result.depth,
+                           "distance": result.distance, "word": list(result.word)}
+            return result.program
 
         program = compiler.lower_circuit(circuit, lower_1q=lower_fixed)
+        details = [found[name] for name, _ in circuit if name != "CNOT"]
         worst = max((d["distance"] for d in details), default=0.0)
         passed = worst <= args.epsilon
         report = {
@@ -595,11 +598,11 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
             "frontier_rows": frontier,
         }
         columns[swept] = sweep.texts
-        print(_to_json(report, columns))
+        _print(_to_json(report, columns))
     else:
-        print(f"# gate time {_FMT.format(t_gate)} s with exchange rate {_FMT.format(omega_sigma)} rad/s")
+        _print(f"# gate time {_FMT.format(t_gate)} s with exchange rate {_FMT.format(omega_sigma)} rad/s")
         for i in frontier:
-            print(f"# error-budget frontier between rows {i - 1} and {i}")
+            _print(f"# error-budget frontier between rows {i - 1} and {i}")
     return EXIT_OK
 
 

@@ -5,13 +5,14 @@ as at most three native operations ``[PHASE(gamma), ISWAP(-beta),
 PHASE(alpha)]`` (the sign on ISWAP absorbs the fact that its code-space
 restriction is an x rotation by minus the angle).  The logical CNOT lowers to
 a single controlled-swap operation.  :func:`lower_circuit` is the one
-lowering loop; its ``lower_1q`` argument picks how single-qubit gates lower.
-The alternative, used by ``compile --fixed-set``, approximates each gate with
-the shortest word over the fixed gates {ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)}
-(:func:`approximate_fixed_set`).  The breadth-first search tree over those
-words does not depend on the gate, so it is built once per depth limit as a
-cached table of products, and each search is one vectorized scan of the
-phase-invariant distance over the table.
+lowering loop: it lowers each single-qubit gate name once, through its
+``lower_1q`` argument, and moves the ops to each gate's target.  Besides the
+exact default, ``compile --fixed-set`` passes a lowering that approximates
+each gate with the shortest word over the fixed gates {ISWAP(pi/2),
+PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
+breadth-first search tree over those words does not depend on the gate, so
+it is built once per depth limit as a cached table of products, and each
+search is one vectorized scan of the phase-invariant distance over the table.
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase; the
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Unitary, as_matrix, _phase_align, rx, rz, standard_gate
+from .gates import as_matrix, _phase_align, rx, rz, standard_gate
 
 ISWAP_KIND = "ISWAP"
 PHASE_KIND = "PHASE"
@@ -214,27 +215,19 @@ def euler_decompose(u) -> EulerAngles:
 _ANGLE_EPS = 1e-12
 
 
-def lower_single_qubit(
-    u, target: int = 0, sign_convention: str = "matrix"
-) -> NativeProgram:
+def lower_single_qubit(u, target: int = 0) -> NativeProgram:
     """Lower a single-qubit gate to at most three native operations.
 
     Emits ``[PHASE(gamma), ISWAP(-beta), PHASE(alpha)]`` on the target pair
     (identity-angle operations dropped) with the Euler ``delta`` recorded as
-    the program's global phase.  ``sign_convention="matrix"`` targets the
-    ideal gate matrices; ``"extracted"`` flips the ISWAP angle sign for
-    compilation against the hardware-extracted swap, whose off-diagonal
-    carries the opposite sign.
+    the program's global phase.
     """
-    if sign_convention not in ("matrix", "extracted"):
-        raise ValueError(f"unknown sign convention {sign_convention!r}")
     angles = euler_decompose(u)
-    iswap_sign = -1.0 if sign_convention == "matrix" else 1.0
     ops: list[NativeOp] = []
     if abs(angles.gamma) > _ANGLE_EPS:
         ops.append(NativeOp(PHASE_KIND, (target,), (angles.gamma, 0.0)))
     if abs(angles.beta) > _ANGLE_EPS:
-        ops.append(NativeOp(ISWAP_KIND, (target,), (iswap_sign * angles.beta,)))
+        ops.append(NativeOp(ISWAP_KIND, (target,), (-angles.beta,)))
     if abs(angles.alpha) > _ANGLE_EPS:
         ops.append(NativeOp(PHASE_KIND, (target,), (angles.alpha, 0.0)))
     return NativeProgram(
@@ -245,29 +238,31 @@ def lower_single_qubit(
 
 
 @functools.lru_cache(maxsize=None)  # one entry per single-qubit name in SUPPORTED_GATES
-def _standard_lowering(name: str) -> tuple[tuple[NativeOp, ...], complex]:
-    """Ops on pair 0 and global phase of ``lower_single_qubit(standard_gate(name))``."""
-    program = lower_single_qubit(standard_gate(name))
-    return tuple(program.ops), program.global_phase
+def _standard_lowering(name: str) -> NativeProgram:
+    """``lower_single_qubit(standard_gate(name))``, shared by every call: read
+    it, never change it."""
+    return lower_single_qubit(standard_gate(name))
 
 
-def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
+def lower_circuit(
+    circuit, qubit_count: int | None = None, lower_1q=_standard_lowering
+) -> NativeProgram:
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
-    qubit indices.  Each single-qubit gate becomes
-    ``lower_1q(standard_gate(name), target=q)``, a program on pair ``q``
-    whose global phase is multiplied into the result, called once per gate.
-    The default is the exact Euler path :func:`lower_single_qubit`, which
-    runs once per gate name (cached) and whose ops are moved to each target,
-    so every gate of a name lowers to the same ops and phase.  Each CNOT
-    becomes one controlled-swap op.  Operation order preserves circuit
+    qubit indices.  ``lower_1q(name)`` lowers a single-qubit gate name to a
+    program on pair 0; it runs once per name, at the name's first gate.  Each
+    gate of that name gets the program's ops moved to its target, and its
+    global phase is multiplied into the result.  The default is the exact
+    Euler lowering :func:`lower_single_qubit` of :func:`standard_gate`.  Each
+    CNOT becomes one controlled-swap op.  Operation order preserves circuit
     semantics (first listed gate acts first).
     """
     ops: list[NativeOp] = []
     phase = 1.0 + 0.0j
     max_target = -1
-    retargeted: dict[tuple[str, int], tuple[tuple[NativeOp, ...], complex]] = {}
+    lowered: dict[str, NativeProgram] = {}
+    retargeted: dict[tuple[str, int], tuple[list[NativeOp], complex]] = {}
     for name, targets in circuit:
         targets = tuple(int(t) for t in targets)
         max_target = max(max_target, *targets) if targets else max_target
@@ -278,18 +273,14 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
         elif name in SUPPORTED_GATES:
             if len(targets) != 1:
                 raise ValueError(f"{name} takes one target, got {targets!r}")
-            if lower_1q is not None:
-                sub = lower_1q(standard_gate(name), target=targets[0])
-                sub_ops, sub_phase = sub.ops, sub.global_phase
-            else:
-                key = (name, targets[0])
-                if key not in retargeted:
-                    pair_ops, pair_phase = _standard_lowering(name)
-                    retargeted[key] = (
-                        tuple(NativeOp(op.kind, targets, op.angles) for op in pair_ops),
-                        pair_phase,
-                    )
-                sub_ops, sub_phase = retargeted[key]
+            key = (name, targets[0])
+            if key not in retargeted:
+                if name not in lowered:
+                    lowered[name] = lower_1q(name)
+                pair = lowered[name]
+                retargeted[key] = ([NativeOp(op.kind, targets, op.angles) for op in pair.ops],
+                                   pair.global_phase)
+            sub_ops, sub_phase = retargeted[key]
             ops.extend(sub_ops)
             phase *= sub_phase
         else:

@@ -21,7 +21,6 @@ At the swap time ``t = pi/(2|S|)`` the photon-free sector gives
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +76,12 @@ class StepSizeError(ValueError):
 
 @dataclass(frozen=True)
 class NodePairState:
-    """Amplitudes over the two node-excitation states for one photon sector.
-
-    ``n_pi_2`` is the second microcavity's photon number, pinned to zero by
-    the model's restriction.
-    """
+    """Amplitudes over the two node-excitation states for one photon sector."""
 
     c1: complex
     c2: complex
-    n_pi_2: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_pi_2 != 0:
-            raise ValueError("the second microcavity mode must stay in vacuum")
         if not (np.isfinite(complex(self.c1)) and np.isfinite(complex(self.c2))):
             raise ValueError("amplitudes must be finite")
 
@@ -345,7 +337,13 @@ def blockade_error(couplings: DerivedCouplings) -> float | np.ndarray:
 
 
 def iswap_schedule(couplings: DerivedCouplings, theta: float) -> float:
-    """Evolution time for a swap rotation by ``theta``: t = theta / |S|."""
+    """Evolution time for a swap rotation by ``theta``: t = theta / |S|.
+
+    ``theta`` is the mixing angle ``|S| t`` of the photon-free sector, not
+    the angle of a native ``ISWAP`` op: at this time the n=0 rotating-frame
+    propagator equals ``restrict_to_logical(gates.iswap(-2 theta))`` up to
+    global phase (real positive S, on resonance), not ``iswap(-theta)``.
+    """
     s = abs(couplings.s_coupling)
     if s == 0.0:
         raise ValueError("swap coupling S is zero; no rotation is possible")
@@ -399,27 +397,3 @@ def extract_controlled_iswap(
     m[2:, 2:] = rel_phase * core1
     return Unitary(m)
 
-
-def trajectory_to_csv(result: EvolutionResult, file) -> None:
-    """Write a sampled trajectory as CSV.
-
-    Columns: t, Re c1, Im c1, Re c2, Im c2, norm.  The sector and frame go
-    into a leading comment line.
-    """
-    if result.times is None or result.trajectory is None:
-        raise ValueError("evolution result carries no trajectory; pass samples > 0")
-    file.write(f"# sector={result.sector} frame={result.frame}\n")
-    writer = csv.writer(file)
-    writer.writerow(["t", "re_c1", "im_c1", "re_c2", "im_c2", "norm"])
-    for ti, (c1, c2) in zip(result.times, result.trajectory):
-        norm = np.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
-        writer.writerow(
-            [
-                f"{ti:.12g}",
-                f"{c1.real:.12g}",
-                f"{c1.imag:.12g}",
-                f"{c2.real:.12g}",
-                f"{c2.imag:.12g}",
-                f"{norm:.12g}",
-            ]
-        )

@@ -14,8 +14,10 @@ Rotations use the standard convention::
 
 With this convention the code-space restriction of ``iswap(t)`` equals
 ``R_x(-t)``.  The hardware-extracted swap (see :mod:`ensembleqc.dynamics`)
-carries ``-i`` off-diagonal entries, i.e. ``iswap(-pi)`` in this convention;
-the compiler absorbs the sign when emitting native operations.
+carries ``-i`` off-diagonal entries, i.e. ``iswap(-pi)`` in this convention.
+No pass maps the extracted gate onto the native ops yet; the compiler and
+the simulator assume the ideal gates here (see the ROADMAP.md item that
+closes the loop from physics to logic).
 
 Global phases are kept explicit everywhere so that phase-sensitive gate
 identities can be checked as exact matrix equalities.
@@ -37,7 +39,8 @@ LEAKAGE_INDICES = (0, 3)
 # Register-level controlled swap on (control, target first, target second),
 # basis index ``4*control + 2*first + second``: control 1 exchanges the two
 # target qubits, so on dual-rail pairs one application is the logical CNOT.
-# Unlike :func:`controlled_iswap_ideal` it carries no -i entries.
+# Unlike the hardware-extracted gate of :mod:`ensembleqc.dynamics` it carries
+# no -i entries.
 CONTROLLED_SWAP = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
 CONTROLLED_SWAP.setflags(write=False)
 
@@ -81,15 +84,6 @@ class Unitary:
 
     def unitarity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(self.dim))))
-
-    def __matmul__(self, other: "Unitary") -> "Unitary":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Unitary(self.matrix @ other.matrix)
-
-    def __rmul__(self, phase: complex) -> "Unitary":
-        # Unitarity validation rejects anything but a unit-modulus scalar.
-        return Unitary(complex(phase) * self.matrix)
 
     def __repr__(self) -> str:
         return f"Unitary(dim={self.dim})"
@@ -140,23 +134,6 @@ def phase_gate(theta: float, phi: float | None = None) -> Unitary:
     pre = np.exp(0.5j * phi)
     diag = [np.exp(-0.5j * phi), np.exp(-0.5j * theta), np.exp(0.5j * theta), np.exp(0.5j * phi)]
     return Unitary(pre * np.diag(diag))
-
-
-def controlled_iswap_ideal() -> Unitary:
-    """Ideal photon-controlled swap on (control qubit) x (target pair), 8x8.
-
-    Control ``|0>`` (no blocking photon) applies the full swap with ``-i``
-    entries on the pair's code space, matching the dynamics extraction;
-    control ``|1>`` applies the identity, with the physical diagonal phase
-    normalized to 1 (the compiler owns the phase correction for extracted
-    gates).  Basis index is ``4*control + 2*q_first + q_second``.
-    """
-    swap_branch = np.eye(4, dtype=complex)
-    swap_branch[1, 1] = swap_branch[2, 2] = 0.0
-    swap_branch[1, 2] = swap_branch[2, 1] = -1j
-    m = np.eye(8, dtype=complex)
-    m[:4, :4] = swap_branch
-    return Unitary(m)
 
 
 _STANDARD = {
@@ -259,20 +236,10 @@ def phase_distance(a, b) -> float:
     return float(_phase_align(as_matrix(a), as_matrix(b)[None])[0][0])
 
 
-def phase_alignment(a, b) -> complex:
-    """The unit scalar ``exp(i phi)`` minimizing ``max|a - exp(i phi) b|``."""
-    phi = float(_phase_align(as_matrix(a), as_matrix(b)[None])[1][0])
-    return complex(np.exp(1j * phi))
-
-
 def matrix_to_json(u) -> list:
     """Row-major nested lists of [re, im] pairs."""
     m = as_matrix(u)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 @dataclass(frozen=True)
@@ -330,30 +297,3 @@ def verify_encoded_cnot(samples: int = 100, seed: int = 7) -> EncodedCnotReport:
         alphas /= np.linalg.norm(alphas)
         check(alphas)
     return EncodedCnotReport(max_deviation=worst, cases=cases, passed=worst < 1e-12)
-
-
-def fredkin_classical(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Controlled swap on classical bits: control ``a`` exchanges ``b, c``."""
-    for bit in (a, b, c):
-        if bit not in (0, 1):
-            raise ValueError(f"expected bits 0 or 1, got {bit!r}")
-    if a:
-        return a, c, b
-    return a, b, c
-
-
-def fredkin_not(a: int) -> int:
-    """NOT via controlled swap with ancilla targets (0, 1): third output."""
-    return fredkin_classical(a, 0, 1)[2]
-
-
-def fredkin_and(a: int, b: int) -> int:
-    """AND via controlled swap with ancilla 0 as the second target."""
-    return fredkin_classical(a, b, 0)[2]
-
-
-def fredkin_fanout(a: int) -> tuple[int, int]:
-    """FANOUT via controlled swap with ancilla targets (1, 0): the control
-    line and the third output both carry ``a``."""
-    out = fredkin_classical(a, 1, 0)
-    return out[0], out[2]

@@ -42,8 +42,7 @@ class PhysicalParams:
     (complex values allowed).  ``omega_0`` is the bare atomic working
     frequency, ``omega_1``/``omega_2`` the effective node frequencies, and
     ``omega_sigma``/``omega_pi_*`` the mode frequencies.  The four detunings
-    are stored explicitly because the model treats them as independent knobs;
-    :func:`detunings_from_frequencies` derives the conventional values.
+    are stored explicitly because the model treats them as independent knobs.
     """
 
     n_atoms_1: int
@@ -114,15 +113,6 @@ class PhysicalParams:
                 raise ValueError(f"{f.name} must be a number or a [re, im] pair of numbers")
             kwargs[f.name] = value
         return cls(**kwargs)
-
-
-def detunings_from_frequencies(
-    omega_0: float, omega_sigma: float, omega_pi_1: float, omega_pi_2: float
-) -> tuple[float, float, float, float]:
-    """Detunings (sigma_1, sigma_2, pi_1, pi_2) as atom minus mode frequency,
-    with both nodes sharing the working frequency ``omega_0``."""
-    ds = omega_0 - omega_sigma
-    return ds, ds, omega_0 - omega_pi_1, omega_0 - omega_pi_2
 
 
 def _check_sector(n: int) -> int:

@@ -86,12 +86,6 @@ def blockade_tuned_params(
     return _resonant_params(n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_0, omega_1)
 
 
-def perfect_blockade_params(**kwargs) -> PhysicalParams:
-    """Blockade-tuned set at the sqrt(3) operating point, where one photon
-    freezes the swap exactly at the gate time."""
-    return blockade_tuned_params(SQRT3, **kwargs)
-
-
 def reference_params() -> PhysicalParams:
     """Headline operating point: 10^4-atom nodes, MHz-scale shared-cavity
     coupling, and a ~10 ns full swap.

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ensembleqc
-from ensembleqc import cli, compiler, decoherence, dynamics, presets
+from ensembleqc import cli, compiler, decoherence, dynamics, gates, presets
 from ensembleqc.physical import PhysicalParams, derive_couplings
 from helpers import (
     blockade_row_reference,
@@ -186,15 +186,20 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
 def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
     # The fixed-set path lowers through lower_circuit: CNOTs stay single
     # controlled swaps and every single-qubit gate reports its own word,
-    # while each gate name is searched once.
-    searched = []
-    search = compiler.approximate_fixed_set
+    # while each gate name is built and searched once.
+    built, searched = [], []
+    standard_gate, search = gates.standard_gate, compiler.approximate_fixed_set
 
-    def spy(u, **options):
+    def gate_spy(name):
+        built.append(name)
+        return standard_gate(name)
+
+    def search_spy(u, **options):
         searched.append(u)
         return search(u, **options)
 
-    monkeypatch.setattr(compiler, "approximate_fixed_set", spy)
+    monkeypatch.setattr(gates, "standard_gate", gate_spy)
+    monkeypatch.setattr(compiler, "approximate_fixed_set", search_spy)
     circuit = write(tmp_path / "c.txt", "T 1\nCNOT 1 0\nH 0\nT 0\nH 1\n")
     code, stdout, _ = run_cli(["--json", "compile", "--fixed-set", circuit])
     report = json.loads(stdout)
@@ -202,7 +207,9 @@ def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
     assert [g["gate"] for g in report["gates"]] == ["T", "H", "T", "H"]
     assert report["gates"][2:] == report["gates"][:2]
     assert report["op_count"] == 1 + sum(g["depth"] for g in report["gates"])
+    assert built == ["T", "H"]
     assert len(searched) == 2
+    assert all(np.array_equal(u.matrix, standard_gate(n).matrix) for u, n in zip(searched, built))
 
 
 # --- success output ------------------------------------------------------------
@@ -235,6 +242,53 @@ def test_simulate_and_compile_report_success(k, tmp_path):
     assert (code, stderr, report["pass"]) == (0, "", True)
     assert report["op_count"] == op_count
     assert report["equivalence_error"] < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_truth_table_report_at_sqrt3(seed, tmp_path):
+    rng = np.random.default_rng(90 + seed)
+    params = presets.blockade_tuned_params(
+        presets.SQRT3,
+        s_coupling=float(rng.uniform(0.5, 2.0)),
+        n_atoms_1=int(rng.integers(1, 7)),
+        n_atoms_2=int(rng.integers(1, 7)),
+        omega_1=float(rng.uniform(-2.0, 2.0)),
+        dispersive_margin=float(rng.uniform(150.0, 400.0)),
+    )
+    path = write(tmp_path / "c.json", {"physical_params": json.loads(params.to_json()), "seed": seed})
+    code, stdout, stderr = run_cli(["--config", path, "--json", "truth-table"])
+    report = json.loads(stdout)
+    assert (code, stderr, report["pass"]) == (0, "", True)
+    assert report["max_deviation"] < report["tolerance"]
+    config = cli.load_config(path, None, None)
+    expected = dynamics.extract_controlled_iswap(derive_couplings(config.physical_params)).matrix
+    pairs = np.array(report["matrix"])
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expected)
+    assert report["config_hash"] == config_hash_reference(config)
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["--json", "fidelity"], 0),
+    (["fidelity"], 0),
+    (["truth-table"], 0),
+    (["--json", "compile", "c.txt"], 0),
+    (["--config", "c.json", "truth-table", "--force"], 1),
+])
+def test_closed_stdout_is_not_an_error(argv, verdict, tmp_path):
+    # The reader has left before the child writes: no error line, and the
+    # exit code is the command's own verdict, not a usage error.
+    write(tmp_path / "c.txt", "H 0\nCNOT 0 1\nT 1\n")
+    write(tmp_path / "c.json", {"physical_params": json.loads(presets.blockade_tuned_params(1.0).to_json())})
+    src = str(Path(ensembleqc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ensembleqc", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (verdict, b"")
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, monkeypatch):
@@ -693,6 +747,16 @@ def test_every_export_resolves():
     ("cli", "_logical_equivalence_error"),
     ("physical", "check_resonance_condition"),
     ("decoherence", "gate_time"),
+    ("gates", "fredkin_classical"),
+    ("gates", "fredkin_not"),
+    ("gates", "fredkin_and"),
+    ("gates", "fredkin_fanout"),
+    ("gates", "controlled_iswap_ideal"),
+    ("gates", "phase_alignment"),
+    ("gates", "matrix_from_json"),
+    ("dynamics", "trajectory_to_csv"),
+    ("physical", "detunings_from_frequencies"),
+    ("presets", "perfect_blockade_params"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(getattr(ensembleqc, module), name)
@@ -701,3 +765,7 @@ def test_removed_names_are_gone(module, name):
 
 def test_detuning_split_is_gone():
     assert not hasattr(ensembleqc.DerivedCouplings, "detuning_split")
+
+
+def test_n_pi_2_is_gone():
+    assert not hasattr(ensembleqc.NodePairState, "n_pi_2")

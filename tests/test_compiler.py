@@ -132,15 +132,6 @@ class TestLowerSingleQubit:
             replay = program_logical_matrix(lower_single_qubit(u))
             assert np.max(np.abs(replay - u)) < 1e-9
 
-    def test_extracted_convention_flips_swap_angle(self):
-        matrix = lower_single_qubit(standard_gate("X"), sign_convention="matrix")
-        hardware = lower_single_qubit(standard_gate("X"), sign_convention="extracted")
-        assert matrix.ops[0].angles[0] == -hardware.ops[0].angles[0]
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError, match="sign convention"):
-            lower_single_qubit(np.eye(2), sign_convention="upside-down")
-
 
 class TestLowerCircuit:
     def test_cnot_is_one_native_op(self):
@@ -196,21 +187,22 @@ class TestLowerCircuit:
             assert np.array([program.global_phase]).tobytes() == np.array([phase]).tobytes()
 
     def test_single_qubit_lowering_argument(self):
-        # Each single-qubit gate goes through lower_1q with its matrix and
-        # target; CNOTs and the phase bookkeeping stay in lower_circuit.
+        # lower_1q runs once per gate name and returns a pair-0 program; its
+        # ops land on each gate's target and its phase counts once per gate.
         seen = []
 
-        def lower_1q(u, target):
-            seen.append((u.matrix.copy(), target))
-            op = NativeOp(PHASE_KIND, (target,), (0.5, 0.0))
-            return NativeProgram(qubit_count=target + 1, ops=[op], global_phase=1j)
+        def lower_1q(name):
+            seen.append(name)
+            op = NativeOp(PHASE_KIND, (0,), (0.5, 0.0))
+            return NativeProgram(qubit_count=1, ops=[op], global_phase=1j)
 
-        program = lower_circuit([("H", (1,)), ("CNOT", (1, 0)), ("T", (0,))], lower_1q=lower_1q)
-        assert [t for _, t in seen] == [1, 0]
-        assert np.array_equal(seen[0][0], standard_gate("H").matrix)
-        assert [op.kind for op in program.ops] == [PHASE_KIND, CISWAP_KIND, PHASE_KIND]
-        assert program.global_phase == -1.0
-        assert program.qubit_count == 2
+        circuit = [("H", (1,)), ("CNOT", (1, 0)), ("T", (0,)), ("H", (2,)), ("T", (0,))]
+        program = lower_circuit(circuit, lower_1q=lower_1q)
+        assert seen == ["H", "T"]
+        assert [op.targets for op in program.ops] == [(1,), (1, 0), (0,), (2,), (0,)]
+        assert [op.kind for op in program.ops] == [PHASE_KIND, CISWAP_KIND] + [PHASE_KIND] * 3
+        assert program.global_phase == 1.0
+        assert program.qubit_count == 3
 
 
 class TestNativeProgram:

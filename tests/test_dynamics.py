@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import warnings
 
 import numpy as np
@@ -22,8 +21,8 @@ from ensembleqc.dynamics import (
     extract_controlled_iswap,
     iswap_schedule,
     sector_propagator,
-    trajectory_to_csv,
 )
+from ensembleqc.gates import iswap, phase_distance, restrict_to_logical
 from ensembleqc.physical import DerivedCouplings, derive_couplings, effective_hamiltonian
 from helpers import (
     blockade_row_reference,
@@ -43,14 +42,10 @@ def resonant():
 
 @pytest.fixture(scope="module")
 def tuned():
-    return derive_couplings(presets.perfect_blockade_params())
+    return derive_couplings(presets.blockade_tuned_params(presets.SQRT3))
 
 
 class TestNodePairState:
-    def test_second_microcavity_pinned_to_vacuum(self):
-        with pytest.raises(ValueError, match="vacuum"):
-            NodePairState(1.0, 0.0, n_pi_2=1)
-
     def test_norm(self):
         assert abs(NodePairState(0.6, 0.8j).norm() - 1.0) < 1e-15
 
@@ -320,7 +315,7 @@ def _ratio_cases():
         delta_pi_1=-0.7 * reference.delta_pi_1, omega_2=reference.omega_2 + 1.0e7, omega_1=12.5,
     )
     return [
-        (presets.perfect_blockade_params(n_atoms_1=3, n_atoms_2=7, omega_1=0.3), ratios),
+        (presets.blockade_tuned_params(presets.SQRT3, n_atoms_1=3, n_atoms_2=7, omega_1=0.3), ratios),
         (presets.blockade_tuned_params(0.4, s_coupling=2.5e8, n_atoms_1=10_000, n_atoms_2=9),
          ratios),
         (reference, ratios),
@@ -372,7 +367,7 @@ class TestRatioStacks:
 
     def test_stack_with_times(self, tuned):
         # A stack of n coupling sets and m times broadcast like any numpy operands.
-        stack = presets.rescaled_couplings(presets.perfect_blockade_params(), [0.5, 1.0, 2.0])
+        stack = presets.rescaled_couplings(presets.blockade_tuned_params(presets.SQRT3), [0.5, 1.0, 2.0])
         times = np.linspace(0.0, 3.0, 4)[:, None]
         got = sector_propagator(stack, 1, times)
         assert got.shape == (4, 3, 2, 2)
@@ -430,6 +425,20 @@ class TestIswapSchedule:
         assert abs(result.state.c1 - (-1.0)) < 1e-12
         assert abs(result.state.c2) < 1e-12
 
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 2, 2.1])
+    def test_angle_is_half_the_native_iswap_angle(self, theta):
+        # At iswap_schedule(c, theta) the photon-free sector has turned by
+        # iswap(-2 theta), not by the native op angle iswap(-theta).
+        rng = np.random.default_rng(23)
+        for params in [presets.reference_params()] + [random_resonant_params(rng) for _ in range(6)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # reference_params is outside the dispersive window
+                couplings = derive_couplings(params)
+            t = iswap_schedule(couplings, theta)
+            u = sector_propagator(couplings, 0, t, frame=FRAME_ROTATING)
+            assert phase_distance(u, restrict_to_logical(iswap(-2.0 * theta))) < 1e-11
+            assert phase_distance(u, restrict_to_logical(iswap(-theta))) > 0.1
+
     def test_rejects_zero_coupling(self):
         couplings = derive_couplings(
             dataclasses.replace(presets.blockade_tuned_params(1.0), g_sigma_2=0.0)
@@ -471,21 +480,3 @@ class TestGateExtraction:
         u = extract_controlled_iswap(resonant, enforce_condition=False)
         assert u.unitarity_defect() < 1e-12
 
-
-class TestTrajectoryExport:
-    def test_csv_layout(self, tuned):
-        result = evolve_closed_form(tuned, 1, 1.5, EXCITED, samples=8)
-        buffer = io.StringIO()
-        trajectory_to_csv(result, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "# sector=1 frame=lab"
-        assert lines[1] == "t,re_c1,im_c1,re_c2,im_c2,norm"
-        assert len(lines) == 2 + 9
-        last = lines[-1].split(",")
-        assert float(last[0]) == 1.5
-        assert abs(float(last[5]) - 1.0) < 1e-10
-
-    def test_requires_samples(self, tuned):
-        result = evolve_closed_form(tuned, 0, 1.0, EXCITED)
-        with pytest.raises(ValueError, match="samples"):
-            trajectory_to_csv(result, io.StringIO())

@@ -12,7 +12,6 @@ from ensembleqc.physical import (
     _intra_node_shift,
     check_interference_condition,
     derive_couplings,
-    detunings_from_frequencies,
     effective_hamiltonian,
 )
 from helpers import random_resonant_params
@@ -87,10 +86,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="object"):
             PhysicalParams.from_json("3")
 
-    def test_detunings_from_frequencies(self):
-        ds1, ds2, dp1, dp2 = detunings_from_frequencies(1000.0, 950.0, 1050.0, 1100.0)
-        assert (ds1, ds2, dp1, dp2) == (50.0, 50.0, -50.0, -100.0)
-
 
 class TestDeriveCouplings:
     def test_coupling_off_forces_zero(self):
@@ -100,7 +95,7 @@ class TestDeriveCouplings:
         assert couplings.kappa(0) == 0.0
 
     def test_sqrt3_tuning_gives_kappa_two_s(self):
-        couplings = derive_couplings(presets.perfect_blockade_params())
+        couplings = derive_couplings(presets.blockade_tuned_params(presets.SQRT3))
         s = abs(couplings.s_coupling)
         assert abs(couplings.kappa(1) - 2.0 * s) < 1e-12 * s
         assert couplings.kappa(0) == s
@@ -276,7 +271,7 @@ class TestEffectiveHamiltonian:
 
     def test_splitting_values_on_resonance(self):
         # n = 0 resonant: splitting 2|S|; n = 1 at sqrt(3): splitting 4|S|.
-        couplings = derive_couplings(presets.perfect_blockade_params())
+        couplings = derive_couplings(presets.blockade_tuned_params(presets.SQRT3))
         s = abs(couplings.s_coupling)
         h0 = effective_hamiltonian(couplings, 0)
         h0 -= np.eye(2) * np.trace(h0) / 2.0
