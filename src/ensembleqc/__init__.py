@@ -54,7 +54,6 @@ from .gates import (
     rx,
     rz,
     standard_gate,
-    verify_encoded_cnot,
 )
 from .physical import (
     DerivedCouplings,
@@ -66,7 +65,6 @@ from .physical import (
 from .simulator import (
     LogicalState,
     RunStats,
-    apply_op,
     decode,
     encode_basis,
     measure_logical,
@@ -89,7 +87,6 @@ __all__ = [
     "PhysicalParams",
     "RunStats",
     "Unitary",
-    "apply_op",
     "approximate_fixed_set",
     "blockade_error",
     "check_interference_condition",
@@ -118,5 +115,4 @@ __all__ = [
     "sample_logical",
     "sector_propagator",
     "standard_gate",
-    "verify_encoded_cnot",
 ]

@@ -43,8 +43,8 @@ EXIT_USAGE = 2
 
 _FMT = "{:.12g}"
 # Largest array a command may allocate, in bytes (16 per complex amplitude):
-# 2^k amplitudes to simulate k logical qubits, 4^k for the compile check's
-# unitaries and for a written state.json.
+# 2^k amplitudes to simulate k logical qubits, and to write them as
+# state.json, 4^k for the compile check's unitaries.
 MAX_ARRAY_BYTES = 2**28
 # Largest grid a sweep's "steps" may ask for.
 MAX_SWEEP_STEPS = 10**6
@@ -146,7 +146,7 @@ class ScenarioConfig:
 _SWEEPABLE = {"pi_to_s_ratio", "gamma_atomic", "gamma_cavity", "time"}
 
 
-def default_config(seed: int = 0) -> ScenarioConfig:
+def default_config() -> ScenarioConfig:
     """Built-in reference scenario with the canonical blockade-ratio grid."""
     return ScenarioConfig(
         scenario="reference",
@@ -157,7 +157,7 @@ def default_config(seed: int = 0) -> ScenarioConfig:
             values=(0.0, presets.SQRT3, 10.0, 100.0),
         ),
         output_dir=None,
-        seed=seed,
+        seed=0,
     )
 
 
@@ -334,6 +334,10 @@ def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, sh
 
 
 def cmd_truth_table(args, config: ScenarioConfig) -> int:
+    tol = args.tol
+    # A tolerance that no deviation can pass is a usage error, not a failure.
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tol must be positive and finite, got {tol!r}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         couplings = derive_couplings(config.physical_params)
@@ -341,15 +345,13 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     interference = check_interference_condition(config.physical_params)
     resonance = couplings.resonance_residual()
     deviation_from_tuning = dynamics.blockade_condition_deviation(couplings)
-    if deviation_from_tuning > 1e-9 and not args.force:
+    if deviation_from_tuning > dynamics.BLOCKADE_CONDITION_TOL and not args.force:
         raise VerificationError(
             "blockade tuning |Omega_1^(pi)| = sqrt(3)|S| violated "
             f"(relative deviation {deviation_from_tuning:.3e}); rerun with --force"
         )
     gate = dynamics.extract_controlled_iswap(couplings, enforce_condition=False)
     m = gate.matrix
-
-    tol = args.tol
     deviations = {
         "n0_diag": max(abs(m[0, 0]), abs(m[1, 1])),
         "n0_offdiag_vs_minus_i": max(abs(m[0, 1] + 1j), abs(m[1, 0] + 1j)),
@@ -404,9 +406,10 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     ratios = config.sweep.values
     base = config.physical_params
     # At most one contiguous chunk of ratios per worker, each one array call;
-    # --jobs below 2 runs serially.  Every row is computed on its own, so the
-    # output does not depend on the split.
-    size = -(-len(ratios) // max(args.jobs, 1))
+    # the workers are capped at the CPU count, and --jobs below 2 runs
+    # serially.  Every row is computed on its own, so the output does not
+    # depend on the split.
+    size = -(-len(ratios) // max(min(args.jobs, os.cpu_count() or 1), 1))
     chunks = [ratios[i:i + size] for i in range(0, len(ratios), size)]
 
     def chunk_columns(chunk) -> np.ndarray:
@@ -512,7 +515,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
         program = compiler.NativeProgram.from_json(Path(args.program).read_text())
     else:
         program = compiler.lower_circuit(compiler.parse_circuit(Path(args.circuit).read_text()))
-    _check_budget(program.qubit_count, 2 if config.output_dir is None else 4, "simulate")
+    _check_budget(program.qubit_count, 2, "simulate")
     initial = args.initial if args.initial is not None else "0" * program.qubit_count
     state, stats = simulator.run_program(program, initial)
     max_leak = stats.max_leakage
@@ -629,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blockade-sweep", help="blockade error vs pi-coupling ratio")
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads, one contiguous chunk of ratios each; rows are computed as "
-             "arrays and the output does not depend on --jobs",
+        help="worker threads, at most the CPU count, one contiguous chunk of ratios each; "
+             "rows are computed as arrays and the output does not depend on --jobs",
     )
     p.set_defaults(func=cmd_blockade_sweep)
 
@@ -641,7 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=8, help="fixed-set search depth limit")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("simulate", help="run a native program or circuit file")
+    p = sub.add_parser(
+        "simulate", help="run a native program or circuit file",
+        epilog="With --out, state.json holds the final state's 2^k logical amplitudes as "
+               "[re, im] pairs; logical qubit j is bit j of the index.",
+    )
     p.add_argument("--program", help="native program JSON")
     p.add_argument("--circuit", help="circuit file to lower and run")
     p.add_argument("--initial", help="initial logical bitstring (default all zeros)")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import as_matrix, _phase_align, rx, rz, standard_gate
+from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate
 
 ISWAP_KIND = "ISWAP"
 PHASE_KIND = "PHASE"
@@ -45,6 +45,17 @@ class CircuitParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,)}
+
+
+def _json_typed(value, json_type: str, name: str):
+    """``value`` if its Python type is one that ``json`` reads for
+    ``json_type``; ``True`` is not an integer here."""
+    if type(value) not in _JSON_TYPES[json_type]:
+        raise ValueError(f"{name} must be a JSON {json_type}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -114,26 +125,33 @@ class NativeProgram:
 
     @classmethod
     def from_json(cls, text: str) -> "NativeProgram":
+        """Parse :meth:`to_json`'s layout.  Values must have their JSON type:
+        integers for the qubit count and targets, numbers for angles, two
+        numbers ``[re, im]`` for ``global_phase`` and a string for ``kind``;
+        a bool is not a number."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("native program must be a JSON object")
         try:
             phase = raw.get("global_phase", [1.0, 0.0])
+            if type(phase) is not list or len(phase) != 2:
+                raise ValueError(f"global_phase must be two JSON numbers [re, im], got {phase!r}")
             program = cls(
-                qubit_count=int(raw["qubit_count"]),
+                qubit_count=_json_typed(raw["qubit_count"], "integer", "qubit_count"),
                 ops=[
                     NativeOp(
-                        kind=str(o["kind"]),
-                        targets=tuple(int(t) for t in o["targets"]),
-                        angles=tuple(float(a) for a in o.get("angles", [])),
+                        kind=_json_typed(o["kind"], "string", "op kind"),
+                        targets=tuple(_json_typed(t, "integer", "target") for t in o["targets"]),
+                        angles=tuple(float(_json_typed(a, "number", "angle"))
+                                     for a in o.get("angles", [])),
                     )
                     for o in raw["ops"]
                 ],
-                global_phase=complex(phase[0], phase[1]),
+                global_phase=complex(*(_json_typed(x, "number", "global_phase") for x in phase)),
             )
         except KeyError as missing:
             raise ValueError(f"native program is missing {missing}") from None
-        except (TypeError, IndexError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed native program: {exc}") from None
         program.validate()
         return program
@@ -174,7 +192,7 @@ def _single_qubit_unitary(u) -> np.ndarray:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("input has a non-finite entry")
-    defect = np.max(np.abs(m @ m.conj().T - np.eye(2)))
+    defect = _unitarity_defect(m)
     if defect > 1e-10:
         raise ValueError(f"input is not unitary: defect {defect:.3e}")
     return m
@@ -215,26 +233,23 @@ def euler_decompose(u) -> EulerAngles:
 _ANGLE_EPS = 1e-12
 
 
-def lower_single_qubit(u, target: int = 0) -> NativeProgram:
+def lower_single_qubit(u) -> NativeProgram:
     """Lower a single-qubit gate to at most three native operations.
 
-    Emits ``[PHASE(gamma), ISWAP(-beta), PHASE(alpha)]`` on the target pair
+    Emits ``[PHASE(gamma), ISWAP(-beta), PHASE(alpha)]`` on pair 0
     (identity-angle operations dropped) with the Euler ``delta`` recorded as
-    the program's global phase.
+    the program's global phase; :func:`lower_circuit` moves the ops to each
+    gate's target.
     """
     angles = euler_decompose(u)
     ops: list[NativeOp] = []
     if abs(angles.gamma) > _ANGLE_EPS:
-        ops.append(NativeOp(PHASE_KIND, (target,), (angles.gamma, 0.0)))
+        ops.append(NativeOp(PHASE_KIND, (0,), (angles.gamma, 0.0)))
     if abs(angles.beta) > _ANGLE_EPS:
-        ops.append(NativeOp(ISWAP_KIND, (target,), (-angles.beta,)))
+        ops.append(NativeOp(ISWAP_KIND, (0,), (-angles.beta,)))
     if abs(angles.alpha) > _ANGLE_EPS:
-        ops.append(NativeOp(PHASE_KIND, (target,), (angles.alpha, 0.0)))
-    return NativeProgram(
-        qubit_count=target + 1,
-        ops=ops,
-        global_phase=complex(np.exp(1j * angles.delta)),
-    )
+        ops.append(NativeOp(PHASE_KIND, (0,), (angles.alpha, 0.0)))
+    return NativeProgram(qubit_count=1, ops=ops, global_phase=complex(np.exp(1j * angles.delta)))
 
 
 @functools.lru_cache(maxsize=None)  # one entry per single-qubit name in SUPPORTED_GATES

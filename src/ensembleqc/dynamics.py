@@ -39,6 +39,12 @@ DEFAULT_STEP_FACTOR = 1.0 / 256.0
 _STEP_LIMIT_FACTOR = 0.1
 
 SQRT3 = float(np.sqrt(3.0))
+# Largest resonance residual, relative to max(|S|, |Omega_1^(pi)|), at which
+# evolve_closed_form still applies the closed form.
+RESONANCE_TOL = 1e-8
+# Largest relative deviation of |Omega_1^(pi)| from sqrt(3)|S| that the
+# controlled swap extraction accepts as the blockade tuning.
+BLOCKADE_CONDITION_TOL = 1e-9
 
 
 class ResonanceConditionError(ValueError):
@@ -166,13 +172,13 @@ def sector_propagator(
     return u
 
 
-def _resonance_gate(couplings: DerivedCouplings, resonance_tol: float) -> None:
+def _resonance_gate(couplings: DerivedCouplings) -> None:
     if abs(couplings.s_coupling) == 0.0:
         return  # diagonal dynamics: no transfer, the closed form is exact
     scale = max(abs(couplings.s_coupling), abs(couplings.omega_1_pi))
     residual = couplings.resonance_residual()
-    if abs(residual) > resonance_tol * scale:
-        raise ResonanceConditionError(residual, resonance_tol * scale)
+    if abs(residual) > RESONANCE_TOL * scale:
+        raise ResonanceConditionError(residual, RESONANCE_TOL * scale)
 
 
 def _sample_times(t: float, samples: int) -> np.ndarray | None:
@@ -188,12 +194,11 @@ def evolve_closed_form(
     initial: NodePairState,
     samples: int = 0,
     frame: str = FRAME_LAB,
-    resonance_tol: float = 1e-8,
 ) -> EvolutionResult:
     """Evolve one photon sector by the exact propagator.
 
     Refuses (with :class:`ResonanceConditionError`) when the resonance
-    residual exceeds ``resonance_tol`` relative to the dynamical scale
+    residual exceeds ``RESONANCE_TOL`` relative to the dynamical scale
     ``max(|S|, |Omega_1^(pi)|)``; the direct integrator has no such
     restriction.  ``samples > 0`` additionally returns the trajectory on a
     uniform grid of ``samples + 1`` points including both endpoints.
@@ -201,7 +206,7 @@ def evolve_closed_form(
     n = _check_sector(n)
     frame = _check_frame(frame)
     vec = _check_initial(initial)
-    _resonance_gate(couplings, resonance_tol)
+    _resonance_gate(couplings)
     times = _sample_times(t, samples)
     trajectory = None
     if times is not None:
@@ -363,7 +368,6 @@ def blockade_condition_deviation(couplings: DerivedCouplings) -> float:
 def extract_controlled_iswap(
     couplings: DerivedCouplings,
     t: float | None = None,
-    condition_tol: float = 1e-9,
     enforce_condition: bool = True,
 ) -> Unitary:
     """Assemble the photon-controlled swap gate from the sector propagators.
@@ -376,7 +380,7 @@ def extract_controlled_iswap(
     ``-exp(i (N1 - 1) Omega_1^(pi) t) I``, a unit-modulus diagonal.
 
     Unless ``enforce_condition`` is off, a relative deviation of the blockade
-    tuning beyond ``condition_tol`` raises :class:`BlockadeConditionError`
+    tuning beyond ``BLOCKADE_CONDITION_TOL`` raises :class:`BlockadeConditionError`
     carrying the residual one-photon swap amplitude.
     """
     s = abs(couplings.s_coupling)
@@ -386,7 +390,7 @@ def extract_controlled_iswap(
         t = np.pi / (2.0 * s)
     core0 = sector_propagator(couplings, 0, t, frame=FRAME_ROTATING)
     core1 = sector_propagator(couplings, 1, t, frame=FRAME_ROTATING)
-    if enforce_condition and blockade_condition_deviation(couplings) > condition_tol:
+    if enforce_condition and blockade_condition_deviation(couplings) > BLOCKADE_CONDITION_TOL:
         raise BlockadeConditionError(abs(core1[1, 0]))
     # Relative phase between the sectors: the only n dependence of the mean
     # frequency is the per-photon light shift, so varpi_mean(1) -

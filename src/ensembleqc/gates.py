@@ -25,11 +25,12 @@ identities can be checked as exact matrix equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 UNITARITY_ATOL = 1e-12
+# Largest element coupling the code space to the leakage space that
+# restrict_to_logical accepts.
+LEAKAGE_ATOL = 1e-12
 
 # Pair-local indices of the code words |01>, |10> and the leakage states.
 CODE_INDICES = (1, 2)
@@ -43,6 +44,11 @@ LEAKAGE_INDICES = (0, 3)
 # no -i entries.
 CONTROLLED_SWAP = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
 CONTROLLED_SWAP.setflags(write=False)
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """``max|M M+ - I|`` of a square matrix."""
+    return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
 
 
 class CodeSpaceLeakageError(ValueError):
@@ -72,7 +78,7 @@ class Unitary:
         dim = m.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
-        defect = np.max(np.abs(m @ m.conj().T - np.eye(dim)))
+        defect = _unitarity_defect(m)
         if defect > UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
         m.setflags(write=False)
@@ -83,7 +89,7 @@ class Unitary:
         return self.matrix.shape[0]
 
     def unitarity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(self.dim))))
+        return _unitarity_defect(self.matrix)
 
     def __repr__(self) -> str:
         return f"Unitary(dim={self.dim})"
@@ -165,17 +171,17 @@ def code_space_coupling(u) -> float:
     return float(np.max(np.abs(m[code != code[:, None]])))
 
 
-def restrict_to_logical(u, atol: float = 1e-12) -> Unitary:
+def restrict_to_logical(u) -> Unitary:
     """Restrict a pair unitary to the {|0_L>, |1_L>} block.
 
     Raises :class:`CodeSpaceLeakageError` when any element coupling the code
-    space to {|00>, |11>} exceeds ``atol``.
+    space to {|00>, |11>} exceeds ``LEAKAGE_ATOL``.
     """
     m = as_matrix(u)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 pair unitary, got shape {m.shape}")
     off = code_space_coupling(m)
-    if off > atol:
+    if off > LEAKAGE_ATOL:
         raise CodeSpaceLeakageError(off)
     return Unitary(m[np.ix_(CODE_INDICES, CODE_INDICES)])
 
@@ -240,60 +246,3 @@ def matrix_to_json(u) -> list:
     """Row-major nested lists of [re, im] pairs."""
     m = as_matrix(u)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-@dataclass(frozen=True)
-class EncodedCnotReport:
-    """Result of checking the controlled-swap construction of the logical CNOT."""
-
-    max_deviation: float
-    cases: int
-    passed: bool
-
-
-def verify_encoded_cnot(samples: int = 100, seed: int = 7) -> EncodedCnotReport:
-    """Check that a single controlled swap acts as the logical CNOT.
-
-    Embeds :data:`CONTROLLED_SWAP` in two pairs ``(q0 q1 | q2 q3)``, index
-    ``8*q0 + 4*q1 + 2*q2 + q3``, with control ``q0`` and spectator ``q1``.
-    Applies it to the four encoded basis states and to random encoded
-    superpositions, and verifies the coefficient permutation (the two
-    amplitudes with control ``|1_L>`` are exchanged) with no extra phases.
-    Returns the maximum deviation observed.
-    """
-    # kron orders the axes (q0 q2 q3 q1); move the spectator q1 to second place.
-    cswap = np.kron(CONTROLLED_SWAP, np.eye(2)).reshape([2] * 8)
-    cswap = cswap.transpose(0, 3, 1, 2, 4, 7, 5, 6).reshape(16, 16)
-
-    def encode2(x: int, y: int) -> np.ndarray:
-        v = np.zeros(16, dtype=complex)
-        qx = (0, 1) if x == 0 else (1, 0)
-        qy = (0, 1) if y == 0 else (1, 0)
-        v[(qx[0] << 3) | (qx[1] << 2) | (qy[0] << 1) | qy[1]] = 1.0
-        return v
-
-    basis = [encode2(x, y) for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    cases = 0
-
-    def check(alphas: np.ndarray) -> None:
-        nonlocal worst, cases
-        state = sum(a * b for a, b in zip(alphas, basis))
-        out = cswap @ state
-        # Coefficient permutation of the CNOT: the |1_L>-control amplitudes
-        # are exchanged, with no extra phases.
-        expected = sum(
-            a * b for a, b in zip(alphas[[0, 1, 3, 2]], basis)
-        )
-        worst = max(worst, float(np.max(np.abs(out - expected))))
-        worst = max(worst, abs(float(np.linalg.norm(out)) - float(np.linalg.norm(state))))
-        cases += 1
-
-    for k in range(4):
-        check(np.eye(4, dtype=complex)[k])
-    for _ in range(samples):
-        alphas = rng.normal(size=4) + 1j * rng.normal(size=4)
-        alphas /= np.linalg.norm(alphas)
-        check(alphas)
-    return EncodedCnotReport(max_deviation=worst, cases=cases, passed=worst < 1e-12)

@@ -25,6 +25,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 
+# Largest |g/Delta| the perturbative model is trusted at.
+DISPERSIVE_THRESHOLD = 0.1
+
+
 class DispersiveRegimeWarning(UserWarning):
     """A coupling-to-detuning ratio is too large for the perturbative model."""
 
@@ -211,21 +215,20 @@ def _intra_node_shift(g, delta):
     return np.float_power(np.hypot(np.real(g), np.imag(g)), 2.0) / delta
 
 
-def derive_couplings(
-    params: PhysicalParams, dispersive_threshold: float = 0.1
-) -> DerivedCouplings:
+def derive_couplings(params: PhysicalParams) -> DerivedCouplings:
     """Compute all effective couplings from the raw parameters.
 
-    A violation of the dispersive-regime check |g| < threshold*|Delta| is
+    A violation of the dispersive-regime check
+    |g| < DISPERSIVE_THRESHOLD * |Delta| is
     reported as a :class:`DispersiveRegimeWarning`, not an error: the model
     formulas still evaluate, they just lose perturbative accuracy.
     """
     ratios = params.dispersive_ratios()
-    bad = {k: v for k, v in ratios.items() if v >= dispersive_threshold}
+    bad = {k: v for k, v in ratios.items() if v >= DISPERSIVE_THRESHOLD}
     if bad:
         listing = ", ".join(f"{k}={v:.3g}" for k, v in sorted(bad.items()))
         warnings.warn(
-            f"dispersive regime violated (|g/Delta| >= {dispersive_threshold:g}): {listing}",
+            f"dispersive regime violated (|g/Delta| >= {DISPERSIVE_THRESHOLD:g}): {listing}",
             DispersiveRegimeWarning,
             stacklevel=2,
         )

@@ -117,8 +117,8 @@ def reference_decoherence() -> DecoherenceParams:
     )
 
 
-# The checks one rescaled set goes through, in order: rescale_pi_coupling's own,
-# then those of the PhysicalParams it builds.
+# The checks one rescaled set goes through, in order: the ratio's own, then
+# those of the PhysicalParams with the rescaled g_pi_1 and omega_2.
 _RESCALE_ERRORS = (
     "ratio must be nonnegative",
     "swap coupling S is zero; blockade ratio undefined",
@@ -127,13 +127,19 @@ _RESCALE_ERRORS = (
 )
 
 
-def _rescaled(params: PhysicalParams, ratios):
-    """The couplings of ``params`` and, for each ratio, the rescaled
-    ``g_pi_1``, its shift ``Omega_1^(pi)`` and the resonant ``omega_2``
-    (float arrays of shape ``(len(ratios),)``).
+def rescaled_couplings(params: PhysicalParams, ratios) -> DerivedCouplings:
+    """The couplings of ``params`` retargeted to each blockade ratio of the
+    1-D sequence ``ratios`` at once.
 
-    The couplings of ``params`` are derived once.  A ratio that fails a check
-    raises that check's error; with several, the first such ratio does.
+    For a ratio ``r``, ``g_pi_1`` is rescaled so ``|Omega_1^(pi)| / |S| = r``
+    and the second node frequency is re-solved so the swap resonance keeps
+    holding (the shift enters the resonance condition through the node-1
+    collective term).  Returns a stack of coupling sets: ``omega_1_pi`` and
+    ``omega_2`` are float arrays of shape ``(len(ratios),)``, each element
+    equal bit for bit to ``derive_couplings`` of the rescaled scalar set; the
+    other fields are those of ``params``, derived once.  A ratio that fails a
+    check raises that check's error; with several, the first such ratio
+    does.  Only ``params`` itself goes through the dispersive-regime warning.
     """
     ratios = np.asarray(ratios, dtype=float)
     couplings = derive_couplings(params)
@@ -152,32 +158,4 @@ def _rescaled(params: PhysicalParams, ratios):
     bad = failed.any(axis=0)
     if bad.any():
         raise ValueError(_RESCALE_ERRORS[int(failed[:, bad.argmax()].argmax())])
-    return couplings, g_pi_1, omega_1_pi, omega_2
-
-
-def rescale_pi_coupling(params: PhysicalParams, ratio: float) -> PhysicalParams:
-    """Retarget the first microcavity coupling to a new blockade ratio.
-
-    Rescales ``g_pi_1`` so ``|Omega_1^(pi)| / |S| = ratio`` and re-solves the
-    second node frequency so the swap resonance keeps holding (the shift
-    enters the resonance condition through the node-1 collective term).
-    The couplings come from :func:`derive_couplings`, which warns when
-    ``params`` leave the dispersive regime.  This is :func:`rescaled_couplings`'
-    arithmetic with a stack of one ratio.
-    """
-    _, g_pi_1, _, omega_2 = _rescaled(params, [ratio])
-    return dataclasses.replace(params, g_pi_1=float(g_pi_1[0]), omega_2=float(omega_2[0]))
-
-
-def rescaled_couplings(params: PhysicalParams, ratios) -> DerivedCouplings:
-    """``derive_couplings(rescale_pi_coupling(params, r))`` for every ratio in
-    the 1-D sequence ``ratios`` at once.
-
-    Returns a stack of coupling sets: ``omega_1_pi`` and ``omega_2`` are float
-    arrays of shape ``(len(ratios),)``, each element equal bit for bit to the
-    scalar chain's; the other fields are those of ``params``, derived once.
-    Raises the error the scalar chain raises for the first ratio it rejects.
-    Only ``params`` itself goes through the dispersive-regime warning.
-    """
-    couplings, _, omega_1_pi, omega_2 = _rescaled(params, ratios)
     return dataclasses.replace(couplings, omega_1_pi=omega_1_pi, omega_2=omega_2)

@@ -3,34 +3,33 @@
 Logical qubit ``j`` is bit ``j`` of the index of ``2^k`` amplitudes
 (little-endian).  Physically it lives on the pair ``(2j, 2j+1)`` with code
 words ``|0_L> = |q_2j = 0, q_2j+1 = 1>`` and ``|1_L> = |10>``.  Every native
-op maps code words to code words, so the simulator keeps only their
-amplitudes, and :func:`state_to_json` writes them back at their physical
-indices.  ISWAP and PHASE act through the code-space block of their pair
+op maps code words to code words, so these amplitudes are the whole state:
+the simulator keeps nothing else, and :func:`state_to_json` writes them as
+they are.  ISWAP and PHASE act through the code-space block of their pair
 matrix; CISWAP applies :data:`~ensembleqc.gates.CONTROLLED_SWAP`, which on
-code words is the logical CNOT (:func:`~ensembleqc.gates.verify_encoded_cnot`),
-a swap of two strided slices.  An op's leakage is the largest element of its
-physical matrix coupling the code space to ``|00>``, ``|11>``.
+code words is the logical CNOT, a swap of two strided slices.  An op's
+leakage is the largest element of its physical matrix coupling the code
+space to ``|00>``, ``|11>``.
 
 A lowered program repeats a few distinct ops many times, so each op's
 code-space block and leakage are built once per distinct ``(kind, angles)``
 (:func:`_kernel`) and reused at every target.
 
 :func:`_apply_run` is the one apply loop, shared by :func:`run_program`,
-:func:`program_matrix`, :func:`circuit_matrix` and :func:`apply_op` (a run
-of one op).  It fuses single-qubit ops: each qubit keeps one pending 2x2
-matrix, and a single-qubit op multiplies its block onto it, the later op on
-the left, without touching the amplitudes.  The amplitudes see a qubit's
-pending matrix only when it is flushed: before a CNOT on that qubit (its
-control first, then its target), and at the end of the run, in ascending
-qubit order.  A logical gate lowers to up to three single-qubit ops, so the
-passes over the amplitudes drop about threefold, and results move only in
-their last bits against an op-by-op run.  Leakage is still recorded per op:
-``run_program`` looks up each op's ``(block, leakage)`` once.
+:func:`program_matrix` and :func:`circuit_matrix`.  It fuses single-qubit
+ops: each qubit keeps one pending 2x2 matrix, and a single-qubit op
+multiplies its block onto it, the later op on the left, without touching the
+amplitudes.  The amplitudes see a qubit's pending matrix only when it is
+flushed: before a CNOT on that qubit (its control first, then its target),
+and at the end of the run, in ascending qubit order.  A logical gate lowers
+to up to three single-qubit ops, so the passes over the amplitudes drop
+about threefold, and results move only in their last bits against an
+op-by-op run.  Leakage is still recorded per op: ``run_program`` looks up
+each op's ``(block, leakage)`` once.
 
 States are validated at the boundaries: :class:`LogicalState` checks what a
-caller builds, while :func:`apply_op` wraps the loop's fresh output without a
-copy or norm check, since a unitary keeps a valid state valid.
-``run_program`` validates its encoded input and ends with a validated state.
+caller builds, and ``run_program`` validates its encoded input and ends with
+a validated state.
 """
 
 from __future__ import annotations
@@ -76,8 +75,6 @@ class RunStats:
     """Bookkeeping of one program execution."""
 
     max_leakage: float
-    op_count: int
-    global_phase: complex
     op_leakages: tuple[float, ...]  # leakage of each op, in order
 
 
@@ -159,22 +156,6 @@ def _apply_run(amps: np.ndarray, steps) -> np.ndarray:
     return amps
 
 
-def apply_op(state: LogicalState, op: NativeOp) -> LogicalState:
-    """Apply one native operation, a run of one op; returns a new state."""
-    if any(t >= state.qubit_count for t in op.targets):
-        raise ValueError(
-            f"op {op.format()!r} touches a pair outside the register "
-            f"({state.qubit_count} logical qubits)"
-        )
-    # The loop's output is a fresh array, and a unitary keeps a valid state
-    # valid: it becomes the new state without LogicalState's copy and norm check.
-    amps = _apply_run(state.amplitudes, [(_op_kernel(op)[0], op.targets)])
-    amps.setflags(write=False)
-    out = object.__new__(LogicalState)
-    object.__setattr__(out, "amplitudes", amps)
-    return out
-
-
 def decode(state: LogicalState) -> np.ndarray:
     """Logical state vector (little-endian, dim 2^k), a writable copy."""
     return state.amplitudes.copy()
@@ -213,9 +194,9 @@ def measure_logical(
 def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, RunStats]:
     """Encode, apply the ops in order, and accumulate execution stats.
 
-    The program's global phase is multiplied into the returned state (and
-    recorded in the stats), so the result equals the tracked-phase matrix
-    action exactly.  Deterministic: identical inputs give identical outputs.
+    The program's global phase is multiplied into the returned state, so the
+    result equals the tracked-phase matrix action exactly.  Deterministic:
+    identical inputs give identical outputs.
     """
     program.validate()
     if len(initial) != program.qubit_count:
@@ -226,13 +207,8 @@ def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, Run
     kernels = [_op_kernel(op) for op in program.ops]
     amps = _apply_run(encode_basis(initial).amplitudes,
                       ((block, op.targets) for (block, _), op in zip(kernels, program.ops)))
-    op_leakages = [leakage for _, leakage in kernels]
-    stats = RunStats(
-        max_leakage=max(op_leakages, default=0.0),
-        op_count=len(program.ops),
-        global_phase=complex(program.global_phase),
-        op_leakages=tuple(op_leakages),
-    )
+    op_leakages = tuple(leakage for _, leakage in kernels)
+    stats = RunStats(max_leakage=max(op_leakages, default=0.0), op_leakages=op_leakages)
     return LogicalState(amps * program.global_phase), stats
 
 
@@ -260,11 +236,7 @@ def circuit_matrix(circuit, qubit_count: int) -> np.ndarray:
 
 
 def state_to_json(state: LogicalState) -> list:
-    """The physical register's 4^k amplitudes as [re, im] pairs.  Physical
-    qubit ``m`` is bit ``m`` of the index; pair ``j`` sets bit ``2j+1`` for
-    logical 0 and bit ``2j`` for logical 1; all other entries are zero."""
-    logical = np.arange(2**state.qubit_count)
-    physical = sum((2 - ((logical >> j) & 1)) << (2 * j) for j in range(state.qubit_count))
-    amps = np.zeros(4**state.qubit_count, dtype=complex)
-    amps[physical] = state.amplitudes
-    return [[float(a.real), float(a.imag)] for a in amps]
+    """The 2^k logical amplitudes as [re, im] pairs in index order: logical
+    qubit ``j`` is bit ``j`` of the index, on the pair of the module
+    docstring."""
+    return [[float(a.real), float(a.imag)] for a in state.amplitudes]

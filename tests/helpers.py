@@ -13,6 +13,7 @@ at a time, and the config hash against json's own canonical text.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -374,27 +375,44 @@ def fixed_set_reference(
     )
 
 
+def _swap_coupling_reference(p: PhysicalParams) -> complex:
+    cap = complex(p.g_sigma_1 * np.conj(p.g_sigma_2) / 2.0
+                  * (1.0 / p.delta_sigma_1 + 1.0 / p.delta_sigma_2))
+    return complex(np.sqrt(float(p.n_atoms_1 * p.n_atoms_2)) * cap)
+
+
+def rescaled_params_reference(params: PhysicalParams, ratio: float) -> PhysicalParams:
+    """``params`` retargeted to one blockade ratio by scalar arithmetic:
+    ``g_pi_1`` rescaled so ``|Omega_1^(pi)| / |S| = ratio`` and ``omega_2``
+    re-solved so the swap resonance holds."""
+    p = params
+    s = _swap_coupling_reference(p)
+    o1s = abs(p.g_sigma_1) ** 2 / p.delta_sigma_1
+    o2s = abs(p.g_sigma_2) ** 2 / p.delta_sigma_2
+    g_pi_1 = float(np.sqrt(ratio * abs(s) * abs(p.delta_pi_1)))
+    o1p = abs(g_pi_1) ** 2 / p.delta_pi_1
+    omega_2 = float(p.omega_1 + p.n_atoms_1 * (o1s + o1p) - p.n_atoms_2 * o2s)
+    return dataclasses.replace(p, g_pi_1=g_pi_1, omega_2=omega_2)
+
+
 def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float, float, float]:
     """One ``blockade-sweep`` row ``(ratio, |S|/kappa(1), |U_10|)`` by scalar
     arithmetic alone, in the order the package evaluates it.
 
-    ``g_pi_1`` is rescaled to the ratio and ``omega_2`` re-solved for
-    resonance; ``U_10`` is the entry of the n=1 lab-frame propagator at the
-    swap time pi/(2|S|).  Python floats and complex numbers and numpy scalar
-    functions only, with the lab phase multiplied onto a 2x2 array as a
-    scalar, so every rounding is the one a lone scalar evaluation makes.
+    The parameters are retargeted by :func:`rescaled_params_reference`;
+    ``U_10`` is the entry of the n=1 lab-frame propagator at the swap time
+    pi/(2|S|).  Python floats and complex numbers and numpy scalar functions
+    only, with the lab phase multiplied onto a 2x2 array as a scalar, so
+    every rounding is the one a lone scalar evaluation makes.
     """
-    p = params
+    p = rescaled_params_reference(params, ratio)
     n1, n2 = p.n_atoms_1, p.n_atoms_2
-    cap = complex(p.g_sigma_1 * np.conj(p.g_sigma_2) / 2.0
-                  * (1.0 / p.delta_sigma_1 + 1.0 / p.delta_sigma_2))
-    s = complex(np.sqrt(float(n1 * n2)) * cap)
+    s = _swap_coupling_reference(p)
     o1s = abs(p.g_sigma_1) ** 2 / p.delta_sigma_1
     o2s = abs(p.g_sigma_2) ** 2 / p.delta_sigma_2
     o2p = abs(p.g_pi_2) ** 2 / p.delta_pi_2
-    g_pi_1 = float(np.sqrt(ratio * abs(s) * abs(p.delta_pi_1)))
-    o1p = abs(g_pi_1) ** 2 / p.delta_pi_1
-    omega_1, omega_2 = float(p.omega_1), float(p.omega_1 + n1 * (o1s + o1p) - n2 * o2s)
+    o1p = abs(p.g_pi_1) ** 2 / p.delta_pi_1
+    omega_1, omega_2 = float(p.omega_1), p.omega_2
     k1 = float(np.hypot(o1p, abs(s)))
     error = abs(s) / k1 if k1 != 0.0 else 0.0
     residual = omega_2 - omega_1 + n2 * o2s - n1 * (o1s + o1p)

@@ -5,6 +5,7 @@ traceback, whatever the input."""
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -99,10 +100,47 @@ ERROR_CASES = {
         {"p.json": {"qubit_count": 1,
                     "ops": [{"kind": "ISWAP", "targets": [0], "angles": None}]}},
         ["simulate", "--program", "p.json"], 2),
+    # Program values are JSON-typed too.
+    "program_qubit_count_fraction": (
+        {"p.json": dict(PROGRAM, qubit_count=1.5)}, ["simulate", "--program", "p.json"], 2),
+    "program_qubit_count_bool": (
+        {"p.json": dict(PROGRAM, qubit_count=True)}, ["simulate", "--program", "p.json"], 2),
+    "program_qubit_count_string": (
+        {"p.json": dict(PROGRAM, qubit_count="2")}, ["simulate", "--program", "p.json"], 2),
+    "program_target_fraction": (
+        {"p.json": dict(PROGRAM, ops=[dict(PROGRAM["ops"][0], targets=[0.9])])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_target_bool": (
+        {"p.json": dict(PROGRAM, ops=[dict(PROGRAM["ops"][0], targets=[False])])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_angle_string": (
+        {"p.json": dict(PROGRAM, ops=[dict(PROGRAM["ops"][0], angles=["0.5"])])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_angle_bool": (
+        {"p.json": dict(PROGRAM, ops=[dict(PROGRAM["ops"][0], angles=[True])])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_kind_number": (
+        {"p.json": dict(PROGRAM, ops=[dict(PROGRAM["ops"][0], kind=5)])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_phase_three_entries": (
+        {"p.json": dict(PROGRAM, global_phase=[1.0, 0.0, 0.0])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_phase_one_entry": (
+        {"p.json": dict(PROGRAM, global_phase=[1.0])}, ["simulate", "--program", "p.json"], 2),
+    "program_phase_bools": (
+        {"p.json": dict(PROGRAM, global_phase=[True, False])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_phase_number": (
+        {"p.json": dict(PROGRAM, global_phase=1.0)}, ["simulate", "--program", "p.json"], 2),
+    # A tolerance no deviation can pass is a usage error, not a failed check.
+    "truth_table_tol_negative": ({}, ["truth-table", "--tol", "-1"], 2),
+    "truth_table_tol_zero": ({}, ["truth-table", "--tol", "0"], 2),
+    "truth_table_tol_nan": ({}, ["truth-table", "--tol", "nan"], 2),
+    "truth_table_tol_inf": ({}, ["truth-table", "--tol", "inf"], 2),
     "compile_register_over_budget": ({"c.txt": "H 20\n"}, ["compile", "c.txt"], 2),
     "simulate_register_over_budget": ({"c.txt": "H 40\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "simulate_state_json_over_budget": (
-        {"c.txt": "H 14\n"}, ["--out", "out", "simulate", "--circuit", "c.txt"], 2),
+        {"c.txt": "H 40\n"}, ["--out", "out", "simulate", "--circuit", "c.txt"], 2),
     "simulate_program_register_huge": (
         {"p.json": {"qubit_count": 10**18, "ops": []}}, ["simulate", "--program", "p.json"], 2),
     "sweep_steps_over_cap": (
@@ -244,6 +282,19 @@ def test_simulate_and_compile_report_success(k, tmp_path):
     assert report["equivalence_error"] < 1e-12
 
 
+def test_state_json_holds_the_logical_amplitudes(tmp_path, monkeypatch):
+    # k = 15: 2^15 amplitudes fit the array budget; the 4^15 register would not.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.txt", "H 14\n")
+    code, _, stderr = run_cli(["--out", "out", "simulate", "--circuit", "c.txt"])
+    assert (code, stderr) == (0, "")
+    state = np.array([complex(re, im) for re, im in
+                      json.loads((tmp_path / "out" / "state.json").read_text())])
+    expected = np.zeros(2**15, dtype=complex)
+    expected[[0, 2**14]] = 2**-0.5
+    assert state.shape == (32768,) and np.max(np.abs(state - expected)) < 1e-15
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_truth_table_report_at_sqrt3(seed, tmp_path):
     rng = np.random.default_rng(90 + seed)
@@ -353,6 +404,7 @@ def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     outputs = {}
     for jobs in (1, 2, 3, len(RATIOS) + 5, 0, -2):
         code, stdout, _ = run_cli(["--config", "c.json", "--out", "out", "blockade-sweep",
@@ -361,8 +413,9 @@ def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
         outputs[jobs] = (stdout, (tmp_path / "out" / "blockade_sweep.csv").read_text())
     assert all(out == outputs[1] for out in outputs.values())
     assert len(outputs[1][1].splitlines()) == 1 + len(RATIOS)
-    # One pool task per worker, each a contiguous chunk; --jobs below 2 runs serially.
-    assert pools == [[2, 2], [3, 3], [len(RATIOS), len(RATIOS)]]
+    # One pool task per worker, each a contiguous chunk, and at most one
+    # worker per CPU; --jobs below 2 runs serially.
+    assert pools == [[2, 2], [3, 3], [4, 4]]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -757,6 +810,10 @@ def test_every_export_resolves():
     ("dynamics", "trajectory_to_csv"),
     ("physical", "detunings_from_frequencies"),
     ("presets", "perfect_blockade_params"),
+    ("simulator", "apply_op"),
+    ("gates", "verify_encoded_cnot"),
+    ("gates", "EncodedCnotReport"),
+    ("presets", "rescale_pi_coupling"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(getattr(ensembleqc, module), name)
@@ -769,3 +826,16 @@ def test_detuning_split_is_gone():
 
 def test_n_pi_2_is_gone():
     assert not hasattr(ensembleqc.NodePairState, "n_pi_2")
+
+
+def test_unused_keywords_are_gone():
+    # Each is a module constant: no caller set another value.
+    for fn, name in (
+        (dynamics.evolve_closed_form, "resonance_tol"),
+        (dynamics.extract_controlled_iswap, "condition_tol"),
+        (ensembleqc.derive_couplings, "dispersive_threshold"),
+        (gates.restrict_to_logical, "atol"),
+        (compiler.lower_single_qubit, "target"),
+        (cli.default_config, "seed"),
+    ):
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

@@ -103,7 +103,7 @@ class TestLowerSingleQubit:
         program = lower_single_qubit(standard_gate("T"))
         assert len(program.ops) == 1
         op = program.ops[0]
-        assert op.kind == PHASE_KIND
+        assert op.kind == PHASE_KIND and op.targets == (0,) and program.qubit_count == 1
         assert abs(op.angles[0] - np.pi / 4) < 1e-12 and op.angles[1] == 0.0
         assert abs(program.global_phase - np.exp(1j * np.pi / 8)) < 1e-12
 
@@ -179,8 +179,8 @@ class TestLowerCircuit:
                 if name == "CNOT":
                     ops.append(NativeOp(CISWAP_KIND, targets))
                 else:
-                    sub = lower_single_qubit(standard_gate(name), target=targets[0])
-                    ops.extend(sub.ops)
+                    sub = lower_single_qubit(standard_gate(name))
+                    ops.extend(NativeOp(op.kind, targets, op.angles) for op in sub.ops)
                     phase *= sub.global_phase
             program = lower_circuit(circuit, qubit_count=4)
             assert program.ops == ops

@@ -19,7 +19,6 @@ from ensembleqc.gates import (
     rx,
     rz,
     standard_gate,
-    verify_encoded_cnot,
 )
 from helpers import haar_unitary_2
 
@@ -235,19 +234,6 @@ class TestPhaseDistance:
         duv, dvu = phase_distance(u, v), phase_distance(v, u)
         assert abs(duv - dvu) < 1e-10
         assert phase_distance(u, w) <= duv + phase_distance(v, w) + 1e-10
-
-
-class TestEncodedCnot:
-    def test_permutation_exact(self):
-        report = verify_encoded_cnot()
-        assert report.passed
-        assert report.max_deviation < 1e-12
-        assert report.cases >= 104
-
-    def test_control_one_flips_target(self):
-        # spot-check |1_L>|0_L| -> |1_L>|1_L> through the same construction
-        report = verify_encoded_cnot(samples=0)
-        assert report.max_deviation < 1e-12
 
 
 class TestFredkin:

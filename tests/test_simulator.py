@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import inspect
 import json
 
@@ -18,7 +19,6 @@ from ensembleqc.compiler import (
 )
 from ensembleqc.simulator import (
     LogicalState,
-    apply_op,
     circuit_matrix,
     decode,
     encode_basis,
@@ -136,23 +136,28 @@ class TestApplyUnitary:
             assert np.max(np.abs(got - big @ vec)) < 1e-12
 
 
+def one_op(op: NativeOp, qubit_count: int) -> NativeProgram:
+    return NativeProgram(qubit_count=qubit_count, ops=[op])
+
+
 class TestApplyOp:
+    """Each op kind on its own, as a one-op program."""
+
     def test_full_swap_maps_zero_to_one_with_phase(self):
-        out = apply_op(encode_basis("0"), NativeOp(ISWAP_KIND, (0,), (np.pi,)))
+        out, _ = run_program(one_op(NativeOp(ISWAP_KIND, (0,), (np.pi,)), 1), "0")
         # |0_L> -> i |1_L>
         assert abs(out.amplitudes[1] - 1j) < 1e-15
         assert abs(out.amplitudes[0]) < 1e-15
 
     def test_phase_gate_with_equal_angles_fixes_code_zero(self):
-        state = encode_basis("0")
-        out = apply_op(state, NativeOp(PHASE_KIND, (0,), (0.77, 0.77)))
-        assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-15
+        out, _ = run_program(one_op(NativeOp(PHASE_KIND, (0,), (0.77, 0.77)), 1), "0")
+        assert np.max(np.abs(out.amplitudes - encode_basis("0").amplitudes)) < 1e-15
 
     def test_ciswap_truth_table_is_logical_cnot(self):
         for control_bit in "01":
             for target_bit in "01":
-                state = encode_basis(control_bit + target_bit)
-                out = apply_op(state, NativeOp(CISWAP_KIND, (0, 1)))
+                out, _ = run_program(one_op(NativeOp(CISWAP_KIND, (0, 1)), 2),
+                                     control_bit + target_bit)
                 flipped = str(int(target_bit) ^ int(control_bit))
                 expected = encode_basis(control_bit + flipped)
                 assert np.max(np.abs(out.amplitudes - expected.amplitudes)) == 0.0
@@ -165,37 +170,43 @@ class TestApplyOp:
             NativeOp(PHASE_KIND, (0,), (0.1, -0.6)),
             NativeOp(CISWAP_KIND, (1, 0)),
         ):
-            state = apply_op(state, op)
+            state = LogicalState(program_matrix(one_op(op, 2)) @ state.amplitudes)
             assert abs(state.norm() - 1.0) < 1e-12
 
     def test_rejects_out_of_range_target(self):
-        with pytest.raises(ValueError, match="outside"):
-            apply_op(encode_basis("0"), NativeOp(ISWAP_KIND, (1,), (0.1,)))
-        with pytest.raises(ValueError, match="outside"):
-            apply_op(encode_basis("00"), NativeOp(CISWAP_KIND, (0, 2)))
+        # NativeProgram.validate, which run_program and program_matrix call.
+        for op, k in ((NativeOp(ISWAP_KIND, (1,), (0.1,)), 1), (NativeOp(CISWAP_KIND, (0, 2)), 2)):
+            with pytest.raises(ValueError, match="outside"):
+                run_program(one_op(op, k), "0" * k)
+            with pytest.raises(ValueError, match="outside"):
+                program_matrix(one_op(op, k))
 
     def test_kernels_match_logical_oracle(self):
         # Each op kind against the code-space block of its pair matrix, or the
         # CNOT, embedded by index bits (helpers.logical_circuit_matrix).
         rng = np.random.default_rng(39)
-        state = LogicalState(random_state(rng, 8))
+        state = random_state(rng, 8)
         for op, block in (
             (NativeOp(ISWAP_KIND, (1,), (0.4,)), gates.rx(-0.4).matrix),
             (NativeOp(PHASE_KIND, (2,), (0.9, 0.0)), gates.rz(0.9).matrix),
             (NativeOp(PHASE_KIND, (0,), (0.9, 0.5)), np.exp(0.25j) * gates.rz(0.9).matrix),
         ):
-            expected = logical_circuit_matrix([(block, op.targets)], 3) @ state.amplitudes
-            assert np.max(np.abs(apply_op(state, op).amplitudes - expected)) < 1e-12
-        cnot = logical_circuit_matrix([("CNOT", (2, 0))], 3) @ state.amplitudes
-        assert np.array_equal(apply_op(state, NativeOp(CISWAP_KIND, (2, 0))).amplitudes, cnot)
+            expected = logical_circuit_matrix([(block, op.targets)], 3) @ state
+            assert np.max(np.abs(program_matrix(one_op(op, 3)) @ state - expected)) < 1e-12
+        cnot = logical_circuit_matrix([("CNOT", (2, 0))], 3) @ state
+        assert np.array_equal(program_matrix(one_op(NativeOp(CISWAP_KIND, (2, 0)), 3)) @ state, cnot)
 
 
 class TestLeakage:
     def test_encoded_states_have_none(self):
-        # The written physical register holds the code words only.
+        # The oracle's encoded physical register holds the code words only,
+        # and on them it is the simulator's encoded state.
         for bits in ("0", "11", "010"):
-            amps = np.array([complex(re, im) for re, im in state_to_json(encode_basis(bits))])
-            assert physical_leakage(amps, len(bits)) == 0.0
+            k = len(bits)
+            identity = one_op(NativeOp(PHASE_KIND, (0,), (0.0, 0.0)), k)
+            register = run_physical(identity, bits)[-1]
+            assert physical_leakage(register, k) == 0.0
+            assert np.array_equal(register[code_indices(k)], encode_basis(bits).amplitudes)
 
     def test_every_op_kind_records_its_pair_coupling(self):
         program = lower_circuit([("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))])
@@ -344,7 +355,7 @@ class TestRunProgram:
     def test_empty_program(self):
         final, stats = run_program(NativeProgram(qubit_count=1), "0")
         assert np.array_equal(final.amplitudes, encode_basis("0").amplitudes)
-        assert stats.max_leakage == 0.0 and stats.op_count == 0
+        assert stats.max_leakage == 0.0 and stats.op_leakages == ()
 
     def test_bell_state(self):
         program = lower_circuit([("H", (0,)), ("CNOT", (0, 1))])
@@ -365,14 +376,18 @@ class TestRunProgram:
         rng = np.random.default_rng(41)
         program = random_native_program(rng, 3, 20)
         _, stats = run_program(program, "010")
-        assert stats.op_count == len(stats.op_leakages) == len(program.ops)
+        assert len(stats.op_leakages) == len(program.ops)
         assert stats.op_leakages == (0.0,) * len(program.ops)
         assert stats.max_leakage == 0.0
 
     def test_stats_record_phase(self):
+        # The tracked phase is in the state, not in the stats: T|1> = e^{i pi/4}|1>
+        # needs the lowering's e^{i pi/8}.
         program = lower_circuit([("T", (0,))])
-        _, stats = run_program(program, "0")
-        assert abs(stats.global_phase - np.exp(1j * np.pi / 8)) < 1e-12
+        assert abs(program.global_phase - np.exp(1j * np.pi / 8)) < 1e-12
+        final, stats = run_program(program, "1")
+        assert abs(final.amplitudes[1] - np.exp(1j * np.pi / 4)) < 1e-12
+        assert [f.name for f in dataclasses.fields(stats)] == ["max_leakage", "op_leakages"]
 
     def test_wrong_initial_length(self):
         with pytest.raises(ValueError, match="length"):
@@ -469,7 +484,6 @@ class TestKernelCache:
         expected, leakages = run_ops_reference(program, encode_basis(bits).amplitudes)
         assert np.max(np.abs(final.amplitudes - expected * program.global_phase)) <= 1e-13
         assert stats.op_leakages == leakages
-        assert stats.global_phase == program.global_phase
         matrix, _ = run_ops_reference(program, np.eye(2**k, dtype=complex))
         assert np.max(np.abs(program_matrix(program) - matrix * program.global_phase)) <= 1e-13
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
@@ -480,7 +494,7 @@ class TestKernelCache:
     def test_runs_equal_fused_reference(self, seed):
         # The one apply loop, its cached kernels and its slice-swap CNOT
         # change no bit against the separately written fused loop: states,
-        # matrices, circuit matrices, and apply_op as a run of one op.
+        # matrices and circuit matrices.
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 5))
         program = pooled_native_program(rng, k, int(rng.integers(0, 24)))
@@ -496,21 +510,15 @@ class TestKernelCache:
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
         assert same_bits(circuit_matrix(circuit, k),
                          fused_reference(circuit_steps(circuit), np.eye(2**k, dtype=complex)))
-        state = LogicalState(random_state(rng, 2**k))
-        for op in program.ops:
-            one = NativeProgram(qubit_count=k, ops=[op])
-            assert same_bits(apply_op(state, op).amplitudes,
-                             fused_reference(native_steps(one), state.amplitudes))
 
     def test_signed_zero_angles_get_their_own_kernels(self):
         simulator._kernel.cache_clear()
-        state = LogicalState(random_state(np.random.default_rng(44), 2))
         ops = [NativeOp(PHASE_KIND, (0,), (0.7, 0.0)), NativeOp(PHASE_KIND, (0,), (0.7, -0.0)),
                NativeOp(ISWAP_KIND, (0,), (0.0,)), NativeOp(ISWAP_KIND, (0,), (-0.0,))]
         for op in ops:
-            expected, _ = run_ops_reference(NativeProgram(qubit_count=1, ops=[op]), state.amplitudes)
-            out = apply_op(state, op).amplitudes
-            assert same_bits(out, expected) and not out.flags.writeable
+            program = one_op(op, 1)
+            expected, _ = run_ops_reference(program, np.eye(2, dtype=complex))
+            assert same_bits(program_matrix(program), expected * program.global_phase)
         assert simulator._kernel.cache_info().currsize == len(ops)
 
     def test_warm_kernels_build_no_unitary_and_check_no_state_per_op(self, monkeypatch):
@@ -545,15 +553,20 @@ class TestKernelCache:
 
 
 class TestStateSerialization:
-    def test_json_writes_physical_layout(self):
+    def test_json_writes_logical_layout(self):
+        # The file holds the 2^k amplitudes as they are, and embedding them at
+        # the code words rebuilds the 4^k physical register of the oracle run.
         rng = np.random.default_rng(38)
         for k in (1, 2, 3):
-            state = LogicalState(random_state(rng, 2**k))
+            program = random_native_program(rng, k, 12)
+            bits = "".join(rng.choice(["0", "1"], size=k))
+            state, _ = run_program(program, bits)
             written = json.loads(json.dumps(state_to_json(state)))
-            amps = np.array([complex(re, im) for re, im in written])
-            expected = np.zeros(4**k, dtype=complex)
-            expected[code_indices(k)] = state.amplitudes
-            assert np.array_equal(amps, expected)
+            assert same_bits(np.array([complex(re, im) for re, im in written]), state.amplitudes)
+            register = np.zeros(4**k, dtype=complex)
+            register[code_indices(k)] = [complex(re, im) for re, im in written]
+            physical = run_physical(program, bits)[-1] * program.global_phase
+            assert np.max(np.abs(register - physical)) < 1e-12
 
     def test_logical_state_validation(self):
         with pytest.raises(ValueError, match="norm"):
