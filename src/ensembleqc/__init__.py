@@ -42,8 +42,8 @@ from .dynamics import (
     evolve_closed_form,
     evolve_numerical,
     extract_controlled_iswap,
-    iswap_schedule,
     sector_propagator,
+    swap_time,
 )
 from .gates import (
     Unitary,
@@ -101,7 +101,6 @@ __all__ = [
     "fault_tolerance_margin",
     "iswap",
     "iswap_fidelity",
-    "iswap_schedule",
     "lower_circuit",
     "lower_single_qubit",
     "measure_logical",
@@ -115,4 +114,5 @@ __all__ = [
     "sample_logical",
     "sector_propagator",
     "standard_gate",
+    "swap_time",
 ]

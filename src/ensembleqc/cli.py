@@ -414,8 +414,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
 
     def chunk_columns(chunk) -> np.ndarray:
         couplings = presets.rescaled_couplings(base, chunk)
-        t_swap = np.pi / (2.0 * abs(couplings.s_coupling))
-        c2 = dynamics.sector_propagator(couplings, 1, t_swap)[:, 1, 0]
+        c2 = dynamics.sector_propagator(couplings, 1, dynamics.swap_time(couplings))[:, 1, 0]
         # |c2| as np.hypot, which equals the scalar abs (array np.abs does not).
         return np.stack([dynamics.blockade_error(couplings), np.hypot(c2.real, c2.imag)])
 
@@ -560,12 +559,11 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
 
 def cmd_fidelity(args, config: ScenarioConfig) -> int:
     deco = config.decoherence_params
-    couplings = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         couplings = derive_couplings(config.physical_params)
     omega_sigma = abs(couplings.omega_cap_sigma)
-    t_gate = dynamics.iswap_schedule(couplings, np.pi / 2.0)
+    t_gate = dynamics.swap_time(couplings)
 
     sweep = config.sweep
     if sweep is None or sweep.parameter == "pi_to_s_ratio":

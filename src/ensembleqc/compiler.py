@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gates
 from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate
 
 ISWAP_KIND = "ISWAP"
@@ -90,6 +92,28 @@ class NativeOp:
         parts = [self.kind] + [f"q{t}" for t in self.targets]
         parts += [f"{a:.12g}" for a in self.angles]
         return " ".join(parts)
+
+
+# Bounded, since a program read from JSON may carry any number of angles.
+@functools.lru_cache(maxsize=1024)
+def _kernel(kind: str, angles: tuple[float, ...], zero_signs: tuple[float, ...]):
+    """``(block, leakage)`` of every op of one kind and angles, whatever its
+    targets: the 2x2 code-space block of its pair matrix, ``gates.iswap`` or
+    ``gates.phase_gate`` (None for CISWAP, whose matrix is
+    :data:`~ensembleqc.gates.CONTROLLED_SWAP`), and the largest element of
+    the physical matrix coupling the code space to the leakage states.
+    ``zero_signs`` only splits the cache key, because ``0.0 == -0.0`` while
+    their matrices can differ in the sign of a zero.  This is the one map
+    from an op to its matrix."""
+    if kind == CISWAP_KIND:
+        return None, gates.code_space_coupling(gates.CONTROLLED_SWAP)
+    pair = gates.iswap(*angles) if kind == ISWAP_KIND else gates.phase_gate(*angles)
+    return gates.restrict_to_logical(pair).matrix, gates.code_space_coupling(pair)
+
+
+def _op_kernel(op: NativeOp):
+    """:func:`_kernel` of ``op``'s kind and angles."""
+    return _kernel(op.kind, op.angles, tuple(math.copysign(1.0, a) for a in op.angles))
 
 
 @dataclass
@@ -306,11 +330,13 @@ def lower_circuit(
     return program
 
 
-# Fixed-angle generator set: native op template plus its code-space action.
-_FIXED_GENERATORS: tuple[tuple[str, NativeOp, np.ndarray], ...] = (
-    ("ISWAP(pi/2)", NativeOp(ISWAP_KIND, (0,), (np.pi / 2,)), rx(-np.pi / 2).matrix),
-    ("PHASE(pi/2)", NativeOp(PHASE_KIND, (0,), (np.pi / 2, 0.0)), rz(np.pi / 2).matrix),
-    ("PHASE(pi/4)", NativeOp(PHASE_KIND, (0,), (np.pi / 4, 0.0)), rz(np.pi / 4).matrix),
+# Fixed-angle generator set: native op template plus its code-space block.
+_FIXED_GENERATORS: tuple[tuple[str, NativeOp, np.ndarray], ...] = tuple(
+    (name, op, _op_kernel(op)[0]) for name, op in (
+        ("ISWAP(pi/2)", NativeOp(ISWAP_KIND, (0,), (np.pi / 2,))),
+        ("PHASE(pi/2)", NativeOp(PHASE_KIND, (0,), (np.pi / 2, 0.0))),
+        ("PHASE(pi/4)", NativeOp(PHASE_KIND, (0,), (np.pi / 4, 0.0))),
+    )
 )
 
 _DEDUP_DECIMALS = 6

@@ -6,17 +6,19 @@ Phase convention
 The amplitudes obey ``dc/dt = +i M(n) c`` with the Hermitian generator
 ``M(n) = [[w1(n), -S], [-S*, w2(n)]]``, so the exact propagator is
 ``exp(+i M(n) t)`` and the sector's mean frequency appears as a global factor
-``exp(+i varpi_mean(n) t)``.  Results carry a ``frame`` tag: ``"lab"`` keeps
-that factor, ``"rotating"`` drops it.  On resonance the rotating-frame
-amplitudes for the node-1-excited start are::
+``exp(+i varpi_mean(n) t)``.  The evolvers report the lab frame, which keeps
+that factor; only :func:`sector_propagator` takes a ``frame``, and
+``"rotating"`` drops it.  On resonance the rotating-frame amplitudes for the
+node-1-excited start are::
 
     c1(t) = cos(k t) + i (d/k) sin(k t)      d = varpi_split(n)
     c2(t) = -i (S*/k) sin(k t)               k = sqrt(d^2 + |S|^2)
 
-At the swap time ``t = pi/(2|S|)`` the photon-free sector gives
-``(c1, c2) = (0, -i)`` for real positive S, and under the blockade tuning
-``|Omega_1^(pi)| = sqrt(3) |S|`` the one-photon sector returns with
-``c1 = -1`` (``k t = pi``), so a photon freezes the swap completely.
+At the swap time ``t = pi/(2|S|)`` (:func:`swap_time`) the photon-free
+sector gives ``(c1, c2) = (0, -i)`` for real positive S, and under the
+blockade tuning ``|Omega_1^(pi)| = sqrt(3) |S|`` the one-photon sector
+returns with ``c1 = -1`` (``k t = pi``), so a photon freezes the swap
+completely.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ FRAME_ROTATING = "rotating"
 # 1e-10 over the multi-period horizons the verification suite integrates;
 # 1/256 keeps the defect at rounding level.
 DEFAULT_STEP_FACTOR = 1.0 / 256.0
-_STEP_LIMIT_FACTOR = 0.1
 
 SQRT3 = float(np.sqrt(3.0))
 # Largest resonance residual, relative to max(|S|, |Omega_1^(pi)|), at which
@@ -71,13 +72,8 @@ class BlockadeConditionError(ValueError):
 
 
 class StepSizeError(ValueError):
-    """Integration step missing, non-positive, or too coarse."""
-
-    def __init__(self, message: str, suggested_step: float | None = None):
-        self.suggested_step = suggested_step
-        if suggested_step is not None:
-            message += f" (suggested step: {suggested_step:.6e} s)"
-        super().__init__(message)
+    """The integrator's step is not finite and positive, or a segment needs
+    more than 2**53 of them; extreme couplings cause both."""
 
 
 @dataclass(frozen=True)
@@ -104,15 +100,10 @@ class NodePairState:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state plus an optional sampled trajectory.
-
-    ``frame`` records whether the mean-frequency factor exp(i varpi_mean t)
-    is included ("lab") or has been factored out ("rotating").
-    """
+    """Final state plus an optional sampled trajectory, in the lab frame."""
 
     state: NodePairState
     sector: int
-    frame: str
     times: np.ndarray | None = None
     trajectory: np.ndarray | None = None
 
@@ -193,7 +184,6 @@ def evolve_closed_form(
     t: float,
     initial: NodePairState,
     samples: int = 0,
-    frame: str = FRAME_LAB,
 ) -> EvolutionResult:
     """Evolve one photon sector by the exact propagator.
 
@@ -204,16 +194,15 @@ def evolve_closed_form(
     uniform grid of ``samples + 1`` points including both endpoints.
     """
     n = _check_sector(n)
-    frame = _check_frame(frame)
     vec = _check_initial(initial)
     _resonance_gate(couplings)
     times = _sample_times(t, samples)
     trajectory = None
     if times is not None:
-        trajectory = sector_propagator(couplings, n, times, frame) @ vec
-    final = sector_propagator(couplings, n, t, frame) @ vec
+        trajectory = sector_propagator(couplings, n, times) @ vec
+    final = sector_propagator(couplings, n, t) @ vec
     state = NodePairState(complex(final[0]), complex(final[1]))
-    return EvolutionResult(state=state, sector=n, frame=frame, times=times, trajectory=trajectory)
+    return EvolutionResult(state=state, sector=n, times=times, trajectory=trajectory)
 
 
 def _rk4_step_matrix(a: np.ndarray, h) -> np.ndarray:
@@ -242,18 +231,17 @@ def evolve_numerical(
     n: int,
     t: float,
     initial: NodePairState,
-    step: float | None = None,
     samples: int = 0,
-    frame: str = FRAME_LAB,
 ) -> EvolutionResult:
     """Integrate the sector equations with a fixed-step fourth-order scheme.
 
     Works for arbitrary sector frequency offsets (no resonance requirement).
     Integration happens in the rotating frame where the generator norm is
-    kappa; the exact mean-frequency phase is multiplied back for lab-frame
-    output.  The step must be finite, satisfy ``step * kappa < 0.1`` and
-    leave no segment more than 2**53 whole steps; the default is
-    ``1/(256 kappa)``.
+    kappa; the exact mean-frequency phase is multiplied back, so the result
+    is in the lab frame.  The step is ``DEFAULT_STEP_FACTOR / kappa`` (the
+    larger of the formula kappa and the generator norm); a step that is not
+    finite and positive, or a segment of more than 2**53 whole steps, raises
+    :class:`StepSizeError`.
 
     Each sample segment takes ``m = floor(length/step + 1e-12)`` whole steps
     and then one shorter tail step, if the tail exceeds ``1e-15 max(|t_end|,
@@ -269,24 +257,19 @@ def evolve_numerical(
     log(samples) rather than with samples.
     """
     n = _check_sector(n)
-    frame = _check_frame(frame)
     vec = _check_initial(initial)
     if not 0.0 <= t < np.inf:
         raise ValueError(f"integration time must be finite and nonnegative, got {t!r}")
     a = _rotating_generator(couplings, n)
     # Rate scale: formula kappa and the actual generator norm can differ off
-    # resonance; the step check honors whichever is larger.
+    # resonance; the step honors whichever is larger.  Without a rate the
+    # generator is zero and one step covers the time.
     k_eff = float(np.hypot(couplings.varpi_split(n), abs(couplings.s_coupling)))
     k_scale = max(couplings.kappa(n), k_eff)
-    if step is None:
-        step = DEFAULT_STEP_FACTOR / k_scale if k_scale > 0.0 else float(t) or 1.0
+    step = DEFAULT_STEP_FACTOR / k_scale if k_scale != 0.0 else float(t) or 1.0
     if not 0.0 < step < np.inf:
-        raise StepSizeError(f"step must be finite and positive, got {step!r}")
-    if k_scale > 0.0 and step * k_scale >= _STEP_LIMIT_FACTOR:
         raise StepSizeError(
-            f"step {step:.6e} s too coarse for rate {k_scale:.6e} rad/s",
-            suggested_step=DEFAULT_STEP_FACTOR / k_scale,
-        )
+            f"step {step!r} s for rate {k_scale!r} rad/s is not finite and positive")
 
     times = _sample_times(t, samples)
     ends = times[1:] if times is not None else np.array([float(t)])
@@ -319,12 +302,11 @@ def evolve_numerical(
     if times is not None:
         trajectory = np.concatenate([vec[None, :], ends_states.T])
 
-    if frame == FRAME_LAB:
-        if trajectory is not None:
-            trajectory *= np.exp(1j * couplings.varpi_mean(n) * times)[:, None]
-        current = current * np.exp(1j * couplings.varpi_mean(n) * t)
+    if trajectory is not None:
+        trajectory *= np.exp(1j * couplings.varpi_mean(n) * times)[:, None]
+    current = current * np.exp(1j * couplings.varpi_mean(n) * t)
     state = NodePairState(complex(current[0]), complex(current[1]))
-    return EvolutionResult(state=state, sector=n, frame=frame, times=times, trajectory=trajectory)
+    return EvolutionResult(state=state, sector=n, times=times, trajectory=trajectory)
 
 
 def blockade_error(couplings: DerivedCouplings) -> float | np.ndarray:
@@ -341,20 +323,20 @@ def blockade_error(couplings: DerivedCouplings) -> float | np.ndarray:
     return s / k1
 
 
-def iswap_schedule(couplings: DerivedCouplings, theta: float) -> float:
-    """Evolution time for a swap rotation by ``theta``: t = theta / |S|.
+def swap_time(couplings: DerivedCouplings) -> float:
+    """Duration ``pi/(2|S|)`` of one full swap, the single step of the
+    controlled swap gate.
 
-    ``theta`` is the mixing angle ``|S| t`` of the photon-free sector, not
-    the angle of a native ``ISWAP`` op: at this time the n=0 rotating-frame
-    propagator equals ``restrict_to_logical(gates.iswap(-2 theta))`` up to
-    global phase (real positive S, on resonance), not ``iswap(-theta)``.
+    At a time ``t`` the n=0 rotating-frame propagator equals
+    ``restrict_to_logical(gates.iswap(-2 |S| t))`` up to global phase (real
+    positive S, on resonance), so a native ``ISWAP(theta)`` takes
+    ``|theta|/pi`` swap times.  Raises ``ValueError`` unless ``0 < |S| <
+    inf``.
     """
     s = abs(couplings.s_coupling)
-    if s == 0.0:
-        raise ValueError("swap coupling S is zero; no rotation is possible")
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    return float(theta) / s
+    if not 0.0 < s < np.inf:
+        raise ValueError(f"swap time undefined: |S| must be finite and nonzero, got {s!r}")
+    return float(np.pi / (2.0 * s))
 
 
 def blockade_condition_deviation(couplings: DerivedCouplings) -> float:
@@ -366,15 +348,15 @@ def blockade_condition_deviation(couplings: DerivedCouplings) -> float:
 
 
 def extract_controlled_iswap(
-    couplings: DerivedCouplings,
-    t: float | None = None,
-    enforce_condition: bool = True,
+    couplings: DerivedCouplings, enforce_condition: bool = True
 ) -> Unitary:
-    """Assemble the photon-controlled swap gate from the sector propagators.
+    """Assemble the photon-controlled swap gate from the sector propagators
+    at :func:`swap_time`.
 
     Returns a 4x4 unitary on the basis (node state, photon number) ordered
     ``[psi1 n=0, psi2 n=0, psi1 n=1, psi2 n=1]``, with the photon-free
-    sector's global phase factored out.  At the swap time ``pi/(2|S|)`` under
+    sector's global phase factored out: the rotating-frame propagator of each
+    sector, the one-photon block times the sectors' relative phase.  Under
     the sqrt(3) blockade tuning the photon-free block is
     ``[[0, -i], [-i, 0]]`` (real positive S) and the one-photon block is
     ``-exp(i (N1 - 1) Omega_1^(pi) t) I``, a unit-modulus diagonal.
@@ -383,13 +365,9 @@ def extract_controlled_iswap(
     tuning beyond ``BLOCKADE_CONDITION_TOL`` raises :class:`BlockadeConditionError`
     carrying the residual one-photon swap amplitude.
     """
-    s = abs(couplings.s_coupling)
-    if t is None:
-        if s == 0.0:
-            raise ValueError("swap coupling S is zero; gate time undefined")
-        t = np.pi / (2.0 * s)
-    core0 = sector_propagator(couplings, 0, t, frame=FRAME_ROTATING)
-    core1 = sector_propagator(couplings, 1, t, frame=FRAME_ROTATING)
+    t = swap_time(couplings)
+    core0 = sector_propagator(couplings, 0, t, FRAME_ROTATING)
+    core1 = sector_propagator(couplings, 1, t, FRAME_ROTATING)
     if enforce_condition and blockade_condition_deviation(couplings) > BLOCKADE_CONDITION_TOL:
         raise BlockadeConditionError(abs(core1[1, 0]))
     # Relative phase between the sectors: the only n dependence of the mean

@@ -66,7 +66,8 @@ class Unitary:
     """Dense complex unitary matrix, validated on construction.
 
     The dimension must be a power of two (2, 4, 8, ...) and the unitarity
-    defect ``max|U U+ - I|`` must stay below ``UNITARITY_ATOL``.
+    defect ``max|U U+ - I|`` must stay below ``UNITARITY_ATOL``; a NaN entry
+    makes the defect NaN, which fails too.
     """
 
     __slots__ = ("matrix",)
@@ -79,7 +80,7 @@ class Unitary:
         if dim < 2 or dim & (dim - 1):
             raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
         defect = _unitarity_defect(m)
-        if defect > UNITARITY_ATOL:
+        if not defect <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -127,16 +128,14 @@ def iswap(theta: float) -> Unitary:
     return Unitary(m)
 
 
-def phase_gate(theta: float, phi: float | None = None) -> Unitary:
+def phase_gate(theta: float, phi: float) -> Unitary:
     """Diagonal pair gate realized by shifting one node's frequency.
 
     Returns ``exp(i phi/2) * diag(exp(-i phi/2), exp(-i theta/2),
     exp(i theta/2), exp(i phi/2))``.  The code-space restriction is
     ``exp(i phi/2) R_z(theta)``; with ``phi = 0`` the restriction is exactly
-    ``R_z(theta)``.  ``phi`` defaults to ``theta`` when omitted.
+    ``R_z(theta)``.
     """
-    if phi is None:
-        phi = theta
     pre = np.exp(0.5j * phi)
     diag = [np.exp(-0.5j * phi), np.exp(-0.5j * theta), np.exp(0.5j * theta), np.exp(0.5j * phi)]
     return Unitary(pre * np.diag(diag))

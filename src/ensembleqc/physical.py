@@ -103,6 +103,9 @@ class PhysicalParams:
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":
+        """Parse :meth:`to_json`'s layout.  Atom counts must be JSON integers
+        and the other fields JSON numbers; a complex coupling may also be a
+        ``[re, im]`` pair of JSON numbers.  A bool is not a number."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("physical parameters must be a JSON object")
@@ -111,10 +114,18 @@ class PhysicalParams:
             if f.name not in raw:
                 raise ValueError(f"missing field {f.name!r}")
             value = raw[f.name]
-            if isinstance(value, list) and len(value) == 2:
-                value = complex(*value)  # TypeError unless both are numbers
-            elif not isinstance(value, (int, float)):
-                raise ValueError(f"{f.name} must be a number or a [re, im] pair of numbers")
+            if f.type == "int":
+                ok, expected = type(value) is int, "a JSON integer"
+            elif f.type == "complex":
+                expected = "a JSON number or a [re, im] pair of JSON numbers"
+                pair = type(value) is list and len(value) == 2
+                if pair and {type(x) for x in value} <= {int, float}:
+                    value = complex(*value)
+                ok = type(value) in (int, float, complex)
+            else:
+                ok, expected = type(value) in (int, float), "a JSON number"
+            if not ok:
+                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
             kwargs[f.name] = value
         return cls(**kwargs)
 

@@ -20,9 +20,8 @@ import dataclasses
 import numpy as np
 
 from .decoherence import DecoherenceParams
+from .dynamics import SQRT3
 from .physical import DerivedCouplings, PhysicalParams, _intra_node_shift, derive_couplings
-
-SQRT3 = float(np.sqrt(3.0))
 
 
 def _resonant_omega_2(omega_1, n1, n2, omega_1_sigma, omega_1_pi, omega_2_sigma):

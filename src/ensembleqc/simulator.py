@@ -13,7 +13,7 @@ space to ``|00>``, ``|11>``.
 
 A lowered program repeats a few distinct ops many times, so each op's
 code-space block and leakage are built once per distinct ``(kind, angles)``
-(:func:`_kernel`) and reused at every target.
+(:func:`ensembleqc.compiler._kernel`) and reused at every target.
 
 :func:`_apply_run` is the one apply loop, shared by :func:`run_program`,
 :func:`program_matrix` and :func:`circuit_matrix`.  It fuses single-qubit
@@ -34,14 +34,12 @@ a validated state.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
-from .compiler import CISWAP_KIND, ISWAP_KIND, NativeOp, NativeProgram
+from .compiler import NativeProgram, _op_kernel
 
 NORM_ATOL = 1e-10
 
@@ -109,24 +107,6 @@ def _cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
             else (slice(None), 0, slice(None), 1))
     dst[zero], dst[one] = src[one], src[zero]
     return out
-
-
-# Bounded, since a program read from JSON may carry any number of angles.
-@functools.lru_cache(maxsize=1024)
-def _kernel(kind: str, angles: tuple[float, ...], zero_signs: tuple[float, ...]):
-    """``(block, leakage)`` of every op of one kind and angles, whatever its
-    targets: the 2x2 code-space block (None for CISWAP, a slice swap) and the
-    largest element of the physical matrix coupling the code space to the
-    leakage states.  ``zero_signs`` only splits the cache key, because
-    ``0.0 == -0.0`` while their matrices can differ in the sign of a zero."""
-    if kind == CISWAP_KIND:
-        return None, gates.code_space_coupling(gates.CONTROLLED_SWAP)
-    pair = gates.iswap(*angles) if kind == ISWAP_KIND else gates.phase_gate(*angles)
-    return gates.restrict_to_logical(pair).matrix, gates.code_space_coupling(pair)
-
-
-def _op_kernel(op: NativeOp):
-    return _kernel(op.kind, op.angles, tuple(math.copysign(1.0, a) for a in op.angles))
 
 
 def _apply_run(amps: np.ndarray, steps) -> np.ndarray:

@@ -5,6 +5,7 @@ traceback, whatever the input."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -51,6 +52,9 @@ def write(path, content) -> str:
 
 
 ZERO_SIGMA = {"physical_params": dict(REFERENCE, g_sigma_1=0.0)}
+# Couplings so large that the swap rate |S| overflows to inf.
+TUNED = json.loads(presets.blockade_tuned_params(presets.SQRT3).to_json())
+OVERFLOWING = {"physical_params": dict(TUNED, g_sigma_1=1e200, g_sigma_2=1e200)}
 PROGRAM = {"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": [0], "angles": [1.0]}]}
 
 # (files written to the working directory, argv, expected exit code)
@@ -65,10 +69,22 @@ ERROR_CASES = {
     "fractional_atom_count": (
         {"c.json": {"physical_params": dict(REFERENCE, n_atoms_1=2.7)}},
         ["--config", "c.json", "truth-table"], 2),
+    "physical_bool_number": (
+        {"c.json": {"physical_params": dict(REFERENCE, g_pi_2=False)}},
+        ["--config", "c.json", "truth-table"], 2),
+    "physical_bool_atom_count": (
+        {"c.json": {"physical_params": dict(REFERENCE, n_atoms_1=True)}},
+        ["--config", "c.json", "truth-table"], 2),
+    "physical_bool_pair": (
+        {"c.json": {"physical_params": dict(REFERENCE, g_sigma_1=[True, False])}},
+        ["--config", "c.json", "truth-table"], 2),
     "zero_sigma_truth_table_force": (
         {"c.json": ZERO_SIGMA}, ["--config", "c.json", "truth-table", "--force"], 2),
     "zero_sigma_blockade_sweep": ({"c.json": ZERO_SIGMA}, ["--config", "c.json", "blockade-sweep"], 2),
     "zero_sigma_fidelity": ({"c.json": ZERO_SIGMA}, ["--config", "c.json", "fidelity"], 2),
+    "overflowing_coupling_fidelity": ({"c.json": OVERFLOWING}, ["--config", "c.json", "fidelity"], 2),
+    "overflowing_coupling_truth_table": (
+        {"c.json": OVERFLOWING}, ["--config", "c.json", "truth-table"], 2),
     "nan_sweep_ratio": (
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [math.nan]}}},
         ["--config", "c.json", "blockade-sweep"], 2),
@@ -457,7 +473,7 @@ def test_fidelity_report_equals_reference(parameter, seed, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         couplings = derive_couplings(params)
-    t_gate = dynamics.iswap_schedule(couplings, math.pi / 2)
+    t_gate = dynamics.swap_time(couplings)
     delta = float(10 ** rng.uniform(7.0, 9.0))
     # Where each term alone spends the 1e-4 error budget; the constant terms
     # spend at most a tenth of it each.
@@ -604,7 +620,7 @@ def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
     assert code == 0
     couplings = derive_couplings(PhysicalParams.from_json(json.dumps(params)))
     # pi/(2|S|) with |S| = sqrt(N1 N2)|Omega_sigma|, the time of the extracted gate ...
-    t_gate = dynamics.iswap_schedule(couplings, math.pi / 2)
+    t_gate = dynamics.swap_time(couplings)
     assert report["gate_time"] == t_gate
     assert math.isclose(t_gate, math.pi / (2 * 200 * report["omega_sigma"]), rel_tol=1e-12)
     # ... not pi/(2 N1 |Omega_sigma|), twice as long here.
@@ -814,6 +830,7 @@ def test_every_export_resolves():
     ("gates", "verify_encoded_cnot"),
     ("gates", "EncodedCnotReport"),
     ("presets", "rescale_pi_coupling"),
+    ("dynamics", "iswap_schedule"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(getattr(ensembleqc, module), name)
@@ -837,5 +854,12 @@ def test_unused_keywords_are_gone():
         (gates.restrict_to_logical, "atol"),
         (compiler.lower_single_qubit, "target"),
         (cli.default_config, "seed"),
+        (dynamics.evolve_numerical, "step"),
+        (dynamics.evolve_numerical, "frame"),
+        (dynamics.evolve_closed_form, "frame"),
+        (dynamics.extract_controlled_iswap, "t"),
     ):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+    # Every caller passes phi.
+    assert inspect.signature(gates.phase_gate).parameters["phi"].default is inspect.Parameter.empty
+    assert "frame" not in {f.name for f in dataclasses.fields(dynamics.EvolutionResult)}

@@ -19,8 +19,8 @@ from ensembleqc.dynamics import (
     evolve_closed_form,
     evolve_numerical,
     extract_controlled_iswap,
-    iswap_schedule,
     sector_propagator,
+    swap_time,
 )
 from ensembleqc.gates import iswap, phase_distance, restrict_to_logical
 from ensembleqc.physical import DerivedCouplings, derive_couplings, effective_hamiltonian
@@ -55,39 +55,43 @@ class TestNodePairState:
             evolve_closed_form(resonant, 0, 1.0, NodePairState(0.5, 0.0))
 
 
+def rotating(couplings, n, t, initial=EXCITED) -> np.ndarray:
+    """Rotating-frame state at ``t`` from ``initial``."""
+    return sector_propagator(couplings, n, t, FRAME_ROTATING) @ initial.as_vector()
+
+
 class TestClosedForm:
     def test_identity_at_time_zero(self, resonant):
         result = evolve_closed_form(resonant, 0, 0.0, EXCITED)
         assert result.state.c1 == 1.0 and result.state.c2 == 0.0
-        assert result.frame == "lab" and result.sector == 0
+        assert result.sector == 0
 
     def test_full_swap_amplitudes(self, resonant):
-        t = np.pi / (2.0 * abs(resonant.s_coupling))
-        result = evolve_closed_form(resonant, 0, t, EXCITED, frame=FRAME_ROTATING)
-        assert abs(result.state.c1) < 1e-12
-        assert abs(result.state.c2 - (-1j)) < 1e-12
+        c1, c2 = rotating(resonant, 0, swap_time(resonant))
+        assert abs(c1) < 1e-12
+        assert abs(c2 - (-1j)) < 1e-12
 
     def test_lab_frame_differs_by_mean_phase_only(self, resonant):
+        # The evolvers report the lab frame: the rotating frame's state times
+        # the mean-frequency phase.
         t = 0.37
         lab = evolve_closed_form(resonant, 0, t, EXCITED)
-        rot = evolve_closed_form(resonant, 0, t, EXCITED, frame=FRAME_ROTATING)
+        rot = rotating(resonant, 0, t)
         phase = np.exp(1j * resonant.varpi_mean(0) * t)
-        assert abs(lab.state.c1 - phase * rot.state.c1) < 1e-12
-        assert abs(lab.state.c2 - phase * rot.state.c2) < 1e-12
+        assert abs(lab.state.c1 - phase * rot[0]) < 1e-12
+        assert abs(lab.state.c2 - phase * rot[1]) < 1e-12
 
     def test_periodicity(self, resonant):
-        t = 2.0 * np.pi / abs(resonant.s_coupling)
-        result = evolve_closed_form(resonant, 0, t, EXCITED, frame=FRAME_ROTATING)
-        assert abs(result.state.c1 - 1.0) < 1e-10
-        assert abs(result.state.c2) < 1e-10
+        c1, c2 = rotating(resonant, 0, 2.0 * np.pi / abs(resonant.s_coupling))
+        assert abs(c1 - 1.0) < 1e-10
+        assert abs(c2) < 1e-10
 
     def test_perfect_blockade_zero(self, tuned):
-        t = np.pi / (2.0 * abs(tuned.s_coupling))
-        result = evolve_closed_form(tuned, 1, t, EXCITED, frame=FRAME_ROTATING)
-        assert abs(result.state.c2) < 1e-12
-        assert abs(abs(result.state.c1) - 1.0) < 1e-12
+        c1, c2 = rotating(tuned, 1, swap_time(tuned))
+        assert abs(c2) < 1e-12
+        assert abs(abs(c1) - 1.0) < 1e-12
         # kappa(1) t = pi makes the returned amplitude exactly -1.
-        assert abs(result.state.c1 - (-1.0)) < 1e-12
+        assert abs(c1 - (-1.0)) < 1e-12
 
     def test_refuses_off_resonance(self, resonant):
         delta = 10.0 * abs(resonant.s_coupling)
@@ -151,12 +155,11 @@ class TestTimeArrays:
         initial = NodePairState(*random_state(np.random.default_rng(37), 2))
         t = 3.0 / abs(tuned.s_coupling)
         for n in (0, 1):
-            for frame in (FRAME_LAB, FRAME_ROTATING):
-                result = evolve_closed_form(tuned, n, t, initial, samples=50, frame=frame)
-                expected = np.stack([
-                    sector_propagator(tuned, n, ti, frame) @ initial.as_vector() for ti in result.times
-                ])
-                assert np.array_equal(result.trajectory, expected)
+            result = evolve_closed_form(tuned, n, t, initial, samples=50)
+            expected = np.stack([
+                sector_propagator(tuned, n, ti) @ initial.as_vector() for ti in result.times
+            ])
+            assert np.array_equal(result.trajectory, expected)
 
 
 class TestNumerical:
@@ -167,9 +170,11 @@ class TestNumerical:
         step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
         vec = random_state(np.random.default_rng(41), 2)
         for t in (0.0, 0.5 * step, 10.0 * np.pi / s):
-            result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples,
-                                      frame=FRAME_ROTATING)
-            reference = rk4_reference(tuned, n, t, vec, step, samples)
+            result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples)
+            # The reference integrates in the rotating frame; the result is in the lab frame.
+            times = np.linspace(0.0, t, samples + 1) if samples else np.array([0.0, t])
+            reference = (rk4_reference(tuned, n, t, vec, step, samples)
+                         * np.exp(1j * tuned.varpi_mean(n) * times)[:, None])
             assert abs(result.state.as_vector() - reference[-1]).max() < 1e-12
             if samples:
                 assert result.trajectory.shape == reference.shape
@@ -180,18 +185,18 @@ class TestNumerical:
     @pytest.mark.parametrize("samples", [1, 2, 3, 5, 8, 1023, 1024, 1025])
     @pytest.mark.parametrize("n", [0, 1])
     def test_scan_edges_match_step_by_step_reference(self, tuned, n, samples):
-        # Sample counts around the doubling scan's powers of two, both frames.
+        # Sample counts around the doubling scan's powers of two.
         s = abs(tuned.s_coupling)
         step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
         vec = random_state(np.random.default_rng(43), 2)
         t = 10.0 * np.pi / s
         reference = rk4_reference(tuned, n, t, vec, step, samples)
         lab_phase = np.exp(1j * tuned.varpi_mean(n) * np.linspace(0.0, t, samples + 1))[:, None]
-        for frame, expected in ((FRAME_ROTATING, reference), (FRAME_LAB, reference * lab_phase)):
-            result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples, frame=frame)
-            assert result.trajectory.shape == expected.shape
-            assert np.max(np.abs(result.trajectory - expected)) < 1e-12
-            assert abs(result.state.as_vector() - expected[-1]).max() < 1e-12
+        expected = reference * lab_phase
+        result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples)
+        assert result.trajectory.shape == expected.shape
+        assert np.max(np.abs(result.trajectory - expected)) < 1e-12
+        assert abs(result.state.as_vector() - expected[-1]).max() < 1e-12
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_long_horizon_keeps_the_norm(self, tuned, n):
@@ -238,25 +243,32 @@ class TestNumerical:
         peak = np.max(np.abs(traj.trajectory[:, 1]) ** 2)
         assert peak <= expected_peak_sq + 1e-8
 
-    def test_step_validation(self, resonant):
-        with pytest.raises(StepSizeError, match="positive"):
-            evolve_numerical(resonant, 0, 1.0, EXCITED, step=-1.0)
-        with pytest.raises(StepSizeError, match="too coarse") as err:
-            evolve_numerical(resonant, 0, 1.0, EXCITED, step=1.0)
-        assert err.value.suggested_step is not None
-        assert err.value.suggested_step * resonant.kappa(0) < 0.1
-
     @pytest.mark.parametrize(
         "step, message",
         [(np.nan, "finite and positive"), (np.inf, "finite and positive"), (1e-300, r"2\*\*53")],
     )
-    def test_rejects_non_finite_or_tiny_step(self, resonant, step, message):
-        # Such steps are refused before any array work, so numpy warns of
-        # no invalid cast on the way.
+    def test_rejects_non_finite_or_tiny_step(self, step, message):
+        # The step is DEFAULT_STEP_FACTOR / |S| on a sector without split: a
+        # NaN rate gives a NaN step, the smallest subnormal rate overflows it
+        # to inf, and a rate near 4e297 gives 1e-300, which needs more than
+        # 2**53 steps for t = 1.  Such steps are refused before any array
+        # work, so numpy warns of no invalid cast on the way.
+        s = 5e-324 if step == np.inf else DEFAULT_STEP_FACTOR / step
+        extreme = DerivedCouplings(
+            omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=0.0, omega_2_sigma=0.0,
+            omega_2_pi=0.0, s_coupling=complex(s), n_atoms_1=1, n_atoms_2=1, omega_1=0.0, omega_2=0.0,
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepSizeError, match=message):
-                evolve_numerical(resonant, 0, 1.0, EXCITED, step=step)
+                evolve_numerical(extreme, 0, 1.0, EXCITED)
+
+    def test_huge_time_needs_too_many_steps(self, resonant):
+        # The 2**53 guard on ordinary couplings: a finite time of 1e300 s.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match=r"2\*\*53"):
+                evolve_numerical(resonant, 0, 1e300, EXCITED)
 
     def test_norm_conserved_along_trajectory(self, tuned):
         t = 10.0 / abs(tuned.s_coupling)
@@ -409,40 +421,45 @@ class TestRatioStacks:
             presets.rescaled_couplings(params, [-1.0])
 
 
-class TestIswapSchedule:
-    def test_quarter_turn(self, resonant):
-        s = abs(resonant.s_coupling)
-        assert iswap_schedule(resonant, np.pi / 2) == np.pi / (2 * s)
+class TestSwapTime:
+    def test_value(self, resonant):
+        assert swap_time(resonant) == np.pi / (2 * abs(resonant.s_coupling))
 
-    def test_zero_angle(self, resonant):
-        assert iswap_schedule(resonant, 0.0) == 0.0
+    def test_is_the_extraction_time(self, tuned):
+        # The extracted gate is the rotating-frame sector propagators at
+        # swap_time, bit for bit.
+        t = swap_time(tuned)
+        m = extract_controlled_iswap(tuned).matrix
+        assert np.array_equal(m[:2, :2], sector_propagator(tuned, 0, t, FRAME_ROTATING))
+        rel_phase = np.exp(1j * (tuned.n_atoms_1 - 1) * tuned.omega_1_pi * t)
+        assert np.array_equal(m[2:, 2:], rel_phase * sector_propagator(tuned, 1, t, FRAME_ROTATING))
 
-    def test_full_turn_returns_population_with_sign_flip(self, resonant):
-        t = iswap_schedule(resonant, np.pi)
-        result = evolve_closed_form(resonant, 0, t, EXCITED, frame=FRAME_ROTATING)
-        assert abs(result.state.c1 - (-1.0)) < 1e-12
-        assert abs(result.state.c2) < 1e-12
+    def test_two_swaps_return_population_with_sign_flip(self, resonant):
+        c1, c2 = rotating(resonant, 0, 2.0 * swap_time(resonant))
+        assert abs(c1 - (-1.0)) < 1e-12
+        assert abs(c2) < 1e-12
 
-    @pytest.mark.parametrize("theta", [0.3, np.pi / 2, 2.1])
-    def test_angle_is_half_the_native_iswap_angle(self, theta):
-        # At iswap_schedule(c, theta) the photon-free sector has turned by
-        # iswap(-2 theta), not by the native op angle iswap(-theta).
+    @pytest.mark.parametrize("fraction", [0.2, 1.0, 1.3])
+    def test_native_iswap_angle_is_twice_s_t(self, fraction):
+        # At time t the photon-free sector has turned by iswap(-2|S|t), not
+        # by iswap(-|S|t): a native ISWAP(theta) takes |theta|/pi swap times.
         rng = np.random.default_rng(23)
         for params in [presets.reference_params()] + [random_resonant_params(rng) for _ in range(6)]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # reference_params is outside the dispersive window
                 couplings = derive_couplings(params)
-            t = iswap_schedule(couplings, theta)
-            u = sector_propagator(couplings, 0, t, frame=FRAME_ROTATING)
-            assert phase_distance(u, restrict_to_logical(iswap(-2.0 * theta))) < 1e-11
-            assert phase_distance(u, restrict_to_logical(iswap(-theta))) > 0.1
+            t = fraction * swap_time(couplings)
+            s_t = abs(couplings.s_coupling) * t
+            u = sector_propagator(couplings, 0, t, FRAME_ROTATING)
+            assert phase_distance(u, restrict_to_logical(iswap(-2.0 * s_t))) < 1e-11
+            assert phase_distance(u, restrict_to_logical(iswap(-s_t))) > 0.1
 
-    def test_rejects_zero_coupling(self):
-        couplings = derive_couplings(
-            dataclasses.replace(presets.blockade_tuned_params(1.0), g_sigma_2=0.0)
-        )
-        with pytest.raises(ValueError, match="zero"):
-            iswap_schedule(couplings, 1.0)
+    @pytest.mark.parametrize("s", [0.0, np.inf, np.nan])
+    def test_rejects_zero_or_non_finite_coupling(self, s):
+        couplings = dataclasses.replace(
+            derive_couplings(presets.blockade_tuned_params(1.0)), s_coupling=complex(s))
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            swap_time(couplings)
 
 
 class TestGateExtraction:
@@ -456,16 +473,11 @@ class TestGateExtraction:
 
     def test_one_photon_phase_value(self, tuned):
         # The blocked branch returns -exp(i (N1-1) Omega_1pi t).
-        t = np.pi / (2.0 * abs(tuned.s_coupling))
+        t = swap_time(tuned)
         expected = -np.exp(1j * (tuned.n_atoms_1 - 1) * tuned.omega_1_pi * t)
         m = extract_controlled_iswap(tuned).matrix
         assert abs(m[2, 2] - expected) < 1e-12
         assert abs(m[3, 3] - expected) < 1e-12
-
-    def test_arbitrary_time_still_unitary(self, tuned):
-        t = np.pi / (4.0 * abs(tuned.s_coupling))
-        u = extract_controlled_iswap(tuned, t=t)
-        assert u.unitarity_defect() < 1e-12
 
     def test_detuned_coupling_rejected_with_leakage(self, resonant):
         with pytest.raises(BlockadeConditionError) as err:

@@ -28,7 +28,7 @@ UNITARY_SAMPLES = [
     iswap(0.7345),
     phase_gate(0.0, 0.0),
     phase_gate(1.1, -0.4),
-    phase_gate(np.pi / 2),
+    phase_gate(np.pi / 2, np.pi / 2),
     Unitary(CONTROLLED_SWAP),
     rx(0.3),
     rz(-2.2),
@@ -49,6 +49,18 @@ class TestUnitaryType:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             Unitary(np.array([[1.0, 0.0], [0.0, 1.1]]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Unitary([[np.nan, 0.0], [0.0, 1.0]]),
+        lambda: rx(np.nan),
+        lambda: iswap(np.nan),
+        lambda: phase_gate(np.nan, 0.0),
+        lambda: phase_gate(0.0, np.nan),
+    ], ids=["matrix", "rx", "iswap", "phase_gate_theta", "phase_gate_phi"])
+    def test_rejects_nan(self, build):
+        # A NaN entry makes the unitarity defect NaN, which must not pass.
+        with pytest.raises(ValueError, match="not unitary"):
+            build()
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -107,9 +119,6 @@ class TestPhaseGate:
         # With phi = theta the |01> entry is exp(i phi/2) exp(-i theta/2) = 1.
         m = phase_gate(1.234, 1.234).matrix
         assert abs(m[1, 1] - 1.0) < 1e-15
-
-    def test_phi_defaults_to_theta(self):
-        assert np.array_equal(phase_gate(0.7).matrix, phase_gate(0.7, 0.7).matrix)
 
     def test_restriction_is_z_rotation(self):
         m = restrict_to_logical(phase_gate(np.pi / 2, 0.0)).matrix

@@ -75,6 +75,12 @@ class TestParamsValidation:
         ("g_sigma_1", "1"),
         ("g_pi_1", [1.0]),
         ("omega_1", None),
+        # A bool is not a JSON number, and only couplings may be pairs.
+        ("g_pi_2", False),
+        ("n_atoms_1", True),
+        ("g_sigma_1", [True, False]),
+        ("g_sigma_1", [1.0, "0"]),
+        ("omega_1", [1.0, 0.0]),
     ])
     def test_from_json_rejects_malformed_field(self, field, value):
         raw = json.loads(make_params().to_json())

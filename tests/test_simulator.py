@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensembleqc import gates, simulator
+from ensembleqc import compiler, gates
 from ensembleqc.compiler import (
     CISWAP_KIND,
     ISWAP_KIND,
@@ -512,14 +512,14 @@ class TestKernelCache:
                          fused_reference(circuit_steps(circuit), np.eye(2**k, dtype=complex)))
 
     def test_signed_zero_angles_get_their_own_kernels(self):
-        simulator._kernel.cache_clear()
+        compiler._kernel.cache_clear()
         ops = [NativeOp(PHASE_KIND, (0,), (0.7, 0.0)), NativeOp(PHASE_KIND, (0,), (0.7, -0.0)),
                NativeOp(ISWAP_KIND, (0,), (0.0,)), NativeOp(ISWAP_KIND, (0,), (-0.0,))]
         for op in ops:
             program = one_op(op, 1)
             expected, _ = run_ops_reference(program, np.eye(2, dtype=complex))
             assert same_bits(program_matrix(program), expected * program.global_phase)
-        assert simulator._kernel.cache_info().currsize == len(ops)
+        assert compiler._kernel.cache_info().currsize == len(ops)
 
     def test_warm_kernels_build_no_unitary_and_check_no_state_per_op(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -539,7 +539,7 @@ class TestKernelCache:
                             spy("LogicalState", LogicalState.__post_init__))
         monkeypatch.setattr(gates, "iswap", spy("iswap", gates.iswap))
         monkeypatch.setattr(gates, "phase_gate", spy("phase_gate", gates.phase_gate))
-        simulator._kernel.cache_clear()
+        compiler._kernel.cache_clear()
         run_program(program, "0" * 10)
         program_matrix(prefix)
         distinct = collections.Counter(kind for kind, _ in {(op.kind, op.angles) for op in program.ops})
