@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compiler, decoherence, dynamics, gates, presets, simulator
+from . import compiler, decoherence, dynamics, gates, physical, presets, simulator
 from .physical import PhysicalParams, check_interference_condition, derive_couplings
 
 EXIT_OK = 0
@@ -419,7 +419,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         return np.stack([dynamics.blockade_error(couplings), np.hypot(c2.real, c2.imag)])
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", physical.DispersiveRegimeWarning)
         if len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
                 parts = list(pool.map(chunk_columns, chunks))
@@ -560,7 +560,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
 def cmd_fidelity(args, config: ScenarioConfig) -> int:
     deco = config.decoherence_params
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", physical.DispersiveRegimeWarning)
         couplings = derive_couplings(config.physical_params)
     omega_sigma = abs(couplings.omega_cap_sigma)
     t_gate = dynamics.swap_time(couplings)

@@ -39,6 +39,8 @@ CISWAP_KIND = "CISWAP"
 _ARITY = {ISWAP_KIND: (1, 1), PHASE_KIND: (1, 2), CISWAP_KIND: (2, 0)}
 
 SUPPORTED_GATES = ("X", "H", "S", "T", "CNOT")
+# Largest deviation from 1 of a global phase's modulus or of a state's norm.
+NORM_ATOL = 1e-10
 
 
 class CircuitParseError(ValueError):
@@ -118,7 +120,7 @@ def _op_kernel(op: NativeOp):
 
 @dataclass
 class NativeProgram:
-    """Ordered native operations plus the accumulated global phase."""
+    """Ordered native operations plus the accumulated global phase (modulus 1)."""
 
     qubit_count: int
     ops: list[NativeOp] = field(default_factory=list)
@@ -127,6 +129,8 @@ class NativeProgram:
     def validate(self) -> None:
         if self.qubit_count < 1:
             raise ValueError("program needs at least one logical qubit")
+        if not abs(math.hypot(self.global_phase.real, self.global_phase.imag) - 1.0) <= NORM_ATOL:
+            raise ValueError(f"global_phase must have modulus 1, got {self.global_phase!r}")
         for op in self.ops:
             if any(t >= self.qubit_count for t in op.targets):
                 raise ValueError(

@@ -108,12 +108,6 @@ class EvolutionResult:
     trajectory: np.ndarray | None = None
 
 
-def _check_frame(frame: str) -> str:
-    if frame not in (FRAME_LAB, FRAME_ROTATING):
-        raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
-    return frame
-
-
 def _check_initial(initial: NodePairState) -> np.ndarray:
     vec = initial.as_vector()
     if abs(initial.norm() - 1.0) > 1e-10:
@@ -137,21 +131,27 @@ def sector_propagator(
     set or a stack of them (see :class:`DerivedCouplings`).  The result has
     shape ``np.broadcast_shapes(stack shape, np.shape(t)) + (2, 2)``, one 2x2
     propagator per element, each equal bit for bit to the call with that time
-    and that coupling set alone.
+    and that coupling set alone.  A rotation angle ``kappa t`` or lab-frame
+    phase angle ``varpi_mean(n) t`` that is not finite raises ``ValueError``.
     """
     n = _check_sector(n)
-    frame = _check_frame(frame)
-    d = couplings.varpi_split(n)
+    if frame not in (FRAME_LAB, FRAME_ROTATING):
+        raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     s = couplings.s_coupling
-    k = np.hypot(d, abs(s))
     # Each entry is computed over the whole stack and written to its slot, so
     # each element takes the same scalar arithmetic, rounding included,
     # whether it comes alone or in an array.  k vanishes only with d = S = 0,
     # where the propagator is the identity and the sinc (0/0) is set to 0.
-    kt = k * t
-    cos_kt = np.cos(kt)
-    with np.errstate(invalid="ignore"):
+    # The collective terms and the angles may overflow; the angles are checked.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = couplings.varpi_split(n)
+        k = np.hypot(d, abs(s))
+        kt = k * t
+        lab = 1j * couplings.varpi_mean(n) * t if frame == FRAME_LAB else 0.0
+        cos_kt = np.cos(kt)
         sinc = np.where(k == 0.0, 0.0, np.sin(kt) / k)
+    if not (np.isfinite(kt).all() and np.isfinite(lab).all()):
+        raise ValueError(f"sector {n} propagator undefined: an angle at time t is not finite")
     u = np.empty(np.shape(cos_kt) + (2, 2), dtype=complex)
     u[..., 0, 0] = cos_kt + 1j * d * sinc
     u[..., 0, 1] = -1j * s * sinc
@@ -159,7 +159,7 @@ def sector_propagator(
     u[..., 1, 1] = cos_kt - 1j * d * sinc
     if frame == FRAME_LAB:
         # The phase is the left factor, as in the scalar product phase * U.
-        np.multiply(np.exp(1j * couplings.varpi_mean(n) * t)[..., None, None], u, out=u)
+        np.multiply(np.exp(lab)[..., None, None], u, out=u)
     return u
 
 
@@ -330,13 +330,14 @@ def swap_time(couplings: DerivedCouplings) -> float:
     At a time ``t`` the n=0 rotating-frame propagator equals
     ``restrict_to_logical(gates.iswap(-2 |S| t))`` up to global phase (real
     positive S, on resonance), so a native ``ISWAP(theta)`` takes
-    ``|theta|/pi`` swap times.  Raises ``ValueError`` unless ``0 < |S| <
-    inf``.
+    ``|theta|/pi`` swap times.  Raises ``ValueError`` unless ``|S|`` and the
+    time are both finite and nonzero.
     """
     s = abs(couplings.s_coupling)
-    if not 0.0 < s < np.inf:
-        raise ValueError(f"swap time undefined: |S| must be finite and nonzero, got {s!r}")
-    return float(np.pi / (2.0 * s))
+    t = np.pi / (2.0 * s) if s != 0.0 else np.inf
+    if not (s < np.inf and t < np.inf):
+        raise ValueError(f"swap time pi/(2|S|) must be finite and nonzero, got |S| = {s!r}")
+    return float(t)
 
 
 def blockade_condition_deviation(couplings: DerivedCouplings) -> float:
@@ -363,17 +364,21 @@ def extract_controlled_iswap(
 
     Unless ``enforce_condition`` is off, a relative deviation of the blockade
     tuning beyond ``BLOCKADE_CONDITION_TOL`` raises :class:`BlockadeConditionError`
-    carrying the residual one-photon swap amplitude.
+    carrying the residual one-photon swap amplitude.  A relative-phase or
+    sector rotation angle that is not finite raises ``ValueError``.
     """
     t = swap_time(couplings)
+    # Relative phase between the sectors: the only n dependence of the mean
+    # frequency is the per-photon light shift, so varpi_mean(1) -
+    # varpi_mean(0) = (N1 - 1) * Omega_1^(pi) exactly (and stably).
+    rel_angle = (couplings.n_atoms_1 - 1) * couplings.omega_1_pi * t
+    if not np.isfinite(rel_angle):
+        raise ValueError(f"controlled swap undefined: relative phase angle {rel_angle!r}")
     core0 = sector_propagator(couplings, 0, t, FRAME_ROTATING)
     core1 = sector_propagator(couplings, 1, t, FRAME_ROTATING)
     if enforce_condition and blockade_condition_deviation(couplings) > BLOCKADE_CONDITION_TOL:
         raise BlockadeConditionError(abs(core1[1, 0]))
-    # Relative phase between the sectors: the only n dependence of the mean
-    # frequency is the per-photon light shift, so varpi_mean(1) -
-    # varpi_mean(0) = (N1 - 1) * Omega_1^(pi) exactly (and stably).
-    rel_phase = np.exp(1j * (couplings.n_atoms_1 - 1) * couplings.omega_1_pi * t)
+    rel_phase = np.exp(1j * rel_angle)
     m = np.zeros((4, 4), dtype=complex)
     m[:2, :2] = core0
     m[2:, 2:] = rel_phase * core1

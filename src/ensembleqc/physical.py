@@ -10,9 +10,10 @@ the mode wavelength); couplings may still be complex.  Each node's atoms are
 reduced to one effective two-level amplitude (symmetric single-excitation
 collective state); individual atoms are never represented.
 
-Node frequencies ``omega_1`` and ``omega_2`` are the effective post-
-transformation values and may be given relative to any common rotating
-reference, so zero or negative values are legitimate.
+Each mode enters only through its detunings (atom minus mode frequency): in
+the frame rotating at the atomic frequency no absolute frequency is needed.
+The node frequencies ``omega_1`` and ``omega_2`` are effective values
+relative to that frame, so zero or negative values are legitimate.
 """
 
 from __future__ import annotations
@@ -33,20 +34,15 @@ class DispersiveRegimeWarning(UserWarning):
     """A coupling-to-detuning ratio is too large for the perturbative model."""
 
 
-def _is_finite_number(x) -> bool:
-    return cmath.isfinite(complex(x))
-
-
 @dataclass(frozen=True)
 class PhysicalParams:
     """Raw constants of the two-node system.
 
     ``n_atoms_*`` are the node atom counts; ``g_sigma_*`` couple each node to
     the shared cavity mode and ``g_pi_*`` to that node's microcavity mode
-    (complex values allowed).  ``omega_0`` is the bare atomic working
-    frequency, ``omega_1``/``omega_2`` the effective node frequencies, and
-    ``omega_sigma``/``omega_pi_*`` the mode frequencies.  The four detunings
-    are stored explicitly because the model treats them as independent knobs.
+    (complex values allowed).  ``omega_1``/``omega_2`` are the effective node
+    frequencies and ``delta_sigma_*``/``delta_pi_*`` each node's detunings
+    from the two modes, the only form in which the model reads them.
     """
 
     n_atoms_1: int
@@ -55,12 +51,8 @@ class PhysicalParams:
     g_sigma_2: complex
     g_pi_1: complex
     g_pi_2: complex
-    omega_0: float
     omega_1: float
     omega_2: float
-    omega_sigma: float
-    omega_pi_1: float
-    omega_pi_2: float
     delta_sigma_1: float
     delta_sigma_2: float
     delta_pi_1: float
@@ -75,7 +67,7 @@ class PhysicalParams:
         for f in fields(self):
             if f.name.startswith("n_atoms"):
                 continue
-            if not _is_finite_number(getattr(self, f.name)):
+            if not cmath.isfinite(complex(getattr(self, f.name))):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("delta_sigma_1", "delta_sigma_2", "delta_pi_1", "delta_pi_2"):
             if getattr(self, name) == 0.0:
@@ -105,7 +97,8 @@ class PhysicalParams:
     def from_json(cls, text: str) -> "PhysicalParams":
         """Parse :meth:`to_json`'s layout.  Atom counts must be JSON integers
         and the other fields JSON numbers; a complex coupling may also be a
-        ``[re, im]`` pair of JSON numbers.  A bool is not a number."""
+        ``[re, im]`` pair of JSON numbers.  A bool is not a number; other
+        keys are ignored."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("physical parameters must be a JSON object")
@@ -232,7 +225,8 @@ def derive_couplings(params: PhysicalParams) -> DerivedCouplings:
     A violation of the dispersive-regime check
     |g| < DISPERSIVE_THRESHOLD * |Delta| is
     reported as a :class:`DispersiveRegimeWarning`, not an error: the model
-    formulas still evaluate, they just lose perturbative accuracy.
+    formulas still evaluate, they just lose perturbative accuracy.  A NaN
+    exchange rate (0 * inf or inf - inf) raises ``ValueError``.
     """
     ratios = params.dispersive_ratios()
     bad = {k: v for k, v in ratios.items() if v >= DISPERSIVE_THRESHOLD}
@@ -243,18 +237,21 @@ def derive_couplings(params: PhysicalParams) -> DerivedCouplings:
             DispersiveRegimeWarning,
             stacklevel=2,
         )
-    omega_cap_sigma = (
-        params.g_sigma_1
-        * np.conj(params.g_sigma_2)
-        / 2.0
-        * (1.0 / params.delta_sigma_1 + 1.0 / params.delta_sigma_2)
-    )
-    s_coupling = np.sqrt(float(params.n_atoms_1 * params.n_atoms_2)) * omega_cap_sigma
-    with np.errstate(over="ignore"):  # an overflowing shift is inf, as in float arithmetic
+    # An overflowing coupling or shift is inf, as in float arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_cap_sigma = (
+            params.g_sigma_1
+            * np.conj(params.g_sigma_2)
+            / 2.0
+            * (1.0 / params.delta_sigma_1 + 1.0 / params.delta_sigma_2)
+        )
+        s_coupling = np.sqrt(float(params.n_atoms_1 * params.n_atoms_2)) * omega_cap_sigma
         omega_1_sigma = float(_intra_node_shift(params.g_sigma_1, params.delta_sigma_1))
         omega_1_pi = float(_intra_node_shift(params.g_pi_1, params.delta_pi_1))
         omega_2_sigma = float(_intra_node_shift(params.g_sigma_2, params.delta_sigma_2))
         omega_2_pi = float(_intra_node_shift(params.g_pi_2, params.delta_pi_2))
+    if np.isnan(omega_cap_sigma):
+        raise ValueError("exchange rate Omega_sigma is undefined: 0 * inf or inf - inf")
     return DerivedCouplings(
         omega_cap_sigma=complex(omega_cap_sigma),
         omega_1_sigma=omega_1_sigma,

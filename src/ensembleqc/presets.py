@@ -9,8 +9,8 @@ Every preset satisfies, by construction:
   uncoupled removes its intra-node shift, which is what makes the resonance
   condition equivalent to exact sector degeneracy.
 
-Node frequencies are relative to a common rotating reference, so omega_1
-defaults to 0.
+Each mode enters only through its detunings, and node frequencies are
+relative to a common rotating reference, so omega_1 defaults to 0.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .decoherence import DecoherenceParams
 from .dynamics import SQRT3
 from .physical import DerivedCouplings, PhysicalParams, _intra_node_shift, derive_couplings
 
+# Shared detuning of the reference operating point, rad/s.
+_REFERENCE_DELTA = 2.0e8 / np.pi
+
 
 def _resonant_omega_2(omega_1, n1, n2, omega_1_sigma, omega_1_pi, omega_2_sigma):
     """Second node frequency solving the swap resonance condition; an array
@@ -30,9 +33,7 @@ def _resonant_omega_2(omega_1, n1, n2, omega_1_sigma, omega_1_pi, omega_2_sigma)
     return omega_1 + n1 * (omega_1_sigma + omega_1_pi) - n2 * omega_2_sigma
 
 
-def _resonant_params(
-    n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_0, omega_1
-) -> PhysicalParams:
+def _resonant_params(n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_1) -> PhysicalParams:
     """Symmetric set with shared detuning ``delta``, interfering mode
     detunings, an uncoupled second microcavity and the resonant second node
     frequency; ``omega_1_pi`` is the intended node-1 microcavity shift."""
@@ -44,12 +45,8 @@ def _resonant_params(
         g_sigma_2=float(g_sigma),
         g_pi_1=float(g_pi_1),
         g_pi_2=0.0,
-        omega_0=omega_0,
         omega_1=float(omega_1),
         omega_2=float(_resonant_omega_2(omega_1, n1, n2, omega_sigma, omega_1_pi, omega_sigma)),
-        omega_sigma=omega_0 - delta,
-        omega_pi_1=omega_0 + delta,
-        omega_pi_2=omega_0 + delta,
         delta_sigma_1=float(delta),
         delta_sigma_2=float(delta),
         delta_pi_1=float(-delta),
@@ -81,8 +78,7 @@ def blockade_tuned_params(
     g_sigma = np.sqrt(s_coupling * delta / np.sqrt(n1 * n2))
     g_pi_1 = np.sqrt(ratio * s_coupling * delta)
     omega_1_pi = -ratio * s_coupling  # negative detuning flips the sign
-    omega_0 = 1000.0 * s_coupling
-    return _resonant_params(n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_0, omega_1)
+    return _resonant_params(n1, n2, g_sigma, g_pi_1, omega_1_pi, delta, omega_1)
 
 
 def reference_params() -> PhysicalParams:
@@ -98,22 +94,20 @@ def reference_params() -> PhysicalParams:
     """
     n = 10_000
     g_sigma = 1.0e6
-    delta = 2.0e8 / np.pi
+    delta = _REFERENCE_DELTA
     s_coupling = n * (g_sigma**2 / delta)
     g_pi_1 = np.sqrt(SQRT3 * s_coupling * delta)
-    return _resonant_params(n, n, g_sigma, g_pi_1, -SQRT3 * s_coupling, delta, 2.5e15, 0.0)
+    return _resonant_params(n, n, g_sigma, g_pi_1, -SQRT3 * s_coupling, delta, 0.0)
 
 
 def reference_decoherence() -> DecoherenceParams:
     """Relaxation rates spending half the fault-tolerance budget at the
     reference gate time of 1e-8 s."""
-    delta = 2.0e8 / np.pi
+    delta = _REFERENCE_DELTA
     t = 1.0e-8
     gamma_atomic = 2.5e-5 / (2.0 * t)
     gamma_cavity = 2.5e-5 * 2.0 * delta / np.pi
-    return DecoherenceParams(
-        gamma_atomic=gamma_atomic, gamma_cavity=gamma_cavity, delta=delta
-    )
+    return DecoherenceParams(gamma_atomic=gamma_atomic, gamma_cavity=gamma_cavity, delta=delta)
 
 
 # The checks one rescaled set goes through, in order: the ratio's own, then

@@ -39,9 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .compiler import NativeProgram, _op_kernel
-
-NORM_ATOL = 1e-10
+from .compiler import NORM_ATOL, NativeProgram, _op_kernel
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class LogicalState:
             raise ValueError(f"expected 2^k amplitudes with k >= 1, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1")
+            raise ValueError(f"state norm {float(norm)!r} deviates from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -52,9 +52,16 @@ def write(path, content) -> str:
 
 
 ZERO_SIGMA = {"physical_params": dict(REFERENCE, g_sigma_1=0.0)}
-# Couplings so large that the swap rate |S| overflows to inf.
 TUNED = json.loads(presets.blockade_tuned_params(presets.SQRT3).to_json())
-OVERFLOWING = {"physical_params": dict(TUNED, g_sigma_1=1e200, g_sigma_2=1e200)}
+
+
+def tuned(**changes) -> dict:
+    """A config holding the sqrt(3)-tuned parameters with ``changes``."""
+    return {"physical_params": dict(TUNED, **changes)}
+
+
+# Couplings so large that the swap rate |S| overflows to inf.
+OVERFLOWING = tuned(g_sigma_1=1e200, g_sigma_2=1e200)
 PROGRAM = {"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": [0], "angles": [1.0]}]}
 
 # (files written to the working directory, argv, expected exit code)
@@ -85,6 +92,26 @@ ERROR_CASES = {
     "overflowing_coupling_fidelity": ({"c.json": OVERFLOWING}, ["--config", "c.json", "fidelity"], 2),
     "overflowing_coupling_truth_table": (
         {"c.json": OVERFLOWING}, ["--config", "c.json", "truth-table"], 2),
+    # Finite but extreme values: the swap time or a rotation angle at it is
+    # not finite.
+    "subnormal_coupling_swap_time_fidelity": (
+        {"c.json": tuned(g_sigma_2=1e-310)}, ["--config", "c.json", "--json", "fidelity"], 2),
+    "extreme_node_frequencies_truth_table": (
+        {"c.json": tuned(omega_1=1e308, omega_2=-1e308)}, ["--config", "c.json", "truth-table"], 2),
+    "subnormal_pi_detuning_truth_table": (
+        {"c.json": tuned(delta_pi_2=1e-310, g_pi_2=1.0)}, ["--config", "c.json", "truth-table"], 2),
+    "huge_sigma_coupling_truth_table_force": (
+        {"c.json": tuned(g_sigma_1=1e200)}, ["--config", "c.json", "truth-table", "--force"], 2),
+    "finite_split_overflowing_angle_truth_table_force": (
+        {"c.json": tuned(omega_1=1e308, delta_pi_1=1e308, g_sigma_1=-1.0)},
+        ["--config", "c.json", "truth-table", "--force"], 2),
+    # The exchange rate is 0 * inf or inf - inf.
+    "nan_exchange_rate_truth_table": (
+        {"c.json": tuned(g_sigma_1=0.0, delta_sigma_2=1e-310)},
+        ["--config", "c.json", "truth-table"], 2),
+    "nan_exchange_rate_blockade_sweep": (
+        {"c.json": tuned(delta_sigma_1=1e-310, delta_sigma_2=-1e-310)},
+        ["--config", "c.json", "--json", "blockade-sweep"], 2),
     "nan_sweep_ratio": (
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [math.nan]}}},
         ["--config", "c.json", "blockade-sweep"], 2),
@@ -148,6 +175,13 @@ ERROR_CASES = {
         ["simulate", "--program", "p.json"], 2),
     "program_phase_number": (
         {"p.json": dict(PROGRAM, global_phase=1.0)}, ["simulate", "--program", "p.json"], 2),
+    # A global phase is a unit complex number.
+    "program_phase_overflowing_modulus": (
+        {"p.json": dict(PROGRAM, global_phase=[1e308, 1e308])},
+        ["simulate", "--program", "p.json"], 2),
+    "program_phase_modulus_off_by_1e_7": (
+        {"p.json": dict(PROGRAM, global_phase=[0.6, 0.8000001])},
+        ["simulate", "--program", "p.json"], 2),
     # A tolerance no deviation can pass is a usage error, not a failed check.
     "truth_table_tol_negative": ({}, ["truth-table", "--tol", "-1"], 2),
     "truth_table_tol_zero": ({}, ["truth-table", "--tol", "0"], 2),
@@ -628,6 +662,25 @@ def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
     assert all(row[3] == t_gate for row in report["rows"])
 
 
+@pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
+def test_config_with_mode_frequencies_loads_as_without(tmp_path):
+    # The model reads only the detunings, so absolute mode frequencies in a
+    # config are ignored, even where they contradict the detunings.
+    plain = cli.load_config(write(tmp_path / "plain.json", {"physical_params": REFERENCE}),
+                            None, None)
+    modes = {"omega_0": 2.5e15, "omega_sigma": 1.0, "omega_pi_1": -7.0, "omega_pi_2": 3.0}
+    path = write(tmp_path / "old.json", {"physical_params": {**REFERENCE, **modes}})
+    old = cli.load_config(path, None, None)
+    assert old.physical_params == plain.physical_params == presets.reference_params()
+    assert derive_couplings(old.physical_params) == derive_couplings(plain.physical_params)
+    assert old.hash() == plain.hash() == cli.default_config().hash()
+    # The fidelity report's omega_sigma is the exchange rate |Omega_sigma|.
+    code, stdout, _ = run_cli(["--config", path, "--json", "fidelity"])
+    couplings = derive_couplings(old.physical_params)
+    assert code == 0
+    assert json.loads(stdout)["omega_sigma"] == abs(couplings.omega_cap_sigma)
+
+
 # --- report JSON ---------------------------------------------------------------
 
 _FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -775,6 +828,31 @@ def test_fuzzed_config_keeps_exit_contract(config, command, tmp_path):
     code, _, stderr = run_cli(["--config", path, *command])
     assert code in (0, 1, 2)
     assert code != 2 or stderr.startswith("error: ")
+
+
+_EXTREME = st.sampled_from([0.0, 1e-310, -1e-310, 1e-200, -1e-200, 1e200, -1e200,
+                            1e308, -1e308, 1.0, -1.0])
+# The tuned config with 1-3 values made extreme, and sometimes 2**53 atoms.
+_EXTREME_TUNED = st.builds(
+    lambda changes, atoms: dict(TUNED, **changes, **atoms),
+    st.dictionaries(st.sampled_from([k for k in sorted(TUNED) if not k.startswith("n_atoms")]),
+                    _EXTREME, min_size=1, max_size=3),
+    st.sampled_from([{}, {"n_atoms_1": 2**53}]),
+)
+
+
+# Seeded, so a failure here is the same failure on every run.
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(params=_EXTREME_TUNED)
+def test_extreme_finite_params_keep_exit_contract(params, tmp_path):
+    path = write(tmp_path / "c.json", {"physical_params": params})
+    for command in (["truth-table"], ["truth-table", "--force"],
+                    ["--json", "blockade-sweep"], ["--json", "fidelity"]):
+        code, _, stderr = run_cli(["--config", path, *command])
+        assert code in (0, 1, 2), (command, stderr)
+        assert stderr.count("\n") <= 1, (command, stderr)
+        assert code != 2 or stderr.startswith("error: "), (command, stderr)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

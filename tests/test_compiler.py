@@ -237,6 +237,20 @@ class TestNativeProgram:
         with pytest.raises(ValueError):
             NativeProgram.from_json(text)
 
+    @pytest.mark.parametrize("phase, accepted", [
+        ([0.6, 0.800000000001], True),  # modulus off by 8e-13
+        ([0.6, 0.8000001], False),
+        ([1e308, 1e308], False),
+        ([0.0, 0.0], False),
+    ])
+    def test_from_json_takes_a_unit_global_phase(self, phase, accepted):
+        text = json.dumps({"qubit_count": 1, "ops": [], "global_phase": phase})
+        if accepted:
+            assert NativeProgram.from_json(text).global_phase == complex(*phase)
+        else:
+            with pytest.raises(ValueError, match="modulus 1"):
+                NativeProgram.from_json(text)
+
     def test_native_op_validation(self):
         with pytest.raises(ValueError, match="angle"):
             NativeOp(ISWAP_KIND, (0,), ())

@@ -151,6 +151,17 @@ class TestTimeArrays:
             assert np.array_equal(stacked[:, 0, 0], np.broadcast_to(phase, times.shape))
             assert np.all(stacked[:, 0, 1] == 0.0)
 
+    def test_angle_that_is_not_finite_rejected(self, tuned):
+        # In a stack, one time whose lab-frame phase angle overflows is enough;
+        # the rotating frame has no such angle.
+        far = dataclasses.replace(tuned, omega_1=1e10, omega_2=1e10)
+        times = np.array([1.0, 1e300])
+        assert np.all(np.isfinite(sector_propagator(far, 0, times, FRAME_ROTATING)))
+        with pytest.raises(ValueError, match="sector 0 propagator undefined"):
+            sector_propagator(far, 0, times, FRAME_LAB)
+        with pytest.raises(ValueError, match="sector 1 propagator undefined"):
+            sector_propagator(far, 1, np.inf, FRAME_ROTATING)
+
     def test_closed_form_trajectory_equals_per_sample_products(self, tuned):
         initial = NodePairState(*random_state(np.random.default_rng(37), 2))
         t = 3.0 / abs(tuned.s_coupling)
@@ -454,7 +465,8 @@ class TestSwapTime:
             assert phase_distance(u, restrict_to_logical(iswap(-2.0 * s_t))) < 1e-11
             assert phase_distance(u, restrict_to_logical(iswap(-s_t))) > 0.1
 
-    @pytest.mark.parametrize("s", [0.0, np.inf, np.nan])
+    # 1e-311 is nonzero, but pi/(2|S|) overflows.
+    @pytest.mark.parametrize("s", [0.0, np.inf, np.nan, 1e-311])
     def test_rejects_zero_or_non_finite_coupling(self, s):
         couplings = dataclasses.replace(
             derive_couplings(presets.blockade_tuned_params(1.0)), s_coupling=complex(s))
@@ -490,3 +502,15 @@ class TestGateExtraction:
         u = extract_controlled_iswap(resonant, enforce_condition=False)
         assert u.unitarity_defect() < 1e-12
 
+    @pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
+    def test_angles_that_are_not_finite_rejected(self, tuned):
+        # Each sector turns through ~1e293 rad in the 1.6e141 s swap, but
+        # (N1 - 1) Omega_1^(pi) t overflows.
+        couplings = derive_couplings(presets.blockade_tuned_params(
+            1e293, s_coupling=1e-141, n_atoms_1=2**53, n_atoms_2=4))
+        with pytest.raises(ValueError, match="relative phase angle -inf"):
+            extract_controlled_iswap(couplings, enforce_condition=False)
+        # A rotation angle that overflows is rejected by the propagator.
+        huge_split = dataclasses.replace(tuned, omega_1=-1e308, omega_2=1e308)
+        with pytest.raises(ValueError, match="sector 0 propagator undefined"):
+            extract_controlled_iswap(huge_split, enforce_condition=False)

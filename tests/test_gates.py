@@ -56,9 +56,13 @@ class TestUnitaryType:
         lambda: iswap(np.nan),
         lambda: phase_gate(np.nan, 0.0),
         lambda: phase_gate(0.0, np.nan),
-    ], ids=["matrix", "rx", "iswap", "phase_gate_theta", "phase_gate_phi"])
+        lambda: Unitary([[np.inf, 0.0], [0.0, 1.0]]),
+        lambda: Unitary([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
+    ], ids=["matrix", "rx", "iswap", "phase_gate_theta", "phase_gate_phi",
+            "matrix_inf", "matrix_imag_inf"])
     def test_rejects_nan(self, build):
-        # A NaN entry makes the unitarity defect NaN, which must not pass.
+        # A non-finite entry is rejected before the unitarity defect is
+        # computed, which would warn on an infinite one.
         with pytest.raises(ValueError, match="not unitary"):
             build()
 

@@ -25,12 +25,8 @@ def make_params(**overrides) -> PhysicalParams:
         g_sigma_2=1.0,
         g_pi_1=2.0,
         g_pi_2=0.0,
-        omega_0=1000.0,
         omega_1=0.0,
         omega_2=-5.0,
-        omega_sigma=950.0,
-        omega_pi_1=1050.0,
-        omega_pi_2=1050.0,
         delta_sigma_1=50.0,
         delta_sigma_2=50.0,
         delta_pi_1=-50.0,
@@ -63,6 +59,13 @@ class TestParamsValidation:
             for value in (bad, complex(bad, 0.0), complex(1.0, bad), complex(bad, bad)):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     make_params(**{field: value})
+
+    def test_fields_are_the_twelve_the_model_reads(self):
+        names = ["n_atoms_1", "n_atoms_2", "g_sigma_1", "g_sigma_2", "g_pi_1", "g_pi_2",
+                 "omega_1", "omega_2", "delta_sigma_1", "delta_sigma_2", "delta_pi_1",
+                 "delta_pi_2"]
+        assert [f.name for f in dataclasses.fields(PhysicalParams)] == names
+        assert sorted(json.loads(make_params().to_json())) == sorted(names)
 
     def test_json_round_trip(self):
         params = make_params(g_sigma_1=1.0 + 0.25j)
@@ -99,6 +102,16 @@ class TestDeriveCouplings:
         assert couplings.omega_cap_sigma == 0.0
         assert couplings.s_coupling == 0.0
         assert couplings.kappa(0) == 0.0
+
+    @pytest.mark.parametrize("overrides", [
+        {"g_sigma_1": 0.0, "delta_sigma_2": 1e-310},  # 0 * inf
+        {"delta_sigma_1": 1e-310, "delta_sigma_2": -1e-310},  # inf - inf
+    ])
+    def test_nan_exchange_rate_rejected(self, overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DispersiveRegimeWarning)
+            with pytest.raises(ValueError, match="undefined"):
+                derive_couplings(make_params(**overrides))
 
     def test_sqrt3_tuning_gives_kappa_two_s(self):
         couplings = derive_couplings(presets.blockade_tuned_params(presets.SQRT3))
