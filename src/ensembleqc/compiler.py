@@ -11,8 +11,11 @@ exact default, ``compile --fixed-set`` passes a lowering that approximates
 each gate with the shortest word over the fixed gates {ISWAP(pi/2),
 PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
 breadth-first search tree over those words does not depend on the gate, so
-it is built once per depth limit as a cached table of products, and each
-search is one vectorized scan of the phase-invariant distance over the table.
+it is built once per depth limit as a cached table of products.  Each search
+scans the table in blocks, bounds every row's phase-invariant distance by a
+cheap Frobenius distance, and measures the exact distance only on the rows
+that the bound cannot rule out, which gives the same result as measuring
+every row.
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase; the
@@ -30,7 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate
+from .gates import (
+    _frobenius_bound, _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate,
+)
 
 ISWAP_KIND = "ISWAP"
 PHASE_KIND = "PHASE"
@@ -87,8 +92,7 @@ class NativeOp:
             raise ValueError(f"targets must be nonnegative, got {self.targets!r}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"targets must be distinct, got {self.targets!r}")
-        if not all(np.isfinite(a) for a in self.angles):
-            raise ValueError(f"angles must be finite, got {self.angles!r}")
+        gates._check_angles(*self.angles)
 
     def format(self) -> str:
         parts = [self.kind] + [f"q{t}" for t in self.targets]
@@ -347,6 +351,10 @@ _DEDUP_DECIMALS = 6
 # Table rows per distance scan: bounds the scan's temporaries, and a hit in
 # one block skips the rest of the table.
 _SCAN_ROWS = 256
+# Slack on the scan's Frobenius cut: F and d are at most 4 and round by a
+# few ulps, far below it.
+_PRUNE_RTOL = 1e-9
+_PRUNE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -439,14 +447,27 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     {R_x(-pi/2), R_z(pi/2), R_z(pi/4)}, deduplicating visited unitaries up to
     global phase on a 1e-6 grid.  The search tree does not depend on the
     target, so it is built once per ``max_depth`` (:func:`_fixed_set_table`,
-    cached) and each search is a vectorized scan of the phase-invariant
-    distance over it, in generation order and in blocks of ``_SCAN_ROWS``
-    rows.  The first product within ``epsilon`` wins, so ties at the minimal
-    depth resolve to the lexicographically first word in generator order;
-    its word is re-multiplied from scratch and re-measured before being
-    returned.  Without one, the result carries the smallest distance seen
-    and ``depth = max_depth``.  The target must be a finite 2x2 unitary
-    (defect at most 1e-10) and ``epsilon`` positive and finite.
+    cached) and each search scans it in generation order, in blocks of
+    ``_SCAN_ROWS`` rows.  The first product within ``epsilon`` wins, so ties
+    at the minimal depth resolve to the lexicographically first word in
+    generator order; its word is re-multiplied from scratch and re-measured
+    before being returned.  Without one, the result carries the smallest
+    distance over the table and the identity, and ``depth = max_depth``.
+    The target must be a finite 2x2 unitary (defect at most 1e-10) and
+    ``epsilon`` positive and finite.
+
+    The exact distance ``d`` (:func:`~ensembleqc.gates._phase_align`) is
+    measured only where needed.  A row's phase-optimal Frobenius distance
+    ``F`` (:func:`~ensembleqc.gates._frobenius_bound`, one matvec per block)
+    obeys ``F/2 <= d <= F``.  The scan keeps an upper bound ``U`` on the
+    smallest ``d``: the minimum of the identity distance and of every ``F``
+    and exact ``d`` so far.  A row with ``F/2 > max(epsilon, U)`` has ``d``
+    above ``epsilon`` and above the smallest ``d``, so it can be neither the
+    first hit nor the not-found minimum.  Only the other rows are measured,
+    and the word, the depth, the distance (bit for bit, since a row's ``d``
+    does not depend on the rows measured with it) and the phase are those of
+    measuring every row.  The cut carries a slack of ``_PRUNE_RTOL`` relative plus
+    ``_PRUNE_ATOL`` absolute, far above the rounding of ``F`` and ``d``.
     """
     _check_fixed_set_options(epsilon, max_depth)
     target = _single_qubit_unitary(u)
@@ -473,12 +494,23 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     if best_seen <= epsilon:
         return finish(())
     table, parent = _fixed_set_table(max_depth)
+    # Upper bound on the smallest distance of the table and the identity.
+    upper = best_seen
     for start in range(0, len(table), _SCAN_ROWS):
-        distances = _phase_align(target, table[start:start + _SCAN_ROWS])[0]
-        hits = np.flatnonzero(distances <= epsilon)
+        block = table[start:start + _SCAN_ROWS]
+        bounds = _frobenius_bound(target, block)
+        upper = min(upper, float(bounds.min()))
+        # d >= F/2, so a row beyond the cut is neither a hit nor the minimum.
+        cut = max(epsilon, upper) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
+        rows = np.flatnonzero(0.5 * bounds <= cut)
+        if not rows.size:
+            continue
+        distances = _phase_align(target, block[rows])[0]
+        hits = rows[distances <= epsilon]
         if hits.size:
             return finish(_table_word(parent, start + int(hits[0])))
         best_seen = min(best_seen, float(distances.min()))
+        upper = min(upper, best_seen)
     return FixedSetResult(
         found=False, program=None, word=(), distance=best_seen, depth=max_depth
     )

@@ -25,6 +25,8 @@ identities can be checked as exact matrix equalities.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 UNITARITY_ATOL = 1e-12
@@ -103,14 +105,23 @@ def as_matrix(u) -> np.ndarray:
     return np.asarray(u, dtype=complex)
 
 
+def _check_angles(*angles: float) -> None:
+    """Reject a non-finite angle with a ``ValueError`` before any trig call
+    could warn on it."""
+    if not np.isfinite(angles).all():
+        raise ValueError(f"angles must be finite, got {angles!r}")
+
+
 def rx(theta: float) -> Unitary:
     """Standard x rotation by ``theta``."""
+    _check_angles(theta)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return Unitary([[c, -1j * s], [-1j * s, c]])
 
 
 def rz(theta: float) -> Unitary:
     """Standard z rotation by ``theta``."""
+    _check_angles(theta)
     return Unitary([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
 
 
@@ -121,6 +132,7 @@ def iswap(theta: float) -> Unitary:
     ``[[cos t/2, i sin t/2], [i sin t/2, cos t/2]]``, an x rotation by
     ``-theta``.
     """
+    _check_angles(theta)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     m = np.eye(4, dtype=complex)
     m[1, 1] = m[2, 2] = c
@@ -136,6 +148,7 @@ def phase_gate(theta: float, phi: float) -> Unitary:
     ``exp(i phi/2) R_z(theta)``; with ``phi = 0`` the restriction is exactly
     ``R_z(theta)``.
     """
+    _check_angles(theta, phi)
     pre = np.exp(0.5j * phi)
     diag = [np.exp(-0.5j * phi), np.exp(-0.5j * theta), np.exp(0.5j * theta), np.exp(0.5j * phi)]
     return Unitary(pre * np.diag(diag))
@@ -185,6 +198,37 @@ def restrict_to_logical(u) -> Unitary:
     return Unitary(m[np.ix_(CODE_INDICES, CODE_INDICES)])
 
 
+@functools.lru_cache(maxsize=None)  # one entry per entry count: 4 for the 2x2 gates
+def _entry_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(m, 1)``: every entry pair ``j < k``."""
+    j, k = np.triu_indices(m, 1)
+    j.setflags(write=False)
+    k.setflags(write=False)
+    return j, k
+
+
+def _frobenius_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``F = min_phi ||a - exp(i phi) b[n]||_F`` for each matrix of a stack.
+
+    With ``m`` entries, the exact distance ``d`` of :func:`_phase_align`
+    obeys ``F / sqrt(m) <= d <= F``, since at any one phase the largest entry
+    difference is at most the Frobenius norm and at least ``1/sqrt(m)`` of
+    it.  The
+    optimal phase is ``-arg sum_e conj(a_e) b_e`` (any phase when the sum is
+    0), and ``F`` is summed from the entry differences at that phase rather
+    than from the norms, so it does not cancel when ``a`` is close to a
+    row.  One matvec per stack; ``b`` has shape ``(n,) + a.shape``.
+    """
+    af = a.reshape(-1)
+    bf = b.reshape(len(b), af.size)
+    s = bf @ np.conj(af)
+    mag = np.hypot(s.real, s.imag)
+    rotation = np.conj(s) / np.where(mag > 0.0, mag, 1.0)
+    rotation[mag == 0.0] = 1.0
+    diff = af - rotation[:, None] * bf
+    return np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2, axis=1))
+
+
 def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``max|a - exp(i phi) b[n]|`` over phi for each matrix of a stack.
 
@@ -205,7 +249,7 @@ def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.conj(af) * bf
     amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
     nz = np.abs(z) > 0.0
-    j, k = np.triu_indices(m, 1)
+    j, k = _entry_pairs(m)
     w = z[:, j] - z[:, k]
     mag = np.hypot(w.real, w.imag)  # equals scalar abs(w); array np.abs can differ in the last bit
     with np.errstate(divide="ignore", invalid="ignore"):

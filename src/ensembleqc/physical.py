@@ -18,8 +18,8 @@ relative to that frame, so zero or negative values are legitimate.
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -40,9 +40,10 @@ class PhysicalParams:
 
     ``n_atoms_*`` are the node atom counts; ``g_sigma_*`` couple each node to
     the shared cavity mode and ``g_pi_*`` to that node's microcavity mode
-    (complex values allowed).  ``omega_1``/``omega_2`` are the effective node
-    frequencies and ``delta_sigma_*``/``delta_pi_*`` each node's detunings
-    from the two modes, the only form in which the model reads them.
+    (complex values allowed, each of finite modulus).  ``omega_1``/``omega_2``
+    are the effective node frequencies and ``delta_sigma_*``/``delta_pi_*``
+    each node's detunings from the two modes, the only form in which the
+    model reads them.
     """
 
     n_atoms_1: int
@@ -67,7 +68,10 @@ class PhysicalParams:
         for f in fields(self):
             if f.name.startswith("n_atoms"):
                 continue
-            if not cmath.isfinite(complex(getattr(self, f.name))):
+            value = complex(getattr(self, f.name))
+            # Not finite for a non-finite part, and for finite parts whose
+            # modulus overflows (complex abs() raises on those).
+            if not math.isfinite(math.hypot(value.real, value.imag)):
                 raise ValueError(f"{f.name} must be finite")
         for name in ("delta_sigma_1", "delta_sigma_2", "delta_pi_1", "delta_pi_2"):
             if getattr(self, name) == 0.0:

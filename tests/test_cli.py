@@ -105,6 +105,9 @@ ERROR_CASES = {
     "finite_split_overflowing_angle_truth_table_force": (
         {"c.json": tuned(omega_1=1e308, delta_pi_1=1e308, g_sigma_1=-1.0)},
         ["--config", "c.json", "truth-table", "--force"], 2),
+    # Finite parts whose modulus overflows: complex abs() would raise.
+    "coupling_modulus_overflows_truth_table": (
+        {"c.json": tuned(g_sigma_1=[1.3e308, 1.3e308])}, ["--config", "c.json", "truth-table"], 2),
     # The exchange rate is 0 * inf or inf - inf.
     "nan_exchange_rate_truth_table": (
         {"c.json": tuned(g_sigma_1=0.0, delta_sigma_2=1e-310)},

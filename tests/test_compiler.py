@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ensembleqc import compiler
 from ensembleqc.compiler import (
     _FIXED_GENERATORS,
     CISWAP_KIND,
@@ -22,6 +23,7 @@ from ensembleqc.compiler import (
     parse_circuit,
 )
 from ensembleqc.gates import (
+    _frobenius_bound,
     _phase_align,
     phase_distance,
     restrict_to_logical,
@@ -438,6 +440,53 @@ class TestFixedSetMatchesReference:
         below = float(np.nextafter(epsilon, 0.0))
         assert_same_result(approximate_fixed_set(target, below, 5),
                            fixed_set_reference(target, below, 5))
+
+
+class TestFixedSetPruning:
+    """The scan measures the exact distance only where the Frobenius bound
+    ``F/2 <= d <= F`` cannot rule a row out."""
+
+    def test_frobenius_bound_brackets_the_distance(self):
+        rng = np.random.default_rng(31)
+        table, _ = _fixed_set_table(12)
+        for index in range(12):
+            target = haar_unitary_2(rng)
+            if index % 2:  # a row up to a global phase: F and d are ~0
+                target = np.exp(2j * np.pi * rng.random()) * table[rng.integers(len(table))]
+            bound = _frobenius_bound(target, table)
+            distances = _phase_align(target, table)[0]
+            # Rounding moves either side by a few ulps, far inside the
+            # scan's slack of 1e-12.
+            assert np.all(0.5 * bound <= distances + 1e-14)
+            assert np.all(distances <= bound + 1e-14)
+            if index % 2:
+                assert bound.min() < 1e-14
+
+    @pytest.mark.parametrize("depth", [12, 16])
+    def test_not_found_distance_is_the_minimum_over_the_table(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        table, _ = _fixed_set_table(depth)
+        for _ in range(3):
+            target = haar_unitary_2(rng)
+            result = approximate_fixed_set(target, 1e-9, depth)
+            assert not result.found
+            identity = _phase_align(target, np.eye(2, dtype=complex)[None])[0][0]
+            assert result.distance == min(identity, _phase_align(target, table)[0].min())
+
+    def test_haar_search_measures_few_rows_exactly(self, monkeypatch):
+        measured = []
+
+        def counting_phase_align(a, b):
+            measured[-1] += len(b)
+            return _phase_align(a, b)
+
+        monkeypatch.setattr(compiler, "_phase_align", counting_phase_align)
+        rng = np.random.default_rng(50)
+        rows = len(_fixed_set_table(12)[0])
+        for _ in range(20):
+            measured.append(0)
+            approximate_fixed_set(haar_unitary_2(rng), 0.05, 12)
+        assert max(measured) <= 0.05 * rows, measured
 
 
 class TestParseCircuit:

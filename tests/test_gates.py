@@ -50,20 +50,24 @@ class TestUnitaryType:
         with pytest.raises(ValueError, match="not unitary"):
             Unitary(np.array([[1.0, 0.0], [0.0, 1.1]]))
 
-    @pytest.mark.parametrize("build", [
-        lambda: Unitary([[np.nan, 0.0], [0.0, 1.0]]),
-        lambda: rx(np.nan),
-        lambda: iswap(np.nan),
-        lambda: phase_gate(np.nan, 0.0),
-        lambda: phase_gate(0.0, np.nan),
-        lambda: Unitary([[np.inf, 0.0], [0.0, 1.0]]),
-        lambda: Unitary([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]),
-    ], ids=["matrix", "rx", "iswap", "phase_gate_theta", "phase_gate_phi",
-            "matrix_inf", "matrix_imag_inf"])
-    def test_rejects_nan(self, build):
-        # A non-finite entry is rejected before the unitarity defect is
-        # computed, which would warn on an infinite one.
-        with pytest.raises(ValueError, match="not unitary"):
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Unitary([[np.nan, 0.0], [0.0, 1.0]]), "not unitary"),
+        (lambda: rx(np.nan), "angles must be finite"),
+        (lambda: rx(np.inf), "angles must be finite"),
+        (lambda: rz(-np.inf), "angles must be finite"),
+        (lambda: iswap(np.nan), "angles must be finite"),
+        (lambda: phase_gate(np.nan, 0.0), "angles must be finite"),
+        (lambda: phase_gate(0.0, np.nan), "angles must be finite"),
+        (lambda: phase_gate(0.0, np.inf), "angles must be finite"),
+        (lambda: Unitary([[np.inf, 0.0], [0.0, 1.0]]), "not unitary"),
+        (lambda: Unitary([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]), "not unitary"),
+    ], ids=["matrix", "rx", "rx_inf", "rz_minus_inf", "iswap", "phase_gate_theta",
+            "phase_gate_phi", "phase_gate_phi_inf", "matrix_inf", "matrix_imag_inf"])
+    def test_rejects_nan(self, build, message):
+        # A non-finite angle is rejected before any trig call and a
+        # non-finite entry before the unitarity defect is computed; either
+        # would warn, and the test configuration makes a warning an error.
+        with pytest.raises(ValueError, match=message):
             build()
 
     def test_rejects_non_power_of_two(self):

@@ -60,6 +60,13 @@ class TestParamsValidation:
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     make_params(**{field: value})
 
+    @pytest.mark.parametrize("field", ["g_sigma_1", "g_sigma_2", "g_pi_1", "g_pi_2"])
+    def test_coupling_whose_modulus_overflows_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_params(**{field: complex(1.3e308, -1.3e308)})
+        # A modulus just below overflow is accepted.
+        make_params(**{field: complex(1e308, 1e308)})
+
     def test_fields_are_the_twelve_the_model_reads(self):
         names = ["n_atoms_1", "n_atoms_2", "g_sigma_1", "g_sigma_2", "g_pi_1", "g_pi_2",
                  "omega_1", "omega_2", "delta_sigma_1", "delta_sigma_2", "delta_pi_1",
