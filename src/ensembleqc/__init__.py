@@ -12,7 +12,7 @@ The package covers the chain from raw physical parameters to verified logic:
 * :mod:`ensembleqc.compiler` - Euler-exact and fixed-set lowering to the
   native operations;
 * :mod:`ensembleqc.simulator` - state-vector execution in the 2^k logical
-  code space, with each op's leakage recorded;
+  code space, which no native op leaves;
 * :mod:`ensembleqc.decoherence` - closed-form fidelity and error budget;
 * :mod:`ensembleqc.presets` - parameter sets satisfying the operating
   conditions;

@@ -103,18 +103,18 @@ class NativeOp:
 # Bounded, since a program read from JSON may carry any number of angles.
 @functools.lru_cache(maxsize=1024)
 def _kernel(kind: str, angles: tuple[float, ...], zero_signs: tuple[float, ...]):
-    """``(block, leakage)`` of every op of one kind and angles, whatever its
-    targets: the 2x2 code-space block of its pair matrix, ``gates.iswap`` or
-    ``gates.phase_gate`` (None for CISWAP, whose matrix is
-    :data:`~ensembleqc.gates.CONTROLLED_SWAP`), and the largest element of
-    the physical matrix coupling the code space to the leakage states.
-    ``zero_signs`` only splits the cache key, because ``0.0 == -0.0`` while
-    their matrices can differ in the sign of a zero.  This is the one map
-    from an op to its matrix."""
+    """The 2x2 code-space block of every op of one kind and angles, whatever
+    its targets: the block of its pair matrix, ``gates.iswap`` or
+    ``gates.phase_gate``, or None for CISWAP, whose code-space action is the
+    logical CNOT.  Each pair matrix keeps the pair's excitation number, so
+    :func:`~ensembleqc.gates.restrict_to_logical` finds no leakage to raise
+    on.  ``zero_signs`` only splits the cache key, because ``0.0 == -0.0``
+    while their matrices can differ in the sign of a zero.  This is the one
+    map from an op to its matrix."""
     if kind == CISWAP_KIND:
-        return None, gates.code_space_coupling(gates.CONTROLLED_SWAP)
+        return None
     pair = gates.iswap(*angles) if kind == ISWAP_KIND else gates.phase_gate(*angles)
-    return gates.restrict_to_logical(pair).matrix, gates.code_space_coupling(pair)
+    return gates.restrict_to_logical(pair).matrix
 
 
 def _op_kernel(op: NativeOp):
@@ -340,7 +340,7 @@ def lower_circuit(
 
 # Fixed-angle generator set: native op template plus its code-space block.
 _FIXED_GENERATORS: tuple[tuple[str, NativeOp, np.ndarray], ...] = tuple(
-    (name, op, _op_kernel(op)[0]) for name, op in (
+    (name, op, _op_kernel(op)) for name, op in (
         ("ISWAP(pi/2)", NativeOp(ISWAP_KIND, (0,), (np.pi / 2,))),
         ("PHASE(pi/2)", NativeOp(PHASE_KIND, (0,), (np.pi / 2, 0.0))),
         ("PHASE(pi/4)", NativeOp(PHASE_KIND, (0,), (np.pi / 4, 0.0))),

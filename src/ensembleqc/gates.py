@@ -19,6 +19,11 @@ No pass maps the extracted gate onto the native ops yet; the compiler and
 the simulator assume the ideal gates here (see the ROADMAP.md item that
 closes the loop from physics to logic).
 
+The native CISWAP has no matrix here: on code words its action is the
+logical CNOT (``standard_gate("CNOT")``), which the simulator applies as a
+permutation of logical amplitudes.  The one physical controlled swap is the
+photon-controlled gate that :mod:`ensembleqc.dynamics` extracts.
+
 Global phases are kept explicit everywhere so that phase-sensitive gate
 identities can be checked as exact matrix equalities.
 """
@@ -37,15 +42,6 @@ LEAKAGE_ATOL = 1e-12
 # Pair-local indices of the code words |01>, |10> and the leakage states.
 CODE_INDICES = (1, 2)
 LEAKAGE_INDICES = (0, 3)
-
-
-# Register-level controlled swap on (control, target first, target second),
-# basis index ``4*control + 2*first + second``: control 1 exchanges the two
-# target qubits, so on dual-rail pairs one application is the logical CNOT.
-# Unlike the hardware-extracted gate of :mod:`ensembleqc.dynamics` it carries
-# no -i entries.
-CONTROLLED_SWAP = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
-CONTROLLED_SWAP.setflags(write=False)
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -176,7 +172,7 @@ def standard_gate(name: str) -> Unitary:
 
 def code_space_coupling(u) -> float:
     """Largest element of ``u`` coupling the code space to {|00>, |11>}; the
-    pair is the last two bits of the basis index, as in :data:`CONTROLLED_SWAP`."""
+    pair is the last two bits of the basis index."""
     m = as_matrix(u)
     index = np.arange(m.shape[0])
     code = ((index ^ (index >> 1)) & 1).astype(bool)  # the pair's two bits differ

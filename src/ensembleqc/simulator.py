@@ -6,13 +6,12 @@ words ``|0_L> = |q_2j = 0, q_2j+1 = 1>`` and ``|1_L> = |10>``.  Every native
 op maps code words to code words, so these amplitudes are the whole state:
 the simulator keeps nothing else, and :func:`state_to_json` writes them as
 they are.  ISWAP and PHASE act through the code-space block of their pair
-matrix; CISWAP applies :data:`~ensembleqc.gates.CONTROLLED_SWAP`, which on
-code words is the logical CNOT, a swap of two strided slices.  An op's
-leakage is the largest element of its physical matrix coupling the code
-space to ``|00>``, ``|11>``.
+matrix; CISWAP is the logical CNOT on code words, a swap of two strided
+slices.  An op's leakage out of the code space is 0 by construction, so no
+run measures it; the tests check the native pair matrices instead.
 
 A lowered program repeats a few distinct ops many times, so each op's
-code-space block and leakage are built once per distinct ``(kind, angles)``
+code-space block is built once per distinct ``(kind, angles)``
 (:func:`ensembleqc.compiler._kernel`) and reused at every target.
 
 :func:`_apply_run` is the one apply loop, shared by :func:`run_program`,
@@ -24,8 +23,7 @@ flushed: before a CNOT on that qubit (its control first, then its target),
 and at the end of the run, in ascending qubit order.  A logical gate lowers
 to up to three single-qubit ops, so the passes over the amplitudes drop
 about threefold, and results move only in their last bits against an
-op-by-op run.  Leakage is still recorded per op: ``run_program`` looks up
-each op's ``(block, leakage)`` once.
+op-by-op run.
 
 States are validated at the boundaries: :class:`LogicalState` checks what a
 caller builds, and ``run_program`` validates its encoded input and ends with
@@ -70,8 +68,7 @@ class LogicalState:
 class RunStats:
     """Bookkeeping of one program execution."""
 
-    max_leakage: float
-    op_leakages: tuple[float, ...]  # leakage of each op, in order
+    norm_defect: float  # |norm - 1| of the returned state
 
 
 def encode_basis(bits: str) -> LogicalState:
@@ -182,12 +179,10 @@ def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, Run
             f"initial bitstring length {len(initial)} does not match the "
             f"{program.qubit_count}-qubit program"
         )
-    kernels = [_op_kernel(op) for op in program.ops]
     amps = _apply_run(encode_basis(initial).amplitudes,
-                      ((block, op.targets) for (block, _), op in zip(kernels, program.ops)))
-    op_leakages = tuple(leakage for _, leakage in kernels)
-    stats = RunStats(max_leakage=max(op_leakages, default=0.0), op_leakages=op_leakages)
-    return LogicalState(amps * program.global_phase), stats
+                      ((_op_kernel(op), op.targets) for op in program.ops))
+    state = LogicalState(amps * program.global_phase)
+    return state, RunStats(norm_defect=abs(state.norm() - 1.0))
 
 
 def program_matrix(program: NativeProgram) -> np.ndarray:
@@ -195,7 +190,7 @@ def program_matrix(program: NativeProgram) -> np.ndarray:
     over the 2^k identity columns."""
     program.validate()
     columns = _apply_run(np.eye(2**program.qubit_count, dtype=complex),
-                         ((_op_kernel(op)[0], op.targets) for op in program.ops))
+                         ((_op_kernel(op), op.targets) for op in program.ops))
     # Amplitudes times phase, the operand order of run_program, so that the
     # two round alike.
     return columns * program.global_phase

@@ -31,9 +31,7 @@ from ensembleqc.compiler import (
     NativeProgram,
 )
 from ensembleqc.gates import (
-    CONTROLLED_SWAP,
     as_matrix,
-    code_space_coupling,
     iswap,
     phase_gate,
     restrict_to_logical,
@@ -117,6 +115,15 @@ def code_indices(qubit_count: int) -> np.ndarray:
     return np.array(out)
 
 
+# Register-level controlled swap on (control, target first, target second),
+# basis index ``4*control + 2*first + second``: control 1 exchanges the two
+# target qubits, so on dual-rail pairs one application is the logical CNOT.
+# Unlike the hardware-extracted gate of ``ensembleqc.dynamics`` it carries no
+# -i entries.  This is the physical matrix of the native CISWAP.
+CONTROLLED_SWAP = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
+CONTROLLED_SWAP.setflags(write=False)
+
+
 def run_physical(program, bits: str) -> list[np.ndarray]:
     """Run a native program on the 4^k physical register, one physical gate
     matrix per op; returns the amplitudes after each op, global phase not
@@ -148,21 +155,18 @@ def _cnot_reference(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     return amps[index ^ (((index >> control) & 1) << target)]
 
 
-def run_ops_reference(program, amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+def run_ops_reference(program, amps: np.ndarray) -> np.ndarray:
     """A native program on logical amplitudes (axis 0 the 2^k index, a second
-    axis of columns allowed), one op at a time: each op's pair matrix,
-    code-space block and leakage are built afresh, with no cache.  Returns
-    the amplitudes, global phase not applied, and each op's leakage."""
-    leakages = []
+    axis of columns allowed), one op at a time: each op's pair matrix and
+    code-space block are built afresh, with no cache.  Returns the
+    amplitudes, global phase not applied."""
     for op in program.ops:
         if op.kind == CISWAP_KIND:
             amps = _cnot_reference(amps, *op.targets)
-            leakages.append(code_space_coupling(CONTROLLED_SWAP))
         else:
             pair = iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
             amps = _one_qubit_reference(amps, restrict_to_logical(pair).matrix, op.targets[0])
-            leakages.append(code_space_coupling(pair))
-    return amps, tuple(leakages)
+    return amps
 
 
 def circuit_columns_reference(circuit, qubit_count: int) -> np.ndarray:

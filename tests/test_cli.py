@@ -223,6 +223,15 @@ ERROR_CASES = {
     "sweep_values_null": (
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": None}}},
         ["--config", "c.json", "blockade-sweep"], 2),
+    # A non-finite endpoint, or a span past the float range, is reported once,
+    # with no numpy warning before it.
+    "sweep_max_not_finite": (
+        {"c.json": '{"sweep": {"parameter": "gamma_atomic", "min": 0, "max": 1e400, "steps": 3}}'},
+        ["--config", "c.json", "fidelity"], 2),
+    "sweep_span_overflows": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic", "min": -1e308, "max": 1e308,
+                              "steps": 3}}},
+        ["--config", "c.json", "fidelity"], 2),
     "sweep_steps_fraction": (
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1, "steps": 2.9}}},
         ["--config", "c.json", "blockade-sweep"], 2),
@@ -912,6 +921,7 @@ def test_every_export_resolves():
     ("gates", "EncodedCnotReport"),
     ("presets", "rescale_pi_coupling"),
     ("dynamics", "iswap_schedule"),
+    ("gates", "CONTROLLED_SWAP"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(getattr(ensembleqc, module), name)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensembleqc import compiler
 from ensembleqc.gates import (
     CODE_INDICES,
-    CONTROLLED_SWAP,
     LEAKAGE_INDICES,
     CodeSpaceLeakageError,
     Unitary,
@@ -20,7 +20,7 @@ from ensembleqc.gates import (
     rz,
     standard_gate,
 )
-from helpers import haar_unitary_2
+from helpers import CONTROLLED_SWAP, haar_unitary_2
 
 UNITARY_SAMPLES = [
     iswap(0.0),
@@ -38,6 +38,9 @@ UNITARY_SAMPLES = [
     standard_gate("T"),
     standard_gate("CNOT"),
 ]
+
+# Any angle a native op accepts.
+ANGLES = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @pytest.mark.parametrize("u", UNITARY_SAMPLES, ids=lambda u: f"dim{u.dim}")
@@ -210,9 +213,20 @@ class TestEncoding:
             restrict_to_logical(m)
         assert abs(err.value.max_element - 0.1) < 1e-12
 
-    def test_coupling_of_native_matrices_is_zero(self):
-        for u in (iswap(0.7), phase_gate(0.3, -1.2), CONTROLLED_SWAP):
-            assert code_space_coupling(u) == 0.0
+    @given(theta=ANGLES, phi=ANGLES)
+    @settings(max_examples=200, deadline=None)
+    def test_coupling_of_native_matrices_is_zero(self, theta, phi):
+        # Every native op keeps each pair's excitation number, so its
+        # leakage is exactly 0 at any angle, and the kernel the simulator
+        # applies is the code-space block of its pair matrix, bit for bit.
+        assert code_space_coupling(CONTROLLED_SWAP) == 0.0
+        for kind, angles, pair in ((compiler.ISWAP_KIND, (theta,), iswap(theta)),
+                                   (compiler.PHASE_KIND, (theta, phi), phase_gate(theta, phi))):
+            assert code_space_coupling(pair) == 0.0
+            kernel = compiler._op_kernel(compiler.NativeOp(kind, (0,), angles))
+            expected = restrict_to_logical(pair).matrix
+            assert kernel.shape == expected.shape
+            assert kernel.tobytes() == expected.tobytes()
 
     def test_coupling_reads_the_pair_bits_of_larger_matrices(self):
         # Control 1 mixes target |01> (index 5) with |00> (index 4).
