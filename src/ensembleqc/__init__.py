@@ -7,8 +7,8 @@ The package covers the chain from raw physical parameters to verified logic:
 * :mod:`ensembleqc.physical` - parameters and derived effective couplings;
 * :mod:`ensembleqc.dynamics` - per-sector swap dynamics, blockade, and gate
   extraction;
-* :mod:`ensembleqc.gates` - exact native and standard gate matrices over the
-  dual-rail code space;
+* :mod:`ensembleqc.gates` - exact standard gates and rotations on the
+  dual-rail code space, where each native op is a 2x2 block;
 * :mod:`ensembleqc.compiler` - Euler-exact and fixed-set lowering to the
   native operations;
 * :mod:`ensembleqc.simulator` - state-vector execution in the 2^k logical
@@ -47,10 +47,7 @@ from .dynamics import (
 )
 from .gates import (
     Unitary,
-    iswap,
     phase_distance,
-    phase_gate,
-    restrict_to_logical,
     rx,
     rz,
     standard_gate,
@@ -99,15 +96,12 @@ __all__ = [
     "evolve_numerical",
     "extract_controlled_iswap",
     "fault_tolerance_margin",
-    "iswap",
     "iswap_fidelity",
     "lower_circuit",
     "lower_single_qubit",
     "measure_logical",
     "parse_circuit",
     "phase_distance",
-    "phase_gate",
-    "restrict_to_logical",
     "run_program",
     "rx",
     "rz",

@@ -101,10 +101,15 @@ class SweepSpec:
                 raise UsageError(f"sweep steps must be between 1 and {MAX_SWEEP_STEPS}, got {steps}")
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise UsageError("sweep 'min' and 'max' must be finite")
-            # A span past the float range gives inf or nan points, which the
-            # finite check below reports; numpy's warnings would only repeat it.
+            # A span past the float range is spanned at half scale, so its
+            # points stay finite; a point that still overflows is reported by
+            # the finite check below, and numpy's warnings would only repeat it.
             with np.errstate(over="ignore", invalid="ignore"):
-                values = tuple(np.linspace(lo, hi, steps).tolist())
+                if math.isfinite(hi - lo):
+                    grid = np.linspace(lo, hi, steps)
+                else:
+                    grid = 2 * np.linspace(lo / 2, hi / 2, steps)
+                values = tuple(grid.tolist())
         if not np.isfinite(values).all():
             raise UsageError("sweep values must be finite")
         return cls(parameter=parameter, values=values)

@@ -3,7 +3,7 @@
 Single-qubit gates go through an exact z-x-z Euler decomposition and come out
 as at most three native operations ``[PHASE(gamma), ISWAP(-beta),
 PHASE(alpha)]`` (the sign on ISWAP absorbs the fact that its code-space
-restriction is an x rotation by minus the angle).  The logical CNOT lowers to
+block is an x rotation by minus the angle).  The logical CNOT lowers to
 a single controlled-swap operation.  :func:`lower_circuit` is the one
 lowering loop: it lowers each single-qubit gate name once, through its
 ``lower_1q`` argument, and moves the ops to each gate's target.  Besides the
@@ -103,18 +103,30 @@ class NativeOp:
 # Bounded, since a program read from JSON may carry any number of angles.
 @functools.lru_cache(maxsize=1024)
 def _kernel(kind: str, angles: tuple[float, ...], zero_signs: tuple[float, ...]):
-    """The 2x2 code-space block of every op of one kind and angles, whatever
-    its targets: the block of its pair matrix, ``gates.iswap`` or
-    ``gates.phase_gate``, or None for CISWAP, whose code-space action is the
-    logical CNOT.  Each pair matrix keeps the pair's excitation number, so
-    :func:`~ensembleqc.gates.restrict_to_logical` finds no leakage to raise
-    on.  ``zero_signs`` only splits the cache key, because ``0.0 == -0.0``
-    while their matrices can differ in the sign of a zero.  This is the one
-    map from an op to its matrix."""
+    """The read-only 2x2 code-space block of every op of one kind and angles,
+    whatever its targets, or None for CISWAP, whose code-space action is the
+    logical CNOT.  Every native op keeps its pair's one excitation, so the
+    block is its whole action on code words:
+
+    * ``ISWAP(theta)``: ``[[cos t/2, i sin t/2], [i sin t/2, cos t/2]]``.
+      As a number this is ``R_x(-theta)``, but ``rx(-theta)`` gives the
+      zero real part of the off-diagonal entries the other sign for
+      ``theta < 0``.
+    * ``PHASE(theta, phi)``: ``exp(i phi/2) R_z(theta)``.
+
+    ``zero_signs`` only splits the cache key, because ``0.0 == -0.0`` while
+    their blocks can differ in the sign of a zero.  This is the one map from
+    an op to its matrix."""
     if kind == CISWAP_KIND:
         return None
-    pair = gates.iswap(*angles) if kind == ISWAP_KIND else gates.phase_gate(*angles)
-    return gates.restrict_to_logical(pair).matrix
+    if kind == ISWAP_KIND:
+        c, s = np.cos(angles[0] / 2), np.sin(angles[0] / 2)
+        block = np.array([[c, 1j * s], [1j * s, c]])
+    else:
+        theta, phi = angles
+        block = np.exp(0.5j * phi) * rz(theta).matrix
+    block.setflags(write=False)
+    return block
 
 
 def _op_kernel(op: NativeOp):

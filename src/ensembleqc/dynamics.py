@@ -327,11 +327,11 @@ def swap_time(couplings: DerivedCouplings) -> float:
     """Duration ``pi/(2|S|)`` of one full swap, the single step of the
     controlled swap gate.
 
-    At a time ``t`` the n=0 rotating-frame propagator equals
-    ``restrict_to_logical(gates.iswap(-2 |S| t))`` up to global phase (real
-    positive S, on resonance), so a native ``ISWAP(theta)`` takes
-    ``|theta|/pi`` swap times.  Raises ``ValueError`` unless ``|S|`` and the
-    time are both finite and nonzero.
+    At a time ``t`` the n=0 rotating-frame propagator equals the code-space
+    block of a native ``ISWAP(-2 |S| t)`` up to global phase (real positive
+    S, on resonance), so a native ``ISWAP(theta)`` takes ``|theta|/pi`` swap
+    times.  Raises ``ValueError`` unless ``|S|`` and the time are both
+    finite and nonzero.
     """
     s = abs(couplings.s_coupling)
     t = np.pi / (2.0 * s) if s != 0.0 else np.inf

@@ -1,23 +1,26 @@
-"""Exact matrices for the native and standard gate sets, plus the dual-rail
-code-space machinery.
+"""Exact matrices for the standard gate set and the rotations that the
+native ops perform on the dual-rail code space.
 
 Conventions
 -----------
-Pair-local basis order is ``|00>, |01>, |10>, |11>`` where the left symbol is
-the pair's first physical qubit.  The code words are ``|0_L> = |01>`` and
-``|1_L> = |10>``; ``|00>`` and ``|11>`` span the leakage subspace.
+Each logical qubit lives on a pair of nodes.  Pair-local basis order is
+``|00>, |01>, |10>, |11>`` where the left symbol is the pair's first
+physical qubit.  The code words are ``|0_L> = |01>`` and ``|1_L> = |10>``;
+``|00>`` and ``|11>`` span the leakage subspace, which no native op reaches.
+So every matrix here acts on code words, and a native ISWAP or PHASE is its
+2x2 code-space block (:func:`ensembleqc.compiler._kernel`).
 
 Rotations use the standard convention::
 
     R_x(t) = [[cos t/2, -i sin t/2], [-i sin t/2, cos t/2]]
     R_z(t) = diag(exp(-i t/2), exp(+i t/2))
 
-With this convention the code-space restriction of ``iswap(t)`` equals
+With this convention a native ``ISWAP(t)`` acts on code words as
 ``R_x(-t)``.  The hardware-extracted swap (see :mod:`ensembleqc.dynamics`)
-carries ``-i`` off-diagonal entries, i.e. ``iswap(-pi)`` in this convention.
+carries ``-i`` off-diagonal entries, i.e. ``ISWAP(-pi)`` in this convention.
 No pass maps the extracted gate onto the native ops yet; the compiler and
-the simulator assume the ideal gates here (see the ROADMAP.md item that
-closes the loop from physics to logic).
+the simulator assume the ideal gates (see the ROADMAP.md item that closes
+the loop from physics to logic).
 
 The native CISWAP has no matrix here: on code words its action is the
 logical CNOT (``standard_gate("CNOT")``), which the simulator applies as a
@@ -35,29 +38,11 @@ import functools
 import numpy as np
 
 UNITARITY_ATOL = 1e-12
-# Largest element coupling the code space to the leakage space that
-# restrict_to_logical accepts.
-LEAKAGE_ATOL = 1e-12
-
-# Pair-local indices of the code words |01>, |10> and the leakage states.
-CODE_INDICES = (1, 2)
-LEAKAGE_INDICES = (0, 3)
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
     """``max|M M+ - I|`` of a square matrix."""
     return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
-
-
-class CodeSpaceLeakageError(ValueError):
-    """A matrix couples the code space to the leakage space."""
-
-    def __init__(self, max_element: float):
-        self.max_element = float(max_element)
-        super().__init__(
-            f"code space not block-preserved: max off-block element "
-            f"{self.max_element:.3e}"
-        )
 
 
 class Unitary:
@@ -121,35 +106,6 @@ def rz(theta: float) -> Unitary:
     return Unitary([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
 
 
-def iswap(theta: float) -> Unitary:
-    """Partial swap on a physical pair.
-
-    Acts as identity on |00> and |11>; on the code space the middle block is
-    ``[[cos t/2, i sin t/2], [i sin t/2, cos t/2]]``, an x rotation by
-    ``-theta``.
-    """
-    _check_angles(theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    m = np.eye(4, dtype=complex)
-    m[1, 1] = m[2, 2] = c
-    m[1, 2] = m[2, 1] = 1j * s
-    return Unitary(m)
-
-
-def phase_gate(theta: float, phi: float) -> Unitary:
-    """Diagonal pair gate realized by shifting one node's frequency.
-
-    Returns ``exp(i phi/2) * diag(exp(-i phi/2), exp(-i theta/2),
-    exp(i theta/2), exp(i phi/2))``.  The code-space restriction is
-    ``exp(i phi/2) R_z(theta)``; with ``phi = 0`` the restriction is exactly
-    ``R_z(theta)``.
-    """
-    _check_angles(theta, phi)
-    pre = np.exp(0.5j * phi)
-    diag = [np.exp(-0.5j * phi), np.exp(-0.5j * theta), np.exp(0.5j * theta), np.exp(0.5j * phi)]
-    return Unitary(pre * np.diag(diag))
-
-
 _STANDARD = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -168,30 +124,6 @@ def standard_gate(name: str) -> Unitary:
         return Unitary(_STANDARD[name])
     except KeyError:
         raise ValueError(f"unknown standard gate {name!r}") from None
-
-
-def code_space_coupling(u) -> float:
-    """Largest element of ``u`` coupling the code space to {|00>, |11>}; the
-    pair is the last two bits of the basis index."""
-    m = as_matrix(u)
-    index = np.arange(m.shape[0])
-    code = ((index ^ (index >> 1)) & 1).astype(bool)  # the pair's two bits differ
-    return float(np.max(np.abs(m[code != code[:, None]])))
-
-
-def restrict_to_logical(u) -> Unitary:
-    """Restrict a pair unitary to the {|0_L>, |1_L>} block.
-
-    Raises :class:`CodeSpaceLeakageError` when any element coupling the code
-    space to {|00>, |11>} exceeds ``LEAKAGE_ATOL``.
-    """
-    m = as_matrix(u)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 pair unitary, got shape {m.shape}")
-    off = code_space_coupling(m)
-    if off > LEAKAGE_ATOL:
-        raise CodeSpaceLeakageError(off)
-    return Unitary(m[np.ix_(CODE_INDICES, CODE_INDICES)])
 
 
 @functools.lru_cache(maxsize=None)  # one entry per entry count: 4 for the 2x2 gates

@@ -5,10 +5,11 @@ Logical qubit ``j`` is bit ``j`` of the index of ``2^k`` amplitudes
 words ``|0_L> = |q_2j = 0, q_2j+1 = 1>`` and ``|1_L> = |10>``.  Every native
 op maps code words to code words, so these amplitudes are the whole state:
 the simulator keeps nothing else, and :func:`state_to_json` writes them as
-they are.  ISWAP and PHASE act through the code-space block of their pair
-matrix; CISWAP is the logical CNOT on code words, a swap of two strided
-slices.  An op's leakage out of the code space is 0 by construction, so no
-run measures it; the tests check the native pair matrices instead.
+they are.  ISWAP and PHASE act through their 2x2 code-space block, which
+is their whole action on code words; CISWAP is the logical CNOT on code
+words, a swap of two strided slices.  An op's leakage out of the code space
+is 0 by construction, so no run measures it; the tests check it on pair
+matrices that only the 4^k test oracle builds.
 
 A lowered program repeats a few distinct ops many times, so each op's
 code-space block is built once per distinct ``(kind, angles)``

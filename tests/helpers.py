@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the code paths it checks:
 random unitaries come from QR, logical circuits are evaluated by direct
 index manipulation, native programs also run on the 4^k-amplitude physical
-register, op by op without the simulator's kernel cache, and through a
+register, op by op from each op's 4x4 pair matrix (which the package never
+builds), without the simulator's kernel cache, and through a
 separately written fused loop, two-level evolutions are cross-checked
 against eigendecompositions and a step-at-a-time integrator, the
 fixed-set search is checked against a node-at-a-time breadth-first
@@ -31,10 +32,9 @@ from ensembleqc.compiler import (
     NativeProgram,
 )
 from ensembleqc.gates import (
+    Unitary,
+    _check_angles,
     as_matrix,
-    iswap,
-    phase_gate,
-    restrict_to_logical,
     standard_gate,
 )
 from ensembleqc.physical import PhysicalParams
@@ -124,6 +124,65 @@ CONTROLLED_SWAP = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
 CONTROLLED_SWAP.setflags(write=False)
 
 
+# The native ops as 4x4 pair matrices, basis |00>, |01>, |10>, |11> with the
+# left symbol the pair's first node.  The package applies only each op's
+# 2x2 code-space block; these pair embeddings, identity on |00> and |11>,
+# are the independent physical oracle that the blocks are checked against.
+# Pair-local indices of the code words |0_L> = |01> and |1_L> = |10>.
+CODE_INDICES = (1, 2)
+# Largest element coupling the code space to the leakage space that
+# restrict_to_logical accepts.
+LEAKAGE_ATOL = 1e-12
+
+
+def iswap(theta: float) -> Unitary:
+    """Partial swap on a physical pair: identity on |00> and |11>, and on the
+    code space ``[[cos t/2, i sin t/2], [i sin t/2, cos t/2]]``."""
+    _check_angles(theta)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    m = np.eye(4, dtype=complex)
+    m[1, 1] = m[2, 2] = c
+    m[1, 2] = m[2, 1] = 1j * s
+    return Unitary(m)
+
+
+def phase_gate(theta: float, phi: float) -> Unitary:
+    """Diagonal pair gate realized by shifting one node's frequency:
+    ``exp(i phi/2) * diag(exp(-i phi/2), exp(-i theta/2), exp(i theta/2),
+    exp(i phi/2))``, so ``exp(i phi/2) R_z(theta)`` on the code space."""
+    _check_angles(theta, phi)
+    pre = np.exp(0.5j * phi)
+    diag = [np.exp(-0.5j * phi), np.exp(-0.5j * theta), np.exp(0.5j * theta), np.exp(0.5j * phi)]
+    return Unitary(pre * np.diag(diag))
+
+
+def pair_matrix(op) -> Unitary:
+    """The pair matrix of an ISWAP or PHASE op."""
+    return iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
+
+
+def code_space_coupling(u) -> float:
+    """Largest element of ``u`` coupling the code space to {|00>, |11>}; the
+    pair is the last two bits of the basis index."""
+    m = as_matrix(u)
+    index = np.arange(m.shape[0])
+    code = ((index ^ (index >> 1)) & 1).astype(bool)  # the pair's two bits differ
+    return float(np.max(np.abs(m[code != code[:, None]])))
+
+
+def restrict_to_logical(u) -> Unitary:
+    """Restrict a pair unitary to the {|0_L>, |1_L>} block; raises
+    ``ValueError`` when any element coupling the code space to {|00>, |11>}
+    exceeds ``LEAKAGE_ATOL``."""
+    m = as_matrix(u)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 pair unitary, got shape {m.shape}")
+    off = code_space_coupling(m)
+    if off > LEAKAGE_ATOL:
+        raise ValueError(f"code space not block-preserved: max off-block element {off:.3e}")
+    return Unitary(m[np.ix_(CODE_INDICES, CODE_INDICES)])
+
+
 def run_physical(program, bits: str) -> list[np.ndarray]:
     """Run a native program on the 4^k physical register, one physical gate
     matrix per op; returns the amplitudes after each op, global phase not
@@ -137,8 +196,7 @@ def run_physical(program, bits: str) -> list[np.ndarray]:
             control, target = op.targets
             u, qubits = CONTROLLED_SWAP, (2 * control, 2 * target, 2 * target + 1)
         else:
-            pair = iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
-            u, qubits = pair.matrix, (2 * op.targets[0], 2 * op.targets[0] + 1)
+            u, qubits = pair_matrix(op).matrix, (2 * op.targets[0], 2 * op.targets[0] + 1)
         amps = apply_unitary(amps, u, qubits, 2 * k)
         history.append(amps)
     return history
@@ -164,8 +222,8 @@ def run_ops_reference(program, amps: np.ndarray) -> np.ndarray:
         if op.kind == CISWAP_KIND:
             amps = _cnot_reference(amps, *op.targets)
         else:
-            pair = iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
-            amps = _one_qubit_reference(amps, restrict_to_logical(pair).matrix, op.targets[0])
+            amps = _one_qubit_reference(amps, restrict_to_logical(pair_matrix(op)).matrix,
+                                        op.targets[0])
     return amps
 
 
@@ -189,8 +247,7 @@ def native_steps(program) -> list:
         if op.kind == CISWAP_KIND:
             steps.append((None, op.targets))
         else:
-            pair = iswap(*op.angles) if op.kind == ISWAP_KIND else phase_gate(*op.angles)
-            steps.append((restrict_to_logical(pair).matrix, op.targets))
+            steps.append((restrict_to_logical(pair_matrix(op)).matrix, op.targets))
     return steps
 
 

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ensembleqc
@@ -637,6 +638,36 @@ def test_fidelity_rows_equal_per_row_calls(parameter, values, tmp_path):
     assert np.array_equal(report["rows"], expected, equal_nan=True)
 
 
+def test_one_step_sweep_whose_span_overflows_runs(tmp_path):
+    # max - min overflows, but the one grid point is min itself.
+    path = write(tmp_path / "c.json", {"sweep": {"parameter": "gamma_atomic", "min": 1e308,
+                                                 "max": -1e308, "steps": 1}})
+    code, stdout, stderr = run_cli(["--config", path, "--json", "fidelity"])
+    assert (code, stderr) == (0, "")
+    assert [row[0] for row in json.loads(stdout)["rows"]] == [1e308]
+
+
+@pytest.mark.parametrize("lo, hi, steps, expected", [
+    (-1e308, 1e308, 3, [-1e308, 0.0, 1e308]),
+    (sys.float_info.max, -sys.float_info.max, 3, [sys.float_info.max, 0.0, -sys.float_info.max]),
+])
+def test_sweep_span_past_the_float_range_keeps_finite_points(lo, hi, steps, expected):
+    spec = cli.SweepSpec.from_dict({"parameter": "time", "min": lo, "max": hi, "steps": steps})
+    assert list(spec.values) == expected
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 50))
+@settings(max_examples=200, deadline=None)
+def test_sweep_with_a_finite_span_is_numpy_linspace(lo, hi, steps):
+    assume(math.isfinite(hi - lo))
+    # numpy's last point may round past the float range before it is set to max.
+    with np.errstate(over="ignore"):
+        expected = tuple(np.linspace(lo, hi, steps).tolist())
+    spec = cli.SweepSpec.from_dict({"parameter": "time", "min": lo, "max": hi, "steps": steps})
+    assert spec.values == expected
+
+
 def test_heavy_cavity_loss_sweep_is_finite_and_quiet(tmp_path):
     # cosh^2 overflowed past ~452 Delta (inf) and met an exponential that underflows
     # to 0 past ~474 Delta (NaN); a fresh interpreter shows any numpy warning on stderr.
@@ -885,6 +916,11 @@ def test_every_export_resolves():
         assert getattr(ensembleqc, name) is not None, name
 
 
+# The 4x4 pair layer that native ops no longer pass through.
+PAIR_LAYER = ("iswap", "phase_gate", "restrict_to_logical", "code_space_coupling",
+              "CodeSpaceLeakageError", "LEAKAGE_ATOL", "CODE_INDICES", "LEAKAGE_INDICES")
+
+
 @pytest.mark.parametrize("module, name", [
     ("gates", "_controlled_swap_16"),
     ("gates", "LogicalEncoding"),
@@ -922,10 +958,19 @@ def test_every_export_resolves():
     ("presets", "rescale_pi_coupling"),
     ("dynamics", "iswap_schedule"),
     ("gates", "CONTROLLED_SWAP"),
+    *(("gates", name) for name in PAIR_LAYER),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(getattr(ensembleqc, module), name)
     assert name not in ensembleqc.__all__
+
+
+def test_pair_layer_is_not_named_in_the_package():
+    # The pair matrices and their leak check live in the test oracle only.
+    pattern = re.compile(r"\b(" + "|".join(PAIR_LAYER) + r")\b")
+    package = Path(ensembleqc.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert not pattern.search(path.read_text()), path.name
 
 
 def test_detuning_split_is_gone():
@@ -942,7 +987,6 @@ def test_unused_keywords_are_gone():
         (dynamics.evolve_closed_form, "resonance_tol"),
         (dynamics.extract_controlled_iswap, "condition_tol"),
         (ensembleqc.derive_couplings, "dispersive_threshold"),
-        (gates.restrict_to_logical, "atol"),
         (compiler.lower_single_qubit, "target"),
         (cli.default_config, "seed"),
         (dynamics.evolve_numerical, "step"),
@@ -951,6 +995,4 @@ def test_unused_keywords_are_gone():
         (dynamics.extract_controlled_iswap, "t"),
     ):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
-    # Every caller passes phi.
-    assert inspect.signature(gates.phase_gate).parameters["phi"].default is inspect.Parameter.empty
     assert "frame" not in {f.name for f in dataclasses.fields(dynamics.EvolutionResult)}

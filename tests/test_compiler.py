@@ -26,27 +26,26 @@ from ensembleqc.gates import (
     _frobenius_bound,
     _phase_align,
     phase_distance,
-    restrict_to_logical,
     rx,
     rz,
     standard_gate,
 )
-from ensembleqc.gates import iswap as iswap_gate
-from ensembleqc.gates import phase_gate
-from helpers import fixed_set_reference, haar_unitary_2, phase_align_reference
+from helpers import (
+    fixed_set_reference,
+    haar_unitary_2,
+    pair_matrix,
+    phase_align_reference,
+    restrict_to_logical,
+)
 
 
 def program_logical_matrix(program: NativeProgram) -> np.ndarray:
     """Replay a single-qubit program as its code-space matrix product."""
     total = np.eye(2, dtype=complex) * program.global_phase
     for op in program.ops:
-        if op.kind == ISWAP_KIND:
-            block = restrict_to_logical(iswap_gate(op.angles[0])).matrix
-        elif op.kind == PHASE_KIND:
-            block = restrict_to_logical(phase_gate(*op.angles)).matrix
-        else:
+        if op.kind not in (ISWAP_KIND, PHASE_KIND):
             raise AssertionError("single-qubit program expected")
-        total = block @ total
+        total = restrict_to_logical(pair_matrix(op)).matrix @ total
     return total
 
 

@@ -22,14 +22,16 @@ from ensembleqc.dynamics import (
     sector_propagator,
     swap_time,
 )
-from ensembleqc.gates import iswap, phase_distance, restrict_to_logical
+from ensembleqc.gates import phase_distance
 from ensembleqc.physical import DerivedCouplings, derive_couplings, effective_hamiltonian
 from helpers import (
     blockade_row_reference,
+    iswap,
     propagator_eig_oracle,
     random_resonant_params,
     random_state,
     rescaled_params_reference,
+    restrict_to_logical,
     rk4_reference,
 )
 

@@ -1,27 +1,40 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensembleqc import compiler
 from ensembleqc.gates import (
-    CODE_INDICES,
-    LEAKAGE_INDICES,
-    CodeSpaceLeakageError,
     Unitary,
     _phase_align,
-    code_space_coupling,
-    iswap,
     matrix_to_json,
     phase_distance,
-    phase_gate,
-    restrict_to_logical,
     rx,
     rz,
     standard_gate,
 )
-from helpers import CONTROLLED_SWAP, haar_unitary_2
+from helpers import (
+    CODE_INDICES,
+    CONTROLLED_SWAP,
+    code_space_coupling,
+    haar_unitary_2,
+    iswap,
+    phase_gate,
+    restrict_to_logical,
+)
 
+
+def iswap_block(theta: float) -> np.ndarray:
+    """The code-space block the simulator applies for ``ISWAP(theta)``."""
+    return compiler._op_kernel(compiler.NativeOp(compiler.ISWAP_KIND, (0,), (theta,)))
+
+
+def phase_block(theta: float, phi: float) -> np.ndarray:
+    """The code-space block the simulator applies for ``PHASE(theta, phi)``."""
+    return compiler._op_kernel(compiler.NativeOp(compiler.PHASE_KIND, (0,), (theta, phi)))
+
+
+# The pair matrices of the test oracle, then the package's matrices.
 UNITARY_SAMPLES = [
     iswap(0.0),
     iswap(np.pi),
@@ -37,6 +50,8 @@ UNITARY_SAMPLES = [
     standard_gate("S"),
     standard_gate("T"),
     standard_gate("CNOT"),
+    Unitary(iswap_block(0.7345)),
+    Unitary(phase_block(1.1, -0.4)),
 ]
 
 # Any angle a native op accepts.
@@ -64,8 +79,10 @@ class TestUnitaryType:
         (lambda: phase_gate(0.0, np.inf), "angles must be finite"),
         (lambda: Unitary([[np.inf, 0.0], [0.0, 1.0]]), "not unitary"),
         (lambda: Unitary([[1.0, 0.0], [0.0, complex(0.0, -np.inf)]]), "not unitary"),
+        (lambda: compiler.NativeOp(compiler.ISWAP_KIND, (0,), (np.inf,)), "angles must be finite"),
     ], ids=["matrix", "rx", "rx_inf", "rz_minus_inf", "iswap", "phase_gate_theta",
-            "phase_gate_phi", "phase_gate_phi_inf", "matrix_inf", "matrix_imag_inf"])
+            "phase_gate_phi", "phase_gate_phi_inf", "matrix_inf", "matrix_imag_inf",
+            "native_op_inf"])
     def test_rejects_nan(self, build, message):
         # A non-finite angle is rejected before any trig call and a
         # non-finite entry before the unitarity defect is computed; either
@@ -83,25 +100,22 @@ class TestUnitaryType:
             u.matrix[0, 0] = 5.0
 
     def test_matrix_json_round_trip(self):
-        u = phase_gate(0.37, 1.2)
-        pairs = np.array(matrix_to_json(u))
-        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], u.matrix)
+        m = phase_block(0.37, 1.2)
+        pairs = np.array(matrix_to_json(m))
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], m)
 
 
 class TestIswap:
     def test_zero_angle_is_identity(self):
-        assert np.array_equal(iswap(0.0).matrix, np.eye(4))
+        assert np.array_equal(iswap_block(0.0), np.eye(2))
 
     def test_full_swap_block(self):
-        m = iswap(np.pi).matrix
-        expected = np.eye(4, dtype=complex)
-        expected[1, 1] = expected[2, 2] = 0.0
-        expected[1, 2] = expected[2, 1] = 1j
-        assert np.max(np.abs(m - expected)) < 1e-15
+        expected = np.array([[0.0, 1j], [1j, 0.0]])
+        assert np.max(np.abs(iswap_block(np.pi) - expected)) < 1e-15
 
     def test_half_angle_superposition(self):
-        zero, one = np.eye(4, dtype=complex)[list(CODE_INDICES)]
-        out = iswap(np.pi / 2).matrix @ zero
+        zero, one = np.eye(2, dtype=complex)
+        out = iswap_block(np.pi / 2) @ zero
         expected = (zero + 1j * one) / np.sqrt(2)
         assert np.max(np.abs(out - expected)) < 1e-15
 
@@ -111,32 +125,30 @@ class TestIswap:
     )
     @settings(max_examples=60, deadline=None)
     def test_one_parameter_group(self, a, b):
-        left = iswap(a).matrix @ iswap(b).matrix
-        assert np.max(np.abs(left - iswap(a + b).matrix)) < 1e-12
+        left = iswap_block(a) @ iswap_block(b)
+        assert np.max(np.abs(left - iswap_block(a + b))) < 1e-12
 
     def test_restriction_is_x_rotation_by_minus_theta(self):
         rng = np.random.default_rng(11)
         for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 100):
-            restricted = restrict_to_logical(iswap(theta)).matrix
-            assert np.max(np.abs(restricted - rx(-theta).matrix)) < 1e-14
-            assert phase_distance(restricted, rx(-theta).matrix) < 1e-10
+            block = iswap_block(theta)
+            assert np.max(np.abs(block - rx(-theta).matrix)) < 1e-14
+            assert phase_distance(block, rx(-theta).matrix) < 1e-10
 
 
 class TestPhaseGate:
     def test_zero_angles_identity(self):
-        assert np.max(np.abs(phase_gate(0.0, 0.0).matrix - np.eye(4))) == 0.0
+        assert np.max(np.abs(phase_block(0.0, 0.0) - np.eye(2))) == 0.0
 
     def test_code_entry_with_equal_angles(self):
-        # With phi = theta the |01> entry is exp(i phi/2) exp(-i theta/2) = 1.
-        m = phase_gate(1.234, 1.234).matrix
-        assert abs(m[1, 1] - 1.0) < 1e-15
+        # With phi = theta the |0_L> entry is exp(i phi/2) exp(-i theta/2) = 1.
+        assert abs(phase_block(1.234, 1.234)[0, 0] - 1.0) < 1e-15
 
     def test_restriction_is_z_rotation(self):
-        m = restrict_to_logical(phase_gate(np.pi / 2, 0.0)).matrix
+        m = phase_block(np.pi / 2, 0.0)
         assert np.max(np.abs(m - rz(np.pi / 2).matrix)) < 1e-15
         # nonzero phi contributes only a global phase on the code space
-        m2 = restrict_to_logical(phase_gate(0.8, 0.5)).matrix
-        assert phase_distance(m2, rz(0.8).matrix) < 1e-12
+        assert phase_distance(phase_block(0.8, 0.5), rz(0.8).matrix) < 1e-12
 
     @given(
         st.floats(-6, 6, allow_nan=False),
@@ -146,7 +158,7 @@ class TestPhaseGate:
     )
     @settings(max_examples=60, deadline=None)
     def test_diagonal_family_commutes(self, t1, p1, t2, p2):
-        a, b = phase_gate(t1, p1).matrix, phase_gate(t2, p2).matrix
+        a, b = phase_block(t1, p1), phase_block(t2, p2)
         assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
 
@@ -174,8 +186,8 @@ class TestStandardGates:
 
     def test_identities_through_native_restrictions(self):
         # The same identities with the rotations produced by the native gates.
-        rz_native = restrict_to_logical(phase_gate(np.pi / 2, 0.0)).matrix
-        rx_native = restrict_to_logical(iswap(-np.pi / 2)).matrix
+        rz_native = phase_block(np.pi / 2, 0.0)
+        rx_native = iswap_block(-np.pi / 2)
         product = np.exp(1j * np.pi / 2) * rz_native @ rx_native @ rz_native
         assert np.max(np.abs(standard_gate("H").matrix - product)) < 1e-12
 
@@ -199,7 +211,7 @@ class TestEncoding:
             p[list(indices), list(indices)] = 1.0
             return p
 
-        total = projector(CODE_INDICES) + projector(LEAKAGE_INDICES)
+        total = projector(CODE_INDICES) + projector((0b00, 0b11))
         assert np.array_equal(total, np.eye(4))
 
     def test_restrict_reports_leakage_coupling(self):
@@ -209,16 +221,20 @@ class TestEncoding:
         m[0, 0] = m[1, 1] = np.cos(angle)
         m[0, 1] = -0.1
         m[1, 0] = 0.1
-        with pytest.raises(CodeSpaceLeakageError) as err:
+        with pytest.raises(ValueError, match=r"max off-block element 1\.000e-01$"):
             restrict_to_logical(m)
-        assert abs(err.value.max_element - 0.1) < 1e-12
 
     @given(theta=ANGLES, phi=ANGLES)
+    @example(theta=-0.0, phi=0.0)
+    @example(theta=0.0, phi=-0.0)
+    @example(theta=-np.pi, phi=-0.0)
+    @example(theta=-5e-324, phi=-1e300)
     @settings(max_examples=200, deadline=None)
     def test_coupling_of_native_matrices_is_zero(self, theta, phi):
         # Every native op keeps each pair's excitation number, so its
-        # leakage is exactly 0 at any angle, and the kernel the simulator
-        # applies is the code-space block of its pair matrix, bit for bit.
+        # leakage in the oracle's pair matrix is exactly 0 at any angle, and
+        # the block the package builds directly is that matrix's code-space
+        # block, bit for bit, signs of zeros included.
         assert code_space_coupling(CONTROLLED_SWAP) == 0.0
         for kind, angles, pair in ((compiler.ISWAP_KIND, (theta,), iswap(theta)),
                                    (compiler.PHASE_KIND, (theta, phi), phase_gate(theta, phi))):
@@ -227,6 +243,22 @@ class TestEncoding:
             expected = restrict_to_logical(pair).matrix
             assert kernel.shape == expected.shape
             assert kernel.tobytes() == expected.tobytes()
+            assert not kernel.flags.writeable
+
+    def test_kernels_build_no_pair_matrix(self, monkeypatch):
+        dims = []
+        init = Unitary.__init__
+
+        def spy(self, matrix):
+            init(self, matrix)
+            dims.append(self.dim)
+
+        monkeypatch.setattr(Unitary, "__init__", spy)
+        compiler._kernel.cache_clear()
+        iswap_block(0.3)
+        phase_block(0.3, -1.1)
+        assert compiler._kernel.cache_info().misses == 2
+        assert set(dims) <= {2}
 
     def test_coupling_reads_the_pair_bits_of_larger_matrices(self):
         # Control 1 mixes target |01> (index 5) with |00> (index 4).

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,9 +35,11 @@ from helpers import (
     circuit_columns_reference,
     circuit_steps,
     code_indices,
+    code_space_coupling,
     fused_reference,
     logical_circuit_matrix,
     native_steps,
+    pair_matrix,
     physical_leakage,
     random_state,
     run_ops_reference,
@@ -215,13 +218,8 @@ class TestLeakage:
         program = lower_circuit([("H", (0,)), ("CNOT", (0, 1)), ("T", (1,))])
         assert {op.kind for op in program.ops} == {CISWAP_KIND, ISWAP_KIND, PHASE_KIND}
         for op in program.ops:
-            if op.kind == CISWAP_KIND:
-                matrix = CONTROLLED_SWAP
-            elif op.kind == ISWAP_KIND:
-                matrix = gates.iswap(*op.angles)
-            else:
-                matrix = gates.phase_gate(*op.angles)
-            assert gates.code_space_coupling(matrix) == 0.0
+            matrix = CONTROLLED_SWAP if op.kind == CISWAP_KIND else pair_matrix(op)
+            assert code_space_coupling(matrix) == 0.0
 
     def test_random_programs_never_leak(self):
         # The physical register, op by op: no probability leaves the code space.
@@ -532,19 +530,20 @@ class TestKernelCache:
         monkeypatch.setattr(gates.Unitary, "__init__", spy("Unitary", gates.Unitary.__init__))
         monkeypatch.setattr(LogicalState, "__post_init__",
                             spy("LogicalState", LogicalState.__post_init__))
-        monkeypatch.setattr(gates, "iswap", spy("iswap", gates.iswap))
-        monkeypatch.setattr(gates, "phase_gate", spy("phase_gate", gates.phase_gate))
         compiler._kernel.cache_clear()
         run_program(program, "0" * 10)
         program_matrix(prefix)
-        distinct = collections.Counter(kind for kind, _ in {(op.kind, op.angles) for op in program.ops})
-        assert calls["iswap"] == distinct[ISWAP_KIND] > 0
-        assert calls["phase_gate"] == distinct[PHASE_KIND] > 0
+        # One kernel build per distinct (kind, angles); a warm pass builds none.
+        distinct = {(op.kind, op.angles, tuple(math.copysign(1.0, a) for a in op.angles))
+                    for op in program.ops}
+        assert {kind for kind, _, _ in distinct} == {CISWAP_KIND, ISWAP_KIND, PHASE_KIND}
+        assert compiler._kernel.cache_info().misses == len(distinct)
         calls.clear()
         run_program(program, "1" * 10)
         program_matrix(prefix)
         # States are validated at run_program's entry and exit only.
         assert calls == {"LogicalState": 2}
+        assert compiler._kernel.cache_info().misses == len(distinct)
 
 
 class TestStateSerialization:
