@@ -46,6 +46,8 @@ class DecoherenceParams:
 def _check_time(t) -> None:
     if np.any(np.less(t, 0.0)):
         raise ValueError("gate time must be nonnegative")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("gate time must be finite")
 
 
 def _spent(d: DecoherenceParams, t) -> tuple:
@@ -65,7 +67,7 @@ def iswap_fidelity(d: DecoherenceParams, t: float | np.ndarray) -> float | np.nd
     d : DecoherenceParams
         Relaxation constants, scalars or arrays.
     t : float or array
-        Gate duration in seconds, >= 0.
+        Gate duration in seconds, finite and >= 0.
 
     Returns
     -------

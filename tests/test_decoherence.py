@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,10 +66,19 @@ def test_every_value_is_checked(fields, message):
 
 @pytest.mark.parametrize("fn", [iswap_fidelity, fault_tolerance_margin])
 def test_negative_time_rejected(fn):
-    with pytest.raises(ValueError, match="gate time must be nonnegative"):
-        fn(REF, np.array([1e-8, -1e-9]))
-    with pytest.raises(ValueError, match="gate time must be nonnegative"):
-        fn(REF, -1e-9)
+    for t in (np.array([1e-8, -1e-9]), -1e-9, -np.inf, np.array([np.nan, -np.inf])):
+        with pytest.raises(ValueError, match="gate time must be nonnegative"):
+            fn(REF, t)
+
+
+@pytest.mark.parametrize("fn", [iswap_fidelity, fault_tolerance_margin])
+@pytest.mark.parametrize("gamma_atomic", [REF.gamma_atomic, 0.0])
+@pytest.mark.parametrize("t", [np.nan, np.inf, np.array([1e-8, np.nan]), np.array([[np.inf], [1e-8]])])
+def test_time_that_is_not_finite_rejected(fn, gamma_atomic, t):
+    # With gamma_atomic = 0, t = inf once gave 0 * inf = NaN as the fidelity.
+    d = dataclasses.replace(REF, gamma_atomic=gamma_atomic)
+    with pytest.raises(ValueError, match="gate time must be finite"):
+        fn(d, t)
 
 
 def test_overflow_is_silent_and_signed():

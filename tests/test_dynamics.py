@@ -174,31 +174,68 @@ class TestTimeArrays:
             ])
             assert np.array_equal(result.trajectory, expected)
 
+    @pytest.mark.parametrize("samples", [1, 7, 50])
+    def test_closed_form_final_state_equals_scalar_call(self, tuned, samples):
+        # The final state is the trajectory's last row, equal to the call at t alone.
+        initial = NodePairState(*random_state(np.random.default_rng(53), 2))
+        t = 3.0 / abs(tuned.s_coupling)
+        for n in (0, 1):
+            result = evolve_closed_form(tuned, n, t, initial, samples=samples)
+            expected = sector_propagator(tuned, n, t) @ initial.as_vector()
+            assert np.array_equal(result.state.as_vector(), expected)
+
+
+def _reference_case(kind):
+    """The sqrt(3)-tuned preset detuned by -2|S| (d != 0 in both sectors,
+    and kappa(1) > k, so kappa sets the step), or with a complex g_sigma_2,
+    which makes S complex (and detunes it too).  There A's eigenvectors are
+    not the symmetric and antisymmetric node states of the tuned case."""
+    params = presets.blockade_tuned_params(presets.SQRT3)
+    if kind == "off_resonant":
+        params = dataclasses.replace(params, omega_2=params.omega_2 - 2.0)
+    else:
+        params = dataclasses.replace(params, g_sigma_2=complex(params.g_sigma_2, 0.5 * params.g_sigma_2))
+    couplings = derive_couplings(params)
+    assert couplings.varpi_split(0) != 0.0 and couplings.varpi_split(1) != 0.0
+    assert (couplings.s_coupling.imag != 0.0) == (kind == "complex_s")
+    return couplings
+
+
+def _check_against_reference(couplings, n, samples):
+    s = abs(couplings.s_coupling)
+    step = DEFAULT_STEP_FACTOR / max(couplings.kappa(n), float(np.hypot(couplings.varpi_split(n), s)))
+    vec = random_state(np.random.default_rng(41), 2)
+    for t in (0.0, 0.5 * step, 10.0 * np.pi / s):
+        result = evolve_numerical(couplings, n, t, NodePairState(*vec), samples=samples)
+        # The reference integrates in the rotating frame; the result is in the lab frame.
+        times = np.linspace(0.0, t, samples + 1) if samples else np.array([0.0, t])
+        reference = (rk4_reference(couplings, n, t, vec, step, samples)
+                     * np.exp(1j * couplings.varpi_mean(n) * times)[:, None])
+        assert abs(result.state.as_vector() - reference[-1]).max() < 1e-12
+        if samples:
+            assert result.trajectory.shape == reference.shape
+            assert np.max(np.abs(result.trajectory - reference)) < 1e-12
+        else:
+            assert result.trajectory is None
+
 
 class TestNumerical:
     @pytest.mark.parametrize("samples", [0, 1, 1000])
     @pytest.mark.parametrize("n", [0, 1])
     def test_matches_step_by_step_reference(self, tuned, n, samples):
-        s = abs(tuned.s_coupling)
-        step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
-        vec = random_state(np.random.default_rng(41), 2)
-        for t in (0.0, 0.5 * step, 10.0 * np.pi / s):
-            result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples)
-            # The reference integrates in the rotating frame; the result is in the lab frame.
-            times = np.linspace(0.0, t, samples + 1) if samples else np.array([0.0, t])
-            reference = (rk4_reference(tuned, n, t, vec, step, samples)
-                         * np.exp(1j * tuned.varpi_mean(n) * times)[:, None])
-            assert abs(result.state.as_vector() - reference[-1]).max() < 1e-12
-            if samples:
-                assert result.trajectory.shape == reference.shape
-                assert np.max(np.abs(result.trajectory - reference)) < 1e-12
-            else:
-                assert result.trajectory is None
+        _check_against_reference(tuned, n, samples)
+
+    @pytest.mark.parametrize("samples", [0, 1, 1000])
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("kind", ["off_resonant", "complex_s"])
+    def test_eigenbasis_matches_step_by_step_reference(self, kind, n, samples):
+        _check_against_reference(_reference_case(kind), n, samples)
 
     @pytest.mark.parametrize("samples", [1, 2, 3, 5, 8, 1023, 1024, 1025])
     @pytest.mark.parametrize("n", [0, 1])
     def test_scan_edges_match_step_by_step_reference(self, tuned, n, samples):
-        # Sample counts around the doubling scan's powers of two.
+        # Sample counts around powers of two, where a doubling or blocked
+        # product of the segments would change its number of levels.
         s = abs(tuned.s_coupling)
         step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
         vec = random_state(np.random.default_rng(43), 2)
@@ -210,6 +247,28 @@ class TestNumerical:
         assert result.trajectory.shape == expected.shape
         assert np.max(np.abs(result.trajectory - expected)) < 1e-12
         assert abs(result.state.as_vector() - expected[-1]).max() < 1e-12
+
+    @pytest.mark.parametrize("samples", [0, 1, 64])
+    @pytest.mark.parametrize("n, omega_1, omega_1_pi, omega_2", [(0, 2.5, 0.0, 2.5), (1, 0.0, 1.0, 6.0)])
+    def test_zero_generator_keeps_the_state(self, n, omega_1, omega_1_pi, omega_2, samples):
+        # d = S = 0 in sector n.  With kappa(n) = 0 one step covers the time;
+        # with Omega_1^(pi) = 1, kappa(1) = 1 sets a step of 1/256 s.  Either
+        # way only the lab phase moves the state, and k = 0 divides nothing.
+        couplings = DerivedCouplings(
+            omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=omega_1_pi, omega_2_sigma=0.0,
+            omega_2_pi=0.0, s_coupling=0j, n_atoms_1=4, n_atoms_2=4, omega_1=omega_1, omega_2=omega_2,
+        )
+        assert couplings.varpi_split(n) == 0.0 and couplings.varpi_mean(n) != 0.0
+        assert couplings.kappa(n) == n
+        vec = random_state(np.random.default_rng(61), 2)
+        t = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = evolve_numerical(couplings, n, t, NodePairState(*vec), samples=samples)
+        assert np.array_equal(result.state.as_vector(), vec * np.exp(1j * couplings.varpi_mean(n) * t))
+        if samples:
+            phases = np.exp(1j * couplings.varpi_mean(n) * result.times)
+            assert np.array_equal(result.trajectory, vec[None, :] * phases[:, None])
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_long_horizon_keeps_the_norm(self, tuned, n):
