@@ -7,10 +7,23 @@ pass, 1 a verification failed, 2 usage or parse error.  :func:`main` is the
 one place that maps errors to exit codes: :class:`VerificationError` gives 1,
 and ``ValueError`` (which includes :class:`UsageError` and every parse error)
 or ``OSError`` gives 2, each with a single ``error: ...`` line on stderr.
-An input needing one array over ``MAX_ARRAY_BYTES``, or a sweep over
-``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.  A reader
-that closes stdout early (``| head``) is not an error: output stops, no
-``error:`` line is printed, and the exit code is the command's own verdict.
+A ``simulate`` input needing a state over ``MAX_ARRAY_BYTES``, or a sweep
+over ``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.  A
+reader that closes stdout early (``| head``) is not an error: output stops,
+no ``error:`` line is printed, and the exit code is the command's own
+verdict.
+
+``compile`` checks its exact lowering run by run, at any register size.
+Circuit and program are each fused into one 2x2 product per qubit between
+two CNOTs on it (:func:`ensembleqc.compiler.fused_runs`).  The check passes
+when the two CNOT sequences are identical, each circuit product ``C``
+equals ``lambda P`` for the program's product ``P`` and a unit phase
+``lambda`` (a product missing on one side is the identity), and the
+product of the phases equals the program's global phase; together these
+make the two 2^k x 2^k unitaries equal, phases included.  The reported
+``equivalence_error`` is the largest of ``max|C - lambda P|`` over every
+product's entries and ``|global_phase - prod lambda|``, or 2 if the CNOT
+sequences differ; the check passes below 1e-9.
 
 Every command is deterministic given the config and seed; reports embed a
 hash of the resolved configuration.  Text and CSV output give numbers to 12
@@ -42,9 +55,8 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
 _FMT = "{:.12g}"
-# Largest array a command may allocate, in bytes (16 per complex amplitude):
-# 2^k amplitudes to simulate k logical qubits, and to write them as
-# state.json, 4^k for the compile check's unitaries.
+# Largest state a command may allocate, in bytes (16 per complex amplitude):
+# 2^k amplitudes to simulate k logical qubits and to write them as state.json.
 MAX_ARRAY_BYTES = 2**28
 # Largest grid a sweep's "steps" may ask for.
 MAX_SWEEP_STEPS = 10**6
@@ -233,11 +245,12 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
     )
 
 
-def _check_budget(qubit_count: int, base: int, purpose: str) -> None:
-    """Reject ``base ** qubit_count`` amplitudes over the budget before allocating."""
-    if 16 * base ** min(qubit_count, 64) > MAX_ARRAY_BYTES:  # k may be huge
+def _check_budget(qubit_count: int) -> None:
+    """Reject a state of ``2 ** qubit_count`` amplitudes over the budget
+    before allocating it."""
+    if 16 * 2 ** min(qubit_count, 64) > MAX_ARRAY_BYTES:  # k may be huge
         raise UsageError(
-            f"{purpose} needs 16*{base}^{qubit_count} bytes for {qubit_count} logical "
+            f"simulate needs 16*2^{qubit_count} bytes for {qubit_count} logical "
             f"qubits, over the {MAX_ARRAY_BYTES}-byte limit"
         )
 
@@ -445,14 +458,58 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
+# A CNOT skeleton that differs between circuit and program counts as this
+# deviation: the largest distance between two entries of unitaries.
+_SKELETON_MISMATCH = 2.0
+
+
+def _fused_segments(steps) -> tuple[list[tuple[int, int]], dict[tuple[int, int], np.ndarray]]:
+    """:func:`compiler.fused_runs` of ``steps`` as its CNOT skeleton and its
+    products keyed by ``(qubit, segment)``, where a qubit's segment counts
+    the CNOTs on it before the product."""
+    skeleton: list[tuple[int, int]] = []
+    products: dict[tuple[int, int], np.ndarray] = {}
+    segment: dict[int, int] = {}
+    for block, targets in compiler.fused_runs(steps):
+        if block is None:
+            skeleton.append(targets)
+            for qubit in targets:
+                segment[qubit] = segment.get(qubit, 0) + 1
+        else:
+            products[targets[0], segment.get(targets[0], 0)] = block
+    return skeleton, products
+
+
+def _equivalence_error(circuit, program: compiler.NativeProgram) -> float:
+    """``compile``'s ``equivalence_error`` of ``program`` against ``circuit``
+    (see the module docstring): the circuit is fused from its
+    :func:`gates.standard_gate` matrices and the program from its ops'
+    code-space blocks, and each segment's phase ``lambda`` is that of
+    ``sum conj(P) C``.  Sound, since a fused product only moves past ops on
+    other qubits; O(gates), with no 2^k array."""
+    matrices = {name: gates.standard_gate(name).matrix
+                for name in {name for name, _ in circuit} - {"CNOT"}}
+    skeleton, wanted = _fused_segments((matrices.get(name), targets) for name, targets in circuit)
+    program_skeleton, emitted = _fused_segments(
+        (compiler._op_kernel(op), op.targets) for op in program.ops)
+    if program_skeleton != skeleton:
+        return _SKELETON_MISMATCH
+    keys = list(wanted.keys() | emitted.keys())
+    eye = np.eye(2, dtype=complex)
+    c = np.array([wanted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
+    p = np.array([emitted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
+    overlap = np.einsum("nij,nij->n", p.conj(), c)
+    size = np.abs(overlap)
+    phases = np.where(size > 0.0, overlap / np.where(size > 0.0, size, 1.0), 1.0)
+    deviation = float(np.max(np.abs(c - phases[:, None, None] * p), initial=0.0))
+    return max(deviation, abs(program.global_phase - complex(np.prod(phases))))
+
+
 def cmd_compile(args, config: ScenarioConfig) -> int:
     circuit = compiler.parse_circuit(Path(args.circuit).read_text())
     if not args.fixed_set:
         program = compiler.lower_circuit(circuit)
-        k = program.qubit_count
-        _check_budget(k, 4, "the compile check")
-        deviation = simulator.program_matrix(program) - simulator.circuit_matrix(circuit, k)
-        error = float(np.max(np.abs(deviation)))
+        error = _equivalence_error(circuit, program)
         passed = error < 1e-9
         report = {
             "command": "compile",
@@ -524,7 +581,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
         program = compiler.NativeProgram.from_json(Path(args.program).read_text())
     else:
         program = compiler.lower_circuit(compiler.parse_circuit(Path(args.circuit).read_text()))
-    _check_budget(program.qubit_count, 2, "simulate")
+    _check_budget(program.qubit_count)
     initial = args.initial if args.initial is not None else "0" * program.qubit_count
     state, stats = simulator.run_program(program, initial)
     passed = stats.norm_defect < 1e-10

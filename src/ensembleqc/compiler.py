@@ -4,11 +4,13 @@ Single-qubit gates go through an exact z-x-z Euler decomposition and come out
 as at most three native operations ``[PHASE(gamma), ISWAP(-beta),
 PHASE(alpha)]`` (the sign on ISWAP absorbs the fact that its code-space
 block is an x rotation by minus the angle).  The logical CNOT lowers to
-a single controlled-swap operation.  :func:`lower_circuit` is the one
-lowering loop: it lowers each single-qubit gate name once, through its
-``lower_1q`` argument, and moves the ops to each gate's target.  Besides the
-exact default, ``compile --fixed-set`` passes a lowering that approximates
-each gate with the shortest word over the fixed gates {ISWAP(pi/2),
+a single controlled-swap operation.  :func:`fused_runs` is the one rule that
+fuses the single-qubit gates of a qubit between two CNOTs into one 2x2
+product; the simulator applies programs through it, and
+:func:`lower_circuit` lowers each fused product of a circuit as one Euler
+triple, so a run of any length costs at most three ops.  Besides the exact
+default, ``compile --fixed-set`` passes a lowering that approximates each
+gate on its own with the shortest word over the fixed gates {ISWAP(pi/2),
 PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
 breadth-first search tree over those words does not depend on the gate, so
 it is built once per depth limit as a cached table of products.  Each search
@@ -283,7 +285,7 @@ def lower_single_qubit(u) -> NativeProgram:
     Emits ``[PHASE(gamma), ISWAP(-beta), PHASE(alpha)]`` on pair 0
     (identity-angle operations dropped) with the Euler ``delta`` recorded as
     the program's global phase; :func:`lower_circuit` moves the ops to each
-    gate's target.
+    run's qubit.
     """
     angles = euler_decompose(u)
     ops: list[NativeOp] = []
@@ -296,54 +298,103 @@ def lower_single_qubit(u) -> NativeProgram:
     return NativeProgram(qubit_count=1, ops=ops, global_phase=complex(np.exp(1j * angles.delta)))
 
 
+def fused_runs(steps):
+    """Fuse the single-qubit runs of ``steps``, an iterable of ``(block,
+    targets)``: a 2x2 block on ``targets[0]``, or ``None`` for the CNOT on
+    ``(control, target)``, in apply order.
+
+    Each qubit keeps one pending 2x2 product of its blocks since its last
+    flush, the later block on the left; a lone block is kept as it is.  A
+    CNOT first flushes the pending product of its control, then of its
+    target, and the end flushes what is left in ascending qubit order.
+    Yields each flushed ``(product, (qubit,))`` and each ``(None, (control,
+    target))`` in that order, which acts as ``steps`` do: a flushed product
+    only moves past steps on other qubits.
+    """
+    pending: dict[int, np.ndarray] = {}
+    for block, targets in steps:
+        if block is not None:
+            prior = pending.get(targets[0])
+            pending[targets[0]] = block if prior is None else block @ prior
+            continue
+        for qubit in targets:
+            if qubit in pending:
+                yield pending.pop(qubit), (qubit,)
+        yield None, targets
+    for qubit in sorted(pending):
+        yield pending[qubit], (qubit,)
+
+
 @functools.lru_cache(maxsize=None)  # one entry per single-qubit name in SUPPORTED_GATES
-def _standard_lowering(name: str) -> NativeProgram:
-    """``lower_single_qubit(standard_gate(name))``, shared by every call: read
-    it, never change it."""
-    return lower_single_qubit(standard_gate(name))
+def _standard_matrix(name: str) -> np.ndarray:
+    """The read-only matrix of ``standard_gate(name)``."""
+    return standard_gate(name).matrix
 
 
-def lower_circuit(
-    circuit, qubit_count: int | None = None, lower_1q=_standard_lowering
-) -> NativeProgram:
+def _moved(pair: NativeProgram, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
+    """The ops of a pair-0 program moved to ``qubit``, and its global phase."""
+    return tuple(NativeOp(op.kind, (qubit,), op.angles) for op in pair.ops), pair.global_phase
+
+
+# Bounded, since every run of a circuit may fuse to a new product.
+@functools.lru_cache(maxsize=4096)
+def _lower_product(key: bytes) -> NativeProgram:
+    """:func:`lower_single_qubit` of the 2x2 complex matrix whose bytes are
+    ``key``, shared by every call: read it, never change it."""
+    return lower_single_qubit(np.frombuffer(key, dtype=complex).reshape(2, 2))
+
+
+@functools.lru_cache(maxsize=4096)
+def _lower_run(key: bytes, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
+    """:func:`_lower_product` of ``key`` moved to ``qubit``."""
+    return _moved(_lower_product(key), qubit)
+
+
+def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
-    qubit indices.  ``lower_1q(name)`` lowers a single-qubit gate name to a
-    program on pair 0; it runs once per name, at the name's first gate.  Each
-    gate of that name gets the program's ops moved to its target, and its
-    global phase is multiplied into the result.  The default is the exact
-    Euler lowering :func:`lower_single_qubit` of :func:`standard_gate`.  Each
-    CNOT becomes one controlled-swap op.  Operation order preserves circuit
-    semantics (first listed gate acts first).
+    qubit indices; the first listed gate acts first.  Each CNOT becomes one
+    controlled-swap op.  By default the single-qubit gates are fused by
+    :func:`fused_runs` over their :func:`standard_gate` matrices, and each
+    flushed product is lowered by :func:`lower_single_qubit`, cached by the
+    product's bytes, so each run between two CNOTs on a qubit costs at most
+    three ops.  ``lower_1q(name)`` instead lowers each single-qubit gate on
+    its own, from its name to a program on pair 0; it runs once per name, at
+    the name's first gate.  Either way a lowering's ops are moved to their
+    qubit once per qubit, and its global phase is multiplied into the result.
     """
-    ops: list[NativeOp] = []
-    phase = 1.0 + 0.0j
+    steps: list[tuple[str, tuple[int, ...]]] = []
     max_target = -1
-    lowered: dict[str, NativeProgram] = {}
-    retargeted: dict[tuple[str, int], tuple[list[NativeOp], complex]] = {}
     for name, targets in circuit:
         targets = tuple(int(t) for t in targets)
         max_target = max(max_target, *targets) if targets else max_target
         if name == "CNOT":
             if len(targets) != 2 or targets[0] == targets[1]:
                 raise ValueError(f"CNOT takes two distinct targets, got {targets!r}")
+        elif name not in SUPPORTED_GATES:
+            raise ValueError(f"unsupported gate {name!r}")
+        elif len(targets) != 1:
+            raise ValueError(f"{name} takes one target, got {targets!r}")
+        steps.append((name, targets))
+    if lower_1q is None:
+        units = ((None if block is None else block.tobytes(), targets) for block, targets in
+                 fused_runs((None if name == "CNOT" else _standard_matrix(name), targets)
+                            for name, targets in steps))
+        lower = _lower_run
+    else:
+        units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
+        per_name = functools.cache(lower_1q)
+        lower = functools.cache(lambda name, qubit: _moved(per_name(name), qubit))
+    ops: list[NativeOp] = []
+    phase = 1.0 + 0.0j
+    for unit, targets in units:
+        if unit is None:
             ops.append(NativeOp(CISWAP_KIND, targets))
-        elif name in SUPPORTED_GATES:
-            if len(targets) != 1:
-                raise ValueError(f"{name} takes one target, got {targets!r}")
-            key = (name, targets[0])
-            if key not in retargeted:
-                if name not in lowered:
-                    lowered[name] = lower_1q(name)
-                pair = lowered[name]
-                retargeted[key] = ([NativeOp(op.kind, targets, op.angles) for op in pair.ops],
-                                   pair.global_phase)
-            sub_ops, sub_phase = retargeted[key]
+        else:
+            sub_ops, sub_phase = lower(unit, targets[0])
             ops.extend(sub_ops)
             phase *= sub_phase
-        else:
-            raise ValueError(f"unsupported gate {name!r}")
     count = qubit_count if qubit_count is not None else max_target + 1
     program = NativeProgram(qubit_count=max(count, 1), ops=ops, global_phase=phase)
     program.validate()

@@ -11,20 +11,19 @@ words, a swap of two strided slices.  An op's leakage out of the code space
 is 0 by construction, so no run measures it; the tests check it on pair
 matrices that only the 4^k test oracle builds.
 
-A lowered program repeats a few distinct ops many times, so each op's
-code-space block is built once per distinct ``(kind, angles)``
+A program may repeat an op many times, so each op's code-space block is
+built once per distinct ``(kind, angles)``
 (:func:`ensembleqc.compiler._kernel`) and reused at every target.
 
-:func:`_apply_run` is the one apply loop, shared by :func:`run_program`,
-:func:`program_matrix` and :func:`circuit_matrix`.  It fuses single-qubit
-ops: each qubit keeps one pending 2x2 matrix, and a single-qubit op
-multiplies its block onto it, the later op on the left, without touching the
-amplitudes.  The amplitudes see a qubit's pending matrix only when it is
-flushed: before a CNOT on that qubit (its control first, then its target),
-and at the end of the run, in ascending qubit order.  A logical gate lowers
-to up to three single-qubit ops, so the passes over the amplitudes drop
-about threefold, and results move only in their last bits against an
-op-by-op run.
+:func:`_apply_run` is the one apply loop, used by :func:`run_program`.  It
+fuses single-qubit ops with :func:`ensembleqc.compiler.fused_runs`: each
+qubit keeps one pending 2x2 matrix, and a single-qubit op multiplies its
+block onto it without touching the amplitudes.  The amplitudes see a qubit's
+pending matrix only when it is flushed: before a CNOT on that qubit (its
+control first, then its target), and at the end of the run, in ascending
+qubit order.  So each run of single-qubit ops costs one pass over the
+amplitudes, and results move only in their last bits against an op-by-op
+run.
 
 States are validated at the boundaries: :class:`LogicalState` checks what a
 caller builds, and ``run_program`` validates its encoded input and ends with
@@ -37,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
-from .compiler import NORM_ATOL, NativeProgram, _op_kernel
+from .compiler import NORM_ATOL, NativeProgram, _op_kernel, fused_runs
 
 
 @dataclass(frozen=True)
@@ -109,26 +107,10 @@ def _apply_run(amps: np.ndarray, steps) -> np.ndarray:
     """The one apply loop: ``steps`` is an iterable of ``(block, targets)``,
     a 2x2 block on ``targets[0]`` or ``None`` for the CNOT on
     ``(control, target)``, applied in order to amplitudes laid out as in
-    :func:`_one_qubit`.
-
-    Each qubit keeps one pending 2x2 matrix, the product of its single-qubit
-    blocks since its last flush with the later block on the left; a lone
-    block is kept as it is.  A CNOT first flushes the pending matrices of its
-    control, then of its target; the loop ends by flushing what is left in
-    ascending qubit order.
-    """
-    pending: dict[int, np.ndarray] = {}
-    for block, targets in steps:
-        if block is not None:
-            prior = pending.get(targets[0])
-            pending[targets[0]] = block if prior is None else block @ prior
-            continue
-        for qubit in targets:
-            if qubit in pending:
-                amps = _one_qubit(amps, pending.pop(qubit), qubit)
-        amps = _cnot(amps, *targets)
-    for qubit in sorted(pending):
-        amps = _one_qubit(amps, pending[qubit], qubit)
+    :func:`_one_qubit`, one pass per product that
+    :func:`~ensembleqc.compiler.fused_runs` flushes."""
+    for block, targets in fused_runs(steps):
+        amps = _cnot(amps, *targets) if block is None else _one_qubit(amps, block, targets[0])
     return amps
 
 
@@ -184,29 +166,6 @@ def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, Run
                       ((_op_kernel(op), op.targets) for op in program.ops))
     state = LogicalState(amps * program.global_phase)
     return state, RunStats(norm_defect=abs(state.norm() - 1.0))
-
-
-def program_matrix(program: NativeProgram) -> np.ndarray:
-    """The program's logical unitary, tracked global phase included: one run
-    over the 2^k identity columns."""
-    program.validate()
-    columns = _apply_run(np.eye(2**program.qubit_count, dtype=complex),
-                         ((_op_kernel(op), op.targets) for op in program.ops))
-    # Amplitudes times phase, the operand order of run_program, so that the
-    # two round alike.
-    return columns * program.global_phase
-
-
-def circuit_matrix(circuit, qubit_count: int) -> np.ndarray:
-    """Logical unitary of a ``[(name, targets), ...]`` circuit of
-    :func:`~ensembleqc.gates.standard_gate` names, through the same kernels;
-    each name's matrix is read once."""
-    if any(t >= qubit_count for _, targets in circuit for t in targets):
-        raise ValueError(f"circuit touches a qubit outside the {qubit_count}-qubit register")
-    matrices = {name: gates.standard_gate(name).matrix
-                for name in {name for name, _ in circuit} - {"CNOT"}}
-    return _apply_run(np.eye(2**qubit_count, dtype=complex),
-                      ((matrices.get(name), targets) for name, targets in circuit))
 
 
 def state_to_json(state: LogicalState) -> list:

@@ -29,7 +29,9 @@ from helpers import (
     blockade_row_reference,
     config_hash_reference,
     fidelity_row_reference,
+    logical_circuit_matrix,
     random_resonant_params,
+    run_ops_reference,
 )
 
 REFERENCE = json.loads(presets.reference_params().to_json())
@@ -191,7 +193,6 @@ ERROR_CASES = {
     "truth_table_tol_zero": ({}, ["truth-table", "--tol", "0"], 2),
     "truth_table_tol_nan": ({}, ["truth-table", "--tol", "nan"], 2),
     "truth_table_tol_inf": ({}, ["truth-table", "--tol", "inf"], 2),
-    "compile_register_over_budget": ({"c.txt": "H 20\n"}, ["compile", "c.txt"], 2),
     "simulate_register_over_budget": ({"c.txt": "H 40\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "simulate_state_json_over_budget": (
         {"c.txt": "H 40\n"}, ["--out", "out", "simulate", "--circuit", "c.txt"], 2),
@@ -343,6 +344,94 @@ def test_simulate_and_compile_report_success(k, tmp_path):
     assert (code, stderr, report["pass"]) == (0, "", True)
     assert report["op_count"] == op_count
     assert report["equivalence_error"] < 1e-12
+
+
+def test_compile_check_needs_no_register_sized_array(tmp_path):
+    # The run-by-run check costs O(gates): a k=20 register, whose 4^20
+    # unitaries the check once built, compiles and passes.
+    path = write(tmp_path / "c.txt", "H 20\n")
+    code, stdout, stderr = run_cli(["--json", "compile", path])
+    report = json.loads(stdout)
+    assert (code, stderr, report["pass"], report["op_count"]) == (0, "", True, 3)
+    assert report["equivalence_error"] < 1e-15
+
+
+MUTATION_CIRCUIT = "H 0\nT 0\nH 1\nCNOT 0 1\nH 0\nS 1\nCNOT 1 0\nT 0\nH 1\n"
+
+
+def _nudge_angle(ops):
+    index = next(i for i, op in enumerate(ops) if op.kind == compiler.ISWAP_KIND)
+    op = ops[index]
+    ops[index] = compiler.NativeOp(op.kind, op.targets, (op.angles[0] + 1e-6,))
+
+
+def _swap_run_ops(ops):
+    assert ops[0].targets == ops[1].targets and ops[0].kind != ops[1].kind
+    ops[0], ops[1] = ops[1], ops[0]
+
+
+def _reverse_ciswap(ops):
+    index = next(i for i, op in enumerate(ops) if op.kind == compiler.CISWAP_KIND)
+    ops[index] = compiler.NativeOp(compiler.CISWAP_KIND, ops[index].targets[::-1])
+
+
+def _move_across_cnot(ops):
+    # The last op before the first CISWAP ends the run of H 1 on its target,
+    # which flushes last; move it past the CISWAP.
+    index = next(i for i, op in enumerate(ops) if op.kind == compiler.CISWAP_KIND)
+    assert ops[index - 1].targets == (ops[index].targets[1],)
+    ops[index - 1], ops[index] = ops[index], ops[index - 1]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nudge_angle, _swap_run_ops, _reverse_ciswap, _move_across_cnot, "negate_phase",
+])
+def test_compile_check_fails_a_corrupted_program(corrupt, tmp_path, monkeypatch):
+    path = write(tmp_path / "c.txt", MUTATION_CIRCUIT)
+    lower = compiler.lower_circuit
+
+    def corrupted(circuit):
+        program = lower(circuit)
+        if corrupt == "negate_phase":
+            program.global_phase = -program.global_phase
+        else:
+            corrupt(program.ops)
+        return program
+
+    monkeypatch.setattr(compiler, "lower_circuit", corrupted)
+    code, stdout, stderr = run_cli(["--json", "compile", path])
+    report = json.loads(stdout)
+    assert (code, stderr, report["pass"]) == (1, "", False)
+    assert report["equivalence_error"] > 1e-9
+
+
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       corruption=st.sampled_from(["none", "nudge", "negate_phase"]))
+@settings(max_examples=40, deadline=None)
+def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
+    # The run-by-run verdict equals the 2^k x 2^k verdict, on lowered
+    # programs and on programs with one angle moved by 1e-6 or the global
+    # phase negated.
+    rng = np.random.default_rng(seed)
+    names = ["X", "H", "S", "T"] + ["CNOT"] * (k > 1)
+    circuit = []
+    for name in (names[i] for i in rng.integers(len(names), size=int(rng.integers(0, 25)))):
+        size = 2 if name == "CNOT" else 1
+        circuit.append((name, tuple(int(q) for q in rng.choice(k, size=size, replace=False))))
+    program = compiler.lower_circuit(circuit, qubit_count=k)
+    singles = [i for i, op in enumerate(program.ops) if op.kind != compiler.CISWAP_KIND]
+    if corruption == "nudge" and singles:
+        i = singles[rng.integers(len(singles))]
+        op = program.ops[i]
+        program.ops[i] = compiler.NativeOp(op.kind, op.targets,
+                                           (op.angles[0] + 1e-6,) + op.angles[1:])
+    elif corruption == "negate_phase":
+        program.global_phase = -program.global_phase
+    matrix = run_ops_reference(program, np.eye(2**k, dtype=complex)) * program.global_phase
+    oracle_error = float(np.max(np.abs(matrix - logical_circuit_matrix(circuit, k))))
+    error = cli._equivalence_error(circuit, program)
+    assert (error < 1e-9) == (oracle_error < 1e-9)
+    assert (error < 1e-12) == (corruption == "none" or not singles and corruption == "nudge")
 
 
 def test_state_json_holds_the_logical_amplitudes(tmp_path, monkeypatch):
@@ -939,6 +1028,8 @@ PAIR_LAYER = ("iswap", "phase_gate", "restrict_to_logical", "code_space_coupling
     ("cli", "_blockade_row"),
     ("compiler", "_dedup_key"),
     ("cli", "_logical_circuit_matrix"),
+    ("simulator", "circuit_matrix"),
+    ("simulator", "program_matrix"),
     ("cli", "_logical_equivalence_error"),
     ("physical", "check_resonance_condition"),
     ("decoherence", "gate_time"),

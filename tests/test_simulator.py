@@ -20,11 +20,10 @@ from ensembleqc.compiler import (
 )
 from ensembleqc.simulator import (
     LogicalState,
-    circuit_matrix,
+    _apply_run,
     decode,
     encode_basis,
     measure_logical,
-    program_matrix,
     run_program,
     sample_logical,
     state_to_json,
@@ -66,6 +65,25 @@ def random_native_program(rng: np.random.Generator, qubit_count: int, op_count: 
             )
     phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
     return NativeProgram(qubit_count=qubit_count, ops=ops, global_phase=complex(phase))
+
+
+def apply_program(program: NativeProgram, amps: np.ndarray) -> np.ndarray:
+    """``program`` on amplitudes (axis 0 the 2^k index, a second axis of
+    columns allowed) through the simulator's one apply loop, the global
+    phase multiplied in last as ``run_program`` does; on the identity this
+    is the program's matrix."""
+    steps = ((compiler._op_kernel(op), op.targets) for op in program.ops)
+    return _apply_run(amps, steps) * program.global_phase
+
+
+def program_columns(program: NativeProgram) -> np.ndarray:
+    return apply_program(program, np.eye(2**program.qubit_count, dtype=complex))
+
+
+def circuit_columns(circuit, qubit_count: int) -> np.ndarray:
+    """A circuit's matrix through the simulator's one apply loop, from the
+    standard gate matrices of :func:`helpers.circuit_steps`."""
+    return _apply_run(np.eye(2**qubit_count, dtype=complex), circuit_steps(circuit))
 
 
 def random_circuit(rng: np.random.Generator, k: int, gate_count: int) -> list:
@@ -174,16 +192,14 @@ class TestApplyOp:
             NativeOp(PHASE_KIND, (0,), (0.1, -0.6)),
             NativeOp(CISWAP_KIND, (1, 0)),
         ):
-            state = LogicalState(program_matrix(one_op(op, 2)) @ state.amplitudes)
+            state = LogicalState(apply_program(one_op(op, 2), state.amplitudes))
             assert abs(state.norm() - 1.0) < 1e-12
 
     def test_rejects_out_of_range_target(self):
-        # NativeProgram.validate, which run_program and program_matrix call.
+        # NativeProgram.validate, which run_program calls.
         for op, k in ((NativeOp(ISWAP_KIND, (1,), (0.1,)), 1), (NativeOp(CISWAP_KIND, (0, 2)), 2)):
             with pytest.raises(ValueError, match="outside"):
                 run_program(one_op(op, k), "0" * k)
-            with pytest.raises(ValueError, match="outside"):
-                program_matrix(one_op(op, k))
 
     def test_kernels_match_logical_oracle(self):
         # Each op kind against the code-space block of its pair matrix, or the
@@ -196,9 +212,9 @@ class TestApplyOp:
             (NativeOp(PHASE_KIND, (0,), (0.9, 0.5)), np.exp(0.25j) * gates.rz(0.9).matrix),
         ):
             expected = logical_circuit_matrix([(block, op.targets)], 3) @ state
-            assert np.max(np.abs(program_matrix(one_op(op, 3)) @ state - expected)) < 1e-12
+            assert np.max(np.abs(apply_program(one_op(op, 3), state) - expected)) < 1e-12
         cnot = logical_circuit_matrix([("CNOT", (2, 0))], 3) @ state
-        assert np.array_equal(program_matrix(one_op(NativeOp(CISWAP_KIND, (2, 0)), 3)) @ state, cnot)
+        assert np.array_equal(apply_program(one_op(NativeOp(CISWAP_KIND, (2, 0)), 3), state), cnot)
 
 
 class TestLeakage:
@@ -295,7 +311,7 @@ class TestFusion:
             expected = encode_basis(bits).amplitudes
         final, _ = run_program(program, bits)
         assert np.max(np.abs(final.amplitudes - expected * program.global_phase)) < 1e-12
-        assert np.max(np.abs(program_matrix(program)[:, int(bits[::-1], 2)]
+        assert np.max(np.abs(program_columns(program)[:, int(bits[::-1], 2)]
                              - final.amplitudes)) < 1e-12
 
 
@@ -417,26 +433,18 @@ class TestMatrices:
         k = int(rng.integers(1, 5))
         circuit = random_circuit(rng, k, int(rng.integers(1, 12)))
         oracle = logical_circuit_matrix(circuit, k)
-        assert np.max(np.abs(circuit_matrix(circuit, k) - oracle)) < 1e-12
+        assert np.max(np.abs(circuit_columns(circuit, k) - oracle)) < 1e-12
         program = lower_circuit(circuit, qubit_count=k)
-        assert np.max(np.abs(program_matrix(program) - oracle)) < 1e-9
+        assert np.max(np.abs(program_columns(program) - oracle)) < 1e-9
 
     def test_program_columns_are_runs_of_basis_inputs(self):
         rng = np.random.default_rng(42)
         program = random_native_program(rng, 3, 25)
-        matrix = program_matrix(program)
+        matrix = program_columns(program)
         for idx in range(8):
             bits = "".join("1" if (idx >> j) & 1 else "0" for j in range(3))
             final, _ = run_program(program, bits)
             assert np.max(np.abs(matrix[:, idx] - final.amplitudes)) < 1e-12
-
-    def test_matrices_validate_targets(self):
-        program = NativeProgram(qubit_count=2, ops=[NativeOp(CISWAP_KIND, (0, 2))])
-        with pytest.raises(ValueError):
-            program_matrix(program)
-        for circuit in ([("CNOT", (2, 0))], [("CNOT", (0, 2))], [("H", (2,))]):
-            with pytest.raises(ValueError, match="outside"):
-                circuit_matrix(circuit, 2)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -478,9 +486,9 @@ class TestKernelCache:
         expected = run_ops_reference(program, encode_basis(bits).amplitudes)
         assert np.max(np.abs(final.amplitudes - expected * program.global_phase)) <= 1e-13
         matrix = run_ops_reference(program, np.eye(2**k, dtype=complex))
-        assert np.max(np.abs(program_matrix(program) - matrix * program.global_phase)) <= 1e-13
+        assert np.max(np.abs(program_columns(program) - matrix * program.global_phase)) <= 1e-13
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
-        assert np.max(np.abs(circuit_matrix(circuit, k) - circuit_columns_reference(circuit, k))) <= 1e-13
+        assert np.max(np.abs(circuit_columns(circuit, k) - circuit_columns_reference(circuit, k))) <= 1e-13
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -499,9 +507,9 @@ class TestKernelCache:
         expected = fused_reference(native_steps(program), encode_basis(bits).amplitudes)
         assert same_bits(final.amplitudes, expected * program.global_phase)
         matrix = fused_reference(native_steps(program), np.eye(2**k, dtype=complex))
-        assert same_bits(program_matrix(program), matrix * program.global_phase)
+        assert same_bits(program_columns(program), matrix * program.global_phase)
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
-        assert same_bits(circuit_matrix(circuit, k),
+        assert same_bits(circuit_columns(circuit, k),
                          fused_reference(circuit_steps(circuit), np.eye(2**k, dtype=complex)))
 
     def test_signed_zero_angles_get_their_own_kernels(self):
@@ -511,13 +519,13 @@ class TestKernelCache:
         for op in ops:
             program = one_op(op, 1)
             expected = run_ops_reference(program, np.eye(2, dtype=complex))
-            assert same_bits(program_matrix(program), expected * program.global_phase)
+            assert same_bits(program_columns(program), expected * program.global_phase)
         assert compiler._kernel.cache_info().currsize == len(ops)
 
     def test_warm_kernels_build_no_unitary_and_check_no_state_per_op(self, monkeypatch):
         rng = np.random.default_rng(43)
         program = lower_circuit(random_circuit(rng, 10, 100), qubit_count=10)
-        # program_matrix at k=10 costs ~15 ms per op, so it runs a prefix.
+        # The 2^10 columns cost ~15 ms per op, so they run a prefix.
         prefix = NativeProgram(qubit_count=10, ops=program.ops[:16])
         calls = collections.Counter()
 
@@ -532,7 +540,7 @@ class TestKernelCache:
                             spy("LogicalState", LogicalState.__post_init__))
         compiler._kernel.cache_clear()
         run_program(program, "0" * 10)
-        program_matrix(prefix)
+        program_columns(prefix)
         # One kernel build per distinct (kind, angles); a warm pass builds none.
         distinct = {(op.kind, op.angles, tuple(math.copysign(1.0, a) for a in op.angles))
                     for op in program.ops}
@@ -540,7 +548,7 @@ class TestKernelCache:
         assert compiler._kernel.cache_info().misses == len(distinct)
         calls.clear()
         run_program(program, "1" * 10)
-        program_matrix(prefix)
+        program_columns(prefix)
         # States are validated at run_program's entry and exit only.
         assert calls == {"LogicalState": 2}
         assert compiler._kernel.cache_info().misses == len(distinct)
