@@ -43,6 +43,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -487,11 +488,9 @@ def _equivalence_error(circuit, program: compiler.NativeProgram) -> float:
     code-space blocks, and each segment's phase ``lambda`` is that of
     ``sum conj(P) C``.  Sound, since a fused product only moves past ops on
     other qubits; O(gates), with no 2^k array."""
-    matrices = {name: gates.standard_gate(name).matrix
-                for name in {name for name, _ in circuit} - {"CNOT"}}
-    skeleton, wanted = _fused_segments((matrices.get(name), targets) for name, targets in circuit)
+    skeleton, wanted = _fused_segments(compiler._gate_steps(circuit))
     program_skeleton, emitted = _fused_segments(
-        (compiler._op_kernel(op), op.targets) for op in program.ops)
+        zip(map(compiler._op_kernel, program.ops), map(attrgetter("targets"), program.ops)))
     if program_skeleton != skeleton:
         return _SKELETON_MISMATCH
     keys = list(wanted.keys() | emitted.keys())

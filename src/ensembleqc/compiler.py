@@ -20,9 +20,9 @@ that the bound cannot rule out, which gives the same result as measuring
 every row.
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
-code-space action is exactly R_z(theta) with no stray global phase; the
-program's accumulated global phase therefore comes from the Euler delta
-alone.
+code-space action is exactly R_z(theta) with no stray global phase, and with
+theta in (-pi, pi]; the program's accumulated global phase therefore comes
+from the Euler delta and a sign for each whole turn taken off a PHASE angle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -45,7 +47,10 @@ CISWAP_KIND = "CISWAP"
 
 _ARITY = {ISWAP_KIND: (1, 1), PHASE_KIND: (1, 2), CISWAP_KIND: (2, 0)}
 
-SUPPORTED_GATES = ("X", "H", "S", "T", "CNOT")
+# The logical gates and their target counts, read by parse_circuit and
+# lower_circuit alike.
+_GATE_ARITY = {"X": 1, "H": 1, "S": 1, "T": 1, "CNOT": 2}
+SUPPORTED_GATES = tuple(_GATE_ARITY)
 # Largest deviation from 1 of a global phase's modulus or of a state's norm.
 NORM_ATOL = 1e-10
 
@@ -83,17 +88,18 @@ class NativeOp:
     angles: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _ARITY:
+        arity = _ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown native op kind {self.kind!r}")
-        n_targets, n_angles = _ARITY[self.kind]
-        if len(self.targets) != n_targets:
-            raise ValueError(f"{self.kind} takes {n_targets} target(s), got {self.targets!r}")
-        if len(self.angles) != n_angles:
-            raise ValueError(f"{self.kind} takes {n_angles} angle(s), got {self.angles!r}")
-        if any(t < 0 for t in self.targets):
-            raise ValueError(f"targets must be nonnegative, got {self.targets!r}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"targets must be distinct, got {self.targets!r}")
+        targets = self.targets
+        if len(targets) != arity[0]:
+            raise ValueError(f"{self.kind} takes {arity[0]} target(s), got {targets!r}")
+        if len(self.angles) != arity[1]:
+            raise ValueError(f"{self.kind} takes {arity[1]} angle(s), got {self.angles!r}")
+        if targets[0] < 0 or targets[-1] < 0:  # every kind takes one or two targets
+            raise ValueError(f"targets must be nonnegative, got {targets!r}")
+        if len(targets) == 2 and targets[0] == targets[1]:
+            raise ValueError(f"targets must be distinct, got {targets!r}")
         gates._check_angles(*self.angles)
 
     def format(self) -> str:
@@ -131,9 +137,12 @@ def _kernel(kind: str, angles: tuple[float, ...], zero_signs: tuple[float, ...])
     return block
 
 
+_sign = functools.partial(math.copysign, 1.0)
+
+
 def _op_kernel(op: NativeOp):
     """:func:`_kernel` of ``op``'s kind and angles."""
-    return _kernel(op.kind, op.angles, tuple(math.copysign(1.0, a) for a in op.angles))
+    return _kernel(op.kind, op.angles, tuple(map(_sign, op.angles)))
 
 
 @dataclass
@@ -149,12 +158,12 @@ class NativeProgram:
             raise ValueError("program needs at least one logical qubit")
         if not abs(math.hypot(self.global_phase.real, self.global_phase.imag) - 1.0) <= NORM_ATOL:
             raise ValueError(f"global_phase must have modulus 1, got {self.global_phase!r}")
-        for op in self.ops:
-            if any(t >= self.qubit_count for t in op.targets):
-                raise ValueError(
-                    f"op {op.format()!r} touches a pair outside the "
-                    f"{self.qubit_count}-qubit register"
-                )
+        if max(map(max, map(attrgetter("targets"), self.ops)), default=-1) >= self.qubit_count:
+            op = next(op for op in self.ops if max(op.targets) >= self.qubit_count)
+            raise ValueError(
+                f"op {op.format()!r} touches a pair outside the "
+                f"{self.qubit_count}-qubit register"
+            )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -279,23 +288,39 @@ def euler_decompose(u) -> EulerAngles:
 _ANGLE_EPS = 1e-12
 
 
+def _short_turn(theta: float) -> tuple[float, float]:
+    """``theta`` moved by whole turns into (-pi, pi], and the sign ``s`` with
+    ``R_z(theta) = s R_z(moved)``: ``R_z(theta - 2 pi) = -R_z(theta)``, so
+    each turn flips it."""
+    sign = 1.0
+    while theta > math.pi:
+        theta, sign = theta - 2.0 * math.pi, -sign
+    while theta <= -math.pi:
+        theta, sign = theta + 2.0 * math.pi, -sign
+    return theta, sign
+
+
 def lower_single_qubit(u) -> NativeProgram:
     """Lower a single-qubit gate to at most three native operations.
 
     Emits ``[PHASE(gamma), ISWAP(-beta), PHASE(alpha)]`` on pair 0
     (identity-angle operations dropped) with the Euler ``delta`` recorded as
     the program's global phase; :func:`lower_circuit` moves the ops to each
-    run's qubit.
+    run's qubit.  ``alpha`` and ``gamma`` are first moved by whole turns into
+    (-pi, pi], the shorter pulse, and each turn negates the global phase.
     """
     angles = euler_decompose(u)
+    gamma, gamma_sign = _short_turn(angles.gamma)
+    alpha, alpha_sign = _short_turn(angles.alpha)
     ops: list[NativeOp] = []
-    if abs(angles.gamma) > _ANGLE_EPS:
-        ops.append(NativeOp(PHASE_KIND, (0,), (angles.gamma, 0.0)))
+    if abs(gamma) > _ANGLE_EPS:
+        ops.append(NativeOp(PHASE_KIND, (0,), (gamma, 0.0)))
     if abs(angles.beta) > _ANGLE_EPS:
         ops.append(NativeOp(ISWAP_KIND, (0,), (-angles.beta,)))
-    if abs(angles.alpha) > _ANGLE_EPS:
-        ops.append(NativeOp(PHASE_KIND, (0,), (angles.alpha, 0.0)))
-    return NativeProgram(qubit_count=1, ops=ops, global_phase=complex(np.exp(1j * angles.delta)))
+    if abs(alpha) > _ANGLE_EPS:
+        ops.append(NativeOp(PHASE_KIND, (0,), (alpha, 0.0)))
+    phase = gamma_sign * alpha_sign * complex(np.exp(1j * angles.delta))
+    return NativeProgram(qubit_count=1, ops=ops, global_phase=phase)
 
 
 def fused_runs(steps):
@@ -329,6 +354,13 @@ def fused_runs(steps):
 def _standard_matrix(name: str) -> np.ndarray:
     """The read-only matrix of ``standard_gate(name)``."""
     return standard_gate(name).matrix
+
+
+def _gate_steps(circuit):
+    """:func:`fused_runs` steps of a checked ``circuit``: each single-qubit
+    gate's :func:`_standard_matrix`, or ``None`` for a CNOT."""
+    return ((None if name == "CNOT" else _standard_matrix(name), targets)
+            for name, targets in circuit)
 
 
 def _moved(pair: NativeProgram, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
@@ -365,22 +397,22 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
     qubit once per qubit, and its global phase is multiplied into the result.
     """
     steps: list[tuple[str, tuple[int, ...]]] = []
-    max_target = -1
     for name, targets in circuit:
-        targets = tuple(int(t) for t in targets)
-        max_target = max(max_target, *targets) if targets else max_target
-        if name == "CNOT":
-            if len(targets) != 2 or targets[0] == targets[1]:
+        targets = tuple(map(int, targets))
+        try:
+            arity = _GATE_ARITY[name]
+        except (KeyError, TypeError):  # an unhashable name is unsupported too
+            arity = None
+        if len(targets) != arity or arity == 2 and targets[0] == targets[1]:
+            if name == "CNOT":
                 raise ValueError(f"CNOT takes two distinct targets, got {targets!r}")
-        elif name not in SUPPORTED_GATES:
-            raise ValueError(f"unsupported gate {name!r}")
-        elif len(targets) != 1:
+            if name not in SUPPORTED_GATES:
+                raise ValueError(f"unsupported gate {name!r}")
             raise ValueError(f"{name} takes one target, got {targets!r}")
         steps.append((name, targets))
     if lower_1q is None:
         units = ((None if block is None else block.tobytes(), targets) for block, targets in
-                 fused_runs((None if name == "CNOT" else _standard_matrix(name), targets)
-                            for name, targets in steps))
+                 fused_runs(_gate_steps(steps)))
         lower = _lower_run
     else:
         units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
@@ -395,8 +427,9 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
             sub_ops, sub_phase = lower(unit, targets[0])
             ops.extend(sub_ops)
             phase *= sub_phase
-    count = qubit_count if qubit_count is not None else max_target + 1
-    program = NativeProgram(qubit_count=max(count, 1), ops=ops, global_phase=phase)
+    if qubit_count is None:
+        qubit_count = max(map(max, map(itemgetter(1), steps)), default=-1) + 1
+    program = NativeProgram(qubit_count=max(qubit_count, 1), ops=ops, global_phase=phase)
     program.validate()
     return program
 
@@ -579,36 +612,37 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     )
 
 
+_TARGET = re.compile(r"-?[0-9]+")
+
+
 def parse_circuit(text: str) -> list[tuple[str, tuple[int, ...]]]:
     """Parse the one-gate-per-line circuit format.
 
     Each line is ``NAME target [target2]``; ``#`` starts a comment; blank
-    lines are ignored.  Raises :class:`CircuitParseError` with the offending
-    line number.
+    lines are ignored.  A target is written in ASCII decimal digits,
+    ``-?[0-9]+``, so ``1_0``, ``+1`` or non-ASCII digits are not targets.
+    Raises :class:`CircuitParseError` with the offending line number.
     """
     circuit: list[tuple[str, tuple[int, ...]]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        name = tokens[0]
-        if name not in SUPPORTED_GATES:
+        name, *words = tokens
+        arity = _GATE_ARITY.get(name)
+        if arity is None:
             raise CircuitParseError(line_number, f"unknown gate {name!r}")
-        try:
-            targets = tuple(int(t) for t in tokens[1:])
-        except ValueError:
+        digits = "".join(words)  # all digits is the common case, and cheap to see
+        if not (digits.isascii() and digits.isdigit()) and not all(map(_TARGET.fullmatch, words)):
+            raise CircuitParseError(line_number, f"targets must be integers, got {words!r}")
+        targets = tuple(map(int, words))
+        if len(targets) != arity:
             raise CircuitParseError(
-                line_number, f"targets must be integers, got {tokens[1:]!r}"
-            ) from None
-        expected = 2 if name == "CNOT" else 1
-        if len(targets) != expected:
-            raise CircuitParseError(
-                line_number, f"{name} takes {expected} target(s), got {len(targets)}"
+                line_number, f"{name} takes {arity} target(s), got {len(targets)}"
             )
-        if any(t < 0 for t in targets):
+        if targets[0] < 0 or targets[-1] < 0:  # a gate has one or two targets
             raise CircuitParseError(line_number, "targets must be nonnegative")
-        if len(set(targets)) != len(targets):
+        if arity == 2 and targets[0] == targets[1]:
             raise CircuitParseError(line_number, "targets must be distinct")
         circuit.append((name, targets))
     return circuit

@@ -34,6 +34,8 @@ identities can be checked as exact matrix equalities.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 
 import numpy as np
 
@@ -87,10 +89,13 @@ def as_matrix(u) -> np.ndarray:
 
 
 def _check_angles(*angles: float) -> None:
-    """Reject a non-finite angle with a ``ValueError`` before any trig call
-    could warn on it."""
-    if not np.isfinite(angles).all():
-        raise ValueError(f"angles must be finite, got {angles!r}")
+    """Reject an angle that is not a real number (a complex one included) or
+    not finite with a ``ValueError``, before any trig call could warn on it."""
+    for angle in angles:
+        if type(angle) is not float and not isinstance(angle, numbers.Real):
+            raise ValueError(f"angles must be real numbers, got {angles!r}")
+        if not math.isfinite(angle):
+            raise ValueError(f"angles must be finite, got {angles!r}")
 
 
 def rx(theta: float) -> Unitary:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 
@@ -237,6 +238,33 @@ def circuit_columns_reference(circuit, qubit_count: int) -> np.ndarray:
         else:
             columns = _one_qubit_reference(columns, standard_gate(name).matrix, targets[0])
     return columns
+
+
+def parse_circuit_reference(text: str):
+    """The circuit format read one rule at a time: ``(circuit, None)``, or
+    ``(None, (line_number, message))`` for the first line it rejects."""
+    arity = {"X": 1, "H": 1, "S": 1, "T": 1, "CNOT": 2}
+    circuit = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        words = line.split()
+        if not words:
+            continue
+        name, rest = words[0], words[1:]
+        if name not in arity:
+            return None, (number, f"unknown gate {name!r}")
+        if not all(re.fullmatch("-?[0-9]+", word) for word in rest):
+            return None, (number, f"targets must be integers, got {rest!r}")
+        targets = tuple(int(word) for word in rest)
+        if len(targets) != arity[name]:
+            return None, (number, f"{name} takes {arity[name]} target(s), got {len(targets)}")
+        if any(t < 0 for t in targets):
+            return None, (number, "targets must be nonnegative")
+        if len(set(targets)) != len(targets):
+            return None, (number, "targets must be distinct")
+        circuit.append((name, targets))
+    return circuit, None
 
 
 def native_steps(program) -> list:

@@ -143,6 +143,11 @@ ERROR_CASES = {
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, 1e300]}}},
         ["--config", "c.json", "blockade-sweep"], 2),
     "non_utf8_circuit_compile": ({"c.txt": b"\xffH 0\n"}, ["compile", "c.txt"], 2),
+    # A target is ASCII digits with an optional minus sign, not what int() reads.
+    "circuit_target_underscore": ({"c.txt": "H 1_0\n"}, ["compile", "c.txt"], 2),
+    "circuit_target_non_ascii_digit": (
+        {"c.txt": "H \u0663\n".encode()}, ["compile", "c.txt"], 2),
+    "circuit_target_plus_sign": ({"c.txt": "H +1\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "non_utf8_circuit_simulate": ({"c.txt": b"\xffH 0\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "program_is_a_list": ({"p.json": [PROGRAM]}, ["simulate", "--program", "p.json"], 2),
     "program_null_angles": (
@@ -283,6 +288,17 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     assert code == expected
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+@pytest.mark.parametrize("target, message", [
+    ("1_0", "targets must be integers, got ['1_0']"),
+    ("\u0663", "targets must be integers, got ['\u0663']"),
+    ("+1", "targets must be integers, got ['+1']"),
+    ("-1", "targets must be nonnegative"),
+])
+def test_compile_names_the_line_of_a_bad_target(target, message, tmp_path):
+    path = write(tmp_path / "c.txt", f"X 0\nH {target}\n".encode())
+    assert run_cli(["compile", path]) == (2, "", f"error: line 2: {message}\n")
 
 
 def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from helpers import (
     haar_unitary_2,
     logical_circuit_matrix,
     pair_matrix,
+    parse_circuit_reference,
     phase_align_reference,
     restrict_to_logical,
     run_ops_reference,
@@ -167,6 +170,20 @@ class TestLowerSingleQubit:
             u = haar_unitary_2(rng)
             replay = program_logical_matrix(lower_single_qubit(u))
             assert np.max(np.abs(replay - u)) < 1e-9
+
+    def test_phase_angles_are_short_and_exact(self):
+        # Every PHASE angle lies in (-pi, pi], and the whole turns it lost
+        # are in the global phase: the program equals the gate, phase
+        # included.  X then S once gave PHASE(3pi/2).
+        rng = np.random.default_rng(58)
+        unitaries = [haar_unitary_2(rng) for _ in range(300)]
+        unitaries += [reduce(np.matmul, (standard_gate(name).matrix for name in word), np.eye(2))
+                      for length in range(5) for word in itertools.product("XHST", repeat=length)]
+        for u in unitaries:
+            program = lower_single_qubit(u)
+            assert all(-np.pi < op.angles[0] <= np.pi
+                       for op in program.ops if op.kind == PHASE_KIND)
+            assert np.max(np.abs(program_logical_matrix(program) - u)) < 1e-12
 
 
 class TestLowerCircuit:
@@ -359,6 +376,17 @@ class TestNativeProgram:
             NativeOp(ISWAP_KIND, (0,), (np.nan,))
         with pytest.raises(ValueError, match="kind"):
             NativeOp("SWAP", (0,), ())
+
+    @pytest.mark.parametrize("angles, message", [
+        ((1 + 0.5j, 0.0), "angles must be real numbers, got ((1+0.5j), 0.0)"),
+        ((np.complex128(1.0), 0.0), "angles must be real numbers"),
+        ((0.3, np.inf), "angles must be finite, got (0.3, inf)"),
+        ((-np.inf, 0.0), "angles must be finite, got (-inf, 0.0)"),
+    ])
+    def test_native_op_rejects_a_complex_or_non_finite_angle(self, angles, message):
+        with pytest.raises(ValueError) as err:
+            NativeOp(PHASE_KIND, (0,), angles)
+        assert str(err.value).startswith(message)
 
 
 class TestFixedSetSearch:
@@ -588,6 +616,30 @@ class TestFixedSetPruning:
         assert max(measured) <= 0.05 * rows, measured
 
 
+_TARGET_WORD = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["1_0", "+1", "\u0663", "\u00b2", "x", "1.5", "-0", "007", "--1"]),
+)
+_VALID_LINE = st.one_of(
+    st.builds("{} {}".format, st.sampled_from("XHST"), st.integers(0, 9)),
+    st.builds("CNOT {}\t{}".format, st.integers(0, 9), st.integers(0, 9)),
+)
+_ANY_LINE = st.builds(
+    lambda lead, name, words, gap, trail, comment: lead + gap.join([name, *words]) + trail + comment,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["X", "H", "S", "T", "CNOT", "Y", "cnot", ""]),
+    st.lists(_TARGET_WORD, max_size=3),
+    st.sampled_from([" ", "\t", " \t "]),
+    st.sampled_from(["", " ", "\t "]),
+    st.sampled_from(["", "# note", "#H 0", " # CNOT 1 1"]),
+)
+# Mostly valid lines, so that a text often parses past its first lines.
+_CIRCUIT_TEXT = st.lists(
+    st.tuples(st.one_of(_VALID_LINE, _VALID_LINE, _ANY_LINE), st.sampled_from(["\n", "\r\n"])),
+    max_size=10,
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
 class TestParseCircuit:
     def test_valid_file(self):
         text = "# bell pair\nH 0\n\nCNOT 0 1  # entangle\n"
@@ -613,3 +665,56 @@ class TestParseCircuit:
     def test_duplicate_targets(self):
         with pytest.raises(CircuitParseError, match="distinct"):
             parse_circuit("CNOT 2 2\n")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("Q 0\n", 1, "unknown gate 'Q'"),
+        ("H 0\n\n# note\nh 1\n", 4, "unknown gate 'h'"),
+        ("H zero\n", 1, "targets must be integers, got ['zero']"),
+        ("H 1_0\n", 1, "targets must be integers, got ['1_0']"),
+        ("H \u0663\n", 1, "targets must be integers, got ['\u0663']"),
+        ("H +1\n", 1, "targets must be integers, got ['+1']"),
+        ("H 1.0\n", 1, "targets must be integers, got ['1.0']"),
+        ("CNOT 0 --1\n", 1, "targets must be integers, got ['0', '--1']"),
+        ("H 0\nCNOT 0\n", 2, "CNOT takes 2 target(s), got 1"),
+        ("H 0 1\n", 1, "H takes 1 target(s), got 2"),
+        ("T\n", 1, "T takes 1 target(s), got 0"),
+        ("H -1\n", 1, "targets must be nonnegative"),
+        ("CNOT 0 -2\n", 1, "targets must be nonnegative"),
+        ("CNOT 2 2\n", 1, "targets must be distinct"),
+        ("X 0\r\nCNOT 1 01 # c\r\n", 2, "targets must be distinct"),
+    ])
+    def test_every_rejection_names_its_line(self, text, line, message):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_targets_are_ascii_decimal_integers(self):
+        assert parse_circuit("H 007\nCNOT -0 1\n") == [("H", (7,)), ("CNOT", (0, 1))]
+
+    @given(text=_CIRCUIT_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_parser(self, text):
+        circuit, error = parse_circuit_reference(text)
+        if error is None:
+            assert parse_circuit(text) == circuit
+        else:
+            with pytest.raises(CircuitParseError) as err:
+                parse_circuit(text)
+            assert (err.value.line_number, str(err.value)) == (error[0], f"line {error[0]}: {error[1]}")
+
+
+@pytest.mark.parametrize("circuit, message", [
+    ([("Y", (0,))], "unsupported gate 'Y'"),
+    ([(["H"], (0,))], "unsupported gate ['H']"),
+    ([("H", (0, 1))], "H takes one target, got (0, 1)"),
+    ([("T", ())], "T takes one target, got ()"),
+    ([("CNOT", (0,))], "CNOT takes two distinct targets, got (0,)"),
+    ([("CNOT", (0, 1, 2))], "CNOT takes two distinct targets, got (0, 1, 2)"),
+    ([("H", (0,)), ("CNOT", (1, 1))], "CNOT takes two distinct targets, got (1, 1)"),
+    ([("H", ("x",))], "invalid literal for int() with base 10: 'x'"),
+    ([("H", (-1,))], "targets must be nonnegative, got (-1,)"),
+])
+def test_every_lower_circuit_rejection(circuit, message):
+    with pytest.raises(ValueError) as err:
+        lower_circuit(circuit)
+    assert str(err.value) == message
