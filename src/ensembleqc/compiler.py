@@ -14,10 +14,10 @@ gate on its own with the shortest word over the fixed gates {ISWAP(pi/2),
 PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
 breadth-first search tree over those words does not depend on the gate, so
 it is built once per depth limit as a cached table of products.  Each search
-scans the table in blocks, bounds every row's phase-invariant distance by a
-cheap Frobenius distance, and measures the exact distance only on the rows
-that the bound cannot rule out, which gives the same result as measuring
-every row.
+bounds every row's phase-invariant distance by a Frobenius distance from one
+matrix-vector product, and measures the exact distance in one call only on
+the rows that the bound cannot rule out, which gives the same result as
+measuring every row.
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase, and with
@@ -32,13 +32,13 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 
 import numpy as np
 
 from . import gates
 from .gates import (
-    _frobenius_bound, _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate,
+    _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate,
 )
 
 ISWAP_KIND = "ISWAP"
@@ -382,23 +382,37 @@ def _lower_run(key: bytes, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
     return _moved(_lower_product(key), qubit)
 
 
+def _integer_targets(targets: tuple) -> tuple[int, ...]:
+    """``targets`` as Python ints; a target that is not an int or a numpy
+    integer (a bool, a float, a string, ...) raises a ``ValueError``."""
+    if bool not in map(type, targets):
+        try:
+            return tuple(map(index, targets))
+        except TypeError:
+            pass
+    raise ValueError(f"targets must be integers, got {targets!r}")
+
+
 def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
-    qubit indices; the first listed gate acts first.  Each CNOT becomes one
-    controlled-swap op.  By default the single-qubit gates are fused by
-    :func:`fused_runs` over their :func:`standard_gate` matrices, and each
-    flushed product is lowered by :func:`lower_single_qubit`, cached by the
-    product's bytes, so each run between two CNOTs on a qubit costs at most
-    three ops.  ``lower_1q(name)`` instead lowers each single-qubit gate on
-    its own, from its name to a program on pair 0; it runs once per name, at
-    the name's first gate.  Either way a lowering's ops are moved to their
-    qubit once per qubit, and its global phase is multiplied into the result.
+    qubit indices (see :func:`_integer_targets`); the first listed gate acts
+    first.  Each CNOT becomes one controlled-swap op.  By default the
+    single-qubit gates are fused by :func:`fused_runs` over their
+    :func:`standard_gate` matrices, and each flushed product is lowered by
+    :func:`lower_single_qubit`, cached by the product's bytes, so each run
+    between two CNOTs on a qubit costs at most three ops.  ``lower_1q(name)``
+    instead lowers each single-qubit gate on its own, from its name to a
+    program on pair 0; it runs once per name, at the name's first gate.
+    Either way a lowering's ops are moved to their qubit once per qubit, and
+    its global phase is multiplied into the result.
     """
     steps: list[tuple[str, tuple[int, ...]]] = []
     for name, targets in circuit:
-        targets = tuple(map(int, targets))
+        targets = tuple(targets)
+        if {*map(type, targets)} != {int}:  # all plain ints, the common case, skip the check
+            targets = _integer_targets(targets)
         try:
             arity = _GATE_ARITY[name]
         except (KeyError, TypeError):  # an unhashable name is unsupported too
@@ -444,11 +458,11 @@ _FIXED_GENERATORS: tuple[tuple[str, NativeOp, np.ndarray], ...] = tuple(
 )
 
 _DEDUP_DECIMALS = 6
-# Table rows per distance scan: bounds the scan's temporaries, and a hit in
-# one block skips the rest of the table.
-_SCAN_ROWS = 256
-# Slack on the scan's Frobenius cut: F and d are at most 4 and round by a
-# few ulps, far below it.
+# Slack on F^2 as _frobenius_squares computes it: each of its three terms
+# is at most 4 and rounds by a few ulps, far below it.
+_F2_SLACK = 1e-12
+# Slack on the scan's cut: F and d are at most 4 and round by a few ulps,
+# far below it.
 _PRUNE_RTOL = 1e-9
 _PRUNE_ATOL = 1e-12
 
@@ -536,6 +550,18 @@ def _check_fixed_set_options(epsilon: float, max_depth: int) -> None:
         raise ValueError("max_depth must be in 1..20")
 
 
+def _frobenius_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``min_phi ||a - exp(i phi) b[n]||_F^2 = |a|^2 + |b[n]|^2 - 2|<a, b[n]>|``
+    for each matrix of a stack ``b``, from one matrix-vector product."""
+    af = a.reshape(-1)
+    rows = b.reshape(len(b), af.size)
+    parts = rows.view(float)  # each row's own |b[n]|^2, not an assumed 2
+    squares = np.einsum("ij,ij->i", parts, parts)
+    squares += float(np.vdot(af, af).real)
+    squares -= 2.0 * np.abs(rows @ np.conj(af))
+    return squares
+
+
 def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     """Shortest word over the fixed gates approximating a single-qubit gate.
 
@@ -543,27 +569,29 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     {R_x(-pi/2), R_z(pi/2), R_z(pi/4)}, deduplicating visited unitaries up to
     global phase on a 1e-6 grid.  The search tree does not depend on the
     target, so it is built once per ``max_depth`` (:func:`_fixed_set_table`,
-    cached) and each search scans it in generation order, in blocks of
-    ``_SCAN_ROWS`` rows.  The first product within ``epsilon`` wins, so ties
-    at the minimal depth resolve to the lexicographically first word in
-    generator order; its word is re-multiplied from scratch and re-measured
-    before being returned.  Without one, the result carries the smallest
-    distance over the table and the identity, and ``depth = max_depth``.
-    The target must be a finite 2x2 unitary (defect at most 1e-10) and
-    ``epsilon`` positive and finite.
+    cached) and each search scans the identity (the empty word), then the
+    table in generation order.  The first product within ``epsilon`` wins,
+    so ties at the minimal depth resolve to the lexicographically first word
+    in generator order; its word is re-multiplied from scratch and
+    re-measured before being returned.  Without one, the result carries the
+    smallest distance over the identity and the table, and ``depth =
+    max_depth``.  The target must be a finite 2x2 unitary (defect at most
+    1e-10) and ``epsilon`` positive and finite.
 
-    The exact distance ``d`` (:func:`~ensembleqc.gates._phase_align`) is
-    measured only where needed.  A row's phase-optimal Frobenius distance
-    ``F`` (:func:`~ensembleqc.gates._frobenius_bound`, one matvec per block)
-    obeys ``F/2 <= d <= F``.  The scan keeps an upper bound ``U`` on the
-    smallest ``d``: the minimum of the identity distance and of every ``F``
-    and exact ``d`` so far.  A row with ``F/2 > max(epsilon, U)`` has ``d``
-    above ``epsilon`` and above the smallest ``d``, so it can be neither the
-    first hit nor the not-found minimum.  Only the other rows are measured,
-    and the word, the depth, the distance (bit for bit, since a row's ``d``
-    does not depend on the rows measured with it) and the phase are those of
-    measuring every row.  The cut carries a slack of ``_PRUNE_RTOL`` relative plus
-    ``_PRUNE_ATOL`` absolute, far above the rounding of ``F`` and ``d``.
+    One bound, one cut and one exact measurement.  From every row's ``F^2``
+    (:func:`_frobenius_squares`) and the slack ``_F2_SLACK``, ``F_lo =
+    sqrt(F^2 - slack)`` and ``F_hi = sqrt(F^2 + slack)`` obey ``F_lo/2 <= d
+    <= F_hi`` after rounding for the exact distance ``d``
+    (:func:`~ensembleqc.gates._phase_align`): at any one phase the largest of
+    the four entry differences is at most their root sum of squares and at
+    least half of it.  So the smallest ``F_hi``, ``U``, is at least the
+    smallest ``d``, and a row with ``F_lo/2 > max(epsilon, U)`` (plus
+    ``_PRUNE_RTOL`` relative and ``_PRUNE_ATOL`` absolute slack) can be
+    neither the first hit nor the not-found minimum.  One ``_phase_align``
+    call measures the identity and then the rows inside the cut, in
+    generation order.  A row's ``d`` does not depend on the rows measured
+    with it, so the word, the depth, the distance (bit for bit) and the
+    phase are those of measuring every row.
     """
     _check_fixed_set_options(epsilon, max_depth)
     target = _single_qubit_unitary(u)
@@ -586,29 +614,20 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
             found=True, program=program, word=names, distance=dist, depth=len(word)
         )
 
-    best_seen = float(_phase_align(target, np.eye(2, dtype=complex)[None])[0][0])
-    if best_seen <= epsilon:
-        return finish(())
     table, parent = _fixed_set_table(max_depth)
-    # Upper bound on the smallest distance of the table and the identity.
-    upper = best_seen
-    for start in range(0, len(table), _SCAN_ROWS):
-        block = table[start:start + _SCAN_ROWS]
-        bounds = _frobenius_bound(target, block)
-        upper = min(upper, float(bounds.min()))
-        # d >= F/2, so a row beyond the cut is neither a hit nor the minimum.
-        cut = max(epsilon, upper) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
-        rows = np.flatnonzero(0.5 * bounds <= cut)
-        if not rows.size:
-            continue
-        distances = _phase_align(target, block[rows])[0]
-        hits = rows[distances <= epsilon]
-        if hits.size:
-            return finish(_table_word(parent, start + int(hits[0])))
-        best_seen = min(best_seen, float(distances.min()))
-        upper = min(upper, best_seen)
+    squares = _frobenius_squares(target, table)
+    upper = math.sqrt(float(squares.min()) + _F2_SLACK)
+    cut = max(epsilon, upper) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
+    # F_lo/2 <= cut, squared; a Python float product overflows to inf silently.
+    rows = np.flatnonzero(squares <= 4.0 * cut * cut + _F2_SLACK)
+    identity = np.eye(2, dtype=complex)[None]
+    distances = _phase_align(target, np.concatenate((identity, table[rows])))[0]
+    hits = np.flatnonzero(distances <= epsilon)
+    if hits.size:
+        # Slot 0 is the identity, whose word is that of row -1.
+        return finish(_table_word(parent, int(rows[hits[0] - 1]) if hits[0] else -1))
     return FixedSetResult(
-        found=False, program=None, word=(), distance=best_seen, depth=max_depth
+        found=False, program=None, word=(), distance=float(distances.min()), depth=max_depth
     )
 
 

@@ -140,28 +140,6 @@ def _entry_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
-def _frobenius_bound(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``F = min_phi ||a - exp(i phi) b[n]||_F`` for each matrix of a stack.
-
-    With ``m`` entries, the exact distance ``d`` of :func:`_phase_align`
-    obeys ``F / sqrt(m) <= d <= F``, since at any one phase the largest entry
-    difference is at most the Frobenius norm and at least ``1/sqrt(m)`` of
-    it.  The
-    optimal phase is ``-arg sum_e conj(a_e) b_e`` (any phase when the sum is
-    0), and ``F`` is summed from the entry differences at that phase rather
-    than from the norms, so it does not cancel when ``a`` is close to a
-    row.  One matvec per stack; ``b`` has shape ``(n,) + a.shape``.
-    """
-    af = a.reshape(-1)
-    bf = b.reshape(len(b), af.size)
-    s = bf @ np.conj(af)
-    mag = np.hypot(s.real, s.imag)
-    rotation = np.conj(s) / np.where(mag > 0.0, mag, 1.0)
-    rotation[mag == 0.0] = 1.0
-    diff = af - rotation[:, None] * bf
-    return np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2, axis=1))
-
-
 def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``max|a - exp(i phi) b[n]|`` over phi for each matrix of a stack.
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import sys
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -28,7 +30,6 @@ from ensembleqc.compiler import (
     parse_circuit,
 )
 from ensembleqc.gates import (
-    _frobenius_bound,
     _phase_align,
     phase_distance,
     rx,
@@ -568,26 +569,59 @@ class TestFixedSetMatchesReference:
         assert_same_result(approximate_fixed_set(target, below, 5),
                            fixed_set_reference(target, below, 5))
 
+    @pytest.mark.parametrize("depth", [16, 20])
+    def test_deep_tables(self, depth):
+        # A Haar target that exhausts the depth, epsilon at exactly its
+        # smallest row distance, a target near a row in the last quarter of
+        # the table, and the identity, on the largest tables.
+        rng = np.random.default_rng(60 + depth)
+        table, parent = _fixed_set_table(depth)
+        target = haar_unitary_2(rng)
+        missed = approximate_fixed_set(target, 1e-9, depth)
+        assert not missed.found
+        assert_same_result(missed, fixed_set_reference(target, 1e-9, depth))
+        assert phase_distance(target, np.eye(2)) > missed.distance
+        hit = approximate_fixed_set(target, missed.distance, depth)
+        assert hit.found and hit.distance == missed.distance
+        assert_same_result(hit, fixed_set_reference(target, missed.distance, depth))
+        row = len(table) - 1 - int(rng.integers(len(table) // 4))
+        near = rx(1e-3).matrix @ table[row] * np.exp(2j * np.pi * rng.random())
+        result = approximate_fixed_set(near, 1e-3, depth)
+        assert result.found and result.depth <= len(_table_word(parent, row))
+        assert_same_result(result, fixed_set_reference(near, 1e-3, depth))
+        for epsilon in (1e-9, 0.3):
+            assert_same_result(approximate_fixed_set(np.eye(2), epsilon, depth),
+                               fixed_set_reference(np.eye(2), epsilon, depth))
+
 
 class TestFixedSetPruning:
     """The scan measures the exact distance only where the Frobenius bound
-    ``F/2 <= d <= F`` cannot rule a row out."""
+    ``F_lo/2 <= d <= F_hi`` cannot rule a row out."""
 
     def test_frobenius_bound_brackets_the_distance(self):
+        # F_lo/2 <= d <= F_hi with the scan's slack and no other tolerance:
+        # rounding moves F^2 by a few ulps of 4, far inside the slack.
         rng = np.random.default_rng(31)
         table, _ = _fixed_set_table(12)
+        identity = np.eye(2, dtype=complex)[None]
         for index in range(12):
             target = haar_unitary_2(rng)
             if index % 2:  # a row up to a global phase: F and d are ~0
                 target = np.exp(2j * np.pi * rng.random()) * table[rng.integers(len(table))]
-            bound = _frobenius_bound(target, table)
-            distances = _phase_align(target, table)[0]
-            # Rounding moves either side by a few ulps, far inside the
-            # scan's slack of 1e-12.
-            assert np.all(0.5 * bound <= distances + 1e-14)
-            assert np.all(distances <= bound + 1e-14)
+            if index == 4:  # the identity up to a global phase
+                target = np.exp(2j * np.pi * rng.random()) * identity[0]
+            squares = {}
+            for name, stack in (("table", table), ("identity", identity)):
+                squares[name] = compiler._frobenius_squares(target, stack)
+                f_lo = np.sqrt(np.maximum(squares[name] - compiler._F2_SLACK, 0.0))
+                f_hi = np.sqrt(squares[name] + compiler._F2_SLACK)
+                distances = _phase_align(target, stack)[0]
+                assert np.all(0.5 * f_lo <= distances)
+                assert np.all(distances <= f_hi)
             if index % 2:
-                assert bound.min() < 1e-14
+                assert np.abs(squares["table"]).min() < 1e-14
+            if index == 4:
+                assert abs(squares["identity"][0]) < 1e-14
 
     @pytest.mark.parametrize("depth", [12, 16])
     def test_not_found_distance_is_the_minimum_over_the_table(self, depth):
@@ -614,6 +648,40 @@ class TestFixedSetPruning:
             measured.append(0)
             approximate_fixed_set(haar_unitary_2(rng), 0.05, 12)
         assert max(measured) <= 0.05 * rows, measured
+
+    def test_one_exact_measurement_per_search(self, monkeypatch):
+        # One call measures the identity and every candidate row; a found
+        # word is measured once more, on its own, to re-verify it.
+        calls = []
+
+        def spy(a, b):
+            calls.append(len(b))
+            return _phase_align(a, b)
+
+        monkeypatch.setattr(compiler, "_phase_align", spy)
+        rng = np.random.default_rng(51)
+        cases = [(haar_unitary_2(rng), 1e-9, 12), (haar_unitary_2(rng), 0.1, 12),
+                 (standard_gate("H"), 1e-9, 8), (np.eye(2), 1e-9, 5),
+                 (standard_gate("T"), 0.2, 1)]
+        founds = set()
+        for target, epsilon, depth in cases:
+            calls.clear()
+            result = approximate_fixed_set(target, epsilon, depth)
+            assert len(calls) == 1 + result.found, (epsilon, depth, calls)
+            assert calls[1:] == [1] * result.found
+            founds.add(result.found)
+        assert founds == {True, False}
+
+    @pytest.mark.parametrize("epsilon", [1e308, sys.float_info.max])
+    def test_huge_epsilon_raises_no_warning(self, epsilon):
+        # The cut is squared as a Python float, which overflows to inf
+        # silently; the identity is then the first hit.
+        rng = np.random.default_rng(53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target in (np.eye(2), standard_gate("H"), haar_unitary_2(rng)):
+                result = approximate_fixed_set(target, epsilon, 12)
+                assert result.found and result.word == ()
 
 
 _TARGET_WORD = st.one_of(
@@ -711,10 +779,38 @@ class TestParseCircuit:
     ([("CNOT", (0,))], "CNOT takes two distinct targets, got (0,)"),
     ([("CNOT", (0, 1, 2))], "CNOT takes two distinct targets, got (0, 1, 2)"),
     ([("H", (0,)), ("CNOT", (1, 1))], "CNOT takes two distinct targets, got (1, 1)"),
-    ([("H", ("x",))], "invalid literal for int() with base 10: 'x'"),
+    ([("H", ("x",))], "targets must be integers, got ('x',)"),
     ([("H", (-1,))], "targets must be nonnegative, got (-1,)"),
 ])
 def test_every_lower_circuit_rejection(circuit, message):
     with pytest.raises(ValueError) as err:
         lower_circuit(circuit)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("gate, error", [
+    (("H", (1.9,)), "targets must be integers, got (1.9,)"),
+    (("H", (1.0,)), "targets must be integers, got (1.0,)"),
+    (("H", (np.float64(1.0),)), "targets must be integers, got (np.float64(1.0),)"),
+    (("CNOT", (True, 0)), "targets must be integers, got (True, 0)"),
+    (("CNOT", (1, False)), "targets must be integers, got (1, False)"),
+    (("H", (np.True_,)), "targets must be integers, got (np.True_,)"),
+    (("H", ("1",)), "targets must be integers, got ('1',)"),
+    (("H", (None,)), "targets must be integers, got (None,)"),
+    (("H", (1 + 0j,)), "targets must be integers, got ((1+0j),)"),
+    (("H", (1,)), None),
+    (("H", [np.int64(1)]), None),
+    (("CNOT", (np.uint8(1), np.int32(0))), None),
+])
+def test_lower_circuit_targets_are_integers(gate, error):
+    # A target is an int or a numpy integer; anything else is rejected,
+    # never truncated or read as a bool's value.
+    if error is not None:
+        with pytest.raises(ValueError) as err:
+            lower_circuit([gate])
+        assert str(err.value) == error
+        return
+    name, targets = gate
+    program = lower_circuit([gate])
+    assert program == lower_circuit([(name, tuple(map(int, targets)))])
+    assert all(type(t) is int for op in program.ops for t in op.targets)
