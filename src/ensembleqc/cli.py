@@ -13,22 +13,17 @@ reader that closes stdout early (``| head``) is not an error: output stops,
 no ``error:`` line is printed, and the exit code is the command's own
 verdict.
 
-``compile`` checks its exact lowering run by run, at any register size.
-Circuit and program are each fused into one 2x2 product per qubit between
-two CNOTs on it (:func:`ensembleqc.compiler.fused_runs`).  The check passes
-when the two CNOT sequences are identical, each circuit product ``C``
-equals ``lambda P`` for the program's product ``P`` and a unit phase
-``lambda`` (a product missing on one side is the identity), and the
-product of the phases equals the program's global phase; together these
-make the two 2^k x 2^k unitaries equal, phases included.  The reported
-``equivalence_error`` is the largest of ``max|C - lambda P|`` over every
-product's entries and ``|global_phase - prod lambda|``, or 2 if the CNOT
-sequences differ; the check passes below 1e-9.
+``compile`` checks its exact lowering run by run, at any register size,
+and reports the check's ``equivalence_error`` (see :mod:`ensembleqc.compiler`);
+the check passes below 1e-9.
 
 Every command is deterministic given the config and seed; reports embed a
-hash of the resolved configuration.  Text and CSV output give numbers to 12
-significant digits, so verification tolerances stay visible in logs; a JSON
-report writes each float's shortest round-trip text, as ``json`` does.
+hash of the resolved configuration.  A report, and so its hash, is built
+only for ``--json``, which prints it, and ``--out``, which writes it;
+``truth-table`` also prints the hash in its text.  Text and CSV output give
+numbers to 12 significant digits, so verification tolerances stay visible in
+logs; a JSON report writes each float's shortest round-trip text, as
+``json`` does.
 """
 
 from __future__ import annotations
@@ -42,8 +37,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,8 +134,9 @@ class ScenarioConfig:
     def as_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "physical_params": json.loads(self.physical_params.to_json()),
-            "decoherence_params": asdict(self.decoherence_params),
+            "physical_params": self.physical_params.to_dict(),
+            "decoherence_params": {name: getattr(self.decoherence_params, name)
+                                   for name in ("gamma_atomic", "gamma_cavity", "delta")},
             "sweep": (
                 {"parameter": self.sweep.parameter, "values": list(self.sweep.values)}
                 if self.sweep
@@ -328,8 +323,14 @@ def _print(text: str, end: str = "\n") -> None:
         os.close(devnull)
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    _print(_to_json(report) if as_json else "\n".join(lines))
+def _emit(args, out: Path | None, name: str, lines: list[str], report) -> None:
+    """Print ``lines``, or under ``--json`` the report, then write the report
+    to ``name`` in the output directory ``out``, if any.  ``report`` builds
+    the report dict; it is called only for these two, and once."""
+    text = _to_json(report()) if args.json or out is not None else None
+    _print(text if args.json else "\n".join(lines))
+    if out is not None:
+        (out / name).write_text(text)
 
 
 def _out_dir(config: ScenarioConfig) -> Path | None:
@@ -386,20 +387,8 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     max_deviation = max(deviations.values())
     passed = max_deviation < tol
 
-    report = {
-        "command": "truth-table",
-        "config_hash": config.hash(),
-        "seed": config.seed,
-        "matrix": gates.matrix_to_json(gate),
-        "deviations": deviations,
-        "max_deviation": max_deviation,
-        "tolerance": tol,
-        "pass": bool(passed),
-        "resonance_residual": resonance,
-        "interference_residuals": list(interference),
-        "warnings": diag_warnings,
-    }
-    lines = [f"controlled-swap gate, config {config.hash()}"]
+    config_hash = config.hash()
+    lines = [f"controlled-swap gate, config {config_hash}"]
     for w in diag_warnings:
         lines.append(f"warning: {w}")
     basis = ["psi1 n=0", "psi2 n=0", "psi1 n=1", "psi2 n=1"]
@@ -417,10 +406,19 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     lines.append(f"{'PASS' if passed else 'FAIL'} max deviation {max_deviation:.3e} (tol {tol:g})")
     if args.latex:
         lines.append(_latex_matrix(m))
-    _emit(report, args.json, lines)
-    out = _out_dir(config)
-    if out is not None:
-        (out / "truth_table.json").write_text(_to_json(report))
+    _emit(args, _out_dir(config), "truth_table.json", lines, lambda: {
+        "command": "truth-table",
+        "config_hash": config_hash,
+        "seed": config.seed,
+        "matrix": gates.matrix_to_json(gate),
+        "deviations": deviations,
+        "max_deviation": max_deviation,
+        "tolerance": tol,
+        "pass": bool(passed),
+        "resonance_residual": resonance,
+        "interference_residuals": list(interference),
+        "warnings": diag_warnings,
+    })
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -459,65 +457,13 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-# A CNOT skeleton that differs between circuit and program counts as this
-# deviation: the largest distance between two entries of unitaries.
-_SKELETON_MISMATCH = 2.0
-
-
-def _fused_segments(steps) -> tuple[list[tuple[int, int]], dict[tuple[int, int], np.ndarray]]:
-    """:func:`compiler.fused_runs` of ``steps`` as its CNOT skeleton and its
-    products keyed by ``(qubit, segment)``, where a qubit's segment counts
-    the CNOTs on it before the product."""
-    skeleton: list[tuple[int, int]] = []
-    products: dict[tuple[int, int], np.ndarray] = {}
-    segment: dict[int, int] = {}
-    for block, targets in compiler.fused_runs(steps):
-        if block is None:
-            skeleton.append(targets)
-            for qubit in targets:
-                segment[qubit] = segment.get(qubit, 0) + 1
-        else:
-            products[targets[0], segment.get(targets[0], 0)] = block
-    return skeleton, products
-
-
-def _equivalence_error(circuit, program: compiler.NativeProgram) -> float:
-    """``compile``'s ``equivalence_error`` of ``program`` against ``circuit``
-    (see the module docstring): the circuit is fused from its
-    :func:`gates.standard_gate` matrices and the program from its ops'
-    code-space blocks, and each segment's phase ``lambda`` is that of
-    ``sum conj(P) C``.  Sound, since a fused product only moves past ops on
-    other qubits; O(gates), with no 2^k array."""
-    skeleton, wanted = _fused_segments(compiler._gate_steps(circuit))
-    program_skeleton, emitted = _fused_segments(
-        zip(map(compiler._op_kernel, program.ops), map(attrgetter("targets"), program.ops)))
-    if program_skeleton != skeleton:
-        return _SKELETON_MISMATCH
-    keys = list(wanted.keys() | emitted.keys())
-    eye = np.eye(2, dtype=complex)
-    c = np.array([wanted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
-    p = np.array([emitted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
-    overlap = np.einsum("nij,nij->n", p.conj(), c)
-    size = np.abs(overlap)
-    phases = np.where(size > 0.0, overlap / np.where(size > 0.0, size, 1.0), 1.0)
-    deviation = float(np.max(np.abs(c - phases[:, None, None] * p), initial=0.0))
-    return max(deviation, abs(program.global_phase - complex(np.prod(phases))))
-
-
 def cmd_compile(args, config: ScenarioConfig) -> int:
     circuit = compiler.parse_circuit(Path(args.circuit).read_text())
     if not args.fixed_set:
         program = compiler.lower_circuit(circuit)
-        error = _equivalence_error(circuit, program)
+        error = compiler._equivalence_error(circuit, program)
         passed = error < 1e-9
-        report = {
-            "command": "compile",
-            "config_hash": config.hash(),
-            "mode": "exact",
-            "op_count": len(program.ops),
-            "equivalence_error": error,
-            "pass": bool(passed),
-        }
+        summary = {"mode": "exact", "op_count": len(program.ops), "equivalence_error": error}
         lines = [
             f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)",
             program.disassemble().rstrip("\n"),
@@ -547,16 +493,13 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         details = [found[name] for name, _ in circuit if name != "CNOT"]
         worst = max((d["distance"] for d in details), default=0.0)
         passed = worst <= args.epsilon
-        report = {
-            "command": "compile",
-            "config_hash": config.hash(),
+        summary = {
             "mode": "fixed-set",
             "epsilon": args.epsilon,
             "max_depth": args.max_depth,
             "op_count": len(program.ops),
             "max_gate_distance": worst,
             "gates": details,
-            "pass": bool(passed),
         }
         lines = [
             f"compiled {len(details)} single-qubit gate(s) via the fixed set",
@@ -564,12 +507,12 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
             f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})",
         ]
     lines.append("PASS" if passed else "FAIL")
-    _emit(report, args.json, lines)
     out = _out_dir(config)
     if out is not None:
         (out / "program.json").write_text(program.to_json())
         (out / "program.txt").write_text(program.disassemble())
-        (out / "compile_report.json").write_text(_to_json(report))
+    _emit(args, out, "compile_report.json", lines, lambda: {
+        "command": "compile", "config_hash": config.hash(), **summary, "pass": bool(passed)})
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 
@@ -592,7 +535,14 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
     if out is not None:
         state_ref = str(out / "state.json")
         (out / "state.json").write_text(json.dumps(simulator.state_to_json(state)))
-    report = {
+    lines = trace_lines + [
+        f"ran {len(program.ops)} op(s) on |{initial}>",
+        f"norm defect: {stats.norm_defect:.3e}",
+        f"{'PASS' if passed else 'FAIL'}",
+    ]
+    if state_ref:
+        lines.append(f"state written to {state_ref}")
+    _emit(args, out, "run_report.json", lines, lambda: {
         "command": "simulate",
         "config_hash": config.hash(),
         "seed": config.seed,
@@ -603,17 +553,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
         },
         "final_state_ref": state_ref,
         "pass": bool(passed),
-    }
-    lines = trace_lines + [
-        f"ran {len(program.ops)} op(s) on |{initial}>",
-        f"norm defect: {stats.norm_defect:.3e}",
-        f"{'PASS' if passed else 'FAIL'}",
-    ]
-    if state_ref:
-        lines.append(f"state written to {state_ref}")
-    _emit(report, args.json, lines)
-    if out is not None:
-        (out / "run_report.json").write_text(_to_json(report))
+    })
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 

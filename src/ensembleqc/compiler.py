@@ -19,6 +19,18 @@ matrix-vector product, and measures the exact distance in one call only on
 the rows that the bound cannot rule out, which gives the same result as
 measuring every row.
 
+``compile`` checks an exact lowering run by run, at any register size
+(:func:`_equivalence_error`).  Circuit and program are each fused into one
+2x2 product per qubit between two CNOTs on it by :func:`fused_runs`.  The
+check passes when the two CNOT sequences are identical, each circuit
+product ``C`` equals ``lambda P`` for the program's product ``P`` and a
+unit phase ``lambda`` (a product missing on one side is the identity), and
+the product of the phases equals the program's global phase; together
+these make the two 2^k x 2^k unitaries equal, phases included.  The
+``equivalence_error`` is the largest of ``max|C - lambda P|`` over every
+product's entries and ``|global_phase - prod lambda|``, or 2 if the CNOT
+sequences differ.
+
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase, and with
 theta in (-pi, pi]; the program's accumulated global phase therefore comes
@@ -446,6 +458,51 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
     program = NativeProgram(qubit_count=max(qubit_count, 1), ops=ops, global_phase=phase)
     program.validate()
     return program
+
+
+# A CNOT skeleton that differs between circuit and program counts as this
+# deviation: the largest distance between two entries of unitaries.
+_SKELETON_MISMATCH = 2.0
+
+
+def _fused_segments(steps) -> tuple[list[tuple[int, int]], dict[tuple[int, int], np.ndarray]]:
+    """:func:`fused_runs` of ``steps`` as its CNOT skeleton and its
+    products keyed by ``(qubit, segment)``, where a qubit's segment counts
+    the CNOTs on it before the product."""
+    skeleton: list[tuple[int, int]] = []
+    products: dict[tuple[int, int], np.ndarray] = {}
+    segment: dict[int, int] = {}
+    for block, targets in fused_runs(steps):
+        if block is None:
+            skeleton.append(targets)
+            for qubit in targets:
+                segment[qubit] = segment.get(qubit, 0) + 1
+        else:
+            products[targets[0], segment.get(targets[0], 0)] = block
+    return skeleton, products
+
+
+def _equivalence_error(circuit, program: NativeProgram) -> float:
+    """The ``equivalence_error`` of ``program`` against a checked
+    ``circuit`` (see the module docstring): the circuit is fused from its
+    :func:`gates.standard_gate` matrices and the program from its ops'
+    code-space blocks, and each segment's phase ``lambda`` is that of
+    ``sum conj(P) C``.  Sound, since a fused product only moves past ops on
+    other qubits; O(gates), with no 2^k array."""
+    skeleton, wanted = _fused_segments(_gate_steps(circuit))
+    program_skeleton, emitted = _fused_segments(
+        zip(map(_op_kernel, program.ops), map(attrgetter("targets"), program.ops)))
+    if program_skeleton != skeleton:
+        return _SKELETON_MISMATCH
+    keys = list(wanted.keys() | emitted.keys())
+    eye = np.eye(2, dtype=complex)
+    c = np.array([wanted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
+    p = np.array([emitted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
+    overlap = np.einsum("nij,nij->n", p.conj(), c)
+    size = np.abs(overlap)
+    phases = np.where(size > 0.0, overlap / np.where(size > 0.0, size, 1.0), 1.0)
+    deviation = float(np.max(np.abs(c - phases[:, None, None] * p), initial=0.0))
+    return max(deviation, abs(program.global_phase - complex(np.prod(phases))))
 
 
 # Fixed-angle generator set: native op template plus its code-space block.

@@ -174,18 +174,13 @@ def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phis[:, 1 + m::2] = t - chi
     phis[:, 2 + m::2] = -t - chi
     rotated = np.exp(1j * phis)
-    # Max over entries of |a_e - e^{i phi} b_e|, one (n, slots) array per entry.
-    term = np.empty_like(rotated)
-    entry_diff = np.empty(phis.shape)
-    diffs = np.zeros(phis.shape)
-    for entry in range(m):
-        np.multiply(rotated, bf[:, entry, None], out=term)
-        np.subtract(af[entry], term, out=term)
-        np.abs(term, out=entry_diff)
-        np.maximum(diffs, entry_diff, out=diffs)
-    diffs[:, 1:1 + m][~nz] = np.inf
-    diffs[:, 1 + m::2][~crossing] = np.inf
-    diffs[:, 2 + m::2][~crossing] = np.inf
+    # Max over entries of |a_e - e^{i phi} b_e|, from one (entries, n, slots) array.
+    term = rotated * bf.T[:, :, None]
+    np.subtract(af[:, None, None], term, out=term)
+    diffs = np.abs(term).max(axis=0)
+    # The slots whose candidate does not exist, in slot order.
+    missing = np.concatenate((np.zeros((n, 1), bool), ~nz, np.repeat(~crossing, 2, axis=1)), 1)
+    diffs[missing] = np.inf
     best = np.argmin(diffs, axis=1)
     rows = np.arange(n)
     return diffs[rows, best], phis[rows, best]

@@ -86,16 +86,24 @@ class PhysicalParams:
             "pi_2": abs(self.g_pi_2) / abs(self.delta_pi_2),
         }
 
-    def to_json(self) -> str:
-        """Flat JSON object keyed by the field names."""
+    def to_dict(self) -> dict:
+        """Flat dict keyed by the field names, the object :meth:`to_json`
+        writes: a complex value as its real part if its imaginary part is
+        zero, else as ``[re, im]``, and a numpy scalar as its Python value."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                value = value.item()
             if isinstance(value, complex):
                 out[f.name] = value.real if value.imag == 0.0 else [value.real, value.imag]
             else:
                 out[f.name] = value
-        return json.dumps(out, indent=2, sort_keys=True)
+        return out
+
+    def to_json(self) -> str:
+        """Flat JSON object keyed by the field names (:meth:`to_dict`)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PhysicalParams":

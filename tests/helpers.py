@@ -9,7 +9,8 @@ separately written fused loop, two-level evolutions are cross-checked
 against eigendecompositions and a step-at-a-time integrator, the
 fixed-set search is checked against a node-at-a-time breadth-first
 search, the sweep rows are checked against scalar arithmetic one row
-at a time, and the config hash against json's own canonical text.
+at a time, and the config hash against json's own canonical text of the
+config as first defined.
 """
 
 from __future__ import annotations
@@ -393,6 +394,45 @@ def phase_align_reference(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(diffs[best]), float(phis[best])
 
 
+def phase_align_loop_reference(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gates._phase_align`` as it was written with one pass per entry over
+    ``(n, slots)`` arrays: the same candidates and the same arithmetic on
+    each element, so the broadcast version must equal it bit for bit."""
+    af = a.reshape(-1)
+    n, m = len(b), af.size
+    bf = b.reshape(n, m)
+    z = np.conj(af) * bf
+    amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
+    nz = np.abs(z) > 0.0
+    j, k = np.triu_indices(m, 1)
+    w = z[:, j] - z[:, k]
+    mag = np.hypot(w.real, w.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = (amp2[:, j] - amp2[:, k]) / (2.0 * mag)
+    crossing = nz[:, j] & nz[:, k] & (mag >= 1e-300) & (np.abs(rhs) <= 1.0)
+    t = np.arccos(np.clip(np.where(crossing, rhs, 0.0), -1.0, 1.0))
+    chi = np.angle(w)
+    phis = np.zeros((n, 1 + m + 2 * len(j)))
+    phis[:, 1:1 + m] = np.where(nz, -np.angle(z), 0.0)
+    phis[:, 1 + m::2] = t - chi
+    phis[:, 2 + m::2] = -t - chi
+    rotated = np.exp(1j * phis)
+    term = np.empty_like(rotated)
+    entry_diff = np.empty(phis.shape)
+    diffs = np.zeros(phis.shape)
+    for entry in range(m):
+        np.multiply(rotated, bf[:, entry, None], out=term)
+        np.subtract(af[entry], term, out=term)
+        np.abs(term, out=entry_diff)
+        np.maximum(diffs, entry_diff, out=diffs)
+    diffs[:, 1:1 + m][~nz] = np.inf
+    diffs[:, 1 + m::2][~crossing] = np.inf
+    diffs[:, 2 + m::2][~crossing] = np.inf
+    best = np.argmin(diffs, axis=1)
+    rows = np.arange(n)
+    return diffs[rows, best], phis[rows, best]
+
+
 def dedup_key_reference(m: np.ndarray) -> bytes:
     """Bytes of ``m`` with its phase anchored on the first entry of top
     magnitude, rounded to the search's dedup grid."""
@@ -537,8 +577,32 @@ def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: floa
     return float(fidelity), float(1e-4 - (atomic + cavity))
 
 
+def config_as_dict_reference(config) -> dict:
+    """``ScenarioConfig.as_dict`` as first written: the physical parameters
+    as a json round trip of the object ``to_json`` built field by field (a
+    complex value as its real part if its imaginary part is zero, else as
+    ``[re, im]``), and the decoherence parameters through
+    ``dataclasses.asdict``.  Python scalars only: json rejects numpy ones."""
+    params = {}
+    for f in dataclasses.fields(config.physical_params):
+        value = getattr(config.physical_params, f.name)
+        if isinstance(value, complex):
+            params[f.name] = value.real if value.imag == 0.0 else [value.real, value.imag]
+        else:
+            params[f.name] = value
+    sweep = config.sweep
+    return {
+        "scenario": config.scenario,
+        "physical_params": json.loads(json.dumps(params, indent=2, sort_keys=True)),
+        "decoherence_params": dataclasses.asdict(config.decoherence_params),
+        "sweep": {"parameter": sweep.parameter, "values": list(sweep.values)} if sweep else None,
+        "output_dir": config.output_dir,
+        "seed": config.seed,
+    }
+
+
 def config_hash_reference(config) -> str:
     """``config_hash`` of a resolved config: the first 16 hex digits of the
-    sha256 of ``json.dumps(config.as_dict(), sort_keys=True)``."""
-    canonical = json.dumps(config.as_dict(), sort_keys=True)
+    sha256 of ``json.dumps(config_as_dict_reference(config), sort_keys=True)``."""
+    canonical = json.dumps(config_as_dict_reference(config), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -27,6 +27,7 @@ from ensembleqc import cli, compiler, decoherence, dynamics, gates, presets
 from ensembleqc.physical import PhysicalParams, derive_couplings
 from helpers import (
     blockade_row_reference,
+    config_as_dict_reference,
     config_hash_reference,
     fidelity_row_reference,
     logical_circuit_matrix,
@@ -445,7 +446,7 @@ def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
         program.global_phase = -program.global_phase
     matrix = run_ops_reference(program, np.eye(2**k, dtype=complex)) * program.global_phase
     oracle_error = float(np.max(np.abs(matrix - logical_circuit_matrix(circuit, k))))
-    error = cli._equivalence_error(circuit, program)
+    error = compiler._equivalence_error(circuit, program)
     assert (error < 1e-9) == (oracle_error < 1e-9)
     assert (error < 1e-12) == (corruption == "none" or not singles and corruption == "nudge")
 
@@ -896,15 +897,94 @@ def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:
     {"sweep": {"parameter": "time", "min": 5e-324, "max": 1e-6, "steps": 1}},
     # A string that holds the hash's stand-in for the values list.
     {"scenario": cli._LIST_SLOT, "output_dir": cli._LIST_SLOT},
-], ids=["default", "no_sweep", "explicit", "grid", "one_step", "slot_strings"])
+    {"physical_params": TUNED},
+    {"physical_params": json.loads(presets.blockade_tuned_params(1.0).to_json())},
+    *({"physical_params": dict(json.loads(random_resonant_params(np.random.default_rng(i)).to_json()),
+                               **{name: [float(x) for x in np.random.default_rng(i).normal(size=2)]
+                                  for name in ("g_sigma_1", "g_sigma_2", "g_pi_1", "g_pi_2")})}
+      for i in range(3)),
+    # JSON integers in float fields, and a coupling with a -0.0 imaginary part.
+    {"physical_params": dict(TUNED, omega_1=0, omega_2=-2, delta_pi_2=-3, g_pi_2=0,
+                             g_sigma_1=[0.0, -0.0])},
+], ids=["default", "no_sweep", "explicit", "grid", "one_step", "slot_strings", "tuned_sqrt3",
+        "tuned_1", "complex_0", "complex_1", "complex_2", "int_valued_floats"])
 def test_config_hash_equals_reference(raw, tmp_path):
+    # Against the config's first definition, a json round trip of the
+    # physical parameters and dataclasses.asdict of the decoherence ones.
     config = _config(tmp_path, raw)
+    expected = config_as_dict_reference(config)
+    assert json.dumps(config.as_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
     assert config.hash() == config_hash_reference(config)
 
 
 def test_sweep_texts_are_made_once(tmp_path):
     config = _config(tmp_path, {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.5, -0.0]}})
     assert config.sweep.texts is config.sweep.texts == ["1.5", "-0.0"]
+
+
+# Each field set to a numpy scalar, against the same value as a Python scalar.
+@pytest.mark.parametrize("changes", [
+    {"n_atoms_1": np.int64(4)},
+    {"n_atoms_2": np.uint16(9)},
+    {"omega_1": np.float32(1.5)},
+    {"omega_2": np.float64(-0.25)},
+    {"delta_pi_1": np.int32(-3)},
+    {"g_sigma_1": np.complex128(0.5 - 2j)},
+    {"g_pi_2": np.complex64(0.75)},
+    {"n_atoms_1": np.int8(2), "omega_1": np.float16(0.5), "g_pi_1": np.float32(2.0)},
+], ids=lambda changes: "+".join(changes))
+def test_numpy_scalar_params_round_trip_and_hash_as_python_ones(changes):
+    tuned = presets.blockade_tuned_params(presets.SQRT3)
+    with_numpy = dataclasses.replace(tuned, **changes)
+    with_python = dataclasses.replace(tuned, **{k: v.item() for k, v in changes.items()})
+    assert with_numpy.to_json() == with_python.to_json()
+    assert PhysicalParams.from_json(with_numpy.to_json()) == with_python
+    configs = [dataclasses.replace(cli.default_config(), physical_params=p)
+               for p in (with_numpy, with_python)]
+    assert configs[0].hash() == configs[1].hash() == config_hash_reference(configs[1])
+
+
+_HASH_CIRCUIT = "H 0\nCNOT 0 1\nT 1\n"
+_REPORT_FILES = ("truth_table.json", "compile_report.json", "run_report.json")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["compile", "c.txt"], 0),
+    (["simulate", "--circuit", "c.txt"], 0),
+    (["simulate", "--circuit", "c.txt", "--trace"], 0),
+    (["truth-table"], 1),
+    (["--json", "truth-table"], 1),
+    (["--json", "--out", "out", "truth-table"], 1),
+    (["--json", "compile", "c.txt"], 1),
+    (["--out", "out", "compile", "c.txt"], 1),
+    (["--json", "--out", "out", "compile", "c.txt"], 1),
+    (["--json", "compile", "c.txt", "--fixed-set"], 1),
+    (["--json", "simulate", "--circuit", "c.txt"], 1),
+    (["--out", "out", "simulate", "--circuit", "c.txt"], 1),
+])
+def test_config_hash_is_computed_only_for_a_report_and_once(argv, calls, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.txt", _HASH_CIRCUIT)
+    hashes = []
+    real = cli.ScenarioConfig.hash
+
+    def spy(self):
+        hashes.append(real(self))
+        return hashes[-1]
+
+    monkeypatch.setattr(cli.ScenarioConfig, "hash", spy)
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stderr) == (0, "")
+    assert len(hashes) == calls
+    out = "out" if "--out" in argv else None
+    expected = config_hash_reference(cli.load_config(None, None, out))
+    reports = [json.loads(stdout)] if "--json" in argv else []
+    reports += [json.loads((tmp_path / "out" / name).read_text())
+                for name in _REPORT_FILES if (tmp_path / "out" / name).exists()]
+    assert len(reports) == ("--json" in argv) + ("--out" in argv)
+    assert all(report["config_hash"] == expected for report in reports)
+    if argv == ["truth-table"]:
+        assert stdout.splitlines()[0] == f"controlled-swap gate, config {expected}"
 
 
 # --- fuzzing -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from helpers import (
     code_space_coupling,
     haar_unitary_2,
     iswap,
+    phase_align_loop_reference,
     phase_gate,
     restrict_to_logical,
 )
@@ -288,6 +289,34 @@ class TestPhaseDistance:
         phi = 0.813
         found = _phase_align(u, (np.exp(-1j * phi) * u)[None])[1][0]
         assert abs(np.exp(1j * found) - np.exp(1j * phi)) < 1e-9
+
+    def test_stack_equals_the_loop_reference(self, monkeypatch):
+        # Bit for bit against the per-entry loop, on Haar and standard
+        # targets (X has zero entries) over table rows, at n = 1, 13 and the
+        # 2,338 candidates (identity and every row) that a depth-12 search
+        # with epsilon 1e308 measures in its one call.
+        rng = np.random.default_rng(21)
+        table = compiler._fixed_set_table(12)[0]
+        targets = [haar_unitary_2(rng) for _ in range(20)]
+        targets += [standard_gate(name).matrix for name in "XHST"] + [table[5], table[-1]]
+        for a in targets:
+            for n in (1, 13, int(rng.integers(2, 60))):
+                b = table[rng.choice(len(table), size=n, replace=False)]
+                for got, want in zip(_phase_align(a, b), phase_align_loop_reference(a, b)):
+                    assert got.tobytes() == want.tobytes()
+        sizes = []
+
+        def checked(a, b):
+            result = _phase_align(a, b)
+            for got, want in zip(result, phase_align_loop_reference(a, b)):
+                assert got.tobytes() == want.tobytes()
+            sizes.append(len(b))
+            return result
+
+        monkeypatch.setattr(compiler, "_phase_align", checked)
+        for a in (targets[0], standard_gate("X").matrix):
+            assert compiler.approximate_fixed_set(a, epsilon=1e308, max_depth=12).found
+        assert sizes.count(len(table) + 1) == 2
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
