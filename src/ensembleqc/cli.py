@@ -464,11 +464,8 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         error = compiler._equivalence_error(circuit, program)
         passed = error < 1e-9
         summary = {"mode": "exact", "op_count": len(program.ops), "equivalence_error": error}
-        lines = [
-            f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)",
-            program.disassemble().rstrip("\n"),
-            f"logical equivalence error: {error:.3e}",
-        ]
+        head = f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)"
+        tail = f"logical equivalence error: {error:.3e}"
     else:
         # Checked here too, so a circuit without a single-qubit gate, which
         # never reaches the search, cannot pass with a bad option.
@@ -501,16 +498,15 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
             "max_gate_distance": worst,
             "gates": details,
         }
-        lines = [
-            f"compiled {len(details)} single-qubit gate(s) via the fixed set",
-            program.disassemble().rstrip("\n"),
-            f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})",
-        ]
-    lines.append("PASS" if passed else "FAIL")
+        head = f"compiled {len(details)} single-qubit gate(s) via the fixed set"
+        tail = f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})"
     out = _out_dir(config)
+    # The listing is printed in text mode and written under --out; --json alone shows neither.
+    listing = program.disassemble() if out is not None or not args.json else ""
     if out is not None:
         (out / "program.json").write_text(program.to_json())
-        (out / "program.txt").write_text(program.disassemble())
+        (out / "program.txt").write_text(listing)
+    lines = [head, listing.rstrip("\n"), tail, "PASS" if passed else "FAIL"]
     _emit(args, out, "compile_report.json", lines, lambda: {
         "command": "compile", "config_hash": config.hash(), **summary, "pass": bool(passed)})
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED

@@ -13,11 +13,12 @@ default, ``compile --fixed-set`` passes a lowering that approximates each
 gate on its own with the shortest word over the fixed gates {ISWAP(pi/2),
 PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
 breadth-first search tree over those words does not depend on the gate, so
-it is built once per depth limit as a cached table of products.  Each search
-bounds every row's phase-invariant distance by a Frobenius distance from one
-matrix-vector product, and measures the exact distance in one call only on
-the rows that the bound cannot rule out, which gives the same result as
-measuring every row.
+it is built once per depth limit as a cached table of products, the empty
+word in row 0, with each row's norm.  Each search bounds every row's
+phase-invariant distance by a Frobenius distance from one matrix-vector
+product, and measures the exact distance in one call only on the rows that
+the bound cannot rule out, up to the first row that it proves a hit; this
+gives the same result as measuring every row.
 
 ``compile`` checks an exact lowering run by run, at any register size
 (:func:`_equivalence_error`).  Circuit and program are each fused into one
@@ -42,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter, index, itemgetter
@@ -550,23 +552,23 @@ def _dedup_keys(stack: np.ndarray) -> list[bytes]:
 
 
 @functools.lru_cache(maxsize=None)  # one entry per max_depth in 1..20
-def _fixed_set_table(max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_set_table(max_depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every product the breadth-first search generates, in generation order.
 
-    Level by level, each kept word of the previous level is extended by each
-    generator (the new letter acts after the word so far).  Every child is a
-    row, duplicates included, since the search measures each child before it
-    deduplicates it; only children whose dedup key is new are extended.
-    Returns the read-only ``(rows, 2, 2)`` products and each row's parent
-    row (-1 for the empty word); see :func:`_table_word`.  The table does not
-    depend on the target.
+    Row 0 is the identity (the empty word, parent -1).  Level by level, each
+    kept word of the previous level is extended by each generator (the new
+    letter acts after the word so far).  Every child is a row, duplicates
+    included, since the search measures each child before it deduplicates
+    it; only children whose dedup key is new are extended.  Returns the
+    read-only ``(rows, 2, 2)`` products, each row's parent row (see
+    :func:`_table_word`) and each row's squared Frobenius norm ``|b[n]|^2``.
+    The table does not depend on the target.
     """
     generators = np.stack([gen for _, _, gen in _FIXED_GENERATORS])
     frontier = np.eye(2, dtype=complex)[None]
-    frontier_rows = np.array([-1])
+    frontier_rows = np.array([0])
     visited = set(_dedup_keys(frontier))
-    levels: list[np.ndarray] = []
-    parents: list[np.ndarray] = []
+    levels, parents = [frontier], [np.array([-1])]
     for depth in range(1, max_depth + 1):
         children = np.matmul(generators, frontier[:, None]).reshape(-1, 2, 2)
         level_start = sum(map(len, levels))
@@ -582,40 +584,49 @@ def _fixed_set_table(max_depth: int) -> tuple[np.ndarray, np.ndarray]:
         frontier = children[keep]
         frontier_rows = level_start + np.array(keep, dtype=np.intp)
     table, parent = np.concatenate(levels), np.concatenate(parents)
-    table.setflags(write=False)
-    parent.setflags(write=False)
-    return table, parent
+    parts = table.reshape(len(table), -1).view(float)  # each row's own |b[n]|^2, not an assumed 2
+    norms = np.einsum("ij,ij->i", parts, parts)
+    for array in (table, parent, norms):
+        array.setflags(write=False)
+    return table, parent, norms
 
 
 def _table_word(parent: np.ndarray, row: int) -> tuple[int, ...]:
-    """Letter indices of a table row's word.  Each level holds one child per
-    generator for every kept parent, in generator order, so row ``r`` ends in
-    letter ``r % 3``."""
+    """Letter indices of a table row's word.  After the identity in row 0,
+    each level holds one child per generator for every kept parent, in
+    generator order, so row ``r > 0`` ends in letter ``(r - 1) % 3``."""
     word = []
-    while row >= 0:
-        word.append(row % len(_FIXED_GENERATORS))
+    while row > 0:
+        word.append((row - 1) % len(_FIXED_GENERATORS))
         row = int(parent[row])
     return tuple(reversed(word))
 
 
-def _check_fixed_set_options(epsilon: float, max_depth: int) -> None:
-    """Reject a fixed-set ``epsilon`` that is not positive and finite, or a
-    ``max_depth`` outside 1..20, with a ``ValueError``."""
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
+def _check_fixed_set_options(epsilon, max_depth) -> tuple[float, int]:
+    """``(float(epsilon), int(max_depth))``, or a ``ValueError`` unless ``epsilon``
+    is a positive, finite real number and ``max_depth`` an integer in 1..20, neither a bool."""
+    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+    try:
+        value = float(epsilon) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        value = math.inf
+    if not 0.0 < value < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not 0 < max_depth <= 20:
-        raise ValueError("max_depth must be in 1..20")
+    try:
+        depth = -1 if isinstance(max_depth, bool) else index(max_depth)
+    except TypeError:
+        depth = -1
+    if not 0 < depth <= 20:
+        raise ValueError(f"max_depth must be an integer in 1..20, got {max_depth!r}")
+    return value, depth
 
 
-def _frobenius_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _frobenius_squares(a: np.ndarray, b: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """``min_phi ||a - exp(i phi) b[n]||_F^2 = |a|^2 + |b[n]|^2 - 2|<a, b[n]>|``
-    for each matrix of a stack ``b``, from one matrix-vector product."""
+    for a stack ``b`` with ``norms[n] = |b[n]|^2``, from one matrix-vector product."""
     af = a.reshape(-1)
-    rows = b.reshape(len(b), af.size)
-    parts = rows.view(float)  # each row's own |b[n]|^2, not an assumed 2
-    squares = np.einsum("ij,ij->i", parts, parts)
-    squares += float(np.vdot(af, af).real)
-    squares -= 2.0 * np.abs(rows @ np.conj(af))
+    squares = norms + float(np.vdot(af, af).real)
+    squares -= 2.0 * np.abs(b.reshape(len(b), af.size) @ np.conj(af))
     return squares
 
 
@@ -626,14 +637,14 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     {R_x(-pi/2), R_z(pi/2), R_z(pi/4)}, deduplicating visited unitaries up to
     global phase on a 1e-6 grid.  The search tree does not depend on the
     target, so it is built once per ``max_depth`` (:func:`_fixed_set_table`,
-    cached) and each search scans the identity (the empty word), then the
-    table in generation order.  The first product within ``epsilon`` wins,
-    so ties at the minimal depth resolve to the lexicographically first word
-    in generator order; its word is re-multiplied from scratch and
-    re-measured before being returned.  Without one, the result carries the
-    smallest distance over the identity and the table, and ``depth =
-    max_depth``.  The target must be a finite 2x2 unitary (defect at most
-    1e-10) and ``epsilon`` positive and finite.
+    cached) and each search scans it in generation order, the identity (the
+    empty word) in row 0.  The first product within ``epsilon`` wins, so
+    ties at the minimal depth resolve to the lexicographically first word in
+    generator order; its word is re-multiplied from scratch and re-measured
+    before being returned.  Without one, the result carries the smallest
+    distance over the table, and ``depth = max_depth``.  The target must be
+    a finite 2x2 unitary (defect at most 1e-10), ``epsilon`` a positive,
+    finite real number and ``max_depth`` an integer in 1..20.
 
     One bound, one cut and one exact measurement.  From every row's ``F^2``
     (:func:`_frobenius_squares`) and the slack ``_F2_SLACK``, ``F_lo =
@@ -644,13 +655,15 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     least half of it.  So the smallest ``F_hi``, ``U``, is at least the
     smallest ``d``, and a row with ``F_lo/2 > max(epsilon, U)`` (plus
     ``_PRUNE_RTOL`` relative and ``_PRUNE_ATOL`` absolute slack) can be
-    neither the first hit nor the not-found minimum.  One ``_phase_align``
-    call measures the identity and then the rows inside the cut, in
-    generation order.  A row's ``d`` does not depend on the rows measured
-    with it, so the word, the depth, the distance (bit for bit) and the
-    phase are those of measuring every row.
+    neither the first hit nor the not-found minimum, while a row with
+    ``F_hi <= epsilon`` is a sure hit.  One ``_phase_align`` call measures
+    the rows inside the cut, in generation order, up to the first sure hit;
+    when no row comes before it, the re-verification is the only
+    measurement.  A row's ``d`` does not depend on the rows measured with
+    it, so the word, the depth, the distance (bit for bit) and the phase
+    are those of measuring every row.
     """
-    _check_fixed_set_options(epsilon, max_depth)
+    epsilon, max_depth = _check_fixed_set_options(epsilon, max_depth)
     target = _single_qubit_unitary(u)
 
     def finish(word: tuple[int, ...]) -> FixedSetResult:
@@ -671,18 +684,21 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
             found=True, program=program, word=names, distance=dist, depth=len(word)
         )
 
-    table, parent = _fixed_set_table(max_depth)
-    squares = _frobenius_squares(target, table)
+    table, parent, norms = _fixed_set_table(max_depth)
+    squares = _frobenius_squares(target, table, norms)
     upper = math.sqrt(float(squares.min()) + _F2_SLACK)
     cut = max(epsilon, upper) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
     # F_lo/2 <= cut, squared; a Python float product overflows to inf silently.
     rows = np.flatnonzero(squares <= 4.0 * cut * cut + _F2_SLACK)
-    identity = np.eye(2, dtype=complex)[None]
-    distances = _phase_align(target, np.concatenate((identity, table[rows])))[0]
-    hits = np.flatnonzero(distances <= epsilon)
-    if hits.size:
-        # Slot 0 is the identity, whose word is that of row -1.
-        return finish(_table_word(parent, int(rows[hits[0] - 1]) if hits[0] else -1))
+    # The first row with F_hi <= epsilon is a sure hit: measure only the rows before it.
+    sure = np.flatnonzero(np.sqrt(squares[rows] + _F2_SLACK) <= epsilon)
+    stop = int(sure[0]) if sure.size else len(rows)
+    if stop:
+        distances = _phase_align(target, table[rows[:stop]])[0]
+        hits = np.flatnonzero(distances <= epsilon)
+        stop = int(hits[0]) if hits.size else stop
+    if stop < len(rows):
+        return finish(_table_word(parent, int(rows[stop])))
     return FixedSetResult(
         found=False, program=None, word=(), distance=float(distances.min()), depth=max_depth
     )

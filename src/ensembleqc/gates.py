@@ -163,14 +163,14 @@ def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j, k = _entry_pairs(m)
     w = z[:, j] - z[:, k]
     mag = np.hypot(w.real, w.imag)  # equals scalar abs(w); array np.abs can differ in the last bit
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = (amp2[:, j] - amp2[:, k]) / (2.0 * mag)
-    crossing = nz[:, j] & nz[:, k] & (mag >= 1e-300) & (np.abs(rhs) <= 1.0)
-    t = np.arccos(np.clip(np.where(crossing, rhs, 0.0), -1.0, 1.0))
-    chi = np.angle(w)
+    distinct = mag >= 1e-300  # the two branches do not coincide
+    rhs = np.divide(amp2[:, j] - amp2[:, k], 2.0 * mag, out=np.zeros_like(mag), where=distinct)
+    crossing = nz[:, j] & nz[:, k] & distinct & (np.abs(rhs) <= 1.0)
+    t = np.arccos(np.where(crossing, rhs, 0.0))
+    chi = np.arctan2(w.imag, w.real)  # np.angle(w), without its wrapper
     # Slots: phi = 0, then -arg z_e per entry e, then t - chi, -t - chi per pair.
     phis = np.zeros((n, 1 + m + 2 * len(j)))
-    phis[:, 1:1 + m] = np.where(nz, -np.angle(z), 0.0)
+    phis[:, 1:1 + m] = np.where(nz, -np.arctan2(z.imag, z.real), 0.0)
     phis[:, 1 + m::2] = t - chi
     phis[:, 2 + m::2] = -t - chi
     rotated = np.exp(1j * phis)
@@ -178,9 +178,10 @@ def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     term = rotated * bf.T[:, :, None]
     np.subtract(af[:, None, None], term, out=term)
     diffs = np.abs(term).max(axis=0)
-    # The slots whose candidate does not exist, in slot order.
-    missing = np.concatenate((np.zeros((n, 1), bool), ~nz, np.repeat(~crossing, 2, axis=1)), 1)
-    diffs[missing] = np.inf
+    # The slots whose candidate does not exist.
+    diffs[:, 1:1 + m][~nz] = np.inf
+    diffs[:, 1 + m::2][~crossing] = np.inf
+    diffs[:, 2 + m::2][~crossing] = np.inf
     best = np.argmin(diffs, axis=1)
     rows = np.arange(n)
     return diffs[rows, best], phis[rows, best]

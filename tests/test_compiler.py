@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -441,6 +442,26 @@ class TestFixedSetSearch:
         with pytest.raises(ValueError, match="max_depth"):
             approximate_fixed_set(np.eye(2), epsilon=1e-9, max_depth=40)
 
+    @pytest.mark.parametrize("epsilon, max_depth, error", [
+        (1e-9, True, "max_depth"), (1e-9, np.True_, "max_depth"), (1e-9, 2.0, "max_depth"),
+        (1e-9, "2", "max_depth"), (1e-9, None, "max_depth"), (1e-9, np.int64(21), "max_depth"),
+        (True, 2, "epsilon"), (np.True_, 2, "epsilon"), ("0.1", 2, "epsilon"), (None, 2, "epsilon"),
+        (0.1j, 2, "epsilon"), (10**400, 2, "epsilon"), (-0.1, 2, "epsilon"),
+        (np.float64(1e-9), np.int64(2), None), (Fraction(1, 10**9), np.uint8(2), None),
+        (np.float32(1e-9), 2, None), (1, np.int32(2), None),
+    ])
+    def test_option_types(self, epsilon, max_depth, error):
+        # max_depth is an integer and epsilon a real number, neither a bool;
+        # anything else is a ValueError.  Accepted values search as the
+        # Python float and int they equal, and the depth comes back an int.
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                approximate_fixed_set(rx(0.3), epsilon, max_depth)
+            return
+        result = approximate_fixed_set(rx(0.3), epsilon, max_depth)
+        assert type(result.depth) is int
+        assert_same_result(result, approximate_fixed_set(rx(0.3), float(epsilon), int(max_depth)))
+
     @pytest.mark.parametrize("epsilon", [np.inf, -np.inf, np.nan])
     def test_non_finite_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
@@ -470,6 +491,19 @@ def assert_same_result(result: FixedSetResult, reference: FixedSetResult) -> Non
         assert result.program.global_phase == reference.program.global_phase
 
 
+def near_word_target(rng: np.random.Generator, depth: int, angle: float) -> np.ndarray:
+    """A depth-12 table row with a ``depth``-letter word, turned by ``angle``
+    about a random axis and given a random global phase: the near-word
+    targets of the fixed_set_search benchmark."""
+    table, parent, _ = _fixed_set_table(12)
+    rows = [row for row in range(len(table)) if len(_table_word(parent, row)) == depth]
+    axis = rng.normal(size=3)
+    nx, ny, nz = axis / np.linalg.norm(axis)
+    sigma = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+    turn = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sigma
+    return turn @ table[rows[rng.integers(len(rows))]] * np.exp(2j * np.pi * rng.random())
+
+
 @pytest.fixture(scope="module")
 def reference_children():
     """Every (child, word) the node-at-a-time search generates to depth 12."""
@@ -484,21 +518,28 @@ def reference_children():
 class TestFixedSetTable:
     @pytest.mark.parametrize("depth", [1, 5, 8, 12])
     def test_table_is_the_generated_children(self, depth, reference_children):
-        # The reference generates level by level, so depth d is a prefix.
-        expected = [(m, w) for m, w in reference_children if len(w) <= depth]
-        table, parent = _fixed_set_table(depth)
+        # The reference generates level by level, so depth d is a prefix;
+        # the table starts with the identity, the empty word.
+        expected = [(np.eye(2, dtype=complex), ())]
+        expected += [(m, w) for m, w in reference_children if len(w) <= depth]
+        table, parent, _ = _fixed_set_table(depth)
         assert np.array_equal(table, np.array([m for m, _ in expected]))
         assert [_table_word(parent, row) for row in range(len(table))] == [w for _, w in expected]
 
     def test_table_sizes_and_sharing(self):
-        assert [len(_fixed_set_table(d)[0]) for d in (1, 8, 12)] == [3, 621, 2337]
+        assert [len(_fixed_set_table(d)[0]) for d in (1, 8, 12)] == [4, 622, 2338]
         assert _fixed_set_table(8) is _fixed_set_table(8)
-        table, parent = _fixed_set_table(8)
+        table, parent, norms = _fixed_set_table(8)
+        assert np.array_equal(table[0], np.eye(2)) and parent[0] == -1
         assert not table.flags.writeable and not parent.flags.writeable
+        assert not norms.flags.writeable
+        # Each row's |b[n]|^2, bit for bit as the einsum over the whole table.
+        parts = table.reshape(len(table), -1).view(float)
+        assert norms.tobytes() == np.einsum("ij,ij->i", parts, parts).tobytes()
 
     def test_stacked_distance_equals_single_matrix_calls(self):
         rng = np.random.default_rng(11)
-        table, _ = _fixed_set_table(12)
+        table = _fixed_set_table(12)[0]
         for index in range(40):
             target = haar_unitary_2(rng)
             distances, phis = _phase_align(target, table)
@@ -512,7 +553,7 @@ class TestFixedSetTable:
 
     def test_stacked_distance_equals_reference(self):
         rng = np.random.default_rng(12)
-        table, _ = _fixed_set_table(8)
+        table = _fixed_set_table(8)[0]
         for _ in range(2):
             target = haar_unitary_2(rng)
             distances, phis = _phase_align(target, table)
@@ -545,9 +586,10 @@ class TestFixedSetMatchesReference:
         assert found == ({False} if depth == 1 else {True, False})
 
     @pytest.mark.parametrize("name", ["I", "X", "H", "S", "T"])
-    @pytest.mark.parametrize("epsilon", [1e-9, 0.2])
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-3, 0.2])
     def test_identity_and_standard_gates(self, name, epsilon):
-        target = np.eye(2) if name == "I" else standard_gate(name)
+        # Above F_hi = 1e-6, the identity (row 0) is a sure hit at any phase.
+        target = np.eye(2) * np.exp(0.7j) if name == "I" else standard_gate(name)
         for depth in (1, 8):
             result = approximate_fixed_set(target, epsilon, depth)
             assert_same_result(result, fixed_set_reference(target, epsilon, depth))
@@ -556,7 +598,7 @@ class TestFixedSetMatchesReference:
         # <= is inclusive: epsilon at exactly a row's distance finds that row,
         # one ulp below it does not.
         target = haar_unitary_2(np.random.default_rng(21))
-        table, parent = _fixed_set_table(5)
+        table, parent, _ = _fixed_set_table(5)
         distances = _phase_align(target, table)[0]
         row = int(np.argmin(distances))
         epsilon = float(distances[row])
@@ -569,13 +611,47 @@ class TestFixedSetMatchesReference:
         assert_same_result(approximate_fixed_set(target, below, 5),
                            fixed_set_reference(target, below, 5))
 
+    def test_near_word_targets(self):
+        # fixed_set_search's class: within a turn by epsilon of a word of up
+        # to 6 letters, so a word is found at depth <= 6.
+        rng = np.random.default_rng(22)
+        for letters in (1, 3, 5, 6, 6, 6):
+            target = near_word_target(rng, letters, 0.1)
+            result = approximate_fixed_set(target, 0.1, 12)
+            assert result.found and result.depth <= letters
+            assert_same_result(result, fixed_set_reference(target, 0.1, 12))
+
+    @pytest.mark.parametrize("angle", [1e-3, 1e-6])
+    def test_epsilon_at_a_row_upper_bound(self, angle):
+        # epsilon exactly at the nearest row's F_hi = sqrt(F^2 + slack),
+        # where that row becomes a sure hit, one ulp below it, and one ulp
+        # below the row's exact distance, where it is no hit.  At 1e-6,
+        # F^2 is below the slack, so only F_hi, not F, bounds the distance.
+        target = near_word_target(np.random.default_rng(23), 4, angle)
+        table, _, norms = _fixed_set_table(12)
+        squares = compiler._frobenius_squares(target, table, norms)
+        row = int(np.argmin(squares))
+        f_hi = float(np.sqrt(squares[row] + compiler._F2_SLACK))
+        distance = float(_phase_align(target, table[row][None])[0][0])
+        for epsilon in (f_hi, np.nextafter(f_hi, 0.0), np.nextafter(distance, 0.0)):
+            epsilon = float(epsilon)
+            assert_same_result(approximate_fixed_set(target, epsilon, 12),
+                               fixed_set_reference(target, epsilon, 12))
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1e308])
+    def test_loose_epsilon(self, epsilon):
+        # The identity is within both, so it is the first hit at depth 12.
+        result = approximate_fixed_set(rx(0.2), epsilon, 12)
+        assert result.found and result.word == ()
+        assert_same_result(result, fixed_set_reference(rx(0.2), epsilon, 12))
+
     @pytest.mark.parametrize("depth", [16, 20])
     def test_deep_tables(self, depth):
         # A Haar target that exhausts the depth, epsilon at exactly its
         # smallest row distance, a target near a row in the last quarter of
         # the table, and the identity, on the largest tables.
         rng = np.random.default_rng(60 + depth)
-        table, parent = _fixed_set_table(depth)
+        table, parent, _ = _fixed_set_table(depth)
         target = haar_unitary_2(rng)
         missed = approximate_fixed_set(target, 1e-9, depth)
         assert not missed.found
@@ -602,31 +678,28 @@ class TestFixedSetPruning:
         # F_lo/2 <= d <= F_hi with the scan's slack and no other tolerance:
         # rounding moves F^2 by a few ulps of 4, far inside the slack.
         rng = np.random.default_rng(31)
-        table, _ = _fixed_set_table(12)
-        identity = np.eye(2, dtype=complex)[None]
+        table, _, norms = _fixed_set_table(12)
         for index in range(12):
             target = haar_unitary_2(rng)
             if index % 2:  # a row up to a global phase: F and d are ~0
                 target = np.exp(2j * np.pi * rng.random()) * table[rng.integers(len(table))]
-            if index == 4:  # the identity up to a global phase
-                target = np.exp(2j * np.pi * rng.random()) * identity[0]
-            squares = {}
-            for name, stack in (("table", table), ("identity", identity)):
-                squares[name] = compiler._frobenius_squares(target, stack)
-                f_lo = np.sqrt(np.maximum(squares[name] - compiler._F2_SLACK, 0.0))
-                f_hi = np.sqrt(squares[name] + compiler._F2_SLACK)
-                distances = _phase_align(target, stack)[0]
-                assert np.all(0.5 * f_lo <= distances)
-                assert np.all(distances <= f_hi)
+            if index == 4:  # the identity, row 0, up to a global phase
+                target = np.exp(2j * np.pi * rng.random()) * table[0]
+            squares = compiler._frobenius_squares(target, table, norms)
+            f_lo = np.sqrt(np.maximum(squares - compiler._F2_SLACK, 0.0))
+            f_hi = np.sqrt(squares + compiler._F2_SLACK)
+            distances = _phase_align(target, table)[0]
+            assert np.all(0.5 * f_lo <= distances)
+            assert np.all(distances <= f_hi)
             if index % 2:
-                assert np.abs(squares["table"]).min() < 1e-14
+                assert np.abs(squares).min() < 1e-14
             if index == 4:
-                assert abs(squares["identity"][0]) < 1e-14
+                assert abs(squares[0]) < 1e-14
 
     @pytest.mark.parametrize("depth", [12, 16])
     def test_not_found_distance_is_the_minimum_over_the_table(self, depth):
         rng = np.random.default_rng(40 + depth)
-        table, _ = _fixed_set_table(depth)
+        table = _fixed_set_table(depth)[0]
         for _ in range(3):
             target = haar_unitary_2(rng)
             result = approximate_fixed_set(target, 1e-9, depth)
@@ -650,8 +723,10 @@ class TestFixedSetPruning:
         assert max(measured) <= 0.05 * rows, measured
 
     def test_one_exact_measurement_per_search(self, monkeypatch):
-        # One call measures the identity and every candidate row; a found
-        # word is measured once more, on its own, to re-verify it.
+        # At most one call measures the candidate rows, up to the first
+        # sure hit (F_hi <= epsilon); a found word is measured once more, on
+        # its own, to re-verify it.  A miss always makes the main call, and
+        # a sure hit with no candidate before it makes none.
         calls = []
 
         def spy(a, b):
@@ -662,15 +737,22 @@ class TestFixedSetPruning:
         rng = np.random.default_rng(51)
         cases = [(haar_unitary_2(rng), 1e-9, 12), (haar_unitary_2(rng), 0.1, 12),
                  (standard_gate("H"), 1e-9, 8), (np.eye(2), 1e-9, 5),
-                 (standard_gate("T"), 0.2, 1)]
+                 (standard_gate("T"), 0.2, 1), (rx(0.2), 0.5, 12), (rx(0.2), 1e308, 12)]
         founds = set()
         for target, epsilon, depth in cases:
             calls.clear()
             result = approximate_fixed_set(target, epsilon, depth)
-            assert len(calls) == 1 + result.found, (epsilon, depth, calls)
-            assert calls[1:] == [1] * result.found
+            main = calls[:len(calls) - result.found]
+            assert len(main) == 1 or (result.found and not main), (epsilon, depth, calls)
+            assert calls[len(main):] == [1] * result.found
             founds.add(result.found)
         assert founds == {True, False}
+        # fixed_set_search's near-word targets: the word's row is the first
+        # candidate and a sure hit, so the re-verification is the only call.
+        for _ in range(24):
+            calls.clear()
+            assert approximate_fixed_set(near_word_target(rng, 6, 0.1), 0.1, 12).found
+            assert calls == [1]
 
     @pytest.mark.parametrize("epsilon", [1e308, sys.float_info.max])
     def test_huge_epsilon_raises_no_warning(self, epsilon):
