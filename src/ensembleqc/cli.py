@@ -164,8 +164,11 @@ class ScenarioConfig:
 _SWEEPABLE = {"pi_to_s_ratio", "gamma_atomic", "gamma_cavity", "time"}
 
 
+@functools.cache
 def default_config() -> ScenarioConfig:
-    """Built-in reference scenario with the canonical blockade-ratio grid."""
+    """Built-in reference scenario with the canonical blockade-ratio grid.
+    Built once per process and shared by every caller: every part of it is
+    a frozen dataclass, so it cannot change."""
     return ScenarioConfig(
         scenario="reference",
         physical_params=presets.reference_params(),
@@ -342,14 +345,14 @@ def _out_dir(config: ScenarioConfig) -> Path | None:
 
 
 def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, show: bool) -> None:
-    """Write the CSV text of the table with the 1-d array ``columns`` to
-    ``name`` in the output directory, if any, then print it if ``show``; the
-    text is built only when used, one column at a time."""
+    """Write the CSV text of the table with the 1-d float ``columns`` (arrays
+    or sequences) to ``name`` in the output directory, if any, then print it
+    if ``show``; the text is built only when used, one column at a time."""
     out = _out_dir(config)
     if out is None and not show:
         return
     fmt = _FMT.format
-    texts = [_column_texts(c, lambda values: list(map(fmt, values))) for c in columns]
+    texts = [_column_texts(np.asarray(c), lambda values: list(map(fmt, values))) for c in columns]
     text = "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
     if out is not None:
         (out / name).write_text(text)
@@ -449,7 +452,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
             parts = [chunk_columns(chunk) for chunk in chunks]
     error, c2 = np.concatenate(parts, axis=1)
     _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time",
-               [np.array(ratios), error, c2], show=not args.json)
+               [ratios, error, c2], show=not args.json)
     if args.json:
         report = {"command": "blockade-sweep", "config_hash": config.hash(),
                   "rows": None}  # laid out from the columns
@@ -460,8 +463,8 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
 def cmd_compile(args, config: ScenarioConfig) -> int:
     circuit = compiler.parse_circuit(Path(args.circuit).read_text())
     if not args.fixed_set:
-        program = compiler.lower_circuit(circuit)
-        error = compiler._equivalence_error(circuit, program)
+        program, runs = compiler._lower_exact(circuit)
+        error = compiler._equivalence_error(runs, program)
         passed = error < 1e-9
         summary = {"mode": "exact", "op_count": len(program.ops), "equivalence_error": error}
         head = f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)"

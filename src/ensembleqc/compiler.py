@@ -22,12 +22,16 @@ gives the same result as measuring every row.
 
 ``compile`` checks an exact lowering run by run, at any register size
 (:func:`_equivalence_error`).  Circuit and program are each fused into one
-2x2 product per qubit between two CNOTs on it by :func:`fused_runs`.  The
-check passes when the two CNOT sequences are identical, each circuit
-product ``C`` equals ``lambda P`` for the program's product ``P`` and a
-unit phase ``lambda`` (a product missing on one side is the identity), and
-the product of the phases equals the program's global phase; together
-these make the two 2^k x 2^k unitaries equal, phases included.  The
+2x2 product per qubit between two CNOTs on it by :func:`fused_runs`: the
+circuit side is the list of flushed runs that the lowering itself fused
+(:func:`_lower_exact` returns it with the program), and the program side
+is fused afresh from the emitted ops' code-space blocks, which keeps the
+check independent of the lowering.  The check passes when the two CNOT
+sequences are identical, each circuit product ``C`` equals ``lambda P``
+for the program's product ``P`` and a unit phase ``lambda`` (a product
+missing on one side is the identity), and the product of the phases
+equals the program's global phase; together these make the two
+2^k x 2^k unitaries equal, phases included.  The
 ``equivalence_error`` is the largest of ``max|C - lambda P|`` over every
 product's entries and ``|global_phase - prod lambda|``, or 2 if the CNOT
 sequences differ.
@@ -117,9 +121,14 @@ class NativeOp:
         gates._check_angles(*self.angles)
 
     def format(self) -> str:
-        parts = [self.kind] + [f"q{t}" for t in self.targets]
-        parts += [f"{a:.12g}" for a in self.angles]
-        return " ".join(parts)
+        """``kind``, then ``q<target>`` per target and each angle to 12
+        significant digits, space-separated."""
+        t, a = self.targets, self.angles
+        if self.kind == CISWAP_KIND:
+            return f"{self.kind} q{t[0]} q{t[1]}"
+        if self.kind == ISWAP_KIND:
+            return f"{self.kind} q{t[0]} {a[0]:.12g}"
+        return f"{self.kind} q{t[0]} {a[0]:.12g} {a[1]:.12g}"
 
 
 # Bounded, since a program read from JSON may carry any number of angles.
@@ -396,6 +405,14 @@ def _lower_run(key: bytes, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
     return _moved(_lower_product(key), qubit)
 
 
+# Bounded, since a circuit may name any pair of qubits.
+@functools.lru_cache(maxsize=4096)
+def _ciswap(targets: tuple[int, int]) -> NativeOp:
+    """The CISWAP op on ``(control, target)``, shared by every call, which
+    the op's being frozen makes safe."""
+    return NativeOp(CISWAP_KIND, targets)
+
+
 def _integer_targets(targets: tuple) -> tuple[int, ...]:
     """``targets`` as Python ints; a target that is not an int or a numpy
     integer (a bool, a float, a string, ...) raises a ``ValueError``."""
@@ -405,6 +422,60 @@ def _integer_targets(targets: tuple) -> tuple[int, ...]:
         except TypeError:
             pass
     raise ValueError(f"targets must be integers, got {targets!r}")
+
+
+def _checked_steps(circuit) -> list[tuple[str, tuple[int, ...]]]:
+    """``circuit`` as a list of ``(gate_name, targets)`` with each gate's
+    name and targets checked (see :func:`lower_circuit`)."""
+    steps: list[tuple[str, tuple[int, ...]]] = []
+    for name, targets in circuit:
+        targets = tuple(targets)
+        if {*map(type, targets)} != {int}:  # all plain ints, the common case, skip the check
+            targets = _integer_targets(targets)
+        try:
+            arity = _GATE_ARITY[name]
+        except (KeyError, TypeError):  # an unhashable name is unsupported too
+            arity = None
+        if len(targets) != arity or arity == 2 and targets[0] == targets[1]:
+            if name == "CNOT":
+                raise ValueError(f"CNOT takes two distinct targets, got {targets!r}")
+            if name not in SUPPORTED_GATES:
+                raise ValueError(f"unsupported gate {name!r}")
+            raise ValueError(f"{name} takes one target, got {targets!r}")
+        steps.append((name, targets))
+    return steps
+
+
+def _assemble(steps, units, lower, qubit_count: int | None) -> NativeProgram:
+    """The validated program of checked ``steps`` from its ``units``: each
+    ``(None, (control, target))`` becomes one CISWAP, and each ``(unit,
+    (qubit,))`` the ops of ``lower(unit, qubit)``, whose phase is multiplied
+    into the program's."""
+    ops: list[NativeOp] = []
+    phase = 1.0 + 0.0j
+    for unit, targets in units:
+        if unit is None:
+            ops.append(_ciswap(targets))
+        else:
+            sub_ops, sub_phase = lower(unit, targets[0])
+            ops.extend(sub_ops)
+            phase *= sub_phase
+    if qubit_count is None:
+        qubit_count = max(map(max, map(itemgetter(1), steps)), default=-1) + 1
+    program = NativeProgram(qubit_count=max(qubit_count, 1), ops=ops, global_phase=phase)
+    program.validate()
+    return program
+
+
+def _lower_exact(circuit, qubit_count: int | None = None) -> tuple[NativeProgram, list]:
+    """:func:`lower_circuit`'s exact lowering of ``circuit``, and the
+    circuit's flushed runs: the list of :func:`fused_runs` over its gates'
+    :func:`_standard_matrix` blocks, which :func:`_equivalence_error` checks
+    the program against."""
+    steps = _checked_steps(circuit)
+    runs = list(fused_runs(_gate_steps(steps)))
+    units = ((None if block is None else block.tobytes(), targets) for block, targets in runs)
+    return _assemble(steps, units, _lower_run, qubit_count), runs
 
 
 def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
@@ -422,44 +493,13 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
     Either way a lowering's ops are moved to their qubit once per qubit, and
     its global phase is multiplied into the result.
     """
-    steps: list[tuple[str, tuple[int, ...]]] = []
-    for name, targets in circuit:
-        targets = tuple(targets)
-        if {*map(type, targets)} != {int}:  # all plain ints, the common case, skip the check
-            targets = _integer_targets(targets)
-        try:
-            arity = _GATE_ARITY[name]
-        except (KeyError, TypeError):  # an unhashable name is unsupported too
-            arity = None
-        if len(targets) != arity or arity == 2 and targets[0] == targets[1]:
-            if name == "CNOT":
-                raise ValueError(f"CNOT takes two distinct targets, got {targets!r}")
-            if name not in SUPPORTED_GATES:
-                raise ValueError(f"unsupported gate {name!r}")
-            raise ValueError(f"{name} takes one target, got {targets!r}")
-        steps.append((name, targets))
     if lower_1q is None:
-        units = ((None if block is None else block.tobytes(), targets) for block, targets in
-                 fused_runs(_gate_steps(steps)))
-        lower = _lower_run
-    else:
-        units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
-        per_name = functools.cache(lower_1q)
-        lower = functools.cache(lambda name, qubit: _moved(per_name(name), qubit))
-    ops: list[NativeOp] = []
-    phase = 1.0 + 0.0j
-    for unit, targets in units:
-        if unit is None:
-            ops.append(NativeOp(CISWAP_KIND, targets))
-        else:
-            sub_ops, sub_phase = lower(unit, targets[0])
-            ops.extend(sub_ops)
-            phase *= sub_phase
-    if qubit_count is None:
-        qubit_count = max(map(max, map(itemgetter(1), steps)), default=-1) + 1
-    program = NativeProgram(qubit_count=max(qubit_count, 1), ops=ops, global_phase=phase)
-    program.validate()
-    return program
+        return _lower_exact(circuit, qubit_count)[0]
+    steps = _checked_steps(circuit)
+    units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
+    per_name = functools.cache(lower_1q)
+    lower = functools.cache(lambda name, qubit: _moved(per_name(name), qubit))
+    return _assemble(steps, units, lower, qubit_count)
 
 
 # A CNOT skeleton that differs between circuit and program counts as this
@@ -467,14 +507,14 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
 _SKELETON_MISMATCH = 2.0
 
 
-def _fused_segments(steps) -> tuple[list[tuple[int, int]], dict[tuple[int, int], np.ndarray]]:
-    """:func:`fused_runs` of ``steps`` as its CNOT skeleton and its
-    products keyed by ``(qubit, segment)``, where a qubit's segment counts
-    the CNOTs on it before the product."""
+def _fused_segments(runs) -> tuple[list[tuple[int, int]], dict[tuple[int, int], np.ndarray]]:
+    """Flushed ``runs`` of :func:`fused_runs` as their CNOT skeleton and
+    their products keyed by ``(qubit, segment)``, where a qubit's segment
+    counts the CNOTs on it before the product."""
     skeleton: list[tuple[int, int]] = []
     products: dict[tuple[int, int], np.ndarray] = {}
     segment: dict[int, int] = {}
-    for block, targets in fused_runs(steps):
+    for block, targets in runs:
         if block is None:
             skeleton.append(targets)
             for qubit in targets:
@@ -484,16 +524,18 @@ def _fused_segments(steps) -> tuple[list[tuple[int, int]], dict[tuple[int, int],
     return skeleton, products
 
 
-def _equivalence_error(circuit, program: NativeProgram) -> float:
-    """The ``equivalence_error`` of ``program`` against a checked
-    ``circuit`` (see the module docstring): the circuit is fused from its
-    :func:`gates.standard_gate` matrices and the program from its ops'
-    code-space blocks, and each segment's phase ``lambda`` is that of
-    ``sum conj(P) C``.  Sound, since a fused product only moves past ops on
-    other qubits; O(gates), with no 2^k array."""
-    skeleton, wanted = _fused_segments(_gate_steps(circuit))
-    program_skeleton, emitted = _fused_segments(
-        zip(map(_op_kernel, program.ops), map(attrgetter("targets"), program.ops)))
+def _equivalence_error(runs, program: NativeProgram) -> float:
+    """The ``equivalence_error`` of ``program`` against a circuit whose
+    flushed runs are ``runs`` (see the module docstring): the circuit side
+    is the lowering's own :func:`fused_runs` of the circuit's
+    :func:`gates.standard_gate` matrices (:func:`_lower_exact`), the program
+    side is fused afresh from its ops' code-space blocks, and each segment's
+    phase ``lambda`` is that of ``sum conj(P) C``.  Sound, since a fused
+    product only moves past ops on other qubits; O(gates), with no 2^k
+    array."""
+    skeleton, wanted = _fused_segments(runs)
+    program_skeleton, emitted = _fused_segments(fused_runs(
+        zip(map(_op_kernel, program.ops), map(attrgetter("targets"), program.ops))))
     if program_skeleton != skeleton:
         return _SKELETON_MISMATCH
     keys = list(wanted.keys() | emitted.keys())

@@ -577,6 +577,14 @@ def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: floa
     return float(fidelity), float(1e-4 - (atomic + cavity))
 
 
+def native_op_format_reference(op) -> str:
+    """``NativeOp.format`` as first written: the kind, then ``q<target>`` per
+    target and each angle to 12 significant digits, joined by spaces."""
+    parts = [op.kind] + [f"q{t}" for t in op.targets]
+    parts += [f"{a:.12g}" for a in op.angles]
+    return " ".join(parts)
+
+
 def config_as_dict_reference(config) -> dict:
     """``ScenarioConfig.as_dict`` as first written: the physical parameters
     as a json round trip of the object ``to_json`` built field by field (a

@@ -405,17 +405,17 @@ def _move_across_cnot(ops):
 ])
 def test_compile_check_fails_a_corrupted_program(corrupt, tmp_path, monkeypatch):
     path = write(tmp_path / "c.txt", MUTATION_CIRCUIT)
-    lower = compiler.lower_circuit
+    lower = compiler._lower_exact
 
     def corrupted(circuit):
-        program = lower(circuit)
+        program, runs = lower(circuit)
         if corrupt == "negate_phase":
             program.global_phase = -program.global_phase
         else:
             corrupt(program.ops)
-        return program
+        return program, runs
 
-    monkeypatch.setattr(compiler, "lower_circuit", corrupted)
+    monkeypatch.setattr(compiler, "_lower_exact", corrupted)
     code, stdout, stderr = run_cli(["--json", "compile", path])
     report = json.loads(stdout)
     assert (code, stderr, report["pass"]) == (1, "", False)
@@ -435,7 +435,8 @@ def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
     for name in (names[i] for i in rng.integers(len(names), size=int(rng.integers(0, 25)))):
         size = 2 if name == "CNOT" else 1
         circuit.append((name, tuple(int(q) for q in rng.choice(k, size=size, replace=False))))
-    program = compiler.lower_circuit(circuit, qubit_count=k)
+    program, runs = compiler._lower_exact(circuit, qubit_count=k)
+    assert program == compiler.lower_circuit(circuit, qubit_count=k)
     singles = [i for i, op in enumerate(program.ops) if op.kind != compiler.CISWAP_KIND]
     if corruption == "nudge" and singles:
         i = singles[rng.integers(len(singles))]
@@ -446,9 +447,47 @@ def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
         program.global_phase = -program.global_phase
     matrix = run_ops_reference(program, np.eye(2**k, dtype=complex)) * program.global_phase
     oracle_error = float(np.max(np.abs(matrix - logical_circuit_matrix(circuit, k))))
-    error = compiler._equivalence_error(circuit, program)
+    error = compiler._equivalence_error(runs, program)
     assert (error < 1e-9) == (oracle_error < 1e-9)
     assert (error < 1e-12) == (corruption == "none" or not singles and corruption == "nudge")
+
+
+def test_compile_fuses_the_circuit_once(tmp_path, monkeypatch):
+    # The lowering fuses the circuit and the check reuses its runs, so the
+    # check fuses only the program (the parent fused the circuit twice).
+    path = write(tmp_path / "c.txt", MUTATION_CIRCUIT)
+    calls = []
+    fuse = compiler.fused_runs
+
+    def spy(steps):
+        calls.append(1)
+        return fuse(steps)
+
+    monkeypatch.setattr(compiler, "fused_runs", spy)
+    code, stdout, stderr = run_cli(["--json", "compile", path])
+    assert (code, stderr, json.loads(stdout)["pass"]) == (0, "", True)
+    assert len(calls) == 2
+
+
+def test_default_config_is_built_once_and_never_changes(tmp_path):
+    base = cli.default_config()
+    before = base.as_dict()
+    raw = {
+        "scenario": "other",
+        "physical_params": TUNED,
+        "decoherence_params": {"gamma_atomic": 1.0, "gamma_cavity": 2.0, "delta": 3e9},
+        "sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, 2.0]},
+        "output_dir": str(tmp_path / "out"),
+        "seed": 7,
+    }
+    config = cli.load_config(write(tmp_path / "all.json", raw), None, None)
+    assert all(getattr(config, f.name) != getattr(base, f.name)
+               for f in dataclasses.fields(config))
+    code, _, stderr = run_cli(["--config", str(tmp_path / "all.json"), "--json",
+                               "blockade-sweep"])
+    assert (code, stderr) == (0, "")
+    assert cli.default_config() is base
+    assert base.as_dict() == before
 
 
 def test_state_json_holds_the_logical_amplitudes(tmp_path, monkeypatch):

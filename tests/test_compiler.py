@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import sys
 import warnings
 from fractions import Fraction
@@ -41,6 +42,7 @@ from helpers import (
     fixed_set_reference,
     haar_unitary_2,
     logical_circuit_matrix,
+    native_op_format_reference,
     pair_matrix,
     parse_circuit_reference,
     phase_align_reference,
@@ -339,6 +341,18 @@ class TestNativeProgram:
         assert len(lines) == 1 + 4
         assert lines[1].startswith("PHASE q0 ")
         assert lines[-1] == "CISWAP q0 q1"
+
+    @given(kind=st.sampled_from([ISWAP_KIND, PHASE_KIND, CISWAP_KIND]),
+           targets=st.lists(st.integers(0, 2**64), min_size=2, max_size=2, unique=True),
+           angles=st.lists(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324,
+                                            1e300, -1e300])
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_format_matches_the_list_and_join_definition(self, kind, targets, angles):
+        target_count, angle_count = compiler._ARITY[kind]
+        op = NativeOp(kind, tuple(targets[:target_count]), tuple(angles[:angle_count]))
+        assert op.format() == native_op_format_reference(op)
 
     def test_validate_rejects_out_of_range_targets(self):
         program = NativeProgram(qubit_count=1, ops=[NativeOp(CISWAP_KIND, (0, 1))])
