@@ -453,8 +453,8 @@ def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
 
 
 def test_compile_fuses_the_circuit_once(tmp_path, monkeypatch):
-    # The lowering fuses the circuit and the check reuses its runs, so the
-    # check fuses only the program (the parent fused the circuit twice).
+    # The lowering fuses the circuit and the check reuses its runs, so one
+    # exact compile fuses twice: the circuit once and the program once.
     path = write(tmp_path / "c.txt", MUTATION_CIRCUIT)
     calls = []
     fuse = compiler.fused_runs
