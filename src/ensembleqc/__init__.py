@@ -47,7 +47,6 @@ from .dynamics import (
 )
 from .gates import (
     Unitary,
-    phase_distance,
     rx,
     rz,
     standard_gate,
@@ -57,7 +56,6 @@ from .physical import (
     PhysicalParams,
     check_interference_condition,
     derive_couplings,
-    effective_hamiltonian,
 )
 from .simulator import (
     LogicalState,
@@ -66,7 +64,6 @@ from .simulator import (
     encode_basis,
     measure_logical,
     run_program,
-    sample_logical,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +86,6 @@ __all__ = [
     "check_interference_condition",
     "decode",
     "derive_couplings",
-    "effective_hamiltonian",
     "encode_basis",
     "euler_decompose",
     "evolve_closed_form",
@@ -101,11 +97,9 @@ __all__ = [
     "lower_single_qubit",
     "measure_logical",
     "parse_circuit",
-    "phase_distance",
     "run_program",
     "rx",
     "rz",
-    "sample_logical",
     "sector_propagator",
     "standard_gate",
     "swap_time",

@@ -53,7 +53,7 @@ _FMT = "{:.12g}"
 # Largest state a command may allocate, in bytes (16 per complex amplitude):
 # 2^k amplitudes to simulate k logical qubits and to write them as state.json.
 MAX_ARRAY_BYTES = 2**28
-# Largest grid a sweep's "steps" may ask for.
+# Most points a sweep may have, as a grid's "steps" or as explicit "values".
 MAX_SWEEP_STEPS = 10**6
 # json's text of a finite float; NaN and the infinities are in _NONFINITE.
 _float_text = float.__repr__
@@ -95,15 +95,17 @@ class SweepSpec:
             values = raw["values"]
             if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
                 raise UsageError("sweep 'values' must be a nonempty JSON array of numbers")
+            if len(values) > MAX_SWEEP_STEPS:
+                raise UsageError(f"sweep has {len(values)} values, more than {MAX_SWEEP_STEPS}")
             values = tuple(map(float, values))
         else:
             try:
                 lo, hi, steps = raw["min"], raw["max"], raw["steps"]
             except KeyError as missing:
                 raise UsageError(f"sweep is missing {missing}") from None
-            lo, hi = _json_number(lo, "sweep 'min'"), _json_number(hi, "sweep 'max'")
-            if type(steps) is not int:
-                raise UsageError(f"sweep 'steps' must be a JSON integer, got {steps!r}")
+            lo = float(compiler._json_typed(lo, "number", "sweep 'min'"))
+            hi = float(compiler._json_typed(hi, "number", "sweep 'max'"))
+            compiler._json_typed(steps, "integer", "sweep 'steps'")
             if not 1 <= steps <= MAX_SWEEP_STEPS:
                 raise UsageError(f"sweep steps must be between 1 and {MAX_SWEEP_STEPS}, got {steps}")
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -199,13 +201,6 @@ def load_config(path: str | None, seed_override: int | None, out_override: str |
         raise UsageError(f"malformed config: {exc}") from None
 
 
-def _json_number(value, name: str) -> float:
-    """``value`` as a float if it is a JSON number (not a bool or a string)."""
-    if type(value) not in (int, float):
-        raise UsageError(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
-
-
 def _overlay_config(raw: dict, seed_override: int | None, out_override: str | None) -> ScenarioConfig:
     base = default_config()
     params = base.physical_params
@@ -214,9 +209,9 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
     deco = base.decoherence_params
     if "decoherence_params" in raw:
         d = raw["decoherence_params"]
-        deco = decoherence.DecoherenceParams(
-            **{name: _json_number(d[name], name) for name in ("gamma_atomic", "gamma_cavity", "delta")}
-        )
+        deco = decoherence.DecoherenceParams(**{
+            name: float(compiler._json_typed(d[name], "number", name))
+            for name in ("gamma_atomic", "gamma_cavity", "delta")})
     sweep = base.sweep
     if "sweep" in raw:
         sweep = SweepSpec.from_dict(raw["sweep"]) if raw["sweep"] is not None else None

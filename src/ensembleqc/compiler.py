@@ -20,6 +20,11 @@ product, and measures the exact distance in one call only on the rows that
 the bound cannot rule out, up to the first row that it proves a hit; this
 gives the same result as measuring every row.
 
+:func:`_checked_gate` is the one rule for a valid logical gate.
+:func:`parse_circuit` checks only the text's syntax itself and returns a
+checked circuit, an immutable tuple that the lowering takes as it is; any
+other sequence goes through the same rule, so each gate is checked once.
+
 ``compile`` checks an exact lowering run by run, at any register size
 (:func:`_equivalence_error`).  Circuit and program are each fused into one
 2x2 product per qubit between two CNOTs on it by :func:`fused_runs`: the
@@ -65,10 +70,8 @@ CISWAP_KIND = "CISWAP"
 
 _ARITY = {ISWAP_KIND: (1, 1), PHASE_KIND: (1, 2), CISWAP_KIND: (2, 0)}
 
-# The logical gates and their target counts, read by parse_circuit and
-# lower_circuit alike.
+# The logical gates and their target counts, read by _checked_gate alone.
 _GATE_ARITY = {"X": 1, "H": 1, "S": 1, "T": 1, "CNOT": 2}
-SUPPORTED_GATES = tuple(_GATE_ARITY)
 # Largest deviation from 1 of a global phase's modulus or of a state's norm.
 NORM_ATOL = 1e-10
 
@@ -86,7 +89,8 @@ _JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,)}
 
 def _json_typed(value, json_type: str, name: str):
     """``value`` if its Python type is one that ``json`` reads for
-    ``json_type``; ``True`` is not an integer here."""
+    ``json_type``; ``True`` is not an integer here.  The one JSON type check
+    of both native programs and CLI configs."""
     if type(value) not in _JSON_TYPES[json_type]:
         raise ValueError(f"{name} must be a JSON {json_type}, got {value!r}")
     return value
@@ -373,17 +377,10 @@ def fused_runs(steps):
         yield pending[qubit], (qubit,)
 
 
-@functools.lru_cache(maxsize=None)  # one entry per single-qubit name in SUPPORTED_GATES
+@functools.lru_cache(maxsize=None)  # one entry per single-qubit name in _GATE_ARITY
 def _standard_matrix(name: str) -> np.ndarray:
     """The read-only matrix of ``standard_gate(name)``."""
     return standard_gate(name).matrix
-
-
-def _gate_steps(circuit):
-    """:func:`fused_runs` steps of a checked ``circuit``: each single-qubit
-    gate's :func:`_standard_matrix`, or ``None`` for a CNOT."""
-    return ((None if name == "CNOT" else _standard_matrix(name), targets)
-            for name, targets in circuit)
 
 
 def _moved(pair: NativeProgram, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
@@ -413,37 +410,47 @@ def _ciswap(targets: tuple[int, int]) -> NativeOp:
     return NativeOp(CISWAP_KIND, targets)
 
 
-def _integer_targets(targets: tuple) -> tuple[int, ...]:
-    """``targets`` as Python ints; a target that is not an int or a numpy
-    integer (a bool, a float, a string, ...) raises a ``ValueError``."""
-    if bool not in map(type, targets):
+class _CheckedCircuit(tuple):
+    """``(gate_name, targets)`` pairs that :func:`_checked_gate` has passed,
+    each ``targets`` a tuple of Python ints; built only by the checks."""
+
+    __slots__ = ()
+
+
+def _checked_gate(name, targets) -> tuple[str, tuple[int, ...]]:
+    """The one rule for a valid gate: ``(name, targets)`` with the targets
+    as Python ints, or a ``ValueError`` for the first of these it breaks:
+    ``name`` is a key of ``_GATE_ARITY``; every target is an int or a numpy
+    integer, not a bool; the gate has its number of targets; every target
+    is nonnegative; a CNOT's two targets differ."""
+    try:
+        arity = _GATE_ARITY[name]
+    except (KeyError, TypeError):  # an unhashable name is unknown too
+        raise ValueError(f"unknown gate {name!r}") from None
+    checked = tuple(targets)
+    if not {*map(type, checked)} <= {int}:  # all plain ints, the common case, skip the check
         try:
-            return tuple(map(index, targets))
+            if bool in map(type, checked):
+                raise TypeError
+            checked = tuple(map(index, checked))
         except TypeError:
-            pass
-    raise ValueError(f"targets must be integers, got {targets!r}")
+            raise ValueError(f"targets must be integers, got {targets!r}") from None
+    if len(checked) != arity:
+        raise ValueError(f"{name} takes {arity} target(s), got {len(checked)}")
+    if checked[0] < 0 or checked[-1] < 0:  # a gate has one or two targets
+        raise ValueError("targets must be nonnegative")
+    if arity == 2 and checked[0] == checked[1]:
+        raise ValueError("targets must be distinct")
+    return name, checked
 
 
-def _checked_steps(circuit) -> list[tuple[str, tuple[int, ...]]]:
-    """``circuit`` as a list of ``(gate_name, targets)`` with each gate's
-    name and targets checked (see :func:`lower_circuit`)."""
-    steps: list[tuple[str, tuple[int, ...]]] = []
-    for name, targets in circuit:
-        targets = tuple(targets)
-        if {*map(type, targets)} != {int}:  # all plain ints, the common case, skip the check
-            targets = _integer_targets(targets)
-        try:
-            arity = _GATE_ARITY[name]
-        except (KeyError, TypeError):  # an unhashable name is unsupported too
-            arity = None
-        if len(targets) != arity or arity == 2 and targets[0] == targets[1]:
-            if name == "CNOT":
-                raise ValueError(f"CNOT takes two distinct targets, got {targets!r}")
-            if name not in SUPPORTED_GATES:
-                raise ValueError(f"unsupported gate {name!r}")
-            raise ValueError(f"{name} takes one target, got {targets!r}")
-        steps.append((name, targets))
-    return steps
+def _checked_steps(circuit) -> _CheckedCircuit:
+    """``circuit`` as a :class:`_CheckedCircuit`: one is returned unchanged,
+    any other sequence of ``(gate_name, targets)`` goes through
+    :func:`_checked_gate` gate by gate."""
+    if isinstance(circuit, _CheckedCircuit):
+        return circuit
+    return _CheckedCircuit(_checked_gate(name, targets) for name, targets in circuit)
 
 
 def _assemble(steps, units, lower, qubit_count: int | None) -> NativeProgram:
@@ -473,7 +480,8 @@ def _lower_exact(circuit, qubit_count: int | None = None) -> tuple[NativeProgram
     :func:`_standard_matrix` blocks, which :func:`_equivalence_error` checks
     the program against."""
     steps = _checked_steps(circuit)
-    runs = list(fused_runs(_gate_steps(steps)))
+    runs = list(fused_runs((None if name == "CNOT" else _standard_matrix(name), targets)
+                           for name, targets in steps))
     units = ((None if block is None else block.tobytes(), targets) for block, targets in runs)
     return _assemble(steps, units, _lower_run, qubit_count), runs
 
@@ -482,9 +490,10 @@ def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> Nat
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
-    qubit indices (see :func:`_integer_targets`); the first listed gate acts
-    first.  Each CNOT becomes one controlled-swap op.  By default the
-    single-qubit gates are fused by :func:`fused_runs` over their
+    qubit indices, checked by :func:`_checked_steps` unless
+    :func:`parse_circuit` built it; the first listed gate acts first.  Each
+    CNOT becomes one controlled-swap op.  By default the single-qubit gates
+    are fused by :func:`fused_runs` over their
     :func:`standard_gate` matrices, and each flushed product is lowered by
     :func:`lower_single_qubit`, cached by the product's bytes, so each run
     between two CNOTs on a qubit costs at most three ops.  ``lower_1q(name)``
@@ -749,34 +758,29 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
 _TARGET = re.compile(r"-?[0-9]+")
 
 
-def parse_circuit(text: str) -> list[tuple[str, tuple[int, ...]]]:
-    """Parse the one-gate-per-line circuit format.
+def parse_circuit(text: str) -> _CheckedCircuit:
+    """Parse the one-gate-per-line circuit format into a checked circuit,
+    which :func:`lower_circuit` takes without checking it again.
 
     Each line is ``NAME target [target2]``; ``#`` starts a comment; blank
     lines are ignored.  A target is written in ASCII decimal digits,
-    ``-?[0-9]+``, so ``1_0``, ``+1`` or non-ASCII digits are not targets.
-    Raises :class:`CircuitParseError` with the offending line number.
+    ``-?[0-9]+``, so ``1_0``, ``+1`` or non-ASCII digits are not targets:
+    such a line's words stay strings, which :func:`_checked_gate`, the one
+    rule for every other rejection, refuses as non-integers.  Raises
+    :class:`CircuitParseError` with the offending line number.
     """
     circuit: list[tuple[str, tuple[int, ...]]] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        name, *words = tokens
-        arity = _GATE_ARITY.get(name)
-        if arity is None:
-            raise CircuitParseError(line_number, f"unknown gate {name!r}")
-        digits = "".join(words)  # all digits is the common case, and cheap to see
-        if not (digits.isascii() and digits.isdigit()) and not all(map(_TARGET.fullmatch, words)):
-            raise CircuitParseError(line_number, f"targets must be integers, got {words!r}")
-        targets = tuple(map(int, words))
-        if len(targets) != arity:
-            raise CircuitParseError(
-                line_number, f"{name} takes {arity} target(s), got {len(targets)}"
-            )
-        if targets[0] < 0 or targets[-1] < 0:  # a gate has one or two targets
-            raise CircuitParseError(line_number, "targets must be nonnegative")
-        if arity == 2 and targets[0] == targets[1]:
-            raise CircuitParseError(line_number, "targets must be distinct")
-        circuit.append((name, targets))
-    return circuit
+        name, *targets = tokens
+        # Words that are not all integers stay strings, for the gate rule to reject.
+        digits = "".join(targets)  # all digits is the common case, and cheap to see
+        if (digits.isascii() and digits.isdigit()) or all(map(_TARGET.fullmatch, targets)):
+            targets = tuple(map(int, targets))
+        try:
+            circuit.append(_checked_gate(name, targets))
+        except ValueError as exc:
+            raise CircuitParseError(line_number, str(exc)) from None
+    return _CheckedCircuit(circuit)

@@ -19,6 +19,14 @@ sector gives ``(c1, c2) = (0, -i)`` for real positive S, and under the
 blockade tuning ``|Omega_1^(pi)| = sqrt(3) |S|`` the one-photon sector
 returns with ``c1 = -1`` (``k t = pi``), so a photon freezes the swap
 completely.
+
+The node frequencies enter the swap only through the resonance residual
+``omega_2 - omega_1 + N2 Omega_2^(sigma) - N1 (Omega_1^(sigma) +
+Omega_1^(pi))`` in ``d``, where a shift common to both nodes cancels: it
+only adds a phase that both code words share, a decoherence-free subspace
+for common-mode frequency noise (Lidar, Chuang & Whaley,
+arXiv:quant-ph/9807004).  A differential shift is not rejected at all:
+``omega_2`` moved alone by 0.02 |S| misses the swap by ``1 - |c2|^2 = 1e-4``.
 """
 
 from __future__ import annotations

@@ -187,11 +187,6 @@ def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diffs[rows, best], phis[rows, best]
 
 
-def phase_distance(a, b) -> float:
-    """Global-phase-invariant distance ``min_phi max|a - exp(i phi) b|``."""
-    return float(_phase_align(as_matrix(a), as_matrix(b)[None])[0][0])
-
-
 def matrix_to_json(u) -> list:
     """Row-major nested lists of [re, im] pairs."""
     m = as_matrix(u)

@@ -290,14 +290,3 @@ def check_interference_condition(params: PhysicalParams) -> tuple[float, float]:
         params.delta_sigma_2 + params.delta_pi_2,
     )
 
-
-def effective_hamiltonian(couplings: DerivedCouplings, n: int) -> np.ndarray:
-    """Hermitian 2x2 generator M(n) of the sector dynamics dc/dt = i M(n) c.
-
-    Built as mean +/- split on the diagonal with the swap coupling -S off
-    the diagonal; the split uses the numerically stable form.
-    """
-    m = couplings.varpi_mean(n)
-    d = couplings.varpi_split(n)
-    s = couplings.s_coupling
-    return np.array([[m + d, -s], [-np.conj(s), m - d]], dtype=complex)

@@ -119,32 +119,22 @@ def decode(state: LogicalState) -> np.ndarray:
     return state.amplitudes.copy()
 
 
-def sample_logical(
-    state: LogicalState, qubit: int, shots: int, rng: int | np.random.Generator | None = None
-) -> np.ndarray:
-    """Outcomes of ``shots`` code-basis measurements of one logical qubit on
-    copies of ``state``, as an int array of 0s and 1s; the state is left as
-    it is.
+def measure_logical(
+    state: LogicalState, qubit: int, rng: int | np.random.Generator | None = None
+) -> tuple[int, LogicalState]:
+    """Measure one logical qubit in the code basis and collapse.
 
-    The shots take one draw ``rng.random(shots)``, the same doubles as
-    ``shots`` scalar draws.  The generator (or seed) is injected, never
-    ambient, so runs are reproducible.
+    The outcome takes one draw ``rng.random()``: 1 if it falls below the
+    probability of the qubit's 1.  The generator (or seed) is injected,
+    never ambient, so runs are reproducible.
     """
     if not 0 <= qubit < state.qubit_count:
         raise ValueError(f"qubit {qubit} out of range")
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     halves = state.amplitudes.reshape(-1, 2, 1 << qubit)
     p0, p1 = (float(np.sum(np.abs(halves[:, b]) ** 2)) for b in (0, 1))
-    return (generator.random(shots) < p1 / (p0 + p1)).astype(int)
-
-
-def measure_logical(
-    state: LogicalState, qubit: int, rng: int | np.random.Generator | None = None
-) -> tuple[int, LogicalState]:
-    """Sample one logical qubit in the code basis, one shot of
-    :func:`sample_logical`, and collapse."""
-    outcome = int(sample_logical(state, qubit, 1, rng)[0])
-    collapsed = state.amplitudes.reshape(-1, 2, 1 << qubit).copy()
+    outcome = int(generator.random() < p1 / (p0 + p1))
+    collapsed = halves.copy()
     collapsed[:, 1 - outcome] = 0.0
     return outcome, LogicalState(collapsed.reshape(-1) / np.linalg.norm(collapsed))
 

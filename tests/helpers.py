@@ -6,7 +6,8 @@ index manipulation, native programs also run on the 4^k-amplitude physical
 register, op by op from each op's 4x4 pair matrix (which the package never
 builds), without the simulator's kernel cache, and through a
 separately written fused loop, two-level evolutions are cross-checked
-against eigendecompositions and a step-at-a-time integrator, the
+against eigendecompositions of the sector generator and a step-at-a-time
+integrator, the
 fixed-set search is checked against a node-at-a-time breadth-first
 search, the sweep rows are checked against scalar arithmetic one row
 at a time, and the config hash against json's own canonical text of the
@@ -36,10 +37,11 @@ from ensembleqc.compiler import (
 from ensembleqc.gates import (
     Unitary,
     _check_angles,
+    _phase_align,
     as_matrix,
     standard_gate,
 )
-from ensembleqc.physical import PhysicalParams
+from ensembleqc.physical import DerivedCouplings, PhysicalParams
 
 
 def haar_unitary_2(rng: np.random.Generator) -> np.ndarray:
@@ -321,6 +323,16 @@ def physical_leakage(amps: np.ndarray, qubit_count: int) -> float:
     return float(np.sum(np.abs(np.delete(amps, code_indices(qubit_count))) ** 2))
 
 
+def effective_hamiltonian(couplings: DerivedCouplings, n: int) -> np.ndarray:
+    """Hermitian 2x2 generator M(n) of the sector dynamics dc/dt = i M(n) c:
+    the couplings' mean frequency plus and minus their split on the
+    diagonal, and the swap coupling -S off it."""
+    m = couplings.varpi_mean(n)
+    d = couplings.varpi_split(n)
+    s = couplings.s_coupling
+    return np.array([[m + d, -s], [-np.conj(s), m - d]], dtype=complex)
+
+
 def propagator_eig_oracle(m: np.ndarray, t: float) -> np.ndarray:
     """exp(i m t) for Hermitian m via eigendecomposition (numpy oracle)."""
     vals, vecs = np.linalg.eigh(m)
@@ -360,6 +372,12 @@ def rk4_reference(couplings, n: int, t: float, vec, step: float, samples: int = 
         done = t_end
         states.append(current)
     return np.array(states)
+
+
+def phase_distance(a, b) -> float:
+    """Global-phase-invariant distance ``min_phi max|a - exp(i phi) b|`` of
+    two matrices, by one call of ``gates._phase_align``."""
+    return float(_phase_align(as_matrix(a), as_matrix(b)[None])[0][0])
 
 
 def phase_align_reference(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -208,6 +208,10 @@ ERROR_CASES = {
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "max": 1,
                               "steps": 10**15}}},
         ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_values_over_cap": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic",
+                              "values": [0] * (cli.MAX_SWEEP_STEPS + 1)}}},
+        ["--config", "c.json", "fidelity"], 2),
     # Config values are JSON-typed: no string, bool or object stands in for a
     # number, and no fraction for an integer.
     "sweep_values_string": (
@@ -300,6 +304,25 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
 def test_compile_names_the_line_of_a_bad_target(target, message, tmp_path):
     path = write(tmp_path / "c.txt", f"X 0\nH {target}\n".encode())
     assert run_cli(["compile", path]) == (2, "", f"error: line 2: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["compile"], ["compile", "--fixed-set"],
+                                  ["simulate", "--circuit"]])
+def test_each_gate_is_checked_once(argv, tmp_path, monkeypatch):
+    # parse_circuit checks each gate by the one gate rule, and the lowering
+    # takes its checked circuit without a second pass.
+    checked = []
+    rule = compiler._checked_gate
+
+    def rule_spy(name, targets):
+        checked.append(name)
+        return rule(name, targets)
+
+    monkeypatch.setattr(compiler, "_checked_gate", rule_spy)
+    text = random_circuit_text(np.random.default_rng(5), 4, 40)
+    code, _, stderr = run_cli([*argv, write(tmp_path / "c.txt", text)])
+    assert (code, stderr) == (0, "")
+    assert checked == [line.split()[0] for line in text.splitlines()]
 
 
 def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
@@ -1184,6 +1207,9 @@ PAIR_LAYER = ("iswap", "phase_gate", "restrict_to_logical", "code_space_coupling
     ("presets", "rescale_pi_coupling"),
     ("dynamics", "iswap_schedule"),
     ("gates", "CONTROLLED_SWAP"),
+    ("physical", "effective_hamiltonian"),
+    ("gates", "phase_distance"),
+    ("simulator", "sample_logical"),
     *(("gates", name) for name in PAIR_LAYER),
 ])
 def test_removed_names_are_gone(module, name):

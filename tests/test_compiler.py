@@ -33,7 +33,6 @@ from ensembleqc.compiler import (
 )
 from ensembleqc.gates import (
     _phase_align,
-    phase_distance,
     rx,
     rz,
     standard_gate,
@@ -46,6 +45,7 @@ from helpers import (
     pair_matrix,
     parse_circuit_reference,
     phase_align_reference,
+    phase_distance,
     restrict_to_logical,
     run_ops_reference,
 )
@@ -218,7 +218,7 @@ class TestLowerCircuit:
         assert abs(program.global_phase - np.exp(1j * 5 * np.pi / 8)) < 1e-12
 
     def test_unsupported_gate(self):
-        with pytest.raises(ValueError, match="unsupported gate"):
+        with pytest.raises(ValueError, match="unknown gate"):
             lower_circuit([("Y", (0,))])
 
     def test_bad_cnot_targets(self):
@@ -807,7 +807,7 @@ _CIRCUIT_TEXT = st.lists(
 class TestParseCircuit:
     def test_valid_file(self):
         text = "# bell pair\nH 0\n\nCNOT 0 1  # entangle\n"
-        assert parse_circuit(text) == [("H", (0,)), ("CNOT", (0, 1))]
+        assert parse_circuit(text) == (("H", (0,)), ("CNOT", (0, 1)))
 
     def test_unknown_gate_names_line(self):
         with pytest.raises(CircuitParseError, match="line 1") as err:
@@ -853,14 +853,30 @@ class TestParseCircuit:
         assert (err.value.line_number, str(err.value)) == (line, f"line {line}: {message}")
 
     def test_targets_are_ascii_decimal_integers(self):
-        assert parse_circuit("H 007\nCNOT -0 1\n") == [("H", (7,)), ("CNOT", (0, 1))]
+        assert parse_circuit("H 007\nCNOT -0 1\n") == (("H", (7,)), ("CNOT", (0, 1)))
+
+    def test_returns_a_checked_circuit_the_lowering_takes_as_it_is(self, monkeypatch):
+        circuit = parse_circuit("H 0\nCNOT 0 1\n")
+        assert isinstance(circuit, tuple) and not hasattr(circuit, "__dict__")
+        assert compiler._checked_steps(circuit) is circuit
+        expected = lower_circuit([("H", [0]), ("CNOT", [0, 1])])
+        monkeypatch.setattr(compiler, "_checked_gate", None)  # any call would raise
+        assert lower_circuit(circuit) == expected
+
+    def test_a_foreign_sequence_gets_the_full_check(self):
+        steps = compiler._checked_steps([("H", [np.int64(0)]), ("CNOT", (0, 1))])
+        assert steps == (("H", (0,)), ("CNOT", (0, 1)))
+        assert type(steps[0][1][0]) is int
+        # A plain tuple is not a checked circuit, whatever it holds.
+        with pytest.raises(ValueError, match="distinct"):
+            compiler._checked_steps((("CNOT", (1, 1)),))
 
     @given(text=_CIRCUIT_TEXT)
     @settings(max_examples=300, deadline=None)
     def test_equals_the_reference_parser(self, text):
         circuit, error = parse_circuit_reference(text)
         if error is None:
-            assert parse_circuit(text) == circuit
+            assert parse_circuit(text) == tuple(circuit)
         else:
             with pytest.raises(CircuitParseError) as err:
                 parse_circuit(text)
@@ -868,15 +884,16 @@ class TestParseCircuit:
 
 
 @pytest.mark.parametrize("circuit, message", [
-    ([("Y", (0,))], "unsupported gate 'Y'"),
-    ([(["H"], (0,))], "unsupported gate ['H']"),
-    ([("H", (0, 1))], "H takes one target, got (0, 1)"),
-    ([("T", ())], "T takes one target, got ()"),
-    ([("CNOT", (0,))], "CNOT takes two distinct targets, got (0,)"),
-    ([("CNOT", (0, 1, 2))], "CNOT takes two distinct targets, got (0, 1, 2)"),
-    ([("H", (0,)), ("CNOT", (1, 1))], "CNOT takes two distinct targets, got (1, 1)"),
+    ([("Y", (0,))], "unknown gate 'Y'"),
+    ([(["H"], (0,))], "unknown gate ['H']"),
+    ([("H", (0, 1))], "H takes 1 target(s), got 2"),
+    ([("T", ())], "T takes 1 target(s), got 0"),
+    ([("CNOT", (0,))], "CNOT takes 2 target(s), got 1"),
+    ([("CNOT", (0, 1, 2))], "CNOT takes 2 target(s), got 3"),
+    ([("H", (0,)), ("CNOT", (1, 1))], "targets must be distinct"),
     ([("H", ("x",))], "targets must be integers, got ('x',)"),
-    ([("H", (-1,))], "targets must be nonnegative, got (-1,)"),
+    ([("H", (-1,))], "targets must be nonnegative"),
+    ([("CNOT", (0, -2))], "targets must be nonnegative"),
 ])
 def test_every_lower_circuit_rejection(circuit, message):
     with pytest.raises(ValueError) as err:

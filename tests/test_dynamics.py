@@ -22,11 +22,12 @@ from ensembleqc.dynamics import (
     sector_propagator,
     swap_time,
 )
-from ensembleqc.gates import phase_distance
-from ensembleqc.physical import DerivedCouplings, derive_couplings, effective_hamiltonian
+from ensembleqc.physical import DerivedCouplings, derive_couplings
 from helpers import (
     blockade_row_reference,
+    effective_hamiltonian,
     iswap,
+    phase_distance,
     propagator_eig_oracle,
     random_resonant_params,
     random_state,
@@ -533,6 +534,43 @@ class TestSwapTime:
             derive_couplings(presets.blockade_tuned_params(1.0)), s_coupling=complex(s))
         with pytest.raises(ValueError, match="finite and nonzero"):
             swap_time(couplings)
+
+
+def _drift_cases():
+    rng = np.random.default_rng(29)
+    return ([presets.reference_params(), presets.blockade_tuned_params(presets.SQRT3)]
+            + [random_resonant_params(rng) for _ in range(30)])
+
+
+class TestFrequencyDriftImmunity:
+    """The n=0 swap sees the node frequencies only through the resonance
+    residual, so a drift common to both nodes costs nothing and a
+    differential one is not rejected at all (``dynamics`` docstring)."""
+
+    @staticmethod
+    def swap_miss(params, drift_1: float, drift_2: float) -> float:
+        """``1 - |c2|^2`` of the n=0 swap from node 1 at the swap time of
+        ``params``, with ``omega_1`` and ``omega_2`` moved by ``drift_1``
+        and ``drift_2`` times ``|S|``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # reference_params is outside the dispersive window
+            couplings = derive_couplings(params)
+            s = abs(couplings.s_coupling)
+            drifted = derive_couplings(dataclasses.replace(
+                params, omega_1=params.omega_1 + drift_1 * s, omega_2=params.omega_2 + drift_2 * s))
+        u = sector_propagator(drifted, 0, swap_time(couplings), FRAME_ROTATING)
+        return float(1.0 - abs(u[1, 0]) ** 2)
+
+    @pytest.mark.parametrize("drift", [0.02, 1.0, 100.0])
+    def test_common_mode_drift_costs_nothing(self, drift):
+        for params in _drift_cases():
+            assert abs(self.swap_miss(params, drift, drift)) <= 1e-15
+
+    def test_differential_drift_is_not_rejected(self):
+        # A residual of 0.02|S| detunes the swap by d = 0.01|S|, a miss of
+        # about (d/|S|)^2 = 1e-4: the whole fault-tolerance budget.
+        for params in _drift_cases():
+            assert abs(self.swap_miss(params, 0.0, 0.02) - 1.0e-4) <= 0.01 * 1.0e-4
 
 
 class TestGateExtraction:

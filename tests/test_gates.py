@@ -8,7 +8,6 @@ from ensembleqc.gates import (
     Unitary,
     _phase_align,
     matrix_to_json,
-    phase_distance,
     rx,
     rz,
     standard_gate,
@@ -20,6 +19,7 @@ from helpers import (
     haar_unitary_2,
     iswap,
     phase_align_loop_reference,
+    phase_distance,
     phase_gate,
     restrict_to_logical,
 )

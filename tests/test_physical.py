@@ -12,9 +12,8 @@ from ensembleqc.physical import (
     _intra_node_shift,
     check_interference_condition,
     derive_couplings,
-    effective_hamiltonian,
 )
-from helpers import random_resonant_params
+from helpers import effective_hamiltonian, random_resonant_params
 
 
 def make_params(**overrides) -> PhysicalParams:

@@ -25,7 +25,6 @@ from ensembleqc.simulator import (
     encode_basis,
     measure_logical,
     run_program,
-    sample_logical,
     state_to_json,
 )
 from helpers import (
@@ -324,18 +323,22 @@ class TestMeasurement:
     def test_superposition_statistics(self):
         plus = LogicalState(np.array([1.0, 1.0]) / np.sqrt(2))
         rng = np.random.default_rng(35)
-        n = 100_000
-        ones = int(sample_logical(plus, 0, n, rng).sum())
+        n = 10_000
+        ones = sum(measure_logical(plus, 0, rng)[0] for _ in range(n))
         sigma = np.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) <= 3 * sigma
 
     def test_shots_equal_one_shot_measurements(self):
+        # Each measurement takes one draw from the generator: 64 shots from
+        # one generator are its 64 doubles against the qubit's probability of 1.
         state = LogicalState(random_state(np.random.default_rng(38), 8))
         for qubit in range(3):
             rng = np.random.default_rng(39)
             one_by_one = [measure_logical(state, qubit, rng)[0] for _ in range(64)]
-            shots = sample_logical(state, qubit, 64, rng=39)
-            assert shots.tolist() == one_by_one
+            ones = ((np.arange(8) >> qubit) & 1) == 1
+            p1 = np.sum(np.abs(state.amplitudes[ones]) ** 2)
+            draws = np.random.default_rng(39).random(64)
+            assert one_by_one == (draws < p1).astype(int).tolist()
 
     def test_collapse_renormalizes(self):
         rng = np.random.default_rng(36)
