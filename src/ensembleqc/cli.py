@@ -465,26 +465,14 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         head = f"compiled {len(circuit)} gate(s) to {len(program.ops)} native op(s)"
         tail = f"logical equivalence error: {error:.3e}"
     else:
-        # Checked here too, so a circuit without a single-qubit gate, which
-        # never reaches the search, cannot pass with a bad option.
-        compiler._check_fixed_set_options(args.epsilon, args.max_depth)
-        found: dict[str, dict] = {}  # each gate name's report entry
-
-        def lower_fixed(name: str) -> compiler.NativeProgram:
-            result = compiler.approximate_fixed_set(
-                gates.standard_gate(name), epsilon=args.epsilon, max_depth=args.max_depth
-            )
-            if not result.found:
-                raise VerificationError(
-                    f"no fixed-set word within epsilon {args.epsilon:g} at "
-                    f"max depth {args.max_depth} for gate {name}; best distance "
-                    f"{result.distance:.3e}"
-                )
-            found[name] = {"gate": name, "depth": result.depth,
-                           "distance": result.distance, "word": list(result.word)}
-            return result.program
-
-        program = compiler.lower_circuit(circuit, lower_1q=lower_fixed)
+        program, results = compiler._lower_fixed_set(circuit, args.epsilon, args.max_depth)
+        if program is None:
+            name, result = next(reversed(results.items()))
+            raise VerificationError(
+                f"no fixed-set word within epsilon {args.epsilon:g} at max depth "
+                f"{args.max_depth} for gate {name}; best distance {result.distance:.3e}")
+        found = {name: {"gate": name, "depth": r.depth, "distance": r.distance,
+                        "word": list(r.word)} for name, r in results.items()}
         details = [found[name] for name, _ in circuit if name != "CNOT"]
         worst = max((d["distance"] for d in details), default=0.0)
         passed = worst <= args.epsilon

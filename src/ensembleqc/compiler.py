@@ -8,10 +8,10 @@ a single controlled-swap operation.  :func:`fused_runs` is the one rule that
 fuses the single-qubit gates of a qubit between two CNOTs into one 2x2
 product; the simulator applies programs through it, and
 :func:`lower_circuit` lowers each fused product of a circuit as one Euler
-triple, so a run of any length costs at most three ops.  Besides the exact
-default, ``compile --fixed-set`` passes a lowering that approximates each
-gate on its own with the shortest word over the fixed gates {ISWAP(pi/2),
-PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
+triple, so a run of any length costs at most three ops.  ``compile`` makes
+one call per mode: :func:`_lower_exact`, or :func:`_lower_fixed_set`, which
+approximates each gate name once by the shortest word over the fixed gates
+{ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
 breadth-first search tree over those words does not depend on the gate, so
 it is built once per depth limit as a cached table of products, the empty
 word in row 0, with each row's norm.  Each search bounds every row's
@@ -20,7 +20,8 @@ product, and measures the exact distance in one call only on the rows that
 the bound cannot rule out, up to the first row that it proves a hit; this
 gives the same result as measuring every row.
 
-:func:`_checked_gate` is the one rule for a valid logical gate.
+:func:`_checked_gate` is the one rule for a valid logical gate; its target
+rule, :func:`_checked_targets`, is also that of every native op.
 :func:`parse_circuit` checks only the text's syntax itself and returns a
 checked circuit, an immutable tuple that the lowering takes as it is; any
 other sequence goes through the same rule, so each gate is checked once.
@@ -60,18 +61,13 @@ from operator import attrgetter, index, itemgetter
 import numpy as np
 
 from . import gates
-from .gates import (
-    _phase_align, _unitarity_defect, as_matrix, rx, rz, standard_gate,
-)
+from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz
 
 ISWAP_KIND = "ISWAP"
 PHASE_KIND = "PHASE"
 CISWAP_KIND = "CISWAP"
 
 _ARITY = {ISWAP_KIND: (1, 1), PHASE_KIND: (1, 2), CISWAP_KIND: (2, 0)}
-
-# The logical gates and their target counts, read by _checked_gate alone.
-_GATE_ARITY = {"X": 1, "H": 1, "S": 1, "T": 1, "CNOT": 2}
 # Largest deviation from 1 of a global phase's modulus or of a state's norm.
 NORM_ATOL = 1e-10
 
@@ -113,15 +109,9 @@ class NativeOp:
         arity = _ARITY.get(self.kind)
         if arity is None:
             raise ValueError(f"unknown native op kind {self.kind!r}")
-        targets = self.targets
-        if len(targets) != arity[0]:
-            raise ValueError(f"{self.kind} takes {arity[0]} target(s), got {targets!r}")
+        object.__setattr__(self, "targets", _checked_targets(self.kind, self.targets, arity[0]))
         if len(self.angles) != arity[1]:
             raise ValueError(f"{self.kind} takes {arity[1]} angle(s), got {self.angles!r}")
-        if targets[0] < 0 or targets[-1] < 0:  # every kind takes one or two targets
-            raise ValueError(f"targets must be nonnegative, got {targets!r}")
-        if len(targets) == 2 and targets[0] == targets[1]:
-            raise ValueError(f"targets must be distinct, got {targets!r}")
         gates._check_angles(*self.angles)
 
     def format(self) -> str:
@@ -377,12 +367,6 @@ def fused_runs(steps):
         yield pending[qubit], (qubit,)
 
 
-@functools.lru_cache(maxsize=None)  # one entry per single-qubit name in _GATE_ARITY
-def _standard_matrix(name: str) -> np.ndarray:
-    """The read-only matrix of ``standard_gate(name)``."""
-    return standard_gate(name).matrix
-
-
 def _moved(pair: NativeProgram, qubit: int) -> tuple[tuple[NativeOp, ...], complex]:
     """The ops of a pair-0 program moved to ``qubit``, and its global phase."""
     return tuple(NativeOp(op.kind, (qubit,), op.angles) for op in pair.ops), pair.global_phase
@@ -417,16 +401,11 @@ class _CheckedCircuit(tuple):
     __slots__ = ()
 
 
-def _checked_gate(name, targets) -> tuple[str, tuple[int, ...]]:
-    """The one rule for a valid gate: ``(name, targets)`` with the targets
-    as Python ints, or a ``ValueError`` for the first of these it breaks:
-    ``name`` is a key of ``_GATE_ARITY``; every target is an int or a numpy
-    integer, not a bool; the gate has its number of targets; every target
-    is nonnegative; a CNOT's two targets differ."""
-    try:
-        arity = _GATE_ARITY[name]
-    except (KeyError, TypeError):  # an unhashable name is unknown too
-        raise ValueError(f"unknown gate {name!r}") from None
+def _checked_targets(name: str, targets, count: int) -> tuple[int, ...]:
+    """The one target rule of gates and native ops: ``targets`` as a tuple
+    of Python ints, or a ``ValueError`` for the first of these it breaks:
+    each is an int or a numpy integer, not a bool; there are ``count`` (one
+    or two) of them; each is nonnegative; two differ."""
     checked = tuple(targets)
     if not {*map(type, checked)} <= {int}:  # all plain ints, the common case, skip the check
         try:
@@ -435,13 +414,25 @@ def _checked_gate(name, targets) -> tuple[str, tuple[int, ...]]:
             checked = tuple(map(index, checked))
         except TypeError:
             raise ValueError(f"targets must be integers, got {targets!r}") from None
-    if len(checked) != arity:
-        raise ValueError(f"{name} takes {arity} target(s), got {len(checked)}")
-    if checked[0] < 0 or checked[-1] < 0:  # a gate has one or two targets
+    if len(checked) != count:
+        raise ValueError(f"{name} takes {count} target(s), got {len(checked)}")
+    if checked[0] < 0 or checked[-1] < 0:
         raise ValueError("targets must be nonnegative")
-    if arity == 2 and checked[0] == checked[1]:
+    if count == 2 and checked[0] == checked[1]:
         raise ValueError("targets must be distinct")
-    return name, checked
+    return checked
+
+
+def _checked_gate(name, targets) -> tuple[str, tuple[int, ...]]:
+    """The one rule for a valid gate: ``(name, targets)`` with the targets
+    as Python ints, or a ``ValueError``: ``name`` is a key of
+    ``gates._STANDARD``, and the targets pass :func:`_checked_targets` for
+    the gate's target count, its matrix dimension over 2."""
+    try:
+        count = len(gates._STANDARD[name]) // 2
+    except (KeyError, TypeError):  # an unhashable name is unknown too
+        raise ValueError(f"unknown gate {name!r}") from None
+    return name, _checked_targets(name, targets, count)
 
 
 def _checked_steps(circuit) -> _CheckedCircuit:
@@ -477,38 +468,50 @@ def _assemble(steps, units, lower, qubit_count: int | None) -> NativeProgram:
 def _lower_exact(circuit, qubit_count: int | None = None) -> tuple[NativeProgram, list]:
     """:func:`lower_circuit`'s exact lowering of ``circuit``, and the
     circuit's flushed runs: the list of :func:`fused_runs` over its gates'
-    :func:`_standard_matrix` blocks, which :func:`_equivalence_error` checks
+    ``gates._STANDARD`` blocks, which :func:`_equivalence_error` checks
     the program against."""
     steps = _checked_steps(circuit)
-    runs = list(fused_runs((None if name == "CNOT" else _standard_matrix(name), targets)
+    runs = list(fused_runs((None if name == "CNOT" else gates._STANDARD[name], targets)
                            for name, targets in steps))
     units = ((None if block is None else block.tobytes(), targets) for block, targets in runs)
     return _assemble(steps, units, _lower_run, qubit_count), runs
 
 
-def lower_circuit(circuit, qubit_count: int | None = None, lower_1q=None) -> NativeProgram:
+def _lower_fixed_set(circuit, epsilon, max_depth) -> tuple[NativeProgram | None, dict]:
+    """``compile --fixed-set``'s lowering: the options are checked first, so
+    a CNOT-only circuit cannot pass with a bad one, then each single-qubit
+    gate name's ``gates._STANDARD`` matrix is searched once
+    (:func:`approximate_fixed_set`) in first-occurrence order, up to the
+    first name without a word.  Returns the program (each gate its name's
+    word on its target, the phase counted once per gate), or ``None`` for a
+    missing word, and each searched name's :class:`FixedSetResult`."""
+    epsilon, max_depth = _check_fixed_set_options(epsilon, max_depth)
+    steps = _checked_steps(circuit)
+    results: dict[str, FixedSetResult] = {}
+    for name in dict.fromkeys(name for name, _ in steps if name != "CNOT"):
+        results[name] = approximate_fixed_set(gates._STANDARD[name], epsilon=epsilon,
+                                              max_depth=max_depth)
+        if not results[name].found:
+            return None, results
+    units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
+    lower = functools.cache(lambda name, qubit: _moved(results[name].program, qubit))
+    return _assemble(steps, units, lower, None), results
+
+
+def lower_circuit(circuit, qubit_count: int | None = None) -> NativeProgram:
     """Lower a logical circuit over {X, H, S, T, CNOT} to native operations.
 
     ``circuit`` is a sequence of ``(gate_name, targets)`` pairs with logical
     qubit indices, checked by :func:`_checked_steps` unless
     :func:`parse_circuit` built it; the first listed gate acts first.  Each
-    CNOT becomes one controlled-swap op.  By default the single-qubit gates
-    are fused by :func:`fused_runs` over their
-    :func:`standard_gate` matrices, and each flushed product is lowered by
-    :func:`lower_single_qubit`, cached by the product's bytes, so each run
-    between two CNOTs on a qubit costs at most three ops.  ``lower_1q(name)``
-    instead lowers each single-qubit gate on its own, from its name to a
-    program on pair 0; it runs once per name, at the name's first gate.
-    Either way a lowering's ops are moved to their qubit once per qubit, and
-    its global phase is multiplied into the result.
+    CNOT becomes one controlled-swap op.  The single-qubit gates are fused
+    by :func:`fused_runs`, and each flushed product is lowered by
+    :func:`lower_single_qubit`, cached by the product's bytes and moved to
+    its qubit, so each run between two CNOTs on a qubit costs at most three
+    ops.  This is :func:`_lower_exact`'s program; ``compile --fixed-set``
+    lowers by :func:`_lower_fixed_set` instead.
     """
-    if lower_1q is None:
-        return _lower_exact(circuit, qubit_count)[0]
-    steps = _checked_steps(circuit)
-    units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
-    per_name = functools.cache(lower_1q)
-    lower = functools.cache(lambda name, qubit: _moved(per_name(name), qubit))
-    return _assemble(steps, units, lower, qubit_count)
+    return _lower_exact(circuit, qubit_count)[0]
 
 
 # A CNOT skeleton that differs between circuit and program counts as this
@@ -537,7 +540,7 @@ def _equivalence_error(runs, program: NativeProgram) -> float:
     """The ``equivalence_error`` of ``program`` against a circuit whose
     flushed runs are ``runs`` (see the module docstring): the circuit side
     is the lowering's own :func:`fused_runs` of the circuit's
-    :func:`gates.standard_gate` matrices (:func:`_lower_exact`), the program
+    ``gates._STANDARD`` matrices (:func:`_lower_exact`), the program
     side is fused afresh from its ops' code-space blocks, and each segment's
     phase ``lambda`` is that of ``sum conj(P) C``.  Sound, since a fused
     product only moves past ops on other qubits; O(gates), with no 2^k
@@ -777,9 +780,9 @@ def parse_circuit(text: str) -> _CheckedCircuit:
         name, *targets = tokens
         # Words that are not all integers stay strings, for the gate rule to reject.
         digits = "".join(targets)  # all digits is the common case, and cheap to see
-        if (digits.isascii() and digits.isdigit()) or all(map(_TARGET.fullmatch, targets)):
-            targets = tuple(map(int, targets))
         try:
+            if (digits.isascii() and digits.isdigit()) or all(map(_TARGET.fullmatch, targets)):
+                targets = tuple(map(int, targets))  # past int()'s digit limit, a ValueError
             circuit.append(_checked_gate(name, targets))
         except ValueError as exc:
             raise CircuitParseError(line_number, str(exc)) from None

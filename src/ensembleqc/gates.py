@@ -27,13 +27,17 @@ logical CNOT (``standard_gate("CNOT")``), which the simulator applies as a
 permutation of logical amplitudes.  The one physical controlled swap is the
 photon-controlled gate that :mod:`ensembleqc.dynamics` extracts.
 
+``_STANDARD`` is the one table of logical gates: the compiler's gate rule
+takes its keys as the gate names and each matrix's dimension over 2 as the
+gate's target count, and both compile modes read their matrices from it.
+Its arrays are read-only.
+
 Global phases are kept explicit everywhere so that phase-sensitive gate
 identities can be checked as exact matrix equalities.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 
@@ -121,6 +125,8 @@ _STANDARD = {
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     ),
 }
+for _matrix in _STANDARD.values():
+    _matrix.setflags(write=False)
 
 
 def standard_gate(name: str) -> Unitary:
@@ -131,22 +137,19 @@ def standard_gate(name: str) -> Unitary:
         raise ValueError(f"unknown standard gate {name!r}") from None
 
 
-@functools.lru_cache(maxsize=None)  # one entry per entry count: 4 for the 2x2 gates
-def _entry_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.triu_indices(m, 1)``: every entry pair ``j < k``."""
-    j, k = np.triu_indices(m, 1)
-    j.setflags(write=False)
-    k.setflags(write=False)
-    return j, k
+# Every pair j < k of the four entries of a 2x2 matrix, read-only.
+_ENTRY_PAIRS = np.triu_indices(4, 1)
+for _index in _ENTRY_PAIRS:
+    _index.setflags(write=False)
 
 
 def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``max|a - exp(i phi) b[n]|`` over phi for each matrix of a stack.
 
-    ``b`` has shape ``(n,) + a.shape``.  Each squared entry difference is
-    ``A_k - 2 Re(z_k e^{i phi})`` with ``z_k = conj(a_k) b_k``; the max over
-    entries attains its minimum either at a single branch's minimum
-    ``phi = -arg z_k`` or where two branches cross.  All candidates are
+    ``a`` is 2x2 and ``b`` has shape ``(n, 2, 2)``.  Each squared entry
+    difference is ``A_k - 2 Re(z_k e^{i phi})`` with ``z_k = conj(a_k) b_k``;
+    the max over entries attains its minimum either at a single branch's
+    minimum ``phi = -arg z_k`` or where two branches cross.  All candidates are
     enumerated in fixed slots: phi = 0, each entry's branch minimum, then
     each entry pair's two crossings.  A slot whose candidate does not exist
     (``z_k = 0``, coincident branches, no crossing) scores +inf, so the
@@ -160,7 +163,7 @@ def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.conj(af) * bf
     amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
     nz = np.abs(z) > 0.0
-    j, k = _entry_pairs(m)
+    j, k = _ENTRY_PAIRS
     w = z[:, j] - z[:, k]
     mag = np.hypot(w.real, w.imag)  # equals scalar abs(w); array np.abs can differ in the last bit
     distinct = mag >= 1e-300  # the two branches do not coincide

@@ -238,7 +238,9 @@ def derive_couplings(params: PhysicalParams) -> DerivedCouplings:
     |g| < DISPERSIVE_THRESHOLD * |Delta| is
     reported as a :class:`DispersiveRegimeWarning`, not an error: the model
     formulas still evaluate, they just lose perturbative accuracy.  A NaN
-    exchange rate (0 * inf or inf - inf) raises ``ValueError``.
+    exchange rate (0 * inf or inf - inf) raises ``ValueError``, and so does
+    a swap coupling S with a NaN part or with finite parts whose modulus
+    overflows, so every later ``abs(S)`` is a float or inf.
     """
     ratios = params.dispersive_ratios()
     bad = {k: v for k, v in ratios.items() if v >= DISPERSIVE_THRESHOLD}
@@ -264,13 +266,16 @@ def derive_couplings(params: PhysicalParams) -> DerivedCouplings:
         omega_2_pi = float(_intra_node_shift(params.g_pi_2, params.delta_pi_2))
     if np.isnan(omega_cap_sigma):
         raise ValueError("exchange rate Omega_sigma is undefined: 0 * inf or inf - inf")
+    s = complex(s_coupling)
+    if np.isnan(s) or (np.isfinite(s) and math.isinf(math.hypot(s.real, s.imag))):
+        raise ValueError(f"swap coupling S = {s!r} has a NaN part or an overflowing modulus")
     return DerivedCouplings(
         omega_cap_sigma=complex(omega_cap_sigma),
         omega_1_sigma=omega_1_sigma,
         omega_1_pi=omega_1_pi,
         omega_2_sigma=omega_2_sigma,
         omega_2_pi=omega_2_pi,
-        s_coupling=complex(s_coupling),
+        s_coupling=s,
         n_atoms_1=int(params.n_atoms_1),
         n_atoms_2=int(params.n_atoms_2),
         omega_1=float(params.omega_1),

@@ -243,6 +243,15 @@ def circuit_columns_reference(circuit, qubit_count: int) -> np.ndarray:
     return columns
 
 
+def int_error(text: str) -> str:
+    """The message of the ``ValueError`` that ``int(text)`` raises."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"int() took {len(text)} digits")
+
+
 def parse_circuit_reference(text: str):
     """The circuit format read one rule at a time: ``(circuit, None)``, or
     ``(None, (line_number, message))`` for the first line it rejects."""
@@ -259,7 +268,10 @@ def parse_circuit_reference(text: str):
             return None, (number, f"unknown gate {name!r}")
         if not all(re.fullmatch("-?[0-9]+", word) for word in rest):
             return None, (number, f"targets must be integers, got {rest!r}")
-        targets = tuple(int(word) for word in rest)
+        try:
+            targets = tuple(int(word) for word in rest)
+        except ValueError as exc:  # past int()'s digit limit
+            return None, (number, str(exc))
         if len(targets) != arity[name]:
             return None, (number, f"{name} takes {arity[name]} target(s), got {len(targets)}")
         if any(t < 0 for t in targets):

@@ -30,6 +30,7 @@ from helpers import (
     config_as_dict_reference,
     config_hash_reference,
     fidelity_row_reference,
+    int_error,
     logical_circuit_matrix,
     random_resonant_params,
     run_ops_reference,
@@ -66,6 +67,10 @@ def tuned(**changes) -> dict:
 
 # Couplings so large that the swap rate |S| overflows to inf.
 OVERFLOWING = tuned(g_sigma_1=1e200, g_sigma_2=1e200)
+# A swap coupling S with finite parts whose modulus is past the float range.
+S_MODULUS_OVERFLOWS = {"physical_params": dict(
+    REFERENCE, n_atoms_1=1, n_atoms_2=1, g_sigma_1=1.2e308, g_sigma_2=[1.0, 1.0],
+    delta_sigma_1=0.909, delta_sigma_2=0.909)}
 PROGRAM = {"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": [0], "angles": [1.0]}]}
 
 # (files written to the working directory, argv, expected exit code)
@@ -112,6 +117,12 @@ ERROR_CASES = {
     # Finite parts whose modulus overflows: complex abs() would raise.
     "coupling_modulus_overflows_truth_table": (
         {"c.json": tuned(g_sigma_1=[1.3e308, 1.3e308])}, ["--config", "c.json", "truth-table"], 2),
+    "s_modulus_overflows_truth_table_force": (
+        {"c.json": S_MODULUS_OVERFLOWS}, ["--config", "c.json", "truth-table", "--force"], 2),
+    "s_modulus_overflows_blockade_sweep": (
+        {"c.json": S_MODULUS_OVERFLOWS}, ["--config", "c.json", "blockade-sweep"], 2),
+    "s_modulus_overflows_fidelity": (
+        {"c.json": S_MODULUS_OVERFLOWS}, ["--config", "c.json", "fidelity"], 2),
     # The exchange rate is 0 * inf or inf - inf.
     "nan_exchange_rate_truth_table": (
         {"c.json": tuned(g_sigma_1=0.0, delta_sigma_2=1e-310)},
@@ -125,6 +136,10 @@ ERROR_CASES = {
     "negative_sweep_ratio_in_worker": (
         {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, -1.0]}}},
         ["--config", "c.json", "blockade-sweep", "--jobs", "2"], 2),
+    # A target that passes the syntax check but not int()'s digit limit.
+    "oversized_target_compile": ({"c.txt": "H " + "9" * 5000 + "\n"}, ["compile", "c.txt"], 2),
+    "oversized_target_simulate": (
+        {"c.txt": "H " + "9" * 5000 + "\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "fixed_set_epsilon_zero": (
         {"c.txt": "H 0\n"}, ["compile", "--fixed-set", "--epsilon", "0", "c.txt"], 2),
     "fixed_set_epsilon_inf": (
@@ -300,6 +315,7 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     ("\u0663", "targets must be integers, got ['\u0663']"),
     ("+1", "targets must be integers, got ['+1']"),
     ("-1", "targets must be nonnegative"),
+    pytest.param("9" * 5000, int_error("9" * 5000), id="oversized"),
 ])
 def test_compile_names_the_line_of_a_bad_target(target, message, tmp_path):
     path = write(tmp_path / "c.txt", f"X 0\nH {target}\n".encode())
@@ -326,21 +342,16 @@ def test_each_gate_is_checked_once(argv, tmp_path, monkeypatch):
 
 
 def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
-    # The fixed-set path lowers through lower_circuit: CNOTs stay single
-    # controlled swaps and every single-qubit gate reports its own word,
-    # while each gate name is built and searched once.
-    built, searched = [], []
-    standard_gate, search = gates.standard_gate, compiler.approximate_fixed_set
-
-    def gate_spy(name):
-        built.append(name)
-        return standard_gate(name)
+    # The fixed-set path is one compiler call: CNOTs stay single controlled
+    # swaps and every single-qubit gate reports its own word, while each gate
+    # name's table matrix is searched once, in first-occurrence order.
+    searched = []
+    search = compiler.approximate_fixed_set
 
     def search_spy(u, **options):
         searched.append(u)
         return search(u, **options)
 
-    monkeypatch.setattr(gates, "standard_gate", gate_spy)
     monkeypatch.setattr(compiler, "approximate_fixed_set", search_spy)
     circuit = write(tmp_path / "c.txt", "T 1\nCNOT 1 0\nH 0\nT 0\nH 1\n")
     code, stdout, _ = run_cli(["--json", "compile", "--fixed-set", circuit])
@@ -349,9 +360,16 @@ def test_fixed_set_keeps_cnots_and_reports_each_gate(tmp_path, monkeypatch):
     assert [g["gate"] for g in report["gates"]] == ["T", "H", "T", "H"]
     assert report["gates"][2:] == report["gates"][:2]
     assert report["op_count"] == 1 + sum(g["depth"] for g in report["gates"])
-    assert built == ["T", "H"]
     assert len(searched) == 2
-    assert all(np.array_equal(u.matrix, standard_gate(n).matrix) for u, n in zip(searched, built))
+    assert searched[0] is gates._STANDARD["T"] and searched[1] is gates._STANDARD["H"]
+
+
+def test_fixed_set_failure_names_the_first_gate_without_a_word(tmp_path):
+    # S has a word at depth 1 and H has none, so the search stops at H.
+    circuit = write(tmp_path / "c.txt", "S 0\nH 1\nT 0\n")
+    code, stdout, stderr = run_cli(["compile", "--fixed-set", "--max-depth", "1", circuit])
+    assert (code, stdout, stderr.count("\n")) == (1, "", 1)
+    assert stderr.startswith("error: no fixed-set word within epsilon 1e-09 at max depth 1 for gate H;")
 
 
 # --- success output ------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleqc import compiler
+from ensembleqc import compiler, gates
 from ensembleqc.compiler import (
     _FIXED_GENERATORS,
     CISWAP_KIND,
@@ -40,6 +40,7 @@ from ensembleqc.gates import (
 from helpers import (
     fixed_set_reference,
     haar_unitary_2,
+    int_error,
     logical_circuit_matrix,
     native_op_format_reference,
     pair_matrix,
@@ -226,10 +227,10 @@ class TestLowerCircuit:
             lower_circuit([("CNOT", (1, 1))])
 
     def test_equals_per_gate_lowering(self):
-        # ``lower_1q`` keeps the per-gate path: one lowering per gate name,
-        # moved to each target, gives the ops of lowering every gate on its
-        # own and the same phase, bit for bit.  The default fuses each run and
-        # emits at most three ops per run, at least 25% fewer ops in all.
+        # Lowering every gate on its own, moved to its target, is the
+        # per-gate reference.  The fused lowering and the reference each pass
+        # the run-by-run check against the circuit, phase included; the fused
+        # one emits at most three ops per run, at least 25% fewer ops in all.
         rng = np.random.default_rng(45)
         for k in (4, 10, 20):
             circuit = mixed_circuit(rng, k, 10 * k)
@@ -241,11 +242,10 @@ class TestLowerCircuit:
                     sub = lower_single_qubit(standard_gate(name))
                     ops.extend(NativeOp(op.kind, targets, op.angles) for op in sub.ops)
                     phase *= sub.global_phase
-            program = lower_circuit(circuit, qubit_count=k,
-                                    lower_1q=lambda name: lower_single_qubit(standard_gate(name)))
-            assert program.ops == ops
-            assert np.array([program.global_phase]).tobytes() == np.array([phase]).tobytes()
-            fused = lower_circuit(circuit, qubit_count=k)
+            reference = NativeProgram(qubit_count=k, ops=ops, global_phase=phase)
+            fused, runs = compiler._lower_exact(circuit, qubit_count=k)
+            assert compiler._equivalence_error(runs, reference) < 1e-12
+            assert compiler._equivalence_error(runs, fused) < 1e-12
             assert max(ops_per_run(fused)) <= 3
             assert per_gate_op_count(circuit) == len(ops)
             assert len(fused.ops) <= 0.75 * len(ops)
@@ -290,23 +290,44 @@ class TestLowerCircuit:
         assert lower_circuit(circuit) == first and len(calls) == 1
         assert compiler._lower_run.cache_info().misses == 2
 
-    def test_single_qubit_lowering_argument(self):
-        # lower_1q runs once per gate name and returns a pair-0 program; its
-        # ops land on each gate's target and its phase counts once per gate.
+    def test_single_qubit_lowering_argument(self, monkeypatch):
+        # The fixed-set lowering searches each single-qubit name once, on its
+        # gates._STANDARD matrix, in the order the names first occur; the
+        # word lands on each gate's target and its phase counts once per gate.
         seen = []
 
-        def lower_1q(name):
-            seen.append(name)
+        def search(u, epsilon, max_depth):
+            seen.append(u)
             op = NativeOp(PHASE_KIND, (0,), (0.5, 0.0))
-            return NativeProgram(qubit_count=1, ops=[op], global_phase=1j)
+            program = NativeProgram(qubit_count=1, ops=[op], global_phase=1j)
+            return FixedSetResult(True, program, ("PHASE(pi/2)",), 0.0, 1)
 
+        monkeypatch.setattr(compiler, "approximate_fixed_set", search)
         circuit = [("H", (1,)), ("CNOT", (1, 0)), ("T", (0,)), ("H", (2,)), ("T", (0,))]
-        program = lower_circuit(circuit, lower_1q=lower_1q)
-        assert seen == ["H", "T"]
+        program, results = compiler._lower_fixed_set(circuit, 0.1, 4)
+        assert list(results) == ["H", "T"]
+        assert len(seen) == 2
+        assert seen[0] is gates._STANDARD["H"] and seen[1] is gates._STANDARD["T"]
         assert [op.targets for op in program.ops] == [(1,), (1, 0), (0,), (2,), (0,)]
         assert [op.kind for op in program.ops] == [PHASE_KIND, CISWAP_KIND] + [PHASE_KIND] * 3
         assert program.global_phase == 1.0
         assert program.qubit_count == 3
+
+    def test_fixed_set_stops_at_the_first_name_without_a_word(self, monkeypatch):
+        # No search runs after the first name without a word, and no program is built.
+        seen = []
+        search = compiler.approximate_fixed_set
+
+        def spy(u, epsilon, max_depth):
+            seen.append(u)
+            return search(u, epsilon=epsilon, max_depth=max_depth)
+
+        monkeypatch.setattr(compiler, "approximate_fixed_set", spy)
+        circuit = [("S", (0,)), ("H", (1,)), ("T", (0,)), ("X", (2,))]
+        program, results = compiler._lower_fixed_set(circuit, 1e-9, 1)
+        assert program is None
+        assert list(results) == ["S", "H"] and len(seen) == 2
+        assert results["S"].found and not results["H"].found
 
 
 class TestFusedRuns:
@@ -384,6 +405,28 @@ class TestNativeProgram:
         else:
             with pytest.raises(ValueError, match="modulus 1"):
                 NativeProgram.from_json(text)
+
+    @pytest.mark.parametrize("targets, message", [
+        ((0.5,), "targets must be integers, got (0.5,)"),
+        ((1.0,), "targets must be integers, got (1.0,)"),
+        ((True,), "targets must be integers, got (True,)"),
+        ((np.True_,), "targets must be integers, got (np.True_,)"),
+        (("0",), "targets must be integers, got ('0',)"),
+        ((None,), "targets must be integers, got (None,)"),
+        ((-1,), "targets must be nonnegative"),
+        ((0, 1), "ISWAP takes 1 target(s), got 2"),
+    ])
+    def test_native_op_targets_follow_the_gate_rule(self, targets, message):
+        with pytest.raises(ValueError) as err:
+            NativeOp(ISWAP_KIND, targets, (1.0,))
+        assert str(err.value) == message
+
+    def test_native_op_stores_python_int_targets(self):
+        op = NativeOp(CISWAP_KIND, [np.int64(2), np.uint8(0)])
+        assert op.targets == (2, 0) and all(type(t) is int for t in op.targets)
+        assert op.format() == "CISWAP q2 q0"
+        with pytest.raises(ValueError, match="distinct"):
+            NativeOp(CISWAP_KIND, (np.int32(1), 1))
 
     def test_native_op_validation(self):
         with pytest.raises(ValueError, match="angle"):
@@ -846,6 +889,8 @@ class TestParseCircuit:
         ("CNOT 0 -2\n", 1, "targets must be nonnegative"),
         ("CNOT 2 2\n", 1, "targets must be distinct"),
         ("X 0\r\nCNOT 1 01 # c\r\n", 2, "targets must be distinct"),
+        # Syntactically a target, but past int()'s digit limit.
+        pytest.param("X 0\nH " + "9" * 5000 + "\n", 2, int_error("9" * 5000), id="oversized_target"),
     ])
     def test_every_rejection_names_its_line(self, text, line, message):
         with pytest.raises(CircuitParseError) as err:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ensembleqc import compiler
 from ensembleqc.gates import (
+    _STANDARD,
     Unitary,
     _phase_align,
     matrix_to_json,
@@ -195,6 +196,21 @@ class TestStandardGates:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown standard gate"):
             standard_gate("Q")
+
+    def test_the_table_is_the_parsers_gate_set_and_read_only(self):
+        # _STANDARD is the one gate table: parse_circuit takes exactly its
+        # names, each with its matrix dimension over 2 targets.
+        counts = {name: len(matrix) // 2 for name, matrix in _STANDARD.items()}
+        assert counts == {"X": 1, "H": 1, "S": 1, "T": 1, "CNOT": 2}
+        for name, matrix in _STANDARD.items():
+            targets = tuple(range(counts[name]))
+            assert compiler.parse_circuit(f"{name} {' '.join(map(str, targets))}\n") == ((name, targets),)
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
+        for name in ("Y", "I", "SWAP", "x", "cnot", "Unitary"):
+            with pytest.raises(ValueError, match="unknown gate"):
+                compiler.parse_circuit(f"{name} 0\n")
 
 
 class TestEncoding:

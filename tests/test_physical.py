@@ -119,6 +119,19 @@ class TestDeriveCouplings:
             with pytest.raises(ValueError, match="undefined"):
                 derive_couplings(make_params(**overrides))
 
+    @pytest.mark.parametrize("overrides", [
+        # Finite parts whose modulus overflows: complex abs() would raise.
+        {"n_atoms_1": 1, "n_atoms_2": 1, "g_sigma_1": 1.2e308, "g_sigma_2": 1 + 1j,
+         "delta_sigma_1": 0.909, "delta_sigma_2": 0.909},
+        # An exchange rate of inf+infj, which makes S nan+nanj.
+        {"g_sigma_1": 1e300 + 1e300j, "delta_sigma_1": 1e-300},
+    ])
+    def test_swap_coupling_without_a_float_modulus_rejected(self, overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DispersiveRegimeWarning)
+            with pytest.raises(ValueError, match="has a NaN part or an overflowing modulus"):
+                derive_couplings(make_params(**overrides))
+
     def test_sqrt3_tuning_gives_kappa_two_s(self):
         couplings = derive_couplings(presets.blockade_tuned_params(presets.SQRT3))
         s = abs(couplings.s_coupling)

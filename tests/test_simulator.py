@@ -414,6 +414,21 @@ class TestRunProgram:
         b, _ = run_program(program, "010")
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    @pytest.mark.parametrize("target", [
+        0, np.int64(0), np.uint8(0), 0.0, 0.5, True, np.True_, "0", None, 1 + 0j])
+    def test_directly_built_ops_run_or_fail_the_target_rule(self, target):
+        # An op built without from_json either fails the one target rule with
+        # a ValueError or runs; run_program never sees a non-integer target.
+        try:
+            op = NativeOp(ISWAP_KIND, (target,), (1.0,))
+        except ValueError as err:
+            assert isinstance(target, (bool, np.bool_)) or not isinstance(target, (int, np.integer))
+            assert str(err).startswith("targets must be integers")
+            return
+        final, stats = run_program(NativeProgram(qubit_count=1, ops=[op]), "0")
+        assert op.targets == (0,) and type(op.targets[0]) is int
+        assert stats.norm_defect < 1e-12
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_random_circuits_match_logical_oracle(self, seed):
