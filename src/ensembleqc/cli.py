@@ -36,7 +36,7 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,11 +155,9 @@ class ScenarioConfig:
         if self.sweep is None:
             canonical = json.dumps(raw, sort_keys=True)
         else:
-            # "sweep" sorts last and "values" last in it, so the slot is the
-            # last match, whatever the strings before it hold.
+            # "sweep" sorts last and "values" last in it.
             raw["sweep"]["values"] = _LIST_SLOT
-            head, _, tail = json.dumps(raw, sort_keys=True).rpartition(json.dumps(_LIST_SLOT))
-            canonical = "".join((head, "[", ", ".join(self.sweep.texts), "]", tail))
+            canonical = _spliced(json.dumps(raw, sort_keys=True), "[", ", ".join(self.sweep.texts), "]")
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -279,33 +277,42 @@ def _json_texts(values) -> list[str]:
     return texts
 
 
-def _column_texts(column: np.ndarray, texts_of) -> list[str]:
-    """``texts_of`` a 1-d array's values as a list; a broadcast (stride-0)
-    column is formatted once and repeated."""
-    if column.strides == (0,):
-        return texts_of(column[:1].tolist()) * len(column)
-    return texts_of(column.tolist())
+def _spliced(text: str, *parts: str) -> str:
+    """``text`` with its last ``json.dumps(_LIST_SLOT)`` replaced by the
+    ``parts``, in one join; each caller lays the slot out last."""
+    head, _, tail = text.rpartition(json.dumps(_LIST_SLOT))
+    return "".join((head, *parts, tail))
+
+
+def _rows_text(columns: list, texts_of, cell: str, row: str) -> str:
+    """The table with ``columns``, cells joined by ``cell`` and rows by
+    ``row``, in one join.  A column is a list of its cells' texts, or a 1-d
+    float array or sequence, which ``texts_of`` formats; a broadcast
+    (stride-0) column is formatted once and repeated."""
+    texts = []
+    for column in columns:
+        if type(column) is not list:
+            column = np.asarray(column)
+            column = (texts_of(column[:1].tolist()) * len(column) if column.strides == (0,)
+                      else texts_of(column.tolist()))
+        texts.append(column)
+    return row.join(map(cell.join, zip(*texts)))
 
 
 def _to_json(report: dict, columns: list | None = None) -> str:
-    """``json.dumps(report, indent=2)``, where given ``columns`` stand for the
-    report's ``"rows"`` table: ``[list(row) for row in zip(*columns)]``.
+    """``json.dumps(report, indent=2)``, where given ``columns`` (see
+    :func:`_rows_text`) stand for the report's ``"rows"`` table:
+    ``[list(row) for row in zip(*columns)]``.
 
     ``indent`` makes json use its pure-Python encoder, which is slow on a long
-    table, so json lays out only the rest of the report.  Each column is a
-    1-d float array or a list of json's texts of its floats; each float is
-    formatted once, the table is one join and the report one more, since
-    each ``+`` on the table's text would copy it again.
+    table, so json lays out only the rest of the report; no string follows
+    its ``"rows"``.
     """
     if columns is None:
         return json.dumps(report, indent=2)
-    texts = [c if type(c) is list else _column_texts(c, _json_texts) for c in columns]
-    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*texts)))
-    head, _, tail = json.dumps({**report, "rows": _LIST_SLOT}, indent=2).partition(
-        json.dumps(_LIST_SLOT))
-    if not rows:
-        return head + "[]" + tail
-    return "".join((head, "[\n    [\n      ", rows, "\n    ]\n  ]", tail))
+    rows = _rows_text(columns, _json_texts, ",\n      ", "\n    ],\n    [\n      ")
+    text = json.dumps({**report, "rows": _LIST_SLOT}, indent=2)
+    return _spliced(text, "[\n    [\n      ", rows, "\n    ]\n  ]") if rows else _spliced(text, "[]")
 
 
 def _print(text: str, end: str = "\n") -> None:
@@ -346,9 +353,8 @@ def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, sh
     out = _out_dir(config)
     if out is None and not show:
         return
-    fmt = _FMT.format
-    texts = [_column_texts(np.asarray(c), lambda values: list(map(fmt, values))) for c in columns]
-    text = "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
+    rows = _rows_text(columns, lambda values: list(map(_FMT.format, values)), ",", "\n")
+    text = "".join((header, "\n", rows, "\n"))
     if out is not None:
         (out / name).write_text(text)
         _print(f"wrote {out / name}")
@@ -424,28 +430,13 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     if config.sweep is None or config.sweep.parameter != "pi_to_s_ratio":
         raise UsageError("blockade-sweep needs a sweep over 'pi_to_s_ratio'")
     ratios = config.sweep.values
-    base = config.physical_params
-    # At most one contiguous chunk of ratios per worker, each one array call;
-    # the workers are capped at the CPU count, and --jobs below 2 runs
-    # serially.  Every row is computed on its own, so the output does not
-    # depend on the split.
-    size = -(-len(ratios) // max(min(args.jobs, os.cpu_count() or 1), 1))
-    chunks = [ratios[i:i + size] for i in range(0, len(ratios), size)]
-
-    def chunk_columns(chunk) -> np.ndarray:
-        couplings = presets.rescaled_couplings(base, chunk)
-        c2 = dynamics.sector_propagator(couplings, 1, dynamics.swap_time(couplings))[:, 1, 0]
-        # |c2| as np.hypot, which equals the scalar abs (array np.abs does not).
-        return np.stack([dynamics.blockade_error(couplings), np.hypot(c2.real, c2.imag)])
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", physical.DispersiveRegimeWarning)
-        if len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(pool.map(chunk_columns, chunks))
-        else:
-            parts = [chunk_columns(chunk) for chunk in chunks]
-    error, c2 = np.concatenate(parts, axis=1)
+        couplings = presets.rescaled_couplings(config.physical_params, ratios)
+        c2 = dynamics.sector_propagator(couplings, 1, dynamics.swap_time(couplings))[:, 1, 0]
+        error = dynamics.blockade_error(couplings)
+    # |c2| as np.hypot, which equals the scalar abs (array np.abs does not).
+    c2 = np.hypot(c2.real, c2.imag)
     _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time",
                [ratios, error, c2], show=not args.json)
     if args.json:
@@ -612,8 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blockade-sweep", help="blockade error vs pi-coupling ratio")
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker threads, at most the CPU count, one contiguous chunk of ratios each; "
-             "rows are computed as arrays and the output does not depend on --jobs",
+        help="ignored: every ratio is computed in one array call",
     )
     p.set_defaults(func=cmd_blockade_sweep)
 

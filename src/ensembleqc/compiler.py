@@ -110,9 +110,15 @@ class NativeOp:
         if arity is None:
             raise ValueError(f"unknown native op kind {self.kind!r}")
         object.__setattr__(self, "targets", _checked_targets(self.kind, self.targets, arity[0]))
-        if len(self.angles) != arity[1]:
+        try:
+            angles = tuple(self.angles)
+        except TypeError:
+            raise ValueError(f"angles must be a sequence of numbers, got {self.angles!r}") from None
+        if len(angles) != arity[1]:
             raise ValueError(f"{self.kind} takes {arity[1]} angle(s), got {self.angles!r}")
-        gates._check_angles(*self.angles)
+        gates._check_angles(*angles)
+        # Python floats: equal angles share one float64 kernel, and the op hashes and serializes.
+        object.__setattr__(self, "angles", tuple(map(float, angles)))
 
     def format(self) -> str:
         """``kind``, then ``q<target>`` per target and each angle to 12
@@ -406,14 +412,14 @@ def _checked_targets(name: str, targets, count: int) -> tuple[int, ...]:
     of Python ints, or a ``ValueError`` for the first of these it breaks:
     each is an int or a numpy integer, not a bool; there are ``count`` (one
     or two) of them; each is nonnegative; two differ."""
-    checked = tuple(targets)
-    if not {*map(type, checked)} <= {int}:  # all plain ints, the common case, skip the check
-        try:
+    try:
+        checked = tuple(targets)
+        if not {*map(type, checked)} <= {int}:  # all plain ints, the common case, skip the check
             if bool in map(type, checked):
                 raise TypeError
             checked = tuple(map(index, checked))
-        except TypeError:
-            raise ValueError(f"targets must be integers, got {targets!r}") from None
+    except TypeError:
+        raise ValueError(f"targets must be integers, got {targets!r}") from None
     if len(checked) != count:
         raise ValueError(f"{name} takes {count} target(s), got {len(checked)}")
     if checked[0] < 0 or checked[-1] < 0:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleqc import compiler, gates
+from ensembleqc import compiler, gates, simulator
 from ensembleqc.compiler import (
     _FIXED_GENERATORS,
     CISWAP_KIND,
@@ -431,6 +431,9 @@ class TestNativeProgram:
     def test_native_op_validation(self):
         with pytest.raises(ValueError, match="angle"):
             NativeOp(ISWAP_KIND, (0,), ())
+        # A target that is not a sequence falls under the one target rule.
+        with pytest.raises(ValueError, match=r"^targets must be integers, got 0$"):
+            NativeOp(ISWAP_KIND, 0, (1.0,))
         with pytest.raises(ValueError, match="finite"):
             NativeOp(ISWAP_KIND, (0,), (np.nan,))
         with pytest.raises(ValueError, match="kind"):
@@ -441,11 +444,34 @@ class TestNativeProgram:
         ((np.complex128(1.0), 0.0), "angles must be real numbers"),
         ((0.3, np.inf), "angles must be finite, got (0.3, inf)"),
         ((-np.inf, 0.0), "angles must be finite, got (-inf, 0.0)"),
+        (1.0, "angles must be a sequence of numbers, got 1.0"),
+        (None, "angles must be a sequence of numbers, got None"),
     ])
     def test_native_op_rejects_a_complex_or_non_finite_angle(self, angles, message):
         with pytest.raises(ValueError) as err:
             NativeOp(PHASE_KIND, (0,), angles)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("angles", [[1.0], (np.float32(1.0),), (np.int64(1),)])
+    def test_native_op_stores_python_float_angles(self, angles):
+        op = NativeOp(ISWAP_KIND, (0,), angles)
+        assert op.angles == (1.0,) and type(op.angles[0]) is float
+        assert hash(op) == hash(NativeOp(ISWAP_KIND, (0,), (1.0,)))
+        program = NativeProgram(1, [op])
+        assert NativeProgram.from_json(program.to_json()) == program
+
+    def test_a_float32_angle_leaves_the_kernel_cache_float64(self):
+        # np.float32(1.0) == 1.0, so both ops hit one cached kernel: the
+        # first op to run must not leave a single-precision block there.
+        def run(angle):
+            program = NativeProgram(1, [NativeOp(ISWAP_KIND, (0,), (angle,))])
+            return simulator.run_program(program, "0")[0]
+
+        compiler._kernel.cache_clear()
+        fresh = run(1.0).amplitudes
+        compiler._kernel.cache_clear()
+        run(np.float32(1.0))
+        assert run(1.0).amplitudes.tobytes() == fresh.tobytes()
 
 
 class TestFixedSetSearch:
@@ -939,6 +965,7 @@ class TestParseCircuit:
     ([("H", ("x",))], "targets must be integers, got ('x',)"),
     ([("H", (-1,))], "targets must be nonnegative"),
     ([("CNOT", (0, -2))], "targets must be nonnegative"),
+    ([("H", 0)], "targets must be integers, got 0"),
 ])
 def test_every_lower_circuit_rejection(circuit, message):
     with pytest.raises(ValueError) as err:
