@@ -23,7 +23,7 @@ only for ``--json``, which prints it, and ``--out``, which writes it;
 ``truth-table`` also prints the hash in its text.  Text and CSV output give
 numbers to 12 significant digits, so verification tolerances stay visible in
 logs; a JSON report writes each float's shortest round-trip text, as
-``json`` does.
+``json`` does.  Tables of floats are written ``_BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -59,8 +59,10 @@ MAX_SWEEP_STEPS = 10**6
 _float_text = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Stands in for a long list of numbers while json lays out the rest of a
-# document; the list's texts are spliced in where it lands.
+# document; the list's texts are written where it lands.
 _LIST_SLOT = "\ufdd0list\ufdd0"
+# Rows of a table formatted and written at a time.
+_BLOCK_ROWS = 4096
 
 
 class UsageError(ValueError):
@@ -157,7 +159,7 @@ class ScenarioConfig:
         else:
             # "sweep" sorts last and "values" last in it.
             raw["sweep"]["values"] = _LIST_SLOT
-            canonical = _spliced(json.dumps(raw, sort_keys=True), "[", ", ".join(self.sweep.texts), "]")
+            canonical = f"[{', '.join(self.sweep.texts)}]".join(_slot(json.dumps(raw, sort_keys=True)))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -277,51 +279,54 @@ def _json_texts(values) -> list[str]:
     return texts
 
 
-def _spliced(text: str, *parts: str) -> str:
-    """``text`` with its last ``json.dumps(_LIST_SLOT)`` replaced by the
-    ``parts``, in one join; each caller lays the slot out last."""
-    head, _, tail = text.rpartition(json.dumps(_LIST_SLOT))
-    return "".join((head, *parts, tail))
+def _slot(text: str) -> tuple[str, str]:
+    """The texts before and after the last ``json.dumps(_LIST_SLOT)`` in
+    ``text``; each caller lays the slot out last."""
+    return text.rpartition(json.dumps(_LIST_SLOT))[::2]
 
 
-def _rows_text(columns: list, texts_of, cell: str, row: str) -> str:
-    """The table with ``columns``, cells joined by ``cell`` and rows by
-    ``row``, in one join.  A column is a list of its cells' texts, or a 1-d
-    float array or sequence, which ``texts_of`` formats; a broadcast
-    (stride-0) column is formatted once and repeated."""
-    texts = []
-    for column in columns:
-        if type(column) is not list:
-            column = np.asarray(column)
-            column = (texts_of(column[:1].tolist()) * len(column) if column.strides == (0,)
-                      else texts_of(column.tolist()))
-        texts.append(column)
-    return row.join(map(cell.join, zip(*texts)))
+def _table(columns: list, texts_of, cell: str, row: str, head: str, tail: str):
+    """Yield ``head``, then the table with ``columns``, cells joined by
+    ``cell`` and rows by ``row``, in blocks of ``_BLOCK_ROWS`` rows, then
+    ``tail``.  A column is a list of its cells' texts, or a 1-d float array
+    or sequence, which ``texts_of`` formats a block at a time; a broadcast
+    (stride-0) column is formatted once per block and repeated."""
+    yield head
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        texts = []
+        for column in columns:
+            block = column[start:start + _BLOCK_ROWS]
+            if type(block) is not list:
+                block = np.asarray(block)
+                block = (texts_of(block[:1].tolist()) * len(block) if block.strides == (0,)
+                         else texts_of(block.tolist()))
+            texts.append(block)
+        yield (row if start else "") + row.join(map(cell.join, zip(*texts)))
+    yield tail
 
 
-def _to_json(report: dict, columns: list | None = None) -> str:
-    """``json.dumps(report, indent=2)``, where given ``columns`` (see
-    :func:`_rows_text`) stand for the report's ``"rows"`` table:
-    ``[list(row) for row in zip(*columns)]``.
-
-    ``indent`` makes json use its pure-Python encoder, which is slow on a long
-    table, so json lays out only the rest of the report; no string follows
-    its ``"rows"``.
-    """
+def _to_json(report: dict, columns: list | None = None):
+    """The texts of ``json.dumps(report, indent=2)``, where given ``columns``
+    (see :func:`_table`) stand for the report's ``"rows"`` table,
+    ``[list(row) for row in zip(*columns)]``.  ``indent`` makes json use its
+    pure-Python encoder, which is slow on a long table, so json lays out only
+    the rest of the report; no string follows its ``"rows"``."""
     if columns is None:
-        return json.dumps(report, indent=2)
-    rows = _rows_text(columns, _json_texts, ",\n      ", "\n    ],\n    [\n      ")
-    text = json.dumps({**report, "rows": _LIST_SLOT}, indent=2)
-    return _spliced(text, "[\n    [\n      ", rows, "\n    ]\n  ]") if rows else _spliced(text, "[]")
+        return (json.dumps(report, indent=2),)
+    head, tail = _slot(json.dumps({**report, "rows": _LIST_SLOT}, indent=2))
+    opening, closing = ("[\n    [\n      ", "\n    ]\n  ]") if len(columns[0]) else ("[]", "")
+    return _table(columns, _json_texts, ",\n      ", "\n    ],\n    [\n      ",
+                  head + opening, closing + tail)
 
 
-def _print(text: str, end: str = "\n") -> None:
-    """Write ``text`` to stdout and flush it.  If the reader has closed the
-    pipe, stdout is pointed at the null device instead, so the command still
-    runs to its own verdict and neither a later write nor the interpreter's
-    final flush fails."""
+def _print(texts, end: str = "\n") -> None:
+    """Write ``texts``, one string or an iterable of them, then ``end``, to
+    stdout, and flush.  If the reader has closed the pipe, stdout is pointed
+    at the null device instead, so the command still runs to its own verdict
+    and neither a later write nor the interpreter's final flush fails."""
     try:
-        print(text, end=end, flush=True)
+        sys.stdout.writelines((texts,) if isinstance(texts, str) else texts)
+        print(end=end, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -332,7 +337,7 @@ def _emit(args, out: Path | None, name: str, lines: list[str], report) -> None:
     """Print ``lines``, or under ``--json`` the report, then write the report
     to ``name`` in the output directory ``out``, if any.  ``report`` builds
     the report dict; it is called only for these two, and once."""
-    text = _to_json(report()) if args.json or out is not None else None
+    text = "".join(_to_json(report())) if args.json or out is not None else None
     _print(text if args.json else "\n".join(lines))
     if out is not None:
         (out / name).write_text(text)
@@ -347,19 +352,20 @@ def _out_dir(config: ScenarioConfig) -> Path | None:
 
 
 def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, show: bool) -> None:
-    """Write the CSV text of the table with the 1-d float ``columns`` (arrays
-    or sequences) to ``name`` in the output directory, if any, then print it
-    if ``show``; the text is built only when used, one column at a time."""
+    """Write the CSV table with the 1-d float ``columns`` (see :func:`_table`)
+    to ``name`` in the output directory, if any, then print it if ``show``,
+    from the written file if there is one, so no row is formatted twice."""
     out = _out_dir(config)
-    if out is None and not show:
-        return
-    rows = _rows_text(columns, lambda values: list(map(_FMT.format, values)), ",", "\n")
-    text = "".join((header, "\n", rows, "\n"))
+    table = _table(columns, lambda values: list(map(_FMT.format, values)), ",", "\n", header + "\n", "\n")
     if out is not None:
-        (out / name).write_text(text)
+        with open(out / name, "w") as file:
+            file.writelines(table)
         _print(f"wrote {out / name}")
-    if show:
-        _print(text, end="")
+        if show:
+            with open(out / name) as file:
+                _print(iter(functools.partial(file.read, 1 << 20), ""), end="")
+    elif show:
+        _print(table, end="")
 
 
 def cmd_truth_table(args, config: ScenarioConfig) -> int:
@@ -440,8 +446,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
     _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time",
                [ratios, error, c2], show=not args.json)
     if args.json:
-        report = {"command": "blockade-sweep", "config_hash": config.hash(),
-                  "rows": None}  # laid out from the columns
+        report = {"command": "blockade-sweep", "config_hash": config.hash()}
         _print(_to_json(report, [config.sweep.texts, error, c2]))
     return EXIT_OK
 
@@ -507,7 +512,9 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
     state_ref = None
     if out is not None:
         state_ref = str(out / "state.json")
-        (out / "state.json").write_text(json.dumps(simulator.state_to_json(state)))
+        with open(state_ref, "w") as file:  # json.dumps of the [re, im] pairs
+            file.writelines(_table([state.amplitudes.real, state.amplitudes.imag], _json_texts,
+                                   ", ", "], [", "[[", "]]"))
     lines = trace_lines + [
         f"ran {len(program.ops)} op(s) on |{initial}>",
         f"norm defect: {stats.norm_defect:.3e}",

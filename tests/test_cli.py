@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ensembleqc
-from ensembleqc import cli, compiler, decoherence, dynamics, gates, presets
+from ensembleqc import cli, compiler, decoherence, dynamics, gates, presets, simulator
 from ensembleqc.physical import PhysicalParams, derive_couplings
 from helpers import (
     blockade_row_reference,
@@ -658,6 +658,42 @@ def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
     assert len(outputs[1][1].splitlines()) == 1 + len(RATIOS)
 
 
+def test_tables_are_written_alike_at_every_block_size(tmp_path, monkeypatch):
+    # Tables are formatted and written _BLOCK_ROWS rows at a time; a block
+    # boundary after any row changes no byte of any output, and the JSON
+    # ones are json's own layouts.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.json", {"sweep": {"parameter": "pi_to_s_ratio", "values": RATIOS}})
+    write(tmp_path / "c.txt", "H 0\nT 1\nCNOT 0 2\nH 2\nS 1\n")
+    runs = [["--config", "c.json", "blockade-sweep"],
+            ["--config", "c.json", "--out", "out", "blockade-sweep"],
+            ["--config", "c.json", "--json", "blockade-sweep"],
+            ["--json", "fidelity"],
+            ["--out", "out", "simulate", "--circuit", "c.txt"]]
+
+    def outputs() -> list[str]:
+        texts = []
+        for argv in runs:
+            code, stdout, _ = run_cli(argv)
+            assert code == 0
+            texts.append(stdout)
+        return texts + [(tmp_path / "out" / name).read_text()
+                        for name in ("blockade_sweep.csv", "state.json")]
+
+    expected = outputs()
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        assert outputs() == expected
+    for report in expected[2:4]:
+        assert report == json.dumps(json.loads(report), indent=2) + "\n"
+    assert expected[1] == f"wrote {Path('out', 'blockade_sweep.csv')}\n" + expected[0]
+    assert expected[0] == expected[5] and len(expected[0].splitlines()) == 1 + len(RATIOS)
+    program = compiler.lower_circuit(compiler.parse_circuit((tmp_path / "c.txt").read_text()))
+    state, _ = simulator.run_program(program, "000")
+    assert len(state.amplitudes) == 8  # more rows than any block above
+    assert expected[6] == json.dumps([[a.real, a.imag] for a in state.amplitudes.tolist()])
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_ends_are_accepted(seed, tmp_path):
     path = write(tmp_path / "c.json", {"seed": seed})
@@ -947,13 +983,13 @@ def test_table_json_equals_indented_dumps(shape, data, head, tail):
     values, columns = data.draw(_table(*_SHAPES[shape]))
     report = {**head, "rows": None, **tail}
     expected = json.dumps({**report, "rows": [list(r) for r in zip(*values)]}, indent=2)
-    assert cli._to_json(report, columns) == expected
+    assert "".join(cli._to_json(report, columns)) == expected
 
 
 def test_report_json_without_a_table_is_indented_dumps():
     report = {"command": "simulate", "stats": {"max_leakage": 5e-324, "norm_defect": -0.0},
               "rows": [[1.0, math.nan]], "pass": True}
-    assert cli._to_json(report) == json.dumps(report, indent=2)
+    assert "".join(cli._to_json(report)) == json.dumps(report, indent=2)
 
 
 def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensembleqc import compiler, gates
+from ensembleqc import cli, compiler, gates
 from ensembleqc.compiler import (
     CISWAP_KIND,
     ISWAP_KIND,
@@ -25,7 +25,6 @@ from ensembleqc.simulator import (
     encode_basis,
     measure_logical,
     run_program,
-    state_to_json,
 )
 from helpers import (
     CONTROLLED_SWAP,
@@ -511,11 +510,13 @@ class TestKernelCache:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_runs_equal_fused_reference(self, seed):
-        # The one apply loop, its cached kernels and its slice-swap CNOT
-        # change no bit against the separately written fused loop: states,
-        # matrices and circuit matrices.
+        # The one apply loop, its cached kernels, its slice-swap CNOT and its
+        # row-by-row contraction on trailing axes of 2, 4 or 8 change no bit
+        # against the separately written fused loop: states, matrices and
+        # circuit matrices.  k up to 6 puts each contraction under several
+        # leading-axis lengths.
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 7))
         program = pooled_native_program(rng, k, int(rng.integers(0, 24)))
         bits = "".join(rng.choice(["0", "1"], size=k))
         final, _ = run_program(program, bits)
@@ -573,15 +574,19 @@ class TestKernelCache:
 
 
 class TestStateSerialization:
-    def test_json_writes_logical_layout(self):
-        # The file holds the 2^k amplitudes as they are, and embedding them at
-        # the code words rebuilds the 4^k physical register of the oracle run.
+    def test_json_writes_logical_layout(self, tmp_path):
+        # The state.json that simulate --out writes holds the 2^k amplitudes
+        # as they are, and embedding them at the code words rebuilds the 4^k
+        # physical register of the oracle run.
         rng = np.random.default_rng(38)
         for k in (1, 2, 3):
             program = random_native_program(rng, k, 12)
             bits = "".join(rng.choice(["0", "1"], size=k))
             state, _ = run_program(program, bits)
-            written = json.loads(json.dumps(state_to_json(state)))
+            (tmp_path / "program.json").write_text(program.to_json())
+            assert cli.main(["--out", str(tmp_path), "simulate", "--program",
+                             str(tmp_path / "program.json"), "--initial", bits]) == 0
+            written = json.loads((tmp_path / "state.json").read_text())
             assert same_bits(np.array([complex(re, im) for re, im in written]), state.amplitudes)
             register = np.zeros(4**k, dtype=complex)
             register[code_indices(k)] = [complex(re, im) for re, im in written]
