@@ -7,6 +7,8 @@ pass, 1 a verification failed, 2 usage or parse error.  :func:`main` is the
 one place that maps errors to exit codes: :class:`VerificationError` gives 1,
 and ``ValueError`` (which includes :class:`UsageError` and every parse error)
 or ``OSError`` gives 2, each with a single ``error: ...`` line on stderr.
+A JSON input is read by the one JSON reader of :mod:`ensembleqc.physical`;
+one nested too deeply to parse is malformed input (exit 2) too.
 A ``simulate`` input needing a state over ``MAX_ARRAY_BYTES``, or a sweep
 over ``MAX_SWEEP_STEPS`` points, exits 2 before anything is allocated.  A
 reader that closes stdout early (``| head``) is not an error: output stops,
@@ -43,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from . import compiler, decoherence, dynamics, gates, physical, presets, simulator
-from .physical import PhysicalParams, check_interference_condition, derive_couplings
+from .physical import (_JSON_TYPES, _LIST_SLOT, PhysicalParams, _json_loads, _json_typed, _slot,
+                       check_interference_condition, derive_couplings)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -58,11 +61,9 @@ MAX_SWEEP_STEPS = 10**6
 # json's text of a finite float; NaN and the infinities are in _NONFINITE.
 _float_text = float.__repr__
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Stands in for a long list of numbers while json lays out the rest of a
-# document; the list's texts are written where it lands.
-_LIST_SLOT = "\ufdd0list\ufdd0"
 # Rows of a table formatted and written at a time.
 _BLOCK_ROWS = 4096
+_SWEEPABLE = {"pi_to_s_ratio", "gamma_atomic", "gamma_cavity", "time"}
 
 
 class UsageError(ValueError):
@@ -88,14 +89,14 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        if not isinstance(raw, dict):
-            raise UsageError("sweep must be a JSON object")
-        parameter = raw.get("parameter")
-        if not isinstance(parameter, str) or not parameter:
-            raise UsageError("sweep needs a 'parameter' name")
+        _json_typed(raw, "object", "sweep")
+        parameter = _json_typed(raw.get("parameter"), "string", "sweep 'parameter'")
+        if parameter not in _SWEEPABLE:
+            raise UsageError(
+                f"unknown sweep parameter {parameter!r}; expected one of {sorted(_SWEEPABLE)}")
         if "values" in raw:
-            values = raw["values"]
-            if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
+            values, numbers = raw["values"], set(_JSON_TYPES["number"])
+            if type(values) is not list or not values or not set(map(type, values)) <= numbers:
                 raise UsageError("sweep 'values' must be a nonempty JSON array of numbers")
             if len(values) > MAX_SWEEP_STEPS:
                 raise UsageError(f"sweep has {len(values)} values, more than {MAX_SWEEP_STEPS}")
@@ -105,9 +106,9 @@ class SweepSpec:
                 lo, hi, steps = raw["min"], raw["max"], raw["steps"]
             except KeyError as missing:
                 raise UsageError(f"sweep is missing {missing}") from None
-            lo = float(compiler._json_typed(lo, "number", "sweep 'min'"))
-            hi = float(compiler._json_typed(hi, "number", "sweep 'max'"))
-            compiler._json_typed(steps, "integer", "sweep 'steps'")
+            lo = float(_json_typed(lo, "number", "sweep 'min'"))
+            hi = float(_json_typed(hi, "number", "sweep 'max'"))
+            _json_typed(steps, "integer", "sweep 'steps'")
             if not 1 <= steps <= MAX_SWEEP_STEPS:
                 raise UsageError(f"sweep steps must be between 1 and {MAX_SWEEP_STEPS}, got {steps}")
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -163,9 +164,6 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-_SWEEPABLE = {"pi_to_s_ratio", "gamma_atomic", "gamma_cavity", "time"}
-
-
 @functools.cache
 def default_config() -> ScenarioConfig:
     """Built-in reference scenario with the canonical blockade-ratio grid.
@@ -188,11 +186,10 @@ def load_config(path: str | None, seed_override: int | None, out_override: str |
     raw: dict = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = _json_loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise UsageError(f"config {path!r} must be a JSON object")
+        _json_typed(raw, "object", f"config {path!r}")
     try:
         return _overlay_config(raw, seed_override, out_override)
     except KeyError as missing:  # a required key of a nested object
@@ -205,36 +202,26 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
     base = default_config()
     params = base.physical_params
     if "physical_params" in raw:
-        params = PhysicalParams.from_json(json.dumps(raw["physical_params"]))
+        params = PhysicalParams.from_dict(raw["physical_params"])
     deco = base.decoherence_params
     if "decoherence_params" in raw:
         d = raw["decoherence_params"]
         deco = decoherence.DecoherenceParams(**{
-            name: float(compiler._json_typed(d[name], "number", name))
+            name: float(_json_typed(d[name], "number", name))
             for name in ("gamma_atomic", "gamma_cavity", "delta")})
     sweep = base.sweep
     if "sweep" in raw:
         sweep = SweepSpec.from_dict(raw["sweep"]) if raw["sweep"] is not None else None
-    if sweep is not None and sweep.parameter not in _SWEEPABLE:
-        raise UsageError(
-            f"unknown sweep parameter {sweep.parameter!r}; expected one of "
-            f"{sorted(_SWEEPABLE)}"
-        )
     seed = seed_override if seed_override is not None else raw.get("seed", base.seed)
-    if type(seed) is not int or not 0 <= seed < 2**64:
-        raise UsageError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if not 0 <= _json_typed(seed, "integer", "seed") < 2**64:
+        raise UsageError(f"seed must be in [0, 2^64), got {seed!r}")
     out = out_override if out_override is not None else raw.get("output_dir", base.output_dir)
-    if out is not None and not isinstance(out, str):
-        raise UsageError("output_dir must be a string")
-    scenario = raw.get("scenario", base.scenario)
-    if not isinstance(scenario, str):
-        raise UsageError("scenario must be a string")
     return ScenarioConfig(
-        scenario=scenario,
+        scenario=_json_typed(raw.get("scenario", base.scenario), "string", "scenario"),
         physical_params=params,
         decoherence_params=deco,
         sweep=sweep,
-        output_dir=out,
+        output_dir=out if out is None else _json_typed(out, "string", "output_dir"),
         seed=seed,
     )
 
@@ -277,12 +264,6 @@ def _json_texts(values) -> list[str]:
     if not math.isfinite(sum(values)):  # a sum of finite values may overflow too
         texts = [_NONFINITE.get(text, text) for text in texts]
     return texts
-
-
-def _slot(text: str) -> tuple[str, str]:
-    """The texts before and after the last ``json.dumps(_LIST_SLOT)`` in
-    ``text``; each caller lays the slot out last."""
-    return text.rpartition(json.dumps(_LIST_SLOT))[::2]
 
 
 def _table(columns: list, texts_of, cell: str, row: str, head: str, tail: str):

@@ -21,7 +21,9 @@ the bound cannot rule out, up to the first row that it proves a hit; this
 gives the same result as measuring every row.
 
 :func:`_checked_gate` is the one rule for a valid logical gate; its target
-rule, :func:`_checked_targets`, is also that of every native op.
+rule, :func:`_checked_targets`, is also that of every native op, including
+those that :meth:`NativeProgram.from_json` reads by the one JSON reader of
+:mod:`ensembleqc.physical`.
 :func:`parse_circuit` checks only the text's syntax itself and returns a
 checked circuit, an immutable tuple that the lowering takes as it is; any
 other sequence goes through the same rule, so each gate is checked once.
@@ -62,6 +64,7 @@ import numpy as np
 
 from . import gates
 from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz
+from .physical import _LIST_SLOT, _json_loads, _json_pair, _json_typed, _slot
 
 ISWAP_KIND = "ISWAP"
 PHASE_KIND = "PHASE"
@@ -70,6 +73,14 @@ CISWAP_KIND = "CISWAP"
 _ARITY = {ISWAP_KIND: (1, 1), PHASE_KIND: (1, 2), CISWAP_KIND: (2, 0)}
 # Largest deviation from 1 of a global phase's modulus or of a state's norm.
 NORM_ATOL = 1e-10
+# Each kind's op as json.dumps(..., indent=2) lays it out in a program's "ops",
+# with %d for each target and %r (float.__repr__, as json writes it) for each angle.
+_OP_JSON = {
+    kind: '{\n      "kind": "%s",\n      "targets": %s,\n      "angles": %s\n    }' % (
+        kind, *("[\n        " + ",\n        ".join([spec] * n) + "\n      ]" if n else "[]"
+                for spec, n in (("%d", targets), ("%r", angles))))
+    for kind, (targets, angles) in _ARITY.items()
+}
 
 
 class CircuitParseError(ValueError):
@@ -78,18 +89,6 @@ class CircuitParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
-
-
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,)}
-
-
-def _json_typed(value, json_type: str, name: str):
-    """``value`` if its Python type is one that ``json`` reads for
-    ``json_type``; ``True`` is not an integer here.  The one JSON type check
-    of both native programs and CLI configs."""
-    if type(value) not in _JSON_TYPES[json_type]:
-        raise ValueError(f"{name} must be a JSON {json_type}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -189,43 +188,38 @@ class NativeProgram:
             )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "qubit_count": self.qubit_count,
-                "global_phase": [self.global_phase.real, self.global_phase.imag],
-                "ops": [
-                    {"kind": op.kind, "targets": list(op.targets), "angles": list(op.angles)}
-                    for op in self.ops
-                ],
-            },
-            indent=2,
-        )
+        """``json.dumps`` of the program's object with ``indent=2``.  json
+        lays out only the head; each op's text is its kind's
+        :data:`_OP_JSON` template, because json's indenting encoder is pure
+        Python and slow on a long program."""
+        head, tail = _slot(json.dumps({
+            "qubit_count": self.qubit_count,
+            "global_phase": [self.global_phase.real, self.global_phase.imag],
+            "ops": _LIST_SLOT,
+        }, indent=2))
+        ops = ",\n    ".join(_OP_JSON[op.kind] % (*op.targets, *op.angles) for op in self.ops)
+        return head + (f"[\n    {ops}\n  ]" if ops else "[]") + tail
 
     @classmethod
     def from_json(cls, text: str) -> "NativeProgram":
-        """Parse :meth:`to_json`'s layout.  Values must have their JSON type:
-        integers for the qubit count and targets, numbers for angles, two
-        numbers ``[re, im]`` for ``global_phase`` and a string for ``kind``;
-        a bool is not a number."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("native program must be a JSON object")
+        """Parse :meth:`to_json`'s layout by the one JSON reader of
+        :mod:`ensembleqc.physical`: an integer qubit count, number angles, a
+        ``[re, im]`` pair ``global_phase`` and a string ``kind``; a bool is not
+        a number.  Targets follow the one target rule of native ops."""
+        raw = _json_typed(_json_loads(text), "object", "native program")
         try:
-            phase = raw.get("global_phase", [1.0, 0.0])
-            if type(phase) is not list or len(phase) != 2:
-                raise ValueError(f"global_phase must be two JSON numbers [re, im], got {phase!r}")
             program = cls(
                 qubit_count=_json_typed(raw["qubit_count"], "integer", "qubit_count"),
                 ops=[
                     NativeOp(
                         kind=_json_typed(o["kind"], "string", "op kind"),
-                        targets=tuple(_json_typed(t, "integer", "target") for t in o["targets"]),
+                        targets=o["targets"],
                         angles=tuple(float(_json_typed(a, "number", "angle"))
                                      for a in o.get("angles", [])),
                     )
                     for o in raw["ops"]
                 ],
-                global_phase=complex(*(_json_typed(x, "number", "global_phase") for x in phase)),
+                global_phase=_json_pair(raw.get("global_phase", [1.0, 0.0]), "global_phase"),
             )
         except KeyError as missing:
             raise ValueError(f"native program is missing {missing}") from None

@@ -14,12 +14,17 @@ Each mode enters only through its detunings (atom minus mode frequency): in
 the frame rotating at the atomic frequency no absolute frequency is needed.
 The node frequencies ``omega_1`` and ``omega_2`` are effective values
 relative to that frame, so zero or negative values are legitimate.
+
+This module is also the package's one JSON reader, for parameters, native
+programs and CLI configs: :func:`_json_loads` parses, and :func:`_json_typed`
+is the one JSON type rule of every value read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, fields
 
@@ -28,6 +33,42 @@ import numpy as np
 
 # Largest |g/Delta| the perturbative model is trusted at.
 DISPERSIVE_THRESHOLD = 0.1
+
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "object": (dict,)}
+# Stands in for a long list while json lays out the rest of a document; the
+# list's texts are written where it lands.
+_LIST_SLOT = "\ufdd0list\ufdd0"
+
+
+def _json_loads(text: str):
+    """``json.loads(text)``, the one JSON parse; a document nested too deeply
+    for json's parser is a ``ValueError`` like any other malformed one."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
+
+
+def _json_typed(value, json_type: str, name: str):
+    """``value`` if its Python type is one that ``json`` reads for
+    ``json_type``; ``True`` is not an integer here.  The one JSON type
+    check; the message shows ``value`` shortened."""
+    if type(value) not in _JSON_TYPES[json_type]:
+        raise ValueError(f"{name} must be a JSON {json_type}, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_pair(value, name: str) -> complex:
+    """The complex number of a ``[re, im]`` pair of JSON numbers."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{name} must be a [re, im] pair of JSON numbers, got {reprlib.repr(value)}")
+    return complex(*(_json_typed(x, "number", name) for x in value))
+
+
+def _slot(text: str) -> tuple[str, str]:
+    """The texts before and after the last ``json.dumps(_LIST_SLOT)`` in
+    ``text``; each caller lays the slot out last."""
+    return text.rpartition(json.dumps(_LIST_SLOT))[::2]
 
 
 class DispersiveRegimeWarning(UserWarning):
@@ -106,33 +147,26 @@ class PhysicalParams:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "PhysicalParams":
-        """Parse :meth:`to_json`'s layout.  Atom counts must be JSON integers
-        and the other fields JSON numbers; a complex coupling may also be a
-        ``[re, im]`` pair of JSON numbers.  A bool is not a number; other
-        keys are ignored."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("physical parameters must be a JSON object")
+    def from_dict(cls, raw) -> "PhysicalParams":
+        """The parameters of :meth:`to_dict`'s object: JSON integer atom
+        counts and JSON number fields, a coupling also as a ``[re, im]``
+        pair of JSON numbers (:func:`_json_typed`).  Other keys are ignored."""
+        _json_typed(raw, "object", "physical parameters")
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
                 raise ValueError(f"missing field {f.name!r}")
             value = raw[f.name]
-            if f.type == "int":
-                ok, expected = type(value) is int, "a JSON integer"
-            elif f.type == "complex":
-                expected = "a JSON number or a [re, im] pair of JSON numbers"
-                pair = type(value) is list and len(value) == 2
-                if pair and {type(x) for x in value} <= {int, float}:
-                    value = complex(*value)
-                ok = type(value) in (int, float, complex)
+            if f.type == "complex" and type(value) is list:
+                kwargs[f.name] = _json_pair(value, f.name)
             else:
-                ok, expected = type(value) in (int, float), "a JSON number"
-            if not ok:
-                raise ValueError(f"{f.name} must be {expected}, got {value!r}")
-            kwargs[f.name] = value
+                kwargs[f.name] = _json_typed(value, "integer" if f.type == "int" else "number", f.name)
         return cls(**kwargs)
+
+    @classmethod
+    def from_json(cls, text: str) -> "PhysicalParams":
+        """Parse :meth:`to_json`'s layout (:meth:`from_dict`)."""
+        return cls.from_dict(_json_loads(text))
 
 
 def _check_sector(n: int) -> int:

@@ -615,6 +615,17 @@ def native_op_format_reference(op) -> str:
     return " ".join(parts)
 
 
+def native_program_json_reference(program) -> str:
+    """``NativeProgram.to_json`` as first written: ``json.dumps`` of the
+    program's object with ``indent=2``, every op laid out by json itself."""
+    return json.dumps({
+        "qubit_count": program.qubit_count,
+        "global_phase": [program.global_phase.real, program.global_phase.imag],
+        "ops": [{"kind": op.kind, "targets": list(op.targets), "angles": list(op.angles)}
+                for op in program.ops],
+    }, indent=2)
+
+
 def config_as_dict_reference(config) -> dict:
     """``ScenarioConfig.as_dict`` as first written: the physical parameters
     as a json round trip of the object ``to_json`` built field by field (a

@@ -72,6 +72,8 @@ S_MODULUS_OVERFLOWS = {"physical_params": dict(
     REFERENCE, n_atoms_1=1, n_atoms_2=1, g_sigma_1=1.2e308, g_sigma_2=[1.0, 1.0],
     delta_sigma_1=0.909, delta_sigma_2=0.909)}
 PROGRAM = {"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": [0], "angles": [1.0]}]}
+# A JSON array nested past the parser's recursion limit.
+DEEP = "[" * 10**5 + "]" * 10**5
 
 # (files written to the working directory, argv, expected exit code)
 ERROR_CASES = {
@@ -165,6 +167,12 @@ ERROR_CASES = {
         {"c.txt": "H \u0663\n".encode()}, ["compile", "c.txt"], 2),
     "circuit_target_plus_sign": ({"c.txt": "H +1\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "non_utf8_circuit_simulate": ({"c.txt": b"\xffH 0\n"}, ["simulate", "--circuit", "c.txt"], 2),
+    # Nesting too deep to parse is malformed input, not a RecursionError.
+    "deep_config_truth_table": ({"c.json": DEEP}, ["--config", "c.json", "truth-table"], 2),
+    "deep_config_fidelity": ({"c.json": DEEP}, ["--config", "c.json", "fidelity"], 2),
+    "deep_config_blockade_sweep": (
+        {"c.json": '{"sweep": ' + DEEP + "}"}, ["--config", "c.json", "blockade-sweep"], 2),
+    "deep_program": ({"p.json": DEEP}, ["simulate", "--program", "p.json"], 2),
     "program_is_a_list": ({"p.json": [PROGRAM]}, ["simulate", "--program", "p.json"], 2),
     "program_null_angles": (
         {"p.json": {"qubit_count": 1,

@@ -43,6 +43,7 @@ from helpers import (
     int_error,
     logical_circuit_matrix,
     native_op_format_reference,
+    native_program_json_reference,
     pair_matrix,
     parse_circuit_reference,
     phase_align_reference,
@@ -355,6 +356,42 @@ class TestNativeProgram:
         assert recovered.qubit_count == program.qubit_count
         assert recovered.ops == program.ops
         assert abs(recovered.global_phase - program.global_phase) < 1e-15
+
+    @given(ops=st.lists(st.tuples(
+               st.sampled_from([ISWAP_KIND, PHASE_KIND, CISWAP_KIND]),
+               st.lists(st.integers(0, 2**64), min_size=2, max_size=2, unique=True),
+               st.lists(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324,
+                                         1.7976931348623157e308, -1.7976931348623157e308])
+                        | st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=2, max_size=2)), max_size=6),
+           phase=st.sampled_from([1 + 0j, complex(1.0, -0.0), complex(-0.0, 1.0), -1 + 0j,
+                                  complex(0.6, -0.8)]))
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_equals_indented_dumps(self, ops, phase):
+        # Empty programs, CISWAP's empty angles, -0.0 and the extreme finite
+        # angles, each written as json.dumps(..., indent=2) writes it.
+        ops = [NativeOp(kind, tuple(targets[:compiler._ARITY[kind][0]]),
+                        tuple(angles[:compiler._ARITY[kind][1]])) for kind, targets, angles in ops]
+        qubit_count = 1 + max((max(op.targets) for op in ops), default=0)
+        program = NativeProgram(qubit_count, ops, phase)
+        text = program.to_json()
+        assert text == native_program_json_reference(program)
+        assert NativeProgram.from_json(text) == program
+        assert NativeProgram.from_json(text).to_json() == text
+
+    def test_to_json_of_a_long_program_equals_indented_dumps(self):
+        rng = np.random.default_rng(0)
+        circuit = [("CNOT", tuple(map(int, rng.choice(10, size=2, replace=False))))
+                   if rng.random() < 0.3 else ("XHST"[rng.integers(4)], (int(rng.integers(10)),))
+                   for _ in range(10_000)]
+        program = lower_circuit(circuit)
+        assert len(program.ops) > 8000
+        assert program.to_json() == native_program_json_reference(program)
+        assert NativeProgram.from_json(program.to_json()) == program
+
+    def test_from_json_rejects_too_deep_nesting(self):
+        with pytest.raises(ValueError, match="too deep"):
+            NativeProgram.from_json("[" * 10**5 + "]" * 10**5)
 
     def test_disassembly_one_op_per_line(self):
         program = lower_circuit([("H", (0,)), ("CNOT", (0, 1))])

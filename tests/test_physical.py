@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensembleqc import presets
 from ensembleqc.physical import (
@@ -96,6 +99,37 @@ class TestParamsValidation:
         raw[field] = value
         with pytest.raises(ValueError, match=field):
             PhysicalParams.from_json(json.dumps(raw))
+
+    def test_from_json_rejects_too_deep_nesting(self):
+        with pytest.raises(ValueError, match="too deep"):
+            PhysicalParams.from_json("[" * 10**5 + "]" * 10**5)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_from_dict_inverts_to_dict(self, data):
+        # Integer-valued floats stay floats, JSON integers in float fields
+        # are taken as they are, and a coupling's [re, -0.0] pair keeps the
+        # sign of its zero.
+        real = (st.floats(-1e300, 1e300, allow_nan=False)
+                | st.integers(-10**6, 10**6).map(float) | st.integers(-10**6, 10**6))
+        nonzero = real.filter(bool)
+        coupling = real | st.builds(complex, real, real) | st.builds(complex, real, st.just(-0.0))
+        couplings = ("g_sigma_1", "g_sigma_2", "g_pi_1", "g_pi_2")
+        params = PhysicalParams(
+            n_atoms_1=data.draw(st.integers(1, 2**53)), n_atoms_2=data.draw(st.integers(1, 2**53)),
+            **{name: data.draw(coupling) for name in couplings},
+            omega_1=data.draw(real), omega_2=data.draw(real),
+            **{name: data.draw(nonzero)
+               for name in ("delta_sigma_1", "delta_sigma_2", "delta_pi_1", "delta_pi_2")})
+        assert PhysicalParams.from_dict(json.loads(params.to_json())) == params
+        pairs = {name: [complex(getattr(params, name)).real, complex(getattr(params, name)).imag]
+                 for name in couplings}
+        recovered = PhysicalParams.from_dict({**params.to_dict(), **pairs})
+        assert recovered == params
+        for name, (re, im) in pairs.items():
+            value = getattr(recovered, name)
+            assert math.copysign(1.0, value.imag) == math.copysign(1.0, im)
+            assert math.copysign(1.0, value.real) == math.copysign(1.0, re)
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ValueError, match="object"):
