@@ -205,7 +205,7 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
         params = PhysicalParams.from_dict(raw["physical_params"])
     deco = base.decoherence_params
     if "decoherence_params" in raw:
-        d = raw["decoherence_params"]
+        d = _json_typed(raw["decoherence_params"], "object", "decoherence_params")
         deco = decoherence.DecoherenceParams(**{
             name: float(_json_typed(d[name], "number", name))
             for name in ("gamma_atomic", "gamma_cavity", "delta")})
@@ -421,9 +421,10 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         warnings.simplefilter("ignore", physical.DispersiveRegimeWarning)
         couplings = presets.rescaled_couplings(config.physical_params, ratios)
         c2 = dynamics.sector_propagator(couplings, 1, dynamics.swap_time(couplings))[:, 1, 0]
+        # |c2| as np.hypot, which equals the scalar abs (array np.abs does
+        # not), taken at once so that no view keeps the propagator stack alive.
+        c2 = np.hypot(c2.real, c2.imag)
         error = dynamics.blockade_error(couplings)
-    # |c2| as np.hypot, which equals the scalar abs (array np.abs does not).
-    c2 = np.hypot(c2.real, c2.imag)
     _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time",
                [ratios, error, c2], show=not args.json)
     if args.json:

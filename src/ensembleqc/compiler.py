@@ -57,6 +57,7 @@ import json
 import math
 import numbers
 import re
+import reprlib
 from dataclasses import dataclass, field
 from operator import attrgetter, index, itemgetter
 
@@ -413,7 +414,7 @@ def _checked_targets(name: str, targets, count: int) -> tuple[int, ...]:
                 raise TypeError
             checked = tuple(map(index, checked))
     except TypeError:
-        raise ValueError(f"targets must be integers, got {targets!r}") from None
+        raise ValueError(f"targets must be integers, got {reprlib.repr(targets)}") from None
     if len(checked) != count:
         raise ValueError(f"{name} takes {count} target(s), got {len(checked)}")
     if checked[0] < 0 or checked[-1] < 0:

@@ -4,21 +4,22 @@ blockade quantification, and extraction of the photon-controlled swap gate.
 Phase convention
 ----------------
 The amplitudes obey ``dc/dt = +i M(n) c`` with the Hermitian generator
-``M(n) = [[w1(n), -S], [-S*, w2(n)]]``, so the exact propagator is
-``exp(+i M(n) t)`` and the sector's mean frequency appears as a global factor
-``exp(+i varpi_mean(n) t)``.  The evolvers report the lab frame, which keeps
-that factor; only :func:`sector_propagator` takes a ``frame``, and
-``"rotating"`` drops it.  On resonance the rotating-frame amplitudes for the
-node-1-excited start are::
+``M(n) = [[w1(n), -S], [-S*, w2(n)]]``.  Everything here works in each
+sector's own rotating frame, which drops the sector's mean frequency
+``(w1(n) + w2(n))/2`` as a global phase and keeps the traceless part
+``[[d, -S], [-S*, -d]]``, ``d = varpi_split(n)``; :func:`sector_propagator`
+is its one exact propagator.  The only phase between the sectors that the
+gate needs is stated once, in :func:`extract_controlled_iswap`.  For the
+node-1-excited start the amplitudes are::
 
-    c1(t) = cos(k t) + i (d/k) sin(k t)      d = varpi_split(n)
+    c1(t) = cos(k t) + i (d/k) sin(k t)
     c2(t) = -i (S*/k) sin(k t)               k = sqrt(d^2 + |S|^2)
 
-At the swap time ``t = pi/(2|S|)`` (:func:`swap_time`) the photon-free
-sector gives ``(c1, c2) = (0, -i)`` for real positive S, and under the
-blockade tuning ``|Omega_1^(pi)| = sqrt(3) |S|`` the one-photon sector
-returns with ``c1 = -1`` (``k t = pi``), so a photon freezes the swap
-completely.
+With ``d = 0`` in the photon-free sector (resonance), at the swap time
+``t = pi/(2|S|)`` (:func:`swap_time`) that sector gives ``(c1, c2) =
+(0, -i)`` for real positive S, and under the blockade tuning
+``|Omega_1^(pi)| = sqrt(3) |S|`` the one-photon sector returns with
+``c1 = -1`` (``k t = pi``), so a photon freezes the swap completely.
 
 The node frequencies enter the swap only through the resonance residual
 ``omega_2 - omega_1 + N2 Omega_2^(sigma) - N1 (Omega_1^(sigma) +
@@ -38,9 +39,6 @@ import numpy as np
 from .gates import Unitary
 from .physical import DerivedCouplings, _check_sector
 
-FRAME_LAB = "lab"
-FRAME_ROTATING = "rotating"
-
 # Default integrator step in units of 1/kappa.  A coarser classic choice of
 # 0.01/kappa leaves a per-step norm defect ~(k h)^5/120 that accumulates past
 # 1e-10 over the multi-period horizons the verification suite integrates;
@@ -48,24 +46,9 @@ FRAME_ROTATING = "rotating"
 DEFAULT_STEP_FACTOR = 1.0 / 256.0
 
 SQRT3 = float(np.sqrt(3.0))
-# Largest resonance residual, relative to max(|S|, |Omega_1^(pi)|), at which
-# evolve_closed_form still applies the closed form.
-RESONANCE_TOL = 1e-8
 # Largest relative deviation of |Omega_1^(pi)| from sqrt(3)|S| that the
 # controlled swap extraction accepts as the blockade tuning.
 BLOCKADE_CONDITION_TOL = 1e-9
-
-
-class ResonanceConditionError(ValueError):
-    """Closed-form evolution refused: the resonance condition is violated."""
-
-    def __init__(self, residual: float, tolerance: float):
-        self.residual = float(residual)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"resonance residual {self.residual:.6e} rad/s exceeds tolerance "
-            f"{self.tolerance:.6e}; integrate with evolve_numerical instead"
-        )
 
 
 class BlockadeConditionError(ValueError):
@@ -108,7 +91,8 @@ class NodePairState:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state plus an optional sampled trajectory, in the lab frame."""
+    """Final state plus an optional sampled trajectory, in the sector's
+    rotating frame."""
 
     state: NodePairState
     sector: int
@@ -130,54 +114,38 @@ def _rotating_generator(couplings: DerivedCouplings, n: int) -> np.ndarray:
     return np.array([[d, -s], [-np.conj(s), -d]], dtype=complex)
 
 
-def sector_propagator(
-    couplings: DerivedCouplings, n: int, t: float | np.ndarray, frame: str = FRAME_LAB
-) -> np.ndarray:
-    """Exact propagator exp(i M(n) t) of the sector dynamics.
+def sector_propagator(couplings: DerivedCouplings, n: int, t: float | np.ndarray) -> np.ndarray:
+    """Exact propagator ``exp(i A t)`` of sector ``n`` in its rotating frame,
+    ``A = [[d, -S], [-S*, -d]]`` with ``d = varpi_split(n)``.
 
     ``t`` is a time or a numpy array of times, and ``couplings`` one coupling
     set or a stack of them (see :class:`DerivedCouplings`).  The result has
     shape ``np.broadcast_shapes(stack shape, np.shape(t)) + (2, 2)``, one 2x2
     propagator per element, each equal bit for bit to the call with that time
-    and that coupling set alone.  A rotation angle ``kappa t`` or lab-frame
-    phase angle ``varpi_mean(n) t`` that is not finite raises ``ValueError``.
+    and that coupling set alone.  A rotation angle ``kappa t`` that is not
+    finite raises ``ValueError``.
     """
     n = _check_sector(n)
-    if frame not in (FRAME_LAB, FRAME_ROTATING):
-        raise ValueError(f"frame must be 'lab' or 'rotating', got {frame!r}")
     s = couplings.s_coupling
     # Each entry is computed over the whole stack and written to its slot, so
     # each element takes the same scalar arithmetic, rounding included,
     # whether it comes alone or in an array.  k vanishes only with d = S = 0,
     # where the propagator is the identity and the sinc (0/0) is set to 0.
-    # The collective terms and the angles may overflow; the angles are checked.
+    # The collective terms and the angle may overflow; the angle is checked.
     with np.errstate(over="ignore", invalid="ignore"):
         d = couplings.varpi_split(n)
         k = np.hypot(d, abs(s))
         kt = k * t
-        lab = 1j * couplings.varpi_mean(n) * t if frame == FRAME_LAB else 0.0
         cos_kt = np.cos(kt)
         sinc = np.where(k == 0.0, 0.0, np.sin(kt) / k)
-    if not (np.isfinite(kt).all() and np.isfinite(lab).all()):
+    if not np.isfinite(kt).all():
         raise ValueError(f"sector {n} propagator undefined: an angle at time t is not finite")
     u = np.empty(np.shape(cos_kt) + (2, 2), dtype=complex)
     u[..., 0, 0] = cos_kt + 1j * d * sinc
     u[..., 0, 1] = -1j * s * sinc
     u[..., 1, 0] = -1j * np.conj(s) * sinc
     u[..., 1, 1] = cos_kt - 1j * d * sinc
-    if frame == FRAME_LAB:
-        # The phase is the left factor, as in the scalar product phase * U.
-        np.multiply(np.exp(lab)[..., None, None], u, out=u)
     return u
-
-
-def _resonance_gate(couplings: DerivedCouplings) -> None:
-    if abs(couplings.s_coupling) == 0.0:
-        return  # diagonal dynamics: no transfer, the closed form is exact
-    scale = max(abs(couplings.s_coupling), abs(couplings.omega_1_pi))
-    residual = couplings.resonance_residual()
-    if abs(residual) > RESONANCE_TOL * scale:
-        raise ResonanceConditionError(residual, RESONANCE_TOL * scale)
 
 
 def _sample_times(t: float, samples: int) -> np.ndarray | None:
@@ -193,17 +161,13 @@ def evolve_closed_form(
     initial: NodePairState,
     samples: int = 0,
 ) -> EvolutionResult:
-    """Evolve one photon sector by the exact propagator.
-
-    Refuses (with :class:`ResonanceConditionError`) when the resonance
-    residual exceeds ``RESONANCE_TOL`` relative to the dynamical scale
-    ``max(|S|, |Omega_1^(pi)|)``; the direct integrator has no such
-    restriction.  ``samples > 0`` additionally returns the trajectory on a
-    uniform grid of ``samples + 1`` points including both endpoints.
+    """Evolve one photon sector by :func:`sector_propagator`, in its rotating
+    frame; exact at any detuning.  ``samples > 0`` additionally returns the
+    trajectory on a uniform grid of ``samples + 1`` points including both
+    endpoints.
     """
     n = _check_sector(n)
     vec = _check_initial(initial)
-    _resonance_gate(couplings)
     times = _sample_times(t, samples)
     trajectory = None
     if times is not None:
@@ -232,10 +196,10 @@ def evolve_numerical(
 ) -> EvolutionResult:
     """Integrate the sector equations with a fixed-step fourth-order scheme.
 
-    Works for arbitrary sector frequency offsets (no resonance requirement).
-    Integration happens in the rotating frame, ``dc/dt = i A c`` with
-    ``A = [[d, -S], [-S*, -d]]``; the exact mean-frequency phase is
-    multiplied back, so the result is in the lab frame.  The step is
+    Works for arbitrary sector frequency offsets.  It integrates the
+    rotating-frame equations ``dc/dt = i A c`` with
+    ``A = [[d, -S], [-S*, -d]]`` and reports that frame, as
+    :func:`evolve_closed_form` does.  The step is
     ``DEFAULT_STEP_FACTOR / kappa`` (the larger of the formula kappa and the
     generator norm ``k = hypot(d, |S|)``); a step that is not finite and
     positive, or a segment of more than 2**53 whole steps, raises
@@ -290,7 +254,6 @@ def evolve_numerical(
     trajectory = np.empty((len(grid), 2), dtype=complex)
     trajectory[0] = vec
     np.matmul(running.view(float).reshape(-1, 2), np.array([vec, 1j * direction]), out=trajectory[1:])
-    trajectory *= np.exp(1j * couplings.varpi_mean(n) * grid)[:, None]
     current = trajectory[-1]
     if times is None:
         trajectory = None
@@ -357,14 +320,16 @@ def extract_controlled_iswap(
     sector rotation angle that is not finite raises ``ValueError``.
     """
     t = swap_time(couplings)
-    # Relative phase between the sectors: the only n dependence of the mean
-    # frequency is the per-photon light shift, so varpi_mean(1) -
-    # varpi_mean(0) = (N1 - 1) * Omega_1^(pi) exactly (and stably).
+    # The one phase between the sectors' rotating frames.  The sectors' mean
+    # frequencies (w1(n) + w2(n))/2 differ only by the per-photon light
+    # shift, (N1 - 1) Omega_1^(pi), so with the n=0 mean phase factored out
+    # the n=1 block carries exp(i (N1 - 1) Omega_1^(pi) t).  This product is
+    # exact and stable; the mean frequencies themselves are ~N times larger.
     rel_angle = (couplings.n_atoms_1 - 1) * couplings.omega_1_pi * t
     if not np.isfinite(rel_angle):
         raise ValueError(f"controlled swap undefined: relative phase angle {rel_angle!r}")
-    core0 = sector_propagator(couplings, 0, t, FRAME_ROTATING)
-    core1 = sector_propagator(couplings, 1, t, FRAME_ROTATING)
+    core0 = sector_propagator(couplings, 0, t)
+    core1 = sector_propagator(couplings, 1, t)
     if enforce_condition and blockade_condition_deviation(couplings) > BLOCKADE_CONDITION_TOL:
         raise BlockadeConditionError(abs(core1[1, 0]))
     rel_phase = np.exp(1j * rel_angle)

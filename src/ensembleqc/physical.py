@@ -181,9 +181,10 @@ class DerivedCouplings:
 
     ``omega_cap_sigma`` is the cavity-mediated inter-node exchange rate,
     ``omega_m_x`` the intra-node shifts |g|^2/Delta, and ``s_coupling`` the
-    collectively enhanced swap rate ``sqrt(N1 N2) * omega_cap_sigma``.  The
-    sector frequencies (functions of the microcavity photon number
-    ``n in {0, 1}``) are exposed as methods.
+    collectively enhanced swap rate ``sqrt(N1 N2) * omega_cap_sigma``.  A
+    photon sector ``n in {0, 1}`` (the microcavity photon number) enters only
+    through :meth:`varpi_split` and :meth:`kappa`, the two quantities of the
+    sector's rotating frame.
 
     A stack of coupling sets holds float arrays of one shape in
     ``omega_1_pi`` and ``omega_2`` (see :func:`presets.rescaled_couplings`);
@@ -202,27 +203,6 @@ class DerivedCouplings:
     omega_1: float
     omega_2: float
 
-    def varpi_1(self, n: int) -> float:
-        """Frequency of the node-1-excited component in sector ``n``."""
-        n = _check_sector(n)
-        return (
-            (self.n_atoms_1 / 2 - 1) * (self.omega_1 + 2 * n * self.omega_1_pi)
-            + (self.n_atoms_2 / 2) * self.omega_2
-            - self.n_atoms_1 * (self.omega_1_sigma + self.omega_1_pi)
-        )
-
-    def varpi_2(self, n: int) -> float:
-        """Frequency of the node-2-excited component in sector ``n``."""
-        n = _check_sector(n)
-        return (
-            (self.n_atoms_1 / 2) * (self.omega_1 + 2 * n * self.omega_1_pi)
-            + (self.n_atoms_2 / 2 - 1) * self.omega_2
-            - self.n_atoms_2 * (self.omega_2_sigma + self.omega_2_pi)
-        )
-
-    def varpi_mean(self, n: int) -> float:
-        return 0.5 * (self.varpi_1(n) + self.varpi_2(n))
-
     def resonance_residual(self) -> float:
         """Signed residual of the swap resonance condition
         ``omega_2 - omega_1 + N2*Omega_2^(sigma) - N1*(Omega_1^(sigma) +
@@ -235,11 +215,13 @@ class DerivedCouplings:
         )
 
     def varpi_split(self, n: int) -> float:
-        """Half the sector frequency difference, (varpi_1 - varpi_2)/2.
+        """Half the frequency difference ``d`` of the node-1-excited and
+        node-2-excited components in sector ``n``, the diagonal of the
+        sector's rotating-frame generator ``[[d, -S], [-S*, -d]]``.
 
-        Computed from the resonance residual rather than by subtracting the
-        two sector frequencies: the collective terms in those are larger by a
-        factor ~N and would cancel catastrophically in floating point.
+        Computed from the resonance residual rather than as a difference of
+        the two components' frequencies: the collective terms in those are
+        larger by a factor ~N and would cancel catastrophically.
         """
         n = _check_sector(n)
         return (

@@ -335,14 +335,28 @@ def physical_leakage(amps: np.ndarray, qubit_count: int) -> float:
     return float(np.sum(np.abs(np.delete(amps, code_indices(qubit_count))) ** 2))
 
 
+def sector_frequencies(couplings: DerivedCouplings, n: int) -> tuple[float, float]:
+    """The paper's frequencies ``(varpi_1, varpi_2)`` of the node-1-excited
+    and node-2-excited components in photon sector ``n``, written out from
+    the couplings.  The package never forms them: it works in each sector's
+    rotating frame, where only their half difference ``varpi_split`` and
+    the difference of their means between sectors remain."""
+    c = couplings
+    shifted_1 = c.omega_1 + 2 * n * c.omega_1_pi
+    varpi_1 = ((c.n_atoms_1 / 2 - 1) * shifted_1 + (c.n_atoms_2 / 2) * c.omega_2
+               - c.n_atoms_1 * (c.omega_1_sigma + c.omega_1_pi))
+    varpi_2 = ((c.n_atoms_1 / 2) * shifted_1 + (c.n_atoms_2 / 2 - 1) * c.omega_2
+               - c.n_atoms_2 * (c.omega_2_sigma + c.omega_2_pi))
+    return varpi_1, varpi_2
+
+
 def effective_hamiltonian(couplings: DerivedCouplings, n: int) -> np.ndarray:
     """Hermitian 2x2 generator M(n) of the sector dynamics dc/dt = i M(n) c:
-    the couplings' mean frequency plus and minus their split on the
-    diagonal, and the swap coupling -S off it."""
-    m = couplings.varpi_mean(n)
-    d = couplings.varpi_split(n)
+    the sector frequencies of :func:`sector_frequencies` on the diagonal,
+    and the swap coupling -S off it."""
+    varpi_1, varpi_2 = sector_frequencies(couplings, n)
     s = couplings.s_coupling
-    return np.array([[m + d, -s], [-np.conj(s), m - d]], dtype=complex)
+    return np.array([[varpi_1, -s], [-np.conj(s), varpi_2]], dtype=complex)
 
 
 def propagator_eig_oracle(m: np.ndarray, t: float) -> np.ndarray:
@@ -559,10 +573,10 @@ def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float,
     arithmetic alone, in the order the package evaluates it.
 
     The parameters are retargeted by :func:`rescaled_params_reference`;
-    ``U_10`` is the entry of the n=1 lab-frame propagator at the swap time
-    pi/(2|S|).  Python floats and complex numbers and numpy scalar functions
-    only, with the lab phase multiplied onto a 2x2 array as a scalar, so
-    every rounding is the one a lone scalar evaluation makes.
+    ``U_10`` is the entry of the n=1 rotating-frame propagator at the swap
+    time pi/(2|S|).  Python floats and complex numbers and numpy scalar
+    functions only, so every rounding is the one a lone scalar evaluation
+    makes.
     """
     p = rescaled_params_reference(params, ratio)
     n1, n2 = p.n_atoms_1, p.n_atoms_2
@@ -576,15 +590,10 @@ def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float,
     error = abs(s) / k1 if k1 != 0.0 else 0.0
     residual = omega_2 - omega_1 + n2 * o2s - n1 * (o1s + o1p)
     d = 0.5 * (residual + n2 * o2p) - o1p
-    varpi_1 = (n1 / 2 - 1) * (omega_1 + 2 * o1p) + (n2 / 2) * omega_2 - n1 * (o1s + o1p)
-    varpi_2 = (n1 / 2) * (omega_1 + 2 * o1p) + (n2 / 2 - 1) * omega_2 - n2 * (o2s + o2p)
     t = np.pi / (2.0 * abs(s))
     k = float(np.hypot(d, abs(s)))
-    cos_kt, sinc = np.cos(k * t), np.sin(k * t) / k
-    core = np.array([[cos_kt + 1j * d * sinc, -1j * s * sinc],
-                     [-1j * np.conj(s) * sinc, cos_kt - 1j * d * sinc]], dtype=complex)
-    u = np.exp(1j * (0.5 * (varpi_1 + varpi_2)) * t) * core
-    return float(ratio), error, float(abs(u[1, 0]))
+    u_10 = -1j * np.conj(s) * (np.sin(k * t) / k)
+    return float(ratio), error, float(abs(u_10))
 
 
 def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: float,

@@ -80,6 +80,8 @@ ERROR_CASES = {
     "decoherence_without_delta": (
         {"c.json": {"decoherence_params": {"gamma_atomic": 0.0, "gamma_cavity": 0.0}}},
         ["--config", "c.json", "fidelity"], 2),
+    "decoherence_params_is_a_list": (
+        {"c.json": {"decoherence_params": [1]}}, ["--config", "c.json", "fidelity"], 2),
     "config_is_a_list": ({"c.json": [1, 2]}, ["--config", "c.json", "truth-table"], 2),
     "sweep_is_a_number": ({"c.json": {"sweep": 5}}, ["--config", "c.json", "truth-table"], 2),
     "physical_params_is_a_number": (
@@ -316,6 +318,27 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     assert code == expected
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    # Each config value is named by its own check, not by the catch-all for
+    # a TypeError in Python's own wording.
+    assert not stderr.startswith("error: malformed config"), stderr
+
+
+# The longest error line that a rejected program value may print.
+MAX_ERROR_LINE = 100
+
+
+def test_rejected_targets_are_shown_shortened(tmp_path):
+    # Targets nested 960 deep, which json still parses in a fresh process
+    # (not under pytest's deeper stack): one error line, the value shortened.
+    path = write(tmp_path / "p.json", '{"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": '
+                 + "[" * 960 + "0" + "]" * 960 + ', "angles": [1.0]}]}')
+    src = str(Path(ensembleqc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "ensembleqc", "simulate", "--program", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: targets must be integers, got [[[[")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) <= MAX_ERROR_LINE, proc.stderr[:200]
 
 
 @pytest.mark.parametrize("target, message", [
@@ -1263,6 +1286,11 @@ PAIR_LAYER = ("iswap", "phase_gate", "restrict_to_logical", "code_space_coupling
     ("physical", "effective_hamiltonian"),
     ("gates", "phase_distance"),
     ("simulator", "sample_logical"),
+    ("dynamics", "FRAME_LAB"),
+    ("dynamics", "FRAME_ROTATING"),
+    ("dynamics", "ResonanceConditionError"),
+    ("dynamics", "RESONANCE_TOL"),
+    ("dynamics", "_resonance_gate"),
     *(("gates", name) for name in PAIR_LAYER),
 ])
 def test_removed_names_are_gone(module, name):
@@ -1282,6 +1310,13 @@ def test_detuning_split_is_gone():
     assert not hasattr(ensembleqc.DerivedCouplings, "detuning_split")
 
 
+def test_sector_frequencies_are_gone():
+    # The package works in each sector's rotating frame; the paper's sector
+    # frequencies live in the test oracle only (helpers.sector_frequencies).
+    for name in ("varpi_1", "varpi_2", "varpi_mean"):
+        assert not hasattr(ensembleqc.DerivedCouplings, name), name
+
+
 def test_n_pi_2_is_gone():
     assert not hasattr(ensembleqc.NodePairState, "n_pi_2")
 
@@ -1297,6 +1332,7 @@ def test_unused_keywords_are_gone():
         (dynamics.evolve_numerical, "step"),
         (dynamics.evolve_numerical, "frame"),
         (dynamics.evolve_closed_form, "frame"),
+        (dynamics.sector_propagator, "frame"),
         (dynamics.extract_controlled_iswap, "t"),
     ):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)

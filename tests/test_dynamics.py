@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from ensembleqc import presets
 from ensembleqc.dynamics import (
     DEFAULT_STEP_FACTOR,
-    FRAME_LAB,
-    FRAME_ROTATING,
     BlockadeConditionError,
     NodePairState,
-    ResonanceConditionError,
     StepSizeError,
     blockade_error,
     evolve_closed_form,
@@ -34,6 +31,7 @@ from helpers import (
     rescaled_params_reference,
     restrict_to_logical,
     rk4_reference,
+    sector_frequencies,
 )
 
 EXCITED = NodePairState.excited_node_one()
@@ -60,7 +58,18 @@ class TestNodePairState:
 
 def rotating(couplings, n, t, initial=EXCITED) -> np.ndarray:
     """Rotating-frame state at ``t`` from ``initial``."""
-    return sector_propagator(couplings, n, t, FRAME_ROTATING) @ initial.as_vector()
+    return sector_propagator(couplings, n, t) @ initial.as_vector()
+
+
+def lab_propagator(couplings, n, t) -> np.ndarray:
+    """exp(i M(n) t) of the full generator: sector_propagator times the
+    sector's mean-frequency phase, which the package never forms."""
+    mean = 0.5 * sum(sector_frequencies(couplings, n))
+    return np.exp(1j * mean * np.asarray(t))[..., None, None] * sector_propagator(couplings, n, t)
+
+
+# The one frame sector_propagator works in, and the lab frame built on it.
+FRAMES = [pytest.param(lab_propagator, id="lab"), pytest.param(sector_propagator, id="rotating")]
 
 
 class TestClosedForm:
@@ -74,15 +83,13 @@ class TestClosedForm:
         assert abs(c1) < 1e-12
         assert abs(c2 - (-1j)) < 1e-12
 
-    def test_lab_frame_differs_by_mean_phase_only(self, resonant):
-        # The evolvers report the lab frame: the rotating frame's state times
-        # the mean-frequency phase.
+    def test_evolvers_report_the_rotating_frame(self, resonant):
+        # Both evolvers report the state of the one frame sector_propagator
+        # works in, with no mean-frequency phase.
         t = 0.37
-        lab = evolve_closed_form(resonant, 0, t, EXCITED)
         rot = rotating(resonant, 0, t)
-        phase = np.exp(1j * resonant.varpi_mean(0) * t)
-        assert abs(lab.state.c1 - phase * rot[0]) < 1e-12
-        assert abs(lab.state.c2 - phase * rot[1]) < 1e-12
+        assert np.array_equal(evolve_closed_form(resonant, 0, t, EXCITED).state.as_vector(), rot)
+        assert abs(evolve_numerical(resonant, 0, t, EXCITED).state.as_vector() - rot).max() < 1e-12
 
     def test_periodicity(self, resonant):
         c1, c2 = rotating(resonant, 0, 2.0 * np.pi / abs(resonant.s_coupling))
@@ -96,14 +103,24 @@ class TestClosedForm:
         # kappa(1) t = pi makes the returned amplitude exactly -1.
         assert abs(c1 - (-1.0)) < 1e-12
 
-    def test_refuses_off_resonance(self, resonant):
-        delta = 10.0 * abs(resonant.s_coupling)
-        params = presets.blockade_tuned_params(1.0)
-        bumped = derive_couplings(
-            dataclasses.replace(params, omega_2=params.omega_2 + delta)
-        )
-        with pytest.raises(ResonanceConditionError, match="evolve_numerical"):
-            evolve_closed_form(bumped, 0, 1.0, EXCITED)
+    def test_exact_off_resonance(self):
+        # The closed form holds at any detuning.  Oracle: eigh exponential of
+        # the traceless generator, with d from the paper's sector frequencies.
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            params = random_resonant_params(rng)
+            s = abs(derive_couplings(params).s_coupling)
+            residual = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 20.0)) * s
+            detuned = derive_couplings(dataclasses.replace(params, omega_2=params.omega_2 + residual))
+            initial = NodePairState(*random_state(rng, 2))
+            t = float(rng.uniform(0.0, 10.0 / s))
+            for n in (0, 1):
+                varpi_1, varpi_2 = sector_frequencies(detuned, n)
+                d = 0.5 * (varpi_1 - varpi_2)
+                a = np.array([[d, -detuned.s_coupling], [-np.conj(detuned.s_coupling), -d]])
+                expected = propagator_eig_oracle(a, t) @ initial.as_vector()
+                got = evolve_closed_form(detuned, n, t, initial).state.as_vector()
+                assert abs(got - expected).max() < 1e-12
 
     def test_decoupled_when_s_is_zero(self):
         params = presets.blockade_tuned_params(1.0)
@@ -116,30 +133,37 @@ class TestClosedForm:
         assert abs(abs(result.state.c2) - 0.8) < 1e-12
 
     def test_matches_eigendecomposition_oracle(self, tuned):
+        # The full generator's propagator is the rotating-frame one times the
+        # sector's mean-frequency phase.
         rng = np.random.default_rng(17)
         for n in (0, 1):
             h = effective_hamiltonian(tuned, n)
+            mean = 0.5 * sum(sector_frequencies(tuned, n))
             for t in rng.uniform(0.0, 5.0, 5):
-                expected = propagator_eig_oracle(h, t)
+                expected = np.exp(-1j * mean * t) * propagator_eig_oracle(h, t)
                 got = sector_propagator(tuned, n, t)
                 assert np.max(np.abs(got - expected)) < 1e-10
 
 
 class TestTimeArrays:
-    @pytest.mark.parametrize("frame", [FRAME_LAB, FRAME_ROTATING])
+    @pytest.mark.parametrize("propagator", FRAMES)
     @pytest.mark.parametrize("n", [0, 1])
-    def test_propagator_stack_equals_scalar_calls(self, tuned, n, frame):
+    def test_propagator_stack_equals_scalar_calls(self, tuned, n, propagator):
         rng = np.random.default_rng(31)
         times = rng.uniform(0.0, 20.0 / abs(tuned.s_coupling), (3, 5))
-        stacked = sector_propagator(tuned, n, times, frame)
-        scalar = np.stack([sector_propagator(tuned, n, float(x), frame) for x in times.ravel()])
+        stacked = propagator(tuned, n, times)
+        scalar = np.stack([propagator(tuned, n, float(x)) for x in times.ravel()])
         assert stacked.shape == (3, 5, 2, 2)
         assert np.array_equal(stacked.reshape(-1, 2, 2), scalar)
+        if propagator is lab_propagator:
+            h = effective_hamiltonian(tuned, n)
+            expected = np.stack([propagator_eig_oracle(h, float(x)) for x in times.ravel()])
+            assert np.max(np.abs(scalar - expected)) < 1e-10
 
-    @pytest.mark.parametrize("frame", [FRAME_LAB, FRAME_ROTATING])
-    def test_propagator_stack_without_dynamics(self, frame):
+    @pytest.mark.parametrize("propagator", FRAMES)
+    def test_propagator_stack_without_dynamics(self, propagator):
         # S = 0 and a zero split: the rate k vanishes, each propagator is the
-        # mean-frequency phase times the identity.
+        # identity, times the mean-frequency phase in the lab frame.
         still = DerivedCouplings(
             omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=0.0, omega_2_sigma=0.0,
             omega_2_pi=0.0, s_coupling=0j, n_atoms_1=3, n_atoms_2=2, omega_1=1.5, omega_2=1.5,
@@ -147,23 +171,25 @@ class TestTimeArrays:
         assert still.varpi_split(0) == still.varpi_split(1) == 0.0
         times = np.linspace(0.0, 4.0, 9)
         for n in (0, 1):
-            stacked = sector_propagator(still, n, times, frame)
-            scalar = np.stack([sector_propagator(still, n, float(x), frame) for x in times])
+            stacked = propagator(still, n, times)
+            scalar = np.stack([propagator(still, n, float(x)) for x in times])
             assert np.array_equal(stacked, scalar)
-            phase = np.exp(1j * still.varpi_mean(n) * times) if frame == FRAME_LAB else 1.0
-            assert np.array_equal(stacked[:, 0, 0], np.broadcast_to(phase, times.shape))
-            assert np.all(stacked[:, 0, 1] == 0.0)
+            if propagator is sector_propagator:
+                assert np.array_equal(stacked, np.broadcast_to(np.eye(2), stacked.shape))
+            else:
+                phase = np.exp(1j * 0.5 * sum(sector_frequencies(still, n)) * times)
+                assert np.array_equal(stacked, phase[:, None, None] * np.eye(2))
 
     def test_angle_that_is_not_finite_rejected(self, tuned):
-        # In a stack, one time whose lab-frame phase angle overflows is enough;
-        # the rotating frame has no such angle.
+        # A common shift of the node frequencies leaves every angle as it is,
+        # and a huge finite time is fine; in a stack, one time whose rotation
+        # angle is not finite is enough.
         far = dataclasses.replace(tuned, omega_1=1e10, omega_2=1e10)
-        times = np.array([1.0, 1e300])
-        assert np.all(np.isfinite(sector_propagator(far, 0, times, FRAME_ROTATING)))
+        assert np.all(np.isfinite(sector_propagator(far, 0, np.array([1.0, 1e300]))))
         with pytest.raises(ValueError, match="sector 0 propagator undefined"):
-            sector_propagator(far, 0, times, FRAME_LAB)
+            sector_propagator(far, 0, np.array([1.0, np.inf]))
         with pytest.raises(ValueError, match="sector 1 propagator undefined"):
-            sector_propagator(far, 1, np.inf, FRAME_ROTATING)
+            sector_propagator(far, 1, np.inf)
 
     def test_closed_form_trajectory_equals_per_sample_products(self, tuned):
         initial = NodePairState(*random_state(np.random.default_rng(37), 2))
@@ -208,10 +234,7 @@ def _check_against_reference(couplings, n, samples):
     vec = random_state(np.random.default_rng(41), 2)
     for t in (0.0, 0.5 * step, 10.0 * np.pi / s):
         result = evolve_numerical(couplings, n, t, NodePairState(*vec), samples=samples)
-        # The reference integrates in the rotating frame; the result is in the lab frame.
-        times = np.linspace(0.0, t, samples + 1) if samples else np.array([0.0, t])
-        reference = (rk4_reference(couplings, n, t, vec, step, samples)
-                     * np.exp(1j * couplings.varpi_mean(n) * times)[:, None])
+        reference = rk4_reference(couplings, n, t, vec, step, samples)
         assert abs(result.state.as_vector() - reference[-1]).max() < 1e-12
         if samples:
             assert result.trajectory.shape == reference.shape
@@ -241,9 +264,7 @@ class TestNumerical:
         step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
         vec = random_state(np.random.default_rng(43), 2)
         t = 10.0 * np.pi / s
-        reference = rk4_reference(tuned, n, t, vec, step, samples)
-        lab_phase = np.exp(1j * tuned.varpi_mean(n) * np.linspace(0.0, t, samples + 1))[:, None]
-        expected = reference * lab_phase
+        expected = rk4_reference(tuned, n, t, vec, step, samples)
         result = evolve_numerical(tuned, n, t, NodePairState(*vec), samples=samples)
         assert result.trajectory.shape == expected.shape
         assert np.max(np.abs(result.trajectory - expected)) < 1e-12
@@ -254,22 +275,21 @@ class TestNumerical:
     def test_zero_generator_keeps_the_state(self, n, omega_1, omega_1_pi, omega_2, samples):
         # d = S = 0 in sector n.  With kappa(n) = 0 one step covers the time;
         # with Omega_1^(pi) = 1, kappa(1) = 1 sets a step of 1/256 s.  Either
-        # way only the lab phase moves the state, and k = 0 divides nothing.
+        # way the state stays as it is, and k = 0 divides nothing.
         couplings = DerivedCouplings(
             omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=omega_1_pi, omega_2_sigma=0.0,
             omega_2_pi=0.0, s_coupling=0j, n_atoms_1=4, n_atoms_2=4, omega_1=omega_1, omega_2=omega_2,
         )
-        assert couplings.varpi_split(n) == 0.0 and couplings.varpi_mean(n) != 0.0
+        assert couplings.varpi_split(n) == 0.0
         assert couplings.kappa(n) == n
         vec = random_state(np.random.default_rng(61), 2)
         t = 3.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = evolve_numerical(couplings, n, t, NodePairState(*vec), samples=samples)
-        assert np.array_equal(result.state.as_vector(), vec * np.exp(1j * couplings.varpi_mean(n) * t))
+        assert np.array_equal(result.state.as_vector(), vec)
         if samples:
-            phases = np.exp(1j * couplings.varpi_mean(n) * result.times)
-            assert np.array_equal(result.trajectory, vec[None, :] * phases[:, None])
+            assert np.array_equal(result.trajectory, np.broadcast_to(vec, (samples + 1, 2)))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_long_horizon_keeps_the_norm(self, tuned, n):
@@ -432,11 +452,9 @@ class TestRatioStacks:
         assert np.array_equal(blockade_error(stack), [blockade_error(c) for c in singles])
         assert np.array_equal(stack.kappa(1), [c.kappa(1) for c in singles])
         for n in (0, 1):
-            for frame in (FRAME_LAB, FRAME_ROTATING):
-                stacked = sector_propagator(stack, n, t, frame)
-                assert stacked.shape == (len(ratios), 2, 2)
-                assert np.array_equal(
-                    stacked, [sector_propagator(c, n, t, frame) for c in singles])
+            stacked = sector_propagator(stack, n, t)
+            assert stacked.shape == (len(ratios), 2, 2)
+            assert np.array_equal(stacked, [sector_propagator(c, n, t) for c in singles])
 
     @pytest.mark.parametrize("case", range(6))
     def test_rows_equal_scalar_reference(self, case):
@@ -503,9 +521,14 @@ class TestSwapTime:
         # swap_time, bit for bit.
         t = swap_time(tuned)
         m = extract_controlled_iswap(tuned).matrix
-        assert np.array_equal(m[:2, :2], sector_propagator(tuned, 0, t, FRAME_ROTATING))
-        rel_phase = np.exp(1j * (tuned.n_atoms_1 - 1) * tuned.omega_1_pi * t)
-        assert np.array_equal(m[2:, 2:], rel_phase * sector_propagator(tuned, 1, t, FRAME_ROTATING))
+        assert np.array_equal(m[:2, :2], sector_propagator(tuned, 0, t))
+        assert np.array_equal(m[2:, :2], np.zeros((2, 2)))
+        # The one-photon block is sector_propagator up to the one phase
+        # between the sectors, which TestGateExtraction checks against eigh.
+        core1 = sector_propagator(tuned, 1, t)
+        rel_phase = m[2, 2] / core1[0, 0]
+        assert abs(abs(rel_phase) - 1.0) < 1e-15
+        assert np.allclose(m[2:, 2:], rel_phase * core1, rtol=0.0, atol=1e-15)
 
     def test_two_swaps_return_population_with_sign_flip(self, resonant):
         c1, c2 = rotating(resonant, 0, 2.0 * swap_time(resonant))
@@ -523,7 +546,7 @@ class TestSwapTime:
                 couplings = derive_couplings(params)
             t = fraction * swap_time(couplings)
             s_t = abs(couplings.s_coupling) * t
-            u = sector_propagator(couplings, 0, t, FRAME_ROTATING)
+            u = sector_propagator(couplings, 0, t)
             assert phase_distance(u, restrict_to_logical(iswap(-2.0 * s_t))) < 1e-11
             assert phase_distance(u, restrict_to_logical(iswap(-s_t))) > 0.1
 
@@ -558,7 +581,7 @@ class TestFrequencyDriftImmunity:
             s = abs(couplings.s_coupling)
             drifted = derive_couplings(dataclasses.replace(
                 params, omega_1=params.omega_1 + drift_1 * s, omega_2=params.omega_2 + drift_2 * s))
-        u = sector_propagator(drifted, 0, swap_time(couplings), FRAME_ROTATING)
+        u = sector_propagator(drifted, 0, swap_time(couplings))
         return float(1.0 - abs(u[1, 0]) ** 2)
 
     @pytest.mark.parametrize("drift", [0.02, 1.0, 100.0])
@@ -574,6 +597,30 @@ class TestFrequencyDriftImmunity:
 
 
 class TestGateExtraction:
+    # The oracle forms each sector's lab-frame phase itself, so its own
+    # rounding grows as eps |mean_0 t|: about 1e-13 at N1 + N2 <= 109,
+    # 1.8e-12 at N1 = N2 = 100 (|mean_0 t| = 1.3e4 rad) and 4.2e-8 at
+    # N1 = N2 = 10^4 (1.4e8 rad).  A wrong phase between the sectors, say
+    # N1 Omega_1^(pi) t for (N1 - 1) Omega_1^(pi) t, moves the gate by ~1.
+    @pytest.mark.parametrize("n_atoms_1, n_atoms_2, omega_1, tol", [
+        (1, 1, 0.0, 1e-12), (4, 4, 0.3, 1e-12), (3, 7, -2.0, 1e-12), (2, 100, 0.3, 1e-12),
+        (100, 9, -2.0, 1e-12), (100, 100, 0.0, 1e-11), (10**4, 10**4, 0.3, 1e-7),
+    ])
+    def test_phase_between_sectors_matches_eigh(self, n_atoms_1, n_atoms_2, omega_1, tol):
+        # Oracle: each sector's lab-frame block is the eigh exponential of
+        # the full generator on the paper's sector frequencies; with the
+        # photon-free sector's mean phase divided out, the two blocks are the
+        # extracted gate, the phase between the sectors included.
+        couplings = derive_couplings(presets.blockade_tuned_params(
+            presets.SQRT3, n_atoms_1=n_atoms_1, n_atoms_2=n_atoms_2, omega_1=omega_1))
+        t = swap_time(couplings)
+        expected = np.zeros((4, 4), dtype=complex)
+        for n in (0, 1):
+            expected[2 * n:2 * n + 2, 2 * n:2 * n + 2] = propagator_eig_oracle(
+                effective_hamiltonian(couplings, n), t)
+        expected *= np.exp(-1j * 0.5 * sum(sector_frequencies(couplings, 0)) * t)
+        assert np.abs(extract_controlled_iswap(couplings).matrix - expected).max() < tol
+
     def test_structure_at_swap_time(self, tuned):
         m = extract_controlled_iswap(tuned).matrix
         assert max(abs(m[0, 0]), abs(m[1, 1])) < 1e-12

@@ -16,7 +16,7 @@ from ensembleqc.physical import (
     check_interference_condition,
     derive_couplings,
 )
-from helpers import effective_hamiltonian, random_resonant_params
+from helpers import effective_hamiltonian, random_resonant_params, sector_frequencies
 
 
 def make_params(**overrides) -> PhysicalParams:
@@ -359,5 +359,6 @@ class TestEffectiveHamiltonian:
         for _ in range(20):
             couplings = derive_couplings(random_resonant_params(rng))
             for n in (0, 1):
-                direct = 0.5 * (couplings.varpi_1(n) - couplings.varpi_2(n))
+                varpi_1, varpi_2 = sector_frequencies(couplings, n)
+                direct = 0.5 * (varpi_1 - varpi_2)
                 assert abs(couplings.varpi_split(n) - direct) < 1e-9
