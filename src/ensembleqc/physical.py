@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 import warnings
 from dataclasses import dataclass, fields
@@ -38,11 +39,24 @@ _JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "obj
 # Stands in for a long list while json lays out the rest of a document; the
 # list's texts are written where it lands.
 _LIST_SLOT = "\ufdd0list\ufdd0"
+# Deepest nesting of arrays and objects a JSON document may have.  json's
+# parser spends one level of Python's recursion limit (1000 by default) per
+# level, on top of its caller's frames: half the limit leaves the other half
+# as headroom, so the verdict is the document's alone, whoever reads it.
+MAX_JSON_DEPTH = 500
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+# A bracket as one step of the nesting depth: +1 opening, -1 (0xff) closing.
+_JSON_STEPS = str.maketrans("[{]}", "\x01\x01\xff\xff")
 
 
 def _json_loads(text: str):
-    """``json.loads(text)``, the one JSON parse; a document nested too deeply
-    for json's parser is a ``ValueError`` like any other malformed one."""
+    """``json.loads(text)``, the one JSON parse.  A document nested deeper
+    than ``MAX_JSON_DEPTH`` is a ``ValueError`` like any other malformed one,
+    whatever the caller's stack depth."""
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH:
+        steps = re.sub(r"[^][{}]", "", _JSON_STRING.sub("", text)).translate(_JSON_STEPS)
+        if np.frombuffer(steps.encode("latin-1"), np.int8).cumsum().max(initial=0) > MAX_JSON_DEPTH:
+            raise ValueError(f"JSON nesting is too deep (more than {MAX_JSON_DEPTH} levels)")
     try:
         return json.loads(text)
     except RecursionError:
@@ -69,6 +83,13 @@ def _slot(text: str) -> tuple[str, str]:
     """The texts before and after the last ``json.dumps(_LIST_SLOT)`` in
     ``text``; each caller lays the slot out last."""
     return text.rpartition(json.dumps(_LIST_SLOT))[::2]
+
+
+def _check_count(name: str, value):
+    """``value`` if it is an integer in 1..2**53, the counts float64 holds exactly."""
+    if not isinstance(value, (int, np.integer)) or not 1 <= value <= 2**53:
+        raise ValueError(f"{name} must be an integer in 1..2**53, got {value!r}")
+    return value
 
 
 class DispersiveRegimeWarning(UserWarning):
@@ -102,10 +123,7 @@ class PhysicalParams:
 
     def __post_init__(self) -> None:
         for name in ("n_atoms_1", "n_atoms_2"):
-            value = getattr(self, name)
-            # The model's arithmetic is float64, which holds counts up to 2**53 exactly.
-            if not isinstance(value, (int, np.integer)) or not 1 <= value <= 2**53:
-                raise ValueError(f"{name} must be an integer in 1..2**53, got {value!r}")
+            _check_count(name, getattr(self, name))
         for f in fields(self):
             if f.name.startswith("n_atoms"):
                 continue

@@ -664,3 +664,13 @@ def config_hash_reference(config) -> str:
     sha256 of ``json.dumps(config_as_dict_reference(config), sort_keys=True)``."""
     canonical = json.dumps(config_as_dict_reference(config), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def json_depth_reference(value) -> int:
+    """Nesting depth of a parsed JSON value, one member at a time: 0 for a
+    scalar, else 1 plus the depth of its deepest member."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max((json_depth_reference(v) for v in value), default=0)
+    return 0

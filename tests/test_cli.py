@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import ensembleqc
 from ensembleqc import cli, compiler, decoherence, dynamics, gates, presets, simulator
-from ensembleqc.physical import PhysicalParams, derive_couplings
+from ensembleqc.physical import MAX_JSON_DEPTH, PhysicalParams, derive_couplings
 from helpers import (
     blockade_row_reference,
     config_as_dict_reference,
@@ -327,18 +327,36 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
 MAX_ERROR_LINE = 100
 
 
-def test_rejected_targets_are_shown_shortened(tmp_path):
-    # Targets nested 960 deep, which json still parses in a fresh process
-    # (not under pytest's deeper stack): one error line, the value shortened.
-    path = write(tmp_path / "p.json", '{"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": '
-                 + "[" * 960 + "0" + "]" * 960 + ', "angles": [1.0]}]}')
-    src = str(Path(ensembleqc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-m", "ensembleqc", "simulate", "--program", path],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: targets must be integers, got [[[[")
-    assert proc.stderr.count("\n") == 1 and len(proc.stderr) <= MAX_ERROR_LINE, proc.stderr[:200]
+def test_rejected_targets_are_shown_shortened(tmp_path, monkeypatch):
+    # Targets nested as deep as a program may be: one error line, the value
+    # shortened.
+    monkeypatch.chdir(tmp_path)
+    depth = MAX_JSON_DEPTH - 3  # inside the program, its ops and one op
+    write(tmp_path / "p.json", '{"qubit_count": 1, "ops": [{"kind": "ISWAP", "targets": '
+          + "[" * depth + "0" + "]" * depth + ', "angles": [1.0]}]}')
+    code, stdout, stderr = run_cli(["simulate", "--program", "p.json"])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: targets must be integers, got [[[[")
+    assert stderr.count("\n") == 1 and len(stderr) <= MAX_ERROR_LINE, stderr[:200]
+
+
+def at_depth(frames: int, function, *args):
+    """``function(*args)``, called ``frames`` Python frames deeper."""
+    return function(*args) if frames == 0 else at_depth(frames - 1, function, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 50, 100, 200])
+def test_json_nesting_verdict_does_not_depend_on_the_caller(frames, tmp_path, monkeypatch):
+    # An unused config key: json's parser alone decides, not the CLI's checks.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "deep.json", '{"unused": ' + "[" * 900 + "]" * 900 + "}")
+    depth = MAX_JSON_DEPTH - 1
+    write(tmp_path / "limit.json", '{"unused": ' + "[" * depth + "]" * depth + "}")
+    code, stdout, stderr = at_depth(frames, run_cli, ["--config", "deep.json", "truth-table"])
+    assert (code, stdout, stderr) == (2, "", "error: cannot read config 'deep.json': JSON nesting "
+                                      f"is too deep (more than {MAX_JSON_DEPTH} levels)\n")
+    code, _, stderr = at_depth(frames, run_cli, ["--config", "limit.json", "truth-table"])
+    assert code == cli.EXIT_OK, stderr
 
 
 @pytest.mark.parametrize("target, message", [

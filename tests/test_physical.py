@@ -2,21 +2,24 @@ import dataclasses
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleqc import presets
+from ensembleqc import physical, presets
 from ensembleqc.physical import (
+    MAX_JSON_DEPTH,
     DispersiveRegimeWarning,
     PhysicalParams,
+    _json_loads,
     _intra_node_shift,
     check_interference_condition,
     derive_couplings,
 )
-from helpers import effective_hamiltonian, random_resonant_params, sector_frequencies
+from helpers import effective_hamiltonian, json_depth_reference, random_resonant_params, sector_frequencies
 
 
 def make_params(**overrides) -> PhysicalParams:
@@ -103,6 +106,33 @@ class TestParamsValidation:
     def test_from_json_rejects_too_deep_nesting(self):
         with pytest.raises(ValueError, match="too deep"):
             PhysicalParams.from_json("[" * 10**5 + "]" * 10**5)
+
+    def test_json_nesting_limit(self):
+        at_limit = "[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH
+        assert _json_loads(at_limit) == json.loads(at_limit)
+        objects = '{"a": ' * MAX_JSON_DEPTH + "0" + "}" * MAX_JSON_DEPTH
+        assert _json_loads(objects) == json.loads(objects)
+        for deeper in ("[" + at_limit + "]", '{"a": ' + at_limit + "}", "[" + at_limit):
+            with pytest.raises(ValueError, match=f"too deep \\(more than {MAX_JSON_DEPTH} levels\\)"):
+                _json_loads(deeper)
+        # Brackets in strings, after escaped quotes too, are not nesting.
+        text = json.dumps(['\\"[{' * MAX_JSON_DEPTH, {"[" * MAX_JSON_DEPTH: at_limit}])
+        assert _json_loads(text) == json.loads(text)
+
+    # Strings full of brackets, quotes, backslashes and non-ASCII text.
+    @given(value=st.recursive(
+        st.none() | st.floats(allow_nan=False) | st.text('[]{}"\\ \u00e9\u2603'),
+        lambda members: st.lists(members) | st.dictionaries(st.text('[]{}"\\'), members)),
+        ensure_ascii=st.booleans(), limit=st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_json_nesting_limit_matches_reference_depth(self, value, ensure_ascii, limit):
+        text = json.dumps(value, ensure_ascii=ensure_ascii)
+        with mock.patch.object(physical, "MAX_JSON_DEPTH", limit):
+            if json_depth_reference(value) > limit:
+                with pytest.raises(ValueError, match="too deep"):
+                    _json_loads(text)
+            else:
+                assert _json_loads(text) == value
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
