@@ -13,7 +13,7 @@ gate needs is stated once, in :func:`extract_controlled_iswap`.  For the
 node-1-excited start the amplitudes are::
 
     c1(t) = cos(k t) + i (d/k) sin(k t)
-    c2(t) = -i (S*/k) sin(k t)               k = sqrt(d^2 + |S|^2)
+    c2(t) = -i (S*/k) sin(k t)               k = kappa(n) = sqrt(d^2 + |S|^2)
 
 With ``d = 0`` in the photon-free sector (resonance), at the swap time
 ``t = pi/(2|S|)`` (:func:`swap_time`) that sector gives ``(c1, c2) =
@@ -23,10 +23,10 @@ With ``d = 0`` in the photon-free sector (resonance), at the swap time
 
 The node frequencies enter the swap only through the resonance residual
 ``omega_2 - omega_1 + N2 Omega_2^(sigma) - N1 (Omega_1^(sigma) +
-Omega_1^(pi))`` in ``d``, where a shift common to both nodes cancels: it
-only adds a phase that both code words share, a decoherence-free subspace
-for common-mode frequency noise (Lidar, Chuang & Whaley,
-arXiv:quant-ph/9807004).  A differential shift is not rejected at all:
+Omega_1^(pi)) + N2 Omega_2^(pi)`` in ``d``, where a shift common to both
+nodes cancels: it only adds a phase that both code words share, a
+decoherence-free subspace for common-mode frequency noise (Lidar, Chuang &
+Whaley, arXiv:quant-ph/9807004).  A differential shift is not rejected at all:
 ``omega_2`` moved alone by 0.02 |S| misses the swap by ``1 - |c2|^2 = 1e-4``.
 """
 
@@ -125,7 +125,6 @@ def sector_propagator(couplings: DerivedCouplings, n: int, t: float | np.ndarray
     and that coupling set alone.  A rotation angle ``kappa t`` that is not
     finite raises ``ValueError``.
     """
-    n = _check_sector(n)
     s = couplings.s_coupling
     # Each entry is computed over the whole stack and written to its slot, so
     # each element takes the same scalar arithmetic, rounding included,
@@ -134,7 +133,7 @@ def sector_propagator(couplings: DerivedCouplings, n: int, t: float | np.ndarray
     # The collective terms and the angle may overflow; the angle is checked.
     with np.errstate(over="ignore", invalid="ignore"):
         d = couplings.varpi_split(n)
-        k = np.hypot(d, abs(s))
+        k = couplings.kappa(n)
         kt = k * t
         cos_kt = np.cos(kt)
         sinc = np.where(k == 0.0, 0.0, np.sin(kt) / k)
@@ -200,10 +199,9 @@ def evolve_numerical(
     rotating-frame equations ``dc/dt = i A c`` with
     ``A = [[d, -S], [-S*, -d]]`` and reports that frame, as
     :func:`evolve_closed_form` does.  The step is
-    ``DEFAULT_STEP_FACTOR / kappa`` (the larger of the formula kappa and the
-    generator norm ``k = hypot(d, |S|)``); a step that is not finite and
-    positive, or a segment of more than 2**53 whole steps, raises
-    :class:`StepSizeError`.
+    ``DEFAULT_STEP_FACTOR / k`` for the sector's rate ``k = kappa(n)``; a
+    step that is not finite and positive, or a segment of more than 2**53
+    whole steps, raises :class:`StepSizeError`.
 
     Each sample segment takes ``m = floor(length/step + 1e-12)`` whole steps
     and then one shorter tail step ``tau``, if the tail exceeds ``1e-15
@@ -226,15 +224,11 @@ def evolve_numerical(
     if not 0.0 <= t < np.inf:
         raise ValueError(f"integration time must be finite and nonnegative, got {t!r}")
     a = _rotating_generator(couplings, n)
-    # Rate scale: formula kappa and the actual generator norm can differ off
-    # resonance; the step honors whichever is larger.  Without a rate the
-    # generator is zero and one step covers the time.
-    k_eff = float(np.hypot(couplings.varpi_split(n), abs(couplings.s_coupling)))
-    k_scale = max(couplings.kappa(n), k_eff)
-    step = DEFAULT_STEP_FACTOR / k_scale if k_scale != 0.0 else float(t) or 1.0
+    # Without a rate the generator is zero and one step covers the time.
+    k = couplings.kappa(n)
+    step = DEFAULT_STEP_FACTOR / k if k != 0.0 else float(t) or 1.0
     if not 0.0 < step < np.inf:
-        raise StepSizeError(
-            f"step {step!r} s for rate {k_scale!r} rad/s is not finite and positive")
+        raise StepSizeError(f"step {step!r} s for rate {k!r} rad/s is not finite and positive")
 
     times = _sample_times(t, samples)
     grid = times if times is not None else np.array([0.0, float(t)])
@@ -246,11 +240,11 @@ def evolve_numerical(
     tails = lengths - whole * step
     tails[tails <= 1e-15 * np.maximum(np.abs(ends), 1.0)] = 0.0
     # exp(m log T4) is the m-th power without rounding that grows with m.
-    segments = _rk4_step_factor(k_eff * tails) * np.exp(whole * np.log(_rk4_step_factor(k_eff * step)))
+    segments = _rk4_step_factor(k * tails) * np.exp(whole * np.log(_rk4_step_factor(k * step)))
     running = np.cumprod(segments)
     # Each pair (Re R, Im R) times the rows v and i (A v)/k.  With k = 0 the
     # generator is zero and every running product is 1.
-    direction = a @ vec / k_eff if k_eff != 0.0 else np.zeros(2, dtype=complex)
+    direction = a @ vec / k if k != 0.0 else np.zeros(2, dtype=complex)
     trajectory = np.empty((len(grid), 2), dtype=complex)
     trajectory[0] = vec
     np.matmul(running.view(float).reshape(-1, 2), np.array([vec, 1j * direction]), out=trajectory[1:])
@@ -262,7 +256,8 @@ def evolve_numerical(
 
 
 def blockade_error(couplings: DerivedCouplings) -> float | np.ndarray:
-    """Peak one-photon transfer amplitude max_t |c2| = |S| / kappa(1).
+    """Peak one-photon transfer amplitude max_t |c2| = |S| / kappa(1), at
+    any detuning.
 
     1 means unimpeded swapping; the sqrt(3) tuning gives 1/2 with an exact
     zero at the swap time; large |Omega_1^(pi)|/|S| suppresses transfer at
@@ -270,7 +265,7 @@ def blockade_error(couplings: DerivedCouplings) -> float | np.ndarray:
     """
     s = abs(couplings.s_coupling)
     k1 = couplings.kappa(1)
-    if s == 0.0:  # nothing transfers, and kappa(1) = |Omega_1^(pi)| may be 0
+    if s == 0.0:  # nothing transfers, and kappa(1) = |varpi_split(1)| may be 0
         return np.zeros(np.shape(k1)) if np.ndim(k1) else 0.0
     return s / k1
 

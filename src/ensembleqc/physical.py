@@ -86,8 +86,9 @@ def _slot(text: str) -> tuple[str, str]:
 
 
 def _check_count(name: str, value):
-    """``value`` if it is an integer in 1..2**53, the counts float64 holds exactly."""
-    if not isinstance(value, (int, np.integer)) or not 1 <= value <= 2**53:
+    """``value`` if it is an integer in 1..2**53, the counts float64 holds
+    exactly; ``True`` is not a count, as in :func:`_json_typed`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 1 <= value <= 2**53:
         raise ValueError(f"{name} must be an integer in 1..2**53, got {value!r}")
     return value
 
@@ -201,8 +202,8 @@ class DerivedCouplings:
     ``omega_m_x`` the intra-node shifts |g|^2/Delta, and ``s_coupling`` the
     collectively enhanced swap rate ``sqrt(N1 N2) * omega_cap_sigma``.  A
     photon sector ``n in {0, 1}`` (the microcavity photon number) enters only
-    through :meth:`varpi_split` and :meth:`kappa`, the two quantities of the
-    sector's rotating frame.
+    through :meth:`varpi_split`, the diagonal of the sector's rotating-frame
+    generator; :meth:`kappa`, the sector's rate, is read from it.
 
     A stack of coupling sets holds float arrays of one shape in
     ``omega_1_pi`` and ``omega_2`` (see :func:`presets.rescaled_couplings`);
@@ -224,12 +225,15 @@ class DerivedCouplings:
     def resonance_residual(self) -> float:
         """Signed residual of the swap resonance condition
         ``omega_2 - omega_1 + N2*Omega_2^(sigma) - N1*(Omega_1^(sigma) +
-        Omega_1^(pi))``; zero makes the photon-free sectors degenerate."""
+        Omega_1^(pi)) + N2*Omega_2^(pi)``, twice the photon-free sector's
+        :meth:`varpi_split`: each node is shifted by both modes it couples
+        to, and zero makes the photon-free sector degenerate."""
         return (
             self.omega_2
             - self.omega_1
             + self.n_atoms_2 * self.omega_2_sigma
             - self.n_atoms_1 * (self.omega_1_sigma + self.omega_1_pi)
+            + self.n_atoms_2 * self.omega_2_pi
         )
 
     def varpi_split(self, n: int) -> float:
@@ -242,15 +246,12 @@ class DerivedCouplings:
         larger by a factor ~N and would cancel catastrophically.
         """
         n = _check_sector(n)
-        return (
-            0.5 * (self.resonance_residual() + self.n_atoms_2 * self.omega_2_pi)
-            - n * self.omega_1_pi
-        )
+        return 0.5 * self.resonance_residual() - n * self.omega_1_pi
 
     def kappa(self, n: int) -> float:
-        """Generalized swap rate ``sqrt(n^2 Omega_1^(pi)^2 + |S|^2)``."""
-        n = _check_sector(n)
-        k = np.hypot(n * self.omega_1_pi, abs(self.s_coupling))
+        """Rotation rate ``hypot(varpi_split(n), |S|)`` of sector ``n``; on
+        resonance the paper's ``sqrt(n^2 Omega_1^(pi)^2 + |S|^2)``."""
+        k = np.hypot(self.varpi_split(n), abs(self.s_coupling))
         return k if np.ndim(k) else float(k)
 
 

@@ -4,10 +4,10 @@ Every preset is a sigma-channel set retuned to its blockade ratio by
 :func:`_retune`, the one retune rule, which :func:`rescaled_couplings` also
 runs; the tests pin each preset as a fixed point of a scalar copy of it.
 The sigma-channel set meets the interference condition ``Delta_m^(sigma) =
--Delta_m^(pi_m)`` (photon sectors stay decoupled) and has ``g_pi_2 = 0``,
-which removes the second node's intra-node shift, so that the swap resonance
-that the retune solves for omega_2 makes the photon-free sectors exactly
-degenerate.  Node frequencies are relative to a common rotating reference.
+-Delta_m^(pi_m)`` (photon sectors stay decoupled) and has ``g_pi_2 = 0``.
+The retune solves the swap resonance for omega_2, with every node shift in
+it, so any set it retunes has a degenerate photon-free sector to rounding.
+Node frequencies are relative to a common rotating reference.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def _retune(params: PhysicalParams, ratios):
         g_pi_1 = np.sqrt(ratios * s * abs(params.delta_pi_1))
         omega_1_pi = _intra_node_shift(g_pi_1, params.delta_pi_1)
         omega_2 = (params.omega_1 + params.n_atoms_1 * (couplings.omega_1_sigma + omega_1_pi)
-                   - params.n_atoms_2 * couplings.omega_2_sigma)
+                   - params.n_atoms_2 * couplings.omega_2_sigma
+                   - params.n_atoms_2 * couplings.omega_2_pi)
     failed = np.array(np.broadcast_arrays(
         ratios < 0.0, s == 0.0, ~np.isfinite(g_pi_1), ~np.isfinite(omega_2)))
     bad = failed.any(axis=0)
@@ -101,6 +102,8 @@ def blockade_tuned_params(
     ``dispersive_margin`` sets the shared detuning as a multiple of the
     largest coupling scale so all |g/Delta| ratios stay well below 0.1.
     """
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio!r}")
     n1 = int(_check_count("n_atoms_1", n_atoms_1))
     n2 = n1 if n_atoms_2 is None else int(_check_count("n_atoms_2", n_atoms_2))
     if not 0.0 < s_coupling < math.inf:

@@ -64,6 +64,22 @@ def random_resonant_params(rng: np.random.Generator, ratio_max: float = 3.0) -> 
     )
 
 
+def detuned_params(rng: np.random.Generator) -> PhysicalParams:
+    """A :func:`random_resonant_params` set with node 2 coupled to its
+    microcavity (``g_pi_2 != 0``, complex, inside the dispersive window), a
+    complex ``g_sigma_2`` (so a complex S) and ``omega_2`` moved off
+    resonance by 0.5 to 2 |S|."""
+    params = random_resonant_params(rng)
+    s = abs(_swap_coupling_reference(params))
+    g_pi_2 = rng.uniform(0.3, 1.0) * np.sqrt(s * abs(params.delta_pi_2))
+    return dataclasses.replace(
+        params,
+        g_pi_2=complex(g_pi_2 * np.exp(1j * rng.uniform(0.0, 6.0))),
+        g_sigma_2=complex(params.g_sigma_2 * np.exp(1j * rng.uniform(0.1, 3.0))),
+        omega_2=float(params.omega_2 + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * s),
+    )
+
+
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
@@ -557,14 +573,15 @@ def _swap_coupling_reference(p: PhysicalParams) -> complex:
 def rescaled_params_reference(params: PhysicalParams, ratio: float) -> PhysicalParams:
     """``params`` retargeted to one blockade ratio by scalar arithmetic:
     ``g_pi_1`` rescaled so ``|Omega_1^(pi)| / |S| = ratio`` and ``omega_2``
-    re-solved so the swap resonance holds."""
+    re-solved so the swap resonance holds, node 2's pi shift included."""
     p = params
     s = _swap_coupling_reference(p)
     o1s = abs(p.g_sigma_1) ** 2 / p.delta_sigma_1
     o2s = abs(p.g_sigma_2) ** 2 / p.delta_sigma_2
+    o2p = abs(p.g_pi_2) ** 2 / p.delta_pi_2
     g_pi_1 = float(np.sqrt(ratio * abs(s) * abs(p.delta_pi_1)))
     o1p = abs(g_pi_1) ** 2 / p.delta_pi_1
-    omega_2 = float(p.omega_1 + p.n_atoms_1 * (o1s + o1p) - p.n_atoms_2 * o2s)
+    omega_2 = float(p.omega_1 + p.n_atoms_1 * (o1s + o1p) - p.n_atoms_2 * o2s - p.n_atoms_2 * o2p)
     return dataclasses.replace(p, g_pi_1=g_pi_1, omega_2=omega_2)
 
 
@@ -573,10 +590,11 @@ def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float,
     arithmetic alone, in the order the package evaluates it.
 
     The parameters are retargeted by :func:`rescaled_params_reference`;
-    ``U_10`` is the entry of the n=1 rotating-frame propagator at the swap
-    time pi/(2|S|).  Python floats and complex numbers and numpy scalar
-    functions only, so every rounding is the one a lone scalar evaluation
-    makes.
+    ``kappa(1)`` is the n=1 rate ``hypot(d, |S|)`` for the sector's half
+    split ``d``, and ``U_10`` is the entry of the n=1 rotating-frame
+    propagator at the swap time pi/(2|S|).  Python floats and complex
+    numbers and numpy scalar functions only, so every rounding is the one a
+    lone scalar evaluation makes.
     """
     p = rescaled_params_reference(params, ratio)
     n1, n2 = p.n_atoms_1, p.n_atoms_2
@@ -586,13 +604,12 @@ def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float,
     o2p = abs(p.g_pi_2) ** 2 / p.delta_pi_2
     o1p = abs(p.g_pi_1) ** 2 / p.delta_pi_1
     omega_1, omega_2 = float(p.omega_1), p.omega_2
-    k1 = float(np.hypot(o1p, abs(s)))
+    residual = omega_2 - omega_1 + n2 * o2s - n1 * (o1s + o1p) + n2 * o2p
+    d = 0.5 * residual - o1p
+    k1 = float(np.hypot(d, abs(s)))
     error = abs(s) / k1 if k1 != 0.0 else 0.0
-    residual = omega_2 - omega_1 + n2 * o2s - n1 * (o1s + o1p)
-    d = 0.5 * (residual + n2 * o2p) - o1p
     t = np.pi / (2.0 * abs(s))
-    k = float(np.hypot(d, abs(s)))
-    u_10 = -1j * np.conj(s) * (np.sin(k * t) / k)
+    u_10 = -1j * np.conj(s) * (np.sin(k1 * t) / k1)
     return float(ratio), error, float(abs(u_10))
 
 

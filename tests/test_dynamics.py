@@ -22,6 +22,7 @@ from ensembleqc.dynamics import (
 from ensembleqc.physical import DerivedCouplings, derive_couplings
 from helpers import (
     blockade_row_reference,
+    detuned_params,
     effective_hamiltonian,
     iswap,
     phase_distance,
@@ -214,9 +215,10 @@ class TestTimeArrays:
 
 def _reference_case(kind):
     """The sqrt(3)-tuned preset detuned by -2|S| (d != 0 in both sectors,
-    and kappa(1) > k, so kappa sets the step), or with a complex g_sigma_2,
-    which makes S complex (and detunes it too).  There A's eigenvectors are
-    not the symmetric and antisymmetric node states of the tuned case."""
+    so kappa(n) = hypot(d, |S|) is not the resonant rate), or with a complex
+    g_sigma_2, which makes S complex (and detunes it too).  There A's
+    eigenvectors are not the symmetric and antisymmetric node states of the
+    tuned case."""
     params = presets.blockade_tuned_params(presets.SQRT3)
     if kind == "off_resonant":
         params = dataclasses.replace(params, omega_2=params.omega_2 - 2.0)
@@ -230,7 +232,7 @@ def _reference_case(kind):
 
 def _check_against_reference(couplings, n, samples):
     s = abs(couplings.s_coupling)
-    step = DEFAULT_STEP_FACTOR / max(couplings.kappa(n), float(np.hypot(couplings.varpi_split(n), s)))
+    step = DEFAULT_STEP_FACTOR / couplings.kappa(n)
     vec = random_state(np.random.default_rng(41), 2)
     for t in (0.0, 0.5 * step, 10.0 * np.pi / s):
         result = evolve_numerical(couplings, n, t, NodePairState(*vec), samples=samples)
@@ -261,7 +263,7 @@ class TestNumerical:
         # Sample counts around powers of two, where a doubling or blocked
         # product of the segments would change its number of levels.
         s = abs(tuned.s_coupling)
-        step = DEFAULT_STEP_FACTOR / max(tuned.kappa(n), float(np.hypot(tuned.varpi_split(n), s)))
+        step = DEFAULT_STEP_FACTOR / tuned.kappa(n)
         vec = random_state(np.random.default_rng(43), 2)
         t = 10.0 * np.pi / s
         expected = rk4_reference(tuned, n, t, vec, step, samples)
@@ -273,15 +275,15 @@ class TestNumerical:
     @pytest.mark.parametrize("samples", [0, 1, 64])
     @pytest.mark.parametrize("n, omega_1, omega_1_pi, omega_2", [(0, 2.5, 0.0, 2.5), (1, 0.0, 1.0, 6.0)])
     def test_zero_generator_keeps_the_state(self, n, omega_1, omega_1_pi, omega_2, samples):
-        # d = S = 0 in sector n.  With kappa(n) = 0 one step covers the time;
-        # with Omega_1^(pi) = 1, kappa(1) = 1 sets a step of 1/256 s.  Either
-        # way the state stays as it is, and k = 0 divides nothing.
+        # d = S = 0 in sector n, with Omega_1^(pi) = 0 or 1: a zero generator
+        # has zero rate, kappa(n) = 0, and one step covers the time.  The
+        # state stays as it is, and k = 0 divides nothing.
         couplings = DerivedCouplings(
             omega_cap_sigma=0j, omega_1_sigma=0.0, omega_1_pi=omega_1_pi, omega_2_sigma=0.0,
             omega_2_pi=0.0, s_coupling=0j, n_atoms_1=4, n_atoms_2=4, omega_1=omega_1, omega_2=omega_2,
         )
         assert couplings.varpi_split(n) == 0.0
-        assert couplings.kappa(n) == n
+        assert couplings.kappa(n) == 0.0
         vec = random_state(np.random.default_rng(61), 2)
         t = 3.0
         with warnings.catch_warnings():
@@ -403,6 +405,21 @@ class TestBlockadeError:
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_peak_of_eigh_propagator_off_resonance(self):
+        # Oracle: the generator's eigendecomposition, off resonance with node
+        # 2's pi shift and a complex S.  |c2| peaks at a quarter period of
+        # the eigen splitting, and a dense scan of one period stays below it.
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            couplings = derive_couplings(detuned_params(rng))
+            h = effective_hamiltonian(couplings, 1)
+            lo, hi = np.linalg.eigvalsh(h - np.eye(2) * np.trace(h) / 2.0)
+            t_peak = np.pi / (hi - lo)
+            peak = abs(propagator_eig_oracle(h, t_peak)[1, 0])
+            assert abs(blockade_error(couplings) - peak) < 1e-9
+            times = np.linspace(0.0, 2.0 * t_peak, 101)
+            assert max(abs(propagator_eig_oracle(h, t)[1, 0]) for t in times) <= peak + 1e-12
+
     def test_numerical_peak_matches_formula(self, tuned):
         k1 = tuned.kappa(1)
         t_peak = np.pi / (2.0 * k1)
@@ -468,6 +485,28 @@ class TestRatioStacks:
         c2 = sector_propagator(stack, 1, np.pi / (2.0 * abs(stack.s_coupling)))[:, 1, 0]
         rows = np.column_stack([ratios, blockade_error(stack), np.hypot(c2.real, c2.imag)])
         assert np.array_equal(rows, [blockade_row_reference(params, r) for r in ratios])
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_retuned_sets_are_resonant(self, case):
+        # Oracle: the eigendecomposition of each retuned set's generator.
+        # Whatever node 2's pi shift, S's phase and the detuning of omega_2,
+        # the photon-free sector swaps fully at swap_time, and at the sqrt(3)
+        # ratio the one-photon sector returns.
+        if case == 0:  # |S| = 1 and g_pi_2 = 5, far from the presets
+            params = dataclasses.replace(presets.blockade_tuned_params(presets.SQRT3), g_pi_2=5.0)
+        else:
+            params = detuned_params(np.random.default_rng(83 + case))
+        ratios = [0.0, 0.5, 1.0, presets.SQRT3, 3.0, 10.0]
+        stack = presets.rescaled_couplings(params, ratios)
+        t = swap_time(stack)
+        propagators = [sector_propagator(stack, n, t) for n in (0, 1)]
+        for i, ratio in enumerate(ratios):
+            single = dataclasses.replace(stack, omega_1_pi=stack.omega_1_pi[i], omega_2=stack.omega_2[i])
+            for n in (0, 1) if ratio == presets.SQRT3 else (0,):
+                expected = 0.0 if n else 1.0
+                oracle = propagator_eig_oracle(effective_hamiltonian(single, n), t)
+                assert abs(abs(oracle[1, 0]) - expected) <= 1e-12
+                assert abs(abs(propagators[n][i, 1, 0]) - expected) <= 1e-12
 
     def test_stack_with_times(self, tuned):
         # A stack of n coupling sets and m times broadcast like any numpy operands.

@@ -19,7 +19,8 @@ from ensembleqc.physical import (
     check_interference_condition,
     derive_couplings,
 )
-from helpers import effective_hamiltonian, json_depth_reference, random_resonant_params, sector_frequencies
+from helpers import (detuned_params, effective_hamiltonian, json_depth_reference, random_resonant_params,
+                     sector_frequencies)
 
 
 def make_params(**overrides) -> PhysicalParams:
@@ -51,6 +52,11 @@ class TestParamsValidation:
             make_params(n_atoms_1=0)
         with pytest.raises(ValueError, match="n_atoms_2"):
             make_params(n_atoms_2=2.5)
+        # True would be written as JSON true, which from_json rejects.
+        for name in ("n_atoms_1", "n_atoms_2"):
+            for value in (True, False, np.True_):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer in 1..2\\*\\*53, got"):
+                    make_params(**{name: value})
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -83,6 +89,11 @@ class TestParamsValidation:
         params = make_params(g_sigma_1=1.0 + 0.25j)
         recovered = PhysicalParams.from_json(params.to_json())
         assert recovered == params
+        # Every atom count the constructor accepts, numpy integers too.
+        for count in (1, 7, 2**53, np.int64(3), np.uint8(255), np.int32(1)):
+            for name in ("n_atoms_1", "n_atoms_2"):
+                params = make_params(**{name: count})
+                assert PhysicalParams.from_json(params.to_json()) == params
 
     @pytest.mark.parametrize("field, value", [
         ("n_atoms_1", 2.7),  # rejected, not truncated to 2
@@ -171,7 +182,7 @@ class TestDeriveCouplings:
         couplings = derive_couplings(make_params(g_sigma_1=0.0, g_pi_1=0.0))
         assert couplings.omega_cap_sigma == 0.0
         assert couplings.s_coupling == 0.0
-        assert couplings.kappa(0) == 0.0
+        assert couplings.kappa(0) == abs(couplings.varpi_split(0))
 
     @pytest.mark.parametrize("overrides", [
         {"g_sigma_1": 0.0, "delta_sigma_2": 1e-310},  # 0 * inf
@@ -358,18 +369,16 @@ class TestEffectiveHamiltonian:
         assert h[0, 1] == 0.0 and h[1, 0] == 0.0
 
     def test_eigen_splitting_matches_kappa(self):
-        # Oracle: numpy eigendecomposition of the generator.
+        # Oracle: numpy eigendecomposition of the generator, on resonance and
+        # off it with node 2's pi shift and a complex S.
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            params = random_resonant_params(rng)
-            couplings = derive_couplings(params)
+        for make in [random_resonant_params] * 25 + [detuned_params] * 25:
+            couplings = derive_couplings(make(rng))
             for n in (0, 1):
                 h = effective_hamiltonian(couplings, n)
                 h = h - np.eye(2) * np.trace(h) / 2.0
                 lo, hi = np.linalg.eigvalsh(h)
-                assert abs((hi - lo) / 2.0 - couplings.kappa(n)) < 1e-10 * max(
-                    couplings.kappa(n), 1.0
-                )
+                assert abs((hi - lo) / 2.0 - couplings.kappa(n)) < 1e-10 * couplings.kappa(n)
 
     def test_splitting_values_on_resonance(self):
         # n = 0 resonant: splitting 2|S|; n = 1 at sqrt(3): splitting 4|S|.

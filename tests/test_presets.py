@@ -75,12 +75,16 @@ def test_constructors_emit_no_warning():
     ({"dispersive_margin": 0.0}, "dispersive_margin"),
     ({"dispersive_margin": math.nan}, "dispersive_margin"),
     ({"dispersive_margin": math.inf}, "dispersive_margin"),
+    ({"ratio": math.nan}, "ratio"),
+    ({"ratio": math.inf}, "ratio"),
+    ({"ratio": -math.inf}, "ratio"),
+    ({"n_atoms_1": True}, "n_atoms_1"),  # not the count 1
 ])
 def test_bad_argument_is_named_before_any_warning(kwargs, name):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match=f"^{name} must be"):
-            presets.blockade_tuned_params(presets.SQRT3, **kwargs)
+            presets.blockade_tuned_params(**{"ratio": presets.SQRT3, **kwargs})
     assert caught == []
 
 
