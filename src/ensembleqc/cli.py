@@ -360,13 +360,10 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     diag_warnings = [str(w.message) for w in caught]
     interference = check_interference_condition(config.physical_params)
     resonance = couplings.resonance_residual()
-    deviation_from_tuning = dynamics.blockade_condition_deviation(couplings)
-    if deviation_from_tuning > dynamics.BLOCKADE_CONDITION_TOL and not args.force:
-        raise VerificationError(
-            "blockade tuning |Omega_1^(pi)| = sqrt(3)|S| violated "
-            f"(relative deviation {deviation_from_tuning:.3e}); rerun with --force"
-        )
-    gate = dynamics.extract_controlled_iswap(couplings, enforce_condition=False)
+    try:
+        gate = dynamics.extract_controlled_iswap(couplings, enforce_condition=not args.force)
+    except dynamics.BlockadeConditionError as exc:
+        raise VerificationError(f"{exc}; rerun with --force") from None
     m = gate.matrix
     deviations = {
         "n0_diag": max(abs(m[0, 0]), abs(m[1, 1])),

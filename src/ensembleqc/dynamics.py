@@ -54,10 +54,12 @@ BLOCKADE_CONDITION_TOL = 1e-9
 class BlockadeConditionError(ValueError):
     """Gate extraction refused: |Omega_1^(pi)| != sqrt(3) |S|."""
 
-    def __init__(self, leakage: float):
+    def __init__(self, deviation: float, leakage: float):
+        self.deviation = float(deviation)
         self.leakage = float(leakage)
         super().__init__(
-            f"blockade tuning violated; residual one-photon swap amplitude "
+            "blockade tuning |Omega_1^(pi)| = sqrt(3)|S| violated (relative deviation "
+            f"{self.deviation:.3e}); residual one-photon swap amplitude "
             f"|c2| = {self.leakage:.6e} at the gate time"
         )
 
@@ -287,14 +289,6 @@ def swap_time(couplings: DerivedCouplings) -> float:
     return float(t)
 
 
-def blockade_condition_deviation(couplings: DerivedCouplings) -> float:
-    """Relative deviation of |Omega_1^(pi)| from sqrt(3) |S|."""
-    target = SQRT3 * abs(couplings.s_coupling)
-    if target == 0.0:
-        return np.inf
-    return abs(abs(couplings.omega_1_pi) - target) / target
-
-
 def extract_controlled_iswap(
     couplings: DerivedCouplings, enforce_condition: bool = True
 ) -> Unitary:
@@ -309,10 +303,12 @@ def extract_controlled_iswap(
     ``[[0, -i], [-i, 0]]`` (real positive S) and the one-photon block is
     ``-exp(i (N1 - 1) Omega_1^(pi) t) I``, a unit-modulus diagonal.
 
-    Unless ``enforce_condition`` is off, a relative deviation of the blockade
-    tuning beyond ``BLOCKADE_CONDITION_TOL`` raises :class:`BlockadeConditionError`
-    carrying the residual one-photon swap amplitude.  A relative-phase or
-    sector rotation angle that is not finite raises ``ValueError``.
+    The one blockade check: unless ``enforce_condition`` is off, a relative
+    deviation of |Omega_1^(pi)| from sqrt(3)|S| that is not within
+    ``BLOCKADE_CONDITION_TOL`` raises :class:`BlockadeConditionError` with it
+    and the residual one-photon swap amplitude; ``truth-table`` exits 1 on it.
+    A relative-phase or sector rotation angle that is not finite raises
+    ``ValueError`` first.
     """
     t = swap_time(couplings)
     # The one phase between the sectors' rotating frames.  The sectors' mean
@@ -325,8 +321,11 @@ def extract_controlled_iswap(
         raise ValueError(f"controlled swap undefined: relative phase angle {rel_angle!r}")
     core0 = sector_propagator(couplings, 0, t)
     core1 = sector_propagator(couplings, 1, t)
-    if enforce_condition and blockade_condition_deviation(couplings) > BLOCKADE_CONDITION_TOL:
-        raise BlockadeConditionError(abs(core1[1, 0]))
+    # NaN, so refused, once sqrt(3)|S| overflows: no float |Omega_1^(pi)| meets it.
+    target = SQRT3 * abs(couplings.s_coupling)
+    deviation = abs(abs(couplings.omega_1_pi) - target) / target
+    if enforce_condition and not deviation <= BLOCKADE_CONDITION_TOL:
+        raise BlockadeConditionError(deviation, abs(core1[1, 0]))
     rel_phase = np.exp(1j * rel_angle)
     m = np.zeros((4, 4), dtype=complex)
     m[:2, :2] = core0

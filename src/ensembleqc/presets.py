@@ -5,8 +5,8 @@ Every preset is a sigma-channel set retuned to its blockade ratio by
 runs; the tests pin each preset as a fixed point of a scalar copy of it.
 The sigma-channel set meets the interference condition ``Delta_m^(sigma) =
 -Delta_m^(pi_m)`` (photon sectors stay decoupled) and has ``g_pi_2 = 0``.
-The retune solves the swap resonance for omega_2, with every node shift in
-it, so any set it retunes has a degenerate photon-free sector to rounding.
+The retune sets omega_2 to omega_1 less the resonance residual of the set
+with omega_2 = omega_1, so every retuned set is resonant to rounding.
 Node frequencies are relative to a common rotating reference.
 """
 
@@ -37,12 +37,12 @@ _RESCALE_ERRORS = (
 
 
 def _retune(params: PhysicalParams, ratios):
-    """The one retune rule: ``(couplings, g_pi_1, omega_1_pi, omega_2)``.
-    ``couplings`` are those of ``params``, derived once (the one
-    dispersive-regime warning); per ratio ``r`` of the 1-D ``ratios``,
-    ``g_pi_1`` gives ``|Omega_1^(pi)| / |S| = r``, ``omega_1_pi`` is its
-    shift and ``omega_2`` solves the swap resonance condition.  A ratio that
-    fails a check raises that check's error; with several, the first does.
+    """The one retune rule: ``(couplings, g_pi_1)``, the couplings of
+    ``params`` (derived once: one dispersive-regime warning) stacked over the
+    1-D ``ratios``.  Per ratio ``r``, ``g_pi_1`` gives ``|Omega_1^(pi)| / |S|
+    = r``, and omega_2 is omega_1 less the ``resonance_residual`` at omega_2 =
+    omega_1, in which omega_2's coefficient is 1.  A ratio that fails a check
+    raises that check's error; with several, the first does.
     """
     ratios = np.asarray(ratios, dtype=float)
     couplings = derive_couplings(params)
@@ -51,16 +51,15 @@ def _retune(params: PhysicalParams, ratios):
     # stays as silent as the scalar float arithmetic it replaces.
     with np.errstate(all="ignore"):
         g_pi_1 = np.sqrt(ratios * s * abs(params.delta_pi_1))
-        omega_1_pi = _intra_node_shift(g_pi_1, params.delta_pi_1)
-        omega_2 = (params.omega_1 + params.n_atoms_1 * (couplings.omega_1_sigma + omega_1_pi)
-                   - params.n_atoms_2 * couplings.omega_2_sigma
-                   - params.n_atoms_2 * couplings.omega_2_pi)
+        level = dataclasses.replace(couplings, omega_1_pi=_intra_node_shift(g_pi_1, params.delta_pi_1),
+                                    omega_2=couplings.omega_1)
+        retuned = dataclasses.replace(level, omega_2=level.omega_1 - level.resonance_residual())
     failed = np.array(np.broadcast_arrays(
-        ratios < 0.0, s == 0.0, ~np.isfinite(g_pi_1), ~np.isfinite(omega_2)))
+        ratios < 0.0, s == 0.0, ~np.isfinite(g_pi_1), ~np.isfinite(retuned.omega_2)))
     bad = failed.any(axis=0)
     if bad.any():
         raise ValueError(_RESCALE_ERRORS[int(failed[:, bad.argmax()].argmax())])
-    return couplings, g_pi_1, omega_1_pi, omega_2
+    return retuned, g_pi_1
 
 
 def rescaled_couplings(params: PhysicalParams, ratios) -> DerivedCouplings:
@@ -70,8 +69,7 @@ def rescaled_couplings(params: PhysicalParams, ratios) -> DerivedCouplings:
     equal bit for bit to ``derive_couplings`` of the retuned scalar set, so a
     preset built at ratio ``r`` gets its own couplings back at ``[r]``.
     """
-    couplings, _, omega_1_pi, omega_2 = _retune(params, ratios)
-    return dataclasses.replace(couplings, omega_1_pi=omega_1_pi, omega_2=omega_2)
+    return _retune(params, ratios)[0]
 
 
 def _tuned(n1, n2, g_sigma, delta, omega_1, ratio) -> PhysicalParams:
@@ -84,8 +82,8 @@ def _tuned(n1, n2, g_sigma, delta, omega_1, ratio) -> PhysicalParams:
         delta_pi_1=-delta, delta_pi_2=-delta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DispersiveRegimeWarning)
-        _, g_pi_1, _, omega_2 = _retune(params, [ratio])
-    return dataclasses.replace(params, g_pi_1=float(g_pi_1[0]), omega_2=float(omega_2[0]))
+        couplings, g_pi_1 = _retune(params, [ratio])
+    return dataclasses.replace(params, g_pi_1=float(g_pi_1[0]), omega_2=float(couplings.omega_2[0]))
 
 
 def blockade_tuned_params(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiler import NORM_ATOL, NativeProgram, _op_kernel, fused_runs
+from .compiler import NORM_ATOL, NativeProgram, _checked_targets, _op_kernel, fused_runs
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,11 @@ def measure_logical(
 
     The outcome takes one draw ``rng.random()``: 1 if it falls below the
     probability of the qubit's 1.  The generator (or seed) is injected,
-    never ambient, so runs are reproducible.
+    never ambient, so runs are reproducible.  ``qubit`` obeys the op target
+    rule (:func:`compiler._checked_targets`) and must be in the register.
     """
-    if not 0 <= qubit < state.qubit_count:
+    (qubit,) = _checked_targets("measure", (qubit,), 1)
+    if qubit >= state.qubit_count:
         raise ValueError(f"qubit {qubit} out of range")
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     halves = state.amplitudes.reshape(-1, 2, 1 << qubit)

@@ -572,8 +572,10 @@ def _swap_coupling_reference(p: PhysicalParams) -> complex:
 
 def rescaled_params_reference(params: PhysicalParams, ratio: float) -> PhysicalParams:
     """``params`` retargeted to one blockade ratio by scalar arithmetic:
-    ``g_pi_1`` rescaled so ``|Omega_1^(pi)| / |S| = ratio`` and ``omega_2``
-    re-solved so the swap resonance holds, node 2's pi shift included."""
+    ``g_pi_1`` rescaled so ``|Omega_1^(pi)| / |S| = ratio``, and ``omega_2``
+    set to ``omega_1`` less the swap resonance residual of the set with
+    ``omega_2 = omega_1``, node 2's pi shift included, its terms in
+    ``resonance_residual``'s order."""
     p = params
     s = _swap_coupling_reference(p)
     o1s = abs(p.g_sigma_1) ** 2 / p.delta_sigma_1
@@ -581,8 +583,9 @@ def rescaled_params_reference(params: PhysicalParams, ratio: float) -> PhysicalP
     o2p = abs(p.g_pi_2) ** 2 / p.delta_pi_2
     g_pi_1 = float(np.sqrt(ratio * abs(s) * abs(p.delta_pi_1)))
     o1p = abs(g_pi_1) ** 2 / p.delta_pi_1
-    omega_2 = float(p.omega_1 + p.n_atoms_1 * (o1s + o1p) - p.n_atoms_2 * o2s - p.n_atoms_2 * o2p)
-    return dataclasses.replace(p, g_pi_1=g_pi_1, omega_2=omega_2)
+    omega_1 = float(p.omega_1)
+    residual = omega_1 - omega_1 + p.n_atoms_2 * o2s - p.n_atoms_1 * (o1s + o1p) + p.n_atoms_2 * o2p
+    return dataclasses.replace(p, g_pi_1=g_pi_1, omega_2=float(omega_1 - residual))
 
 
 def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float, float, float]:

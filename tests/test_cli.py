@@ -305,6 +305,30 @@ ERROR_CASES = {
     "blockade_tuning_violated": (
         {"c.json": {"physical_params": dict(REFERENCE, g_pi_1=0.0)}},
         ["--config", "c.json", "truth-table"], 1),
+    # Off the tuning and with a relative phase angle of -inf: the gate is
+    # undefined before the tuning is checked, as extract_controlled_iswap
+    # checks them.
+    "off_tuning_infinite_phase_angle_truth_table": (
+        {"c.json": {"physical_params": dict(
+            n_atoms_1=10**9, n_atoms_2=1, g_sigma_1=1.0, g_sigma_2=1.0, g_pi_1=1e154, g_pi_2=0.0,
+            omega_1=0.0, omega_2=0.0, delta_sigma_1=1.0, delta_sigma_2=1.0, delta_pi_1=-1.0,
+            delta_pi_2=-1.0)}},
+        ["--config", "c.json", "truth-table"], 2),
+    "sweep_parameter_unknown": (
+        {"c.json": {"sweep": {"parameter": "nope", "values": [1.0]}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "sweep_grid_without_max": (
+        {"c.json": {"sweep": {"parameter": "pi_to_s_ratio", "min": 0, "steps": 3}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "blockade_sweep_over_gamma_atomic": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic", "values": [1.0]}}},
+        ["--config", "c.json", "blockade-sweep"], 2),
+    "simulate_without_input": ({}, ["simulate"], 2),
+    "simulate_program_and_circuit": (
+        {"p.json": PROGRAM, "c.txt": "H 0\n"},
+        ["simulate", "--program", "p.json", "--circuit", "c.txt"], 2),
+    "program_qubit_count_zero": (
+        {"p.json": {"qubit_count": 0, "ops": []}}, ["simulate", "--program", "p.json"], 2),
 }
 
 
@@ -321,6 +345,21 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     # Each config value is named by its own check, not by the catch-all for
     # a TypeError in Python's own wording.
     assert not stderr.startswith("error: malformed config"), stderr
+
+
+def test_off_tuning_truth_table_error_is_the_extractors(tmp_path):
+    # The one blockade check is extract_controlled_iswap's: its error, with
+    # the relative deviation and |c2|, then the hint to rerun with --force.
+    params = presets.blockade_tuned_params(1.0)
+    path = write(tmp_path / "c.json", {"physical_params": json.loads(params.to_json())})
+    code, stdout, stderr = run_cli(["--config", path, "truth-table"])
+    with pytest.raises(dynamics.BlockadeConditionError) as err:
+        dynamics.extract_controlled_iswap(derive_couplings(params))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {err.value}; rerun with --force\n"
+    assert "relative deviation 4.226e-01" in stderr and "|c2| = " in stderr
+    code, stdout, stderr = run_cli(["--config", path, "truth-table", "--force"])
+    assert (code, stderr) == (1, "") and "FAIL max deviation" in stdout
 
 
 # The longest error line that a rejected program value may print.

@@ -19,7 +19,7 @@ from ensembleqc.dynamics import (
     sector_propagator,
     swap_time,
 )
-from ensembleqc.physical import DerivedCouplings, derive_couplings
+from ensembleqc.physical import DerivedCouplings, PhysicalParams, derive_couplings
 from helpers import (
     blockade_row_reference,
     detuned_params,
@@ -682,6 +682,23 @@ class TestGateExtraction:
         # ratio 1: kappa t = pi/sqrt(2), leakage = sin(pi/sqrt 2)/sqrt(2)
         expected = abs(np.sin(np.pi / np.sqrt(2))) / np.sqrt(2)
         assert abs(err.value.leakage - expected) < 1e-12
+        # |Omega_1^(pi)| = |S| is 1 - 1/sqrt(3) short of sqrt(3)|S|.
+        assert abs(err.value.deviation - (1.0 - 1.0 / np.sqrt(3.0))) < 1e-12
+        assert f"relative deviation {err.value.deviation:.3e}" in str(err.value)
+        assert f"|c2| = {err.value.leakage:.6e}" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
+    def test_overflowing_blockade_target_rejected(self):
+        # |S| = 1.44e308 has a finite swap time, but sqrt(3)|S| overflows, so
+        # no |Omega_1^(pi)| meets the tuning; the deviation is NaN.
+        couplings = derive_couplings(PhysicalParams(
+            n_atoms_1=1, n_atoms_2=1, g_sigma_1=1.2e154, g_sigma_2=1.2e154, g_pi_1=1.0, g_pi_2=0.0,
+            omega_1=0.0, omega_2=0.0, delta_sigma_1=1.0, delta_sigma_2=1.0, delta_pi_1=-1.0,
+            delta_pi_2=-1.0))
+        with pytest.raises(BlockadeConditionError, match="relative deviation nan") as err:
+            extract_controlled_iswap(couplings)
+        assert np.isnan(err.value.deviation)
+        assert extract_controlled_iswap(couplings, enforce_condition=False).unitarity_defect() < 1e-12
 
     def test_force_flag_skips_the_gate_condition(self, resonant):
         u = extract_controlled_iswap(resonant, enforce_condition=False)

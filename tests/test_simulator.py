@@ -362,6 +362,19 @@ class TestMeasurement:
         b = [measure_logical(plus, 0, rng=k)[0] for k in range(32)]
         assert a == b
 
+    def test_qubit_follows_the_target_rule(self):
+        state = encode_basis("01")
+        for qubit in (True, 1.0, "0", None):
+            with pytest.raises(ValueError, match="targets must be integers"):
+                measure_logical(state, qubit, rng=0)
+        with pytest.raises(ValueError, match="targets must be nonnegative"):
+            measure_logical(state, -1, rng=0)
+        for qubit in (2, np.int64(2)):
+            with pytest.raises(ValueError, match="qubit 2 out of range"):
+                measure_logical(state, qubit, rng=0)
+        assert measure_logical(state, np.int64(1), rng=0)[0] == 1
+        assert measure_logical(state, np.int64(0), rng=0)[0] == 0
+
     def test_no_leakage_tolerance_parameter(self):
         for fn in (decode, measure_logical):
             assert "leakage_tol" not in inspect.signature(fn).parameters
