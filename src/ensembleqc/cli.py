@@ -19,6 +19,13 @@ verdict.
 and reports the check's ``equivalence_error`` (see :mod:`ensembleqc.compiler`);
 the check passes below 1e-9.
 
+Under ``--json``, stdout is exactly one JSON document on every subcommand,
+with or without ``--out``.  ``--out`` writes ``truth_table.json``
+(``truth-table``), ``blockade_sweep.csv`` (``blockade-sweep``),
+``fidelity_sweep.csv`` (``fidelity``), ``program.json``, ``program.txt`` and
+``compile_report.json`` (``compile``), and ``state.json`` and
+``run_report.json`` (``simulate``).
+
 Every command is deterministic given the config and seed; reports embed a
 hash of the resolved configuration.  A report, and so its hash, is built
 only for ``--json``, which prints it, and ``--out``, which writes it;
@@ -334,15 +341,16 @@ def _out_dir(config: ScenarioConfig) -> Path | None:
 
 def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, show: bool) -> None:
     """Write the CSV table with the 1-d float ``columns`` (see :func:`_table`)
-    to ``name`` in the output directory, if any, then print it if ``show``,
-    from the written file if there is one, so no row is formatted twice."""
+    to ``name`` in the output directory, if any, then, if ``show``, print a
+    ``wrote`` line for the file and the table, from the written file if there
+    is one, so no row is formatted twice."""
     out = _out_dir(config)
     table = _table(columns, lambda values: list(map(_FMT.format, values)), ",", "\n", header + "\n", "\n")
     if out is not None:
         with open(out / name, "w") as file:
             file.writelines(table)
-        _print(f"wrote {out / name}")
         if show:
+            _print(f"wrote {out / name}")
             with open(out / name) as file:
                 _print(iter(functools.partial(file.read, 1 << 20), ""), end="")
     elif show:

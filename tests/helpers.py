@@ -19,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
+import sys
 
 import numpy as np
 
@@ -618,22 +620,28 @@ def blockade_row_reference(params: PhysicalParams, ratio: float) -> tuple[float,
 
 def fidelity_row_reference(gamma_atomic: float, gamma_cavity: float, delta: float,
                            t: float) -> tuple[float, float]:
-    """``(fidelity, margin)`` of one ``fidelity`` row by scalar arithmetic.
-
-    Where ``exp(-2 Gamma t - x)`` is below the smallest normal float or
-    ``cosh^2(x / 2)`` overflows, ``x = pi gamma / (2 Delta)``, the fidelity is
-    the identity ``exp(-2 Gamma t) ((1 + exp(-x)) / 2)^2``.
-    """
+    """``(fidelity, margin)`` of one ``fidelity`` row by scalar arithmetic,
+    the fidelity as ``exp(-2 Gamma t) ((1 + exp(-x)) / 2)^2``,
+    ``x = pi gamma / (2 Delta)``."""
     atomic = 2.0 * gamma_atomic * t
     cavity = np.pi * gamma_cavity / (2.0 * delta)
-    decay = np.exp(-atomic - cavity)
-    with np.errstate(over="ignore"):
-        cosh_squared = np.cosh(np.pi * gamma_cavity / (4.0 * delta)) ** 2
-    if decay < np.finfo(float).tiny or np.isinf(cosh_squared):
-        fidelity = np.exp(-atomic) * ((1.0 + np.exp(-cavity)) / 2.0) ** 2
-    else:
-        fidelity = decay * cosh_squared
+    fidelity = np.exp(-atomic) * ((1.0 + np.exp(-cavity)) / 2.0) ** 2
     return float(fidelity), float(1e-4 - (atomic + cavity))
+
+
+def fidelity_product_reference(gamma_atomic: float, gamma_cavity: float, delta: float,
+                               t: float) -> float:
+    """The swap fidelity in the paper's form, ``exp(-2 Gamma t - x) cosh^2(x / 2)``
+    with ``x = pi gamma / (2 Delta)``, by scalar arithmetic; NaN where that form
+    has no digits: its exponential below the smallest normal float, or its
+    ``cosh^2`` past the float range."""
+    x = math.pi * gamma_cavity / (2.0 * delta)
+    decay = math.exp(-2.0 * gamma_atomic * t - x)
+    try:
+        cosh_squared = math.cosh(x / 2.0) ** 2
+    except OverflowError:
+        return math.nan
+    return decay * cosh_squared if decay >= sys.float_info.min else math.nan
 
 
 def native_op_format_reference(op) -> str:

@@ -726,6 +726,29 @@ def test_sweep_csv_text_is_built_only_when_used(command, sweep, tmp_path, monkey
     assert code == 0 and len(json.loads(stdout)["rows"]) == len(sweep["values"])
 
 
+@pytest.mark.parametrize("command, sweep, name", [
+    ("blockade-sweep", {"parameter": "pi_to_s_ratio", "values": RATIOS}, "blockade_sweep.csv"),
+    ("fidelity", {"parameter": "gamma_atomic", "values": [0.0, 1e3, 1e5]}, "fidelity_sweep.csv"),
+])
+def test_json_sweep_with_out_prints_only_the_report(command, sweep, name, tmp_path, monkeypatch):
+    # --out adds the CSV file and nothing to stdout, which stays one JSON
+    # document: the --json report, whose config hash covers the output
+    # directory.  The file is the one text mode writes.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.json", {"sweep": sweep})
+    code, report, _ = run_cli(["--config", "c.json", "--json", command])
+    assert code == 0
+    code, stdout, stderr = run_cli(["--config", "c.json", "--json", "--out", "out", command])
+    assert (code, stderr) == (0, "")
+    assert len(json.loads(stdout)["rows"]) == len(sweep["values"])
+    hashes = [cli.load_config("c.json", None, out).hash() for out in (None, "out")]
+    assert stdout == report.replace(*hashes)
+    csv = (tmp_path / "out" / name).read_text()
+    code, text, _ = run_cli(["--config", "c.json", "--out", "text", command])
+    assert code == 0 and (tmp_path / "text" / name).read_text() == csv
+    assert text.startswith(f"wrote {Path('text', name)}\n" + csv)
+
+
 def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "c.json", {"sweep": {"parameter": "pi_to_s_ratio", "values": RATIOS}})
@@ -970,8 +993,9 @@ def test_sweep_with_a_finite_span_is_numpy_linspace(lo, hi, steps):
 
 
 def test_heavy_cavity_loss_sweep_is_finite_and_quiet(tmp_path):
-    # cosh^2 overflowed past ~452 Delta (inf) and met an exponential that underflows
-    # to 0 past ~474 Delta (NaN); a fresh interpreter shows any numpy warning on stderr.
+    # The paper's cosh^2(x/2) overflows past ~452 Delta and its exp(-2 Gamma t - x)
+    # underflows past ~474 Delta; the fidelity is computed without either, and a
+    # fresh interpreter shows any numpy warning on stderr.
     delta = presets.reference_decoherence().delta
     values = (np.linspace(452.0, 480.0, 29) * delta).tolist() + np.geomspace(
         481.0 * delta, 1e300, 30).tolist()

@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ensembleqc import presets
 from ensembleqc.decoherence import DecoherenceParams, fault_tolerance_margin, iswap_fidelity
-from helpers import fidelity_row_reference
+from helpers import fidelity_product_reference, fidelity_row_reference
 
 REF = presets.reference_decoherence()
 
@@ -36,7 +38,7 @@ def test_arrays_broadcast_and_equal_scalar_calls():
 
 
 def test_arrays_equal_scalar_reference_at_scale():
-    # cosh^2 by array ** 2 differs from the scalar ** in ~0.1% of values.
+    # The square by array ** 2 differs from the scalar ** in ~0.06% of values.
     rng = np.random.default_rng(59)
     gamma_c = 10.0 ** rng.uniform(0.0, 9.0, 20_000)
     times = 10.0 ** rng.uniform(-10.0, -5.0, 20_000)
@@ -89,10 +91,9 @@ def test_overflow_is_silent_and_signed():
 
 
 def test_heavy_cavity_loss_tends_to_a_quarter_of_the_atomic_decay():
-    # Past ~452 Delta cosh^2(x/2) overflows, and past ~474 Delta exp(-2 Gamma t - x)
-    # underflows to 0; the fidelity there is exp(-2 Gamma t) ((1 + e^-x) / 2)^2.
-    # From 440 Delta on, the switch between the two forms included, both agree to
-    # the product's rounding, which grows with x ~ 700.
+    # Past ~452 Delta the paper's cosh^2(x/2) overflows, and past ~474 Delta its
+    # exp(-2 Gamma t - x) underflows to 0; the one form, exp(-2 Gamma t)
+    # ((1 + e^-x) / 2)^2, stays finite, falls with gamma and meets exp(-2 Gamma t) / 4.
     gamma_c = np.concatenate([np.linspace(440.0, 480.0, 81) * REF.delta,
                               np.geomspace(481.0 * REF.delta, 1e300, 200)])
     d = DecoherenceParams(REF.gamma_atomic, gamma_c, REF.delta)
@@ -117,3 +118,16 @@ def test_large_atomic_decay_keeps_its_digits(gamma_cavity):
     x = math.pi * gamma_cavity
     expected = math.exp(-700.0) * ((1.0 + math.exp(-x)) / 2.0) ** 2
     assert math.isclose(iswap_fidelity(d, 1.0), expected, rel_tol=1e-12)
+
+
+@given(delta=st.floats(1e-3, 1e12), loss=st.floats(0.0, 460.0), spent=st.floats(0.0, 710.0),
+       t=st.floats(1e-12, 1.0))
+@settings(max_examples=500, deadline=None)
+def test_equals_the_papers_product(delta, loss, spent, t):
+    # gamma = loss Delta up to ~450 Delta, where cosh^2(x/2) overflows, and
+    # 2 Gamma t = spent up to where exp(-2 Gamma t - x) underflows.
+    gamma_atomic, gamma_cavity = spent / (2.0 * t), loss * delta
+    expected = fidelity_product_reference(gamma_atomic, gamma_cavity, delta, t)
+    assume(not math.isnan(expected))
+    got = iswap_fidelity(DecoherenceParams(gamma_atomic, gamma_cavity, delta), t)
+    assert math.isclose(got, expected, rel_tol=1e-13, abs_tol=0.0)
