@@ -20,19 +20,21 @@ and reports the check's ``equivalence_error`` (see :mod:`ensembleqc.compiler`);
 the check passes below 1e-9.
 
 Under ``--json``, stdout is exactly one JSON document on every subcommand,
-with or without ``--out``.  ``--out`` writes ``truth_table.json``
-(``truth-table``), ``blockade_sweep.csv`` (``blockade-sweep``),
-``fidelity_sweep.csv`` (``fidelity``), ``program.json``, ``program.txt`` and
-``compile_report.json`` (``compile``), and ``state.json`` and
-``run_report.json`` (``simulate``).
+with or without ``--out``.  ``--out``, the only way to write files, writes
+``truth_table.json`` (``truth-table``), ``blockade_sweep.csv``
+(``blockade-sweep``), ``fidelity_sweep.csv`` (``fidelity``), ``program.json``,
+``program.txt`` and ``compile_report.json`` (``compile``), and ``state.json``
+and ``run_report.json`` (``simulate``).
 
-Every command is deterministic given the config and seed; reports embed a
-hash of the resolved configuration.  A report, and so its hash, is built
-only for ``--json``, which prints it, and ``--out``, which writes it;
+A config is a JSON object with the optional keys ``scenario``,
+``physical_params``, ``decoherence_params``, ``sweep`` and ``seed``; one with
+``output_dir`` exits 2.  Every command is deterministic given its config, and
+``config_hash`` covers exactly those five keys.  A report, and so its hash, is
+built only for ``--json``, which prints it, and ``--out``, which writes it;
 ``truth-table`` also prints the hash in its text.  Text and CSV output give
 numbers to 12 significant digits, so verification tolerances stay visible in
-logs; a JSON report writes each float's shortest round-trip text, as
-``json`` does.  Tables of floats are written ``_BLOCK_ROWS`` rows at a time.
+logs; a JSON report writes each float's shortest round-trip text, as ``json``
+does.  Tables of floats are written ``_BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -140,7 +142,6 @@ class ScenarioConfig:
     physical_params: PhysicalParams
     decoherence_params: decoherence.DecoherenceParams
     sweep: SweepSpec | None
-    output_dir: str | None
     seed: int
 
     def as_dict(self) -> dict:
@@ -154,7 +155,6 @@ class ScenarioConfig:
                 if self.sweep
                 else None
             ),
-            "output_dir": self.output_dir,
             "seed": self.seed,
         }
 
@@ -184,12 +184,11 @@ def default_config() -> ScenarioConfig:
             parameter="pi_to_s_ratio",
             values=(0.0, presets.SQRT3, 10.0, 100.0),
         ),
-        output_dir=None,
         seed=0,
     )
 
 
-def load_config(path: str | None, seed_override: int | None, out_override: str | None) -> ScenarioConfig:
+def load_config(path: str | None, seed_override: int | None) -> ScenarioConfig:
     raw: dict = {}
     if path is not None:
         try:
@@ -198,14 +197,16 @@ def load_config(path: str | None, seed_override: int | None, out_override: str |
             raise UsageError(f"cannot read config {path!r}: {exc}") from exc
         _json_typed(raw, "object", f"config {path!r}")
     try:
-        return _overlay_config(raw, seed_override, out_override)
+        return _overlay_config(raw, seed_override)
     except KeyError as missing:  # a required key of a nested object
         raise UsageError(f"config is missing {missing}") from None
     except (TypeError, OverflowError) as exc:
         raise UsageError(f"malformed config: {exc}") from None
 
 
-def _overlay_config(raw: dict, seed_override: int | None, out_override: str | None) -> ScenarioConfig:
+def _overlay_config(raw: dict, seed_override: int | None) -> ScenarioConfig:
+    if "output_dir" in raw:  # rejected, not ignored, so no file goes missing silently
+        raise UsageError("config key 'output_dir' is not read; choose the output directory with --out")
     base = default_config()
     params = base.physical_params
     if "physical_params" in raw:
@@ -222,13 +223,11 @@ def _overlay_config(raw: dict, seed_override: int | None, out_override: str | No
     seed = seed_override if seed_override is not None else raw.get("seed", base.seed)
     if not 0 <= _json_typed(seed, "integer", "seed") < 2**64:
         raise UsageError(f"seed must be in [0, 2^64), got {seed!r}")
-    out = out_override if out_override is not None else raw.get("output_dir", base.output_dir)
     return ScenarioConfig(
         scenario=_json_typed(raw.get("scenario", base.scenario), "string", "scenario"),
         physical_params=params,
         decoherence_params=deco,
         sweep=sweep,
-        output_dir=out if out is None else _json_typed(out, "string", "output_dir"),
         seed=seed,
     )
 
@@ -331,20 +330,20 @@ def _emit(args, out: Path | None, name: str, lines: list[str], report) -> None:
         (out / name).write_text(text)
 
 
-def _out_dir(config: ScenarioConfig) -> Path | None:
-    if config.output_dir is None:
+def _out_dir(args) -> Path | None:
+    if args.out is None:
         return None
-    path = Path(config.output_dir)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_csv(config: ScenarioConfig, name: str, header: str, columns: list, show: bool) -> None:
+def _write_csv(args, name: str, header: str, columns: list) -> None:
     """Write the CSV table with the 1-d float ``columns`` (see :func:`_table`)
-    to ``name`` in the output directory, if any, then, if ``show``, print a
-    ``wrote`` line for the file and the table, from the written file if there
-    is one, so no row is formatted twice."""
-    out = _out_dir(config)
+    to ``name`` in the ``--out`` directory, if any, then, in text mode, print
+    a ``wrote`` line for the file and the table, from the written file if
+    there is one, so no row is formatted twice."""
+    out, show = _out_dir(args), not args.json
     table = _table(columns, lambda values: list(map(_FMT.format, values)), ",", "\n", header + "\n", "\n")
     if out is not None:
         with open(out / name, "w") as file:
@@ -402,7 +401,7 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     lines.append(f"{'PASS' if passed else 'FAIL'} max deviation {max_deviation:.3e} (tol {tol:g})")
     if args.latex:
         lines.append(_latex_matrix(m))
-    _emit(args, _out_dir(config), "truth_table.json", lines, lambda: {
+    _emit(args, _out_dir(args), "truth_table.json", lines, lambda: {
         "command": "truth-table",
         "config_hash": config_hash,
         "seed": config.seed,
@@ -430,8 +429,7 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         # not), taken at once so that no view keeps the propagator stack alive.
         c2 = np.hypot(c2.real, c2.imag)
         error = dynamics.blockade_error(couplings)
-    _write_csv(config, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time",
-               [ratios, error, c2], show=not args.json)
+    _write_csv(args, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", [ratios, error, c2])
     if args.json:
         report = {"command": "blockade-sweep", "config_hash": config.hash()}
         _print(_to_json(report, [config.sweep.texts, error, c2]))
@@ -469,7 +467,7 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         }
         head = f"compiled {len(details)} single-qubit gate(s) via the fixed set"
         tail = f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})"
-    out = _out_dir(config)
+    out = _out_dir(args)
     # The listing is printed in text mode and written under --out; --json alone shows neither.
     listing = program.disassemble() if out is not None or not args.json else ""
     if out is not None:
@@ -495,7 +493,7 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
     trace_lines = [f"op {i:3d} {op.format()}"
                    for i, op in enumerate(program.ops)] if args.trace else []
 
-    out = _out_dir(config)
+    out = _out_dir(args)
     state_ref = None
     if out is not None:
         state_ref = str(out / "state.json")
@@ -555,7 +553,7 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
     holds = margin >= 0.0
     frontier = (np.flatnonzero(holds[1:] != holds[:-1]) + 1).tolist()
     header = "gamma_atomic,gamma_cavity,delta,t,fidelity,margin"
-    _write_csv(config, "fidelity_sweep.csv", header, columns, show=not args.json)
+    _write_csv(args, "fidelity_sweep.csv", header, columns)
     if args.json:
         report = {
             "command": "fidelity",
@@ -584,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="scenario config JSON")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=None, help="random seed (recorded in reports)")
+    parser.add_argument("--seed", type=int, default=None, help="random seed: in every subcommand's "
+                        "config_hash, and printed by the truth-table and simulate reports")
     parser.add_argument("--out", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -627,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, load_config(args.config, args.seed, args.out))
+        return args.func(args, load_config(args.config, args.seed))
     except (VerificationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED if isinstance(exc, VerificationError) else EXIT_USAGE

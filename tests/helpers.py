@@ -682,7 +682,6 @@ def config_as_dict_reference(config) -> dict:
         "physical_params": json.loads(json.dumps(params, indent=2, sort_keys=True)),
         "decoherence_params": dataclasses.asdict(config.decoherence_params),
         "sweep": {"parameter": sweep.parameter, "values": list(sweep.values)} if sweep else None,
-        "output_dir": config.output_dir,
         "seed": config.seed,
     }
 

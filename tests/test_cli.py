@@ -86,6 +86,8 @@ ERROR_CASES = {
     "sweep_is_a_number": ({"c.json": {"sweep": 5}}, ["--config", "c.json", "truth-table"], 2),
     "physical_params_is_a_number": (
         {"c.json": {"physical_params": 3}}, ["--config", "c.json", "truth-table"], 2),
+    # --out alone chooses the output directory; its error line names --out.
+    "output_dir_key": ({"c.json": {"output_dir": "out"}}, ["--config", "c.json", "truth-table"], 2),
     "fractional_atom_count": (
         {"c.json": {"physical_params": dict(REFERENCE, n_atoms_1=2.7)}},
         ["--config", "c.json", "truth-table"], 2),
@@ -345,6 +347,7 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     # Each config value is named by its own check, not by the catch-all for
     # a TypeError in Python's own wording.
     assert not stderr.startswith("error: malformed config"), stderr
+    assert case != "output_dir_key" or "--out" in stderr, stderr
 
 
 def test_off_tuning_truth_table_error_is_the_extractors(tmp_path):
@@ -606,10 +609,9 @@ def test_default_config_is_built_once_and_never_changes(tmp_path):
         "physical_params": TUNED,
         "decoherence_params": {"gamma_atomic": 1.0, "gamma_cavity": 2.0, "delta": 3e9},
         "sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, 2.0]},
-        "output_dir": str(tmp_path / "out"),
         "seed": 7,
     }
-    config = cli.load_config(write(tmp_path / "all.json", raw), None, None)
+    config = cli.load_config(write(tmp_path / "all.json", raw), None)
     assert all(getattr(config, f.name) != getattr(base, f.name)
                for f in dataclasses.fields(config))
     code, _, stderr = run_cli(["--config", str(tmp_path / "all.json"), "--json",
@@ -648,7 +650,7 @@ def test_truth_table_report_at_sqrt3(seed, tmp_path):
     report = json.loads(stdout)
     assert (code, stderr, report["pass"]) == (0, "", True)
     assert report["max_deviation"] < report["tolerance"]
-    config = cli.load_config(path, None, None)
+    config = cli.load_config(path, None)
     expected = dynamics.extract_controlled_iswap(derive_couplings(config.physical_params)).matrix
     pairs = np.array(report["matrix"])
     assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expected)
@@ -732,8 +734,8 @@ def test_sweep_csv_text_is_built_only_when_used(command, sweep, tmp_path, monkey
 ])
 def test_json_sweep_with_out_prints_only_the_report(command, sweep, name, tmp_path, monkeypatch):
     # --out adds the CSV file and nothing to stdout, which stays one JSON
-    # document: the --json report, whose config hash covers the output
-    # directory.  The file is the one text mode writes.
+    # document: the --json report, byte for byte.  The file is the one text
+    # mode writes.
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "c.json", {"sweep": sweep})
     code, report, _ = run_cli(["--config", "c.json", "--json", command])
@@ -741,8 +743,7 @@ def test_json_sweep_with_out_prints_only_the_report(command, sweep, name, tmp_pa
     code, stdout, stderr = run_cli(["--config", "c.json", "--json", "--out", "out", command])
     assert (code, stderr) == (0, "")
     assert len(json.loads(stdout)["rows"]) == len(sweep["values"])
-    hashes = [cli.load_config("c.json", None, out).hash() for out in (None, "out")]
-    assert stdout == report.replace(*hashes)
+    assert stdout == report
     csv = (tmp_path / "out" / name).read_text()
     code, text, _ = run_cli(["--config", "c.json", "--out", "text", command])
     assert code == 0 and (tmp_path / "text" / name).read_text() == csv
@@ -829,7 +830,7 @@ def test_blockade_sweep_report_equals_reference(seed, tmp_path):
     code, stdout, stderr = run_cli(["--config", path, "--json", "blockade-sweep"])
     report = {
         "command": "blockade-sweep",
-        "config_hash": config_hash_reference(cli.load_config(path, None, None)),
+        "config_hash": config_hash_reference(cli.load_config(path, None)),
         "rows": [list(blockade_row_reference(params, r)) for r in ratios],
     }
     assert (code, stderr) == (0, "")
@@ -871,7 +872,7 @@ def test_fidelity_report_equals_reference(parameter, seed, tmp_path):
     holds = [row[5] >= 0.0 for row in rows]
     report = {
         "command": "fidelity",
-        "config_hash": config_hash_reference(cli.load_config(path, None, None)),
+        "config_hash": config_hash_reference(cli.load_config(path, None)),
         "gate_time": t_gate,
         "omega_sigma": abs(couplings.omega_cap_sigma),
         "rows": rows,
@@ -1034,11 +1035,10 @@ def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
 def test_config_with_mode_frequencies_loads_as_without(tmp_path):
     # The model reads only the detunings, so absolute mode frequencies in a
     # config are ignored, even where they contradict the detunings.
-    plain = cli.load_config(write(tmp_path / "plain.json", {"physical_params": REFERENCE}),
-                            None, None)
+    plain = cli.load_config(write(tmp_path / "plain.json", {"physical_params": REFERENCE}), None)
     modes = {"omega_0": 2.5e15, "omega_sigma": 1.0, "omega_pi_1": -7.0, "omega_pi_2": 3.0}
     path = write(tmp_path / "old.json", {"physical_params": {**REFERENCE, **modes}})
-    old = cli.load_config(path, None, None)
+    old = cli.load_config(path, None)
     assert old.physical_params == plain.physical_params == presets.reference_params()
     assert derive_couplings(old.physical_params) == derive_couplings(plain.physical_params)
     assert old.hash() == plain.hash() == cli.default_config().hash()
@@ -1105,7 +1105,7 @@ def test_report_json_without_a_table_is_indented_dumps():
 
 
 def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:
-    return cli.load_config(write(tmp_path / "c.json", raw), None, None)
+    return cli.load_config(write(tmp_path / "c.json", raw), None)
 
 
 @pytest.mark.parametrize("raw", [
@@ -1115,7 +1115,7 @@ def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:
     {"sweep": {"parameter": "gamma_atomic", "min": -0.0, "max": 1e308, "steps": 9}},
     {"sweep": {"parameter": "time", "min": 5e-324, "max": 1e-6, "steps": 1}},
     # A string that holds the hash's stand-in for the values list.
-    {"scenario": cli._LIST_SLOT, "output_dir": cli._LIST_SLOT},
+    {"scenario": cli._LIST_SLOT},
     {"physical_params": TUNED},
     {"physical_params": json.loads(presets.blockade_tuned_params(1.0).to_json())},
     *({"physical_params": dict(json.loads(random_resonant_params(np.random.default_rng(i)).to_json()),
@@ -1195,8 +1195,7 @@ def test_config_hash_is_computed_only_for_a_report_and_once(argv, calls, tmp_pat
     code, stdout, stderr = run_cli(argv)
     assert (code, stderr) == (0, "")
     assert len(hashes) == calls
-    out = "out" if "--out" in argv else None
-    expected = config_hash_reference(cli.load_config(None, None, out))
+    expected = config_hash_reference(cli.load_config(None, None))
     reports = [json.loads(stdout)] if "--json" in argv else []
     reports += [json.loads((tmp_path / "out" / name).read_text())
                 for name in _REPORT_FILES if (tmp_path / "out" / name).exists()]
@@ -1204,6 +1203,23 @@ def test_config_hash_is_computed_only_for_a_report_and_once(argv, calls, tmp_pat
     assert all(report["config_hash"] == expected for report in reports)
     if argv == ["truth-table"]:
         assert stdout.splitlines()[0] == f"controlled-swap gate, config {expected}"
+
+
+@pytest.mark.parametrize("command", [
+    ["truth-table"], ["blockade-sweep"], ["fidelity"], ["compile", "c.txt"],
+    ["simulate", "--program", "p.json"],
+])
+def test_config_hash_does_not_depend_on_out(command, tmp_path, monkeypatch):
+    # The hash names the computation, not where its files go.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.txt", _HASH_CIRCUIT)
+    write(tmp_path / "p.json", PROGRAM)
+    hashes = []
+    for out in ([], ["--out", "a"], ["--out", "b"]):
+        code, stdout, stderr = run_cli(["--json", *out, *command])
+        assert (code, stderr) == (0, "")
+        hashes.append(json.loads(stdout)["config_hash"])
+    assert hashes == [config_hash_reference(cli.default_config())] * 3
 
 
 # --- fuzzing -----------------------------------------------------------------
@@ -1243,7 +1259,6 @@ _CONFIG = st.fixed_dictionaries(
         "sweep": _SWEEP,
         "seed": _LEAF,
         "scenario": _LEAF,
-        "output_dir": st.integers(0, 3) | st.lists(_LEAF, max_size=2),
     },
 ) | _JSON
 

@@ -3,8 +3,8 @@
 Each case runs ``cli.main`` in-process from a temporary working directory that
 holds copies of ``tests/golden/inputs``, and compares its stdout and every
 file it writes under ``--out`` with ``tests/golden/<case>/``.  ``--out`` is
-the relative path ``out`` so the resolved configuration, and with it the
-``config_hash`` in every report, does not depend on where the test runs.
+the relative path ``out`` so the file paths that a case prints do not depend
+on where the test runs.
 
 Regenerate the files (only when an output change is intended) with::
 
