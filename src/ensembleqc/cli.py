@@ -1,9 +1,9 @@
 """Command-line front end for reproducible batch runs.
 
 Subcommands: ``truth-table``, ``blockade-sweep``, ``compile``, ``simulate``,
-``fidelity``.  Global flags: ``--config <path.json>``, ``--json``,
-``--seed <u64>``, ``--out <dir>``.  Exit codes: 0 all embedded verifications
-pass, 1 a verification failed, 2 usage or parse error.  :func:`main` is the
+``fidelity``.  Global flags: ``--config <path.json>``, ``--json`` and
+``--out <dir>``.  Exit codes: 0 all embedded verifications pass, 1 a
+verification failed, 2 usage or parse error.  :func:`main` is the
 one place that maps errors to exit codes: :class:`VerificationError` gives 1,
 and ``ValueError`` (which includes :class:`UsageError` and every parse error)
 or ``OSError`` gives 2, each with a single ``error: ...`` line on stderr.
@@ -21,20 +21,24 @@ the check passes below 1e-9.
 
 Under ``--json``, stdout is exactly one JSON document on every subcommand,
 with or without ``--out``.  ``--out``, the only way to write files, writes
-``truth_table.json`` (``truth-table``), ``blockade_sweep.csv``
-(``blockade-sweep``), ``fidelity_sweep.csv`` (``fidelity``), ``program.json``,
-``program.txt`` and ``compile_report.json`` (``compile``), and ``state.json``
-and ``run_report.json`` (``simulate``).
+``truth_table.json`` (``truth-table``), ``blockade_sweep.csv`` and
+``blockade_sweep_report.json`` (``blockade-sweep``), ``fidelity_sweep.csv``
+and ``fidelity_report.json`` (``fidelity``), ``program.json``, ``program.txt``
+and ``compile_report.json`` (``compile``), and ``state.json`` and
+``run_report.json`` (``simulate``); each report file is the ``--json``
+stdout without its final newline.
 
-A config is a JSON object with the optional keys ``scenario``,
-``physical_params``, ``decoherence_params``, ``sweep`` and ``seed``; one with
-``output_dir`` exits 2.  Every command is deterministic given its config, and
-``config_hash`` covers exactly those five keys.  A report, and so its hash, is
-built only for ``--json``, which prints it, and ``--out``, which writes it;
-``truth-table`` also prints the hash in its text.  Text and CSV output give
-numbers to 12 significant digits, so verification tolerances stay visible in
-logs; a JSON report writes each float's shortest round-trip text, as ``json``
-does.  Tables of floats are written ``_BLOCK_ROWS`` rows at a time.
+A config is a JSON object with the optional keys ``physical_params``,
+``decoherence_params`` and ``sweep``, each one left out keeping the reference
+scenario's value.  Every JSON object read, config or native program, is
+closed: an unknown key at any level exits 2, naming the key.  Every command
+is deterministic given its config, and ``config_hash`` covers exactly those
+three keys.  A report, and so its hash, is built only for ``--json``, which
+prints it, and ``--out``, which writes it; ``truth-table`` also prints the
+hash in its text.  Text and CSV output give numbers to 12 significant
+digits, so verification tolerances stay visible in logs; a JSON report
+writes each float's shortest round-trip text, as ``json`` does.  Tables of
+floats are written ``_BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -48,14 +52,14 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import compiler, decoherence, dynamics, gates, physical, presets, simulator
-from .physical import (_JSON_TYPES, _LIST_SLOT, PhysicalParams, _json_loads, _json_typed, _slot,
-                       check_interference_condition, derive_couplings)
+from .physical import (_JSON_TYPES, _LIST_SLOT, PhysicalParams, _json_loads, _json_object, _json_typed,
+                       _slot, check_interference_condition, derive_couplings)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -98,12 +102,14 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        _json_typed(raw, "object", "sweep")
+        _json_object(raw, ("parameter", "values", "min", "max", "steps"), "sweep")
         parameter = _json_typed(raw.get("parameter"), "string", "sweep 'parameter'")
         if parameter not in _SWEEPABLE:
             raise UsageError(
                 f"unknown sweep parameter {parameter!r}; expected one of {sorted(_SWEEPABLE)}")
         if "values" in raw:
+            if raw.keys() & {"min", "max", "steps"}:
+                raise UsageError("sweep takes either 'values' or 'min', 'max' and 'steps', not both")
             values, numbers = raw["values"], set(_JSON_TYPES["number"])
             if type(values) is not list or not values or not set(map(type, values)) <= numbers:
                 raise UsageError("sweep 'values' must be a nonempty JSON array of numbers")
@@ -138,24 +144,17 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: str
+    """What a subcommand reads of its config; each field is a config key."""
+
     physical_params: PhysicalParams
     decoherence_params: decoherence.DecoherenceParams
     sweep: SweepSpec | None
-    seed: int
 
     def as_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
             "physical_params": self.physical_params.to_dict(),
-            "decoherence_params": {name: getattr(self.decoherence_params, name)
-                                   for name in ("gamma_atomic", "gamma_cavity", "delta")},
-            "sweep": (
-                {"parameter": self.sweep.parameter, "values": list(self.sweep.values)}
-                if self.sweep
-                else None
-            ),
-            "seed": self.seed,
+            "decoherence_params": asdict(self.decoherence_params),
+            "sweep": self.sweep and {"parameter": self.sweep.parameter, "values": list(self.sweep.values)},
         }
 
     def hash(self) -> str:
@@ -177,59 +176,40 @@ def default_config() -> ScenarioConfig:
     Built once per process and shared by every caller: every part of it is
     a frozen dataclass, so it cannot change."""
     return ScenarioConfig(
-        scenario="reference",
         physical_params=presets.reference_params(),
         decoherence_params=presets.reference_decoherence(),
         sweep=SweepSpec(
             parameter="pi_to_s_ratio",
             values=(0.0, presets.SQRT3, 10.0, 100.0),
         ),
-        seed=0,
     )
 
 
-def load_config(path: str | None, seed_override: int | None) -> ScenarioConfig:
-    raw: dict = {}
-    if path is not None:
-        try:
-            raw = _json_loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-        _json_typed(raw, "object", f"config {path!r}")
+def load_config(path: str | None) -> ScenarioConfig:
+    """:func:`default_config` with each key that the JSON object at ``path``
+    gives in place of its own."""
+    if path is None:
+        return default_config()
     try:
-        return _overlay_config(raw, seed_override)
+        raw = _json_loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    _json_object(raw, [f.name for f in fields(ScenarioConfig)], f"config {path!r}")
+    try:
+        if "physical_params" in raw:
+            raw["physical_params"] = PhysicalParams.from_dict(raw["physical_params"])
+        if "decoherence_params" in raw:
+            names = [f.name for f in fields(decoherence.DecoherenceParams)]
+            d = _json_object(raw["decoherence_params"], names, "decoherence_params")
+            raw["decoherence_params"] = decoherence.DecoherenceParams(**{
+                name: float(_json_typed(d[name], "number", name)) for name in names})
+        if raw.get("sweep") is not None:
+            raw["sweep"] = SweepSpec.from_dict(raw["sweep"])
     except KeyError as missing:  # a required key of a nested object
         raise UsageError(f"config is missing {missing}") from None
     except (TypeError, OverflowError) as exc:
         raise UsageError(f"malformed config: {exc}") from None
-
-
-def _overlay_config(raw: dict, seed_override: int | None) -> ScenarioConfig:
-    if "output_dir" in raw:  # rejected, not ignored, so no file goes missing silently
-        raise UsageError("config key 'output_dir' is not read; choose the output directory with --out")
-    base = default_config()
-    params = base.physical_params
-    if "physical_params" in raw:
-        params = PhysicalParams.from_dict(raw["physical_params"])
-    deco = base.decoherence_params
-    if "decoherence_params" in raw:
-        d = _json_typed(raw["decoherence_params"], "object", "decoherence_params")
-        deco = decoherence.DecoherenceParams(**{
-            name: float(_json_typed(d[name], "number", name))
-            for name in ("gamma_atomic", "gamma_cavity", "delta")})
-    sweep = base.sweep
-    if "sweep" in raw:
-        sweep = SweepSpec.from_dict(raw["sweep"]) if raw["sweep"] is not None else None
-    seed = seed_override if seed_override is not None else raw.get("seed", base.seed)
-    if not 0 <= _json_typed(seed, "integer", "seed") < 2**64:
-        raise UsageError(f"seed must be in [0, 2^64), got {seed!r}")
-    return ScenarioConfig(
-        scenario=_json_typed(raw.get("scenario", base.scenario), "string", "scenario"),
-        physical_params=params,
-        decoherence_params=deco,
-        sweep=sweep,
-        seed=seed,
-    )
+    return replace(default_config(), **raw)
 
 
 def _check_budget(qubit_count: int) -> None:
@@ -320,14 +300,29 @@ def _print(texts, end: str = "\n") -> None:
         os.close(devnull)
 
 
-def _emit(args, out: Path | None, name: str, lines: list[str], report) -> None:
-    """Print ``lines``, or under ``--json`` the report, then write the report
-    to ``name`` in the output directory ``out``, if any.  ``report`` builds
-    the report dict; it is called only for these two, and once."""
-    text = "".join(_to_json(report())) if args.json or out is not None else None
-    _print(text if args.json else "\n".join(lines))
+def _file_texts(path: Path):
+    """Yield the text of the file at ``path``, a megabyte at a time."""
+    with open(path) as file:
+        yield from iter(functools.partial(file.read, 1 << 20), "")
+
+
+def _emit(args, name: str, lines: list[str], report) -> None:
+    """Write the report to ``name`` in the ``--out`` directory, if any, then
+    print ``lines``, if any, or under ``--json`` the report, from the written
+    file if there is one, so no number is formatted twice.  ``report`` builds
+    the report dict, called only for these two and once; its ``"rows"`` table,
+    if any, is given as columns (see :func:`_to_json`)."""
+    out = _out_dir(args)
+    if args.json or out is not None:
+        body = report()
+        texts = _to_json(body, body.get("rows"))
     if out is not None:
-        (out / name).write_text(text)
+        with open(out / name, "w") as file:
+            file.writelines(texts)
+    if args.json:
+        _print(texts if out is None else _file_texts(out / name))
+    elif lines:
+        _print("\n".join(lines))
 
 
 def _out_dir(args) -> Path | None:
@@ -350,8 +345,7 @@ def _write_csv(args, name: str, header: str, columns: list) -> None:
             file.writelines(table)
         if show:
             _print(f"wrote {out / name}")
-            with open(out / name) as file:
-                _print(iter(functools.partial(file.read, 1 << 20), ""), end="")
+            _print(_file_texts(out / name), end="")
     elif show:
         _print(table, end="")
 
@@ -401,10 +395,9 @@ def cmd_truth_table(args, config: ScenarioConfig) -> int:
     lines.append(f"{'PASS' if passed else 'FAIL'} max deviation {max_deviation:.3e} (tol {tol:g})")
     if args.latex:
         lines.append(_latex_matrix(m))
-    _emit(args, _out_dir(args), "truth_table.json", lines, lambda: {
+    _emit(args, "truth_table.json", lines, lambda: {
         "command": "truth-table",
         "config_hash": config_hash,
-        "seed": config.seed,
         "matrix": gates.matrix_to_json(gate),
         "deviations": deviations,
         "max_deviation": max_deviation,
@@ -430,9 +423,8 @@ def cmd_blockade_sweep(args, config: ScenarioConfig) -> int:
         c2 = np.hypot(c2.real, c2.imag)
         error = dynamics.blockade_error(couplings)
     _write_csv(args, "blockade_sweep.csv", "ratio,blockade_error,c2_at_swap_time", [ratios, error, c2])
-    if args.json:
-        report = {"command": "blockade-sweep", "config_hash": config.hash()}
-        _print(_to_json(report, [config.sweep.texts, error, c2]))
+    _emit(args, "blockade_sweep_report.json", [], lambda: {
+        "command": "blockade-sweep", "config_hash": config.hash(), "rows": [config.sweep.texts, error, c2]})
     return EXIT_OK
 
 
@@ -474,7 +466,7 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         (out / "program.json").write_text(program.to_json())
         (out / "program.txt").write_text(listing)
     lines = [head, listing.rstrip("\n"), tail, "PASS" if passed else "FAIL"]
-    _emit(args, out, "compile_report.json", lines, lambda: {
+    _emit(args, "compile_report.json", lines, lambda: {
         "command": "compile", "config_hash": config.hash(), **summary, "pass": bool(passed)})
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
@@ -507,10 +499,9 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
     ]
     if state_ref:
         lines.append(f"state written to {state_ref}")
-    _emit(args, out, "run_report.json", lines, lambda: {
+    _emit(args, "run_report.json", lines, lambda: {
         "command": "simulate",
         "config_hash": config.hash(),
-        "seed": config.seed,
         "stats": {
             "op_count": len(program.ops),
             "norm_defect": stats.norm_defect,
@@ -554,21 +545,17 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
     frontier = (np.flatnonzero(holds[1:] != holds[:-1]) + 1).tolist()
     header = "gamma_atomic,gamma_cavity,delta,t,fidelity,margin"
     _write_csv(args, "fidelity_sweep.csv", header, columns)
-    if args.json:
-        report = {
-            "command": "fidelity",
-            "config_hash": config.hash(),
-            "gate_time": t_gate,
-            "omega_sigma": omega_sigma,
-            "rows": None,  # laid out from the columns
-            "frontier_rows": frontier,
-        }
-        columns[swept] = sweep.texts
-        _print(_to_json(report, columns))
-    else:
-        _print(f"# gate time {_FMT.format(t_gate)} s with exchange rate {_FMT.format(omega_sigma)} rad/s")
-        for i in frontier:
-            _print(f"# error-budget frontier between rows {i - 1} and {i}")
+    lines = [] if args.json else [
+        f"# gate time {_FMT.format(t_gate)} s with exchange rate {_FMT.format(omega_sigma)} rad/s",
+        *(f"# error-budget frontier between rows {i - 1} and {i}" for i in frontier)]
+    _emit(args, "fidelity_report.json", lines, lambda: {
+        "command": "fidelity",
+        "config_hash": config.hash(),
+        "gate_time": t_gate,
+        "omega_sigma": omega_sigma,
+        "rows": [sweep.texts if i == swept else column for i, column in enumerate(columns)],
+        "frontier_rows": frontier,
+    })
     return EXIT_OK
 
 
@@ -582,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="scenario config JSON")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=None, help="random seed: in every subcommand's "
-                        "config_hash, and printed by the truth-table and simulate reports")
     parser.add_argument("--out", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -626,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, load_config(args.config, args.seed))
+        return args.func(args, load_config(args.config))
     except (VerificationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED if isinstance(exc, VerificationError) else EXIT_USAGE

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import gates
 from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz
-from .physical import _LIST_SLOT, _json_loads, _json_pair, _json_typed, _slot
+from .physical import _LIST_SLOT, _json_loads, _json_object, _json_pair, _json_typed, _slot
 
 ISWAP_KIND = "ISWAP"
 PHASE_KIND = "PHASE"
@@ -206,8 +206,10 @@ class NativeProgram:
         """Parse :meth:`to_json`'s layout by the one JSON reader of
         :mod:`ensembleqc.physical`: an integer qubit count, number angles, a
         ``[re, im]`` pair ``global_phase`` and a string ``kind``; a bool is not
-        a number.  Targets follow the one target rule of native ops."""
-        raw = _json_typed(_json_loads(text), "object", "native program")
+        a number, and an unknown key of the program or an op is an error.
+        Targets follow the one target rule of native ops."""
+        raw = _json_object(_json_loads(text), ("qubit_count", "ops", "global_phase"), "native program")
+        op_object = functools.partial(_json_object, keys=("kind", "targets", "angles"), name="native op")
         try:
             program = cls(
                 qubit_count=_json_typed(raw["qubit_count"], "integer", "qubit_count"),
@@ -218,7 +220,7 @@ class NativeProgram:
                         angles=tuple(float(_json_typed(a, "number", "angle"))
                                      for a in o.get("angles", [])),
                     )
-                    for o in raw["ops"]
+                    for o in map(op_object, raw["ops"])
                 ],
                 global_phase=_json_pair(raw.get("global_phase", [1.0, 0.0]), "global_phase"),
             )

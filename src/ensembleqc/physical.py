@@ -16,8 +16,9 @@ The node frequencies ``omega_1`` and ``omega_2`` are effective values
 relative to that frame, so zero or negative values are legitimate.
 
 This module is also the package's one JSON reader, for parameters, native
-programs and CLI configs: :func:`_json_loads` parses, and :func:`_json_typed`
-is the one JSON type rule of every value read.
+programs and CLI configs: :func:`_json_loads` parses, :func:`_json_typed`
+is the one JSON type rule of every value read, and :func:`_json_object` the
+one key rule of every object read.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ def _json_typed(value, json_type: str, name: str):
     check; the message shows ``value`` shortened."""
     if type(value) not in _JSON_TYPES[json_type]:
         raise ValueError(f"{name} must be a JSON {json_type}, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_object(value, keys, name: str) -> dict:
+    """``value`` if it is a JSON object (:func:`_json_typed`) whose every key
+    is one of ``keys``, those its reader reads.  An unknown key, such as a
+    misspelled one, is an error naming it, never ignored."""
+    if _json_typed(value, "object", name).keys() - keys:
+        key = next(key for key in value if key not in keys)
+        raise ValueError(f"{name} has unknown key {reprlib.repr(key)}; expected one of {sorted(keys)}")
     return value
 
 
@@ -167,10 +178,10 @@ class PhysicalParams:
 
     @classmethod
     def from_dict(cls, raw) -> "PhysicalParams":
-        """The parameters of :meth:`to_dict`'s object: JSON integer atom
-        counts and JSON number fields, a coupling also as a ``[re, im]``
-        pair of JSON numbers (:func:`_json_typed`).  Other keys are ignored."""
-        _json_typed(raw, "object", "physical parameters")
+        """The parameters of :meth:`to_dict`'s object, and no other key
+        (:func:`_json_object`): JSON integer atom counts and JSON number
+        fields, a coupling also as a ``[re, im]`` pair (:func:`_json_typed`)."""
+        _json_object(raw, [f.name for f in fields(cls)], "physical parameters")
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:

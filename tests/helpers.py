@@ -664,11 +664,13 @@ def native_program_json_reference(program) -> str:
 
 
 def config_as_dict_reference(config) -> dict:
-    """``ScenarioConfig.as_dict`` as first written: the physical parameters
-    as a json round trip of the object ``to_json`` built field by field (a
-    complex value as its real part if its imaginary part is zero, else as
-    ``[re, im]``), and the decoherence parameters through
-    ``dataclasses.asdict``.  Python scalars only: json rejects numpy ones."""
+    """``ScenarioConfig.as_dict`` from its spec: exactly the three config
+    keys ``physical_params``, ``decoherence_params`` and ``sweep``.  The
+    physical parameters are a json round trip of the object ``to_json``
+    built field by field (a complex value as its real part if its imaginary
+    part is zero, else as ``[re, im]``), the decoherence parameters go
+    through ``dataclasses.asdict``, and the sweep is its parameter and its
+    values list, or None.  Python scalars only: json rejects numpy ones."""
     params = {}
     for f in dataclasses.fields(config.physical_params):
         value = getattr(config.physical_params, f.name)
@@ -678,11 +680,9 @@ def config_as_dict_reference(config) -> dict:
             params[f.name] = value
     sweep = config.sweep
     return {
-        "scenario": config.scenario,
         "physical_params": json.loads(json.dumps(params, indent=2, sort_keys=True)),
         "decoherence_params": dataclasses.asdict(config.decoherence_params),
         "sweep": {"parameter": sweep.parameter, "values": list(sweep.values)} if sweep else None,
-        "seed": config.seed,
     }
 
 

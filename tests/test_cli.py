@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -86,8 +87,33 @@ ERROR_CASES = {
     "sweep_is_a_number": ({"c.json": {"sweep": 5}}, ["--config", "c.json", "truth-table"], 2),
     "physical_params_is_a_number": (
         {"c.json": {"physical_params": 3}}, ["--config", "c.json", "truth-table"], 2),
-    # --out alone chooses the output directory; its error line names --out.
+    # Every JSON object read is closed: a key its reader does not read, at
+    # any level, is named (UNKNOWN_KEYS), never ignored.  --out alone
+    # chooses the output directory, and no run reads a seed or a scenario name.
     "output_dir_key": ({"c.json": {"output_dir": "out"}}, ["--config", "c.json", "truth-table"], 2),
+    "seed_key": ({"c.json": {"seed": 0}}, ["--config", "c.json", "truth-table"], 2),
+    "scenario_key": ({"c.json": {"scenario": "x"}}, ["--config", "c.json", "truth-table"], 2),
+    "config_key_misspelled": (
+        {"c.json": {"physical_param": TUNED}}, ["--config", "c.json", "truth-table"], 2),
+    "physical_key_misspelled": (
+        {"c.json": {"physical_params": {("g_pi1" if k == "g_pi_1" else k): v for k, v in TUNED.items()}}},
+        ["--config", "c.json", "truth-table"], 2),
+    "decoherence_key_misspelled": (
+        {"c.json": {"decoherence_params": {"gamma_atomc": 1.0, "gamma_cavity": 0.0, "delta": 1e9}}},
+        ["--config", "c.json", "fidelity"], 2),
+    "sweep_key_misspelled": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic", "value": [1.0]}}},
+        ["--config", "c.json", "fidelity"], 2),
+    "program_key_misspelled": (
+        {"p.json": dict(PROGRAM, global_phse=[0.0, 1.0])}, ["simulate", "--program", "p.json"], 2),
+    "program_op_key_misspelled": (
+        {"p.json": dict(PROGRAM, ops=[{"kind": "ISWAP", "targets": [0], "angle": [1.0]}])},
+        ["simulate", "--program", "p.json"], 2),
+    # A sweep is a list of values or a grid, never both.
+    "sweep_values_and_grid": (
+        {"c.json": {"sweep": {"parameter": "gamma_atomic", "values": [1.0], "min": 0, "max": 1,
+                              "steps": 3}}},
+        ["--config", "c.json", "fidelity"], 2),
     "fractional_atom_count": (
         {"c.json": {"physical_params": dict(REFERENCE, n_atoms_1=2.7)}},
         ["--config", "c.json", "truth-table"], 2),
@@ -294,12 +320,12 @@ ERROR_CASES = {
         {"c.json": {"decoherence_params": {"gamma_atomic": 0.0, "gamma_cavity": 0.0,
                                            "delta": True}}},
         ["--config", "c.json", "fidelity"], 2),
+    # Whatever a seed or a scenario name holds, the key is rejected.
     "seed_fraction": ({"c.json": {"seed": 1.5}}, ["--config", "c.json", "truth-table"], 2),
     "seed_negative": ({"c.json": {"seed": -3}}, ["--config", "c.json", "truth-table"], 2),
     "seed_two_to_the_64": ({"c.json": {"seed": 2**64}}, ["--config", "c.json", "truth-table"], 2),
     "seed_string": ({"c.json": {"seed": "7"}}, ["--config", "c.json", "truth-table"], 2),
     "seed_bool": ({"c.json": {"seed": True}}, ["--config", "c.json", "truth-table"], 2),
-    "seed_option_negative": ({}, ["--seed", "-1", "truth-table"], 2),
     "scenario_list": ({"c.json": {"scenario": [1, 2]}}, ["--config", "c.json", "truth-table"], 2),
     "scenario_number": ({"c.json": {"scenario": 5}}, ["--config", "c.json", "truth-table"], 2),
     "fixed_set_word_not_found": (
@@ -332,6 +358,14 @@ ERROR_CASES = {
     "program_qubit_count_zero": (
         {"p.json": {"qubit_count": 0, "ops": []}}, ["simulate", "--program", "p.json"], 2),
 }
+# The key each closed-object case's error line names.
+UNKNOWN_KEYS = {
+    "output_dir_key": "output_dir", "seed_key": "seed", "scenario_key": "scenario",
+    "config_key_misspelled": "physical_param", "physical_key_misspelled": "g_pi1",
+    "decoherence_key_misspelled": "gamma_atomc", "sweep_key_misspelled": "value",
+    "program_key_misspelled": "global_phse", "program_op_key_misspelled": "angle",
+    **{case: case.split("_")[0] for case in ERROR_CASES if case.startswith(("seed_", "scenario_"))},
+}
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
@@ -347,7 +381,7 @@ def test_error_exit_code_and_single_line(case, tmp_path, monkeypatch):
     # Each config value is named by its own check, not by the catch-all for
     # a TypeError in Python's own wording.
     assert not stderr.startswith("error: malformed config"), stderr
-    assert case != "output_dir_key" or "--out" in stderr, stderr
+    assert case not in UNKNOWN_KEYS or f"unknown key {UNKNOWN_KEYS[case]!r}" in stderr, stderr
 
 
 def test_off_tuning_truth_table_error_is_the_extractors(tmp_path):
@@ -389,7 +423,8 @@ def at_depth(frames: int, function, *args):
 
 @pytest.mark.parametrize("frames", [0, 50, 100, 200])
 def test_json_nesting_verdict_does_not_depend_on_the_caller(frames, tmp_path, monkeypatch):
-    # An unused config key: json's parser alone decides, not the CLI's checks.
+    # A key no reader reads: json's parser alone decides whether the document
+    # parses; one that parses then meets the key rule.
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "deep.json", '{"unused": ' + "[" * 900 + "]" * 900 + "}")
     depth = MAX_JSON_DEPTH - 1
@@ -398,7 +433,8 @@ def test_json_nesting_verdict_does_not_depend_on_the_caller(frames, tmp_path, mo
     assert (code, stdout, stderr) == (2, "", "error: cannot read config 'deep.json': JSON nesting "
                                       f"is too deep (more than {MAX_JSON_DEPTH} levels)\n")
     code, _, stderr = at_depth(frames, run_cli, ["--config", "limit.json", "truth-table"])
-    assert code == cli.EXIT_OK, stderr
+    assert (code, stderr) == (2, "error: config 'limit.json' has unknown key 'unused'; expected one "
+                                 "of ['decoherence_params', 'physical_params', 'sweep']\n")
 
 
 @pytest.mark.parametrize("target, message", [
@@ -605,13 +641,11 @@ def test_default_config_is_built_once_and_never_changes(tmp_path):
     base = cli.default_config()
     before = base.as_dict()
     raw = {
-        "scenario": "other",
         "physical_params": TUNED,
         "decoherence_params": {"gamma_atomic": 1.0, "gamma_cavity": 2.0, "delta": 3e9},
         "sweep": {"parameter": "pi_to_s_ratio", "values": [1.0, 2.0]},
-        "seed": 7,
     }
-    config = cli.load_config(write(tmp_path / "all.json", raw), None)
+    config = cli.load_config(write(tmp_path / "all.json", raw))
     assert all(getattr(config, f.name) != getattr(base, f.name)
                for f in dataclasses.fields(config))
     code, _, stderr = run_cli(["--config", str(tmp_path / "all.json"), "--json",
@@ -645,12 +679,12 @@ def test_truth_table_report_at_sqrt3(seed, tmp_path):
         omega_1=float(rng.uniform(-2.0, 2.0)),
         dispersive_margin=float(rng.uniform(150.0, 400.0)),
     )
-    path = write(tmp_path / "c.json", {"physical_params": json.loads(params.to_json()), "seed": seed})
+    path = write(tmp_path / "c.json", {"physical_params": json.loads(params.to_json())})
     code, stdout, stderr = run_cli(["--config", path, "--json", "truth-table"])
     report = json.loads(stdout)
     assert (code, stderr, report["pass"]) == (0, "", True)
     assert report["max_deviation"] < report["tolerance"]
-    config = cli.load_config(path, None)
+    config = cli.load_config(path)
     expected = dynamics.extract_controlled_iswap(derive_couplings(config.physical_params)).matrix
     pairs = np.array(report["matrix"])
     assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], expected)
@@ -692,10 +726,11 @@ def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path, monkeypatch):
     code, plain, _ = run_cli(["simulate", "--circuit", "c.txt"])
     assert code == 0 and "ran 4 op(s) on |00>" in plain
     assert not any(line.startswith("op ") for line in plain.splitlines())
-    code, stdout, _ = run_cli(["--json", "--seed", "5", "--out", "out", "truth-table"])
-    assert code == 0 and json.loads(stdout)["seed"] == 5 and (tmp_path / "out").is_dir()
+    code, stdout, _ = run_cli(["--json", "--out", "out", "truth-table", "--tol", "1e-3"])
+    assert code == 0 and json.loads(stdout)["tolerance"] == 1e-3 and (tmp_path / "out").is_dir()
+    shutil.rmtree(tmp_path / "out")
     code, stdout, _ = run_cli(["--json", "truth-table"])
-    assert code == 0 and json.loads(stdout)["seed"] == 0
+    assert code == 0 and json.loads(stdout)["tolerance"] == 1e-10 and not (tmp_path / "out").exists()
     code, stdout, _ = run_cli(["compile", "c.txt"])
     assert code == 0 and stdout.startswith("compiled 2 gate(s)")
     code, stdout, _ = run_cli(["--json", "compile", "--fixed-set", "--max-depth", "6", "c.txt"])
@@ -733,21 +768,27 @@ def test_sweep_csv_text_is_built_only_when_used(command, sweep, tmp_path, monkey
     ("fidelity", {"parameter": "gamma_atomic", "values": [0.0, 1e3, 1e5]}, "fidelity_sweep.csv"),
 ])
 def test_json_sweep_with_out_prints_only_the_report(command, sweep, name, tmp_path, monkeypatch):
-    # --out adds the CSV file and nothing to stdout, which stays one JSON
-    # document: the --json report, byte for byte.  The file is the one text
-    # mode writes.
+    # --out adds the CSV file and the report file and nothing to stdout, which
+    # stays one JSON document: the --json report, byte for byte, and the
+    # report file is that stdout without its final newline, in either mode.
+    # The CSV file is the one text mode writes, and text mode prints the same
+    # with or without --out, after the CSV's wrote line.
     monkeypatch.chdir(tmp_path)
+    report_name = {"blockade-sweep": "blockade_sweep_report.json", "fidelity": "fidelity_report.json"}[command]
     write(tmp_path / "c.json", {"sweep": sweep})
     code, report, _ = run_cli(["--config", "c.json", "--json", command])
     assert code == 0
     code, stdout, stderr = run_cli(["--config", "c.json", "--json", "--out", "out", command])
     assert (code, stderr) == (0, "")
     assert len(json.loads(stdout)["rows"]) == len(sweep["values"])
-    assert stdout == report
+    assert stdout == report == (tmp_path / "out" / report_name).read_text() + "\n"
     csv = (tmp_path / "out" / name).read_text()
     code, text, _ = run_cli(["--config", "c.json", "--out", "text", command])
     assert code == 0 and (tmp_path / "text" / name).read_text() == csv
-    assert text.startswith(f"wrote {Path('text', name)}\n" + csv)
+    assert (tmp_path / "text" / report_name).read_text() + "\n" == report
+    code, plain, _ = run_cli(["--config", "c.json", command])
+    assert code == 0 and text == f"wrote {Path('text', name)}\n" + plain
+    assert plain.startswith(csv)
 
 
 def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
@@ -790,7 +831,7 @@ def test_tables_are_written_alike_at_every_block_size(tmp_path, monkeypatch):
             assert code == 0
             texts.append(stdout)
         return texts + [(tmp_path / "out" / name).read_text()
-                        for name in ("blockade_sweep.csv", "state.json")]
+                        for name in ("blockade_sweep.csv", "state.json", "blockade_sweep_report.json")]
 
     expected = outputs()
     for rows in (1, 2, 3):
@@ -800,19 +841,24 @@ def test_tables_are_written_alike_at_every_block_size(tmp_path, monkeypatch):
         assert report == json.dumps(json.loads(report), indent=2) + "\n"
     assert expected[1] == f"wrote {Path('out', 'blockade_sweep.csv')}\n" + expected[0]
     assert expected[0] == expected[5] and len(expected[0].splitlines()) == 1 + len(RATIOS)
+    assert expected[7] + "\n" == expected[2]
     program = compiler.lower_circuit(compiler.parse_circuit((tmp_path / "c.txt").read_text()))
     state, _ = simulator.run_program(program, "000")
     assert len(state.amplitudes) == 8  # more rows than any block above
     assert expected[6] == json.dumps([[a.real, a.imag] for a in state.amplitudes.tolist()])
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_seed_range_ends_are_accepted(seed, tmp_path):
-    path = write(tmp_path / "c.json", {"seed": seed})
-    code, stdout, _ = run_cli(["--config", path, "--json", "truth-table"])
-    assert code == 0 and json.loads(stdout)["seed"] == seed
-    code, stdout, _ = run_cli(["--seed", str(seed), "--json", "truth-table"])
-    assert code == 0 and json.loads(stdout)["seed"] == seed
+@pytest.mark.parametrize("argv", [["--seed", "1", "truth-table"], ["--seed=1", "truth-table"],
+                                  ["truth-table", "--seed", "1"]])
+def test_seed_option_is_rejected(argv, capsys):
+    # No run draws a random number, so there is no seed to set: argparse
+    # rejects the option as it does any unknown one, with its usage error.
+    assert "--seed" not in cli.build_parser().format_help()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert "error: " in captured.err
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -825,12 +871,11 @@ def test_blockade_sweep_report_equals_reference(seed, tmp_path):
     path = write(tmp_path / "c.json", {
         "physical_params": json.loads(params.to_json()),
         "sweep": {"parameter": "pi_to_s_ratio", "values": ratios},
-        "seed": int(rng.integers(2**63)),
     })
     code, stdout, stderr = run_cli(["--config", path, "--json", "blockade-sweep"])
     report = {
         "command": "blockade-sweep",
-        "config_hash": config_hash_reference(cli.load_config(path, None)),
+        "config_hash": config_hash_reference(cli.load_config(path)),
         "rows": [list(blockade_row_reference(params, r)) for r in ratios],
     }
     assert (code, stderr) == (0, "")
@@ -861,7 +906,6 @@ def test_fidelity_report_equals_reference(parameter, seed, tmp_path):
         "physical_params": json.loads(params.to_json()),
         "decoherence_params": dict(zip(["gamma_atomic", "gamma_cavity", "delta"], inputs)),
         "sweep": {"parameter": parameter, "values": values},
-        "seed": int(rng.integers(2**63)),
     })
     code, stdout, stderr = run_cli(["--config", path, "--json", "fidelity"])
     rows = []
@@ -872,7 +916,7 @@ def test_fidelity_report_equals_reference(parameter, seed, tmp_path):
     holds = [row[5] >= 0.0 for row in rows]
     report = {
         "command": "fidelity",
-        "config_hash": config_hash_reference(cli.load_config(path, None)),
+        "config_hash": config_hash_reference(cli.load_config(path)),
         "gate_time": t_gate,
         "omega_sigma": abs(couplings.omega_cap_sigma),
         "rows": rows,
@@ -1032,19 +1076,19 @@ def test_fidelity_gate_time_with_unequal_atom_counts(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::ensembleqc.physical.DispersiveRegimeWarning")
-def test_config_with_mode_frequencies_loads_as_without(tmp_path):
+def test_config_with_mode_frequencies_is_rejected(tmp_path):
     # The model reads only the detunings, so absolute mode frequencies in a
-    # config are ignored, even where they contradict the detunings.
-    plain = cli.load_config(write(tmp_path / "plain.json", {"physical_params": REFERENCE}), None)
+    # config are an error that names the first one, not a silent no-op.
+    plain = write(tmp_path / "plain.json", {"physical_params": REFERENCE})
+    assert cli.load_config(plain).hash() == cli.default_config().hash()
     modes = {"omega_0": 2.5e15, "omega_sigma": 1.0, "omega_pi_1": -7.0, "omega_pi_2": 3.0}
     path = write(tmp_path / "old.json", {"physical_params": {**REFERENCE, **modes}})
-    old = cli.load_config(path, None)
-    assert old.physical_params == plain.physical_params == presets.reference_params()
-    assert derive_couplings(old.physical_params) == derive_couplings(plain.physical_params)
-    assert old.hash() == plain.hash() == cli.default_config().hash()
+    code, stdout, stderr = run_cli(["--config", path, "--json", "fidelity"])
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: physical parameters has unknown key 'omega_0'; expected one of ")
     # The fidelity report's omega_sigma is the exchange rate |Omega_sigma|.
-    code, stdout, _ = run_cli(["--config", path, "--json", "fidelity"])
-    couplings = derive_couplings(old.physical_params)
+    code, stdout, _ = run_cli(["--config", plain, "--json", "fidelity"])
+    couplings = derive_couplings(presets.reference_params())
     assert code == 0
     assert json.loads(stdout)["omega_sigma"] == abs(couplings.omega_cap_sigma)
 
@@ -1105,17 +1149,15 @@ def test_report_json_without_a_table_is_indented_dumps():
 
 
 def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:
-    return cli.load_config(write(tmp_path / "c.json", raw), None)
+    return cli.load_config(write(tmp_path / "c.json", raw))
 
 
 @pytest.mark.parametrize("raw", [
     {},
-    {"sweep": None, "seed": 3},
+    {"sweep": None},
     {"sweep": {"parameter": "pi_to_s_ratio", "values": [-0.0, 5e-324, 1e308, 2, 0.1]}},
     {"sweep": {"parameter": "gamma_atomic", "min": -0.0, "max": 1e308, "steps": 9}},
     {"sweep": {"parameter": "time", "min": 5e-324, "max": 1e-6, "steps": 1}},
-    # A string that holds the hash's stand-in for the values list.
-    {"scenario": cli._LIST_SLOT},
     {"physical_params": TUNED},
     {"physical_params": json.loads(presets.blockade_tuned_params(1.0).to_json())},
     *({"physical_params": dict(json.loads(random_resonant_params(np.random.default_rng(i)).to_json()),
@@ -1125,7 +1167,7 @@ def _config(tmp_path, raw: dict) -> cli.ScenarioConfig:
     # JSON integers in float fields, and a coupling with a -0.0 imaginary part.
     {"physical_params": dict(TUNED, omega_1=0, omega_2=-2, delta_pi_2=-3, g_pi_2=0,
                              g_sigma_1=[0.0, -0.0])},
-], ids=["default", "no_sweep", "explicit", "grid", "one_step", "slot_strings", "tuned_sqrt3",
+], ids=["default", "no_sweep", "explicit", "grid", "one_step", "tuned_sqrt3",
         "tuned_1", "complex_0", "complex_1", "complex_2", "int_valued_floats"])
 def test_config_hash_equals_reference(raw, tmp_path):
     # Against the config's first definition, a json round trip of the
@@ -1164,7 +1206,8 @@ def test_numpy_scalar_params_round_trip_and_hash_as_python_ones(changes):
 
 
 _HASH_CIRCUIT = "H 0\nCNOT 0 1\nT 1\n"
-_REPORT_FILES = ("truth_table.json", "compile_report.json", "run_report.json")
+_REPORT_FILES = ("truth_table.json", "compile_report.json", "run_report.json",
+                 "blockade_sweep_report.json", "fidelity_report.json")
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -1180,6 +1223,12 @@ _REPORT_FILES = ("truth_table.json", "compile_report.json", "run_report.json")
     (["--json", "compile", "c.txt", "--fixed-set"], 1),
     (["--json", "simulate", "--circuit", "c.txt"], 1),
     (["--out", "out", "simulate", "--circuit", "c.txt"], 1),
+    (["blockade-sweep"], 0),
+    (["--out", "out", "blockade-sweep"], 1),
+    (["--json", "--out", "out", "blockade-sweep"], 1),
+    (["fidelity"], 0),
+    (["--out", "out", "fidelity"], 1),
+    (["--json", "--out", "out", "fidelity"], 1),
 ])
 def test_config_hash_is_computed_only_for_a_report_and_once(argv, calls, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -1195,7 +1244,7 @@ def test_config_hash_is_computed_only_for_a_report_and_once(argv, calls, tmp_pat
     code, stdout, stderr = run_cli(argv)
     assert (code, stderr) == (0, "")
     assert len(hashes) == calls
-    expected = config_hash_reference(cli.load_config(None, None))
+    expected = config_hash_reference(cli.load_config(None))
     reports = [json.loads(stdout)] if "--json" in argv else []
     reports += [json.loads((tmp_path / "out" / name).read_text())
                 for name in _REPORT_FILES if (tmp_path / "out" / name).exists()]
@@ -1257,8 +1306,7 @@ _CONFIG = st.fixed_dictionaries(
         "decoherence_params": st.fixed_dictionaries(
             {}, optional={k: _LEAF for k in ("gamma_atomic", "gamma_cavity", "delta")}) | _JSON,
         "sweep": _SWEEP,
-        "seed": _LEAF,
-        "scenario": _LEAF,
+        "sweeps": _LEAF,
     },
 ) | _JSON
 
@@ -1290,6 +1338,9 @@ def test_fuzzed_config_keeps_exit_contract(config, command, tmp_path):
     code, _, stderr = run_cli(["--config", path, *command])
     assert code in (0, 1, 2)
     assert code != 2 or stderr.startswith("error: ")
+    # A misspelled key is an error, not a run of the scenario without it.
+    assert not (isinstance(config, dict) and "sweeps" in config) or (
+        code == 2 and "unknown key 'sweeps'" in stderr)
 
 
 _EXTREME = st.sampled_from([0.0, 1e-310, -1e-310, 1e-200, -1e-200, 1e200, -1e200,
