@@ -14,11 +14,11 @@ approximates each gate name once by the shortest word over the fixed gates
 {ISWAP(pi/2), PHASE(pi/2), PHASE(pi/4)} (:func:`approximate_fixed_set`).  The
 breadth-first search tree over those words does not depend on the gate, so
 it is built once per depth limit as a cached table of products, the empty
-word in row 0, with each row's norm.  Each search bounds every row's
-phase-invariant distance by a Frobenius distance from one matrix-vector
-product, and measures the exact distance in one call only on the rows that
-the bound cannot rule out, up to the first row that it proves a hit; this
-gives the same result as measuring every row.
+word in row 0, with each row's norm.  Each search brackets every row's
+phase-invariant distance by a cheap formula for its square from one
+matrix-vector product, and measures the distance in one call only on the
+rows that the bracket cannot rule out, up to the first row that it proves
+a hit; this gives the same result as measuring every row.
 
 :func:`_checked_gate` is the one rule for a valid logical gate; its target
 rule, :func:`_checked_targets`, is also that of every native op, including
@@ -28,21 +28,28 @@ those that :meth:`NativeProgram.from_json` reads by the one JSON reader of
 checked circuit, an immutable tuple that the lowering takes as it is; any
 other sequence goes through the same rule, so each gate is checked once.
 
-``compile`` checks an exact lowering run by run, at any register size
-(:func:`_equivalence_error`).  Circuit and program are each fused into one
-2x2 product per qubit between two CNOTs on it by :func:`fused_runs`: the
-circuit side is the list of flushed runs that the lowering itself fused
-(:func:`_lower_exact` returns it with the program), and the program side
-is fused afresh from the emitted ops' code-space blocks, which keeps the
-check independent of the lowering.  The check passes when the two CNOT
-sequences are identical, each circuit product ``C`` equals ``lambda P``
-for the program's product ``P`` and a unit phase ``lambda`` (a product
-missing on one side is the identity), and the product of the phases
-equals the program's global phase; together these make the two
-2^k x 2^k unitaries equal, phases included.  The
-``equivalence_error`` is the largest of ``max|C - lambda P|`` over every
-product's entries and ``|global_phase - prod lambda|``, or 2 if the CNOT
-sequences differ.
+``compile`` checks its program run by run in both modes, at any register
+size (:func:`_equivalence_error`).  Circuit and program are each fused into
+one 2x2 product per qubit between two CNOTs on it by :func:`fused_runs`:
+the circuit from its ``gates._STANDARD`` matrices (:func:`_circuit_runs`),
+the program afresh from the emitted ops' code-space blocks, which keeps the
+check independent of the lowering.  It passes when the two CNOT sequences
+are identical, each circuit product ``C`` equals ``lambda P`` for the
+program's product ``P`` and a unit phase ``lambda`` (a product missing on
+one side is the identity), and the product of the phases equals the
+program's global phase; together these make the two 2^k x 2^k unitaries
+equal, phases included.  Each ``lambda`` is that of
+:func:`~ensembleqc.gates._phase_distance`, and the ``equivalence_error`` is
+the largest of ``||C - lambda P||_F`` over every product and
+``|global_phase - prod lambda|``, or 2 if the CNOT sequences differ.
+
+A fixed-set program is certified by the same check.  If each of a run's
+``L`` gates is replaced by a word within ``epsilon`` with phase ``mu_i``,
+then ``||C - mu P||_F <= L epsilon`` for ``mu = prod mu_i`` by telescoping
+(the norm is unitarily invariant); ``lambda`` minimizes it, so
+``sqrt(2) |mu - lambda| <= 2 L epsilon``.  The global phase is the product
+of the ``mu``, so summing over the runs bounds the ``equivalence_error`` by
+``sqrt(2) epsilon N`` for ``N`` single-qubit gates.
 
 PHASE operations are always emitted with the secondary angle phi = 0, whose
 code-space action is exactly R_z(theta) with no stray global phase, and with
@@ -64,7 +71,7 @@ from operator import attrgetter, index, itemgetter
 import numpy as np
 
 from . import gates
-from .gates import _phase_align, _unitarity_defect, as_matrix, rx, rz
+from .gates import _phase_distance, _unitarity_defect, as_matrix, rx, rz
 from .physical import _LIST_SLOT, _json_loads, _json_object, _json_pair, _json_typed, _slot
 
 ISWAP_KIND = "ISWAP"
@@ -468,26 +475,31 @@ def _assemble(steps, units, lower, qubit_count: int | None) -> NativeProgram:
     return program
 
 
+def _circuit_runs(steps) -> list:
+    """The list of :func:`fused_runs` over checked ``steps``' ``gates._STANDARD``
+    blocks, which :func:`_equivalence_error` checks a program against."""
+    return list(fused_runs((None if name == "CNOT" else gates._STANDARD[name], targets)
+                           for name, targets in steps))
+
+
 def _lower_exact(circuit, qubit_count: int | None = None) -> tuple[NativeProgram, list]:
     """:func:`lower_circuit`'s exact lowering of ``circuit``, and the
-    circuit's flushed runs: the list of :func:`fused_runs` over its gates'
-    ``gates._STANDARD`` blocks, which :func:`_equivalence_error` checks
-    the program against."""
+    circuit's flushed runs (:func:`_circuit_runs`), which it lowers."""
     steps = _checked_steps(circuit)
-    runs = list(fused_runs((None if name == "CNOT" else gates._STANDARD[name], targets)
-                           for name, targets in steps))
+    runs = _circuit_runs(steps)
     units = ((None if block is None else block.tobytes(), targets) for block, targets in runs)
     return _assemble(steps, units, _lower_run, qubit_count), runs
 
 
-def _lower_fixed_set(circuit, epsilon, max_depth) -> tuple[NativeProgram | None, dict]:
+def _lower_fixed_set(circuit, epsilon, max_depth) -> tuple[NativeProgram | None, list | None, dict]:
     """``compile --fixed-set``'s lowering: the options are checked first, so
     a CNOT-only circuit cannot pass with a bad one, then each single-qubit
     gate name's ``gates._STANDARD`` matrix is searched once
     (:func:`approximate_fixed_set`) in first-occurrence order, up to the
     first name without a word.  Returns the program (each gate its name's
-    word on its target, the phase counted once per gate), or ``None`` for a
-    missing word, and each searched name's :class:`FixedSetResult`."""
+    word on its target, the phase counted once per gate) and the circuit's
+    flushed runs (:func:`_circuit_runs`), or ``None`` for both on a missing
+    word, and each searched name's :class:`FixedSetResult`."""
     epsilon, max_depth = _check_fixed_set_options(epsilon, max_depth)
     steps = _checked_steps(circuit)
     results: dict[str, FixedSetResult] = {}
@@ -495,10 +507,10 @@ def _lower_fixed_set(circuit, epsilon, max_depth) -> tuple[NativeProgram | None,
         results[name] = approximate_fixed_set(gates._STANDARD[name], epsilon=epsilon,
                                               max_depth=max_depth)
         if not results[name].found:
-            return None, results
+            return None, None, results
     units = ((None if name == "CNOT" else name, targets) for name, targets in steps)
     lower = functools.cache(lambda name, qubit: _moved(results[name].program, qubit))
-    return _assemble(steps, units, lower, None), results
+    return _assemble(steps, units, lower, None), _circuit_runs(steps), results
 
 
 def lower_circuit(circuit, qubit_count: int | None = None) -> NativeProgram:
@@ -518,7 +530,7 @@ def lower_circuit(circuit, qubit_count: int | None = None) -> NativeProgram:
 
 
 # A CNOT skeleton that differs between circuit and program counts as this
-# deviation: the largest distance between two entries of unitaries.
+# deviation: the largest phase-invariant distance between two 2x2 unitaries.
 _SKELETON_MISMATCH = 2.0
 
 
@@ -541,11 +553,10 @@ def _fused_segments(runs) -> tuple[list[tuple[int, int]], dict[tuple[int, int], 
 
 def _equivalence_error(runs, program: NativeProgram) -> float:
     """The ``equivalence_error`` of ``program`` against a circuit whose
-    flushed runs are ``runs`` (see the module docstring): the circuit side
-    is the lowering's own :func:`fused_runs` of the circuit's
-    ``gates._STANDARD`` matrices (:func:`_lower_exact`), the program
-    side is fused afresh from its ops' code-space blocks, and each segment's
-    phase ``lambda`` is that of ``sum conj(P) C``.  Sound, since a fused
+    flushed runs are ``runs`` (:func:`_circuit_runs`; see the module
+    docstring): the program side is fused afresh from its ops' code-space
+    blocks, and each segment's distance and phase ``lambda`` are those of
+    :func:`~ensembleqc.gates._phase_distance`.  Sound, since a fused
     product only moves past ops on other qubits; O(gates), with no 2^k
     array."""
     skeleton, wanted = _fused_segments(runs)
@@ -557,11 +568,8 @@ def _equivalence_error(runs, program: NativeProgram) -> float:
     eye = np.eye(2, dtype=complex)
     c = np.array([wanted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
     p = np.array([emitted.get(key, eye) for key in keys]).reshape(-1, 2, 2)
-    overlap = np.einsum("nij,nij->n", p.conj(), c)
-    size = np.abs(overlap)
-    phases = np.where(size > 0.0, overlap / np.where(size > 0.0, size, 1.0), 1.0)
-    deviation = float(np.max(np.abs(c - phases[:, None, None] * p), initial=0.0))
-    return max(deviation, abs(program.global_phase - complex(np.prod(phases))))
+    distances, phases = _phase_distance(c, p)
+    return max(float(distances.max(initial=0.0)), abs(program.global_phase - complex(phases.prod())))
 
 
 # Fixed-angle generator set: native op template plus its code-space block.
@@ -577,8 +585,7 @@ _DEDUP_DECIMALS = 6
 # Slack on F^2 as _frobenius_squares computes it: each of its three terms
 # is at most 4 and rounds by a few ulps, far below it.
 _F2_SLACK = 1e-12
-# Slack on the scan's cut: F and d are at most 4 and round by a few ulps,
-# far below it.
+# Slack on the scan's cut: F and d are at most 2 and round by a few ulps, far below it.
 _PRUNE_RTOL = 1e-9
 _PRUNE_ATOL = 1e-12
 
@@ -703,55 +710,50 @@ def approximate_fixed_set(u, epsilon: float, max_depth: int) -> FixedSetResult:
     a finite 2x2 unitary (defect at most 1e-10), ``epsilon`` a positive,
     finite real number and ``max_depth`` an integer in 1..20.
 
-    One bound, one cut and one exact measurement.  From every row's ``F^2``
-    (:func:`_frobenius_squares`) and the slack ``_F2_SLACK``, ``F_lo =
-    sqrt(F^2 - slack)`` and ``F_hi = sqrt(F^2 + slack)`` obey ``F_lo/2 <= d
-    <= F_hi`` after rounding for the exact distance ``d``
-    (:func:`~ensembleqc.gates._phase_align`): at any one phase the largest of
-    the four entry differences is at most their root sum of squares and at
-    least half of it.  So the smallest ``F_hi``, ``U``, is at least the
-    smallest ``d``, and a row with ``F_lo/2 > max(epsilon, U)`` (plus
+    One bracket, one cut and one measurement.  ``d`` is the one
+    phase-invariant distance (:func:`~ensembleqc.gates._phase_distance`),
+    whose phase is the program's global phase.  Every row's ``F^2 = d^2``
+    also has a cheap formula (:func:`_frobenius_squares`), so with the slack
+    ``_F2_SLACK``, ``F_lo = sqrt(F^2 - slack) <= d <= F_hi = sqrt(F^2 +
+    slack)`` after rounding.  The smallest ``F_hi``, ``U``, bounds the
+    smallest ``d``, so a row with ``F_lo > max(epsilon, U)`` (plus
     ``_PRUNE_RTOL`` relative and ``_PRUNE_ATOL`` absolute slack) can be
-    neither the first hit nor the not-found minimum, while a row with
-    ``F_hi <= epsilon`` is a sure hit.  One ``_phase_align`` call measures
-    the rows inside the cut, in generation order, up to the first sure hit;
-    when no row comes before it, the re-verification is the only
-    measurement.  A row's ``d`` does not depend on the rows measured with
-    it, so the word, the depth, the distance (bit for bit) and the phase
-    are those of measuring every row.
+    neither the first hit nor the not-found minimum, and a row with ``F_hi
+    <= epsilon`` is a sure hit.  One call measures the rows inside the cut,
+    in generation order, up to the first sure hit (none if it comes first;
+    the re-verification measures once more).  A row's ``d`` does not depend
+    on the rows measured with it, so the result, bit for bit, is that of
+    measuring every row.
     """
     epsilon, max_depth = _check_fixed_set_options(epsilon, max_depth)
-    target = _single_qubit_unitary(u)
+    target = _single_qubit_unitary(u)[None]  # a stack of one matrix, for _phase_distance
 
     def finish(word: tuple[int, ...]) -> FixedSetResult:
         # Re-verify: rebuild the product from the word and measure again.
         product = np.eye(2, dtype=complex)
         for letter in word:
             product = _FIXED_GENERATORS[letter][2] @ product
-        dists, phis = _phase_align(target, product[None])
-        dist, phi = float(dists[0]), float(phis[0])
+        (dist,), (phase,) = _phase_distance(target, product[None])
         if dist > epsilon:
             raise AssertionError("search produced a word that fails re-verification")
         ops = [_FIXED_GENERATORS[letter][1] for letter in word]
-        program = NativeProgram(
-            qubit_count=1, ops=ops, global_phase=complex(np.exp(1j * phi))
-        )
+        program = NativeProgram(qubit_count=1, ops=ops, global_phase=complex(phase))
         names = tuple(_FIXED_GENERATORS[letter][0] for letter in word)
         return FixedSetResult(
-            found=True, program=program, word=names, distance=dist, depth=len(word)
+            found=True, program=program, word=names, distance=float(dist), depth=len(word)
         )
 
     table, parent, norms = _fixed_set_table(max_depth)
     squares = _frobenius_squares(target, table, norms)
     upper = math.sqrt(float(squares.min()) + _F2_SLACK)
     cut = max(epsilon, upper) * (1.0 + _PRUNE_RTOL) + _PRUNE_ATOL
-    # F_lo/2 <= cut, squared; a Python float product overflows to inf silently.
-    rows = np.flatnonzero(squares <= 4.0 * cut * cut + _F2_SLACK)
+    # F_lo <= cut, squared; a Python float product overflows to inf silently.
+    rows = np.flatnonzero(squares <= cut * cut + _F2_SLACK)
     # The first row with F_hi <= epsilon is a sure hit: measure only the rows before it.
     sure = np.flatnonzero(np.sqrt(squares[rows] + _F2_SLACK) <= epsilon)
     stop = int(sure[0]) if sure.size else len(rows)
     if stop:
-        distances = _phase_align(target, table[rows[:stop]])[0]
+        distances = _phase_distance(target, table[rows[:stop]])[0]
         hits = np.flatnonzero(distances <= epsilon)
         stop = int(hits[0]) if hits.size else stop
     if stop < len(rows):

@@ -33,7 +33,9 @@ gate's target count, and both compile modes read their matrices from it.
 Its arrays are read-only.
 
 Global phases are kept explicit everywhere so that phase-sensitive gate
-identities can be checked as exact matrix equalities.
+identities can be checked as exact matrix equalities.  ``_phase_distance``
+is the one distance up to global phase: the compile check and the
+fixed-set search both measure with it.
 """
 
 from __future__ import annotations
@@ -137,57 +139,16 @@ def standard_gate(name: str) -> Unitary:
         raise ValueError(f"unknown standard gate {name!r}") from None
 
 
-# Every pair j < k of the four entries of a 2x2 matrix, read-only.
-_ENTRY_PAIRS = np.triu_indices(4, 1)
-for _index in _ENTRY_PAIRS:
-    _index.setflags(write=False)
-
-
-def _phase_align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ``max|a - exp(i phi) b[n]|`` over phi for each matrix of a stack.
-
-    ``a`` is 2x2 and ``b`` has shape ``(n, 2, 2)``.  Each squared entry
-    difference is ``A_k - 2 Re(z_k e^{i phi})`` with ``z_k = conj(a_k) b_k``;
-    the max over entries attains its minimum either at a single branch's
-    minimum ``phi = -arg z_k`` or where two branches cross.  All candidates are
-    enumerated in fixed slots: phi = 0, each entry's branch minimum, then
-    each entry pair's two crossings.  A slot whose candidate does not exist
-    (``z_k = 0``, coincident branches, no crossing) scores +inf, so the
-    first minimal slot is the first minimal candidate.  The result is exact
-    up to floating-point rounding.  Returns ``(distance, phi)``, each of
-    shape ``(n,)``.
-    """
-    af = a.reshape(-1)
-    n, m = len(b), af.size
-    bf = b.reshape(n, m)
-    z = np.conj(af) * bf
-    amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
-    nz = np.abs(z) > 0.0
-    j, k = _ENTRY_PAIRS
-    w = z[:, j] - z[:, k]
-    mag = np.hypot(w.real, w.imag)  # equals scalar abs(w); array np.abs can differ in the last bit
-    distinct = mag >= 1e-300  # the two branches do not coincide
-    rhs = np.divide(amp2[:, j] - amp2[:, k], 2.0 * mag, out=np.zeros_like(mag), where=distinct)
-    crossing = nz[:, j] & nz[:, k] & distinct & (np.abs(rhs) <= 1.0)
-    t = np.arccos(np.where(crossing, rhs, 0.0))
-    chi = np.arctan2(w.imag, w.real)  # np.angle(w), without its wrapper
-    # Slots: phi = 0, then -arg z_e per entry e, then t - chi, -t - chi per pair.
-    phis = np.zeros((n, 1 + m + 2 * len(j)))
-    phis[:, 1:1 + m] = np.where(nz, -np.arctan2(z.imag, z.real), 0.0)
-    phis[:, 1 + m::2] = t - chi
-    phis[:, 2 + m::2] = -t - chi
-    rotated = np.exp(1j * phis)
-    # Max over entries of |a_e - e^{i phi} b_e|, from one (entries, n, slots) array.
-    term = rotated * bf.T[:, :, None]
-    np.subtract(af[:, None, None], term, out=term)
-    diffs = np.abs(term).max(axis=0)
-    # The slots whose candidate does not exist.
-    diffs[:, 1:1 + m][~nz] = np.inf
-    diffs[:, 1 + m::2][~crossing] = np.inf
-    diffs[:, 2 + m::2][~crossing] = np.inf
-    best = np.argmin(diffs, axis=1)
-    rows = np.arange(n)
-    return diffs[rows, best], phis[rows, best]
+def _phase_distance(c: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distance, lambda)`` per matrix of a stack ``p``: ``||c - lambda
+    p[n]||_F`` from ``c`` (a stack like ``p``, or of one matrix), with
+    ``lambda`` the unit phase of ``sum conj(p[n]) c`` (1 where that is 0),
+    which minimizes it, so the distance is a pseudo-metric.  A row's values
+    do not depend on the other rows."""
+    overlap = np.einsum("nij,nij->n", p.conj(), c)
+    size = np.abs(overlap)
+    phases = np.where(size > 0.0, overlap / np.where(size > 0.0, size, 1.0), 1.0)
+    return np.linalg.norm(c - phases[:, None, None] * p, axis=(1, 2)), phases
 
 
 def matrix_to_json(u) -> list:

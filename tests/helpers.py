@@ -39,7 +39,7 @@ from ensembleqc.compiler import (
 from ensembleqc.gates import (
     Unitary,
     _check_angles,
-    _phase_align,
+    _phase_distance,
     as_matrix,
     standard_gate,
 )
@@ -419,80 +419,26 @@ def rk4_reference(couplings, n: int, t: float, vec, step: float, samples: int = 
 
 
 def phase_distance(a, b) -> float:
-    """Global-phase-invariant distance ``min_phi max|a - exp(i phi) b|`` of
-    two matrices, by one call of ``gates._phase_align``."""
-    return float(_phase_align(as_matrix(a), as_matrix(b)[None])[0][0])
+    """Global-phase-invariant distance ``min_lambda ||a - lambda b||_F`` of
+    two matrices, by one call of ``gates._phase_distance``."""
+    return float(_phase_distance(as_matrix(a)[None], as_matrix(b)[None])[0][0])
 
 
-def phase_align_reference(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Minimize ``max|a - exp(i phi) b|`` over phi for one pair of matrices.
+def phase_distance_reference(a, b) -> tuple[float, complex]:
+    """``min ||a - lambda b||_F`` over unit phases ``lambda`` for one pair
+    of matrices, in scalar Python complex arithmetic: ``lambda`` is the
+    phase of ``sum conj(b_k) a_k`` (1 where it is 0).  Also checks that no
+    phase on a 3,600-point grid beats it by more than 1e-12.  Returns
+    ``(distance, lambda)``."""
+    pairs = [(complex(x), complex(y)) for x, y in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+    overlap = sum((y.conjugate() * x for x, y in pairs), 0j)
+    phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1 + 0j
 
-    Candidates in order: phi = 0, each nonzero branch's minimum
-    ``-arg z_k``, then each pair's two crossings; the first minimal
-    candidate wins.  Returns ``(distance, phi)``.
-    """
-    af, bf = a.ravel(), b.ravel()
-    z = np.conj(af) * bf
-    amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
-    candidates = [0.0]
-    nz = np.abs(z) > 0.0
-    candidates.extend((-np.angle(z[nz])).tolist())
-    idx = np.nonzero(nz)[0]
-    for ii in range(len(idx)):
-        for jj in range(ii + 1, len(idx)):
-            j, k = idx[ii], idx[jj]
-            w = z[j] - z[k]
-            mag = abs(w)
-            if mag < 1e-300:
-                continue
-            rhs = (amp2[j] - amp2[k]) / (2.0 * mag)
-            if abs(rhs) <= 1.0:
-                t = np.arccos(np.clip(rhs, -1.0, 1.0))
-                chi = np.angle(w)
-                candidates.extend([t - chi, -t - chi])
-    phis = np.asarray(candidates)
-    diffs = np.abs(af[None, :] - np.exp(1j * phis)[:, None] * bf[None, :]).max(axis=1)
-    best = int(np.argmin(diffs))
-    return float(diffs[best]), float(phis[best])
-
-
-def phase_align_loop_reference(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``gates._phase_align`` as it was written with one pass per entry over
-    ``(n, slots)`` arrays: the same candidates and the same arithmetic on
-    each element, so the broadcast version must equal it bit for bit."""
-    af = a.reshape(-1)
-    n, m = len(b), af.size
-    bf = b.reshape(n, m)
-    z = np.conj(af) * bf
-    amp2 = np.abs(af) ** 2 + np.abs(bf) ** 2
-    nz = np.abs(z) > 0.0
-    j, k = np.triu_indices(m, 1)
-    w = z[:, j] - z[:, k]
-    mag = np.hypot(w.real, w.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = (amp2[:, j] - amp2[:, k]) / (2.0 * mag)
-    crossing = nz[:, j] & nz[:, k] & (mag >= 1e-300) & (np.abs(rhs) <= 1.0)
-    t = np.arccos(np.clip(np.where(crossing, rhs, 0.0), -1.0, 1.0))
-    chi = np.angle(w)
-    phis = np.zeros((n, 1 + m + 2 * len(j)))
-    phis[:, 1:1 + m] = np.where(nz, -np.angle(z), 0.0)
-    phis[:, 1 + m::2] = t - chi
-    phis[:, 2 + m::2] = -t - chi
-    rotated = np.exp(1j * phis)
-    term = np.empty_like(rotated)
-    entry_diff = np.empty(phis.shape)
-    diffs = np.zeros(phis.shape)
-    for entry in range(m):
-        np.multiply(rotated, bf[:, entry, None], out=term)
-        np.subtract(af[entry], term, out=term)
-        np.abs(term, out=entry_diff)
-        np.maximum(diffs, entry_diff, out=diffs)
-    diffs[:, 1:1 + m][~nz] = np.inf
-    diffs[:, 1 + m::2][~crossing] = np.inf
-    diffs[:, 2 + m::2][~crossing] = np.inf
-    best = np.argmin(diffs, axis=1)
-    rows = np.arange(n)
-    return diffs[rows, best], phis[rows, best]
+    best = math.sqrt(sum(abs(x - phase * y) ** 2 for x, y in pairs))
+    rotations = np.exp(2j * np.pi * np.arange(3600) / 3600)[:, None, None]
+    grid = np.sqrt((np.abs(np.asarray(a) - rotations * np.asarray(b)) ** 2).sum(axis=(1, 2))).min()
+    assert grid >= best - 1e-12, (grid, best)
+    return best, phase
 
 
 def dedup_key_reference(m: np.ndarray) -> bytes:
@@ -512,34 +458,35 @@ def fixed_set_reference(
 ) -> FixedSetResult:
     """Breadth-first fixed-set search, one node and one child at a time.
 
-    Each child's distance is checked before it is deduplicated; the first
-    child within ``epsilon`` is re-multiplied from its word and re-measured.
+    Each child's distance, measured on its own by one single-pair call of
+    ``gates._phase_distance``, is checked before it is deduplicated; the
+    first child within ``epsilon`` is re-multiplied from its word and
+    re-measured.
     ``generated``, if given, receives every ``(child, word)`` in the order
     the search generates them, duplicates included.
     """
     target = as_matrix(u)
 
-    def distance(candidate: np.ndarray) -> float:
-        return phase_align_reference(target, candidate)[0]
+    def measure(candidate: np.ndarray) -> tuple[float, complex]:
+        distances, phases = _phase_distance(target[None], candidate[None])
+        return float(distances[0]), complex(phases[0])
 
     def finish(word: tuple[int, ...]) -> FixedSetResult:
         product = np.eye(2, dtype=complex)
         for letter in word:
             product = _FIXED_GENERATORS[letter][2] @ product
-        dist, phi = phase_align_reference(target, product)
+        dist, phase = measure(product)
         if dist > epsilon:
             raise AssertionError("search produced a word that fails re-verification")
         ops = [_FIXED_GENERATORS[letter][1] for letter in word]
-        program = NativeProgram(
-            qubit_count=1, ops=ops, global_phase=complex(np.exp(1j * phi))
-        )
+        program = NativeProgram(qubit_count=1, ops=ops, global_phase=phase)
         names = tuple(_FIXED_GENERATORS[letter][0] for letter in word)
         return FixedSetResult(
             found=True, program=program, word=names, distance=dist, depth=len(word)
         )
 
     identity = np.eye(2, dtype=complex)
-    best_seen = distance(identity)
+    best_seen = measure(identity)[0]
     if best_seen <= epsilon:
         return finish(())
     visited = {dedup_key_reference(identity)}
@@ -553,7 +500,7 @@ def fixed_set_reference(
             child_word = word + (index,)
             if generated is not None:
                 generated.append((child, child_word))
-            d = distance(child)
+            d = measure(child)[0]
             best_seen = min(best_seen, d)
             if d <= epsilon:
                 return finish(child_word)

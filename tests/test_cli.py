@@ -252,6 +252,11 @@ ERROR_CASES = {
     "truth_table_tol_zero": ({}, ["truth-table", "--tol", "0"], 2),
     "truth_table_tol_nan": ({}, ["truth-table", "--tol", "nan"], 2),
     "truth_table_tol_inf": ({}, ["truth-table", "--tol", "inf"], 2),
+    # The parser's own errors are usage errors too, with no usage text.
+    "unknown_option": ({}, ["--bogus", "truth-table"], 2),
+    "no_subcommand": ({}, [], 2),
+    "truth_table_tol_not_a_number": ({}, ["truth-table", "--tol", "x"], 2),
+    "compile_without_circuit": ({}, ["compile"], 2),
     "simulate_register_over_budget": ({"c.txt": "H 40\n"}, ["simulate", "--circuit", "c.txt"], 2),
     "simulate_state_json_over_budget": (
         {"c.txt": "H 40\n"}, ["--out", "out", "simulate", "--circuit", "c.txt"], 2),
@@ -620,6 +625,52 @@ def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
     assert (error < 1e-12) == (corruption == "none" or not singles and corruption == "nudge")
 
 
+def _move_to_other_qubit(ops):
+    ops[0] = compiler.NativeOp(ops[0].kind, (1 - ops[0].targets[0],), ops[0].angles)
+
+
+def _reverse_first_run(ops):
+    # The ops of q0's first run, H 0 then T 0, in reverse order.  Reversing
+    # one gate's word alone gives the same gate: every generator block and
+    # every gate matrix is symmetric, so the product is only transposed.
+    end = next(i for i, op in enumerate(ops) if op.kind == compiler.CISWAP_KIND)
+    run = [i for i in range(end) if ops[i].targets == (0,)]
+    for i, op in zip(run, [ops[i] for i in reversed(run)]):
+        ops[i] = op
+
+
+@pytest.mark.parametrize("corrupt", [_move_to_other_qubit, _reverse_first_run])
+def test_fixed_set_check_fails_a_corrupted_program(corrupt, tmp_path, monkeypatch):
+    path = write(tmp_path / "c.txt", MUTATION_CIRCUIT)
+    lower = compiler._lower_fixed_set
+
+    def corrupted(circuit, epsilon, max_depth):
+        program, runs, results = lower(circuit, epsilon, max_depth)
+        corrupt(program.ops)
+        return program, runs, results
+
+    monkeypatch.setattr(compiler, "_lower_fixed_set", corrupted)
+    code, stdout, stderr = run_cli(["--json", "compile", "--fixed-set", path])
+    report = json.loads(stdout)
+    assert (code, stderr, report["pass"]) == (1, "", False)
+    assert report["equivalence_error"] > 1e-3
+
+
+@given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.sampled_from([1e-9, 1e-3, 0.05, 0.2, 0.3, 0.5, 1.0]))
+@settings(max_examples=40, deadline=None)
+def test_fixed_set_check_stays_within_its_bound(k, seed, epsilon):
+    # Each of the N single-qubit gates is within epsilon of its word, so the
+    # run-by-run error is at most sqrt(2) epsilon N, which is the verdict's
+    # threshold with 1e-9 for rounding.
+    rng = np.random.default_rng(seed)
+    circuit = compiler.parse_circuit(random_circuit_text(rng, k, int(rng.integers(0, 25))))
+    program, runs, _ = compiler._lower_fixed_set(circuit, epsilon, 8)
+    assume(program is not None)
+    singles = sum(name != "CNOT" for name, _ in circuit)
+    assert compiler._equivalence_error(runs, program) <= math.sqrt(2.0) * epsilon * singles + 1e-12
+
+
 def test_compile_fuses_the_circuit_once(tmp_path, monkeypatch):
     # The lowering fuses the circuit and the check reuses its runs, so one
     # exact compile fuses twice: the circuit once and the program once.
@@ -850,15 +901,19 @@ def test_tables_are_written_alike_at_every_block_size(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["--seed", "1", "truth-table"], ["--seed=1", "truth-table"],
                                   ["truth-table", "--seed", "1"]])
-def test_seed_option_is_rejected(argv, capsys):
-    # No run draws a random number, so there is no seed to set: argparse
-    # rejects the option as it does any unknown one, with its usage error.
+def test_seed_option_is_rejected(argv):
+    # No run draws a random number, so there is no seed to set: the parser
+    # rejects the option as it does any unknown one, with one error line.
     assert "--seed" not in cli.build_parser().format_help()
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stdout, stderr.count("\n")) == (2, "", 1)
+    assert stderr.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_:
-        cli.main(argv)
-    captured = capsys.readouterr()
-    assert exit_.value.code == 2 and captured.out == ""
-    assert "error: " in captured.err
+        cli.main(["--help"])
+    assert exit_.value.code == 0 and capsys.readouterr().out.startswith("usage: ensembleqc")
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1420,6 +1475,8 @@ PAIR_LAYER = ("iswap", "phase_gate", "restrict_to_logical", "code_space_coupling
     ("gates", "fredkin_fanout"),
     ("gates", "controlled_iswap_ideal"),
     ("gates", "phase_alignment"),
+    ("gates", "_phase_align"),
+    ("gates", "_ENTRY_PAIRS"),
     ("gates", "matrix_from_json"),
     ("dynamics", "trajectory_to_csv"),
     ("physical", "detunings_from_frequencies"),

@@ -32,7 +32,7 @@ from ensembleqc.compiler import (
     parse_circuit,
 )
 from ensembleqc.gates import (
-    _phase_align,
+    _phase_distance,
     rx,
     rz,
     standard_gate,
@@ -46,8 +46,8 @@ from helpers import (
     native_program_json_reference,
     pair_matrix,
     parse_circuit_reference,
-    phase_align_reference,
     phase_distance,
+    phase_distance_reference,
     restrict_to_logical,
     run_ops_reference,
 )
@@ -305,8 +305,11 @@ class TestLowerCircuit:
 
         monkeypatch.setattr(compiler, "approximate_fixed_set", search)
         circuit = [("H", (1,)), ("CNOT", (1, 0)), ("T", (0,)), ("H", (2,)), ("T", (0,))]
-        program, results = compiler._lower_fixed_set(circuit, 0.1, 4)
+        program, runs, results = compiler._lower_fixed_set(circuit, 0.1, 4)
         assert list(results) == ["H", "T"]
+        # The circuit's runs, as the exact lowering fuses them, for the check.
+        assert ([(None if b is None else b.tobytes(), t) for b, t in runs]
+                == [(None if b is None else b.tobytes(), t) for b, t in compiler._lower_exact(circuit)[1]])
         assert len(seen) == 2
         assert seen[0] is gates._STANDARD["H"] and seen[1] is gates._STANDARD["T"]
         assert [op.targets for op in program.ops] == [(1,), (1, 0), (0,), (2,), (0,)]
@@ -325,8 +328,8 @@ class TestLowerCircuit:
 
         monkeypatch.setattr(compiler, "approximate_fixed_set", spy)
         circuit = [("S", (0,)), ("H", (1,)), ("T", (0,)), ("X", (2,))]
-        program, results = compiler._lower_fixed_set(circuit, 1e-9, 1)
-        assert program is None
+        program, runs, results = compiler._lower_fixed_set(circuit, 1e-9, 1)
+        assert program is None and runs is None
         assert list(results) == ["S", "H"] and len(seen) == 2
         assert results["S"].found and not results["H"].found
 
@@ -662,33 +665,34 @@ class TestFixedSetTable:
         table = _fixed_set_table(12)[0]
         for index in range(40):
             target = haar_unitary_2(rng)
-            distances, phis = _phase_align(target, table)
-            # Every row for the first target, a seeded sample for the rest
-            # (one call per row costs ~0.1 ms).
+            distances, phases = _phase_distance(target[None], table)
+            # Every row for the first target, a seeded sample for the rest.
             rows = range(len(table)) if index == 0 else rng.choice(len(table), 48, replace=False)
             for row in rows:
-                d, phi = _phase_align(target, table[row][None])
+                d, phase = _phase_distance(target[None], table[row][None])
                 assert np.array_equal(d, distances[row:row + 1])
-                assert np.array_equal(phi, phis[row:row + 1])
+                assert np.array_equal(phase, phases[row:row + 1])
 
     def test_stacked_distance_equals_reference(self):
         rng = np.random.default_rng(12)
         table = _fixed_set_table(8)[0]
         for _ in range(2):
             target = haar_unitary_2(rng)
-            distances, phis = _phase_align(target, table)
-            expected = np.array([phase_align_reference(target, m) for m in table])
-            assert np.array_equal(distances, expected[:, 0])
-            assert np.array_equal(phis, expected[:, 1])
+            distances, phases = _phase_distance(target[None], table)
+            expected = [phase_distance_reference(target, m) for m in table]
+            assert np.allclose(distances, [d for d, _ in expected], rtol=0.0, atol=1e-14)
+            assert np.allclose(phases, [phase for _, phase in expected], rtol=0.0, atol=1e-14)
 
     def test_zero_entries_and_no_crossings(self):
-        # Diagonal and antidiagonal pairs leave branch and crossing slots empty.
+        # Diagonal and antidiagonal pairs, whose zero entries add nothing to
+        # the overlap, and a pair whose overlap is 0, where lambda is 1.
         pairs = [(np.eye(2), rz(0.7).matrix), (rx(np.pi).matrix, np.eye(2)),
-                 (standard_gate("X").matrix, rx(np.pi).matrix)]
+                 (standard_gate("X").matrix, rx(np.pi).matrix), (np.eye(2), rx(np.pi).matrix)]
         for a, b in pairs:
             a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-            d, phi = _phase_align(a, b[None])
-            assert (d[0], phi[0]) == phase_align_reference(a, b)
+            d, phase = _phase_distance(a[None], b[None])
+            want_d, want_phase = phase_distance_reference(a, b)
+            assert abs(d[0] - want_d) < 1e-15 and abs(phase[0] - want_phase) < 1e-15
 
 
 class TestFixedSetMatchesReference:
@@ -719,7 +723,7 @@ class TestFixedSetMatchesReference:
         # one ulp below it does not.
         target = haar_unitary_2(np.random.default_rng(21))
         table, parent, _ = _fixed_set_table(5)
-        distances = _phase_align(target, table)[0]
+        distances = _phase_distance(target[None], table)[0]
         row = int(np.argmin(distances))
         epsilon = float(distances[row])
         assert phase_distance(target, np.eye(2)) > epsilon
@@ -752,7 +756,7 @@ class TestFixedSetMatchesReference:
         squares = compiler._frobenius_squares(target, table, norms)
         row = int(np.argmin(squares))
         f_hi = float(np.sqrt(squares[row] + compiler._F2_SLACK))
-        distance = float(_phase_align(target, table[row][None])[0][0])
+        distance = float(_phase_distance(target[None], table[row][None])[0][0])
         for epsilon in (f_hi, np.nextafter(f_hi, 0.0), np.nextafter(distance, 0.0)):
             epsilon = float(epsilon)
             assert_same_result(approximate_fixed_set(target, epsilon, 12),
@@ -791,11 +795,11 @@ class TestFixedSetMatchesReference:
 
 
 class TestFixedSetPruning:
-    """The scan measures the exact distance only where the Frobenius bound
-    ``F_lo/2 <= d <= F_hi`` cannot rule a row out."""
+    """The scan measures the distance only where the bracket ``F_lo <= d <=
+    F_hi`` from the cheap formula cannot rule a row out."""
 
     def test_frobenius_bound_brackets_the_distance(self):
-        # F_lo/2 <= d <= F_hi with the scan's slack and no other tolerance:
+        # F_lo <= d <= F_hi with the scan's slack and no other tolerance:
         # rounding moves F^2 by a few ulps of 4, far inside the slack.
         rng = np.random.default_rng(31)
         table, _, norms = _fixed_set_table(12)
@@ -808,8 +812,8 @@ class TestFixedSetPruning:
             squares = compiler._frobenius_squares(target, table, norms)
             f_lo = np.sqrt(np.maximum(squares - compiler._F2_SLACK, 0.0))
             f_hi = np.sqrt(squares + compiler._F2_SLACK)
-            distances = _phase_align(target, table)[0]
-            assert np.all(0.5 * f_lo <= distances)
+            distances = _phase_distance(target[None], table)[0]
+            assert np.all(f_lo <= distances)
             assert np.all(distances <= f_hi)
             if index % 2:
                 assert np.abs(squares).min() < 1e-14
@@ -824,17 +828,17 @@ class TestFixedSetPruning:
             target = haar_unitary_2(rng)
             result = approximate_fixed_set(target, 1e-9, depth)
             assert not result.found
-            identity = _phase_align(target, np.eye(2, dtype=complex)[None])[0][0]
-            assert result.distance == min(identity, _phase_align(target, table)[0].min())
+            identity = _phase_distance(target[None], np.eye(2, dtype=complex)[None])[0][0]
+            assert result.distance == min(identity, _phase_distance(target[None], table)[0].min())
 
     def test_haar_search_measures_few_rows_exactly(self, monkeypatch):
         measured = []
 
-        def counting_phase_align(a, b):
+        def counting_phase_distance(a, b):
             measured[-1] += len(b)
-            return _phase_align(a, b)
+            return _phase_distance(a, b)
 
-        monkeypatch.setattr(compiler, "_phase_align", counting_phase_align)
+        monkeypatch.setattr(compiler, "_phase_distance", counting_phase_distance)
         rng = np.random.default_rng(50)
         rows = len(_fixed_set_table(12)[0])
         for _ in range(20):
@@ -851,9 +855,9 @@ class TestFixedSetPruning:
 
         def spy(a, b):
             calls.append(len(b))
-            return _phase_align(a, b)
+            return _phase_distance(a, b)
 
-        monkeypatch.setattr(compiler, "_phase_align", spy)
+        monkeypatch.setattr(compiler, "_phase_distance", spy)
         rng = np.random.default_rng(51)
         cases = [(haar_unitary_2(rng), 1e-9, 12), (haar_unitary_2(rng), 0.1, 12),
                  (standard_gate("H"), 1e-9, 8), (np.eye(2), 1e-9, 5),
