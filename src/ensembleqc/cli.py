@@ -91,6 +91,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The global options: build_parser's parent, parsed alone by main to name an
+# unknown option ahead of the subcommand, whose value argparse takes for one.
+_GLOBAL_OPTIONS = _Parser(add_help=False)
+_GLOBAL_OPTIONS.add_argument("--config", help="scenario config JSON")
+_GLOBAL_OPTIONS.add_argument("--json", action="store_true", help="machine-readable output")
+_GLOBAL_OPTIONS.add_argument("--out", default=None, help="directory for output files")
+
+
 class VerificationError(Exception):
     """An embedded verification failed before a report was produced (exit 1)."""
 
@@ -569,12 +577,9 @@ def cmd_fidelity(args, config: ScenarioConfig) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="ensembleqc",
+        prog="ensembleqc", parents=[_GLOBAL_OPTIONS],
         description="Simulator and compiler for the two-ensemble-per-qubit swap architecture.",
     )
-    parser.add_argument("--config", help="scenario config JSON")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--out", default=None, help="directory for output files")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("truth-table", help="extract and verify the controlled-swap gate")
@@ -615,7 +620,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except UsageError:
+            ahead = _GLOBAL_OPTIONS.parse_known_args(argv)[1][:1]
+            if ahead and ahead[0].startswith("-"):
+                raise UsageError(f"unrecognized arguments: {ahead[0]}") from None
+            raise
         return args.func(args, load_config(args.config))
     except (VerificationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,9 @@ rows that the bracket cannot rule out, up to the first row that it proves
 a hit; this gives the same result as measuring every row.
 
 :func:`_checked_gate` is the one rule for a valid logical gate; its target
-rule, :func:`_checked_targets`, is also that of every native op, including
-those that :meth:`NativeProgram.from_json` reads by the one JSON reader of
-:mod:`ensembleqc.physical`.
+rule, :func:`_checked_targets`, is also that of every native op.  Every
+:class:`NativeProgram`, lowered, searched or read by the one JSON reader of
+:mod:`ensembleqc.physical`, is checked where it is built.
 :func:`parse_circuit` checks only the text's syntax itself and returns a
 checked circuit, an immutable tuple that the lowering takes as it is; any
 other sequence goes through the same rule, so each gate is checked once.
@@ -65,7 +65,7 @@ import math
 import numbers
 import re
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter, index, itemgetter
 
 import numpy as np
@@ -175,25 +175,32 @@ def _op_kernel(op: NativeOp):
     return _kernel(op.kind, op.angles, tuple(map(_sign, op.angles)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NativeProgram:
-    """Ordered native operations plus the accumulated global phase (modulus 1)."""
+    """Ordered native operations plus the accumulated global phase, checked
+    where it is built: a ``qubit_count`` of at least 1 kept as a Python int,
+    ops inside that register kept as a tuple, a phase of modulus 1 kept as a
+    Python complex."""
 
     qubit_count: int
-    ops: list[NativeOp] = field(default_factory=list)
+    ops: tuple[NativeOp, ...] = ()
     global_phase: complex = 1.0 + 0.0j
 
-    def validate(self) -> None:
-        if self.qubit_count < 1:
-            raise ValueError("program needs at least one logical qubit")
-        if not abs(math.hypot(self.global_phase.real, self.global_phase.imag) - 1.0) <= NORM_ATOL:
+    def __post_init__(self) -> None:
+        count = self.qubit_count  # a Python or numpy int, not a bool
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"program needs at least one logical qubit, as an integer, got {count!r}")
+        phase = self.global_phase  # complex() would parse a string
+        phase = complex(phase) if isinstance(phase, numbers.Number) else math.nan
+        if not abs(math.hypot(phase.real, phase.imag) - 1.0) <= NORM_ATOL:
             raise ValueError(f"global_phase must have modulus 1, got {self.global_phase!r}")
-        if max(map(max, map(attrgetter("targets"), self.ops)), default=-1) >= self.qubit_count:
-            op = next(op for op in self.ops if max(op.targets) >= self.qubit_count)
-            raise ValueError(
-                f"op {op.format()!r} touches a pair outside the "
-                f"{self.qubit_count}-qubit register"
-            )
+        ops = tuple(self.ops)
+        if max(map(max, map(attrgetter("targets"), ops)), default=-1) >= count:
+            op = next(op for op in ops if max(op.targets) >= count)
+            raise ValueError(f"op {op.format()!r} touches a pair outside the {count}-qubit register")
+        object.__setattr__(self, "qubit_count", int(count))
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "global_phase", phase)
 
     def to_json(self) -> str:
         """``json.dumps`` of the program's object with ``indent=2``.  json
@@ -218,7 +225,7 @@ class NativeProgram:
         raw = _json_object(_json_loads(text), ("qubit_count", "ops", "global_phase"), "native program")
         op_object = functools.partial(_json_object, keys=("kind", "targets", "angles"), name="native op")
         try:
-            program = cls(
+            return cls(
                 qubit_count=_json_typed(raw["qubit_count"], "integer", "qubit_count"),
                 ops=[
                     NativeOp(
@@ -235,8 +242,6 @@ class NativeProgram:
             raise ValueError(f"native program is missing {missing}") from None
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed native program: {exc}") from None
-        program.validate()
-        return program
 
     def disassemble(self) -> str:
         """Plain-text listing, one op per line, for diffing."""
@@ -386,7 +391,7 @@ def _moved(pair: NativeProgram, qubit: int) -> tuple[tuple[NativeOp, ...], compl
 @functools.lru_cache(maxsize=4096)
 def _lower_product(key: bytes) -> NativeProgram:
     """:func:`lower_single_qubit` of the 2x2 complex matrix whose bytes are
-    ``key``, shared by every call: read it, never change it."""
+    ``key``, shared by every call."""
     return lower_single_qubit(np.frombuffer(key, dtype=complex).reshape(2, 2))
 
 
@@ -455,10 +460,9 @@ def _checked_steps(circuit) -> _CheckedCircuit:
 
 
 def _assemble(steps, units, lower, qubit_count: int | None) -> NativeProgram:
-    """The validated program of checked ``steps`` from its ``units``: each
-    ``(None, (control, target))`` becomes one CISWAP, and each ``(unit,
-    (qubit,))`` the ops of ``lower(unit, qubit)``, whose phase is multiplied
-    into the program's."""
+    """The program of checked ``steps`` from its ``units``: each ``(None,
+    (control, target))`` becomes one CISWAP, and each ``(unit, (qubit,))`` the
+    ops of ``lower(unit, qubit)``, whose phase is multiplied into the program's."""
     ops: list[NativeOp] = []
     phase = 1.0 + 0.0j
     for unit, targets in units:
@@ -469,10 +473,8 @@ def _assemble(steps, units, lower, qubit_count: int | None) -> NativeProgram:
             ops.extend(sub_ops)
             phase *= sub_phase
     if qubit_count is None:
-        qubit_count = max(map(max, map(itemgetter(1), steps)), default=-1) + 1
-    program = NativeProgram(qubit_count=max(qubit_count, 1), ops=ops, global_phase=phase)
-    program.validate()
-    return program
+        qubit_count = max(map(max, map(itemgetter(1), steps)), default=0) + 1
+    return NativeProgram(qubit_count=qubit_count, ops=ops, global_phase=phase)
 
 
 def _circuit_runs(steps) -> list:

@@ -25,9 +25,9 @@ qubit order.  So each run of single-qubit ops costs one pass over the
 amplitudes, and results move only in their last bits against an op-by-op
 run.
 
-States are validated at the boundaries: :class:`LogicalState` checks what a
-caller builds, and ``run_program`` validates its encoded input and ends with
-a validated state.
+A state and a program are each checked where they are built, by
+:class:`LogicalState` and :class:`~ensembleqc.compiler.NativeProgram`, so
+``run_program`` trusts its program and checks only its initial bitstring.
 """
 
 from __future__ import annotations
@@ -126,15 +126,17 @@ def decode(state: LogicalState) -> np.ndarray:
 
 
 def measure_logical(
-    state: LogicalState, qubit: int, rng: int | np.random.Generator | None = None
+    state: LogicalState, qubit: int, rng: int | np.random.Generator
 ) -> tuple[int, LogicalState]:
     """Measure one logical qubit in the code basis and collapse.
 
     The outcome takes one draw ``rng.random()``: 1 if it falls below the
-    probability of the qubit's 1.  The generator (or seed) is injected,
-    never ambient, so runs are reproducible.  ``qubit`` obeys the op target
+    probability of the qubit's 1.  The generator (or seed) is required, never
+    ambient: ``None``, OS entropy, is refused.  ``qubit`` obeys the op target
     rule (:func:`compiler._checked_targets`) and must be in the register.
     """
+    if rng is None:
+        raise ValueError("rng must be a seed or a numpy Generator, not None")
     (qubit,) = _checked_targets("measure", (qubit,), 1)
     if qubit >= state.qubit_count:
         raise ValueError(f"qubit {qubit} out of range")
@@ -154,12 +156,9 @@ def run_program(program: NativeProgram, initial: str) -> tuple[LogicalState, Run
     result equals the tracked-phase matrix action exactly.  Deterministic:
     identical inputs give identical outputs.
     """
-    program.validate()
     if len(initial) != program.qubit_count:
-        raise ValueError(
-            f"initial bitstring length {len(initial)} does not match the "
-            f"{program.qubit_count}-qubit program"
-        )
+        raise ValueError(f"initial bitstring length {len(initial)} does not match the "
+                         f"{program.qubit_count}-qubit program")
     amps = _apply_run(encode_basis(initial).amplitudes,
                       ((_op_kernel(op), op.targets) for op in program.ops))
     state = LogicalState(amps * program.global_phase)

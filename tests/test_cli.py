@@ -583,10 +583,10 @@ def test_compile_check_fails_a_corrupted_program(corrupt, tmp_path, monkeypatch)
     def corrupted(circuit):
         program, runs = lower(circuit)
         if corrupt == "negate_phase":
-            program.global_phase = -program.global_phase
-        else:
-            corrupt(program.ops)
-        return program, runs
+            return dataclasses.replace(program, global_phase=-program.global_phase), runs
+        ops = list(program.ops)
+        corrupt(ops)
+        return dataclasses.replace(program, ops=ops), runs
 
     monkeypatch.setattr(compiler, "_lower_exact", corrupted)
     code, stdout, stderr = run_cli(["--json", "compile", path])
@@ -613,11 +613,12 @@ def test_compile_check_agrees_with_the_full_matrix_oracle(k, seed, corruption):
     singles = [i for i, op in enumerate(program.ops) if op.kind != compiler.CISWAP_KIND]
     if corruption == "nudge" and singles:
         i = singles[rng.integers(len(singles))]
-        op = program.ops[i]
-        program.ops[i] = compiler.NativeOp(op.kind, op.targets,
-                                           (op.angles[0] + 1e-6,) + op.angles[1:])
+        ops = list(program.ops)
+        ops[i] = compiler.NativeOp(ops[i].kind, ops[i].targets,
+                                   (ops[i].angles[0] + 1e-6,) + ops[i].angles[1:])
+        program = dataclasses.replace(program, ops=ops)
     elif corruption == "negate_phase":
-        program.global_phase = -program.global_phase
+        program = dataclasses.replace(program, global_phase=-program.global_phase)
     matrix = run_ops_reference(program, np.eye(2**k, dtype=complex)) * program.global_phase
     oracle_error = float(np.max(np.abs(matrix - logical_circuit_matrix(circuit, k))))
     error = compiler._equivalence_error(runs, program)
@@ -646,8 +647,9 @@ def test_fixed_set_check_fails_a_corrupted_program(corrupt, tmp_path, monkeypatc
 
     def corrupted(circuit, epsilon, max_depth):
         program, runs, results = lower(circuit, epsilon, max_depth)
-        corrupt(program.ops)
-        return program, runs, results
+        ops = list(program.ops)
+        corrupt(ops)
+        return dataclasses.replace(program, ops=ops), runs, results
 
     monkeypatch.setattr(compiler, "_lower_fixed_set", corrupted)
     code, stdout, stderr = run_cli(["--json", "compile", "--fixed-set", path])
@@ -907,7 +909,33 @@ def test_seed_option_is_rejected(argv):
     assert "--seed" not in cli.build_parser().format_help()
     code, stdout, stderr = run_cli(argv)
     assert (code, stdout, stderr.count("\n")) == (2, "", 1)
-    assert stderr.startswith("error: ")
+    # The flag is named even ahead of the subcommand, where argparse alone
+    # would take its value for the subcommand.
+    assert stderr.startswith("error: unrecognized arguments: --seed")
+
+
+@pytest.mark.parametrize("argv", [["--json", "--config", "c.json", "truth-table"],
+                                  ["--out", "o", "truth-table"], ["--json", "--out=o", "truth-table"]])
+def test_global_options_with_values_still_parse(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.json", {})
+    code, _, stderr = run_cli(argv)
+    assert (code, stderr) == (0, "")
+    assert any(arg.startswith("--out") for arg in argv) == (tmp_path / "o" / "truth_table.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+    (["truth-tabel", "--force"], "error: argument command: invalid choice: 'truth-tabel'"),
+    (["truth-table", "--tol", "abc"], "error: argument --tol: invalid float value: 'abc'"),
+    (["--config"], "error: argument --config: expected one argument"),
+    (["--json", "--bogus", "x", "compile", "c.txt"], "error: unrecognized arguments: --bogus"),
+])
+def test_other_argparse_errors_keep_their_line(argv, message):
+    # Only an unknown option ahead of the subcommand changes argparse's line.
+    code, stdout, stderr = run_cli(argv)
+    assert (code, stdout, stderr.count("\n")) == (2, "", 1)
+    assert stderr.startswith(message)
 
 
 def test_help_exits_0(capsys):

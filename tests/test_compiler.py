@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,7 +164,7 @@ class TestLowerSingleQubit:
 
     def test_identity_lowers_to_nothing(self):
         program = lower_single_qubit(np.eye(2))
-        assert program.ops == []
+        assert program.ops == ()
         assert program.global_phase == 1.0
 
     def test_emits_at_most_three_ops(self):
@@ -416,9 +419,102 @@ class TestNativeProgram:
         assert op.format() == native_op_format_reference(op)
 
     def test_validate_rejects_out_of_range_targets(self):
-        program = NativeProgram(qubit_count=1, ops=[NativeOp(CISWAP_KIND, (0, 1))])
         with pytest.raises(ValueError, match="outside"):
-            program.validate()
+            NativeProgram(qubit_count=1, ops=[NativeOp(CISWAP_KIND, (0, 1))])
+
+    @pytest.mark.parametrize("qubit_count, ops, phase, message", [
+        (0, [], 1.0, "program needs at least one logical qubit"),
+        (-3, [], 1.0, "program needs at least one logical qubit"),
+        (1, [NativeOp(ISWAP_KIND, (1,), (0.1,))], 1.0,
+         "op 'ISWAP q1 0.1' touches a pair outside the 1-qubit register"),
+        (3, [NativeOp(CISWAP_KIND, (0, 3))], 1.0, "outside the 3-qubit register"),
+        (1, [], 1.1, "global_phase must have modulus 1, got "),
+        (1, [], 0.6 + 0.8000001j, "modulus 1"),
+    ])
+    def test_the_rule_holds_where_a_program_is_built(self, qubit_count, ops, phase, message):
+        # The constructor raises, and from_json raises the same message on the
+        # same program, so no caller can hold a program that breaks the rule.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NativeProgram(qubit_count, ops, phase)
+        text = native_program_json_reference(SimpleNamespace(
+            qubit_count=qubit_count, ops=ops, global_phase=complex(phase)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NativeProgram.from_json(text)
+
+    @pytest.mark.parametrize("field", ["qubit_count", "ops", "global_phase"])
+    def test_a_program_is_frozen(self, field):
+        program = lower_circuit([("H", (0,)), ("CNOT", (0, 1))])
+        before = program.to_json()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(program, field, getattr(program, field))
+        assert program.to_json() == before
+
+    def test_a_program_holds_a_tuple_and_has_no_separate_check(self):
+        assert not hasattr(NativeProgram, "validate")
+        ops = [NativeOp(ISWAP_KIND, (0,), (0.5,))]
+        program = NativeProgram(1, ops)
+        ops.append(NativeOp(ISWAP_KIND, (5,), (0.5,)))  # the caller's list is not the program's
+        assert program.ops == (NativeOp(ISWAP_KIND, (0,), (0.5,)),)
+        assert type(lower_circuit([("H", (0,))]).ops) is tuple
+        assert type(approximate_fixed_set(standard_gate("S"), 1e-9, 4).program.ops) is tuple
+
+    def test_a_bool_qubit_count_is_refused(self):
+        # max(True, 1) is True, which to_json wrote as true and from_json refused.
+        with pytest.raises(ValueError, match="as an integer, got True"):
+            lower_circuit([("H", (0,))], qubit_count=True)
+        with pytest.raises(ValueError, match="as an integer, got np.True_"):
+            NativeProgram(qubit_count=np.True_)
+
+    @pytest.mark.parametrize("qubit_count", [1.5, 2.0, "2", None, Fraction(2)])
+    def test_a_non_integer_qubit_count_is_refused(self, qubit_count):
+        with pytest.raises(ValueError, match="as an integer"):
+            NativeProgram(qubit_count=qubit_count)
+
+    def test_an_explicit_qubit_count_is_checked_as_given(self):
+        # An explicit count below 1 is an error, not lifted to 1; a derived
+        # count is the largest target plus 1, and 1 for an empty circuit.
+        with pytest.raises(ValueError, match="at least one logical qubit"):
+            lower_circuit([], qubit_count=0)
+        assert lower_circuit([]).qubit_count == 1
+        assert lower_circuit([("CNOT", (3, 1))]).qubit_count == 4
+
+    def test_an_int_phase_is_kept_as_a_complex(self):
+        program = NativeProgram(1, [], 1)
+        assert type(program.global_phase) is complex
+        assert '"global_phase": [\n    1.0,\n    0.0\n  ]' in program.to_json()
+        assert program.to_json() == NativeProgram(1).to_json()
+        assert type(NativeProgram(1, [], np.complex64(1j)).global_phase) is complex
+
+    @pytest.mark.parametrize("phase", ["x", "1+0j", None, [1.0, 0.0], b"1"])
+    def test_a_non_number_phase_is_a_value_error(self, phase):
+        # complex() would parse the string "1+0j"; a phase must be a number.
+        with pytest.raises(ValueError, match="global_phase must have modulus 1"):
+            NativeProgram(1, [], phase)
+
+    def test_a_numpy_qubit_count_round_trips(self):
+        program = NativeProgram(qubit_count=np.int64(3), ops=[NativeOp(CISWAP_KIND, (2, 0))])
+        assert type(program.qubit_count) is int
+        assert NativeProgram.from_json(program.to_json()) == program
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_every_built_program_round_trips(self, seed):
+        # The lowering, the one-qubit lowering and the fixed-set search build
+        # programs that from_json reads back as equal values.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 5))
+        names = ["X", "H", "S", "T"] + ["CNOT"] * (k > 1)
+        circuit = []
+        for name in (names[i] for i in rng.integers(len(names), size=int(rng.integers(0, 12)))):
+            size = 2 if name == "CNOT" else 1
+            circuit.append((name, tuple(int(q) for q in rng.choice(k, size=size, replace=False))))
+        programs = [lower_circuit(circuit), lower_circuit(circuit, qubit_count=np.int32(k + 1)),
+                    lower_single_qubit(haar_unitary_2(rng)),
+                    compiler._lower_fixed_set(circuit, 0.3, 6)[0],
+                    approximate_fixed_set(standard_gate("T"), 1e-9, 3).program]
+        for program in programs:
+            if program is not None:
+                assert NativeProgram.from_json(program.to_json()) == program
 
     @pytest.mark.parametrize("text", [
         "[]",

@@ -194,7 +194,7 @@ class TestApplyOp:
             assert abs(state.norm() - 1.0) < 1e-12
 
     def test_rejects_out_of_range_target(self):
-        # NativeProgram.validate, which run_program calls.
+        # The program refuses the op where it is built, before any run.
         for op, k in ((NativeOp(ISWAP_KIND, (1,), (0.1,)), 1), (NativeOp(CISWAP_KIND, (0, 2)), 2)):
             with pytest.raises(ValueError, match="outside"):
                 run_program(one_op(op, k), "0" * k)
@@ -375,6 +375,18 @@ class TestMeasurement:
         assert measure_logical(state, np.int64(1), rng=0)[0] == 1
         assert measure_logical(state, np.int64(0), rng=0)[0] == 0
 
+    def test_randomness_comes_only_from_the_caller(self):
+        # No default: an omitted generator is a TypeError, and None, which
+        # default_rng would fill with OS entropy, a ValueError.
+        state = LogicalState(np.array([1.0, 1.0]) / np.sqrt(2))
+        assert inspect.signature(measure_logical).parameters["rng"].default is inspect.Parameter.empty
+        with pytest.raises(TypeError):
+            measure_logical(state, 0)
+        with pytest.raises(ValueError, match="rng must be a seed or a numpy Generator"):
+            measure_logical(state, 0, None)
+        with pytest.raises(ValueError, match="rng must be a seed or a numpy Generator"):
+            measure_logical(state, 0, rng=None)
+
     def test_no_leakage_tolerance_parameter(self):
         for fn in (decode, measure_logical):
             assert "leakage_tol" not in inspect.signature(fn).parameters
@@ -543,6 +555,23 @@ class TestKernelCache:
         circuit = random_circuit(rng, k, int(rng.integers(1, 24)))
         assert same_bits(circuit_columns(circuit, k),
                          fused_reference(circuit_steps(circuit), np.eye(2**k, dtype=complex)))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rebuilt_programs_run_bit_identically(self, seed):
+        # The inputs of the tests above, each program also built from numpy
+        # values and a list, and read back from its JSON: every build of the
+        # same program runs to the same bits.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        program = pooled_native_program(rng, k, int(rng.integers(0, 24)))
+        bits = "".join(rng.choice(["0", "1"], size=k))
+        final, stats = run_program(program, bits)
+        rebuilt = NativeProgram(np.int64(k), list(program.ops), np.complex128(program.global_phase))
+        for other in (rebuilt, NativeProgram.from_json(program.to_json())):
+            assert other == program
+            again, again_stats = run_program(other, bits)
+            assert same_bits(again.amplitudes, final.amplitudes) and again_stats == stats
 
     def test_signed_zero_angles_get_their_own_kernels(self):
         compiler._kernel.cache_clear()
