@@ -27,8 +27,8 @@ with or without ``--out``.  ``--out``, the only way to write files, writes
 ``blockade_sweep_report.json`` (``blockade-sweep``), ``fidelity_sweep.csv``
 and ``fidelity_report.json`` (``fidelity``), ``program.json``, ``program.txt``
 and ``compile_report.json`` (``compile``), and ``state.json`` and
-``run_report.json`` (``simulate``); each report file is the ``--json``
-stdout without its final newline.
+``run_report.json`` (``simulate``), each through :func:`_write`; each report
+file is the ``--json`` stdout without its final newline.
 
 A config is a JSON object with the optional keys ``physical_params``,
 ``decoherence_params`` and ``sweep``, each one left out keeping the reference
@@ -322,48 +322,47 @@ def _file_texts(path: Path):
         yield from iter(functools.partial(file.read, 1 << 20), "")
 
 
-def _emit(args, name: str, lines: list[str], report) -> None:
-    """Write the report to ``name`` in the ``--out`` directory, if any, then
-    print ``lines``, if any, or under ``--json`` the report, from the written
-    file if there is one, so no number is formatted twice.  ``report`` builds
-    the report dict, called only for these two and once; its ``"rows"`` table,
-    if any, is given as columns (see :func:`_to_json`)."""
-    out = _out_dir(args)
-    if args.json or out is not None:
-        body = report()
-        texts = _to_json(body, body.get("rows"))
-    if out is not None:
-        with open(out / name, "w") as file:
-            file.writelines(texts)
-    if args.json:
-        _print(texts if out is None else _file_texts(out / name))
-    elif lines:
-        _print("\n".join(lines))
-
-
-def _out_dir(args) -> Path | None:
+def _write(args, name: str, texts) -> Path | None:
+    """Write ``texts``, an iterable of strings, to ``name`` in the ``--out``
+    directory, made with its parents if need be, and return the file's path;
+    without ``--out``, write nothing, leave ``texts`` unread and return None."""
     if args.out is None:
         return None
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
+    path /= name
+    with open(path, "w") as file:
+        file.writelines(texts)
     return path
+
+
+def _emit(args, name: str, lines: list[str], report) -> None:
+    """Write the report to ``name`` (see :func:`_write`), then print
+    ``lines``, if any, or under ``--json`` the report, from the written file
+    if there is one, so no number is formatted twice.  ``report`` builds the
+    report dict, called only for ``--json`` and ``--out`` and once; its
+    ``"rows"`` table, if any, is given as columns (see :func:`_to_json`)."""
+    texts = ()
+    if args.json or args.out is not None:
+        body = report()
+        texts = _to_json(body, body.get("rows"))
+    path = _write(args, name, texts)
+    if args.json:
+        _print(texts if path is None else _file_texts(path))
+    elif lines:
+        _print("\n".join(lines))
 
 
 def _write_csv(args, name: str, header: str, columns: list) -> None:
     """Write the CSV table with the 1-d float ``columns`` (see :func:`_table`)
-    to ``name`` in the ``--out`` directory, if any, then, in text mode, print
-    a ``wrote`` line for the file and the table, from the written file if
-    there is one, so no row is formatted twice."""
-    out, show = _out_dir(args), not args.json
+    to ``name`` (see :func:`_write`), then, in text mode, print its ``wrote``
+    line, if written, and the table, from the file if written, as :func:`_emit` does."""
     table = _table(columns, lambda values: list(map(_FMT.format, values)), ",", "\n", header + "\n", "\n")
-    if out is not None:
-        with open(out / name, "w") as file:
-            file.writelines(table)
-        if show:
-            _print(f"wrote {out / name}")
-            _print(_file_texts(out / name), end="")
-    elif show:
-        _print(table, end="")
+    path = _write(args, name, table)
+    if not args.json:
+        if path is not None:
+            _print(f"wrote {path}")
+        _print(table if path is None else _file_texts(path), end="")
 
 
 def cmd_truth_table(args, config: ScenarioConfig) -> int:
@@ -470,12 +469,11 @@ def cmd_compile(args, config: ScenarioConfig) -> int:
         notes = [f"max per-gate distance: {worst:.3e} (epsilon {args.epsilon:g})"]
     error = compiler._equivalence_error(runs, program)
     passed = error < 1e-9 + bound  # 1e-9 covers rounding
-    out = _out_dir(args)
     # The listing is printed in text mode and written under --out; --json alone shows neither.
-    listing = program.disassemble() if out is not None or not args.json else ""
-    if out is not None:
-        (out / "program.json").write_text(program.to_json())
-        (out / "program.txt").write_text(listing)
+    listing = program.disassemble() if args.out is not None or not args.json else ""
+    if args.out is not None:
+        _write(args, "program.json", (program.to_json(),))
+        _write(args, "program.txt", (listing,))
     lines = [head, listing.rstrip("\n"), *notes, f"logical equivalence error: {error:.3e}",
              "PASS" if passed else "FAIL"]
     _emit(args, "compile_report.json", lines, lambda: {
@@ -498,13 +496,9 @@ def cmd_simulate(args, config: ScenarioConfig) -> int:
     trace_lines = [f"op {i:3d} {op.format()}"
                    for i, op in enumerate(program.ops)] if args.trace else []
 
-    out = _out_dir(args)
-    state_ref = None
-    if out is not None:
-        state_ref = str(out / "state.json")
-        with open(state_ref, "w") as file:  # json.dumps of the [re, im] pairs
-            file.writelines(_table([state.amplitudes.real, state.amplitudes.imag], _json_texts,
-                                   ", ", "], [", "[[", "]]"))
+    path = _write(args, "state.json", _table([state.amplitudes.real, state.amplitudes.imag], _json_texts,
+                                             ", ", "], [", "[[", "]]"))  # json.dumps of the [re, im] pairs
+    state_ref = str(path) if path else None
     lines = trace_lines + [
         f"ran {len(program.ops)} op(s) on |{initial}>",
         f"norm defect: {stats.norm_defect:.3e}",

@@ -191,7 +191,10 @@ class NativeProgram:
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError(f"program needs at least one logical qubit, as an integer, got {count!r}")
         phase = self.global_phase  # complex() would parse a string
-        phase = complex(phase) if isinstance(phase, numbers.Number) else math.nan
+        try:
+            phase = complex(phase) if isinstance(phase, numbers.Number) else math.nan
+        except OverflowError:  # a Python int past the float range
+            phase = math.nan
         if not abs(math.hypot(phase.real, phase.imag) - 1.0) <= NORM_ATOL:
             raise ValueError(f"global_phase must have modulus 1, got {self.global_phase!r}")
         ops = tuple(self.ops)

@@ -54,7 +54,7 @@ def _unitarity_defect(m: np.ndarray) -> float:
 
 
 class Unitary:
-    """Dense complex unitary matrix, validated on construction.
+    """Dense complex unitary matrix, validated on construction; immutable.
 
     The dimension must be a power of two (2, 4, 8, ...), every entry finite
     and the unitarity defect ``max|U U+ - I|`` below ``UNITARITY_ATOL``.
@@ -63,7 +63,7 @@ class Unitary:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=complex)
+        m = as_matrix(matrix).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         dim = m.shape[0]
@@ -75,6 +75,10 @@ class Unitary:
             raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"a Unitary is immutable: cannot set or delete {name!r}")
+    __delattr__ = __setattr__
 
     @property
     def dim(self) -> int:
@@ -88,10 +92,14 @@ class Unitary:
 
 
 def as_matrix(u) -> np.ndarray:
-    """Accept a Unitary or array-like and return a complex ndarray."""
+    """Accept a Unitary or array-like and return a complex ndarray; an entry
+    past the float range (a Python int, say) is a ``ValueError``."""
     if isinstance(u, Unitary):
         return u.matrix
-    return np.asarray(u, dtype=complex)
+    try:
+        return np.asarray(u, dtype=complex)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry out of range: {exc}") from None
 
 
 def _check_angles(*angles: float) -> None:
@@ -100,7 +108,11 @@ def _check_angles(*angles: float) -> None:
     for angle in angles:
         if type(angle) is not float and not isinstance(angle, numbers.Real):
             raise ValueError(f"angles must be real numbers, got {angles!r}")
-        if not math.isfinite(angle):
+        try:
+            finite = math.isfinite(angle)
+        except OverflowError:  # a Python int past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"angles must be finite, got {angles!r}")
 
 

@@ -844,6 +844,36 @@ def test_json_sweep_with_out_prints_only_the_report(command, sweep, name, tmp_pa
     assert plain.startswith(csv)
 
 
+OUT_COMMANDS = {"truth-table": ["truth-table"], "blockade-sweep": ["blockade-sweep"],
+                "fidelity": ["fidelity"], "compile": ["compile", "c.txt"],
+                "simulate": ["simulate", "--circuit", "c.txt"]}
+
+
+@pytest.mark.parametrize("case", ["existing_file", "nested"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_directory(command, case, tmp_path, monkeypatch):
+    # An --out that names a regular file is a usage error before anything is
+    # printed.  A nested --out that does not exist yet is made with its
+    # parents, and gets the files that --out out gets, alike but for the
+    # directory's own text in final_state_ref and the printed paths.
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "c.txt", "H 0\nCNOT 0 1\nT 1\n")
+    if case == "existing_file":
+        write(tmp_path / "taken", "")
+        code, stdout, stderr = run_cli(["--out", "taken", *OUT_COMMANDS[command]])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        return
+    runs = {}
+    for out in ["out", "a/b"]:
+        code, stdout, stderr = run_cli(["--out", out, *OUT_COMMANDS[command]])
+        assert (code, stderr) == (0, "")
+        files = {path.name: path.read_text() for path in sorted(Path(out).iterdir())}
+        assert files
+        runs[out] = [text.replace(f"{out}/", "DIR/") for text in [stdout, *files, *files.values()]]
+    assert runs["out"] == runs["a/b"]
+
+
 def test_blockade_sweep_output_does_not_depend_on_jobs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "c.json", {"sweep": {"parameter": "pi_to_s_ratio", "values": RATIOS}})

@@ -100,6 +100,31 @@ class TestUnitaryType:
         with pytest.raises(ValueError):
             u.matrix[0, 0] = 5.0
 
+    def test_cannot_be_rebound(self):
+        u = rx(0.3)
+        before = u.matrix.copy()
+        with pytest.raises(AttributeError, match="immutable"):
+            u.matrix = np.zeros((2, 2))
+        with pytest.raises(AttributeError, match="immutable"):
+            del u.matrix
+        assert np.array_equal(u.matrix, before) and u.unitarity_defect() < 1e-12
+
+    # An int past the float range is a ValueError, as any other bad value, not
+    # the OverflowError of converting it.
+    @pytest.mark.parametrize("build", [
+        lambda b: compiler.NativeOp(compiler.ISWAP_KIND, (0,), (b,)),
+        lambda b: compiler.NativeProgram(1, (), b),
+        rx,
+        rz,
+        lambda b: Unitary([[b, 0], [0, 1]]),
+        lambda b: compiler.euler_decompose([[b, 0], [0, 1]]),
+        lambda b: compiler.approximate_fixed_set([[b, 0], [0, 1]], 0.1, 3),
+    ], ids=["native_op", "native_program", "rx", "rz", "unitary", "euler_decompose",
+            "approximate_fixed_set"])
+    def test_int_past_the_float_range_is_a_value_error(self, build):
+        with pytest.raises(ValueError):
+            build(10**400)
+
     def test_matrix_json_round_trip(self):
         m = phase_block(0.37, 1.2)
         pairs = np.array(matrix_to_json(m))
